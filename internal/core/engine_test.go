@@ -1,0 +1,335 @@
+package core_test
+
+import (
+	"errors"
+	"runtime"
+	"strings"
+	"testing"
+
+	"unison/internal/core"
+	"unison/internal/des"
+	"unison/internal/pdes"
+	"unison/internal/sim"
+	"unison/internal/topology"
+)
+
+// lineTopo builds a chain of n nodes with the given uniform link delay.
+func lineTopo(n int, delay sim.Time) *topology.Graph {
+	g := topology.New()
+	for i := 0; i < n; i++ {
+		g.AddNode(topology.Host, "h")
+	}
+	for i := 0; i < n-1; i++ {
+		g.AddLink(sim.NodeID(i), sim.NodeID(i+1), 1e9, delay)
+	}
+	return g
+}
+
+// testDesc is a checkpoint descriptor with no payload, so the test models
+// have no event a snapshot would refuse (ckpt.CheckQueue).
+type testDesc struct{}
+
+func (testDesc) CkptKind() uint16             { return 0xfffe }
+func (testDesc) CkptEncode(buf []byte) []byte { return buf }
+
+// relayModel passes a token down the chain `laps` times.
+func relayModel(g *topology.Graph, delay sim.Time, laps int) (*sim.Model, *uint64) {
+	count := new(uint64)
+	n := g.N()
+	s := sim.NewSetup()
+	var relay func(ctx *sim.Ctx)
+	dir := 1
+	relay = func(ctx *sim.Ctx) {
+		*count++
+		cur := int(ctx.Node())
+		if cur == n-1 {
+			dir = -1
+		} else if cur == 0 {
+			dir = 1
+		}
+		if int(*count) < laps {
+			ctx.ScheduleDesc(delay, sim.NodeID(cur+dir), relay, testDesc{})
+		}
+	}
+	s.AtDesc(0, 0, relay, testDesc{})
+	return &sim.Model{Nodes: n, Links: g.LinkInfos, Init: s.Events()}, count
+}
+
+// engineShapes lists the three live shapes of the round engine — one
+// group of T workers (Unison), H groups of t (hybrid), n groups of one
+// (barrier) — over the 8-node relay chain. Every behaviour the engine
+// promises is checked once per row, so a shape cannot lose one silently.
+var engineShapes = []struct {
+	name    string
+	kernel  func(maxRounds uint64) sim.Kernel
+	lps     int
+	workers int
+	// solo: node 0's LP can only run on worker 0, the calling goroutine,
+	// so a panic raised by its events is recoverable by the test.
+	solo bool
+}{
+	{"unison-1x1", func(mr uint64) sim.Kernel { return core.New(core.Config{Threads: 1, MaxRounds: mr}) }, 8, 1, true},
+	{"unison-1x2", func(mr uint64) sim.Kernel { return core.New(core.Config{Threads: 2, MaxRounds: mr}) }, 8, 2, false},
+	{"unison-1x4", func(mr uint64) sim.Kernel { return core.New(core.Config{Threads: 4, MaxRounds: mr}) }, 8, 4, false},
+	{"hybrid-2x1", func(mr uint64) sim.Kernel {
+		return core.NewHybrid(core.HybridConfig{HostOf: halves(8), ThreadsPerHost: 1, MaxRounds: mr})
+	}, 8, 2, true},
+	{"hybrid-2x2", func(mr uint64) sim.Kernel {
+		return core.NewHybrid(core.HybridConfig{HostOf: halves(8), ThreadsPerHost: 2, MaxRounds: mr})
+	}, 8, 4, false},
+	{"barrier-2x1", func(mr uint64) sim.Kernel {
+		return &pdes.BarrierKernel{LPOf: halves(8), MaxRounds: mr}
+	}, 2, 2, true},
+	{"barrier-8x1", func(mr uint64) sim.Kernel {
+		return &pdes.BarrierKernel{LPOf: []int32{0, 1, 2, 3, 4, 5, 6, 7}, MaxRounds: mr}
+	}, 8, 8, true},
+	// Degenerate single rank: lookahead is infinite, so the run is one
+	// window per global event, like sequential DES.
+	{"barrier-1x1", func(mr uint64) sim.Kernel {
+		return &pdes.BarrierKernel{LPOf: make([]int32, 8), MaxRounds: mr}
+	}, 1, 1, true},
+}
+
+// halves assigns the first n/2 nodes to 0 and the rest to 1.
+func halves(n int) []int32 {
+	of := make([]int32, n)
+	for i := n / 2; i < n; i++ {
+		of[i] = 1
+	}
+	return of
+}
+
+// withStop appends a global stop event at t to m, preceded by a no-op
+// global event every tick (when positive): each one ends a window, so even
+// a single-LP shape, whose lookahead is infinite, runs many rounds.
+func withStop(m *sim.Model, t, tick sim.Time) {
+	s := sim.NewSetup()
+	for at := tick; tick > 0 && at < t; at += tick {
+		s.GlobalDesc(at, func(*sim.Ctx) {}, testDesc{})
+	}
+	s.GlobalDesc(t, func(ctx *sim.Ctx) { ctx.Stop() }, testDesc{})
+	extra := s.Events()
+	for i := range extra {
+		extra[i].Seq = uint64(len(m.Init) + i)
+	}
+	m.Init = append(m.Init, extra...)
+	m.StopAt = t
+}
+
+func TestEngineShapes(t *testing.T) {
+	for _, sh := range engineShapes {
+		sh := sh
+		t.Run(sh.name+"/relay-equals-des", func(t *testing.T) {
+			ref, refCount := relayModel(lineTopo(8, 500), 500, 100)
+			want, err := des.New().Run(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, count := relayModel(lineTopo(8, 500), 500, 100)
+			st, err := sh.kernel(0).Run(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *count != *refCount || st.Events != want.Events || st.EndTime != want.EndTime {
+				t.Fatalf("count=%d events=%d end=%v, des has count=%d events=%d end=%v",
+					*count, st.Events, st.EndTime, *refCount, want.Events, want.EndTime)
+			}
+			if st.LPs != sh.lps || len(st.Workers) != sh.workers {
+				t.Fatalf("LPs=%d workers=%d, want %d and %d", st.LPs, len(st.Workers), sh.lps, sh.workers)
+			}
+			if st.Rounds == 0 {
+				t.Fatal("no rounds recorded")
+			}
+			var perWorker uint64
+			for _, w := range st.Workers {
+				perWorker += w.Events
+			}
+			if perWorker != st.Events {
+				t.Fatalf("workers executed %d events, run reports %d", perWorker, st.Events)
+			}
+		})
+		t.Run(sh.name+"/stop-event", func(t *testing.T) {
+			m, count := relayModel(lineTopo(8, 500), 500, 1_000_000)
+			withStop(m, 10_000, 0)
+			st, err := sh.kernel(0).Run(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The relay fires every 500ns; the one AT 10000 belongs to the
+			// window after the stop boundary, which never runs: 20 events.
+			if *count != 20 {
+				t.Fatalf("count=%d", *count)
+			}
+			if st.EndTime != 10_000 {
+				t.Fatalf("end=%v", st.EndTime)
+			}
+			// Global events are credited to worker 0 in every shape.
+			if got := st.Events - uint64(*count); got != 1 {
+				t.Fatalf("%d events beyond the relay's, want the stop event alone", got)
+			}
+		})
+		t.Run(sh.name+"/global-from-node-panics", func(t *testing.T) {
+			if !sh.solo {
+				t.Skip("node 0's LP may run off the test goroutine")
+			}
+			s := sim.NewSetup()
+			s.At(0, 0, func(ctx *sim.Ctx) {
+				ctx.ScheduleGlobal(1000, func(*sim.Ctx) {})
+			})
+			m := &sim.Model{Nodes: 8, Links: lineTopo(8, 500).LinkInfos, Init: s.Events()}
+			withStop(m, 5000, 0)
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatal("global event from node event did not panic")
+				}
+				if !strings.Contains(strings.ToLower(sprint(r)), "global") {
+					t.Fatalf("unexpected panic: %v", r)
+				}
+			}()
+			_, _ = sh.kernel(0).Run(m)
+		})
+		t.Run(sh.name+"/max-rounds", func(t *testing.T) {
+			m, _ := relayModel(lineTopo(8, 500), 500, 1_000_000)
+			withStop(m, 100_000, 1000)
+			_, err := sh.kernel(5).Run(m)
+			if err == nil || !strings.Contains(err.Error(), "MaxRounds") {
+				t.Fatalf("MaxRounds did not trip: %v", err)
+			}
+		})
+		t.Run(sh.name+"/empty-model", func(t *testing.T) {
+			m := &sim.Model{Nodes: 8, Links: lineTopo(8, 500).LinkInfos}
+			st, err := sh.kernel(0).Run(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Events != 0 || st.Rounds != 0 {
+				t.Fatalf("phantom work: events=%d rounds=%d", st.Events, st.Rounds)
+			}
+		})
+		t.Run(sh.name+"/ckpt-save-error-aborts", func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			boom := errors.New("disk full")
+			m, count := relayModel(lineTopo(8, 500), 500, 1_000_000)
+			withStop(m, 100_000, 1000)
+			saves := 0
+			m.Ckpt = &sim.CkptHook{Every: 3, Save: func(*sim.KernelState) error {
+				saves++
+				return boom
+			}}
+			_, err := sh.kernel(0).Run(m)
+			if !errors.Is(err, boom) {
+				t.Fatalf("err=%v, want the Save error wrapped", err)
+			}
+			if saves != 1 {
+				t.Fatalf("run went on to save %d times after the first failure", saves)
+			}
+			if *count > 100 {
+				t.Fatalf("run continued for %d events after a failed save at round 3", *count)
+			}
+			// Every worker goroutine must have left its round loop. Run waits
+			// for them, so this only has to outlast their final return.
+			for i := 0; i < 1_000_000 && runtime.NumGoroutine() > before; i++ {
+				runtime.Gosched()
+			}
+			if after := runtime.NumGoroutine(); after > before {
+				t.Fatalf("goroutine leak: %d before, %d after", before, after)
+			}
+		})
+	}
+}
+
+func sprint(v any) string {
+	if s, ok := v.(string); ok {
+		return s
+	}
+	if e, ok := v.(error); ok {
+		return e.Error()
+	}
+	return ""
+}
+
+func TestKernelGlobalFromGlobalAllowed(t *testing.T) {
+	g := lineTopo(2, 500)
+	hits := 0
+	s := sim.NewSetup()
+	s.Global(100, func(ctx *sim.Ctx) {
+		hits++
+		if hits < 3 {
+			ctx.ScheduleGlobal(ctx.Now()+100, func(c *sim.Ctx) {
+				hits++
+				c.Stop()
+			})
+		}
+	})
+	m := &sim.Model{Nodes: 2, Links: g.LinkInfos, Init: s.Events()}
+	if _, err := core.New(core.Config{Threads: 2}).Run(m); err != nil {
+		t.Fatal(err)
+	}
+	if hits != 2 {
+		t.Fatalf("hits=%d", hits)
+	}
+}
+
+func TestKernelManualLP(t *testing.T) {
+	g := lineTopo(6, 500)
+	m, _ := relayModel(g, 500, 50)
+	lpOf := []int32{0, 0, 0, 1, 1, 1}
+	st, err := core.New(core.Config{Threads: 2, ManualLP: lpOf}).Run(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.LPs != 2 {
+		t.Fatalf("LPs=%d", st.LPs)
+	}
+}
+
+func TestKernelRecordRounds(t *testing.T) {
+	g := lineTopo(4, 500)
+	m, _ := relayModel(g, 500, 200)
+	st, err := core.New(core.Config{Threads: 2, RecordRounds: true}).Run(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.RoundTrace) == 0 {
+		t.Fatal("no round trace")
+	}
+	for _, r := range st.RoundTrace {
+		if len(r.PerWorker) != 2 {
+			t.Fatal("trace worker arity wrong")
+		}
+	}
+}
+
+func TestKernelCacheCounters(t *testing.T) {
+	g := lineTopo(4, 500)
+	m, _ := relayModel(g, 500, 200)
+	st, err := core.New(core.Config{Threads: 1, CacheWays: 2}).Run(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.CacheRefs == 0 {
+		t.Fatal("cache model recorded nothing")
+	}
+}
+
+func TestKernelSchedulingMetricsAllTerminate(t *testing.T) {
+	for _, metric := range []core.Metric{core.MetricPrevTime, core.MetricPendingEvents, core.MetricNone} {
+		g := lineTopo(8, 500)
+		m, count := relayModel(g, 500, 300)
+		if _, err := core.New(core.Config{Threads: 3, Metric: metric, Period: 2}).Run(m); err != nil {
+			t.Fatalf("%v: %v", metric, err)
+		}
+		if *count != 300 {
+			t.Fatalf("%v: count=%d", metric, *count)
+		}
+	}
+}
+
+func TestMetricString(t *testing.T) {
+	if core.MetricPrevTime.String() != "prev-time" ||
+		core.MetricPendingEvents.String() != "pending-events" ||
+		core.MetricNone.String() != "none" {
+		t.Fatal("Metric strings wrong")
+	}
+}

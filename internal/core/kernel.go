@@ -84,6 +84,42 @@ func New(cfg Config) *Kernel {
 // Name implements sim.Kernel.
 func (k *Kernel) Name() string { return fmt.Sprintf("unison(t=%d)", k.cfg.Threads) }
 
+// shape is the one decision that differs between the round-based kernels:
+// which workers may run which LPs. The LPs of part are divided into
+// groups; each group owns perGroup workers (numbered group*perGroup+i)
+// that pull that group's LPs, and only those, through the group's
+// cursors:
+//
+//	Unison  one group, Threads workers      LPs bind to workers per round
+//	hybrid  one group per host              LPs never leave their host
+//	barrier one group per rank, one worker  static rank binding
+//
+// Everything else about a round is the same for every shape.
+type shape struct {
+	name     string // RunStats.Kernel
+	part     *Partition
+	groupOf  []int32 // LP → group; nil puts every LP in group 0
+	perGroup int
+	// cfg carries the knobs every shape shares: Metric, Period, CacheWays,
+	// RecordRounds, MaxRounds, Observe. Threads and ManualLP were consumed
+	// by whoever built the shape.
+	cfg Config
+}
+
+// Run implements sim.Kernel: one group holding every LP of Algorithm 1's
+// partition (or of cfg.ManualLP), pulled by cfg.Threads workers.
+func (k *Kernel) Run(m *sim.Model) (*sim.RunStats, error) {
+	return run(m, func(links []sim.LinkInfo) (shape, error) {
+		var part *Partition
+		if k.cfg.ManualLP != nil {
+			part = Manual(k.cfg.ManualLP, links)
+		} else {
+			part = FineGrained(m.Nodes, links)
+		}
+		return shape{name: k.Name(), part: part, perGroup: k.cfg.Threads, cfg: k.cfg}, nil
+	})
+}
+
 // lpState is one logical process. Cross-LP events in flight live in the
 // per-worker staged outboxes (mailbox.go), not on the LP.
 type lpState struct {
@@ -98,9 +134,27 @@ type lpState struct {
 	lastW int32
 }
 
-// rt is the shared runtime of one Run call.
+// group is one set of LPs and the cursors its workers pull them through.
+// The layout is two cache lines. The slice headers never change after
+// setup (phase 4 sorts order in place) and fill the first, which therefore
+// stays shared and clean; the cursors own the second, so a group's
+// workers fight over that line only with each other and only for the
+// increment. Sharing one line, every claim re-fetched the headers from
+// whichever core incremented last (7 % on bench's sparse-lowdelay.unison);
+// and with one group per rank, unpadded cursors of different groups would
+// put every worker on the same line.
+type group struct {
+	lps   []int32 // the group's LPs in index order (phase-3 receive order)
+	order []int32 // the same LPs in schedule order (phase-1 pull order)
+	_     [16]byte
+
+	cursor1 atomic.Int64
+	cursor3 atomic.Int64
+	_       [48]byte
+}
+
+// rt is the shared runtime of one run.
 type rt struct {
-	k    *Kernel
 	m    *sim.Model
 	part *Partition
 	lps  []lpState
@@ -115,9 +169,7 @@ type rt struct {
 	lbts      sim.Time
 	lookahead sim.Time
 
-	order   []int32
-	cursor1 atomic.Int64
-	cursor3 atomic.Int64
+	groups []group
 
 	perWorkerMin []sim.Time
 	roundP       []int64
@@ -138,6 +190,10 @@ type rt struct {
 	trace []sim.RoundSample
 
 	workers []workerState
+
+	// sh is read a few times per round at most; it sits last, off the
+	// lines holding what the event loop reads per event (lps, seqs, lbts).
+	sh shape
 }
 
 type workerState struct {
@@ -173,90 +229,108 @@ func (s *workerSink) PutGlobal(ev sim.Event) {
 	s.rt.pub.Push(ev)
 }
 
-// Run implements sim.Kernel.
-func (k *Kernel) Run(m *sim.Model) (*sim.RunStats, error) {
+// run executes m under the shape plan chooses for its links. It is the
+// only place a round-based run is set up, seeded (from Model.Init or a
+// checkpoint) and torn down.
+func run(m *sim.Model, plan func(links []sim.LinkInfo) (shape, error)) (*sim.RunStats, error) {
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	start := time.Now() //unison:wallclock-ok wall-clock run timing for RunStats.WallNS
-	links := m.Links()
-	var part *Partition
-	if k.cfg.ManualLP != nil {
-		part = Manual(k.cfg.ManualLP, links)
-	} else {
-		part = FineGrained(m.Nodes, links)
+	sh, err := plan(m.Links())
+	if err != nil {
+		return nil, err
+	}
+	part := sh.part
+	if len(part.LPOf) != m.Nodes {
+		return nil, errors.New("core: partition does not cover every node")
 	}
 	n := part.Count
+	groups := 1
+	for _, g := range sh.groupOf {
+		if int(g) >= groups {
+			groups = int(g) + 1
+		}
+	}
+	workers := groups * sh.perGroup
 	r := &rt{
-		k:            k,
+		sh:           sh,
 		m:            m,
 		part:         part,
 		lps:          make([]lpState, n),
-		outboxes:     make([]outbox, k.cfg.Threads),
+		outboxes:     make([]outbox, workers),
 		pub:          eventq.New(16),
 		seqs:         sim.NewSeqTable(m.Nodes),
 		lookahead:    part.Lookahead,
-		order:        make([]int32, n),
-		perWorkerMin: make([]sim.Time, k.cfg.Threads),
-		roundP:       make([]int64, k.cfg.Threads),
-		workers:      make([]workerState, k.cfg.Threads),
+		groups:       make([]group, groups),
+		perWorkerMin: make([]sim.Time, workers),
+		roundP:       make([]int64, workers),
+		workers:      make([]workerState, workers),
 	}
 	for i := range r.lps {
 		r.lps[i].fel = eventq.New(64)
-		r.order[i] = int32(i)
+		g := &r.groups[0]
+		if sh.groupOf != nil {
+			g = &r.groups[sh.groupOf[i]]
+		}
+		g.lps = append(g.lps, int32(i))
+	}
+	for i := range r.groups {
+		r.groups[i].order = append([]int32(nil), r.groups[i].lps...)
 	}
 	for w := range r.outboxes {
 		r.outboxes[w] = newOutbox(n)
 	}
-	if k.cfg.CacheWays > 0 {
-		r.cache = metrics.NewCacheModel(k.cfg.Threads, k.cfg.CacheWays)
+	if sh.cfg.CacheWays > 0 {
+		r.cache = metrics.NewCacheModel(workers, sh.cfg.CacheWays)
 	}
-	r.period = uint64(k.cfg.Period)
+	r.period = uint64(sh.cfg.Period)
 	if r.period == 0 {
 		r.period = uint64(1)
 		if n > 1 {
 			r.period = uint64(bits.Len(uint(n - 1))) // ⌈log₂ n⌉
 		}
 	}
+	seed := m.Init
 	if hook := m.Ckpt; hook != nil && hook.Restore != nil {
 		ks := hook.Restore
 		if len(ks.Seqs) != len(r.seqs) {
 			return nil, fmt.Errorf("core: checkpoint has %d sequence counters, model needs %d", len(ks.Seqs), len(r.seqs))
 		}
 		copy(r.seqs, ks.Seqs)
-		for _, ev := range ks.Queue {
-			if ev.Node == sim.GlobalNode {
-				r.pub.Push(ev)
-			} else {
-				r.lps[part.LPOf[ev.Node]].fel.Push(ev)
-			}
-		}
 		r.round, r.baseEvents, r.baseEnd = ks.Round, ks.Events, ks.EndTime
-	} else {
-		for _, ev := range m.Init {
-			if ev.Node == sim.GlobalNode {
-				r.pub.Push(ev)
-			} else {
-				r.lps[part.LPOf[ev.Node]].fel.Push(ev)
-			}
+		seed = ks.Queue
+	}
+	for _, ev := range seed {
+		if ev.Node == sim.GlobalNode {
+			r.pub.Push(ev)
+		} else {
+			r.lps[part.LPOf[ev.Node]].fel.Push(ev)
 		}
 	}
 
-	obs.Begin(k.cfg.Observe, obs.RunMeta{Kernel: k.Name(), Workers: k.cfg.Threads, LPs: n})
+	probe := sh.cfg.Observe
+	obs.Begin(probe, obs.RunMeta{Kernel: sh.name, Workers: workers, LPs: n})
 
-	// Initial window (the phase-4 computation for round 0).
-	r.lbts = r.computeLBTS()
-	if r.lbts == sim.MaxTime && r.pub.Empty() {
+	// Initial window (the phase-4 computation for round 0), evaluated with
+	// no worker started yet.
+	allMin := sim.MaxTime
+	for i := range r.lps {
+		if t := r.lps[i].fel.NextTime(); t < allMin {
+			allMin = t
+		}
+	}
+	if allMin == sim.MaxTime && r.pub.Empty() {
 		// Nothing to do at all.
 		st := r.stats(start)
-		obs.End(k.cfg.Observe, st)
+		obs.End(probe, st)
 		return st, nil
 	}
-	r.cursor1.Store(0)
+	r.lbts = eq2(allMin, r.pub.NextTime(), r.lookahead)
 
-	bar := syncx.NewBarrier(k.cfg.Threads)
+	bar := syncx.NewBarrier(workers)
 	var wg sync.WaitGroup
-	for w := 1; w < k.cfg.Threads; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -267,20 +341,8 @@ func (k *Kernel) Run(m *sim.Model) (*sim.RunStats, error) {
 	wg.Wait()
 
 	st := r.stats(start)
-	obs.End(k.cfg.Observe, st)
+	obs.End(probe, st)
 	return st, r.err
-}
-
-// computeLBTS evaluates Equation 2 from the current FEL states. Only
-// called with all workers quiescent.
-func (r *rt) computeLBTS() sim.Time {
-	allMin := sim.MaxTime
-	for i := range r.lps {
-		if t := r.lps[i].fel.NextTime(); t < allMin {
-			allMin = t
-		}
-	}
-	return eq2(allMin, r.pub.NextTime(), r.lookahead)
 }
 
 // Eq2 is the paper's Equation 2 — LBTS = min(N_pub, min_i N_i +
@@ -305,14 +367,20 @@ func eq2(allMin, pubNext, lookahead sim.Time) sim.Time {
 }
 
 // workerLoop is the four-phase round loop of one worker (§5.1, Fig 7).
+// It is the only round loop of the live kernels: the shape decides nothing
+// here except which group's cursors worker w pulls from.
 func (r *rt) workerLoop(w int, bar *syncx.Barrier) {
+	g := &r.groups[w/r.sh.perGroup]
+	// solo: this worker is its group's only one, so it walks the group's
+	// LPs with a plain counter; nobody else claims from the cursors.
+	solo := r.sh.perGroup == 1
 	sink := &workerSink{rt: r, w: w}
 	ctx := sim.NewCtx(sink, w)
 	ws := &r.workers[w]
 	ob := &r.outboxes[w]
 	// timed: only MetricPrevTime needs per-LP wall-clock estimates.
-	timed := r.k.cfg.Metric == MetricPrevTime
-	probe := r.k.cfg.Observe
+	timed := r.sh.cfg.Metric == MetricPrevTime
+	probe := r.sh.cfg.Observe
 	var clock lpClock
 	var recv []sim.Event // phase-3 gather scratch, reused across rounds
 	// rec escapes through the probe interface call; keeping it outside the
@@ -329,21 +397,23 @@ func (r *rt) workerLoop(w int, bar *syncx.Barrier) {
 		roundLBTS := r.lbts
 		evStart := ws.events
 		var migrations uint64
-		// Phase 1: process events within the window, pulling LPs in
-		// longest-estimated-job-first order via the shared cursor. The
-		// previous round's staged events were all delivered in phase 3,
-		// so the outbox can be recycled before the first Put.
+		// Phase 1: process events within the window, pulling the group's
+		// LPs in longest-estimated-job-first order via its shared cursor.
+		// The previous round's staged events were all delivered in phase
+		// 3, so the outbox can be recycled before the first Put.
 		ob.reset()
-		nLP := int64(len(r.lps))
+		nLP := int64(len(g.order))
 		if timed {
 			clock.start()
 		}
-		for {
-			i := r.cursor1.Add(1) - 1
+		for i := int64(0); ; i++ {
+			if !solo {
+				i = g.cursor1.Add(1) - 1
+			}
 			if i >= nLP {
 				break
 			}
-			lpIdx := r.order[i]
+			lpIdx := g.order[i]
 			lp := &r.lps[lpIdx]
 			sink.curLP = lpIdx
 			var nev int64
@@ -387,18 +457,22 @@ func (r *rt) workerLoop(w int, bar *syncx.Barrier) {
 		s1 := sw.Lap()
 		ws.s += s1
 
-		// Phase 3: gather each LP's staged events from every worker's
-		// outbox, bulk-load them into the FEL, and compute the local
-		// minimum next-event time.
+		// Phase 3: gather each of the group's LPs' staged events from every
+		// worker's outbox (events from other groups arrive the same way),
+		// bulk-load them into the FEL, and compute the local minimum
+		// next-event time.
 		locMin := sim.MaxTime
 		var recvd, depth uint64
-		for {
-			i := r.cursor3.Add(1) - 1
+		for i := int64(0); ; i++ {
+			if !solo {
+				i = g.cursor3.Add(1) - 1
+			}
 			if i >= nLP {
 				break
 			}
-			lp := &r.lps[i]
-			recv = gather(r.outboxes, int32(i), recv[:0]) //unison:owner transfer phase-2 barrier published every worker's phase-1 puts
+			lpIdx := g.lps[i]
+			lp := &r.lps[lpIdx]
+			recv = gather(r.outboxes, lpIdx, recv[:0]) //unison:owner transfer phase-2 barrier published every worker's phase-1 puts
 			lp.pending = int64(len(recv))
 			lp.fel.PushBatch(recv)
 			if t := lp.fel.NextTime(); t < locMin {
@@ -454,7 +528,9 @@ func (r *rt) phase2(ctx *sim.Ctx, sink *workerSink) {
 			r.stopped = true
 		}
 	}
-	r.cursor3.Store(0)
+	for i := range r.groups {
+		r.groups[i].cursor3.Store(0)
+	}
 }
 
 // phase4 runs as the serial section of the post-phase-3 barrier, with
@@ -468,7 +544,7 @@ func (r *rt) phase4() {
 	}
 	pubNext := r.pub.NextTime()
 
-	if r.k.cfg.RecordRounds {
+	if r.sh.cfg.RecordRounds {
 		samp := sim.RoundSample{LBTS: r.lbts, PerWorker: append([]int64(nil), r.roundP...)}
 		for _, p := range r.roundP {
 			if p > samp.Makespan {
@@ -485,7 +561,7 @@ func (r *rt) phase4() {
 		r.done = true
 	case allMin == sim.MaxTime && pubNext == sim.MaxTime:
 		r.done = true
-	case r.k.cfg.MaxRounds > 0 && r.round >= r.k.cfg.MaxRounds:
+	case r.sh.cfg.MaxRounds > 0 && r.round >= r.sh.cfg.MaxRounds:
 		r.done = true
 		r.err = errors.New("core: MaxRounds exceeded")
 	default:
@@ -500,7 +576,9 @@ func (r *rt) phase4() {
 			}
 		}
 		r.reschedule()
-		r.cursor1.Store(0)
+		for i := range r.groups {
+			r.groups[i].cursor1.Store(0)
+		}
 	}
 }
 
@@ -535,28 +613,31 @@ func (r *rt) saveCkpt() error {
 	return nil
 }
 
-// reschedule re-sorts the LP order by the scheduling estimate every
-// period rounds (§4.3).
+// reschedule re-sorts every group's LP order by the scheduling estimate
+// every period rounds (§4.3).
 func (r *rt) reschedule() {
-	if r.k.cfg.Metric == MetricNone || r.round%r.period != 0 {
+	if r.sh.cfg.Metric == MetricNone || r.round%r.period != 0 {
 		return
 	}
 	for i := range r.lps {
 		lp := &r.lps[i]
-		if r.k.cfg.Metric == MetricPrevTime {
+		if r.sh.cfg.Metric == MetricPrevTime {
 			lp.est = lp.lastP
 		} else {
 			lp.est = lp.pending
 		}
 	}
-	sort.SliceStable(r.order, func(a, b int) bool {
-		return r.lps[r.order[a]].est > r.lps[r.order[b]].est
-	})
+	for i := range r.groups {
+		order := r.groups[i].order
+		sort.SliceStable(order, func(a, b int) bool {
+			return r.lps[order[a]].est > r.lps[order[b]].est
+		})
+	}
 }
 
 func (r *rt) stats(start time.Time) *sim.RunStats {
 	st := &sim.RunStats{
-		Kernel:     r.k.Name(),
+		Kernel:     r.sh.name,
 		WallNS:     time.Since(start).Nanoseconds(), //unison:wallclock-ok wall-clock run timing for RunStats.WallNS
 		Rounds:     r.round,
 		LPs:        r.part.Count,

@@ -6,6 +6,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -39,39 +40,33 @@ func FineGrained(nodes int, links []sim.LinkInfo) *Partition {
 		panic("core: partition of empty topology")
 	}
 	bound := medianDelay(links)
-	lpOf := make([]int32, nodes)
-	for i := range lpOf {
-		lpOf[i] = -1
-	}
-	adj := buildAdj(nodes, links, func(l *sim.LinkInfo) bool {
+	lpOf, count := components(nodes, links, func(l *sim.LinkInfo) bool {
 		// Keep (do not cut) links below the bound; stateful links can
 		// never be cut, regardless of delay.
 		return l.Up && (l.Delay < bound || !l.Stateless)
 	})
-	var count int32
-	queue := make([]int32, 0, nodes)
-	for v := 0; v < nodes; v++ {
-		if lpOf[v] >= 0 {
-			continue
-		}
-		id := count
-		count++
-		queue = append(queue[:0], int32(v))
-		lpOf[v] = id
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, w := range adj[u] {
-				if lpOf[w] < 0 {
-					lpOf[w] = id
-					queue = append(queue, w)
-				}
-			}
-		}
-	}
-	p := &Partition{LPOf: lpOf, Count: int(count), Bound: bound}
+	p := &Partition{LPOf: lpOf, Count: count, Bound: bound}
 	p.Lookahead = CutLookahead(p.LPOf, links)
 	return p
+}
+
+// HybridPartition computes the two-level partition of §5.2: Algorithm 1
+// applied within each host's subgraph (links crossing hosts are always
+// cut). It returns the node→LP map, the LP→host map, and the global
+// lookahead. With every node on one host it is FineGrained.
+func HybridPartition(nodes int, hostOf []int32, links []sim.LinkInfo) (lpOf []int32, hostOfLP []int32, lookahead sim.Time, err error) {
+	if len(hostOf) != nodes {
+		return nil, nil, 0, errors.New("core: HostOf must cover every node")
+	}
+	bound := medianDelay(links)
+	lpOf, count := components(nodes, links, func(l *sim.LinkInfo) bool {
+		return l.Up && hostOf[l.A] == hostOf[l.B] && (l.Delay < bound || !l.Stateless)
+	})
+	hostOfLP = make([]int32, count)
+	for v, lp := range lpOf {
+		hostOfLP[lp] = hostOf[v]
+	}
+	return lpOf, hostOfLP, CutLookahead(lpOf, links), nil
 }
 
 // Manual builds a partition from an explicit node -> LP assignment (the
@@ -132,7 +127,11 @@ func medianDelay(links []sim.LinkInfo) sim.Time {
 	return ds[len(ds)/2]
 }
 
-func buildAdj(nodes int, links []sim.LinkInfo, keep func(*sim.LinkInfo) bool) [][]int32 {
+// components labels the connected components of the graph made of the
+// links keep accepts, numbering them by their lowest node, and returns the
+// node→component map and the component count. Every partition that is
+// computed rather than given is a choice of keep.
+func components(nodes int, links []sim.LinkInfo, keep func(*sim.LinkInfo) bool) ([]int32, int) {
 	adj := make([][]int32, nodes)
 	for i := range links {
 		l := &links[i]
@@ -141,7 +140,31 @@ func buildAdj(nodes int, links []sim.LinkInfo, keep func(*sim.LinkInfo) bool) []
 			adj[l.B] = append(adj[l.B], int32(l.A))
 		}
 	}
-	return adj
+	label := make([]int32, nodes)
+	for i := range label {
+		label[i] = -1
+	}
+	var count int32
+	queue := make([]int32, 0, nodes)
+	for v := 0; v < nodes; v++ {
+		if label[v] >= 0 {
+			continue
+		}
+		queue = append(queue[:0], int32(v))
+		label[v] = count
+		for len(queue) > 0 {
+			u := queue[0]
+			queue = queue[1:]
+			for _, w := range adj[u] {
+				if label[w] < 0 {
+					label[w] = count
+					queue = append(queue, w)
+				}
+			}
+		}
+		count++
+	}
+	return label, int(count)
 }
 
 // Sizes returns the node count of each LP (diagnostics, unitopo).

@@ -249,3 +249,78 @@ func TestEq2(t *testing.T) {
 		}
 	}
 }
+
+func TestHybridPartitionNeverSpansHosts(t *testing.T) {
+	ft := topology.BuildFatTree(topology.FatTreeK(4, 1e9, 3*sim.Microsecond))
+	hostOf := make([]int32, ft.N())
+	for i := range hostOf {
+		hostOf[i] = int32(i % 3)
+	}
+	lpOf, hostOfLP, la, err := HybridPartition(ft.N(), hostOf, ft.LinkInfos())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for node, lp := range lpOf {
+		if hostOfLP[lp] != hostOf[node] {
+			t.Fatalf("node %d on host %d but its LP %d belongs to host %d",
+				node, hostOf[node], lp, hostOfLP[lp])
+		}
+	}
+	if la != 3*sim.Microsecond {
+		t.Fatalf("lookahead=%v", la)
+	}
+}
+
+func TestHybridPartitionOneHostIsFineGrained(t *testing.T) {
+	tr := topology.BuildTorus2D(4, 4, 1e9, 30*sim.Microsecond)
+	fg := FineGrained(tr.N(), tr.LinkInfos())
+	lpOf, hostOfLP, la, err := HybridPartition(tr.N(), make([]int32, tr.N()), tr.LinkInfos())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hostOfLP) != fg.Count || la != fg.Lookahead {
+		t.Fatalf("LPs=%d lookahead=%v, FineGrained has %d and %v", len(hostOfLP), la, fg.Count, fg.Lookahead)
+	}
+	for v := range lpOf {
+		if lpOf[v] != fg.LPOf[v] {
+			t.Fatalf("node %d: LP %d, FineGrained says %d", v, lpOf[v], fg.LPOf[v])
+		}
+	}
+}
+
+func TestHybridPartitionGroupsWithinHosts(t *testing.T) {
+	// Torus host links (delay/100) group host+switch — but only when both
+	// land on the same simulation host.
+	tr := topology.BuildTorus2D(4, 4, 1e9, 30*sim.Microsecond)
+	hostOf := make([]int32, tr.N())
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 4; j++ {
+			h := int32(0)
+			if i >= 2 {
+				h = 1
+			}
+			hostOf[tr.SwitchAt[i][j]] = h
+			hostOf[tr.HostAt[i][j]] = h
+		}
+	}
+	lpOf, hostOfLP, _, err := HybridPartition(tr.N(), hostOf, tr.LinkInfos())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hostOfLP) != 16 {
+		t.Fatalf("LPs=%d, want 16", len(hostOfLP))
+	}
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 4; j++ {
+			if lpOf[tr.SwitchAt[i][j]] != lpOf[tr.HostAt[i][j]] {
+				t.Fatalf("grid point (%d,%d) split across LPs", i, j)
+			}
+		}
+	}
+}
+
+func TestHybridPartitionBadHostMap(t *testing.T) {
+	if _, _, _, err := HybridPartition(4, []int32{0, 1}, nil); err == nil {
+		t.Fatal("short HostOf accepted")
+	}
+}

@@ -10,16 +10,10 @@ package pdes
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"time"
 
-	"unison/internal/ckpt"
 	"unison/internal/core"
-	"unison/internal/eventq"
-	"unison/internal/metrics"
 	"unison/internal/obs"
 	"unison/internal/sim"
-	"unison/internal/syncx"
 )
 
 // BarrierKernel is the barrier synchronization algorithm: every rank is a
@@ -49,348 +43,20 @@ type BarrierKernel struct {
 // Name implements sim.Kernel.
 func (k *BarrierKernel) Name() string { return "barrier" }
 
-type brt struct {
-	k         *BarrierKernel
-	m         *sim.Model
-	part      *core.Partition
-	fels      []*eventq.Queue
-	mail      [][][]sim.Event // mail[dst][src]
-	pub       *eventq.Queue
-	seqs      sim.SeqTable
-	lbts      sim.Time
-	lookahead sim.Time
-	rankMin   []sim.Time
-	roundP    []int64
-	stopped   bool
-	done      bool
-	err       error
-	round     uint64
-
-	// baseEvents/baseEnd are the restored-from-checkpoint offsets, so a
-	// resumed run's RunStats match an uninterrupted one.
-	baseEvents uint64
-	baseEnd    sim.Time
-
-	cache   *metrics.CacheModel
-	trace   []sim.RoundSample
-	workers []rankState
-}
-
-type rankState struct {
-	events  uint64
-	lastT   sim.Time
-	p, s, m int64
-	_       [8]int64
-}
-
-type rankSink struct {
-	rt   *brt
-	rank int32
-	// global is set while rank 0 executes global events between rounds.
-	global bool
-}
-
-func (s *rankSink) Put(ev sim.Event) {
-	tgt := s.rt.part.LPOf[ev.Node]
-	if s.global || tgt == s.rank {
-		s.rt.fels[tgt].Push(ev)
-		return
-	}
-	if ev.Time < s.rt.lbts {
-		panic(fmt.Sprintf("pdes: causality violation: cross-rank event at %v inside window ending %v", ev.Time, s.rt.lbts))
-	}
-	mb := &s.rt.mail[tgt][s.rank]
-	*mb = append(*mb, ev)
-}
-
-func (s *rankSink) PutGlobal(ev sim.Event) {
-	if !s.global {
-		panic("pdes: global events may only be scheduled at setup or from other global events")
-	}
-	s.rt.pub.Push(ev)
-}
-
-// Run implements sim.Kernel.
+// Run implements sim.Kernel. The barrier algorithm is the round engine of
+// internal/core in its static shape: one LP and one worker per rank.
 func (k *BarrierKernel) Run(m *sim.Model) (*sim.RunStats, error) {
-	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("pdes: %w", err)
-	}
-	start := time.Now() //unison:wallclock-ok wall-clock run timing for RunStats.WallNS
-	links := m.Links()
 	part := k.Part
 	if part == nil {
+		if err := m.Validate(); err != nil {
+			return nil, fmt.Errorf("pdes: %w", err)
+		}
 		if len(k.LPOf) != m.Nodes {
 			return nil, errors.New("pdes: BarrierKernel requires a manual partition covering every node")
 		}
-		part = core.Manual(k.LPOf, links)
+		part = core.Manual(k.LPOf, m.Links())
 	}
-	if len(part.LPOf) != m.Nodes {
-		return nil, errors.New("pdes: BarrierKernel partition does not cover every node")
-	}
-	n := part.Count
-	r := &brt{
-		k:         k,
-		m:         m,
-		part:      part,
-		fels:      make([]*eventq.Queue, n),
-		mail:      make([][][]sim.Event, n),
-		pub:       eventq.New(16),
-		seqs:      sim.NewSeqTable(m.Nodes),
-		lookahead: part.Lookahead,
-		rankMin:   make([]sim.Time, n),
-		roundP:    make([]int64, n),
-		workers:   make([]rankState, n),
-	}
-	for i := 0; i < n; i++ {
-		r.fels[i] = eventq.New(64)
-		r.mail[i] = make([][]sim.Event, n)
-	}
-	if k.CacheWays > 0 {
-		r.cache = metrics.NewCacheModel(n, k.CacheWays)
-	}
-	if hook := m.Ckpt; hook != nil && hook.Restore != nil {
-		ks := hook.Restore
-		if len(ks.Seqs) != len(r.seqs) {
-			return nil, fmt.Errorf("pdes: checkpoint has %d sequence counters, model needs %d", len(ks.Seqs), len(r.seqs))
-		}
-		copy(r.seqs, ks.Seqs)
-		for _, ev := range ks.Queue {
-			if ev.Node == sim.GlobalNode {
-				r.pub.Push(ev)
-			} else {
-				r.fels[part.LPOf[ev.Node]].Push(ev)
-			}
-		}
-		r.round, r.baseEvents, r.baseEnd = ks.Round, ks.Events, ks.EndTime
-	} else {
-		for _, ev := range m.Init {
-			if ev.Node == sim.GlobalNode {
-				r.pub.Push(ev)
-			} else {
-				r.fels[part.LPOf[ev.Node]].Push(ev)
-			}
-		}
-	}
-	allMin := sim.MaxTime
-	for _, f := range r.fels {
-		if t := f.NextTime(); t < allMin {
-			allMin = t
-		}
-	}
-	r.lbts = core.Eq2(allMin, r.pub.NextTime(), r.lookahead)
-	obs.Begin(k.Observe, obs.RunMeta{Kernel: k.Name(), Workers: n, LPs: n})
-	if r.lbts == sim.MaxTime && r.pub.Empty() {
-		st := r.stats(start)
-		obs.End(k.Observe, st)
-		return st, nil
-	}
-
-	bar := syncx.NewBarrier(n)
-	var wg sync.WaitGroup
-	for rank := 1; rank < n; rank++ {
-		wg.Add(1)
-		go func(rank int32) {
-			defer wg.Done()
-			r.rankLoop(rank, bar)
-		}(int32(rank))
-	}
-	r.rankLoop(0, bar)
-	wg.Wait()
-	st := r.stats(start)
-	obs.End(k.Observe, st)
-	return st, r.err
-}
-
-func (r *brt) rankLoop(rank int32, bar *syncx.Barrier) {
-	sink := &rankSink{rt: r, rank: rank}
-	ctx := sim.NewCtx(sink, int(rank))
-	ws := &r.workers[rank]
-	fel := r.fels[rank]
-	probe := r.k.Observe
-	// rec escapes through the probe interface call; hoisted so the
-	// allocation is per run, not per round (probes copy the pointee).
-	var rec obs.RoundRecord
-	var sw metrics.Stopwatch
-	sw.Start()
-
-	for {
-		// Stable here: both are only written inside serial barrier sections.
-		roundIdx := r.round
-		roundLBTS := r.lbts
-		evStart := ws.events
-		// Process all events within the window.
-		for {
-			ev, ok := fel.PopBefore(r.lbts)
-			if !ok {
-				break
-			}
-			if r.cache != nil {
-				r.cache.Touch(int(rank), ev.Node)
-			}
-			ctx.Begin(&ev, r.seqs.Of(ev.Node))
-			ev.Fn(ctx)
-			ws.events++
-			ws.lastT = ev.Time
-		}
-		p := sw.Lap()
-		ws.p += p
-		r.roundP[rank] = p
-		var sends uint64
-		if probe != nil {
-			// Only this rank writes mail[*][rank], so the rows are stable.
-			for dst := range r.mail {
-				sends += uint64(len(r.mail[dst][rank]))
-			}
-		}
-		// The last rank to arrive handles globals inside the barrier (the
-		// LBTS "collective communication" moment) while everyone else
-		// waits — the cost the paper folds into S (§3.2 footnote).
-		bar.WaitSerial(func() { r.globals(ctx, sink) })
-		s1 := sw.Lap()
-		ws.s += s1
-
-		// Receive cross-rank events, bulk-loading each source's batch.
-		var received int
-		for src := range r.mail[rank] {
-			row := r.mail[rank][src]
-			fel.PushBatch(row)
-			received += len(row)
-			r.mail[rank][src] = row[:0]
-		}
-		r.rankMin[rank] = fel.NextTime()
-		mNS := sw.Lap()
-		ws.m += mNS
-		// Window advance fuses into the barrier the same way.
-		bar.WaitSerial(func() { r.advance() })
-		s2 := sw.Lap()
-		ws.s += s2
-		if probe != nil {
-			rec = obs.RoundRecord{
-				Round: roundIdx, Worker: rank, LBTS: roundLBTS,
-				Events: ws.events - evStart,
-				ProcNS: p, SyncNS: s1 + s2, MsgNS: mNS, WaitGlobalNS: s1,
-				Sends: sends, SendBytes: sends * obs.EventBytes,
-				Recvs: uint64(received), FELDepth: uint64(fel.Len()),
-			}
-			probe.OnRound(&rec)
-		}
-		if r.done {
-			return
-		}
-	}
-}
-
-func (r *brt) globals(ctx *sim.Ctx, sink *rankSink) {
-	sink.global = true
-	executed := false
-	for !r.pub.Empty() && r.pub.Peek().Time == r.lbts {
-		ev := r.pub.Pop()
-		ctx.Begin(&ev, r.seqs.Of(sim.GlobalNode))
-		ev.Fn(ctx)
-		r.workers[0].events++
-		r.workers[0].lastT = ev.Time
-		executed = true
-	}
-	sink.global = false
-	if executed {
-		r.lookahead = core.CutLookahead(r.part.LPOf, r.m.Links())
-		if ctx.Stopped() {
-			r.stopped = true
-		}
-	}
-}
-
-func (r *brt) advance() {
-	allMin := sim.MaxTime
-	for _, t := range r.rankMin {
-		if t < allMin {
-			allMin = t
-		}
-	}
-	pubNext := r.pub.NextTime()
-	if r.k.RecordRounds {
-		samp := sim.RoundSample{LBTS: r.lbts, PerWorker: append([]int64(nil), r.roundP...)}
-		for _, p := range r.roundP {
-			if p > samp.Makespan {
-				samp.Makespan = p
-			}
-		}
-		r.trace = append(r.trace, samp)
-	}
-	r.round++
-	switch {
-	case r.stopped:
-		r.done = true
-	case allMin == sim.MaxTime && pubNext == sim.MaxTime:
-		r.done = true
-	case r.k.MaxRounds > 0 && r.round >= r.k.MaxRounds:
-		r.done = true
-		r.err = errors.New("pdes: MaxRounds exceeded")
-	default:
-		r.lbts = core.Eq2(allMin, pubNext, r.lookahead)
-		if hook := r.m.Ckpt; hook.SaveEvery(r.round) {
-			// The advance serial section is the quiescent point: all mail
-			// has been delivered and every rank is parked in the barrier.
-			if err := r.saveCkpt(); err != nil {
-				r.err = err
-				r.done = true
-			}
-		}
-	}
-}
-
-// saveCkpt snapshots the merged rank FELs through the model's checkpoint
-// hook. Only called from the advance serial section.
-func (r *brt) saveCkpt() error {
-	var queue []sim.Event
-	for _, f := range r.fels {
-		queue = f.Snapshot(queue)
-	}
-	queue = r.pub.Snapshot(queue)
-	if err := ckpt.CheckQueue(queue); err != nil {
-		return fmt.Errorf("pdes: %w", err)
-	}
-	ks := &sim.KernelState{
-		Round:   r.round,
-		Now:     r.lbts,
-		EndTime: r.baseEnd,
-		Events:  r.baseEvents,
-		Seqs:    append([]uint64(nil), r.seqs...),
-		Queue:   queue,
-	}
-	for i := range r.workers {
-		ks.Events += r.workers[i].events
-		if t := r.workers[i].lastT; t > ks.EndTime {
-			ks.EndTime = t
-		}
-	}
-	if err := r.m.Ckpt.Save(ks); err != nil {
-		return fmt.Errorf("pdes: checkpoint: %w", err)
-	}
-	return nil
-}
-
-func (r *brt) stats(start time.Time) *sim.RunStats {
-	st := &sim.RunStats{
-		Kernel:     "barrier",
-		WallNS:     time.Since(start).Nanoseconds(), //unison:wallclock-ok wall-clock run timing for RunStats.WallNS
-		Rounds:     r.round,
-		LPs:        r.part.Count,
-		Workers:    make([]sim.WorkerStats, len(r.workers)),
-		RoundTrace: r.trace,
-	}
-	st.Events = r.baseEvents
-	st.EndTime = r.baseEnd
-	for i := range r.workers {
-		w := &r.workers[i]
-		st.Events += w.events
-		if w.lastT > st.EndTime {
-			st.EndTime = w.lastT
-		}
-		st.Workers[i] = sim.WorkerStats{P: w.p, S: w.s, M: w.m, Events: w.events}
-	}
-	if r.cache != nil {
-		st.CacheRefs, st.CacheMisses = r.cache.Counters()
-	}
-	return st
+	return core.RunStatic(m, k.Name(), part, core.Config{
+		CacheWays: k.CacheWays, RecordRounds: k.RecordRounds, MaxRounds: k.MaxRounds, Observe: k.Observe,
+	})
 }

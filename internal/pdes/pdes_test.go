@@ -46,23 +46,6 @@ func pingModel(delay sim.Time, count int) (*sim.Model, *int) {
 	}, hits
 }
 
-func TestBarrierPingPong(t *testing.T) {
-	m, hits := pingModel(100, 50)
-	st, err := (&BarrierKernel{LPOf: []int32{0, 1}}).Run(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *hits != 50 {
-		t.Fatalf("hits=%d", *hits)
-	}
-	if st.Rounds == 0 {
-		t.Fatal("no rounds recorded")
-	}
-	if st.LPs != 2 {
-		t.Fatalf("LPs=%d", st.LPs)
-	}
-}
-
 func TestNullMessagePingPong(t *testing.T) {
 	m, hits := pingModel(100, 50)
 	st, err := (&NullMessageKernel{LPOf: []int32{0, 1}}).Run(m)
@@ -233,21 +216,5 @@ func TestNullMessageDisconnectedRanks(t *testing.T) {
 	}
 	if hitsA != 1 || hitsB != 1 || st.Events != 2 {
 		t.Fatalf("hitsA=%d hitsB=%d events=%d", hitsA, hitsB, st.Events)
-	}
-}
-
-func TestBarrierSingleRank(t *testing.T) {
-	// Degenerate single-rank partition: the kernel must behave like
-	// sequential DES (lookahead = infinity, one giant round per window).
-	m, hits := pingModel(100, 30)
-	st, err := (&BarrierKernel{LPOf: []int32{0, 0}}).Run(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *hits != 30 {
-		t.Fatalf("hits=%d", *hits)
-	}
-	if st.LPs != 1 {
-		t.Fatalf("LPs=%d", st.LPs)
 	}
 }

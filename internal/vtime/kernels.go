@@ -13,7 +13,7 @@ import (
 )
 
 // vrt is the shared single-threaded runtime of the round-based virtual
-// kernels (sequential, barrier, unison).
+// kernels (sequential, barrier, unison, hybrid).
 type vrt struct {
 	m    *sim.Model
 	part *core.Partition
@@ -146,210 +146,136 @@ func (r *vrt) drain(lp int32) int64 {
 	return n
 }
 
-// --- Sequential ---
-
-func runSequential(m *sim.Model, cfg Config) (*sim.RunStats, error) {
-	part := core.SingleLP(m.Nodes, m.Links())
-	r := newVrt(m, part)
-	c := newCoster(cfg.Cost, 1)
-	probe := cfg.Observe
-	obs.Begin(probe, obs.RunMeta{Kernel: Sequential.String(), Workers: 1, LPs: 1})
-	var virt int64
-	var round uint64
-	for {
-		r.lbts = core.Eq2(r.allMin(), r.pub.NextTime(), r.lookahead)
-		if r.lbts == sim.MaxTime && r.pub.Empty() && r.fels[0].Empty() {
-			break
-		}
-		evStart := r.events
-		p := r.runLP(0, 0, c)
-		g, stopped := r.runGlobals(c)
-		virt += p + g
-		if probe != nil {
-			rec := obs.RoundRecord{
-				Round: round, LBTS: r.lbts, Events: r.events - evStart,
-				ProcNS: p + g, FELDepth: uint64(r.fels[0].Len()),
-			}
-			probe.OnRound(&rec)
-			round++
-		}
-		if stopped {
-			break
-		}
-	}
-	st := &sim.RunStats{
-		Kernel:   Sequential.String(),
-		Events:   r.events,
-		EndTime:  r.endTime,
-		LPs:      1,
-		VirtualT: virt,
-		Workers:  []sim.WorkerStats{{P: virt, Events: r.events}},
-	}
-	st.CacheRefs, st.CacheMisses = c.cache.Counters()
-	return st, nil
+// shape is the virtual twin of the live engine's shape (core/kernel.go):
+// the LPs of part are divided into groups, each group owns perGroup
+// virtual cores (numbered group*perGroup+i), and an LP only ever runs on
+// a core of its group. The four round-based algorithms are four shapes:
+//
+//	Sequential  SingleLP                one group,  1 core        no sync cost
+//	Barrier     the caller's LPOf       one per LP, 1 core each   2·BarrierNS
+//	Unison      FineGrained (or LPOf)   one group,  Cores         4·SpinBarrierNS
+//	Hybrid      Algorithm 1 per host    one per host, CoresPerHost
+//	                                                4·SpinBarrierNS + 2·BarrierNS
+//
+// and differ in nothing else but the per-round synchronisation constant.
+type shape struct {
+	name     string // RunStats.Kernel
+	part     *core.Partition
+	groupOf  []int32 // LP → group; nil puts every LP in group 0
+	perGroup int
+	metric   core.Metric
+	// syncNS is what every core pays per round to synchronise;
+	// allReduceNS is the share of it probes see as the inter-host
+	// all-reduce.
+	syncNS, allReduceNS int64
+	// speeds gives every core a relative speed (nil = identical cores);
+	// speedAware lets phase 1 place LPs by projected finish time (§7).
+	speeds     []float64
+	speedAware bool
 }
 
-// --- Barrier synchronization (one rank per virtual core) ---
-
-func runBarrier(m *sim.Model, cfg Config) (*sim.RunStats, error) {
-	if cfg.LPOf == nil {
-		return nil, errors.New("vtime: Barrier requires a manual partition (LPOf)")
+// groupCount is the number of groups groupOf names.
+func groupCount(groupOf []int32) int {
+	groups := 1
+	for _, g := range groupOf {
+		if int(g) >= groups {
+			groups = int(g) + 1
+		}
 	}
-	part := core.Manual(cfg.LPOf, m.Links())
-	n := part.Count
-	r := newVrt(m, part)
-	c := newCoster(cfg.Cost, n)
-	ws := make([]sim.WorkerStats, n)
-	var virt int64
-	var rounds uint64
-	var trace []sim.RoundSample
-	probe := cfg.Observe
-	obs.Begin(probe, obs.RunMeta{Kernel: Barrier.String(), Workers: n, LPs: n})
-	evRound := make([]uint64, n)
-	rc := make([]int64, n)
-
-	r.lbts = core.Eq2(r.allMin(), r.pub.NextTime(), r.lookahead)
-	if r.lbts == sim.MaxTime && r.pub.Empty() {
-		return barrierStats(r, ws, virt, rounds, trace, c), nil
-	}
-	for {
-		// Phase 1: every rank processes its window on its own core.
-		var span1 int64
-		p := make([]int64, n)
-		for rank := 0; rank < n; rank++ {
-			evBefore := r.events
-			p[rank] = r.runLP(int32(rank), rank, c)
-			ws[rank].P += p[rank]
-			evRound[rank] = r.events - evBefore
-			ws[rank].Events += evRound[rank]
-			if p[rank] > span1 {
-				span1 = p[rank]
-			}
-		}
-		// Phase 2: rank 0 handles globals.
-		evBefore := r.events
-		g, stopped := r.runGlobals(c)
-		ws[0].P += g
-		ws[0].Events += r.events - evBefore
-		evRound[0] += r.events - evBefore
-		// Phase 3: receive cross-rank events.
-		var span3 int64
-		mc := make([]int64, n)
-		for rank := 0; rank < n; rank++ {
-			rc[rank] = r.drain(int32(rank))
-			mc[rank] = rc[rank] * cfg.Cost.MsgNS
-			ws[rank].M += mc[rank]
-			if mc[rank] > span3 {
-				span3 = mc[rank]
-			}
-		}
-		roundTotal := span1 + g + span3 + 2*cfg.Cost.BarrierNS
-		for rank := 0; rank < n; rank++ {
-			busy := p[rank] + mc[rank]
-			if rank == 0 {
-				busy += g
-			}
-			ws[rank].S += roundTotal - busy
-		}
-		if probe != nil {
-			for rank := 0; rank < n; rank++ {
-				busy := p[rank] + mc[rank]
-				proc := p[rank]
-				if rank == 0 {
-					busy += g
-					proc += g
-				}
-				rec := obs.RoundRecord{
-					Round: rounds, Worker: int32(rank), LBTS: r.lbts,
-					Events: evRound[rank],
-					ProcNS: proc, SyncNS: roundTotal - busy, MsgNS: mc[rank],
-					WaitGlobalNS: span1 - p[rank],
-					Recvs:        uint64(rc[rank]),
-					FELDepth:     uint64(r.fels[rank].Len()),
-				}
-				probe.OnRound(&rec)
-			}
-		}
-		virt += roundTotal
-		rounds++
-		if cfg.RecordRounds {
-			var total int64
-			for _, v := range p {
-				total += v
-			}
-			ideal := (total + int64(n) - 1) / int64(n)
-			if span1 > 0 && ideal < span1 {
-				// The static partition cannot split an LP, so the longest
-				// rank is also the ideal bound here.
-				ideal = maxOf(p)
-			}
-			trace = append(trace, sim.RoundSample{
-				LBTS: r.lbts, PerWorker: p,
-				Makespan: roundTotal, Phase1: span1, Ideal: ideal,
-			})
-		}
-		if stopped {
-			break
-		}
-		allMin := r.allMin()
-		pubNext := r.pub.NextTime()
-		if allMin == sim.MaxTime && pubNext == sim.MaxTime {
-			break
-		}
-		if cfg.MaxRounds > 0 && rounds >= cfg.MaxRounds {
-			return nil, errors.New("vtime: MaxRounds exceeded")
-		}
-		r.lbts = core.Eq2(allMin, pubNext, r.lookahead)
-	}
-	return barrierStats(r, ws, virt, rounds, trace, c), nil
+	return groups
 }
 
-func maxOf(vs []int64) int64 {
-	var m int64
-	for _, v := range vs {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-func barrierStats(r *vrt, ws []sim.WorkerStats, virt int64, rounds uint64, trace []sim.RoundSample, c *coster) *sim.RunStats {
-	st := &sim.RunStats{
-		Kernel:     Barrier.String(),
-		Events:     r.events,
-		EndTime:    r.endTime,
-		LPs:        r.part.Count,
-		VirtualT:   virt,
-		Rounds:     rounds,
-		Workers:    ws,
-		RoundTrace: trace,
-	}
-	st.CacheRefs, st.CacheMisses = c.cache.Counters()
-	return st
-}
-
-// --- Unison (fine-grained partition + load-adaptive scheduling) ---
-
-func runUnison(m *sim.Model, cfg Config) (*sim.RunStats, error) {
-	threads := cfg.Cores
-	if threads <= 0 {
-		return nil, errors.New("vtime: Unison requires Cores > 0")
-	}
+// shapeOf derives the shape from what cfg already says; nothing about it
+// is separately settable.
+func shapeOf(m *sim.Model, cfg Config) (shape, error) {
 	links := m.Links()
-	var part *core.Partition
-	if cfg.LPOf != nil {
-		part = core.Manual(cfg.LPOf, links)
-	} else {
-		part = core.FineGrained(m.Nodes, links)
+	spin, mpi := 4*cfg.Cost.SpinBarrierNS, 2*cfg.Cost.BarrierNS
+	switch cfg.Algo {
+	case Sequential:
+		return shape{name: Sequential.String(), part: core.SingleLP(m.Nodes, links),
+			perGroup: 1, metric: core.MetricNone}, nil
+	case Barrier:
+		if cfg.LPOf == nil {
+			return shape{}, errors.New("vtime: Barrier requires a manual partition (LPOf)")
+		}
+		part := core.Manual(cfg.LPOf, links)
+		groupOf := make([]int32, part.Count)
+		for i := range groupOf {
+			groupOf[i] = int32(i)
+		}
+		return shape{name: Barrier.String(), part: part, groupOf: groupOf,
+			perGroup: 1, metric: core.MetricNone, syncNS: mpi}, nil
+	case Unison:
+		if cfg.Cores <= 0 {
+			return shape{}, errors.New("vtime: Unison requires Cores > 0")
+		}
+		var part *core.Partition
+		if cfg.LPOf != nil {
+			part = core.Manual(cfg.LPOf, links)
+		} else {
+			part = core.FineGrained(m.Nodes, links)
+		}
+		// Core speeds: identical by default; heterogeneous per §7 otherwise.
+		if cfg.CoreSpeeds != nil && len(cfg.CoreSpeeds) != cfg.Cores {
+			return shape{}, errors.New("vtime: CoreSpeeds length must equal Cores")
+		}
+		for _, sp := range cfg.CoreSpeeds {
+			if sp <= 0 {
+				return shape{}, errors.New("vtime: CoreSpeeds must be positive")
+			}
+		}
+		return shape{name: fmt.Sprintf("v-unison(t=%d)", cfg.Cores), part: part,
+			perGroup: cfg.Cores, metric: cfg.Metric, syncNS: spin,
+			speeds: cfg.CoreSpeeds, speedAware: cfg.SpeedAware}, nil
+	case Hybrid:
+		if cfg.HostOf == nil {
+			return shape{}, errors.New("vtime: Hybrid requires HostOf")
+		}
+		if cfg.CoresPerHost <= 0 {
+			return shape{}, errors.New("vtime: Hybrid requires CoresPerHost > 0")
+		}
+		lpOf, hostOfLP, lookahead, err := core.HybridPartition(m.Nodes, cfg.HostOf, links)
+		if err != nil {
+			return shape{}, err
+		}
+		// LPs never migrate across hosts, and every round pays the
+		// MPI-style collective on top of the intra-host spin barriers.
+		return shape{name: fmt.Sprintf("v-hybrid(%dx%d)", groupCount(hostOfLP), cfg.CoresPerHost),
+			part:    &core.Partition{LPOf: lpOf, Count: len(hostOfLP), Lookahead: lookahead},
+			groupOf: hostOfLP, perGroup: cfg.CoresPerHost,
+			metric: cfg.Metric, syncNS: spin + mpi, allReduceNS: mpi}, nil
 	}
-	n := part.Count
-	r := newVrt(m, part)
-	c := newCoster(cfg.Cost, threads)
-	ws := make([]sim.WorkerStats, threads)
+	return shape{}, errors.New("vtime: unknown algorithm")
+}
+
+// runRounds is the one virtual round loop: the four phases of the live
+// engine (core/kernel.go) executed on a single real thread, with the
+// workers' cursor pulls emulated by greedy list scheduling onto the
+// group's virtual cores and every phase charged to the cost model.
+func runRounds(m *sim.Model, cfg Config, sh shape) (*sim.RunStats, error) {
+	n := sh.part.Count
+	groups := groupCount(sh.groupOf)
+	workers := groups * sh.perGroup
+	r := newVrt(m, sh.part)
+	c := newCoster(cfg.Cost, workers)
+	ws := make([]sim.WorkerStats, workers)
 	var virt int64
 	var rounds uint64
 	var trace []sim.RoundSample
+	stats := func() *sim.RunStats {
+		st := &sim.RunStats{
+			Kernel:     sh.name,
+			Events:     r.events,
+			EndTime:    r.endTime,
+			LPs:        n,
+			VirtualT:   virt,
+			Rounds:     rounds,
+			Workers:    ws,
+			RoundTrace: trace,
+		}
+		st.CacheRefs, st.CacheMisses = c.cache.Counters()
+		return st
+	}
 
 	period := uint64(cfg.Period)
 	if period == 0 {
@@ -358,52 +284,66 @@ func runUnison(m *sim.Model, cfg Config) (*sim.RunStats, error) {
 			period = uint64(bits.Len(uint(n - 1)))
 		}
 	}
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
+	// Per-group LP lists (index order: the receive phase) and schedules
+	// (the processing phase).
+	lps := make([][]int32, groups)
+	for lp := 0; lp < n; lp++ {
+		g := int32(0)
+		if sh.groupOf != nil {
+			g = sh.groupOf[lp]
+		}
+		lps[g] = append(lps[g], int32(lp))
+	}
+	order := make([][]int32, groups)
+	for g := range order {
+		order[g] = append([]int32(nil), lps[g]...)
+	}
+	speeds := sh.speeds
+	if speeds == nil {
+		speeds = make([]float64, workers)
+		for i := range speeds {
+			speeds[i] = 1
+		}
 	}
 	lastP := make([]int64, n)
 	pending := make([]int64, n)
 	est := make([]int64, n)
-	avail := make([]int64, threads)
-	busyP := make([]int64, threads)
-	busyM := make([]int64, threads)
+	avail := make([]int64, workers)
+	busyP := make([]int64, workers)
+	busyM := make([]int64, workers)
 	probe := cfg.Observe
-	obs.Begin(probe, obs.RunMeta{Kernel: fmt.Sprintf("v-unison(t=%d)", threads), Workers: threads, LPs: n})
-	evPrev := make([]uint64, threads)
-	recvT := make([]uint64, threads)
-	depthT := make([]uint64, threads)
-	migT := make([]uint64, threads)
+	obs.Begin(probe, obs.RunMeta{Kernel: sh.name, Workers: workers, LPs: n})
+	evPrev := make([]uint64, workers)
+	recvT := make([]uint64, workers)
+	depthT := make([]uint64, workers)
+	migT := make([]uint64, workers)
 	lastWrk := make([]int32, n)
 	for i := range lastWrk {
 		lastWrk[i] = -1
 	}
 
-	// Core speeds: identical by default; heterogeneous per §7 otherwise.
-	speeds := cfg.CoreSpeeds
-	if speeds == nil {
-		speeds = make([]float64, threads)
-		for i := range speeds {
-			speeds[i] = 1
-		}
-	} else if len(speeds) != threads {
-		return nil, errors.New("vtime: CoreSpeeds length must equal Cores")
-	} else {
-		for _, sp := range speeds {
-			if sp <= 0 {
-				return nil, errors.New("vtime: CoreSpeeds must be positive")
+	allMin := r.allMin()
+	if allMin == sim.MaxTime && r.pub.Empty() {
+		return stats(), nil
+	}
+	r.lbts = core.Eq2(allMin, r.pub.NextTime(), r.lookahead)
+	// place picks the core in [lo, hi) the next LP of that group runs on:
+	// the first to fall idle — what the live cursor pull does — or, when
+	// speed-aware, the one with the earliest projected finish for the
+	// estimated cost (LPT on uniform machines).
+	place := func(lo, hi int, estimate int64) int {
+		best := lo
+		if sh.speedAware {
+			fin := float64(avail[lo]) + float64(estimate)/speeds[lo]
+			for i := lo + 1; i < hi; i++ {
+				if f := float64(avail[i]) + float64(estimate)/speeds[i]; f < fin {
+					fin, best = f, i
+				}
 			}
+			return best
 		}
-	}
-
-	r.lbts = core.Eq2(r.allMin(), r.pub.NextTime(), r.lookahead)
-	if r.lbts == sim.MaxTime && r.pub.Empty() {
-		return unisonStats(r, ws, virt, rounds, trace, c, threads)
-	}
-	argmin := func(a []int64) int {
-		best := 0
-		for i := 1; i < len(a); i++ {
-			if a[i] < a[best] {
+		for i := lo + 1; i < hi; i++ {
+			if avail[i] < avail[best] {
 				best = i
 			}
 		}
@@ -411,54 +351,44 @@ func runUnison(m *sim.Model, cfg Config) (*sim.RunStats, error) {
 	}
 	for {
 		roundIdx := rounds
-		// Phase 1: greedy longest-estimated-job-first list scheduling onto
-		// virtual threads (identical to the live kernel's cursor pull).
 		for i := range avail {
 			avail[i], busyP[i], busyM[i] = 0, 0, 0
 			recvT[i], depthT[i], migT[i] = 0, 0, 0
 		}
+		// Phase 1: every group list-schedules its LPs, longest estimated
+		// job first, onto its own cores.
 		var totalCost, maxLP int64
-		for _, lp := range order {
-			var t int
-			if cfg.SpeedAware {
-				// Pick the core with the earliest projected finish for the
-				// estimated cost (LPT on uniform machines).
-				t = 0
-				best := float64(avail[0]) + float64(est[lp])/speeds[0]
-				for i := 1; i < threads; i++ {
-					if fin := float64(avail[i]) + float64(est[lp])/speeds[i]; fin < best {
-						best, t = fin, i
+		for g := 0; g < groups; g++ {
+			lo, hi := g*sh.perGroup, (g+1)*sh.perGroup
+			for _, lp := range order[g] {
+				t := place(lo, hi, est[lp])
+				evBefore := r.events
+				cost := r.runLP(lp, t, c)
+				lastP[lp] = cost
+				wall := int64(float64(cost) / speeds[t])
+				avail[t] += wall
+				busyP[t] += wall
+				ws[t].Events += r.events - evBefore
+				if probe != nil && r.events > evBefore {
+					if lastWrk[lp] != -1 && lastWrk[lp] != int32(t) {
+						migT[t]++
 					}
+					lastWrk[lp] = int32(t)
 				}
-			} else {
-				t = argmin(avail)
-			}
-			evBefore := r.events
-			cost := r.runLP(lp, t, c)
-			lastP[lp] = cost
-			wall := int64(float64(cost) / speeds[t])
-			avail[t] += wall
-			busyP[t] += wall
-			ws[t].Events += r.events - evBefore
-			if probe != nil && r.events > evBefore {
-				if lastWrk[lp] != -1 && lastWrk[lp] != int32(t) {
-					migT[t]++
+				totalCost += cost
+				if cost > maxLP {
+					maxLP = cost
 				}
-				lastWrk[lp] = int32(t)
-			}
-			totalCost += cost
-			if cost > maxLP {
-				maxLP = cost
 			}
 		}
 		var span1 int64
-		for t := 0; t < threads; t++ {
+		for t := 0; t < workers; t++ {
 			ws[t].P += busyP[t]
 			if avail[t] > span1 {
 				span1 = avail[t]
 			}
 		}
-		ideal := (totalCost + int64(threads) - 1) / int64(threads)
+		ideal := (totalCost + int64(workers) - 1) / int64(workers)
 		if maxLP > ideal {
 			ideal = maxLP
 		}
@@ -467,24 +397,32 @@ func runUnison(m *sim.Model, cfg Config) (*sim.RunStats, error) {
 		g, stopped := r.runGlobals(c)
 		ws[0].P += g
 		ws[0].Events += r.events - evBefore
-		// Phase 3: greedy assignment of mailbox draining.
+		// Phase 3: the same greedy assignment for mailbox draining.
 		for i := range avail {
 			avail[i] = 0
 		}
-		for lp := int32(0); lp < int32(n); lp++ {
-			t := argmin(avail)
-			k := r.drain(lp)
-			pending[lp] = k
-			mc := int64(float64(k*cfg.Cost.MsgNS) / speeds[t])
-			avail[t] += mc
-			busyM[t] += mc
-			if probe != nil {
-				recvT[t] += uint64(k)
-				depthT[t] += uint64(r.fels[lp].Len())
+		for gi := 0; gi < groups; gi++ {
+			lo, hi := gi*sh.perGroup, (gi+1)*sh.perGroup
+			for _, lp := range lps[gi] {
+				t := lo
+				for i := lo + 1; i < hi; i++ {
+					if avail[i] < avail[t] {
+						t = i
+					}
+				}
+				k := r.drain(lp)
+				pending[lp] = k
+				mc := int64(float64(k*cfg.Cost.MsgNS) / speeds[t])
+				avail[t] += mc
+				busyM[t] += mc
+				if probe != nil {
+					recvT[t] += uint64(k)
+					depthT[t] += uint64(r.fels[lp].Len())
+				}
 			}
 		}
 		var span3 int64
-		for t := 0; t < threads; t++ {
+		for t := 0; t < workers; t++ {
 			ws[t].M += busyM[t]
 			if avail[t] > span3 {
 				span3 = avail[t]
@@ -493,43 +431,39 @@ func runUnison(m *sim.Model, cfg Config) (*sim.RunStats, error) {
 		// Phase 4: window update plus periodic rescheduling on worker 0.
 		rounds++
 		var schedCost int64
-		if cfg.Metric != core.MetricNone && rounds%period == 0 {
+		if sh.metric != core.MetricNone && rounds%period == 0 {
 			schedCost = int64(n) * cfg.Cost.SortPerLPNS
 			for i := 0; i < n; i++ {
-				if cfg.Metric == core.MetricPrevTime {
+				if sh.metric == core.MetricPrevTime {
 					est[i] = lastP[i]
 				} else {
 					est[i] = pending[i]
 				}
 			}
-			sort.SliceStable(order, func(a, b int) bool { return est[order[a]] > est[order[b]] })
+			for _, ord := range order {
+				sort.SliceStable(ord, func(a, b int) bool { return est[ord[a]] > est[ord[b]] })
+			}
 		}
 		ws[0].M += schedCost
-		roundTotal := span1 + g + span3 + schedCost + 4*cfg.Cost.SpinBarrierNS
-		for t := 0; t < threads; t++ {
+		roundTotal := span1 + g + span3 + schedCost + sh.syncNS
+		for t := 0; t < workers; t++ {
 			busy := busyP[t] + busyM[t]
+			proc := busyP[t]
+			msg := busyM[t]
 			if t == 0 {
 				busy += g + schedCost
+				proc += g
+				msg += schedCost
 			}
 			ws[t].S += roundTotal - busy
-		}
-		if probe != nil {
-			for t := 0; t < threads; t++ {
-				busy := busyP[t] + busyM[t]
-				proc := busyP[t]
-				msg := busyM[t]
-				if t == 0 {
-					busy += g + schedCost
-					proc += g
-					msg += schedCost
-				}
+			if probe != nil {
 				rec := obs.RoundRecord{
 					Round: roundIdx, Worker: int32(t), LBTS: r.lbts,
 					Events: ws[t].Events - evPrev[t],
 					ProcNS: proc, SyncNS: roundTotal - busy, MsgNS: msg,
 					WaitGlobalNS: span1 - busyP[t],
 					Recvs:        recvT[t], FELDepth: depthT[t],
-					Migrations: migT[t],
+					Migrations: migT[t], AllReduceNS: sh.allReduceNS,
 				}
 				probe.OnRound(&rec)
 				evPrev[t] = ws[t].Events
@@ -555,20 +489,5 @@ func runUnison(m *sim.Model, cfg Config) (*sim.RunStats, error) {
 		}
 		r.lbts = core.Eq2(allMin, pubNext, r.lookahead)
 	}
-	return unisonStats(r, ws, virt, rounds, trace, c, threads)
-}
-
-func unisonStats(r *vrt, ws []sim.WorkerStats, virt int64, rounds uint64, trace []sim.RoundSample, c *coster, threads int) (*sim.RunStats, error) {
-	st := &sim.RunStats{
-		Kernel:     fmt.Sprintf("v-unison(t=%d)", threads),
-		Events:     r.events,
-		EndTime:    r.endTime,
-		LPs:        r.part.Count,
-		VirtualT:   virt,
-		Rounds:     rounds,
-		Workers:    ws,
-		RoundTrace: trace,
-	}
-	st.CacheRefs, st.CacheMisses = c.cache.Counters()
-	return st, nil
+	return stats(), nil
 }

@@ -108,19 +108,20 @@ func Run(m *sim.Model, cfg Config) (*sim.RunStats, error) {
 	start := time.Now() //unison:wallclock-ok wall-clock run timing for RunStats.WallNS
 	var st *sim.RunStats
 	var err error
-	switch cfg.Algo {
-	case Sequential:
-		st, err = runSequential(m, cfg)
-	case Barrier:
-		st, err = runBarrier(m, cfg)
-	case NullMessage:
+	if cfg.Algo == NullMessage {
 		st, err = runNullMessage(m, cfg)
-	case Unison:
-		st, err = runUnison(m, cfg)
-	case Hybrid:
-		st, err = runHybrid(m, cfg)
-	default:
-		return nil, errors.New("vtime: unknown algorithm")
+	} else {
+		var sh shape
+		if sh, err = shapeOf(m, cfg); err != nil {
+			return nil, err
+		}
+		st, err = runRounds(m, cfg, sh)
+		if st != nil && cfg.Algo == Sequential {
+			// The kernel being modelled has no rounds (RunStats.Rounds is
+			// documented as 0 for it); the engine's windows here are only
+			// the gaps between global events.
+			st.Rounds = 0
+		}
 	}
 	if st != nil {
 		st.WallNS = time.Since(start).Nanoseconds() //unison:wallclock-ok wall-clock run timing for RunStats.WallNS
