@@ -268,6 +268,23 @@ func main() {
 		fmt.Printf("debug http on %s (/debug/vars, /debug/pprof)\n", addr)
 	}
 
+	// The gate compares against numbers taken at the baseline's core count,
+	// so it measures at that count too: at another one (4 workers on the 2
+	// cores of a CI runner, say) the spin barrier oversubscribes and the
+	// comparison reads the host, not the change.
+	var baseline report
+	if *gatePath != "" {
+		var err error
+		if baseline, err = loadBaseline(*gatePath); err != nil {
+			fmt.Fprintf(os.Stderr, "unibench: gate: %v\n", err)
+			os.Exit(1)
+		}
+		if baseline.GOMAXPROCS > 0 {
+			host := runtime.GOMAXPROCS(baseline.GOMAXPROCS)
+			fmt.Printf("gate: running at the baseline's GOMAXPROCS=%d (host default %d)\n", baseline.GOMAXPROCS, host)
+		}
+	}
+
 	var lsess *live.Session
 	switch {
 	case *liveAddr != "":
@@ -383,30 +400,35 @@ func main() {
 		}
 	}
 	if *gatePath != "" {
-		if err := gate(*gatePath, *gatePct, rep.Current); err != nil {
+		if err := gate(baseline, *gatePct, rep.Current); err != nil {
 			fmt.Fprintf(os.Stderr, "unibench: gate: %v\n", err)
 			os.Exit(1)
 		}
 	}
 }
 
+// loadBaseline reads the report -gate compares against.
+func loadBaseline(path string) (report, error) {
+	var base report
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return base, err
+	}
+	if err := json.Unmarshal(raw, &base); err != nil {
+		return base, fmt.Errorf("bad baseline %s: %w", path, err)
+	}
+	if base.Current["Unison4"].EventsPerSec == 0 {
+		return base, fmt.Errorf("baseline %s has no Unison4 events/s", path)
+	}
+	return base, nil
+}
+
 // gate compares the fresh Unison4 throughput against a baseline report
 // and fails on a regression beyond pct percent — the CI bench smoke gate.
 // The measured runs are probe-disabled, so this also pins the cost of the
 // observability hooks at (near) zero when nothing is attached.
-func gate(path string, pct float64, current map[string]sample) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var base report
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("bad baseline %s: %w", path, err)
-	}
-	b, ok := base.Current["Unison4"]
-	if !ok || b.EventsPerSec == 0 {
-		return fmt.Errorf("baseline %s has no Unison4 events/s", path)
-	}
+func gate(base report, pct float64, current map[string]sample) error {
+	b := base.Current["Unison4"]
 	cur := current["Unison4"]
 	change := 100 * (float64(cur.EventsPerSec)/float64(b.EventsPerSec) - 1)
 	fmt.Printf("gate: Unison4 %d events/s vs baseline %d (%+.1f%%, threshold -%.0f%%)\n",

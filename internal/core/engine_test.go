@@ -8,9 +8,11 @@ import (
 
 	"unison/internal/core"
 	"unison/internal/des"
+	"unison/internal/obs"
 	"unison/internal/pdes"
 	"unison/internal/sim"
 	"unison/internal/topology"
+	"unison/internal/vtime"
 )
 
 // lineTopo builds a chain of n nodes with the given uniform link delay.
@@ -61,32 +63,38 @@ func relayModel(g *topology.Graph, delay sim.Time, laps int) (*sim.Model, *uint6
 // promises is checked once per row, so a shape cannot lose one silently.
 var engineShapes = []struct {
 	name    string
-	kernel  func(maxRounds uint64) sim.Kernel
+	kernel  func(maxRounds uint64, probe obs.Probe) sim.Kernel
 	lps     int
 	workers int
 	// solo: node 0's LP can only run on worker 0, the calling goroutine,
 	// so a panic raised by its events is recoverable by the test.
 	solo bool
 }{
-	{"unison-1x1", func(mr uint64) sim.Kernel { return core.New(core.Config{Threads: 1, MaxRounds: mr}) }, 8, 1, true},
-	{"unison-1x2", func(mr uint64) sim.Kernel { return core.New(core.Config{Threads: 2, MaxRounds: mr}) }, 8, 2, false},
-	{"unison-1x4", func(mr uint64) sim.Kernel { return core.New(core.Config{Threads: 4, MaxRounds: mr}) }, 8, 4, false},
-	{"hybrid-2x1", func(mr uint64) sim.Kernel {
-		return core.NewHybrid(core.HybridConfig{HostOf: halves(8), ThreadsPerHost: 1, MaxRounds: mr})
-	}, 8, 2, true},
-	{"hybrid-2x2", func(mr uint64) sim.Kernel {
-		return core.NewHybrid(core.HybridConfig{HostOf: halves(8), ThreadsPerHost: 2, MaxRounds: mr})
+	{"unison-1x1", func(mr uint64, p obs.Probe) sim.Kernel {
+		return core.New(core.Config{Threads: 1, MaxRounds: mr, Observe: p})
+	}, 8, 1, true},
+	{"unison-1x2", func(mr uint64, p obs.Probe) sim.Kernel {
+		return core.New(core.Config{Threads: 2, MaxRounds: mr, Observe: p})
+	}, 8, 2, false},
+	{"unison-1x4", func(mr uint64, p obs.Probe) sim.Kernel {
+		return core.New(core.Config{Threads: 4, MaxRounds: mr, Observe: p})
 	}, 8, 4, false},
-	{"barrier-2x1", func(mr uint64) sim.Kernel {
-		return &pdes.BarrierKernel{LPOf: halves(8), MaxRounds: mr}
+	{"hybrid-2x1", func(mr uint64, p obs.Probe) sim.Kernel {
+		return core.NewHybrid(core.HybridConfig{HostOf: halves(8), ThreadsPerHost: 1, MaxRounds: mr, Observe: p})
+	}, 8, 2, true},
+	{"hybrid-2x2", func(mr uint64, p obs.Probe) sim.Kernel {
+		return core.NewHybrid(core.HybridConfig{HostOf: halves(8), ThreadsPerHost: 2, MaxRounds: mr, Observe: p})
+	}, 8, 4, false},
+	{"barrier-2x1", func(mr uint64, p obs.Probe) sim.Kernel {
+		return &pdes.BarrierKernel{LPOf: halves(8), MaxRounds: mr, Observe: p}
 	}, 2, 2, true},
-	{"barrier-8x1", func(mr uint64) sim.Kernel {
-		return &pdes.BarrierKernel{LPOf: []int32{0, 1, 2, 3, 4, 5, 6, 7}, MaxRounds: mr}
+	{"barrier-8x1", func(mr uint64, p obs.Probe) sim.Kernel {
+		return &pdes.BarrierKernel{LPOf: []int32{0, 1, 2, 3, 4, 5, 6, 7}, MaxRounds: mr, Observe: p}
 	}, 8, 8, true},
 	// Degenerate single rank: lookahead is infinite, so the run is one
 	// window per global event, like sequential DES.
-	{"barrier-1x1", func(mr uint64) sim.Kernel {
-		return &pdes.BarrierKernel{LPOf: make([]int32, 8), MaxRounds: mr}
+	{"barrier-1x1", func(mr uint64, p obs.Probe) sim.Kernel {
+		return &pdes.BarrierKernel{LPOf: make([]int32, 8), MaxRounds: mr, Observe: p}
 	}, 1, 1, true},
 }
 
@@ -126,7 +134,7 @@ func TestEngineShapes(t *testing.T) {
 				t.Fatal(err)
 			}
 			m, count := relayModel(lineTopo(8, 500), 500, 100)
-			st, err := sh.kernel(0).Run(m)
+			st, err := sh.kernel(0, nil).Run(m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,7 +159,7 @@ func TestEngineShapes(t *testing.T) {
 		t.Run(sh.name+"/stop-event", func(t *testing.T) {
 			m, count := relayModel(lineTopo(8, 500), 500, 1_000_000)
 			withStop(m, 10_000, 0)
-			st, err := sh.kernel(0).Run(m)
+			st, err := sh.kernel(0, nil).Run(m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,19 +195,19 @@ func TestEngineShapes(t *testing.T) {
 					t.Fatalf("unexpected panic: %v", r)
 				}
 			}()
-			_, _ = sh.kernel(0).Run(m)
+			_, _ = sh.kernel(0, nil).Run(m)
 		})
 		t.Run(sh.name+"/max-rounds", func(t *testing.T) {
 			m, _ := relayModel(lineTopo(8, 500), 500, 1_000_000)
 			withStop(m, 100_000, 1000)
-			_, err := sh.kernel(5).Run(m)
+			_, err := sh.kernel(5, nil).Run(m)
 			if err == nil || !strings.Contains(err.Error(), "MaxRounds") {
 				t.Fatalf("MaxRounds did not trip: %v", err)
 			}
 		})
 		t.Run(sh.name+"/empty-model", func(t *testing.T) {
 			m := &sim.Model{Nodes: 8, Links: lineTopo(8, 500).LinkInfos}
-			st, err := sh.kernel(0).Run(m)
+			st, err := sh.kernel(0, nil).Run(m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -217,7 +225,7 @@ func TestEngineShapes(t *testing.T) {
 				saves++
 				return boom
 			}}
-			_, err := sh.kernel(0).Run(m)
+			_, err := sh.kernel(0, nil).Run(m)
 			if !errors.Is(err, boom) {
 				t.Fatalf("err=%v, want the Save error wrapped", err)
 			}
@@ -234,6 +242,82 @@ func TestEngineShapes(t *testing.T) {
 			}
 			if after := runtime.NumGoroutine(); after > before {
 				t.Fatalf("goroutine leak: %d before, %d after", before, after)
+			}
+		})
+	}
+}
+
+// pairProbe counts run notifications: a probe that saw BeginRun without
+// EndRun shows its run as in progress forever.
+type pairProbe struct{ begins, ends int }
+
+func (p *pairProbe) BeginRun(obs.RunMeta)     { p.begins++ }
+func (p *pairProbe) EndRun(*sim.RunStats)     { p.ends++ }
+func (p *pairProbe) OnRound(*obs.RoundRecord) {}
+
+// TestProbeBeginEndPaired: every run that reports its beginning to a probe
+// reports its end too, however it ends — for every engine shape under the
+// live driver, and for the two other drivers' failing exits (the virtual
+// round driver, and the live null-message kernel).
+func TestProbeBeginEndPaired(t *testing.T) {
+	boom := errors.New("disk full")
+	type outcome struct {
+		name string
+		run  func(p obs.Probe) error
+		fail bool
+	}
+	var rows []outcome
+	for _, sh := range engineShapes {
+		sh := sh
+		rows = append(rows,
+			outcome{sh.name + "/completes", func(p obs.Probe) error {
+				m, _ := relayModel(lineTopo(8, 500), 500, 100)
+				_, err := sh.kernel(0, p).Run(m)
+				return err
+			}, false},
+			outcome{sh.name + "/empty-model", func(p obs.Probe) error {
+				_, err := sh.kernel(0, p).Run(&sim.Model{Nodes: 8, Links: lineTopo(8, 500).LinkInfos})
+				return err
+			}, false},
+			outcome{sh.name + "/max-rounds", func(p obs.Probe) error {
+				m, _ := relayModel(lineTopo(8, 500), 500, 1_000_000)
+				withStop(m, 100_000, 1000)
+				_, err := sh.kernel(5, p).Run(m)
+				return err
+			}, true},
+			outcome{sh.name + "/ckpt-save-error", func(p obs.Probe) error {
+				m, _ := relayModel(lineTopo(8, 500), 500, 1_000_000)
+				withStop(m, 100_000, 1000)
+				m.Ckpt = &sim.CkptHook{Every: 3, Save: func(*sim.KernelState) error { return boom }}
+				_, err := sh.kernel(0, p).Run(m)
+				return err
+			}, true},
+		)
+	}
+	rows = append(rows,
+		outcome{"v-unison/max-rounds", func(p obs.Probe) error {
+			m, _ := relayModel(lineTopo(8, 500), 500, 1_000_000)
+			withStop(m, 100_000, 1000)
+			_, err := vtime.Run(m, vtime.Config{Algo: vtime.Unison, Cores: 2, MaxRounds: 5, Observe: p})
+			return err
+		}, true},
+		outcome{"nullmsg/ckpt-save-error", func(p obs.Probe) error {
+			m, _ := relayModel(lineTopo(8, 500), 500, 1_000_000)
+			withStop(m, 100_000, 0)
+			m.Ckpt = &sim.CkptHook{EveryTime: 10_000, Save: func(*sim.KernelState) error { return boom }}
+			_, err := (&pdes.NullMessageKernel{LPOf: halves(8), Observe: p}).Run(m)
+			return err
+		}, true},
+	)
+	for _, row := range rows {
+		row := row
+		t.Run(row.name, func(t *testing.T) {
+			p := &pairProbe{}
+			if err := row.run(p); (err != nil) != row.fail {
+				t.Fatalf("err=%v, want failure=%v", err, row.fail)
+			}
+			if p.begins != 1 || p.ends != 1 {
+				t.Fatalf("probe saw %d BeginRun and %d EndRun, want one of each", p.begins, p.ends)
 			}
 		})
 	}

@@ -56,17 +56,17 @@ func (k *HybridKernel) Name() string {
 // Run implements sim.Kernel: one group per host holding the LPs Algorithm
 // 1 finds inside that host, pulled by the host's ThreadsPerHost workers.
 func (k *HybridKernel) Run(m *sim.Model) (*sim.RunStats, error) {
-	return run(m, func(links []sim.LinkInfo) (shape, error) {
+	return run(m, func(links []sim.LinkInfo) (Shape, error) {
 		lpOf, hostOfLP, lookahead, err := HybridPartition(m.Nodes, k.cfg.HostOf, links)
 		if err != nil {
-			return shape{}, err
+			return Shape{}, err
 		}
-		return shape{
-			name:     k.Name(),
-			part:     &Partition{LPOf: lpOf, Count: len(hostOfLP), Lookahead: lookahead},
-			groupOf:  hostOfLP,
-			perGroup: k.cfg.ThreadsPerHost,
-			cfg:      Config{Metric: k.cfg.Metric, Period: k.cfg.Period, MaxRounds: k.cfg.MaxRounds, Observe: k.cfg.Observe},
+		return Shape{
+			Name:     k.Name(),
+			Part:     &Partition{LPOf: lpOf, Count: len(hostOfLP), Lookahead: lookahead},
+			GroupOf:  hostOfLP,
+			PerGroup: k.cfg.ThreadsPerHost,
+			Cfg:      Config{Metric: k.cfg.Metric, Period: k.cfg.Period, MaxRounds: k.cfg.MaxRounds, Observe: k.cfg.Observe},
 		}, nil
 	})
 }
@@ -78,12 +78,12 @@ func (k *HybridKernel) Run(m *sim.Model) (*sim.RunStats, error) {
 // from round to round. Of cfg, only CacheWays, RecordRounds, MaxRounds and
 // Observe apply.
 func RunStatic(m *sim.Model, name string, part *Partition, cfg Config) (*sim.RunStats, error) {
-	return run(m, func([]sim.LinkInfo) (shape, error) {
+	return run(m, func([]sim.LinkInfo) (Shape, error) {
 		groupOf := make([]int32, part.Count)
 		for i := range groupOf {
 			groupOf[i] = int32(i)
 		}
 		cfg.Metric = MetricNone
-		return shape{name: name, part: part, groupOf: groupOf, perGroup: 1, cfg: cfg}, nil
+		return Shape{Name: name, Part: part, GroupOf: groupOf, PerGroup: 1, Cfg: cfg}, nil
 	})
 }

@@ -3,13 +3,11 @@ package pdes
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
 	"unison/internal/ckpt"
 	"unison/internal/core"
-	"unison/internal/eventq"
 	"unison/internal/metrics"
 	"unison/internal/obs"
 	"unison/internal/sim"
@@ -22,10 +20,10 @@ import (
 // than the minimum bound over its input channels (its EIT), and it sends
 // eager null messages to propagate progress.
 //
-// Faithful to the algorithms the paper compares (§2.3), this kernel
-// supports only the stop event among global events: distributed ranks
-// have no coordination point at which to run arbitrary global events.
-// Models using dynamic topologies must use Unison.
+// The protocol itself is cmb.go's; this kernel drives it with one
+// goroutine and one mutex inbox per rank. It supports only the stop event
+// among global events (NewRanks): models using dynamic topologies must use
+// Unison.
 type NullMessageKernel struct {
 	// Part is the preferred typed partition (rank assignment + lookahead).
 	// When set it takes precedence over LPOf.
@@ -86,40 +84,12 @@ func (in *nmInbox) waitChange(seen uint64) {
 	in.mu.Unlock()
 }
 
+// nmRank is a rank as the live driver sees it: the protocol state, the
+// inbox its neighbours post to, and where the stopwatch's P/S/M go.
 type nmRank struct {
-	id      int32
-	fel     *eventq.Queue
-	inbox   nmInbox
-	inFrom  []int32            // ranks with channels into this rank
-	outTo   []int32            // ranks this rank sends to
-	outLA   map[int32]sim.Time // per-channel lookahead
-	clock   map[int32]sim.Time // input channel bounds
-	promise map[int32]sim.Time // last promise sent per output channel
-	outBuf  map[int32][]sim.Event
-
-	events  uint64
-	lastT   sim.Time
-	p, s, m int64
-	nulls   uint64
-}
-
-type nmSink struct {
-	r     *nmRank
-	lpOf  []int32
-	setup bool
-}
-
-func (s *nmSink) Put(ev sim.Event) {
-	tgt := s.lpOf[ev.Node]
-	if tgt == s.r.id {
-		s.r.fel.Push(ev)
-		return
-	}
-	s.r.outBuf[tgt] = append(s.r.outBuf[tgt], ev)
-}
-
-func (s *nmSink) PutGlobal(sim.Event) {
-	panic("pdes: the null message kernel does not support global events")
+	*Rank
+	inbox nmInbox
+	t     *sim.WorkerStats
 }
 
 // Run implements sim.Kernel.
@@ -127,110 +97,26 @@ func (k *NullMessageKernel) Run(m *sim.Model) (*sim.RunStats, error) {
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("pdes: %w", err)
 	}
-	if m.StopAt <= 0 {
-		return nil, errors.New("pdes: NullMessageKernel requires Model.StopAt (no distributed termination detection)")
-	}
 	start := time.Now() //unison:wallclock-ok wall-clock run timing for RunStats.WallNS
-	links := m.Links()
 	part := k.Part
 	if part == nil {
 		if len(k.LPOf) != m.Nodes {
 			return nil, errors.New("pdes: NullMessageKernel requires a manual partition covering every node")
 		}
-		part = core.Manual(k.LPOf, links)
+		part = core.Manual(k.LPOf, m.Links())
 	}
-	if len(part.LPOf) != m.Nodes {
-		return nil, errors.New("pdes: NullMessageKernel partition does not cover every node")
+	rs, err := NewRanks(m, part, k.CacheWays)
+	if err != nil {
+		return nil, err
 	}
-	n := part.Count
-
-	// Channel lookaheads: min delay per directed rank pair.
-	type pair struct{ a, b int32 }
-	chanLA := map[pair]sim.Time{}
-	for i := range links {
-		l := &links[i]
-		ra, rb := part.LPOf[l.A], part.LPOf[l.B]
-		if ra == rb || !l.Up {
-			continue
-		}
-		for _, p := range []pair{{ra, rb}, {rb, ra}} {
-			if la, ok := chanLA[p]; !ok || l.Delay < la {
-				chanLA[p] = l.Delay
-			}
-		}
-	}
-
+	n := rs.Len()
 	ranks := make([]*nmRank, n)
+	times := make([]sim.WorkerStats, n)
 	for i := range ranks {
-		ranks[i] = &nmRank{
-			id:      int32(i),
-			fel:     eventq.New(64),
-			outLA:   map[int32]sim.Time{},
-			clock:   map[int32]sim.Time{},
-			promise: map[int32]sim.Time{},
-			outBuf:  map[int32][]sim.Event{},
-		}
+		ranks[i] = &nmRank{Rank: rs.Rank(i), t: &times[i]}
 		ranks[i].inbox.cond = sync.NewCond(&ranks[i].inbox.mu)
 	}
-	// Deterministic channel setup order: ranging chanLA directly would
-	// let Go's randomized map order decide each rank's outTo/inFrom
-	// sequence — and with it the null-message send order — varying run
-	// to run. (unisoncheck:maporder caught this; the vtime sibling
-	// kernel already sorted.)
-	pairs := make([]pair, 0, len(chanLA))
-	for p := range chanLA {
-		pairs = append(pairs, p)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].a != pairs[j].a {
-			return pairs[i].a < pairs[j].a
-		}
-		return pairs[i].b < pairs[j].b
-	})
-	for _, p := range pairs {
-		la := chanLA[p]
-		ranks[p.a].outTo = append(ranks[p.a].outTo, p.b)
-		ranks[p.a].outLA[p.b] = la
-		ranks[p.b].inFrom = append(ranks[p.b].inFrom, p.a)
-		ranks[p.b].clock[p.a] = 0
-	}
-
-	var cache *metrics.CacheModel
-	if k.CacheWays > 0 {
-		cache = metrics.NewCacheModel(n, k.CacheWays)
-	}
-	seqs := sim.NewSeqTable(m.Nodes)
 	hook := m.Ckpt
-	var baseEvents uint64
-	var baseEnd sim.Time
-	var epoch uint64
-	if hook != nil && hook.Restore != nil {
-		ks := hook.Restore
-		if len(ks.Seqs) != len(seqs) {
-			return nil, fmt.Errorf("pdes: checkpoint has %d sequence counters, model needs %d", len(ks.Seqs), len(seqs))
-		}
-		copy(seqs, ks.Seqs)
-		for _, ev := range ks.Queue {
-			if ev.Node == sim.GlobalNode {
-				if ev.Time == m.StopAt {
-					continue // the stop event is duplicated as StopAt per rank
-				}
-				return nil, errors.New("pdes: null message kernel cannot restore models with global events (use Unison)")
-			}
-			ranks[part.LPOf[ev.Node]].fel.Push(ev)
-		}
-		epoch, baseEvents, baseEnd = ks.Round, ks.Events, ks.EndTime
-	} else {
-		for _, ev := range m.Init {
-			if ev.Node == sim.GlobalNode {
-				if ev.Time == m.StopAt {
-					continue // the stop event is duplicated as StopAt per rank
-				}
-				return nil, errors.New("pdes: null message kernel cannot run models with global events (use Unison)")
-			}
-			ranks[part.LPOf[ev.Node]].fel.Push(ev)
-		}
-	}
 	ckptEvery := sim.Time(0)
 	if hook != nil && hook.Save != nil && hook.EveryTime > 0 {
 		ckptEvery = hook.EveryTime
@@ -244,10 +130,11 @@ func (k *NullMessageKernel) Run(m *sim.Model) (*sim.RunStats, error) {
 	// a sound snapshot point — a rank only terminates a segment once its
 	// EIT reaches the boundary, so channel promises guarantee every
 	// undelivered message holds only events at or after it.
+	var runErr error
 	for {
 		segEnd := m.StopAt
 		if ckptEvery > 0 {
-			if next := sim.Time(epoch+1) * ckptEvery; next < segEnd {
+			if next := sim.Time(rs.epoch+1) * ckptEvery; next < segEnd {
 				segEnd = next
 			}
 		}
@@ -256,54 +143,31 @@ func (k *NullMessageKernel) Run(m *sim.Model) (*sim.RunStats, error) {
 			wg.Add(1)
 			go func(r *nmRank) {
 				defer wg.Done()
-				k.rankLoop(r, ranks, part.LPOf, seqs, segEnd, cache)
+				k.rankLoop(r, ranks, segEnd)
 			}(r)
 		}
 		wg.Wait()
 		if segEnd >= m.StopAt {
 			break
 		}
-		epoch++
+		rs.epoch++
 		// Serial quiesce: deliver messages posted after their receiver
 		// terminated the segment (all bounded at or after segEnd).
 		var buf []nmMsg
 		for _, r := range ranks {
 			buf, _ = r.inbox.take(buf)
 			for _, msg := range buf {
-				r.fel.PushBatch(msg.events)
-				if msg.bound > r.clock[msg.from] {
-					r.clock[msg.from] = msg.bound
-				}
+				r.Deliver(msg.from, msg.bound, msg.events)
 			}
 		}
-		if err := k.saveCkpt(m, ranks, seqs, epoch, segEnd, baseEvents, baseEnd); err != nil {
-			return nil, err
+		if runErr = rs.saveCkpt(segEnd); runErr != nil {
+			break
 		}
 	}
 
-	st := &sim.RunStats{
-		Kernel:  "nullmsg",
-		WallNS:  time.Since(start).Nanoseconds(), //unison:wallclock-ok wall-clock run timing for RunStats.WallNS
-		LPs:     n,
-		Workers: make([]sim.WorkerStats, n),
-	}
-	st.Events = baseEvents
-	st.EndTime = baseEnd
-	var nulls uint64
-	for i, r := range ranks {
-		st.Events += r.events
-		if r.lastT > st.EndTime {
-			st.EndTime = r.lastT
-		}
-		st.Workers[i] = sim.WorkerStats{P: r.p, S: r.s, M: r.m, Events: r.events}
-		nulls += r.nulls
-	}
-	st.Rounds = nulls // for null-message, "rounds" reports null messages sent
-	if cache != nil {
-		st.CacheRefs, st.CacheMisses = cache.Counters()
-	}
+	st := rs.Stats(k.Name(), start, times)
 	obs.End(k.Observe, st)
-	return st, nil
+	return st, runErr
 }
 
 // saveCkpt snapshots the quiesced rank FELs through the model's
@@ -312,13 +176,13 @@ func (k *NullMessageKernel) Run(m *sim.Model) (*sim.RunStats, error) {
 // at zero merely re-warms the channels with a few extra null messages —
 // the event trajectory is unchanged (RunStats.Rounds, the null-message
 // count, is the one scheduling-dependent statistic).
-func (k *NullMessageKernel) saveCkpt(m *sim.Model, ranks []*nmRank, seqs sim.SeqTable, epoch uint64, now sim.Time, baseEvents uint64, baseEnd sim.Time) error {
+func (rs *Ranks) saveCkpt(now sim.Time) error {
 	var queue []sim.Event
-	for _, r := range ranks {
+	for _, r := range rs.ranks {
 		queue = r.fel.Snapshot(queue)
 	}
-	for _, ev := range m.Init {
-		if ev.Node == sim.GlobalNode && ev.Time == m.StopAt {
+	for _, ev := range rs.m.Init {
+		if ev.Node == sim.GlobalNode && ev.Time == rs.m.StopAt {
 			// Keep the snapshot portable: kernels that schedule the stop
 			// globally need it back in the queue; this kernel skips it on
 			// restore just as it does at setup.
@@ -329,28 +193,22 @@ func (k *NullMessageKernel) saveCkpt(m *sim.Model, ranks []*nmRank, seqs sim.Seq
 		return fmt.Errorf("pdes: %w", err)
 	}
 	ks := &sim.KernelState{
-		Round:   epoch,
-		Now:     now,
-		Events:  baseEvents,
-		EndTime: baseEnd,
-		Seqs:    append([]uint64(nil), seqs...),
-		Queue:   queue,
+		Round: rs.epoch,
+		Now:   now,
+		Seqs:  append([]uint64(nil), rs.seqs...),
+		Queue: queue,
 	}
-	for _, r := range ranks {
-		ks.Events += r.events
-		if r.lastT > ks.EndTime {
-			ks.EndTime = r.lastT
-		}
-	}
-	if err := m.Ckpt.Save(ks); err != nil {
+	ks.Events, ks.EndTime = rs.totals()
+	if err := rs.m.Ckpt.Save(ks); err != nil {
 		return fmt.Errorf("pdes: checkpoint: %w", err)
 	}
 	return nil
 }
 
-func (k *NullMessageKernel) rankLoop(r *nmRank, ranks []*nmRank, lpOf []int32, seqs sim.SeqTable, stopAt sim.Time, cache *metrics.CacheModel) {
-	sink := &nmSink{r: r, lpOf: lpOf}
-	ctx := sim.NewCtx(sink, int(r.id))
+// rankLoop drives rank r through one segment: every iteration takes what
+// the inbox holds, runs the protocol steps against the stopwatch, and
+// blocks on the inbox when they made no progress.
+func (k *NullMessageKernel) rankLoop(r *nmRank, ranks []*nmRank, stopAt sim.Time) {
 	probe := k.Observe
 	var iter uint64
 	// rec escapes through the probe interface call; hoisted so the
@@ -360,97 +218,44 @@ func (k *NullMessageKernel) rankLoop(r *nmRank, ranks []*nmRank, lpOf []int32, s
 	sw.Start()
 	var buf []nmMsg
 	var seenSeq uint64
+	post := func(to int32, bound sim.Time, events []sim.Event) {
+		ranks[to].inbox.post(nmMsg{from: r.id, bound: bound, events: events})
+	}
 
 	for {
-		// Drain the inbox: merge remote events, advance channel clocks.
 		var recvd uint64
 		buf, seenSeq = r.inbox.take(buf)
 		for _, msg := range buf {
-			r.fel.PushBatch(msg.events)
+			r.Deliver(msg.from, msg.bound, msg.events)
 			recvd += uint64(len(msg.events))
-			if msg.bound > r.clock[msg.from] {
-				r.clock[msg.from] = msg.bound
-			}
 		}
 		m1 := sw.Lap()
-		r.m += m1
+		r.t.M += m1
 
-		// EIT: the earliest a future remote event could arrive.
-		eit := sim.MaxTime
-		for _, from := range r.inFrom {
-			if c := r.clock[from]; c < eit {
-				eit = c
-			}
-		}
-		safe := eit
-		if stopAt < safe {
-			safe = stopAt
-		}
-
-		// Process the safe prefix.
-		evStart := r.events
-		progressed := false
-		for {
-			ev, ok := r.fel.PopBefore(safe)
-			if !ok {
-				break
-			}
-			if cache != nil {
-				cache.Touch(int(r.id), ev.Node)
-			}
-			ctx.Begin(&ev, seqs.Of(ev.Node))
-			ev.Fn(ctx)
-			r.events++
-			r.lastT = ev.Time
-			progressed = true
-		}
+		eit, safe := r.Window(stopAt)
+		nev, _ := r.Process(safe)
 		pNS := sw.Lap()
-		r.p += pNS
+		r.t.P += pNS
 
-		// Flush remote events and eager null messages. The promise is
-		// sound: any later output of this rank is caused by an event at
-		// or after min(N_own, EIT), plus the channel lookahead.
-		base := r.fel.NextTime()
-		if eit < base {
-			base = eit
-		}
-		var sent uint64
-		for _, to := range r.outTo {
-			bound := satAdd(base, r.outLA[to])
-			evs := r.outBuf[to]
-			if len(evs) == 0 && bound <= r.promise[to] {
-				continue
-			}
-			msg := nmMsg{from: r.id, bound: bound}
-			if len(evs) > 0 {
-				msg.events = append([]sim.Event(nil), evs...)
-				sent += uint64(len(evs))
-				r.outBuf[to] = evs[:0]
-			} else {
-				r.nulls++
-			}
-			r.promise[to] = bound
-			ranks[to].inbox.post(msg)
-		}
+		sent := uint64(r.Flush(eit, post))
 		m2 := sw.Lap()
-		r.m += m2
+		r.t.M += m2
 
-		// Terminate once nothing before stopAt can happen here anymore.
-		terminal := r.fel.NextTime() >= stopAt && eit >= stopAt
+		terminal := r.Terminal(eit, stopAt)
 		var sNS int64
-		if !terminal && !progressed {
+		if !terminal && nev == 0 {
 			// Blocked: wait for a neighbor to extend a promise.
 			r.inbox.waitChange(seenSeq)
 			sNS = sw.Lap()
-			r.s += sNS
+			r.t.S += sNS
 		}
 		if probe != nil {
 			rec = obs.RoundRecord{
 				Round: iter, Worker: r.id, LBTS: safe,
-				Events: r.events - evStart,
+				Events: uint64(nev),
 				ProcNS: pNS, SyncNS: sNS, MsgNS: m1 + m2,
 				Sends: sent, SendBytes: sent * obs.EventBytes,
-				Recvs: recvd, FELDepth: uint64(r.fel.Len()),
+				Recvs: recvd, FELDepth: uint64(r.Depth()),
 			}
 			probe.OnRound(&rec)
 			iter++
@@ -459,15 +264,4 @@ func (k *NullMessageKernel) rankLoop(r *nmRank, ranks []*nmRank, lpOf []int32, s
 			return
 		}
 	}
-}
-
-func satAdd(a, b sim.Time) sim.Time {
-	if a == sim.MaxTime || b == sim.MaxTime {
-		return sim.MaxTime
-	}
-	c := a + b
-	if c < a {
-		return sim.MaxTime
-	}
-	return c
 }

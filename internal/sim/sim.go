@@ -29,6 +29,15 @@ const (
 // "no event" sentinel when computing LBTS windows.
 const MaxTime Time = 1<<63 - 1
 
+// AddSat returns t + d saturating at MaxTime, so that "no event" plus any
+// lookahead is still "no event".
+func (t Time) AddSat(d Time) Time {
+	if s := t + d; t != MaxTime && d != MaxTime && s >= t {
+		return s
+	}
+	return MaxTime
+}
+
 // String renders a Time with an adaptive unit, e.g. "3µs" or "1.5ms".
 func (t Time) String() string {
 	switch {

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"unison/internal/eventq"
-	"unison/internal/metrics"
 	"unison/internal/sim"
 )
 
@@ -124,22 +123,3 @@ type calSink struct{ fel *eventq.Queue }
 
 func (s *calSink) Put(ev sim.Event)       { s.fel.Push(ev) }
 func (s *calSink) PutGlobal(ev sim.Event) { s.fel.Push(ev) }
-
-// coster executes one event and returns its modeled cost, maintaining the
-// per-executor cache locality model.
-type coster struct {
-	cm    CostModel
-	cache *metrics.CacheModel
-}
-
-func newCoster(cm CostModel, executors int) *coster {
-	return &coster{cm: cm, cache: metrics.NewCacheModel(executors, cm.CacheWays)}
-}
-
-// cost returns the virtual cost of an event on node n run by executor e.
-func (c *coster) cost(e int, n sim.NodeID) int64 {
-	if c.cache.Touch(e, n) {
-		return c.cm.EventNS + c.cm.MissNS
-	}
-	return c.cm.EventNS
-}

@@ -53,8 +53,8 @@ func (p *headProbe) OnRound(rec *obs.RoundRecord) {
 	}
 }
 
-// TestRoundsGolden pins the round-based virtual kernels to exact values on
-// a k=4 fat-tree incast model. The other tests in this package only check
+// TestRoundsGolden pins the virtual kernels to exact values on a k=4
+// fat-tree incast model. The other tests in this package only check
 // orderings and run-to-run equality, which a change that shifts every
 // VirtualT by a barrier constant would pass.
 //
@@ -89,6 +89,9 @@ func TestRoundsGolden(t *testing.T) {
 		{"hybrid-2x2", func(nodes int, _ []int32) Config {
 			return Config{Algo: Hybrid, HostOf: hostOf(nodes), CoresPerHost: 2}
 		}},
+		// Rounds is the null-message count; the records are per rank per
+		// meta-DES step.
+		{"nullmsg", func(_ int, lpOf []int32) Config { return Config{Algo: NullMessage, LPOf: lpOf} }},
 	}
 	var runs []goldenRun
 	for _, tc := range cases {

@@ -2,144 +2,92 @@ package vtime
 
 import (
 	"errors"
-	"sort"
+	"time"
 
 	"unison/internal/core"
-	"unison/internal/eventq"
 	"unison/internal/obs"
+	"unison/internal/pdes"
 	"unison/internal/sim"
 )
 
 // The null-message virtual kernel is a meta-simulation: the ranks of the
-// Chandy–Misra–Bryant protocol are themselves simulated as processes with
-// virtual CPU clocks. Messages sent at a sender's virtual time V arrive
-// at the receiver at V + MsgNS; a rank that cannot progress blocks until
-// its earliest pending arrival (accounted as synchronization time S).
-// Because CMB is asynchronous, this is the only baseline whose timing
-// cannot be expressed in rounds — the meta-DES computes the true
-// interleaving for any core count.
+// Chandy–Misra–Bryant protocol (pdes/cmb.go — the same rank the live
+// kernel drives) are themselves simulated as processes with virtual CPU
+// clocks. Messages sent at a sender's virtual time V arrive at the
+// receiver at V + MsgNS; a rank that cannot progress blocks until its
+// earliest pending arrival (accounted as synchronization time S). Because
+// CMB is asynchronous, this is the only baseline whose timing cannot be
+// expressed in rounds — the meta-DES computes the true interleaving for
+// any core count.
 
 type vnmMsg struct {
 	vArrive int64 // virtual arrival time at the receiver
 	from    int32
 	bound   sim.Time
 	events  []sim.Event
-	null    bool
 }
 
+// vnmRank is a rank as the meta-simulation sees it: the protocol state,
+// the messages in flight to it, and its virtual CPU.
 type vnmRank struct {
-	id      int32
-	fel     *eventq.Queue
-	inbox   []vnmMsg
-	inFrom  []int32
-	outTo   []int32
-	outLA   map[int32]sim.Time
-	clock   map[int32]sim.Time
-	promise map[int32]sim.Time
-	outBuf  map[int32][]sim.Event
+	*pdes.Rank
+	id    int32
+	inbox []vnmMsg
+	send  func(to int32, bound sim.Time, events []sim.Event)
 
 	v       int64 // virtual CPU clock
 	parked  bool
 	done    bool
-	p, s, m int64
-	events  uint64
-	nulls   uint64
-	iter    uint64 // probe iteration counter
+	sentAny bool             // send ran during the current step
+	t       *sim.WorkerStats // modelled P/S/M
+	iter    uint64           // probe iteration counter
 }
 
-type vnmSink struct {
-	r    *vnmRank
-	lpOf []int32
-}
-
-func (s *vnmSink) Put(ev sim.Event) {
-	tgt := s.lpOf[ev.Node]
-	if tgt == s.r.id {
-		s.r.fel.Push(ev)
-		return
-	}
-	s.r.outBuf[tgt] = append(s.r.outBuf[tgt], ev)
-}
-
-func (s *vnmSink) PutGlobal(sim.Event) {
-	panic("vtime: the null message kernel does not support global events")
-}
-
-func runNullMessage(m *sim.Model, cfg Config) (*sim.RunStats, error) {
+func runNullMessage(m *sim.Model, cfg Config, start time.Time) (*sim.RunStats, error) {
 	if cfg.LPOf == nil {
 		return nil, errors.New("vtime: NullMessage requires a manual partition (LPOf)")
 	}
-	if m.StopAt <= 0 {
-		return nil, errors.New("vtime: NullMessage requires Model.StopAt")
+	rs, err := pdes.NewRanks(m, core.Manual(cfg.LPOf, m.Links()), cfg.Cost.CacheWays)
+	if err != nil {
+		return nil, err
 	}
-	links := m.Links()
-	part := core.Manual(cfg.LPOf, links)
-	n := part.Count
-	c := newCoster(cfg.Cost, n)
-	seqs := sim.NewSeqTable(m.Nodes)
-
-	type pair struct{ a, b int32 }
-	chanLA := map[pair]sim.Time{}
-	for i := range links {
-		l := &links[i]
-		ra, rb := part.LPOf[l.A], part.LPOf[l.B]
-		if ra == rb || !l.Up {
-			continue
-		}
-		for _, p := range []pair{{ra, rb}, {rb, ra}} {
-			if la, ok := chanLA[p]; !ok || l.Delay < la {
-				chanLA[p] = l.Delay
-			}
-		}
-	}
+	cm := cfg.Cost
+	n := rs.Len()
 	ranks := make([]*vnmRank, n)
+	times := make([]sim.WorkerStats, n)
 	for i := range ranks {
-		ranks[i] = &vnmRank{
-			id:      int32(i),
-			fel:     eventq.New(64),
-			outLA:   map[int32]sim.Time{},
-			clock:   map[int32]sim.Time{},
-			promise: map[int32]sim.Time{},
-			outBuf:  map[int32][]sim.Event{},
-		}
-	}
-	// Deterministic channel setup order.
-	pairs := make([]pair, 0, len(chanLA))
-	for p := range chanLA {
-		pairs = append(pairs, p)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].a != pairs[j].a {
-			return pairs[i].a < pairs[j].a
-		}
-		return pairs[i].b < pairs[j].b
-	})
-	for _, p := range pairs {
-		la := chanLA[p]
-		ranks[p.a].outTo = append(ranks[p.a].outTo, p.b)
-		ranks[p.a].outLA[p.b] = la
-		ranks[p.b].inFrom = append(ranks[p.b].inFrom, p.a)
-		ranks[p.b].clock[p.a] = 0
-	}
-	for _, ev := range m.Init {
-		if ev.Node == sim.GlobalNode {
-			if ev.Time == m.StopAt {
-				continue
+		r := &vnmRank{Rank: rs.Rank(i), id: int32(i), t: &times[i]}
+		// A message leaves at the sender's current virtual time, arrives
+		// MsgNS later, and costs the sender MsgNS (events) or NullNS.
+		r.send = func(to int32, bound sim.Time, events []sim.Event) {
+			msg := vnmMsg{from: r.id, bound: bound, events: events, vArrive: r.v + cm.MsgNS}
+			cost := cm.NullNS
+			if len(events) > 0 {
+				cost = cm.MsgNS
 			}
-			return nil, errors.New("vtime: null message kernel cannot run models with global events")
+			r.t.M += cost
+			r.v += cost
+			peer := ranks[to]
+			peer.inbox = append(peer.inbox, msg)
+			if peer.parked {
+				if wake := msg.vArrive; wake > peer.v {
+					peer.t.S += wake - peer.v
+					peer.v = wake
+				}
+				peer.parked = false
+			}
+			r.sentAny = true
 		}
-		ranks[part.LPOf[ev.Node]].fel.Push(ev)
+		ranks[i] = r
 	}
-
-	var totalEvents uint64
-	var endTime sim.Time
 	probe := cfg.Observe
 	obs.Begin(probe, obs.RunMeta{Kernel: NullMessage.String(), Workers: n, LPs: n})
 
+	// step runs one iteration of r at its virtual time and reports whether
+	// it made progress.
 	step := func(r *vnmRank) bool {
-		p0, s0, m0, ev0 := r.p, r.s, r.m, r.events
-		progressed := false
-		// Drain deliverable messages.
+		t0 := *r.t
+		// Deliver the messages that have arrived.
 		rest := r.inbox[:0]
 		var drained int64
 		var recvd uint64
@@ -148,192 +96,86 @@ func runNullMessage(m *sim.Model, cfg Config) (*sim.RunStats, error) {
 				rest = append(rest, msg)
 				continue
 			}
-			for _, ev := range msg.events {
-				r.fel.Push(ev)
-			}
+			r.Deliver(msg.from, msg.bound, msg.events)
 			recvd += uint64(len(msg.events))
-			if msg.bound > r.clock[msg.from] {
-				r.clock[msg.from] = msg.bound
-			}
 			drained++
-			progressed = true
 		}
 		r.inbox = rest
-		if drained > 0 {
-			d := drained * cfg.Cost.MsgNS
-			r.v += d
-			r.m += d
-		}
-		// EIT and safe window.
-		eit := sim.MaxTime
-		for _, from := range r.inFrom {
-			if cl := r.clock[from]; cl < eit {
-				eit = cl
-			}
-		}
-		safe := eit
-		if m.StopAt < safe {
-			safe = m.StopAt
-		}
-		// Process the safe prefix.
-		sink := &vnmSink{r: r, lpOf: part.LPOf}
-		ctx := sim.NewCtx(sink, int(r.id))
-		for {
-			ev, ok := r.fel.PopBefore(safe)
-			if !ok {
-				break
-			}
-			cost := c.cost(int(r.id), ev.Node)
-			r.v += cost
-			r.p += cost
-			ctx.Begin(&ev, seqs.Of(ev.Node))
-			ev.Fn(ctx)
-			r.events++
-			totalEvents++
-			if ev.Time > endTime {
-				endTime = ev.Time
-			}
-			progressed = true
-		}
-		// Flush events and eager nulls.
-		base := r.fel.NextTime()
-		if eit < base {
-			base = eit
-		}
-		var sent uint64
-		for _, to := range r.outTo {
-			bound := vSatAdd(base, r.outLA[to])
-			evs := r.outBuf[to]
-			if len(evs) == 0 && bound <= r.promise[to] {
-				continue
-			}
-			msg := vnmMsg{from: r.id, bound: bound, vArrive: r.v + cfg.Cost.MsgNS}
-			if len(evs) > 0 {
-				msg.events = append([]sim.Event(nil), evs...)
-				sent += uint64(len(evs))
-				r.outBuf[to] = evs[:0]
-				r.m += cfg.Cost.MsgNS
-				r.v += cfg.Cost.MsgNS
-			} else {
-				msg.null = true
-				r.nulls++
-				r.m += cfg.Cost.NullNS
-				r.v += cfg.Cost.NullNS
-			}
-			r.promise[to] = bound
-			peer := ranks[to]
-			peer.inbox = append(peer.inbox, msg)
-			if peer.parked {
-				wake := msg.vArrive
-				if wake > peer.v {
-					peer.s += wake - peer.v
-					peer.v = wake
-				}
-				peer.parked = false
-			}
-			progressed = true
-		}
-		// Termination.
-		if r.fel.NextTime() >= m.StopAt && eit >= m.StopAt {
-			r.done = true
-			progressed = true
-		}
+		d := drained * cm.MsgNS
+		r.v += d
+		r.t.M += d
+
+		eit, safe := r.Window(m.StopAt)
+		nev, misses := r.Process(safe)
+		cost := nev*cm.EventNS + misses*cm.MissNS
+		r.v += cost
+		r.t.P += cost
+
+		r.sentAny = false
+		sent := uint64(r.Flush(eit, r.send))
+		r.done = r.Terminal(eit, m.StopAt)
 		if probe != nil {
 			rec := obs.RoundRecord{
 				Round: r.iter, Worker: r.id, LBTS: safe,
-				Events: r.events - ev0,
-				ProcNS: r.p - p0, SyncNS: r.s - s0, MsgNS: r.m - m0,
+				Events: uint64(nev),
+				ProcNS: r.t.P - t0.P, SyncNS: r.t.S - t0.S, MsgNS: r.t.M - t0.M,
 				Sends: sent, SendBytes: sent * obs.EventBytes,
-				Recvs: recvd, FELDepth: uint64(r.fel.Len()),
+				Recvs: recvd, FELDepth: uint64(r.Depth()),
 			}
 			probe.OnRound(&rec)
 			r.iter++
 		}
-		return progressed
+		return drained > 0 || nev > 0 || r.sentAny || r.done
 	}
 
+	var runErr error
 	for {
 		// Pick the runnable rank with the smallest virtual clock.
 		var pick *vnmRank
+		live := false
 		for _, r := range ranks {
-			if r.done || r.parked {
+			if r.done {
 				continue
 			}
-			if pick == nil || r.v < pick.v || (r.v == pick.v && r.id < pick.id) {
+			live = true
+			if !r.parked && (pick == nil || r.v < pick.v) {
 				pick = r
 			}
 		}
 		if pick == nil {
-			// Everyone parked or done.
-			allDone := true
-			for _, r := range ranks {
-				if !r.done {
-					allDone = false
-					break
-				}
+			if live {
+				runErr = errors.New("vtime: null message meta-simulation deadlocked")
 			}
-			if allDone {
-				break
-			}
-			return nil, errors.New("vtime: null message meta-simulation deadlocked")
+			break
 		}
-		if !step(pick) {
-			// No progress: wait for the earliest pending arrival, or park.
-			earliest := int64(-1)
-			for _, msg := range pick.inbox {
-				if earliest < 0 || msg.vArrive < earliest {
-					earliest = msg.vArrive
-				}
+		if step(pick) {
+			continue
+		}
+		// No progress: wait for the earliest pending arrival, or park.
+		earliest := int64(-1)
+		for _, msg := range pick.inbox {
+			if earliest < 0 || msg.vArrive < earliest {
+				earliest = msg.vArrive
 			}
-			if earliest >= 0 {
-				if earliest > pick.v {
-					pick.s += earliest - pick.v
-					pick.v = earliest
-				} else {
-					// Deliverable on the next step already.
-					continue
-				}
-			} else {
-				pick.parked = true
-			}
+		}
+		switch {
+		case earliest < 0:
+			pick.parked = true
+		case earliest > pick.v:
+			pick.t.S += earliest - pick.v
+			pick.v = earliest
 		}
 	}
 
-	var virt int64
-	ws := make([]sim.WorkerStats, n)
-	var nulls uint64
-	for i, r := range ranks {
-		if r.v > virt {
-			virt = r.v
+	st := rs.Stats(NullMessage.String(), start, times)
+	for _, r := range ranks {
+		if r.v > st.VirtualT {
+			st.VirtualT = r.v
 		}
-		ws[i] = sim.WorkerStats{P: r.p, S: r.s, M: r.m, Events: r.events}
-		nulls += r.nulls
 	}
 	// Ranks that finished early waited (virtually) for the slowest one.
-	for i, r := range ranks {
-		ws[i].S += virt - r.v
-		_ = r
+	for _, r := range ranks {
+		r.t.S += st.VirtualT - r.v
 	}
-	st := &sim.RunStats{
-		Kernel:   NullMessage.String(),
-		Events:   totalEvents,
-		EndTime:  endTime,
-		LPs:      n,
-		VirtualT: virt,
-		Rounds:   nulls,
-		Workers:  ws,
-	}
-	st.CacheRefs, st.CacheMisses = c.cache.Counters()
-	return st, nil
-}
-
-func vSatAdd(a, b sim.Time) sim.Time {
-	if a == sim.MaxTime || b == sim.MaxTime {
-		return sim.MaxTime
-	}
-	s := a + b
-	if s < a {
-		return sim.MaxTime
-	}
-	return s
+	return st, runErr
 }

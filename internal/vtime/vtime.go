@@ -1,10 +1,17 @@
-// Package vtime is the virtual testbed: it executes the same partition,
-// window, mailbox and scheduling algorithms as the live kernels, but on a
-// single real thread, with every virtual worker/rank owning a virtual
-// clock advanced by a calibrated per-event cost model. Round makespans,
-// the P/S/M decomposition, and speedups are therefore computed exactly
-// and deterministically for any requested core count — the substitution
-// for the paper's 16–144-core testbeds (DESIGN.md §1).
+// Package vtime is the virtual testbed: a second driver of the live
+// kernels' own state machines. The round-based kernels run on core.Engine
+// and the null-message kernel on pdes.Ranks — the partition, window,
+// mailbox, scheduling and channel-clock code that executes is the live
+// kernels', not a model of it — but from a single real thread, with every
+// virtual worker/rank owning a virtual clock advanced by a calibrated cost
+// model charged from what each step reports (events run, cache misses,
+// messages moved, LPs re-sorted). What this package owns is only what is
+// virtual: which core a step is placed on (greedy list scheduling, core
+// speeds), the CMB meta-simulation of arrival times, and the P/S/M,
+// makespan and RoundRecord accounting. Round makespans, the P/S/M
+// decomposition, and speedups are therefore computed exactly and
+// deterministically for any requested core count — the substitution for
+// the paper's 16–144-core testbeds (DESIGN.md §1, §5.1).
 //
 // The simulation itself is executed for real (every event callback runs),
 // so the virtual run produces the same simulation results as the live
@@ -109,13 +116,13 @@ func Run(m *sim.Model, cfg Config) (*sim.RunStats, error) {
 	var st *sim.RunStats
 	var err error
 	if cfg.Algo == NullMessage {
-		st, err = runNullMessage(m, cfg)
+		st, err = runNullMessage(m, cfg, start)
 	} else {
 		var sh shape
 		if sh, err = shapeOf(m, cfg); err != nil {
 			return nil, err
 		}
-		st, err = runRounds(m, cfg, sh)
+		st, err = runRounds(m, cfg, sh, start)
 		if st != nil && cfg.Algo == Sequential {
 			// The kernel being modelled has no rounds (RunStats.Rounds is
 			// documented as 0 for it); the engine's windows here are only
@@ -123,10 +130,9 @@ func Run(m *sim.Model, cfg Config) (*sim.RunStats, error) {
 			st.Rounds = 0
 		}
 	}
+	// Both drivers return stats exactly when they began the run, failed or
+	// not, so a probe never sees a run left open.
 	if st != nil {
-		st.WallNS = time.Since(start).Nanoseconds() //unison:wallclock-ok wall-clock run timing for RunStats.WallNS
-	}
-	if err == nil {
 		obs.End(cfg.Observe, st)
 	}
 	return st, err
