@@ -46,6 +46,10 @@ type sample struct {
 type seedFile struct {
 	Note    string            `json:"note"`
 	Kernels map[string]sample `json:"kernels"`
+	// EmptyRound is the empty-round section as the parent of the
+	// activity-proportional round engine measured it (emptyround.go).
+	EmptyRound     []emptyRound `json:"empty_round"`
+	EmptyRoundNote string       `json:"empty_round_note"`
 }
 
 type delta struct {
@@ -81,6 +85,8 @@ type report struct {
 	// Fidelity embeds each kernel's simulated results (percentile FCTs,
 	// drops, fingerprint) from the final iteration.
 	Fidelity map[string]fidelity `json:"fidelity,omitempty"` //unison:json-ok keys are the fixed kernelOrder names; encoding/json sorts string keys
+	// EmptyRound is the per-round fixed cost against the LP count.
+	EmptyRound emptyRoundReport `json:"empty_round"`
 }
 
 // scrub replaces non-finite floats with 0 so the report encode can never
@@ -325,6 +331,7 @@ func main() {
 			}
 			rep.Seed = sf.Kernels
 			rep.SeedNote = sf.Note
+			rep.EmptyRound = emptyRoundReport{Parent: sf.EmptyRound, ParentNote: sf.EmptyRoundNote}
 		}
 	}
 
@@ -349,6 +356,11 @@ func main() {
 		fmt.Printf("%-12s %9d events/s  %9d ns/op  %8d B/op  %6d allocs/op  p50 %.3fms p99 %.3fms drops %d\n",
 			name, s.EventsPerSec, s.NsPerOp, s.BytesPerOp, s.AllocsPerOp,
 			fid.P50FCTms, fid.P99FCTms, fid.Drops)
+	}
+	var err error
+	if rep.EmptyRound.Current, err = runEmptyRound(*n, rep.EmptyRound.Parent); err != nil {
+		fmt.Fprintf(os.Stderr, "unibench: empty round: %v\n", err)
+		os.Exit(1)
 	}
 	if lsess != nil {
 		// The suite's final kernel provides the "final" snapshot (each

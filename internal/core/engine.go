@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -61,34 +63,61 @@ func (sh *Shape) Groups() int {
 // per-thread staged outboxes (mailbox.go), not on the LP.
 type lpState struct {
 	fel *eventq.Queue
-	// est is the scheduling estimate; lastP the processing time of the
-	// previous round, in whatever nanoseconds the driver keeps (wall or
-	// modelled); pending the events received last round.
-	est     int64
+	// lastP is the processing time of the last round the LP ran in, in
+	// whatever nanoseconds the driver keeps (wall or modelled); pending the
+	// events it got the last time it received. The scheduler reads them.
 	lastP   int64
 	pending int64
+	// depth is the FEL's length as of the last probed round that received
+	// the LP (Engine.settleDepth).
+	depth int32
 	// lastW is 1 + the worker that ran this LP last (0 = never); only
 	// maintained when a probe is attached, to count migrations.
 	lastW int32
 }
 
-// group is one set of LPs and the cursors the live workers pull them
-// through. The layout is two cache lines. The slice headers never change
-// after setup (phase 4 sorts order in place) and fill the first, which
-// therefore stays shared and clean; the cursors own the second, so a
-// group's workers fight over that line only with each other and only for
-// the increment. Sharing one line, every claim re-fetched the headers from
-// whichever core incremented last (7 % on bench's sparse-lowdelay.unison);
-// and with one group per rank, unpadded cursors of different groups would
-// put every worker on the same line.
+// group is one set of LPs, the two lists that say which of them a round
+// visits, and the cursors the live workers pull those lists through. The
+// layout is three cache lines. The list headers are written only in the
+// serial sections (phase 2 rebuilds recv, phase 4 rebuilds run) and fill
+// the first, which therefore stays shared and clean while workers pull; the
+// cursors own the second, so a group's workers fight over that line only
+// with each other and only for the increment. Sharing one line, every
+// claim re-fetched the headers from whichever core incremented last (7 % on
+// bench's sparse-lowdelay.unison); and with one group per rank, unpadded
+// cursors of different groups would put every worker on the same line.
 type group struct {
-	lps   []int32 // the group's LPs in index order (phase-3 receive order)
-	order []int32 // the same LPs in schedule order (phase-1 pull order)
-	_     [16]byte
+	// run is the LPs with an event inside the current window, in schedule
+	// order: the phase-1 pull list. recv is the LPs whose FEL the round may
+	// have changed — those that ran, were sent to, or had a global event
+	// insert directly — in index order: the phase-3 pull list. An LP on
+	// neither list is not read or written that round.
+	run  []int32
+	recv []int32
+	_    [16]byte
 
 	cursor1 atomic.Int64
 	cursor3 atomic.Int64
 	_       [48]byte
+
+	// order is every LP of the group in schedule order, and low[b] the
+	// earliest cached next-event time among order's b-th 64 (stale when one
+	// of them is to be received or the order changed). Only the serial
+	// sections use them: phase 4 sorts order in place, and finds the minimum
+	// and the run list by looking inside those blocks only that the window
+	// reaches.
+	order []int32
+	low   []sim.Time
+	_     [16]byte
+}
+
+// stale marks a block minimum to be recomputed. (A block that really held
+// an event at this time would be recomputed every round, to the same value.)
+const stale = sim.Time(math.MinInt64)
+
+// block is the b-th 64 LPs of the schedule order.
+func (g *group) block(b int) []int32 {
+	return g.order[b<<6 : min(b<<6+64, len(g.order))]
 }
 
 // Engine is the state of one round-based run.
@@ -108,6 +137,21 @@ type Engine struct {
 	lookahead sim.Time
 
 	groups []group
+	// next[lp] is lp's earliest event time, cached so that phase 4 finds
+	// the global minimum and the LPs inside the new window without touching
+	// an FEL. Receive refreshes it for the LPs on a recv list; nobody else's
+	// FEL changed. pos[lp] is lp's place in its group's order, which names
+	// the block minimum (group.low) a new next time makes stale. est[lp] is
+	// the scheduling estimate the order was last sorted by.
+	next []sim.Time
+	pos  []int32
+	est  []int64
+	// dirty is the set (one bit per LP) phase 2 collects a round's receivers
+	// into, which is also what puts each recv list in index order.
+	dirty []uint64
+	// depth is the summed length of every FEL and idleDepth the part of it
+	// held by LPs the round did not receive; kept for probed runs only.
+	depth, idleDepth int64
 
 	stopped bool
 	done    bool
@@ -147,8 +191,16 @@ type workerSink struct {
 
 func (s *workerSink) Put(ev sim.Event) {
 	tgt := s.e.part.LPOf[ev.Node]
-	if s.curLP < 0 || tgt == s.curLP {
+	if tgt == s.curLP {
 		s.e.lps[tgt].fel.Push(ev)
+		return
+	}
+	if s.curLP < 0 {
+		// A global event inserts directly, possibly into an LP that has
+		// been idle for thousands of rounds: have phase 3 receive it, which
+		// refreshes its cached next time.
+		s.e.lps[tgt].fel.Push(ev)
+		s.e.dirty[tgt>>6] |= 1 << (tgt & 63)
 		return
 	}
 	if ev.Time < s.e.lbts {
@@ -185,18 +237,20 @@ func NewEngine(m *sim.Model, sh Shape) (*Engine, error) {
 		seqs:      sim.NewSeqTable(m.Nodes),
 		lookahead: part.Lookahead,
 		groups:    make([]group, groups),
+		next:      make([]sim.Time, n),
+		pos:       make([]int32, n),
+		est:       make([]int64, n),
+		dirty:     make([]uint64, (n+63)/64),
 		workers:   make([]workerState, workers),
 	}
 	for i := range e.lps {
 		e.lps[i].fel = eventq.New(64)
-		g := &e.groups[0]
-		if sh.GroupOf != nil {
-			g = &e.groups[sh.GroupOf[i]]
-		}
-		g.lps = append(g.lps, int32(i))
+		g := e.groupOf(int32(i))
+		g.order = append(g.order, int32(i))
 	}
 	for i := range e.groups {
-		e.groups[i].order = append([]int32(nil), e.groups[i].lps...)
+		e.groups[i].low = make([]sim.Time, (len(e.groups[i].order)+63)/64)
+		e.reindex(&e.groups[i])
 	}
 	if sh.Cfg.CacheWays > 0 {
 		e.cache = metrics.NewCacheModel(workers, sh.Cfg.CacheWays)
@@ -218,22 +272,83 @@ func NewEngine(m *sim.Model, sh Shape) (*Engine, error) {
 		e.round, e.baseEvents, e.baseEnd = ks.Round, ks.Events, ks.EndTime
 		seed = ks.Queue
 	}
-	allMin := sim.MaxTime
 	for _, ev := range seed {
 		if ev.Node == sim.GlobalNode {
 			e.pub.Push(ev)
 			continue
 		}
 		e.lps[part.LPOf[ev.Node]].fel.Push(ev)
-		if ev.Time < allMin {
-			allMin = ev.Time
-		}
+	}
+	for i := range e.lps {
+		lp := &e.lps[i]
+		e.next[i], lp.depth = lp.fel.NextTime(), int32(lp.fel.Len())
+		e.depth += int64(lp.depth)
 	}
 	obs.Begin(sh.Cfg.Observe, obs.RunMeta{Kernel: sh.Name, Workers: workers, LPs: n})
 	// The first window is the phase-4 computation for round 0.
-	e.done = allMin == sim.MaxTime && e.pub.Empty()
-	e.lbts = Eq2(allMin, e.pub.NextTime(), e.lookahead)
+	e.done = !e.openWindow()
 	return e, nil
+}
+
+// groupOf is the group lp belongs to.
+func (e *Engine) groupOf(lp int32) *group {
+	if e.sh.GroupOf == nil {
+		return &e.groups[0]
+	}
+	return &e.groups[e.sh.GroupOf[lp]]
+}
+
+// reindex records where g's order now has each LP. Every block minimum is
+// stale after that.
+func (e *Engine) reindex(g *group) {
+	for i, lp := range g.order {
+		e.pos[lp] = int32(i)
+	}
+	for b := range g.low {
+		g.low[b] = stale
+	}
+}
+
+// openWindow is the heart of phase 4: from the cached next-event times it
+// sets the window (Equation 2) and lists, per group and in schedule order,
+// the LPs with an event inside it. It reports false, leaving the window
+// alone, when no LP and no global event has anything left. An LP in a block
+// nobody touched and the window does not reach costs nothing here; any
+// other idle LP costs a compare.
+func (e *Engine) openWindow() bool {
+	pubNext, allMin := e.pub.NextTime(), sim.MaxTime
+	for i := range e.groups {
+		g := &e.groups[i]
+		for b, low := range g.low {
+			if low == stale {
+				low = sim.MaxTime
+				for _, lp := range g.block(b) {
+					low = min(low, e.next[lp])
+				}
+				g.low[b] = low
+			}
+			allMin = min(allMin, low)
+		}
+	}
+	if allMin == sim.MaxTime && pubNext == sim.MaxTime {
+		return false
+	}
+	e.lbts = Eq2(allMin, pubNext, e.lookahead)
+	for i := range e.groups {
+		g := &e.groups[i]
+		g.run = g.run[:0]
+		for b, low := range g.low {
+			if low >= e.lbts {
+				continue
+			}
+			for _, lp := range g.block(b) {
+				if e.next[lp] < e.lbts {
+					g.run = append(g.run, lp)
+				}
+			}
+		}
+	}
+	return true
 }
 
 // Eq2 is the paper's Equation 2 — LBTS = min(N_pub, min_i N_i +
@@ -316,7 +431,11 @@ func (e *Engine) Migrated(w int, lpIdx int32) bool {
 
 // Globals is phase 2: with every LP quiescent, run the public LP's events
 // at exactly the window boundary, credited to worker 0, and return how
-// many there were.
+// many there were; then list, per group and in index order, the LPs phase 3
+// has to receive: those that ran, those some outbox names, and those a
+// global event just inserted into.
+//
+//unison:owner consumer
 func (t *Thread) Globals() (events int64) {
 	e := t.e
 	t.sink.curLP = -1
@@ -336,40 +455,61 @@ func (t *Thread) Globals() (events int64) {
 			e.stopped = true
 		}
 	}
+	mark := func(lps []int32) {
+		for _, lp := range lps {
+			e.dirty[lp>>6] |= 1 << (lp & 63)
+		}
+	}
+	for i := range e.groups {
+		e.groups[i].recv = e.groups[i].recv[:0]
+		mark(e.groups[i].run)
+	}
+	for i := range e.outboxes {
+		mark(e.outboxes[i].touched)
+	}
+	for i, word := range e.dirty {
+		for ; word != 0; word &= word - 1 {
+			lp := int32(i<<6 + bits.TrailingZeros64(word))
+			g := e.groupOf(lp)
+			g.recv = append(g.recv, lp)
+			g.low[e.pos[lp]>>6] = stale // Receive will change next[lp]
+		}
+		e.dirty[i] = 0
+	}
 	return events
 }
 
-// Receive is phase 3 for one LP: gather its staged events from every
-// thread's outbox (events from other groups arrive the same way) and
-// bulk-load them into its FEL. It returns how many arrived, the FEL's
-// depth, and the LP's next event time, whose minimum over all LPs the
-// driver hands to Advance.
-func (t *Thread) Receive(lpIdx int32) (n, depth int, next sim.Time) {
+// Receive is phase 3 for one LP of a recv list: gather its staged events
+// from every thread's outbox (events from other groups arrive the same
+// way), bulk-load them into its FEL and refresh its cached next-event time.
+// It returns how many arrived and the FEL's depth.
+func (t *Thread) Receive(lpIdx int32) (n, depth int) {
 	lp := &t.e.lps[lpIdx]
 	t.recv = gather(t.e.outboxes, lpIdx, t.recv[:0]) //unison:owner transfer the driver ordered every thread's phase-1 puts before phase 3
 	lp.pending = int64(len(t.recv))
 	lp.fel.PushBatch(t.recv)
-	return len(t.recv), lp.fel.Len(), lp.fel.NextTime()
+	t.e.next[lpIdx] = lp.fel.NextTime()
+	return len(t.recv), lp.fel.Len()
 }
 
 // Advance is phase 4, run with every LP quiescent and received: count the
-// round, reschedule, then either end the run or open the next window from
-// allMin, the earliest event any LP holds. It reports whether the LP
-// orders were re-sorted.
-func (e *Engine) Advance(allMin sim.Time) (resorted bool) {
-	pubNext := e.pub.NextTime()
+// round, reschedule, then either end the run or open the next window. It
+// reports whether the LP orders were re-sorted.
+func (e *Engine) Advance() (resorted bool) {
 	e.round++
+	if e.sh.Cfg.Observe != nil {
+		e.settleDepth()
+	}
 	resorted = e.reschedule()
 	switch {
 	case e.stopped:
 		e.done = true
-	case allMin == sim.MaxTime && pubNext == sim.MaxTime:
+	case !e.openWindow():
 		e.done = true
 	case e.sh.Cfg.MaxRounds > 0 && e.round >= e.sh.Cfg.MaxRounds:
 		e.done = true
 		e.err = errors.New("core: MaxRounds exceeded")
 	default:
-		e.lbts = Eq2(allMin, pubNext, e.lookahead)
 		if hook := e.m.Ckpt; hook.SaveEvery(e.round) {
 			// This is the quiescent point: every staged event has been
 			// delivered and the new window has not started.
@@ -406,25 +546,66 @@ func (e *Engine) saveCkpt() error {
 	return nil
 }
 
+// settleDepth brings the FEL-depth cache up to date with the LPs the round
+// received and sets idleDepth to what all the others hold, so that a
+// probe's per-round FELDepth still sums to the whole.
+func (e *Engine) settleDepth() {
+	var seen int64
+	for i := range e.groups {
+		for _, lp := range e.groups[i].recv {
+			s := &e.lps[lp]
+			d := int32(s.fel.Len())
+			e.depth += int64(d - s.depth)
+			s.depth = d
+			seen += int64(d)
+		}
+	}
+	e.idleDepth = e.depth - seen
+}
+
 // reschedule re-sorts every group's LP order by the scheduling estimate
-// every period rounds (§4.3) and reports whether it did.
+// every period rounds (§4.3) and reports whether it did. The estimate is
+// what the round just finished measured: lastP for the LPs on its run
+// lists, pending for those on its recv lists, 0 for an LP it did not visit.
+// A stable descending sort would leave those zeros behind the rest in the
+// order they had, so only the LPs with an estimate are sorted (ties by old
+// position) and the others close ranks behind them.
 func (e *Engine) reschedule() bool {
 	if e.sh.Cfg.Metric == MetricNone || e.round%e.period != 0 {
 		return false
 	}
-	for i := range e.lps {
-		lp := &e.lps[i]
-		if e.sh.Cfg.Metric == MetricPrevTime {
-			lp.est = lp.lastP
-		} else {
-			lp.est = lp.pending
-		}
-	}
+	clear(e.est)
 	for i := range e.groups {
-		order := e.groups[i].order
-		sort.SliceStable(order, func(a, b int) bool {
-			return e.lps[order[a]].est > e.lps[order[b]].est
+		g := &e.groups[i]
+		// The list is dead once read: phase 4 or the next phase 2 rebuilds
+		// it. Its head becomes the LPs to sort.
+		list := g.recv
+		if e.sh.Cfg.Metric == MetricPrevTime {
+			list = g.run
+		}
+		hot := list[:0]
+		for _, lp := range list {
+			est := e.lps[lp].pending
+			if e.sh.Cfg.Metric == MetricPrevTime {
+				est = e.lps[lp].lastP
+			}
+			if est > 0 {
+				e.est[lp] = est
+				hot = append(hot, lp)
+			}
+		}
+		slices.SortFunc(hot, func(a, b int32) int {
+			return cmp.Or(cmp.Compare(e.est[b], e.est[a]), cmp.Compare(e.pos[a], e.pos[b]))
 		})
+		w := len(g.order)
+		for i := w - 1; i >= 0; i-- {
+			if lp := g.order[i]; e.est[lp] == 0 {
+				w--
+				g.order[w] = lp
+			}
+		}
+		copy(g.order, hot)
+		e.reindex(g)
 	}
 	return true
 }
@@ -471,17 +652,21 @@ func (e *Engine) Err() error { return e.err }
 func (e *Engine) LBTS() sim.Time { return e.lbts }
 func (e *Engine) Round() uint64  { return e.round }
 
-// Group returns group g's LPs in index order (the order phase 3 receives
-// in) and in schedule order (the order phase 1 pulls in). Advance re-sorts
-// the latter in place.
-func (e *Engine) Group(g int) (lps, order []int32) {
-	return e.groups[g].lps, e.groups[g].order
+// Group returns the two lists of group g's current round: the LPs phase 1
+// runs, in schedule order (Advance builds it), and the LPs phase 3 receives,
+// in index order (Globals builds it).
+func (e *Engine) Group(g int) (run, recv []int32) {
+	return e.groups[g].run, e.groups[g].recv
 }
+
+// IdleDepth is the summed FEL depth of the LPs the round just advanced did
+// not receive. Only probed runs keep it.
+func (e *Engine) IdleDepth() uint64 { return uint64(e.idleDepth) }
 
 // Est is lp's scheduling estimate, refreshed every period rounds from what
 // SetLastP recorded (MetricPrevTime) or Receive counted
 // (MetricPendingEvents).
-func (e *Engine) Est(lp int32) int64 { return e.lps[lp].est }
+func (e *Engine) Est(lp int32) int64 { return e.est[lp] }
 
 // SetLastP records lp's processing time in the round just run. This one
 // field is where the drivers' clocks meet the scheduler: the live driver

@@ -3,7 +3,9 @@ package core_test
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"unison/internal/core"
@@ -59,43 +61,58 @@ func relayModel(g *topology.Graph, delay sim.Time, laps int) (*sim.Model, *uint6
 
 // engineShapes lists the three live shapes of the round engine — one
 // group of T workers (Unison), H groups of t (hybrid), n groups of one
-// (barrier) — over the 8-node relay chain. Every behaviour the engine
-// promises is checked once per row, so a shape cannot lose one silently.
+// (barrier) — over a chain of n nodes (8 in most rows' tests, where lps and
+// workers are what to expect). Every behaviour the engine promises is
+// checked once per row, so a shape cannot lose one silently. Of c, each
+// kernel takes what it has a knob for.
 var engineShapes = []struct {
 	name    string
-	kernel  func(maxRounds uint64, probe obs.Probe) sim.Kernel
+	kernel  func(n int, c core.Config) sim.Kernel
 	lps     int
 	workers int
 	// solo: node 0's LP can only run on worker 0, the calling goroutine,
 	// so a panic raised by its events is recoverable by the test.
 	solo bool
 }{
-	{"unison-1x1", func(mr uint64, p obs.Probe) sim.Kernel {
-		return core.New(core.Config{Threads: 1, MaxRounds: mr, Observe: p})
-	}, 8, 1, true},
-	{"unison-1x2", func(mr uint64, p obs.Probe) sim.Kernel {
-		return core.New(core.Config{Threads: 2, MaxRounds: mr, Observe: p})
-	}, 8, 2, false},
-	{"unison-1x4", func(mr uint64, p obs.Probe) sim.Kernel {
-		return core.New(core.Config{Threads: 4, MaxRounds: mr, Observe: p})
-	}, 8, 4, false},
-	{"hybrid-2x1", func(mr uint64, p obs.Probe) sim.Kernel {
-		return core.NewHybrid(core.HybridConfig{HostOf: halves(8), ThreadsPerHost: 1, MaxRounds: mr, Observe: p})
-	}, 8, 2, true},
-	{"hybrid-2x2", func(mr uint64, p obs.Probe) sim.Kernel {
-		return core.NewHybrid(core.HybridConfig{HostOf: halves(8), ThreadsPerHost: 2, MaxRounds: mr, Observe: p})
-	}, 8, 4, false},
-	{"barrier-2x1", func(mr uint64, p obs.Probe) sim.Kernel {
-		return &pdes.BarrierKernel{LPOf: halves(8), MaxRounds: mr, Observe: p}
-	}, 2, 2, true},
-	{"barrier-8x1", func(mr uint64, p obs.Probe) sim.Kernel {
-		return &pdes.BarrierKernel{LPOf: []int32{0, 1, 2, 3, 4, 5, 6, 7}, MaxRounds: mr, Observe: p}
-	}, 8, 8, true},
+	{"unison-1x1", unisonShape(1), 8, 1, true},
+	{"unison-1x2", unisonShape(2), 8, 2, false},
+	{"unison-1x4", unisonShape(4), 8, 4, false},
+	{"hybrid-2x1", hybridShape(1), 8, 2, true},
+	{"hybrid-2x2", hybridShape(2), 8, 4, false},
+	{"barrier-2x1", barrierShape(halves), 2, 2, true},
+	{"barrier-nx1", barrierShape(func(n int) []int32 { return spread(n, n) }), 8, 8, true},
 	// Degenerate single rank: lookahead is infinite, so the run is one
 	// window per global event, like sequential DES.
-	{"barrier-1x1", func(mr uint64, p obs.Probe) sim.Kernel {
-		return &pdes.BarrierKernel{LPOf: make([]int32, 8), MaxRounds: mr, Observe: p}
-	}, 1, 1, true},
+	{"barrier-1x1", barrierShape(func(n int) []int32 { return make([]int32, n) }), 1, 1, true},
+}
+
+func unisonShape(threads int) func(int, core.Config) sim.Kernel {
+	return func(_ int, c core.Config) sim.Kernel {
+		c.Threads = threads
+		return core.New(c)
+	}
+}
+
+func hybridShape(perHost int) func(int, core.Config) sim.Kernel {
+	return func(n int, c core.Config) sim.Kernel {
+		return core.NewHybrid(core.HybridConfig{HostOf: halves(n), ThreadsPerHost: perHost,
+			Metric: c.Metric, Period: c.Period, MaxRounds: c.MaxRounds, Observe: c.Observe})
+	}
+}
+
+func barrierShape(lpOf func(n int) []int32) func(int, core.Config) sim.Kernel {
+	return func(n int, c core.Config) sim.Kernel {
+		return &pdes.BarrierKernel{LPOf: lpOf(n), MaxRounds: c.MaxRounds, Observe: c.Observe}
+	}
+}
+
+// spread assigns n nodes to k ranks in contiguous runs.
+func spread(n, k int) []int32 {
+	of := make([]int32, n)
+	for i := range of {
+		of[i] = int32(i * k / n)
+	}
+	return of
 }
 
 // halves assigns the first n/2 nodes to 0 and the rest to 1.
@@ -134,7 +151,7 @@ func TestEngineShapes(t *testing.T) {
 				t.Fatal(err)
 			}
 			m, count := relayModel(lineTopo(8, 500), 500, 100)
-			st, err := sh.kernel(0, nil).Run(m)
+			st, err := sh.kernel(8, core.Config{}).Run(m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,7 +176,7 @@ func TestEngineShapes(t *testing.T) {
 		t.Run(sh.name+"/stop-event", func(t *testing.T) {
 			m, count := relayModel(lineTopo(8, 500), 500, 1_000_000)
 			withStop(m, 10_000, 0)
-			st, err := sh.kernel(0, nil).Run(m)
+			st, err := sh.kernel(8, core.Config{}).Run(m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -195,19 +212,110 @@ func TestEngineShapes(t *testing.T) {
 					t.Fatalf("unexpected panic: %v", r)
 				}
 			}()
-			_, _ = sh.kernel(0, nil).Run(m)
+			_, _ = sh.kernel(8, core.Config{}).Run(m)
 		})
 		t.Run(sh.name+"/max-rounds", func(t *testing.T) {
 			m, _ := relayModel(lineTopo(8, 500), 500, 1_000_000)
 			withStop(m, 100_000, 1000)
-			_, err := sh.kernel(5, nil).Run(m)
+			_, err := sh.kernel(8, core.Config{MaxRounds: 5}).Run(m)
 			if err == nil || !strings.Contains(err.Error(), "MaxRounds") {
 				t.Fatalf("MaxRounds did not trip: %v", err)
 			}
 		})
+		// The sparse rows: 64 nodes, of which a round visits two or three
+		// (sparse_test.go has the model).
+		t.Run(sh.name+"/sparse-equals-des", func(t *testing.T) {
+			want, wantSt := sparseRef(t, 64, 500)
+			for _, c := range []core.Config{
+				{},
+				{Metric: core.MetricPendingEvents, Period: 2},
+				{Metric: core.MetricPrevTime, Period: 1},
+			} {
+				sm := newSparseModel(64, 500)
+				st, err := sh.kernel(64, c).Run(sm.Model)
+				if err == nil {
+					err = sm.log.equals(want, st, wantSt)
+				}
+				if err != nil {
+					t.Fatalf("%v, period %d: %v", c.Metric, c.Period, err)
+				}
+			}
+		})
+		t.Run(sh.name+"/sparse-ckpt-restore", func(t *testing.T) {
+			want, wantSt := sparseRef(t, 64, 500)
+			// Snapshot the first quiescent point past t = 40 delays: the
+			// token is mid-life, both sleepers asleep, and the global event
+			// that inserts onto the idle last node still ahead (except under
+			// barrier-1x1, whose only boundaries are the global events).
+			sm := newSparseModel(64, 500)
+			var snap *sim.KernelState
+			sm.Ckpt = &sim.CkptHook{Every: 1, Save: func(ks *sim.KernelState) error {
+				if snap == nil && ks.Now >= 40*500 {
+					cp := *ks
+					cp.Seqs, cp.Queue = slices.Clone(ks.Seqs), slices.Clone(ks.Queue)
+					snap = &cp
+				}
+				return nil
+			}}
+			st, err := sh.kernel(64, core.Config{}).Run(sm.Model)
+			if err == nil {
+				err = sm.log.equals(want, st, wantSt)
+			}
+			if err != nil {
+				t.Fatalf("checkpointing run: %v", err)
+			}
+			busy := map[sim.NodeID]bool{}
+			for _, ev := range snap.Queue {
+				busy[ev.Node] = true
+			}
+			if len(busy) > 6 {
+				t.Fatalf("snapshot has events pending on %d of 64 nodes, want over 90%% idle", len(busy))
+			}
+			sm.log = newEvLog(64)
+			sm.Ckpt = &sim.CkptHook{Restore: snap}
+			rst, err := sh.kernel(64, core.Config{}).Run(sm.Model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sm.log.endsWith(want); err != nil {
+				t.Fatalf("restored run: %v", err)
+			}
+			if got := snap.Events + sm.log.total(); got != wantSt.Events || rst.Events != wantSt.Events ||
+				rst.EndTime != wantSt.EndTime || rst.Rounds != st.Rounds {
+				t.Fatalf("restored run: %d events before the snapshot + %d after, stats say events=%d end=%v rounds=%d; want events=%d end=%v rounds=%d",
+					snap.Events, sm.log.total(), rst.Events, rst.EndTime, rst.Rounds, wantSt.Events, wantSt.EndTime, st.Rounds)
+			}
+		})
+		t.Run(sh.name+"/sparse-fel-depth", func(t *testing.T) {
+			// A probe's FELDepth, summed over a round's workers, is the
+			// depth of every FEL — the LPs the round did not visit included.
+			// A snapshot taken at the same point counts them independently.
+			sm := newSparseModel(64, 500)
+			pending := map[uint64]uint64{}
+			sm.Ckpt = &sim.CkptHook{Every: 1, Save: func(ks *sim.KernelState) error {
+				for _, ev := range ks.Queue {
+					if ev.Node != sim.GlobalNode {
+						pending[ks.Round-1]++
+					}
+				}
+				return nil
+			}}
+			probe := &depthProbe{sum: map[uint64]uint64{}}
+			if _, err := sh.kernel(64, core.Config{Observe: probe}).Run(sm.Model); err != nil {
+				t.Fatal(err)
+			}
+			if sh.lps > 1 && len(pending) < 100 {
+				t.Fatalf("only %d rounds snapshotted", len(pending))
+			}
+			for round, want := range pending {
+				if got := probe.sum[round]; got != want {
+					t.Fatalf("round %d: workers report FEL depth %d, the FELs hold %d", round, got, want)
+				}
+			}
+		})
 		t.Run(sh.name+"/empty-model", func(t *testing.T) {
 			m := &sim.Model{Nodes: 8, Links: lineTopo(8, 500).LinkInfos}
-			st, err := sh.kernel(0, nil).Run(m)
+			st, err := sh.kernel(8, core.Config{}).Run(m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -225,7 +333,7 @@ func TestEngineShapes(t *testing.T) {
 				saves++
 				return boom
 			}}
-			_, err := sh.kernel(0, nil).Run(m)
+			_, err := sh.kernel(8, core.Config{}).Run(m)
 			if !errors.Is(err, boom) {
 				t.Fatalf("err=%v, want the Save error wrapped", err)
 			}
@@ -245,6 +353,20 @@ func TestEngineShapes(t *testing.T) {
 			}
 		})
 	}
+}
+
+// depthProbe sums RoundRecord.FELDepth per round over the workers.
+type depthProbe struct {
+	mu  sync.Mutex
+	sum map[uint64]uint64
+}
+
+func (p *depthProbe) BeginRun(obs.RunMeta) {}
+func (p *depthProbe) EndRun(*sim.RunStats) {}
+func (p *depthProbe) OnRound(rec *obs.RoundRecord) {
+	p.mu.Lock()
+	p.sum[rec.Round] += rec.FELDepth
+	p.mu.Unlock()
 }
 
 // pairProbe counts run notifications: a probe that saw BeginRun without
@@ -272,24 +394,24 @@ func TestProbeBeginEndPaired(t *testing.T) {
 		rows = append(rows,
 			outcome{sh.name + "/completes", func(p obs.Probe) error {
 				m, _ := relayModel(lineTopo(8, 500), 500, 100)
-				_, err := sh.kernel(0, p).Run(m)
+				_, err := sh.kernel(8, core.Config{Observe: p}).Run(m)
 				return err
 			}, false},
 			outcome{sh.name + "/empty-model", func(p obs.Probe) error {
-				_, err := sh.kernel(0, p).Run(&sim.Model{Nodes: 8, Links: lineTopo(8, 500).LinkInfos})
+				_, err := sh.kernel(8, core.Config{Observe: p}).Run(&sim.Model{Nodes: 8, Links: lineTopo(8, 500).LinkInfos})
 				return err
 			}, false},
 			outcome{sh.name + "/max-rounds", func(p obs.Probe) error {
 				m, _ := relayModel(lineTopo(8, 500), 500, 1_000_000)
 				withStop(m, 100_000, 1000)
-				_, err := sh.kernel(5, p).Run(m)
+				_, err := sh.kernel(8, core.Config{MaxRounds: 5, Observe: p}).Run(m)
 				return err
 			}, true},
 			outcome{sh.name + "/ckpt-save-error", func(p obs.Probe) error {
 				m, _ := relayModel(lineTopo(8, 500), 500, 1_000_000)
 				withStop(m, 100_000, 1000)
 				m.Ckpt = &sim.CkptHook{Every: 3, Save: func(*sim.KernelState) error { return boom }}
-				_, err := sh.kernel(0, p).Run(m)
+				_, err := sh.kernel(8, core.Config{Observe: p}).Run(m)
 				return err
 			}, true},
 		)

@@ -99,11 +99,10 @@ func (k *Kernel) Run(m *sim.Model) (*sim.RunStats, error) {
 // across those sections.
 type live struct {
 	*Engine
-	bar          *syncx.Barrier
-	perWorkerMin []sim.Time
-	roundP       []int64
-	times        []sim.WorkerStats // each worker's P/S/M, written as it exits
-	trace        []sim.RoundSample
+	bar    *syncx.Barrier
+	roundP []int64
+	times  []sim.WorkerStats // each worker's P/S/M, written as it exits
+	trace  []sim.RoundSample
 }
 
 // run executes m under the shape plan chooses for its links, on real
@@ -123,11 +122,10 @@ func run(m *sim.Model, plan func(links []sim.LinkInfo) (Shape, error)) (*sim.Run
 	}
 	workers := len(e.workers)
 	l := &live{
-		Engine:       e,
-		bar:          syncx.NewBarrier(workers),
-		perWorkerMin: make([]sim.Time, workers),
-		roundP:       make([]int64, workers),
-		times:        make([]sim.WorkerStats, workers),
+		Engine: e,
+		bar:    syncx.NewBarrier(workers),
+		roundP: make([]int64, workers),
+		times:  make([]sim.WorkerStats, workers),
 	}
 	if !e.done {
 		threads := make([]*Thread, workers)
@@ -158,7 +156,7 @@ func run(m *sim.Model, plan func(links []sim.LinkInfo) (Shape, error)) (*sim.Run
 func (l *live) workerLoop(w int, t *Thread) {
 	g := &l.groups[w/l.sh.PerGroup]
 	// solo: this worker is its group's only one, so it walks the group's
-	// LPs with a plain counter; nobody else claims from the cursors.
+	// lists with a plain counter; nobody else claims from the cursors.
 	solo := l.sh.PerGroup == 1
 	ob := &l.outboxes[w]
 	// timed: only MetricPrevTime needs per-LP wall-clock estimates.
@@ -190,9 +188,9 @@ func (l *live) workerLoop(w int, t *Thread) {
 		evStart := l.workers[w].events
 		var migrations uint64
 		// Phase 1: process events within the window, pulling the group's
-		// LPs in longest-estimated-job-first order via its shared cursor.
+		// run list — longest estimated job first — via its shared cursor.
 		t.StartRound()
-		nLP := int64(len(g.order))
+		run := g.run
 		if timed {
 			clock.start()
 		}
@@ -200,15 +198,15 @@ func (l *live) workerLoop(w int, t *Thread) {
 			if !solo {
 				i = g.cursor1.Add(1) - 1
 			}
-			if i >= nLP {
+			if i >= int64(len(run)) {
 				break
 			}
-			lpIdx := g.order[i]
+			lpIdx := run[i]
 			nev, _ := t.Process(w, lpIdx)
 			if timed && clock.note(lpIdx, nev) {
 				clock.flush(l.lps)
 			}
-			if probe != nil && nev > 0 && l.Migrated(w, lpIdx) {
+			if probe != nil && l.Migrated(w, lpIdx) {
 				migrations++
 			}
 		}
@@ -227,25 +225,21 @@ func (l *live) workerLoop(w int, t *Thread) {
 		s1 := sw.Lap()
 		times.S += s1
 
-		// Phase 3: receive each of the group's LPs' staged events and
-		// compute the local minimum next-event time.
-		locMin := sim.MaxTime
+		// Phase 3: receive the staged events of the LPs on the group's recv
+		// list, which phase 2 built.
+		recv := g.recv
 		var recvd, depth uint64
 		for i := int64(0); ; i++ {
 			if !solo {
 				i = g.cursor3.Add(1) - 1
 			}
-			if i >= nLP {
+			if i >= int64(len(recv)) {
 				break
 			}
-			n, d, next := t.Receive(g.lps[i])
-			if next < locMin {
-				locMin = next
-			}
+			n, d := t.Receive(recv[i])
 			recvd += uint64(n)
 			depth += uint64(d)
 		}
-		l.perWorkerMin[w] = locMin
 		mNS := sw.Lap()
 		times.M += mNS
 		// Phase 4 fuses into the barrier the same way: the last arriver
@@ -254,6 +248,11 @@ func (l *live) workerLoop(w int, t *Thread) {
 		s2 := sw.Lap()
 		times.S += s2
 		if probe != nil {
+			if w == 0 {
+				// The LPs nobody received still hold events: worker 0
+				// reports them, so the round's records sum to every FEL.
+				depth += l.IdleDepth()
+			}
 			rec = obs.RoundRecord{
 				Round: roundIdx, Worker: int32(w), LBTS: roundLBTS,
 				Events: l.workers[w].events - evStart,
@@ -282,13 +281,7 @@ func (l *live) phase4() {
 		samp.Phase1 = samp.Makespan
 		l.trace = append(l.trace, samp)
 	}
-	allMin := sim.MaxTime
-	for _, t := range l.perWorkerMin {
-		if t < allMin {
-			allMin = t
-		}
-	}
-	l.Advance(allMin)
+	l.Advance()
 	for i := range l.groups {
 		l.groups[i].cursor1.Store(0)
 	}

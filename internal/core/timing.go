@@ -61,20 +61,12 @@ func (c *lpClock) flush(lps []lpState) {
 	for i := 0; i < c.n; i++ {
 		total += c.evs[i]
 	}
-	switch {
-	case elapsed <= 0:
-		// Below timer resolution: fall back to event counts.
-		for i := 0; i < c.n; i++ {
+	for i := 0; i < c.n; i++ {
+		if elapsed <= 0 {
+			// Below timer resolution: fall back to event counts.
 			lps[c.lps[i]].lastP = c.evs[i]
-		}
-	case total == 0:
-		// Only empty LPs: split the (pure loop overhead) window evenly.
-		share := elapsed / int64(c.n)
-		for i := 0; i < c.n; i++ {
-			lps[c.lps[i]].lastP = share
-		}
-	default:
-		for i := 0; i < c.n; i++ {
+		} else {
+			// Every noted LP came off a run list, so total ≥ n.
 			lps[c.lps[i]].lastP = elapsed * c.evs[i] / total
 		}
 	}

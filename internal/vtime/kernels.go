@@ -173,13 +173,13 @@ func runRounds(m *sim.Model, cfg Config, sh shape, start time.Time) (*sim.RunSta
 			avail[i], busyP[i], busyM[i] = 0, 0, 0
 			evT[i], recvT[i], depthT[i], migT[i] = 0, 0, 0, 0
 		}
-		// Phase 1: every group list-schedules its LPs, longest estimated
-		// job first, onto its own cores.
+		// Phase 1: every group list-schedules its run list, longest
+		// estimated job first, onto its own cores.
 		var totalCost, maxLP int64
 		for g := 0; g < groups; g++ {
 			lo, hi := g*sh.PerGroup, (g+1)*sh.PerGroup
-			_, order := e.Group(g)
-			for _, lp := range order {
+			run, _ := e.Group(g)
+			for _, lp := range run {
 				t := place(lo, hi, e.Est(lp))
 				nev, misses := th.Process(t, lp)
 				cost := nev*cm.EventNS + misses*cm.MissNS
@@ -188,7 +188,7 @@ func runRounds(m *sim.Model, cfg Config, sh shape, start time.Time) (*sim.RunSta
 				avail[t] += wall
 				busyP[t] += wall
 				evT[t] += uint64(nev)
-				if probe != nil && nev > 0 && e.Migrated(t, lp) {
+				if probe != nil && e.Migrated(t, lp) {
 					migT[t]++
 				}
 				totalCost += cost
@@ -217,16 +217,12 @@ func runRounds(m *sim.Model, cfg Config, sh shape, start time.Time) (*sim.RunSta
 		for i := range avail {
 			avail[i] = 0
 		}
-		allMin := sim.MaxTime
 		for gi := 0; gi < groups; gi++ {
 			lo, hi := gi*sh.PerGroup, (gi+1)*sh.PerGroup
-			lps, _ := e.Group(gi)
-			for _, lp := range lps {
+			_, recv := e.Group(gi)
+			for _, lp := range recv {
 				t := idlest(lo, hi)
-				k, depth, next := th.Receive(lp)
-				if next < allMin {
-					allMin = next
-				}
+				k, depth := th.Receive(lp)
 				mc := int64(float64(int64(k)*cm.MsgNS) / speeds[t])
 				avail[t] += mc
 				busyM[t] += mc
@@ -243,9 +239,10 @@ func runRounds(m *sim.Model, cfg Config, sh shape, start time.Time) (*sim.RunSta
 		}
 		// Phase 4: window update plus periodic rescheduling on worker 0.
 		var schedCost int64
-		if e.Advance(allMin) {
+		if e.Advance() {
 			schedCost = n * cm.SortPerLPNS
 		}
+		depthT[0] += e.IdleDepth()
 		ws[0].M += schedCost
 		roundTotal := span1 + g + span3 + schedCost + sh.syncNS
 		for t := 0; t < workers; t++ {
