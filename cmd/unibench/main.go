@@ -231,7 +231,7 @@ func main() {
 		scaleOut     = flag.String("scale-o", "BENCH_scale.json", "scale report output path")
 		scaleMaxK    = flag.Int("scale-max-k", 16, "largest fat-tree k to measure (8 for the CI smoke run)")
 		scaleThreads = flag.Int("scale-threads", 4, "Unison threads for the live scale runs")
-		scaleGate    = flag.Bool("scale-gate", false, "exit nonzero unless k=8 live bytes/flow is at least 4x below the pre-overhaul baseline")
+		scaleGate    = flag.Bool("scale-gate", false, "exit nonzero unless k=8 live bytes/flow is at least 4x below the pre-overhaul baseline and k=8 bytes/node within 10% of the checked-in BENCH_scale.json")
 
 		ckptDir = flag.String("checkpoint", "", "run one Unison4 run (instead of the bench suite) writing crash-consistent snapshots into this directory")
 		ckptN   = flag.Uint64("checkpoint-every", 100, "snapshot cadence in synchronization rounds for -checkpoint")

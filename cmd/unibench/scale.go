@@ -10,8 +10,9 @@ package main
 // maps, materialized flow slices, per-device heap allocations) taken on
 // the same scenario before the struct-of-arrays/arena layouts landed, so
 // every run carries its own before/after comparison. The -scale-gate
-// flag enforces the headline acceptance figure: live bytes/flow at k=8
-// must stay at least 4x below that baseline.
+// flag enforces the headline acceptance figure — live bytes/flow at k=8
+// must stay at least 4x below that baseline — and holds set-up memory,
+// k=8 bytes/node, within 10 % of the checked-in BENCH_scale.json.
 
 import (
 	"encoding/json"
@@ -22,7 +23,9 @@ import (
 
 	"unison"
 	"unison/internal/core"
+	"unison/internal/routing"
 	"unison/internal/sim"
+	"unison/internal/stats"
 	"unison/internal/vtime"
 )
 
@@ -86,6 +89,11 @@ type scaleRun struct {
 	StackMem unison.StackMemStats `json:"stack_mem"`
 	NetMem   unison.NetMemStats   `json:"net_mem"`
 	MonBytes int64                `json:"monitor_bytes"`
+
+	// The scenario's ECMP forwarding table, and the median time of
+	// routingBuilds fresh builds of it after the run.
+	RoutingBytes   int64   `json:"routing_bytes"`
+	RoutingBuildMs float64 `json:"routing_build_ms"`
 }
 
 // sweepRow is one cell of the k x cores virtual-testbed speedup table
@@ -149,6 +157,9 @@ func scaleScenario(k int) (*unison.Sim, int) {
 	}
 	return b.Sim, b.Flows
 }
+
+// routingBuilds is how many table builds routing_build_ms is the median of.
+const routingBuilds = 9
 
 func liveHeap() int64 {
 	runtime.GC()
@@ -254,6 +265,14 @@ func measureScaleOnce(k, threads int) (scaleRun, error) {
 		NetMem:   netMem,
 		MonBytes: sc.Mon.MemBytes(),
 	}
+	r.RoutingBytes = int64(sc.Net.Router.(*routing.ECMP).MemBytes())
+	builds := make([]float64, routingBuilds)
+	for i := range builds {
+		start = time.Now()
+		routing.NewECMP(sc.G, routing.Hops, scaleSeed)
+		builds[i] = float64(time.Since(start).Nanoseconds()) / 1e6
+	}
+	r.RoutingBuildMs = stats.Quantile(builds, 0.5)
 	runtime.KeepAlive(sc)
 	runtime.KeepAlive(m)
 	return r, nil
@@ -289,10 +308,27 @@ func measureSweep(ks, cores []int) ([]sweepRow, error) {
 	return rows, nil
 }
 
+// scaleBaselinePath is the checked-in report the gate compares set-up
+// memory against.
+const scaleBaselinePath = "BENCH_scale.json"
+
 // runScale executes the scale suite (live runs for each k, then the
 // virtual k x cores sweep), writes the report, and enforces the
-// bytes/flow gate when asked.
+// bytes/flow and bytes/node gates when asked.
 func runScale(out string, maxK, threads int, gate bool) error {
+	var checkedIn scaleReport
+	if gate { // read before the report is written: out may be the same file
+		buf, err := os.ReadFile(scaleBaselinePath)
+		if err == nil {
+			err = json.Unmarshal(buf, &checkedIn)
+		}
+		if err == nil && (len(checkedIn.Runs) == 0 || checkedIn.Runs[0].K != 8) {
+			err = fmt.Errorf("%s: first run is not k=8", scaleBaselinePath)
+		}
+		if err != nil {
+			return fmt.Errorf("scale-gate baseline: %w", err)
+		}
+	}
 	ks := []int{8}
 	if maxK >= 16 {
 		ks = append(ks, 16)
@@ -312,8 +348,9 @@ func runScale(out string, maxK, threads int, gate bool) error {
 			return err
 		}
 		rep.Runs = append(rep.Runs, r)
-		fmt.Printf("scale k=%-2d  %5d nodes %6d flows %9d events  %7.0fms  %5d B/node  %5d B/flow  %6d allocB/flow  live conns peak %d\n",
-			r.K, r.Nodes, r.Flows, r.Events, r.WallMs, r.BytesPerNode, r.BytesPerFlow, r.AllocPerFlow, r.StackMem.PeakConns)
+		fmt.Printf("scale k=%-2d  %5d nodes %6d flows %9d events  %7.0fms  %5d B/node  %5d B/flow  %6d allocB/flow  live conns peak %d  routing %d B built in %.1fms\n",
+			r.K, r.Nodes, r.Flows, r.Events, r.WallMs, r.BytesPerNode, r.BytesPerFlow, r.AllocPerFlow, r.StackMem.PeakConns,
+			r.RoutingBytes, r.RoutingBuildMs)
 	}
 	sweep, err := measureSweep(ks, []int{8, 16})
 	if err != nil {
@@ -343,6 +380,13 @@ func runScale(out string, maxK, threads int, gate bool) error {
 		if got > limit {
 			return fmt.Errorf("k=8 bytes/flow %d exceeds %d (pre-overhaul %d / 4)",
 				got, limit, preBaseline.BytesPerFlow)
+		}
+		// Build heap repeats to about 1 %, so 10 % is a real change.
+		base := checkedIn.Runs[0].BytesPerNode
+		limit, got = base+base/10, rep.Runs[0].BytesPerNode
+		fmt.Printf("scale-gate: k=8 bytes/node %d vs %s %d (limit %d = +10%%)\n", got, scaleBaselinePath, base, limit)
+		if got > limit {
+			return fmt.Errorf("k=8 bytes/node %d exceeds %d (%s %d + 10%%)", got, limit, scaleBaselinePath, base)
 		}
 	}
 	return nil
