@@ -24,9 +24,7 @@ import (
 	"unison"
 	"unison/internal/core"
 	"unison/internal/des"
-	"unison/internal/netobs"
 	"unison/internal/obs"
-	"unison/internal/obs/live"
 	"unison/internal/obs/obshttp"
 	"unison/internal/pdes"
 	"unison/internal/sim"
@@ -141,8 +139,7 @@ func scenario(seed uint64) *unison.Sim {
 
 // benchProbe is attached to every measured kernel run. It stays nil for
 // plain benchmarking; -live-bus sets it to an enabled-but-unattached
-// telemetry bus (the overhead the ≤1% gate pins down) and -live to a full
-// streaming session.
+// telemetry bus (the overhead the ≤1% gate pins down).
 var benchProbe obs.Probe
 
 func kernels() map[string]func() sim.Kernel {
@@ -216,26 +213,19 @@ func measure(n int, mk func() sim.Kernel) (sample, *sim.RunStats, fidelity, erro
 func main() {
 	var (
 		n         = flag.Int("n", 15, "iterations per kernel")
-		scFile    = flag.String("scenario", "", "declarative scenario file to benchmark instead of the fixed fat-tree workload (JSON, or TOML by extension)")
+		scFile    = flag.String("scenario", "", "declarative scenario file to benchmark instead of the fixed fat-tree workload (JSON)")
 		seedPath  = flag.String("seed", "docs/bench_seed.json", "seed baseline to embed ('' to skip)")
 		out       = flag.String("o", "BENCH_hotpath.json", "output report path")
-		traceOut  = flag.String("trace", "", "write a Perfetto trace of one probed Unison4 run to this file")
-		artifacts = flag.String("artifacts", "", "write a run-artifact bundle of one observed Unison4 run to this directory")
 		gatePath  = flag.String("gate", "", "baseline report (e.g. BENCH_hotpath.json); exit nonzero if Unison4 events/s or allocs/op regresses more than -gate-pct against it")
 		gatePct   = flag.Float64("gate-pct", 10, "allowed Unison4 events/s (and allocs/op growth) regression percentage for -gate")
 		debugAddr = flag.String("debug-addr", "", "serve /debug/vars and /debug/pprof on this address (e.g. :6060)")
 		liveBus   = flag.Bool("live-bus", false, "attach an enabled-but-unattached telemetry bus to every measured run (overhead-gate mode)")
-		liveAddr  = flag.String("live", "", "serve live telemetry (JSON + SSE for unimon) on this address during the suite")
 
 		scale        = flag.Bool("scale", false, "run the fat-tree scale benchmark (memory/node, memory/flow, k x cores sweep) instead of the hot-path suite")
 		scaleOut     = flag.String("scale-o", "BENCH_scale.json", "scale report output path")
 		scaleMaxK    = flag.Int("scale-max-k", 16, "largest fat-tree k to measure (8 for the CI smoke run)")
 		scaleThreads = flag.Int("scale-threads", 4, "Unison threads for the live scale runs")
 		scaleGate    = flag.Bool("scale-gate", false, "exit nonzero unless k=8 live bytes/flow is at least 4x below the pre-overhaul baseline and k=8 bytes/node within 10% of the checked-in BENCH_scale.json")
-
-		ckptDir = flag.String("checkpoint", "", "run one Unison4 run (instead of the bench suite) writing crash-consistent snapshots into this directory")
-		ckptN   = flag.Uint64("checkpoint-every", 100, "snapshot cadence in synchronization rounds for -checkpoint")
-		restore = flag.String("restore", "", "run one Unison4 run (instead of the bench suite) resumed from this snapshot file")
 	)
 	flag.Parse()
 	if *n < 1 {
@@ -254,13 +244,6 @@ func main() {
 	if *scale {
 		if err := runScale(*scaleOut, *scaleMaxK, *scaleThreads, *scaleGate); err != nil {
 			fmt.Fprintf(os.Stderr, "unibench: scale: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *ckptDir != "" || *restore != "" {
-		if err := runCheckpointed(*ckptDir, *ckptN, *restore); err != nil {
-			fmt.Fprintf(os.Stderr, "unibench: checkpoint: %v\n", err)
 			os.Exit(1)
 		}
 		return
@@ -291,18 +274,7 @@ func main() {
 		}
 	}
 
-	var lsess *live.Session
-	switch {
-	case *liveAddr != "":
-		var err error
-		lsess, err = live.StartSession("unibench", benchScenario.Stop.T(), *liveAddr, nil)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "unibench: live: %v\n", err)
-			os.Exit(1)
-		}
-		benchProbe = lsess.Probe()
-		fmt.Printf("live http://%s/live\n", lsess.Server.Addr())
-	case *liveBus:
+	if *liveBus {
 		// The gate's overhead mode: the bus is in front of every measured
 		// run, but nothing subscribes — the cost under test is one atomic
 		// load per probe call.
@@ -338,7 +310,6 @@ func main() {
 	mks := kernels()
 	rep.RunStats = make(map[string]*sim.RunStats, len(kernelOrder))
 	rep.Fidelity = make(map[string]fidelity, len(kernelOrder))
-	var lastSt *sim.RunStats
 	for _, name := range kernelOrder {
 		if mks[name] == nil {
 			continue // no manual-partition recipe for this scenario's topology
@@ -352,7 +323,6 @@ func main() {
 		rep.Current[name] = s
 		rep.RunStats[name] = st
 		rep.Fidelity[name] = fid
-		lastSt = st
 		fmt.Printf("%-12s %9d events/s  %9d ns/op  %8d B/op  %6d allocs/op  p50 %.3fms p99 %.3fms drops %d\n",
 			name, s.EventsPerSec, s.NsPerOp, s.BytesPerOp, s.AllocsPerOp,
 			fid.P50FCTms, fid.P99FCTms, fid.Drops)
@@ -361,13 +331,6 @@ func main() {
 	if rep.EmptyRound.Current, err = runEmptyRound(*n, rep.EmptyRound.Parent); err != nil {
 		fmt.Fprintf(os.Stderr, "unibench: empty round: %v\n", err)
 		os.Exit(1)
-	}
-	if lsess != nil {
-		// The suite's final kernel provides the "final" snapshot (each
-		// BeginRun resets the live view, so the last one is current); the
-		// imbalance pass stamps it before the report serializes.
-		lsess.Finish(lastSt)
-		defer lsess.Close()
 	}
 
 	if rep.Seed != nil {
@@ -399,18 +362,6 @@ func main() {
 	}
 	fmt.Printf("wrote %s\n", *out)
 
-	if *traceOut != "" {
-		if err := writeTrace(*traceOut); err != nil {
-			fmt.Fprintf(os.Stderr, "unibench: trace: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *artifacts != "" {
-		if err := writeArtifacts(*artifacts); err != nil {
-			fmt.Fprintf(os.Stderr, "unibench: artifacts: %v\n", err)
-			os.Exit(1)
-		}
-	}
 	if *gatePath != "" {
 		if err := gate(baseline, *gatePct, rep.Current); err != nil {
 			fmt.Fprintf(os.Stderr, "unibench: gate: %v\n", err)
@@ -456,108 +407,5 @@ func gate(base report, pct float64, current map[string]sample) error {
 			return fmt.Errorf("Unison4 allocs/op grew %.1f%% (limit %.0f%%)", growth, pct)
 		}
 	}
-	return nil
-}
-
-// ckptProbe collects the per-snapshot telemetry EnableCheckpoints emits.
-type ckptProbe struct{ recs []unison.RoundRecord }
-
-func (p *ckptProbe) BeginRun(unison.RunMeta)         {}
-func (p *ckptProbe) OnRound(rec *unison.RoundRecord) { p.recs = append(p.recs, *rec) }
-func (p *ckptProbe) EndRun(*sim.RunStats)            {}
-
-// runCheckpointed runs the bench scenario once under Unison4, either
-// writing snapshots (dir != "") or resuming from one (restorePath != ""),
-// and prints the outcome — the fingerprint lets a resumed run be checked
-// against an uninterrupted one by eye.
-func runCheckpointed(dir string, every uint64, restorePath string) error {
-	sc := scenario(benchScenario.Seed)
-	m := sc.Model()
-	probe := &ckptProbe{}
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-		unison.EnableCheckpoints(m, sc.CkptTarget(), dir, every, 0, probe)
-	}
-	if restorePath != "" {
-		if err := unison.RestoreCheckpoint(m, sc.CkptTarget(), restorePath); err != nil {
-			return err
-		}
-	}
-	st, err := core.New(core.Config{Threads: 4}).Run(m)
-	if err != nil {
-		return err
-	}
-	for _, rec := range probe.recs {
-		fmt.Printf("checkpoint round %-6d  %8d B  %.2f ms  -> %s\n",
-			rec.Round, rec.CkptBytes, float64(rec.CkptNS)/1e6, unison.CheckpointPath(dir, rec.Round))
-	}
-	fmt.Printf("%s: %d events in %d rounds, %d flows completed, fingerprint %016x\n",
-		st.Kernel, st.Events, st.Rounds, sc.Mon.Completed(), sc.Mon.Fingerprint())
-	return nil
-}
-
-// writeArtifacts runs Unison4 once with the full observability stack
-// attached and materializes the run-artifact bundle. Like writeTrace, the
-// observed run happens outside the measured loop.
-func writeArtifacts(dir string) error {
-	sc := scenario(benchScenario.Seed)
-	tracer, sampler := sc.EnableNetObs(0, 0)
-	reg := obs.NewRegistry(0)
-	st, err := core.New(core.Config{Threads: 4, Observe: reg}).Run(sc.Model())
-	if err != nil {
-		return err
-	}
-	sampler.Flush()
-	bw := benchScenario.Topology.BwGbps
-	if bw <= 0 {
-		bw = 10
-	}
-	b := &netobs.Bundle{
-		Meta: netobs.Meta{
-			Tool: "unibench", Kernel: st.Kernel, Topology: benchScenario.Topology.Kind,
-			Seed: benchScenario.Seed, Workers: 4, StopNS: int64(benchScenario.Stop),
-			Flows: sc.Mon.Flows(),
-		},
-		Stats:        st,
-		Mon:          sc.Mon,
-		RefBandwidth: int64(bw * 1e9),
-		Rows:         sampler.Rows(),
-		Interval:     sampler.Interval(),
-		Trace:        tracer.Merged(),
-		KernelMeta:   reg.Meta(),
-		KernelRecs:   reg.Records(),
-	}
-	if cr := sc.CollReport(sc.Mon); cr != nil {
-		b.Coll = cr
-	}
-	files, err := b.Write(dir)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("wrote artifact bundle %s (%v)\n", dir, files)
-	return nil
-}
-
-// writeTrace runs Unison4 once more with a probe attached and exports the
-// round/worker phase timeline as Chrome trace-event JSON (load it at
-// https://ui.perfetto.dev). The probed run is outside the measured loop,
-// so it never skews the report.
-func writeTrace(path string) error {
-	reg := obs.NewRegistry(0)
-	reg.Publish("unison_last_run")
-	if _, err := core.New(core.Config{Threads: 4, Observe: reg}).Run(scenario(benchScenario.Seed).Model()); err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := reg.WritePerfetto(f); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%d round records)\n", path, len(reg.Records()))
 	return nil
 }

@@ -38,7 +38,7 @@ func main() {
 		hosts   = flag.Int("hosts", 2, "number of simulation hosts")
 		listen  = flag.String("listen", ":9123", "coordinator listen address")
 		addr    = flag.String("addr", "127.0.0.1:9123", "coordinator address (host role)")
-		scFile  = flag.String("scenario", "", "declarative scenario file (JSON, or TOML by extension); must be identical across all processes; other flags override it")
+		scFile  = flag.String("scenario", "", "declarative scenario file (JSON); must be identical across all processes; other flags override it")
 		k       = flag.Int("k", 4, "fat-tree arity")
 		stopD   = flag.Duration("stop", 2_000_000, "simulated duration (ns when unitless)")
 		load    = flag.Float64("load", 0.4, "offered load")

@@ -33,6 +33,9 @@ func runScenario(path string, seed uint64, seedSet bool, liveAddr string, linger
 		if err != nil {
 			return fmt.Errorf("live: %w", err)
 		}
+		// Closed on every return: a kernel error must not leave the HTTP
+		// session open. Only a completed sweep records a final snapshot.
+		defer lsess.Close()
 		lsess.SetLinger(linger)
 		fmt.Printf("live http://%s/live\n", lsess.Server.Addr())
 	}
@@ -112,7 +115,6 @@ func runScenario(path string, seed uint64, seedSet bool, liveAddr string, linger
 	}
 	if lsess != nil {
 		lsess.Finish(lastSt)
-		defer lsess.Close()
 	}
 	if agree {
 		tab.Note("all kernels agree on result fingerprint %016x", refFP)

@@ -1,5 +1,5 @@
-// Command unimon attaches to a running unisim, unibench, uniexp, or
-// unidist coordinator started with -live ADDR and renders its telemetry:
+// Command unimon attaches to a running unisim, uniexp, or unidist
+// coordinator started with -live ADDR and renders its telemetry:
 // a terminal dashboard (default), a single JSON snapshot (-once), or an
 // NDJSON stream (-json) for scripts and CI.
 //

@@ -1,15 +1,15 @@
 // Command unisim runs one network simulation and prints flow statistics —
 // the quick way to exercise any kernel on any of the built-in topologies.
 //
-// The run is described by a declarative scenario (-scenario FILE, JSON or
-// TOML); without one, the built-in default scenario applies (k=4 fat-tree,
-// 30% gRPC load, Unison kernel). Explicitly passed flags override the
+// The run is described by a declarative scenario (-scenario FILE, JSON);
+// without one, the built-in default scenario applies (k=4 fat-tree, 30%
+// gRPC load, Unison kernel). Explicitly passed flags override the
 // scenario in either case.
 //
 // Usage examples:
 //
 //	unisim -scenario examples/allreduce/ring.scenario.json
-//	unisim -scenario wan.scenario.toml -kernel sequential -seed 7
+//	unisim -scenario examples/wanrip/wanrip.scenario.json -kernel sequential -seed 7
 //	unisim -topo fattree -k 4 -kernel unison -threads 8 -stop 2ms
 //	unisim -topo dumbbell -n 8 -kernel barrier
 package main
@@ -31,7 +31,7 @@ const liveProgressEvery = 50_000
 
 func main() {
 	var (
-		scFile  = flag.String("scenario", "", "declarative scenario file (JSON, or TOML by extension); other flags override it")
+		scFile  = flag.String("scenario", "", "declarative scenario file (JSON); other flags override it")
 		topo    = flag.String("topo", "fattree", "topology: fattree | torus | bcube | spineleaf | dumbbell | geant | chinanet")
 		k       = flag.Int("k", 4, "fat-tree arity")
 		rows    = flag.Int("rows", 6, "torus rows")

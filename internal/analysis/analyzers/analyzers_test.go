@@ -41,7 +41,7 @@ func TestSeedflow(t *testing.T) {
 
 func TestDeprecated(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), analyzers.Deprecated,
-		"depuser",                 // call + function-value references; traffic ban inert outside cmd/
+		"depuser",                 // traffic ban inert outside cmd/
 		"unison",                  // the declaring package itself is exempt
 		"unison/cmd/unifix",       // cmd/ scope: traffic.Generate and the facade alias are banned
 		"unison/internal/traffic", // the generator's own package is exempt

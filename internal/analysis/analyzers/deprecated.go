@@ -7,22 +7,12 @@ import (
 	"unison/internal/analysis"
 )
 
-// deprecatedFuncs maps package path -> object name -> replacement hint.
-// It covers the typed-partition migration: the Manual constructors exist
-// only for external callers holding a raw []int32; in-repo code must pass
-// a *core.Partition so lookahead and LP counts travel together.
-var deprecatedFuncs = map[string]map[string]string{
-	"unison": {
-		"NewBarrierManual":     "NewBarrier with a *Partition (typed-partition facade)",
-		"NewNullMessageManual": "NewNullMessage with a *Partition (typed-partition facade)",
-	},
-}
-
-// cmdDeprecatedFuncs is the same shape, enforced only inside the CLIs
-// (import path prefix unison/cmd/). The scenario migration: every CLI
-// resolves its workload through Scenario.Build, so hand-wiring the
-// traffic generator there bypasses the one shared resolver. Library and
-// example code may keep calling the generator directly.
+// cmdDeprecatedFuncs maps package path -> object name -> replacement
+// hint, enforced only inside the CLIs (import path prefix unison/cmd/).
+// The scenario migration: every CLI resolves its workload through
+// Scenario.Build, so hand-wiring the traffic generator there bypasses the
+// one shared resolver. Library and example code may keep calling the
+// generator directly.
 var cmdDeprecatedFuncs = map[string]map[string]string{
 	"unison": {
 		"GenerateTraffic": "a Scenario traffic section resolved by Scenario.Build",
@@ -32,29 +22,27 @@ var cmdDeprecatedFuncs = map[string]map[string]string{
 	},
 }
 
-// Deprecated flags references to constructors kept only for external
-// compatibility, plus CLI references to entry points the scenario
-// resolver replaced. It supersedes the CI shell grep that used to police
-// the same names: unlike the grep, it resolves identifiers through the
-// type checker, so mentioning a name in a string or comment is fine while
-// calling it — or capturing it as a function or var value — is not.
+// Deprecated flags CLI references to entry points the scenario resolver
+// replaced. It resolves identifiers through the type checker, so
+// mentioning a name in a string or comment is fine while calling it — or
+// capturing it as a function or var value — is not.
 var Deprecated = &analysis.Analyzer{
 	Name: "deprecated",
-	Doc: `forbid in-repo references to compatibility-only entry points
+	Doc: `forbid references inside cmd/ to entry points the scenario resolver replaced
 
-unison.NewBarrierManual and unison.NewNullMessageManual survive for
-external callers; repository code must use the typed-partition
-constructors. Inside unison/cmd/ additionally, traffic.Generate and its
-facade alias unison.GenerateTraffic are banned: the CLIs must route
-workloads through the shared Scenario resolver so one file means one run
-everywhere. Any type-resolved reference (call, function value, or var
-alias) is a diagnostic; string literals and comments naming them are not.
-Checked in test files too — only the declaring package itself is exempt.`,
+Inside unison/cmd/, traffic.Generate and its facade alias
+unison.GenerateTraffic are banned: the CLIs must route workloads through
+the shared Scenario resolver so one file means one run everywhere. Any
+type-resolved reference (call, function value, or var alias) is a
+diagnostic; string literals and comments naming them are not. Checked in
+test files too — only the declaring package itself is exempt.`,
 	Run: runDeprecated,
 }
 
 func runDeprecated(pass *analysis.Pass) error {
-	inCmd := strings.HasPrefix(pass.Pkg.Path(), "unison/cmd/")
+	if !strings.HasPrefix(pass.Pkg.Path(), "unison/cmd/") {
+		return nil
+	}
 	pass.Inspect(func(n ast.Node) bool {
 		// Idents alone suffice: a qualified reference's Sel is visited as
 		// an ident child, and handling the SelectorExpr too would report
@@ -72,13 +60,6 @@ func runDeprecated(pass *analysis.Pass) error {
 			return true
 		}
 		if obj.Parent() != obj.Pkg().Scope() {
-			return true
-		}
-		if hint, ok := deprecatedFuncs[obj.Pkg().Path()][obj.Name()]; ok {
-			pass.Reportf(id.Pos(), "%s.%s is a compatibility-only constructor; use %s", obj.Pkg().Name(), obj.Name(), hint)
-			return true
-		}
-		if !inCmd {
 			return true
 		}
 		if hint, ok := cmdDeprecatedFuncs[obj.Pkg().Path()][obj.Name()]; ok {

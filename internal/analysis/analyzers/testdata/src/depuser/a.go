@@ -1,20 +1,9 @@
-// Fixture: in-repo references to the compatibility-only constructors.
+// Fixture: library code outside unison/cmd/ — the traffic ban is
+// cmd/-scoped, so both the facade alias and direct generation stay legal.
 package depuser
 
 import "unison"
 
-func build() unison.Kernel {
-	return unison.NewBarrierManual(nil) // want `compatibility-only constructor`
-}
-
-// Capturing the function value counts as a reference too.
-var ctor = unison.NewNullMessageManual // want `compatibility-only constructor`
-
 func fine() unison.Kernel { return unison.NewBarrier() }
 
-// The traffic ban is cmd/-scoped: outside unison/cmd/, both the facade
-// alias and direct generation stay legal.
 var flows = unison.GenerateTraffic(2)
-
-// Naming one in a string or comment is not a reference: NewBarrierManual.
-const doc = "NewBarrierManual("

@@ -1,6 +1,5 @@
 // Fixture: a stand-in for the repository root package, declaring the
-// compatibility-only constructors and the traffic facade alias the
-// deprecated analyzer polices.
+// traffic facade alias the deprecated analyzer polices.
 package unison
 
 import "unison/internal/traffic"
@@ -15,11 +14,5 @@ type barrier struct{}
 
 func (barrier) Run() {}
 
-// NewBarrierManual survives for external callers holding a raw []int32.
-func NewBarrierManual(lpOf []int32) Kernel { return barrier{} }
-
-// NewNullMessageManual survives for external callers holding a raw []int32.
-func NewNullMessageManual(lpOf []int32) Kernel { return barrier{} }
-
-// NewBarrier is the typed-partition replacement.
+// NewBarrier is a constructor no ban covers.
 func NewBarrier() Kernel { return barrier{} }

@@ -16,9 +16,6 @@ func direct() []traffic.Flow {
 // must resolve it as a types.Object, not just *types.Func.
 var gen = unison.GenerateTraffic // want `deprecated inside cmd/`
 
-// The Manual-constructor ban applies in cmd/ too.
-var ctor = unison.NewBarrierManual // want `compatibility-only constructor`
-
 func fine() unison.Kernel { return unison.NewBarrier() }
 
 func main() {}

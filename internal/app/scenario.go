@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -16,7 +15,7 @@ import (
 
 // A Scenario is the declarative description of one simulation: topology,
 // workload (statistical traffic and/or a collective), protocol stack,
-// kernel and artifact knobs, loadable from a single JSON or TOML file.
+// kernel and artifact knobs, loadable from a single JSON file.
 // It is the one documented contract all four CLIs (unisim, unibench,
 // uniexp, unidist) consume through their shared -scenario flag; per-CLI
 // flags are overrides layered on top (Overrides). Build resolves a
@@ -241,54 +240,33 @@ func DefaultScenario() *Scenario {
 	}
 }
 
-// LoadScenario reads and parses path; the format follows the extension
-// (.toml for TOML, JSON otherwise).
+// LoadScenario reads and parses the JSON scenario file at path.
 func LoadScenario(path string) (*Scenario, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	format := "json"
-	if strings.EqualFold(filepath.Ext(path), ".toml") {
-		format = "toml"
-	}
-	sc, err := ParseScenario(data, format)
+	sc, err := ParseScenario(data)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return sc, nil
 }
 
-// ParseScenario parses scenario data in the given format ("json" or
-// "toml"). Unknown keys are rejected with their full path.
-func ParseScenario(data []byte, format string) (*Scenario, error) {
-	var jsonData []byte
-	switch format {
-	case "json":
-		jsonData = data
-	case "toml":
-		raw, err := parseTOML(data)
-		if err != nil {
-			return nil, err
-		}
-		jsonData, err = json.Marshal(raw)
-		if err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("scenario: unknown format %q (want json or toml)", format)
-	}
+// ParseScenario parses JSON scenario data. Unknown keys are rejected with
+// their full path.
+func ParseScenario(data []byte) (*Scenario, error) {
 	var raw any
-	dec := json.NewDecoder(bytes.NewReader(jsonData))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.UseNumber()
 	if err := dec.Decode(&raw); err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
+		return nil, fmt.Errorf("scenario files are JSON: %w", err)
 	}
 	if err := checkUnknownKeys(raw, reflect.TypeOf(Scenario{}), ""); err != nil {
 		return nil, err
 	}
 	sc := &Scenario{}
-	if err := json.Unmarshal(jsonData, sc); err != nil {
+	if err := json.Unmarshal(data, sc); err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
 	if err := sc.Validate(); err != nil {
@@ -472,14 +450,13 @@ func (sc *Scenario) Validate() error {
 
 // Overrides layers per-CLI flag values over a scenario: a nil field
 // keeps the file's value, a set one replaces it — the flag-precedence
-// contract all four CLIs share. Workload fields applied to a scenario
+// contract of unisim and unidist. Workload fields applied to a scenario
 // without a traffic section create one.
 type Overrides struct {
 	Seed    *uint64
 	Stop    *sim.Time
 	Kernel  *string
 	Threads *int
-	Ranks   *int
 
 	Topo   *string
 	K      *int
@@ -496,7 +473,6 @@ type Overrides struct {
 	Stream *bool
 
 	ArtifactsDir *string
-	Trace        *bool
 }
 
 // Override applies o to the scenario in place.
@@ -515,9 +491,6 @@ func (sc *Scenario) Override(o *Overrides) {
 	}
 	if o.Threads != nil {
 		sc.Kernel.Threads = *o.Threads
-	}
-	if o.Ranks != nil {
-		sc.Kernel.Ranks = *o.Ranks
 	}
 	if o.Topo != nil {
 		sc.Topology.Kind = *o.Topo
@@ -564,8 +537,5 @@ func (sc *Scenario) Override(o *Overrides) {
 	}
 	if o.ArtifactsDir != nil {
 		sc.Artifacts.Dir = *o.ArtifactsDir
-	}
-	if o.Trace != nil {
-		sc.Artifacts.Trace = *o.Trace
 	}
 }

@@ -17,37 +17,56 @@ import (
 func TestScenarioMarshalStable(t *testing.T) {
 	sc := DefaultScenario()
 	sc.Collective = &CollectiveSpec{Pattern: "ring-allreduce", MessageBytes: 1 << 20, ChunkBytes: 64 << 10}
+	requireMarshalFixedPoint(t, sc)
+}
+
+// requireMarshalFixedPoint fails unless sc's canonical form parses back
+// and marshals to the same bytes.
+func requireMarshalFixedPoint(t testing.TB, sc *Scenario) {
+	t.Helper()
 	first, err := sc.Marshal()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("marshal: %v", err)
 	}
-	re, err := ParseScenario(first, "json")
+	re, err := ParseScenario(first)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("canonical form is rejected: %v\n%s", err, first)
 	}
 	second, err := re.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(first, second) {
-		t.Fatalf("marshal not stable:\n--- first ---\n%s\n--- second ---\n%s", first, second)
+		t.Fatalf("canonical marshal is not a fixed point:\n--- first ---\n%s\n--- second ---\n%s", first, second)
 	}
+}
+
+// exampleScenarioFiles returns every shipped examples/**/*.scenario.json.
+func exampleScenarioFiles(t testing.TB) []string {
+	t.Helper()
+	var files []string
+	err := filepath.Walk(filepath.Join("..", "..", "examples"), func(p string, info os.FileInfo, err error) error {
+		if err == nil && !info.IsDir() && strings.HasSuffix(p, ".scenario.json") {
+			files = append(files, p)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
 
 // TestScenarioExampleFilesRoundTrip loads every shipped scenario file,
 // requires it to build, and requires the canonical marshal of its parse
 // to be a fixed point.
 func TestScenarioExampleFilesRoundTrip(t *testing.T) {
-	root := filepath.Join("..", "..", "examples")
-	var found int
-	err := filepath.Walk(root, func(p string, info os.FileInfo, err error) error {
-		if err != nil || info.IsDir() {
-			return err
-		}
-		if !strings.HasSuffix(p, ".scenario.json") && !strings.HasSuffix(p, ".scenario.toml") {
-			return nil
-		}
-		found++
+	files := exampleScenarioFiles(t)
+	if len(files) < 10 {
+		t.Fatalf("expected the shipped scenario files under examples/, found %d", len(files))
+	}
+	for _, p := range files {
+		p := p
 		t.Run(filepath.Base(p), func(t *testing.T) {
 			sc, err := LoadScenario(p)
 			if err != nil {
@@ -56,29 +75,8 @@ func TestScenarioExampleFilesRoundTrip(t *testing.T) {
 			if _, err := sc.Build(); err != nil {
 				t.Fatalf("build: %v", err)
 			}
-			out, err := sc.Marshal()
-			if err != nil {
-				t.Fatal(err)
-			}
-			re, err := ParseScenario(out, "json")
-			if err != nil {
-				t.Fatalf("reparse: %v", err)
-			}
-			out2, err := re.Marshal()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(out, out2) {
-				t.Fatal("canonical marshal is not a fixed point")
-			}
+			requireMarshalFixedPoint(t, sc)
 		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if found < 10 {
-		t.Fatalf("expected the shipped scenario files under examples/, found %d", found)
 	}
 }
 
@@ -95,7 +93,7 @@ func TestScenarioUnknownKeyPath(t *testing.T) {
 		{`{"version":1,"stop":"2ms","topology":{"kind":"fattree"},"collective":{"pattern":"alltoall","message_byte":1}}`, "collective.message_byte"},
 	}
 	for _, tc := range cases {
-		_, err := ParseScenario([]byte(tc.src), "json")
+		_, err := ParseScenario([]byte(tc.src))
 		if err == nil {
 			t.Errorf("%s: no error", tc.want)
 			continue
@@ -114,75 +112,11 @@ func TestScenarioVersionGate(t *testing.T) {
 		`{"stop":"2ms","topology":{"kind":"fattree"},"traffic":{"load":0.3}}`,
 		`{"version":2,"stop":"2ms","topology":{"kind":"fattree"},"traffic":{"load":0.3}}`,
 	} {
-		if _, err := ParseScenario([]byte(src), "json"); err == nil {
+		if _, err := ParseScenario([]byte(src)); err == nil {
 			t.Errorf("accepted scenario with bad version: %s", src)
 		} else if !strings.Contains(err.Error(), "version") {
 			t.Errorf("error %q does not mention the version", err)
 		}
-	}
-}
-
-// TestScenarioTOMLEquivalent: the TOML form decodes to the same scenario
-// as the JSON form, including duration strings and nested sections.
-func TestScenarioTOMLEquivalent(t *testing.T) {
-	jsonSrc := `{
-  "version": 1, "name": "t", "seed": 7, "stop": "2ms",
-  "topology": {"kind": "fattree", "k": 8, "bw_gbps": 25, "delay": "1us"},
-  "protocol": {"tcp": {"variant": "dctcp", "delayed_ack": true}, "queue": {"kind": "dctcp", "ecn_k": 65}},
-  "traffic": {"load": 0.5, "sizes": "websearch", "end": "1ms"},
-  "kernel": {"kind": "unison", "threads": 8}
-}`
-	tomlSrc := `
-version = 1
-name = "t"
-seed = 7
-stop = "2ms"
-
-[topology]
-kind = "fattree"
-k = 8
-bw_gbps = 25
-delay = "1us"
-
-[protocol.tcp]
-variant = "dctcp"
-delayed_ack = true
-
-[protocol.queue]
-kind = "dctcp"
-ecn_k = 65
-
-[traffic]
-load = 0.5
-sizes = "websearch"
-end = "1ms"
-
-[kernel]
-kind = "unison"
-threads = 8
-`
-	fromJSON, err := ParseScenario([]byte(jsonSrc), "json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromTOML, err := ParseScenario([]byte(tomlSrc), "toml")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := fromJSON.Marshal()
-	b, _ := fromTOML.Marshal()
-	if !bytes.Equal(a, b) {
-		t.Fatalf("TOML and JSON decode differently:\n--- json ---\n%s\n--- toml ---\n%s", a, b)
-	}
-}
-
-// TestScenarioTOMLUnknownKey: the unknown-key walk runs on the TOML path
-// too, with the same dotted-path error.
-func TestScenarioTOMLUnknownKey(t *testing.T) {
-	src := "version = 1\nstop = \"2ms\"\n\n[topology]\nkind = \"fattree\"\nbwgbps = 10\n\n[traffic]\nload = 0.3\n"
-	_, err := ParseScenario([]byte(src), "toml")
-	if err == nil || !strings.Contains(err.Error(), "unknown key topology.bwgbps") {
-		t.Fatalf("want topology.bwgbps unknown-key error, got %v", err)
 	}
 }
 
@@ -194,7 +128,7 @@ func TestScenarioOverridePrecedence(t *testing.T) {
   "topology": {"kind": "fattree", "k": 8},
   "traffic": {"load": 0.5},
   "kernel": {"kind": "barrier"}
-}`), "json")
+}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,6 +188,14 @@ func TestScenarioValidation(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
+	}
+	// A file in any other syntax is told what the format is.
+	toml := filepath.Join(t.TempDir(), "x.scenario.toml")
+	if err := os.WriteFile(toml, []byte("version = 1\nstop = \"2ms\"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadScenario(toml); err == nil || !strings.Contains(err.Error(), "scenario files are JSON") {
+		t.Errorf("x.scenario.toml: want a \"scenario files are JSON\" error, got %v", err)
 	}
 }
 

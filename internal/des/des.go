@@ -19,10 +19,6 @@ type Kernel struct {
 	// CacheWays enables the cache-locality model with the given
 	// associativity when positive.
 	CacheWays int
-	// UseCalendar selects the calendar-queue FEL (ns-3's default data
-	// structure) instead of the binary heap — an ablation knob; results
-	// are identical either way.
-	UseCalendar bool
 	// Observe, when non-nil, receives run begin/end notifications and one
 	// summary RoundRecord for the whole run (the sequential kernel has no
 	// round structure).
@@ -44,7 +40,7 @@ func New() *Kernel { return &Kernel{} }
 func (k *Kernel) Name() string { return "sequential" }
 
 type felSink struct {
-	fel eventq.FEL
+	fel *eventq.Queue
 }
 
 func (s *felSink) Put(ev sim.Event)       { s.fel.Push(ev) }
@@ -56,10 +52,7 @@ func (k *Kernel) Run(m *sim.Model) (*sim.RunStats, error) {
 		return nil, fmt.Errorf("des: %w", err)
 	}
 	start := time.Now() //unison:wallclock-ok wall-clock run timing for RunStats.WallNS
-	var fel eventq.FEL = eventq.New(1024)
-	if k.UseCalendar {
-		fel = eventq.NewCalendar(1000)
-	}
+	fel := eventq.New(1024)
 	seqs := sim.NewSeqTable(m.Nodes)
 	hook := m.Ckpt
 	var events, round uint64
@@ -135,13 +128,14 @@ func (k *Kernel) Run(m *sim.Model) (*sim.RunStats, error) {
 		}
 	}
 
+	wallNS := time.Since(start).Nanoseconds() //unison:wallclock-ok wall-clock run timing for RunStats.WallNS
 	st := &sim.RunStats{
 		Kernel:  k.Name(),
 		Events:  events,
 		EndTime: now,
-		WallNS:  time.Since(start).Nanoseconds(), //unison:wallclock-ok wall-clock run timing for RunStats.WallNS
+		WallNS:  wallNS,
 		LPs:     1,
-		Workers: []sim.WorkerStats{{P: time.Since(start).Nanoseconds(), Events: events}}, //unison:wallclock-ok wall-clock run timing for RunStats.WallNS
+		Workers: []sim.WorkerStats{{P: wallNS, Events: events}},
 	}
 	if cache != nil {
 		st.CacheRefs, st.CacheMisses = cache.Counters()
@@ -166,7 +160,7 @@ func (k *Kernel) Run(m *sim.Model) (*sim.RunStats, error) {
 }
 
 // save snapshots the quiescent FEL through the model's checkpoint hook.
-func (k *Kernel) save(hook *sim.CkptHook, fel eventq.FEL, seqs sim.SeqTable, round, events uint64, now sim.Time) error {
+func (k *Kernel) save(hook *sim.CkptHook, fel *eventq.Queue, seqs sim.SeqTable, round, events uint64, now sim.Time) error {
 	queue := fel.Snapshot(nil)
 	if err := ckpt.CheckQueue(queue); err != nil {
 		return fmt.Errorf("des: %w", err)

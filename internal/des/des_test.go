@@ -51,6 +51,9 @@ func TestRunChain(t *testing.T) {
 	if st.LPs != 1 || len(st.Workers) != 1 {
 		t.Fatal("sequential stats shape wrong")
 	}
+	if st.Workers[0].P != st.WallNS {
+		t.Fatalf("P=%d != WallNS=%d: the one worker's processing time is the run's wall time", st.Workers[0].P, st.WallNS)
+	}
 }
 
 func TestStopTerminatesEarly(t *testing.T) {
@@ -119,24 +122,5 @@ func TestEmptyModelTerminates(t *testing.T) {
 	}
 	if st.Events != 0 {
 		t.Fatal("phantom events")
-	}
-}
-
-func TestCalendarFELIdenticalResults(t *testing.T) {
-	mHeap, timesHeap := chainModel(500)
-	if _, err := New().Run(mHeap); err != nil {
-		t.Fatal(err)
-	}
-	mCal, timesCal := chainModel(500)
-	if _, err := (&Kernel{UseCalendar: true}).Run(mCal); err != nil {
-		t.Fatal(err)
-	}
-	if len(*timesHeap) != len(*timesCal) {
-		t.Fatalf("event counts differ: %d vs %d", len(*timesHeap), len(*timesCal))
-	}
-	for i := range *timesHeap {
-		if (*timesHeap)[i] != (*timesCal)[i] {
-			t.Fatalf("event %d at %v (heap) vs %v (calendar)", i, (*timesHeap)[i], (*timesCal)[i])
-		}
 	}
 }

@@ -17,26 +17,6 @@ package eventq
 
 import "unison/internal/sim"
 
-// FEL is the future-event-list contract shared by the binary-heap Queue
-// and the Calendar queue; kernels depend only on this interface so the
-// data structure is an ablation knob (BenchmarkFELHeapVsCalendar).
-type FEL interface {
-	Len() int
-	Empty() bool
-	NextTime() sim.Time
-	Push(ev sim.Event)
-	// PushBatch inserts every event of evs. Implementations may bulk-load
-	// (Floyd heapify) when the batch is large relative to the pending set;
-	// because (Time, Src, Seq) is a total order with no duplicate keys, the
-	// dequeue sequence is identical to a Push loop regardless of strategy.
-	PushBatch(evs []sim.Event)
-	Pop() sim.Event
-	PopBefore(bound sim.Time) (sim.Event, bool)
-	// Snapshot appends every pending event to dst in arbitrary order
-	// without disturbing the queue — the read side of a checkpoint.
-	Snapshot(dst []sim.Event) []sim.Event
-}
-
 // entry is one heap node: the deterministic comparison key and the arena
 // slot of the event's payload. Pointer-free by construction.
 type entry struct {
@@ -140,6 +120,8 @@ func (q *Queue) Push(ev sim.Event) {
 // which is the common case for the phase-3 mailbox drain of the parallel
 // kernels (small per-LP heaps receiving a round's worth of cross-LP
 // events at once). Smaller batches fall back to individual inserts.
+// Because (Time, Src, Seq) is a total order with no duplicate keys, the
+// dequeue sequence is identical to a Push loop either way.
 func (q *Queue) PushBatch(evs []sim.Event) {
 	if len(evs) == 0 {
 		return

@@ -112,29 +112,6 @@ func TestPushBatchThresholdEdges(t *testing.T) {
 	}
 }
 
-// TestCalendarPushBatch pins that the Calendar's PushBatch dequeues
-// identically to the heap Queue's, keeping the FEL implementations
-// interchangeable.
-func TestCalendarPushBatch(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	batch := randomEvents(r, 200)
-	c := NewCalendar(3)
-	q := New(0)
-	c.PushBatch(batch)
-	q.PushBatch(batch)
-	for !q.Empty() {
-		want := q.Pop()
-		got := c.Pop()
-		if got.Time != want.Time || got.Src != want.Src || got.Seq != want.Seq {
-			t.Fatalf("calendar pop (%v,%d,%d), heap pop (%v,%d,%d)",
-				got.Time, got.Src, got.Seq, want.Time, want.Src, want.Seq)
-		}
-	}
-	if !c.Empty() {
-		t.Fatalf("calendar retains %d events after heap drained", c.Len())
-	}
-}
-
 func BenchmarkPushBatchVsLoop(b *testing.B) {
 	r := rand.New(rand.NewSource(5))
 	batch := make([]sim.Event, 64)

@@ -143,15 +143,11 @@ func WriteTraceJSON(w io.Writer, evs []TraceEvent) error {
 	return enc.Encode(traceFile{TraceEvents: evs, DisplayTimeUnit: "ms"})
 }
 
-// WritePerfetto renders recs (as returned by Registry.Records: merged in
-// (Round, Worker) order) into w as Chrome trace-event JSON.
-func WritePerfetto(w io.Writer, meta RunMeta, recs []RoundRecord) error {
-	return WriteTraceJSON(w, Events(meta, recs))
-}
-
-// WritePerfetto renders the registry's retained records.
+// WritePerfetto renders the registry's retained records into w as Chrome
+// trace-event JSON: one thread track per worker with a span per round
+// phase, plus LBTS and event-rate counter tracks.
 func (g *Registry) WritePerfetto(w io.Writer) error {
-	return WritePerfetto(w, g.Meta(), g.Records())
+	return WriteTraceJSON(w, Events(g.Meta(), g.Records()))
 }
 
 func counterEvent(name string, tNS int64, v float64) TraceEvent {

@@ -23,11 +23,12 @@ import (
 // The rank assignment is static: there is no load balancing, which is the
 // root cause of the synchronization time the paper measures in §3.2.
 type BarrierKernel struct {
-	// Part is the preferred typed partition (rank assignment + lookahead).
-	// When set it takes precedence over LPOf.
+	// Part is the typed partition (rank assignment + lookahead). When set
+	// it takes precedence over LPOf.
 	Part *core.Partition
-	// LPOf is the manual node→rank assignment. Deprecated in favour of
-	// Part; kept so existing call sites keep compiling.
+	// LPOf is the bare manual node→rank assignment, for callers that build
+	// the kernel before the model's links exist: Run derives the partition
+	// and its lookahead from it.
 	LPOf []int32
 	// RecordRounds captures per-round P samples (Figures 5b/13a).
 	RecordRounds bool

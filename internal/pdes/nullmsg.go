@@ -25,11 +25,12 @@ import (
 // among global events (NewRanks): models using dynamic topologies must use
 // Unison.
 type NullMessageKernel struct {
-	// Part is the preferred typed partition (rank assignment + lookahead).
-	// When set it takes precedence over LPOf.
+	// Part is the typed partition (rank assignment + lookahead). When set
+	// it takes precedence over LPOf.
 	Part *core.Partition
-	// LPOf is the manual node→rank assignment. Deprecated in favour of
-	// Part; kept so existing call sites keep compiling.
+	// LPOf is the bare manual node→rank assignment, for callers that build
+	// the kernel before the model's links exist: Run derives the partition
+	// and its lookahead from it.
 	LPOf []int32
 	// CacheWays enables the cache-locality model when positive.
 	CacheWays int

@@ -1,12 +1,5 @@
 package vtime
 
-import (
-	"time"
-
-	"unison/internal/eventq"
-	"unison/internal/sim"
-)
-
 // CostModel converts kernel actions into virtual nanoseconds. The model
 // captures the quantities the paper's analysis depends on: per-event
 // processing cost (with a locality-dependent cache term, which produces
@@ -36,10 +29,8 @@ type CostModel struct {
 	SortPerLPNS int64
 }
 
-// DefaultCostModel returns constants calibrated against live event costs
-// measured on the development machine (see Calibrate); they are in the
-// regime of ns-3 event costs (≈1 µs/event), where all of the paper's
-// observations live.
+// DefaultCostModel returns hand-set constants in the regime of ns-3 event
+// costs (≈1 µs/event), where all of the paper's observations live.
 func DefaultCostModel() CostModel {
 	return CostModel{
 		EventNS:       1000,
@@ -85,41 +76,3 @@ func (c *CostModel) fillDefaults() {
 		c.SortPerLPNS = d.SortPerLPNS
 	}
 }
-
-// Calibrate measures the real cost of executing events of the given model
-// on this machine and returns a cost model whose EventNS matches it. It
-// runs a bounded number of events sequentially.
-func Calibrate(m *sim.Model, maxEvents uint64) CostModel {
-	cm := DefaultCostModel()
-	fel := eventq.New(1024)
-	for _, ev := range m.Init {
-		fel.Push(ev)
-	}
-	seqs := sim.NewSeqTable(m.Nodes)
-	sink := &calSink{fel: fel}
-	ctx := sim.NewCtx(sink, 0)
-	var n uint64
-	t0 := time.Now() //unison:wallclock-ok calibrates the real per-event cost baseline
-	for !fel.Empty() && n < maxEvents {
-		ev := fel.Pop()
-		ctx.Begin(&ev, seqs.Of(ev.Node))
-		ev.Fn(ctx)
-		n++
-		if ctx.Stopped() {
-			break
-		}
-	}
-	if n > 0 {
-		per := time.Since(t0).Nanoseconds() / int64(n) //unison:wallclock-ok calibrates the real per-event cost baseline
-		if per > 0 {
-			cm.EventNS = per
-			cm.MissNS = per / 2
-		}
-	}
-	return cm
-}
-
-type calSink struct{ fel *eventq.Queue }
-
-func (s *calSink) Put(ev sim.Event)       { s.fel.Push(ev) }
-func (s *calSink) PutGlobal(ev sim.Event) { s.fel.Push(ev) }

@@ -137,17 +137,6 @@ func TestDeterministicVirtualTimes(t *testing.T) {
 	}
 }
 
-func TestCalibrate(t *testing.T) {
-	m, _, _ := scenario(8, 0)
-	cm := Calibrate(m, 20000)
-	if cm.EventNS <= 0 {
-		t.Fatalf("calibrated EventNS=%d", cm.EventNS)
-	}
-	if cm.EventNS > 1_000_000 {
-		t.Fatalf("calibrated EventNS=%d implausibly large", cm.EventNS)
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	m, _, _ := scenario(9, 0)
 	if _, err := Run(m, Config{Algo: Barrier}); err == nil {

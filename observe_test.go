@@ -1,10 +1,7 @@
 package unison_test
 
 import (
-	"os"
-	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"unison/internal/core"
@@ -204,44 +201,5 @@ func TestVtimeRecordsDeterministic(t *testing.T) {
 	again := run()
 	if !reflect.DeepEqual(first, again) {
 		t.Fatalf("virtual-testbed records differ between runs (%d vs %d records)", len(first), len(again))
-	}
-}
-
-// TestDeprecatedConstructorsUnused is the in-repo lint gate of the typed
-// partition migration: the []int32 facade constructors exist only for
-// external callers mid-migration. No file in this repository may call
-// them. The authoritative, type-resolved check is unisoncheck's
-// deprecated analyzer (CI runs it via go vet -vettool); this textual
-// sweep stays as a zero-setup backstop that needs no tool build.
-// Analyzer testdata is skipped: fixtures reference the banned names on
-// purpose.
-func TestDeprecatedConstructorsUnused(t *testing.T) {
-	banned := []string{"NewBarrierManual(", "NewNullMessageManual("}
-	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); name == ".git" || name == "docs" || name == "testdata" {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || path == "unison.go" || path == "observe_test.go" {
-			return nil
-		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		for _, b := range banned {
-			if strings.Contains(string(raw), b) {
-				t.Errorf("%s calls deprecated %s — pass a *Partition (ManualPartition) instead", path, strings.TrimSuffix(b, "("))
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }

@@ -8,7 +8,7 @@
 // The user-transparency property is the heart of the API: a simulation
 // is described once, with zero parallelism configuration, and the
 // resulting Model runs unmodified under any kernel. The declarative form
-// is a Scenario — one JSON/TOML file naming topology, workload, protocol
+// is a Scenario — one JSON file naming topology, workload, protocol
 // and kernel — which every CLI accepts via -scenario:
 //
 //	sc, err := unison.LoadScenario("ring.scenario.json")
@@ -123,21 +123,6 @@ func NewBarrier(part *Partition) Kernel { return &pdes.BarrierKernel{Part: part}
 // partition carries the static manual node→rank assignment plus the
 // lookahead derived from it; build one with ManualPartition.
 func NewNullMessage(part *Partition) Kernel { return &pdes.NullMessageKernel{Part: part} }
-
-// NewBarrierManual returns the barrier PDES baseline from a raw node→rank
-// slice.
-//
-// Deprecated: use NewBarrier with a typed partition from ManualPartition,
-// which validates the assignment and carries the derived lookahead.
-func NewBarrierManual(lpOf []int32) Kernel { return &pdes.BarrierKernel{LPOf: lpOf} }
-
-// NewNullMessageManual returns the null-message PDES baseline from a raw
-// node→rank slice.
-//
-// Deprecated: use NewNullMessage with a typed partition from
-// ManualPartition, which validates the assignment and carries the derived
-// lookahead.
-func NewNullMessageManual(lpOf []int32) Kernel { return &pdes.NullMessageKernel{LPOf: lpOf} }
 
 // FineGrainedPartition runs the paper's Algorithm 1 on a topology.
 func FineGrainedPartition(g *Graph) *Partition {
@@ -295,10 +280,10 @@ type (
 
 // Scenario loading and defaults.
 var (
-	// LoadScenario reads a scenario file (JSON, or TOML by extension);
-	// unknown keys fail with their full path.
+	// LoadScenario reads a JSON scenario file; unknown keys fail with
+	// their full path.
 	LoadScenario = app.LoadScenario
-	// ParseScenario parses scenario bytes in "json" or "toml" format.
+	// ParseScenario parses JSON scenario bytes.
 	ParseScenario = app.ParseScenario
 	// DefaultScenario is the baseline the CLIs start from without a
 	// -scenario file (k=4 fat-tree, 30% gRPC load, Unison kernel).
@@ -427,8 +412,8 @@ const (
 // receives one RoundRecord per worker per synchronization round. Probes
 // only observe: a probed run is bit-identical to an unprobed one (pinned
 // by the equivalence tests). The standard probe is Registry; its captured
-// records export as a Chrome/Perfetto trace (WritePerfetto) or an expvar
-// summary (Registry.Publish).
+// records export as a Chrome/Perfetto trace (Registry.WritePerfetto) or
+// an expvar summary (Registry.Publish).
 
 type (
 	// Probe receives kernel telemetry; see the interface docs for the
@@ -449,12 +434,6 @@ type (
 // NewRegistry returns a Registry keeping up to capPerWorker round records
 // per worker (a sensible default when capPerWorker <= 0).
 func NewRegistry(capPerWorker int) *Registry { return obs.NewRegistry(capPerWorker) }
-
-// WritePerfetto renders round records (as merged by Registry.Records)
-// into w as Chrome trace-event JSON, loadable at https://ui.perfetto.dev:
-// one thread track per worker with a span per round phase, plus LBTS and
-// event-rate counter tracks.
-var WritePerfetto = obs.WritePerfetto
 
 // --- Live telemetry (internal/obs + internal/obs/live) ---
 //
