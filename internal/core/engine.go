@@ -35,6 +35,7 @@ import (
 //	Unison  one group, Threads workers      LPs bind to workers per round
 //	hybrid  one group per host              LPs never leave their host
 //	barrier one group per rank, one worker  static rank binding
+//	rank    one group per rank, one here    the others run in other processes
 //
 // Everything else about a round is the same for every shape.
 type Shape struct {
@@ -46,6 +47,27 @@ type Shape struct {
 	// RecordRounds, MaxRounds, Observe. Threads and ManualLP were consumed
 	// by whoever built the shape.
 	Cfg Config
+	// Wire, when non-nil, makes this engine one rank of a distributed run.
+	Wire Wire
+}
+
+// Wire joins a rank's engine to the other ranks'. The shape names every
+// rank's LPs and groups, but only group Resident lives in this process:
+// no other is seeded or given workers, and the model reaches another rank's
+// nodes only by handing the wire an event (netdev's Remote hook). The two
+// serial sections call the wire once a round each, which is all that keeps
+// the ranks in step; an error from it ends the run. A test can put a fake
+// between engines here.
+type Wire interface {
+	Resident() int
+	// Exchange, in phase 2, ships what the model handed the wire during the
+	// window ending at lbts and returns what the other ranks sent here:
+	// events for resident nodes, none before lbts, inserted at once.
+	Exchange(lbts sim.Time) ([]sim.Event, error)
+	// Reduce, in phase 4, trades the resident LPs' earliest event time for
+	// every rank's. A rank has no public LP: bound, the time the run stops
+	// at, stands in Equation 2. Both are sim.MaxTime when the run is over.
+	Reduce(local sim.Time) (allMin, bound sim.Time, err error)
 }
 
 // Groups is the number of groups GroupOf names.
@@ -137,6 +159,7 @@ type Engine struct {
 	lookahead sim.Time
 
 	groups []group
+	first  int // the group worker 0 pulls from: 0, or the one resident group of a rank
 	// next[lp] is lp's earliest event time, cached so that phase 4 finds
 	// the global minimum and the LPs inside the new window without touching
 	// an FEL. Receive refreshes it for the LPs on a recv list; nobody else's
@@ -227,9 +250,13 @@ func NewEngine(m *sim.Model, sh Shape) (*Engine, error) {
 		return nil, errors.New("core: partition does not cover every node")
 	}
 	n, groups := part.Count, sh.Groups()
-	workers := groups * sh.PerGroup
+	first, workers := 0, groups*sh.PerGroup
+	if sh.Wire != nil {
+		first, workers = sh.Wire.Resident(), sh.PerGroup
+	}
 	e := &Engine{
 		sh:        sh,
+		first:     first,
 		m:         m,
 		part:      part,
 		lps:       make([]lpState, n),
@@ -262,7 +289,7 @@ func NewEngine(m *sim.Model, sh Shape) (*Engine, error) {
 			e.period = uint64(bits.Len(uint(n - 1))) // ⌈log₂ n⌉
 		}
 	}
-	seed := m.Init
+	seed, restored := m.Init, false
 	if hook := m.Ckpt; hook != nil && hook.Restore != nil {
 		ks := hook.Restore
 		if len(ks.Seqs) != len(e.seqs) {
@@ -270,14 +297,21 @@ func NewEngine(m *sim.Model, sh Shape) (*Engine, error) {
 		}
 		copy(e.seqs, ks.Seqs)
 		e.round, e.baseEvents, e.baseEnd = ks.Round, ks.Events, ks.EndTime
-		seed = ks.Queue
+		seed, restored = ks.Queue, true
 	}
 	for _, ev := range seed {
-		if ev.Node == sim.GlobalNode {
+		switch {
+		case ev.Node != sim.GlobalNode: // every rank builds the whole model and seeds its part
+			if lp := part.LPOf[ev.Node]; !e.away(lp) {
+				e.lps[lp].fel.Push(ev)
+			} else if restored {
+				return nil, fmt.Errorf("core: checkpoint holds an event for node %d, which another rank owns", ev.Node)
+			}
+		case sh.Wire == nil:
 			e.pub.Push(ev)
-			continue
+		case ev.Time != m.StopAt: // the stop itself is Reduce's bound
+			return nil, fmt.Errorf("core: a rank runs no global event but the stop; this one is at %v (use an in-process kernel)", ev.Time)
 		}
-		e.lps[part.LPOf[ev.Node]].fel.Push(ev)
 	}
 	for i := range e.lps {
 		lp := &e.lps[i]
@@ -298,6 +332,11 @@ func (e *Engine) groupOf(lp int32) *group {
 	return &e.groups[e.sh.GroupOf[lp]]
 }
 
+// away reports whether lp lives in another rank's process.
+func (e *Engine) away(lp int32) bool {
+	return e.sh.Wire != nil && e.sh.GroupOf != nil && int(e.sh.GroupOf[lp]) != e.sh.Wire.Resident()
+}
+
 // reindex records where g's order now has each LP. Every block minimum is
 // stale after that.
 func (e *Engine) reindex(g *group) {
@@ -312,9 +351,10 @@ func (e *Engine) reindex(g *group) {
 // openWindow is the heart of phase 4: from the cached next-event times it
 // sets the window (Equation 2) and lists, per group and in schedule order,
 // the LPs with an event inside it. It reports false, leaving the window
-// alone, when no LP and no global event has anything left. An LP in a block
-// nobody touched and the window does not reach costs nothing here; any
-// other idle LP costs a compare.
+// alone, when no LP and no global event has anything left — on any rank, if
+// there is a wire — or the wire failed. An LP in a block nobody touched and
+// the window does not reach costs nothing here; any other idle LP costs a
+// compare.
 func (e *Engine) openWindow() bool {
 	pubNext, allMin := e.pub.NextTime(), sim.MaxTime
 	for i := range e.groups {
@@ -328,6 +368,11 @@ func (e *Engine) openWindow() bool {
 				g.low[b] = low
 			}
 			allMin = min(allMin, low)
+		}
+	}
+	if w := e.sh.Wire; w != nil {
+		if allMin, pubNext, e.err = w.Reduce(allMin); e.err != nil {
+			return false
 		}
 	}
 	if allMin == sim.MaxTime && pubNext == sim.MaxTime {
@@ -433,7 +478,7 @@ func (e *Engine) Migrated(w int, lpIdx int32) bool {
 // at exactly the window boundary, credited to worker 0, and return how
 // many there were; then list, per group and in index order, the LPs phase 3
 // has to receive: those that ran, those some outbox names, and those a
-// global event just inserted into.
+// global event or the wire just inserted into.
 //
 //unison:owner consumer
 func (t *Thread) Globals() (events int64) {
@@ -454,6 +499,9 @@ func (t *Thread) Globals() (events int64) {
 		if t.ctx.Stopped() {
 			e.stopped = true
 		}
+	}
+	if e.sh.Wire != nil {
+		e.exchange()
 	}
 	mark := func(lps []int32) {
 		for _, lp := range lps {
@@ -479,6 +527,27 @@ func (t *Thread) Globals() (events int64) {
 	return events
 }
 
+// exchange is a rank's share of phase 2: what the other ranks sent goes
+// straight into the resident FELs, the way a global event inserts. An event
+// staged for another rank's LP would never be received: the model is told
+// so here, off the event path.
+func (e *Engine) exchange() {
+	for _, o := range e.outboxes {
+		for _, lp := range o.touched {
+			if e.away(lp) {
+				panic(fmt.Sprintf("core: model scheduled an event directly onto node %d of another rank — cross-host interaction must go through the data plane", o.buf[o.head[lp]].ev.Node))
+			}
+		}
+	}
+	in, err := e.sh.Wire.Exchange(e.lbts)
+	e.err = err // Advance ends the run on it
+	for _, ev := range in {
+		lp := e.part.LPOf[ev.Node]
+		e.lps[lp].fel.Push(ev)
+		e.dirty[lp>>6] |= 1 << (lp & 63)
+	}
+}
+
 // Receive is phase 3 for one LP of a recv list: gather its staged events
 // from every thread's outbox (events from other groups arrive the same
 // way), bulk-load them into its FEL and refresh its cached next-event time.
@@ -502,7 +571,7 @@ func (e *Engine) Advance() (resorted bool) {
 	}
 	resorted = e.reschedule()
 	switch {
-	case e.stopped:
+	case e.stopped || e.err != nil:
 		e.done = true
 	case !e.openWindow():
 		e.done = true

@@ -154,7 +154,7 @@ func run(m *sim.Model, plan func(links []sim.LinkInfo) (Shape, error)) (*sim.Run
 // It is the only round loop of the live kernels: the shape decides nothing
 // here except which group's cursors worker w pulls from.
 func (l *live) workerLoop(w int, t *Thread) {
-	g := &l.groups[w/l.sh.PerGroup]
+	g := &l.groups[l.first+w/l.sh.PerGroup]
 	// solo: this worker is its group's only one, so it walks the group's
 	// lists with a plain counter; nobody else claims from the cursors.
 	solo := l.sh.PerGroup == 1

@@ -76,14 +76,15 @@ func (k *HybridKernel) Run(m *sim.Model) (*sim.RunStats, error) {
 // is the classic barrier-synchronization algorithm (pdes.BarrierKernel);
 // binding by cursor instead would let a rank's LP hop between workers
 // from round to round. Of cfg, only CacheWays, RecordRounds, MaxRounds and
-// Observe apply.
-func RunStatic(m *sim.Model, name string, part *Partition, cfg Config) (*sim.RunStats, error) {
+// Observe apply. With a wire it is one rank of a distributed run
+// (internal/dist): the same shape, the other ranks' workers elsewhere.
+func RunStatic(m *sim.Model, name string, part *Partition, cfg Config, wire Wire) (*sim.RunStats, error) {
 	return run(m, func([]sim.LinkInfo) (Shape, error) {
 		groupOf := make([]int32, part.Count)
 		for i := range groupOf {
 			groupOf[i] = int32(i)
 		}
 		cfg.Metric = MetricNone
-		return Shape{Name: name, Part: part, GroupOf: groupOf, PerGroup: 1, Cfg: cfg}, nil
+		return Shape{Name: name, Part: part, GroupOf: groupOf, PerGroup: 1, Cfg: cfg, Wire: wire}, nil
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"unison/internal/core"
@@ -97,6 +98,8 @@ func (l *evLog) equals(want *evLog, st, wantSt *sim.RunStats) error {
 type sparseModel struct {
 	*sim.Model
 	log *evLog
+	// chain rebuilds a genModel event's handler from its descriptor.
+	chain func(ttl int) sim.Proc
 }
 
 func newSparseModel(n int, d sim.Time) *sparseModel {
@@ -160,13 +163,26 @@ func (d *dice) n(k int) int {
 	return int((x ^ x>>31) % uint64(k))
 }
 
+// chainDesc describes a genModel chain event by its remaining hops, which is
+// all its handler is a function of.
+type chainDesc int
+
+func (chainDesc) CkptKind() uint16             { return 0xfffd }
+func (chainDesc) CkptEncode(buf []byte) []byte { return buf }
+
 // genModel is a seeded random model: a random connected graph whose link
 // delays are the lookahead, a few multiples of it, or a little more than
 // it (so Algorithm 1 merges some nodes and cuts others), seeded with event
 // chains that hop across links at exactly the link's delay or later, stay
 // on their node, or fork, and with global events that insert chains
 // directly onto random nodes and schedule further global events.
-func genModel(seed int64) *sparseModel {
+func genModel(seed int64) *sparseModel { return genRankModel(seed, nil) }
+
+// genRankModel is genModel as one rank of a distributed run builds it:
+// remote, when non-nil, is the model's data plane — it is offered every hop
+// over a link and takes those that leave the rank — and the model has no
+// global events, which a rank does not run.
+func genRankModel(seed int64, remote func(ctx *sim.Ctx, at sim.Time, to sim.NodeID, ttl int) bool) *sparseModel {
 	r := rand.New(rand.NewSource(seed))
 	n := 8 + r.Intn(72)
 	const la = 400
@@ -206,9 +222,12 @@ func genModel(seed int64) *sparseModel {
 		if nbrs := g.Neighbors(ctx.Node()); d.n(3) > 0 && len(nbrs) > 0 {
 			to := nbrs[d.n(len(nbrs))]
 			link := g.Links[g.LinkBetween(ctx.Node(), to)]
-			ctx.Schedule(link.Delay+sim.Time(d.n(2)*d.n(3*la)), to, chain(ttl))
+			at := ctx.Now() + link.Delay + sim.Time(d.n(2)*d.n(3*la))
+			if remote == nil || !remote(ctx, at, to, ttl) {
+				ctx.ScheduleAtDesc(at, to, chain(ttl), chainDesc(ttl))
+			}
 		} else {
-			ctx.Schedule(sim.Time(d.n(2*la)), ctx.Node(), chain(ttl))
+			ctx.ScheduleDesc(sim.Time(d.n(2*la)), ctx.Node(), chain(ttl), chainDesc(ttl))
 		}
 	}
 	chain = func(ttl int) sim.Proc {
@@ -239,12 +258,13 @@ func genModel(seed int64) *sparseModel {
 	}
 	s := sim.NewSetup()
 	for i := 1 + r.Intn(2); i > 0; i-- {
-		s.At(sim.Time(r.Intn(30*la)), sim.NodeID(r.Intn(n)), chain(20+r.Intn(100)))
+		ttl := 20 + r.Intn(100)
+		s.AtDesc(sim.Time(r.Intn(30*la)), sim.NodeID(r.Intn(n)), chain(ttl), chainDesc(ttl))
 	}
-	for i := r.Intn(3); i > 0; i-- {
+	for i := r.Intn(3); i > 0 && remote == nil; i-- {
 		s.Global(sim.Time(1+r.Intn(100*la)), global(r.Intn(4)))
 	}
-	sm.Model = &sim.Model{Nodes: n, Links: g.LinkInfos, Init: s.Events()}
+	sm.Model, sm.chain = &sim.Model{Nodes: n, Links: g.LinkInfos, Init: s.Events()}, chain
 	return sm
 }
 
@@ -294,5 +314,193 @@ func TestSparseActivityEqualsDES(t *testing.T) {
 				t.Fatalf("seed %d, %d nodes, %s (%v, period %d): %v", seed, n, kernels[k].name, metric, period, err)
 			}
 		}
+		if err := rankRow(seed, random(2+r.Intn(3)), uint64(2+r.Intn(24))); err != nil {
+			t.Fatalf("seed %d, %d nodes, ranks over an in-memory wire: %v", seed, n, err)
+		}
 	}
+}
+
+// The rank row: the engine as internal/dist runs it — one engine per rank,
+// each with the whole model and only its own LP resident — but joined by
+// the smallest wire there is instead of sockets and a coordinator.
+
+// hub is that wire: a slice exchange and a minimum, each a barrier of all
+// ranks. A rank deposits into the next* fields and reads what the last
+// arriver of the same meeting published.
+type hub struct {
+	rankOf []int32
+	mu     sync.Mutex
+	cond   *sync.Cond
+	waits  int
+	gen    int
+
+	nextIn, in   [][]sim.Event // per destination rank
+	nextMin, min sim.Time
+}
+
+func newHub(rankOf []int32) *hub {
+	h := &hub{rankOf: rankOf, nextMin: sim.MaxTime}
+	h.cond = sync.NewCond(&h.mu)
+	h.nextIn = make([][]sim.Event, 1+slices.Max(rankOf))
+	return h
+}
+
+// meet runs deposit under the lock and returns once every rank has.
+func (h *hub) meet(deposit func()) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	deposit()
+	if h.waits++; h.waits < len(h.nextIn) {
+		for gen := h.gen; gen == h.gen; {
+			h.cond.Wait()
+		}
+		return
+	}
+	h.in, h.nextIn = h.nextIn, make([][]sim.Event, len(h.nextIn))
+	h.min, h.nextMin = h.nextMin, sim.MaxTime
+	h.waits = 0
+	h.gen++
+	h.cond.Broadcast()
+}
+
+// fakeRank is one rank's end of the hub, and its model's data plane.
+type fakeRank struct {
+	h   *hub
+	id  int32
+	sm  *sparseModel
+	out []sim.Event
+}
+
+func (w *fakeRank) Resident() int { return int(w.id) }
+
+func (w *fakeRank) remote(ctx *sim.Ctx, at sim.Time, to sim.NodeID, ttl int) bool {
+	if w.h.rankOf[to] == w.id {
+		return false
+	}
+	ev := ctx.Stamp(at, to)
+	ev.Desc = chainDesc(ttl)
+	w.out = append(w.out, ev)
+	return true
+}
+
+func (w *fakeRank) Exchange(lbts sim.Time) ([]sim.Event, error) {
+	w.h.meet(func() {
+		for _, ev := range w.out {
+			if ev.Time < lbts {
+				panic(fmt.Sprintf("rank %d sends an event at %v inside the window ending %v", w.id, ev.Time, lbts))
+			}
+			dst := w.h.rankOf[ev.Node]
+			w.h.nextIn[dst] = append(w.h.nextIn[dst], ev)
+		}
+	})
+	w.out = w.out[:0]
+	in := w.h.in[w.id]
+	w.sm.bind(in)
+	return in, nil
+}
+
+func (w *fakeRank) Reduce(local sim.Time) (allMin, bound sim.Time, err error) {
+	w.h.meet(func() { w.h.nextMin = min(w.h.nextMin, local) })
+	return w.h.min, sim.MaxTime, nil
+}
+
+// bind gives events that crossed a wire or a snapshot the handlers their
+// descriptors name, in this copy of the model.
+func (sm *sparseModel) bind(evs []sim.Event) {
+	for i := range evs {
+		evs[i].Fn = sm.chain(int(evs[i].Desc.(chainDesc)))
+	}
+}
+
+// rankRun runs the model of seed as len(restore) ranks and returns the
+// merged event log and totals. snapAt > 0 keeps every rank's snapshot of
+// that round in snaps; a non-nil restore[i] resumes rank i from it.
+func rankRun(seed int64, rankOf []int32, snapAt uint64, restore []*sim.KernelState) (*evLog, *sim.RunStats, []*sim.KernelState, error) {
+	h := newHub(rankOf)
+	ranks := make([]*fakeRank, len(restore))
+	stats := make([]*sim.RunStats, len(ranks))
+	snaps := make([]*sim.KernelState, len(ranks))
+	errs := make([]error, len(ranks))
+	var wg sync.WaitGroup
+	for i := range ranks {
+		w := &fakeRank{h: h, id: int32(i)}
+		w.sm = genRankModel(seed, w.remote)
+		ranks[i] = w
+		w.sm.Ckpt = &sim.CkptHook{Every: snapAt, Save: func(ks *sim.KernelState) error {
+			if ks.Round == snapAt {
+				cp := *ks
+				cp.Seqs, cp.Queue = slices.Clone(ks.Seqs), slices.Clone(ks.Queue)
+				snaps[w.id] = &cp
+			}
+			return nil
+		}}
+		if ks := restore[i]; ks != nil {
+			cp := *ks
+			cp.Queue = slices.Clone(ks.Queue)
+			w.sm.bind(cp.Queue)
+			w.sm.Ckpt.Restore = &cp
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stats[w.id], errs[w.id] = core.RunStatic(w.sm.Model, "rank", core.Manual(rankOf, w.sm.Links()), core.Config{}, w)
+		}()
+	}
+	wg.Wait()
+	n := len(rankOf)
+	log, total := newEvLog(n), &sim.RunStats{Rounds: stats[0].Rounds}
+	for i, w := range ranks {
+		if errs[i] != nil {
+			return nil, nil, nil, errs[i]
+		}
+		if stats[i].Rounds != total.Rounds || len(stats[i].Workers) != 1 {
+			return nil, nil, nil, fmt.Errorf("rank %d: %d rounds on %d workers, rank 0 ran %d on one", i, stats[i].Rounds, len(stats[i].Workers), total.Rounds)
+		}
+		total.Events += stats[i].Events
+		total.EndTime = max(total.EndTime, stats[i].EndTime)
+		for node, evs := range w.sm.log.node {
+			if len(evs) > 0 && rankOf[node] != w.id {
+				return nil, nil, nil, fmt.Errorf("rank %d ran events of node %d, which rank %d owns", i, node, rankOf[node])
+			}
+			log.node[node] = append(log.node[node], evs...)
+		}
+	}
+	return log, total, snaps, nil
+}
+
+// rankRow checks the rank shape on one seed: against des event for event,
+// taking a snapshot on the way, and again restored from that snapshot.
+func rankRow(seed int64, rankOf []int32, snapAt uint64) error {
+	ref := genRankModel(seed, func(*sim.Ctx, sim.Time, sim.NodeID, int) bool { return false })
+	want, err := des.New().Run(ref.Model)
+	if err != nil {
+		return err
+	}
+	fresh := make([]*sim.KernelState, 1+slices.Max(rankOf))
+	log, st, snaps, err := rankRun(seed, rankOf, snapAt, fresh)
+	if err == nil {
+		err = log.equals(ref.log, st, want)
+	}
+	if err != nil || st.Rounds <= snapAt {
+		return err // too short a run to have a round snapAt to resume from
+	}
+	var before uint64
+	for i, ks := range snaps {
+		if ks == nil {
+			return fmt.Errorf("rank %d took no snapshot at round %d of %d", i, snapAt, st.Rounds)
+		}
+		before += ks.Events
+	}
+	rlog, rst, _, err := rankRun(seed, rankOf, 0, snaps)
+	if err == nil {
+		err = rlog.endsWith(ref.log)
+	}
+	if err == nil && (before+rlog.total() != want.Events || rst.Events != want.Events || rst.EndTime != want.EndTime || rst.Rounds != st.Rounds) {
+		err = fmt.Errorf("%d events before the snapshot + %d after, stats say events=%d end=%v rounds=%d; want events=%d end=%v rounds=%d",
+			before, rlog.total(), rst.Events, rst.EndTime, rst.Rounds, want.Events, want.EndTime, st.Rounds)
+	}
+	if err != nil {
+		return fmt.Errorf("restored from round %d: %w", snapAt, err)
+	}
+	return nil
 }

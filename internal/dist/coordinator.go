@@ -122,17 +122,21 @@ func RunCoordinator(ln net.Listener, cfg CoordConfig) (*flowmon.Monitor, uint64,
 		}(h, c)
 	}
 
+	probe := cfg.Observe
+	obs.Begin(probe, obs.RunMeta{Kernel: "dist-coordinator", Workers: 1, LPs: cfg.Hosts})
+	coordStart := time.Now()
+	var rounds, totalEvents uint64
+	// Every way out from here ends the run the probe saw begin.
+	defer func() {
+		wall := time.Since(coordStart).Nanoseconds()
+		obs.End(probe, &sim.RunStats{Kernel: "dist-coordinator", Rounds: rounds, Events: totalEvents,
+			WallNS: wall, Workers: []sim.WorkerStats{{S: wall}}})
+	}()
 	fail := func(rounds uint64, err error) (*flowmon.Monitor, uint64, error) {
 		abortAll(conns, err.Error())
 		return nil, rounds, err
 	}
 
-	probe := cfg.Observe
-	obs.Begin(probe, obs.RunMeta{Kernel: "dist-coordinator", Workers: 1, LPs: cfg.Hosts})
-	coordStart := time.Now()
-	var totalEvents uint64
-
-	var rounds uint64
 	for {
 		// All-reduce: gather local minima (concurrently, via the readers).
 		gatherStart := time.Now()
@@ -256,13 +260,6 @@ func RunCoordinator(ln net.Listener, cfg CoordConfig) (*flowmon.Monitor, uint64,
 			}
 		}
 		*cfg.Stats = merged
-	}
-	if probe != nil {
-		probe.EndRun(&sim.RunStats{
-			Kernel: "dist-coordinator", Rounds: rounds, Events: totalEvents,
-			WallNS:  time.Since(coordStart).Nanoseconds(),
-			Workers: []sim.WorkerStats{{S: time.Since(coordStart).Nanoseconds()}},
-		})
 	}
 	return mon, rounds, nil
 }

@@ -1,7 +1,10 @@
 package dist
 
 import (
+	"fmt"
 	"net"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -81,6 +84,12 @@ func runDistributed(t *testing.T, seed uint64, stop sim.Time, hosts int) (*flowm
 				errs <- err
 				return
 			}
+			// A host spends most of a loopback run waiting for the coordinator:
+			// that is S, and the decomposition may not exceed the wall time.
+			if w := st.Workers[0]; w.S <= 0 || w.P <= 0 || w.T() > st.WallNS {
+				errs <- fmt.Errorf("host %d: P=%d S=%d M=%d of wall %d ns", h, w.P, w.S, w.M, st.WallNS)
+				return
+			}
 			mu.Lock()
 			totalEvents += st.Events
 			mu.Unlock()
@@ -136,13 +145,39 @@ func TestDistributedMatchesSequential(t *testing.T) {
 func TestHostRejectsCrossHostScheduling(t *testing.T) {
 	// A model that schedules a raw event onto a remote node must panic
 	// with a clear message rather than corrupt the simulation.
+	const stop = 100 * sim.Microsecond
+	_, network, mon, ft, _ := buildPieces(1, stop)
+	hostOf := pdes.FatTreeManual(ft, 2)
+	remote := sim.NodeID(slices.Index(hostOf, 1))
+	s := sim.NewSetup()
+	s.At(0, sim.NodeID(slices.Index(hostOf, 0)), func(ctx *sim.Ctx) {
+		ctx.Schedule(10*sim.Microsecond, remote, func(*sim.Ctx) {})
+	})
+	m := &sim.Model{Nodes: ft.N(), Links: ft.LinkInfos, Init: s.Events(), StopAt: stop}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	coord := make(chan error, 1)
+	go func() {
+		_, _, err := RunCoordinator(ln, CoordConfig{Hosts: 1, StopAt: stop, Timeout: 10 * time.Second})
+		coord <- err
+	}()
 	defer func() {
-		if recover() == nil {
+		r := recover()
+		if r == nil {
 			t.Fatal("cross-host raw scheduling did not panic")
 		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, "data plane") || !strings.Contains(msg, fmt.Sprint("node ", remote)) {
+			t.Errorf("panic does not say what went wrong: %v", r)
+		}
+		if err := <-coord; err == nil {
+			t.Error("coordinator finished a run whose only host panicked")
+		}
 	}()
-	sink := &hostSink{hostOf: []int32{0, 1}, id: 0}
-	sink.Put(sim.Event{Node: 1})
+	_, _ = RunHost(HostConfig{ID: 0, Addr: ln.Addr().String(), HostOf: hostOf, StopAt: stop, Timeout: 10 * time.Second}, m, network, mon)
 }
 
 func TestHostConfigValidation(t *testing.T) {

@@ -3,6 +3,7 @@ package dist
 import (
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"unison/internal/des"
 	"unison/internal/faults"
 	"unison/internal/flowmon"
+	"unison/internal/obs"
 	"unison/internal/pdes"
 	"unison/internal/sim"
 	"unison/internal/topology"
@@ -42,6 +44,30 @@ type distResult struct {
 	coordErr error
 	hostErrs []error
 	elapsed  time.Duration
+	// probes are what the coordinator (index 0) and host h (index 1+h) told
+	// their probe: a Registry, Bus or live session hangs off these calls.
+	probes []pairProbe
+}
+
+// pairProbe counts the run boundaries an endpoint reported.
+type pairProbe struct{ begins, ends int }
+
+func (p *pairProbe) BeginRun(obs.RunMeta)     { p.begins++ }
+func (p *pairProbe) EndRun(*sim.RunStats)     { p.ends++ }
+func (p *pairProbe) OnRound(*obs.RoundRecord) {}
+
+// checkProbesClosed asserts that every endpoint that began a run ended it,
+// however the run went, and that the coordinator got as far as beginning.
+func (r *distResult) checkProbesClosed(t *testing.T) {
+	t.Helper()
+	if r.probes[0].begins != 1 {
+		t.Errorf("coordinator began %d runs, want 1", r.probes[0].begins)
+	}
+	for i, p := range r.probes {
+		if p.begins != p.ends {
+			t.Errorf("endpoint %d (0 = coordinator, 1+h = host h): %d BeginRun, %d EndRun", i, p.begins, p.ends)
+		}
+	}
 }
 
 // runFaulted drives a full coordinator + hosts run over ln (typically a
@@ -57,6 +83,7 @@ func runFaulted(t *testing.T, ln net.Listener, hosts int, stop sim.Time, timeout
 
 	var res distResult
 	res.hostErrs = make([]error, hosts)
+	res.probes = make([]pairProbe, 1+hosts)
 	start := time.Now()
 	done := make(chan struct{})
 	go func() {
@@ -67,6 +94,7 @@ func runFaulted(t *testing.T, ln net.Listener, hosts int, stop sim.Time, timeout
 			defer wg.Done()
 			res.mon, res.rounds, res.coordErr = RunCoordinator(ln, CoordConfig{
 				Hosts: hosts, StopAt: stop, Flows: flows, MaxRounds: maxRounds, Timeout: timeout,
+				Observe: &res.probes[0],
 			})
 		}()
 		for h := 0; h < hosts; h++ {
@@ -77,6 +105,7 @@ func runFaulted(t *testing.T, ln net.Listener, hosts int, stop sim.Time, timeout
 				_, res.hostErrs[h] = RunHost(HostConfig{
 					ID: h, Addr: ln.Addr().String(), HostOf: hostOf, StopAt: stop,
 					Timeout: timeout, DialAttempts: 3, DialBackoff: 20 * time.Millisecond,
+					Observe: &res.probes[1+h],
 				}, m, network, mon)
 			}(int32(h))
 		}
@@ -127,6 +156,9 @@ func TestFaultMatrix(t *testing.T) {
 				if err == nil {
 					t.Errorf("%s: host %d returned success through an injected fault", tc.name, h)
 				}
+			}
+			if tc.name == "close" {
+				res.checkProbesClosed(t)
 			}
 			t.Logf("%s: coord=%v hosts=%v elapsed=%v", tc.name, res.coordErr, res.hostErrs, res.elapsed)
 		})
@@ -396,6 +428,7 @@ func TestMaxRoundsAborts(t *testing.T) {
 			t.Errorf("host %d: %v, want the abort to carry MaxRounds exceeded", h, err)
 		}
 	}
+	res.checkProbesClosed(t)
 }
 
 // TestDialRetryCoversStartupRace: hosts launched before the coordinator
@@ -480,5 +513,77 @@ func TestKindString(t *testing.T) {
 	}
 	if got := msgKind(99).String(); got != "kind(99)" {
 		t.Errorf("unknown kind: %q", got)
+	}
+}
+
+// TestHostRejectsBadInbox: the events message is wire input. A coordinator
+// (or whatever sits on its port) delivering an event for a node that does
+// not exist, that another host owns, or at a time inside the window the
+// host already executed gets a bounded, descriptive error — not an index
+// panic, and not a quietly corrupted event order.
+func TestHostRejectsBadInbox(t *testing.T) {
+	const seed, stop = 77, 300 * sim.Microsecond
+	ft := topology.BuildFatTree(topology.FatTreeK(4, 1_000_000_000, 3*sim.Microsecond))
+	hostOf := pdes.FatTreeManual(ft, 2)
+	mine, theirs := sim.NodeID(slices.Index(hostOf, 0)), sim.NodeID(slices.Index(hostOf, 1))
+	for _, tc := range []struct {
+		name string
+		ev   RemoteEvent
+	}{
+		{"node past the end", RemoteEvent{Time: stop, Node: sim.NodeID(len(hostOf))}},
+		{"negative node", RemoteEvent{Time: stop, Node: -7}},
+		{"another host's node", RemoteEvent{Time: stop, Node: theirs}},
+		{"inside the window", RemoteEvent{Time: 0, Node: mine}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkGoroutines(t)
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			// The fake coordinator plays one honest round up to the inbox.
+			coord := make(chan error, 1)
+			go func() {
+				nc, err := ln.Accept()
+				if err != nil {
+					coord <- err
+					return
+				}
+				defer nc.Close()
+				c := newConn(nc, 5*time.Second, "host 0")
+				script := func() error {
+					if _, err := c.recv(kHello); err != nil {
+						return err
+					}
+					min, err := c.recv(kMin)
+					if err != nil {
+						return err
+					}
+					if err := c.send(&envelope{Kind: kWindow, Min: min.Min}); err != nil {
+						return err
+					}
+					if _, err := c.recv(kFlush); err != nil {
+						return err
+					}
+					return c.send(&envelope{Kind: kEvents, Events: []RemoteEvent{tc.ev}})
+				}
+				err = script()
+				for err == nil { // the host hangs up; until then say nothing more
+					_, err = c.recvAny()
+				}
+				coord <- nil
+			}()
+			m, network, mon, _, _ := buildPieces(seed, stop)
+			_, err = RunHost(HostConfig{
+				ID: 0, Addr: ln.Addr().String(), HostOf: hostOf, StopAt: stop, Timeout: 5 * time.Second,
+			}, m, network, mon)
+			if err == nil || !strings.Contains(err.Error(), "dist: host 0: coordinator delivered") {
+				t.Errorf("host error %v, want it to say what the coordinator delivered", err)
+			}
+			if err := <-coord; err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -8,9 +8,7 @@ import (
 
 	"unison/internal/ckpt"
 	"unison/internal/core"
-	"unison/internal/eventq"
 	"unison/internal/flowmon"
-	"unison/internal/metrics"
 	"unison/internal/netdev"
 	"unison/internal/obs"
 	"unison/internal/packet"
@@ -113,12 +111,14 @@ func dialCoordinator(cfg HostConfig) (net.Conn, int, error) {
 // the model: every host constructs the full model deterministically (the
 // ghost-node approach of MPI-based PDES), but only events of its own
 // nodes run here. Cross-host packet arrivals travel through net's Remote
-// hook to the wire, stamped with their deterministic identities.
+// hook to the wire, stamped with their deterministic identities. The host
+// is the round engine in its static shape (core.RunStatic), one LP per host
+// and this host's alone resident; this file is the wire it syncs through.
 //
 // Restrictions (the same the paper's MPI baselines have): only the stop
 // event among global events, and models may only communicate across hosts
 // through the data plane (netdev), not by scheduling raw events onto
-// remote nodes.
+// remote nodes. The host owns m.Ckpt for the run.
 func RunHost(cfg HostConfig, m *sim.Model, network *netdev.Network, mon *flowmon.Monitor) (*sim.RunStats, error) {
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("dist: %w", err)
@@ -129,244 +129,171 @@ func RunHost(cfg HostConfig, m *sim.Model, network *netdev.Network, mon *flowmon
 	if cfg.StopAt <= 0 {
 		return nil, fmt.Errorf("dist: StopAt required")
 	}
-	start := time.Now()
-	links := m.Links()
-	lookahead := core.CutLookahead(cfg.HostOf, links)
+	if cfg.Ckpt == nil && (cfg.CheckpointEvery > 0 || cfg.RestoreFrom != "") {
+		return nil, fmt.Errorf("dist: CheckpointEvery and RestoreFrom require HostConfig.Ckpt")
+	}
 
 	nc, dialRetries, err := dialCoordinator(cfg)
 	if err != nil {
 		return nil, err
 	}
-	c := newConn(nc, cfg.Timeout, "coordinator")
-	defer c.close()
-	if err := c.send(&envelope{Kind: kHello, Host: cfg.ID}); err != nil {
+	r := &rank{cfg: &cfg, c: newConn(nc, cfg.Timeout, "coordinator"), net: network, note: obs.RoundRecord{Retries: uint64(dialRetries)}}
+	defer r.c.close()
+	// The hooks set below would keep r, its buffers and the codecs alive.
+	defer func() { network.Remote, m.Ckpt = nil, nil }()
+	if err := r.c.send(&envelope{Kind: kHello, Host: cfg.ID}); err != nil {
 		return nil, fmt.Errorf("dist: hello: %w", err)
 	}
-	probe := cfg.Observe
-	obs.Begin(probe, obs.RunMeta{Kernel: fmt.Sprintf("dist-host(%d)", cfg.ID), Workers: 1, LPs: 1})
-	pendingRetries := uint64(dialRetries)
-
-	fel := eventq.New(256)
-	seqs := sim.NewSeqTable(m.Nodes)
-	var outbound []RemoteEvent
-
-	// The sink rejects cross-host scheduling outside the data plane.
-	sink := &hostSink{fel: fel, hostOf: cfg.HostOf, id: cfg.ID}
-	ctx := sim.NewCtx(sink, int(cfg.ID))
-
-	// The data plane hands cross-host arrivals to the wire buffer with
-	// identities allocated by the sending node's counter.
-	network.Remote = func(c *sim.Ctx, at sim.NodeID, p packet.Packet, arrival sim.Time) bool {
-		target := cfg.HostOf[at]
-		if target == cfg.ID {
-			return false
-		}
-		ev := c.Stamp(arrival, at)
-		outbound = append(outbound, RemoteEvent{
-			Time: ev.Time, Src: ev.Src, Seq: ev.Seq, Node: at, Host: target, Pkt: p,
-		})
-		return true
+	network.Remote = r.remote
+	if cfg.Live {
+		r.side = &Sideband{}
 	}
-
-	st := &sim.RunStats{Kernel: fmt.Sprintf("dist-host(%d)", cfg.ID), Workers: make([]sim.WorkerStats, 1)}
+	m.Ckpt = &sim.CkptHook{Every: cfg.CheckpointEvery, Save: r.save}
 	if cfg.RestoreFrom != "" {
-		if cfg.Ckpt == nil {
-			return nil, fmt.Errorf("dist: RestoreFrom requires HostConfig.Ckpt")
-		}
 		ks, err := cfg.Ckpt.Load(cfg.RestoreFrom)
 		if err != nil {
 			return nil, fmt.Errorf("dist: restoring %s: %w", cfg.RestoreFrom, err)
 		}
-		if len(ks.Seqs) != len(seqs) {
-			return nil, fmt.Errorf("dist: checkpoint has %d sequence counters, model needs %d", len(ks.Seqs), len(seqs))
-		}
-		copy(seqs, ks.Seqs)
-		for _, ev := range ks.Queue {
-			if ev.Node == sim.GlobalNode {
-				if ev.Time == m.StopAt {
-					continue // the stop event is replaced by the window protocol
-				}
-				return nil, fmt.Errorf("dist: checkpoint holds an unsupported global event at %v", ev.Time)
-			}
-			if cfg.HostOf[ev.Node] != cfg.ID {
-				return nil, fmt.Errorf("dist: checkpoint holds an event for node %d, owned by host %d not %d", ev.Node, cfg.HostOf[ev.Node], cfg.ID)
-			}
-			fel.Push(ev)
-		}
-		st.Rounds, st.Events, st.EndTime = ks.Round, ks.Events, ks.EndTime
-	} else {
-		for _, ev := range m.Init {
-			if ev.Node == sim.GlobalNode {
-				if ev.Time == m.StopAt {
-					continue // the stop event is replaced by the window protocol
-				}
-				return nil, fmt.Errorf("dist: global events other than stop are unsupported (use the in-process kernels)")
-			}
-			if cfg.HostOf[ev.Node] == cfg.ID {
-				fel.Push(ev)
-			}
-		}
+		m.Ckpt.Restore = ks
+	}
+	var probe obs.Probe
+	if cfg.Observe != nil || cfg.Live {
+		probe = obs.Tee(r, cfg.Observe)
+	}
+	st, err := core.RunStatic(m, fmt.Sprintf("dist-host(%d)", cfg.ID), core.Manual(cfg.HostOf, m.Links()),
+		core.Config{Observe: probe}, r)
+	if err != nil {
+		return nil, err
 	}
 
-	var side *Sideband
-	if cfg.Live {
-		side = &Sideband{}
+	recs, rcvs := mon.Export()
+	gather := &envelope{Kind: kGather, Host: cfg.ID, Senders: recs, Recvs: rcvs, Stats: st}
+	// Ship this host's share of the network observability data; the
+	// sampler and tracer only hold records of locally-owned devices.
+	if s := network.Sampler(); s != nil {
+		s.Flush()
+		gather.Rows = s.Rows()
 	}
-
-	var sw metrics.Stopwatch
-	sw.Start()
-	for {
-		minEnv := &envelope{Kind: kMin, Host: cfg.ID, Min: fel.NextTime()}
-		if cfg.Live {
-			side.Rounds = st.Rounds
-			side.Events = st.Events
-			// The round loop is quiescent here, so reading the sampler's
-			// closed buckets is race-free; LiveDelta never touches open
-			// buckets, keeping the final gather rows byte-identical.
-			if s := network.Sampler(); s != nil {
-				side.Rows = s.LiveDelta()
-			}
-			minEnv.Side = side
-		}
-		if err := c.send(minEnv); err != nil {
-			return nil, fmt.Errorf("dist: sending min: %w", err)
-		}
-		if cfg.Live {
-			side = &Sideband{} // the sent one is encoded; start the next batch
-		}
-		e, err := c.recvAny()
-		if err != nil {
-			return nil, fmt.Errorf("dist: window: %w", err)
-		}
-		sNS := sw.Lap() // the all-reduce wait: min sent, window received
-		switch e.Kind {
-		case kDone:
-			st.WallNS = time.Since(start).Nanoseconds()
-			st.Workers[0].P = st.WallNS
-			st.Workers[0].Events = st.Events
-			recs, rcvs := mon.Export()
-			gather := &envelope{Kind: kGather, Host: cfg.ID, Senders: recs, Recvs: rcvs, Stats: st}
-			// Ship this host's share of the network observability data; the
-			// sampler and tracer only hold records of locally-owned devices.
-			if s := network.Sampler(); s != nil {
-				s.Flush()
-				gather.Rows = s.Rows()
-			}
-			if network.Tracer != nil {
-				gather.Trace = network.Tracer.Merged()
-			}
-			if err := c.send(gather); err != nil {
-				return nil, fmt.Errorf("dist: gather: %w", err)
-			}
-			obs.End(probe, st)
-			return st, nil
-		case kWindow:
-			// LBTS per Equation 1, bounded by the stop time.
-			lbts := core.Eq2(e.Min, sim.MaxTime, lookahead)
-			if cfg.StopAt < lbts {
-				lbts = cfg.StopAt
-			}
-			evStart := st.Events
-			for {
-				ev, ok := fel.PopBefore(lbts)
-				if !ok {
-					break
-				}
-				ctx.Begin(&ev, seqs.Of(ev.Node))
-				ev.Fn(ctx)
-				st.Events++
-				if ev.Time > st.EndTime {
-					st.EndTime = ev.Time
-				}
-			}
-			st.Rounds++
-			pNS := sw.Lap()
-			// Flush outbound remote events and receive this round's inbox.
-			sends := uint64(len(outbound))
-			if err := c.send(&envelope{Kind: kFlush, Host: cfg.ID, Events: outbound}); err != nil {
-				return nil, fmt.Errorf("dist: flush: %w", err)
-			}
-			outbound = outbound[:0]
-			in, err := c.recv(kEvents)
-			if err != nil {
-				return nil, fmt.Errorf("dist: inbox: %w", err)
-			}
-			for _, rev := range in.Events {
-				fn, desc := network.DeliverEvent(rev.Node, rev.Pkt)
-				fel.Push(sim.Event{
-					Time: rev.Time, Src: rev.Src, Seq: rev.Seq, Node: rev.Node,
-					Fn: fn, Desc: desc,
-				})
-			}
-			var ckptNS int64
-			var ckptBytes uint64
-			if cfg.CheckpointEvery > 0 && cfg.Ckpt != nil && st.Rounds%cfg.CheckpointEvery == 0 {
-				// Quiescent point: this round's remote arrivals are in the
-				// FEL (all at or after lbts, by the cross-host lookahead) and
-				// every executed event is before it.
-				cs := time.Now()
-				queue := fel.Snapshot(nil)
-				if err := ckpt.CheckQueue(queue); err != nil {
-					return nil, fmt.Errorf("dist: %w", err)
-				}
-				ks := &sim.KernelState{
-					Round: st.Rounds, Events: st.Events, Now: lbts, EndTime: st.EndTime,
-					Seqs:  append([]uint64(nil), seqs...),
-					Queue: queue,
-				}
-				path := CheckpointFile(cfg.CheckpointDir, st.Rounds, cfg.ID)
-				n, err := cfg.Ckpt.Save(path, ks)
-				if err != nil {
-					return nil, fmt.Errorf("dist: checkpoint: %w", err)
-				}
-				ckptNS, ckptBytes = time.Since(cs).Nanoseconds(), uint64(n)
-			}
-			if probe != nil || cfg.Live {
-				mNS := sw.Lap()
-				rec := obs.RoundRecord{
-					Round: st.Rounds - 1, LBTS: lbts,
-					Events: st.Events - evStart,
-					ProcNS: pNS, SyncNS: sNS, MsgNS: mNS,
-					Sends: sends, SendBytes: sends * obs.EventBytes,
-					Recvs: uint64(len(in.Events)), FELDepth: uint64(fel.Len()),
-					AllReduceNS: sNS, Retries: pendingRetries,
-					CkptNS: ckptNS, CkptBytes: ckptBytes,
-				}
-				if probe != nil {
-					probe.OnRound(&rec)
-				}
-				if cfg.Live {
-					// Relabel with the host id so the coordinator's merged
-					// view has one worker lane per rank; shipped on the
-					// next kMin (this rec is complete only now).
-					rec.Worker = cfg.ID
-					side.Recs = append(side.Recs, rec)
-				}
-				pendingRetries = 0
-			}
-		case kAbort:
-			return nil, fmt.Errorf("dist: coordinator aborted the run: %s", e.Err)
-		default:
-			return nil, fmt.Errorf("dist: %s: expected %v or %v, got %v", c.peer, kWindow, kDone, e.Kind)
-		}
+	if network.Tracer != nil {
+		gather.Trace = network.Tracer.Merged()
 	}
+	if err := r.c.send(gather); err != nil {
+		return nil, fmt.Errorf("dist: gather: %w", err)
+	}
+	return st, nil
 }
 
-// hostSink pushes local events and rejects cross-host ones: model code
-// must only reach other hosts through the data plane.
-type hostSink struct {
-	fel    *eventq.Queue
-	hostOf []int32
-	id     int32
+// rank is a host's end of the wire: the core.Wire its engine's serial
+// sections call, the data plane's Remote hook, the checkpoint hook's Save,
+// and the first probe of the host's tee, which adds to each round record
+// what only the wire knows. One worker, so one goroutine calls them all.
+type rank struct {
+	cfg  *HostConfig
+	c    *conn
+	net  *netdev.Network
+	out  []RemoteEvent   // this round's cross-host arrivals, filled by remote
+	in   []sim.Event     // Exchange's result, reused every round
+	note obs.RoundRecord // the fields OnRound copies into the round's record
+	side *Sideband       // the batch riding the next min message; nil unless cfg.Live
 }
 
-func (s *hostSink) Put(ev sim.Event) {
-	if s.hostOf[ev.Node] != s.id {
-		panic(fmt.Sprintf("dist: model scheduled an event directly onto remote node %d — cross-host interaction must go through the data plane", ev.Node))
+func (r *rank) Resident() int { return int(r.cfg.ID) }
+
+// remote is netdev's Remote hook: a packet arriving on another host's node
+// goes to the wire with the identity the sending node's counter gives it.
+func (r *rank) remote(c *sim.Ctx, at sim.NodeID, p packet.Packet, arrival sim.Time) bool {
+	target := r.cfg.HostOf[at]
+	if target == r.cfg.ID {
+		return false
 	}
-	s.fel.Push(ev)
+	ev := c.Stamp(arrival, at)
+	r.out = append(r.out, RemoteEvent{Time: ev.Time, Src: ev.Src, Seq: ev.Seq, Node: at, Host: target, Pkt: p})
+	return true
 }
 
-func (s *hostSink) PutGlobal(sim.Event) {
-	panic("dist: global events are unsupported in distributed runs")
+// Exchange flushes the round's outbound remote events and receives its
+// inbox. The inbox is wire input: an event no correct peer could have sent
+// here is an error now, not a panic in the engine a round later.
+func (r *rank) Exchange(lbts sim.Time) ([]sim.Event, error) {
+	r.note.Sends = uint64(len(r.out))
+	if err := r.c.send(&envelope{Kind: kFlush, Host: r.cfg.ID, Events: r.out}); err != nil {
+		return nil, fmt.Errorf("dist: flush: %w", err)
+	}
+	r.out = r.out[:0]
+	in, err := r.c.recv(kEvents)
+	if err != nil {
+		return nil, fmt.Errorf("dist: inbox: %w", err)
+	}
+	r.note.Recvs, r.in = uint64(len(in.Events)), r.in[:0]
+	for _, rev := range in.Events {
+		if rev.Node < 0 || int(rev.Node) >= len(r.cfg.HostOf) || r.cfg.HostOf[rev.Node] != r.cfg.ID || rev.Time < lbts {
+			return nil, fmt.Errorf("dist: host %d: coordinator delivered an event for node %d at %v, which is not this host's node or is inside the window ending %v", r.cfg.ID, rev.Node, rev.Time, lbts)
+		}
+		fn, desc := r.net.DeliverEvent(rev.Node, rev.Pkt)
+		r.in = append(r.in, sim.Event{Time: rev.Time, Src: rev.Src, Seq: rev.Seq, Node: rev.Node, Fn: fn, Desc: desc})
+	}
+	return r.in, nil
+}
+
+// Reduce is the window all-reduce: the local minimum up, the global one
+// down (the engine derives the LBTS, bounded by the stop time) or the end
+// of the run. The live batch rides the min message.
+func (r *rank) Reduce(local sim.Time) (allMin, bound sim.Time, err error) {
+	e := &envelope{Kind: kMin, Host: r.cfg.ID, Min: local}
+	if r.side != nil {
+		// The engine is quiescent here, so reading the sampler's closed
+		// buckets is race-free; LiveDelta never touches open buckets,
+		// keeping the final gather rows byte-identical.
+		if s := r.net.Sampler(); s != nil {
+			r.side.Rows = s.LiveDelta()
+		}
+		e.Side, r.side = r.side, &Sideband{Rounds: r.side.Rounds, Events: r.side.Events}
+	}
+	start := time.Now()
+	if err := r.c.send(e); err != nil {
+		return 0, 0, fmt.Errorf("dist: sending min: %w", err)
+	}
+	in, err := r.c.recvAny()
+	if err != nil {
+		return 0, 0, fmt.Errorf("dist: window: %w", err)
+	}
+	r.note.AllReduceNS = time.Since(start).Nanoseconds()
+	switch in.Kind {
+	case kWindow:
+		return in.Min, r.cfg.StopAt, nil
+	case kDone:
+		return sim.MaxTime, sim.MaxTime, nil
+	case kAbort:
+		return 0, 0, fmt.Errorf("dist: coordinator aborted the run: %s", in.Err)
+	}
+	return 0, 0, fmt.Errorf("dist: %s: expected %v or %v, got %v", r.c.peer, kWindow, kDone, in.Kind)
+}
+
+// save is the checkpoint hook: the engine calls it at the quiescent point
+// of every CheckpointEvery-th round, the same rounds on every host.
+func (r *rank) save(ks *sim.KernelState) error {
+	start := time.Now()
+	n, err := r.cfg.Ckpt.Save(CheckpointFile(r.cfg.CheckpointDir, ks.Round, r.cfg.ID), ks)
+	r.note.CkptNS, r.note.CkptBytes = time.Since(start).Nanoseconds(), uint64(n)
+	return err
+}
+
+func (r *rank) BeginRun(obs.RunMeta) {}
+func (r *rank) EndRun(*sim.RunStats) {}
+
+// OnRound completes the engine's record of a round with the remote events
+// it exchanged, the all-reduce that closed it, the dial retries (on the
+// first) and the snapshot taken at its end. Under Live a copy joins the
+// batch under the host's id, one worker lane per rank at the coordinator.
+func (r *rank) OnRound(rec *obs.RoundRecord) {
+	n := &r.note
+	rec.Sends, rec.SendBytes, rec.Recvs, rec.AllReduceNS = n.Sends, n.Sends*obs.EventBytes, n.Recvs, n.AllReduceNS
+	rec.Retries, rec.CkptNS, rec.CkptBytes = n.Retries, n.CkptNS, n.CkptBytes
+	n.Retries, n.CkptNS, n.CkptBytes = 0, 0, 0
+	if r.side != nil {
+		r.side.Rounds++
+		r.side.Events += rec.Events
+		r.side.Recs = append(r.side.Recs, *rec)
+		r.side.Recs[len(r.side.Recs)-1].Worker = r.cfg.ID
+	}
 }

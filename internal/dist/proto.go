@@ -2,10 +2,12 @@
 // kernel's outer synchronization implemented over real TCP sockets
 // (standing in for the paper's MPI, DESIGN.md §1). A coordinator and H
 // simulation hosts — separate processes or separate goroutines — each
-// build the same deterministic model, execute only the events of their
-// own nodes, ship cross-host packet arrivals over the wire with their
-// deterministic identities (Time, Src, Seq), and advance through globally
-// agreed LBTS windows computed by an all-reduce at the coordinator.
+// build the same deterministic model. A host runs it as one rank of
+// internal/core's round engine, its own nodes' LP alone resident (DESIGN.md
+// §5.1); this package is what lies between the ranks: the host's core.Wire,
+// which ships cross-host packet arrivals with their deterministic identities
+// (Time, Src, Seq) and agrees LBTS windows by an all-reduce, the protocol
+// it speaks, and the coordinator at the centre of the star.
 //
 // Because remote events carry the same identity a local event would have,
 // a distributed run produces bit-identical results to the sequential
@@ -84,10 +86,10 @@ type RemoteEvent struct {
 // previous min (Worker rewritten to the host id, so the coordinator's
 // merged view has one telemetry stream per rank), the netobs rows closed
 // since then, and the host's cumulative progress counters for rank
-// liveness. It is collected at the round boundary — the host's loop is
-// single-threaded and quiescent there — and it rides a message the
-// protocol sends anyway, so the live path adds no extra round trips and
-// never changes the simulation.
+// liveness. It is filled by the host's probe and sent from its engine's
+// phase-4 serial section — quiescent, and on the same goroutine — and it
+// rides a message the protocol sends anyway, so the live path adds no extra
+// round trips and never changes the simulation.
 type Sideband struct {
 	Recs   []obs.RoundRecord
 	Rows   []netobs.Row

@@ -59,5 +59,5 @@ func (k *BarrierKernel) Run(m *sim.Model) (*sim.RunStats, error) {
 	}
 	return core.RunStatic(m, k.Name(), part, core.Config{
 		CacheWays: k.CacheWays, RecordRounds: k.RecordRounds, MaxRounds: k.MaxRounds, Observe: k.Observe,
-	})
+	}, nil)
 }
