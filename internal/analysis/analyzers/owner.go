@@ -41,8 +41,11 @@ declared at the consuming call site with a mandatory reason:
 A bare //unison:owner transfer with no reason is itself a diagnostic.
 
 A third side, //unison:owner checkpoint, marks quiesced single-owner
-access points — Checkpointer.CkptSave/CkptLoad and friends, which run
-at a round barrier while no worker goroutine is active. Calls to
+access points — Checkpointer.CkptSave/CkptLoad and friends. A load runs
+before any worker exists. A save runs in the round engine's save phase:
+behind the phase-4 barrier, with nothing simulating, each layer's
+CkptSave on whichever parked worker claimed it, so a layer still has
+one owner though several layers are saved at once. Calls to
 checkpoint-side functions never conflict with either ring side, and
 the body of a checkpoint-side function may itself touch both ends.
 
@@ -60,8 +63,9 @@ const (
 	sideProducer
 	sideConsumer
 	// sideCheckpoint marks a quiesced single-owner access point (a
-	// Checkpointer save/load running at a round barrier): exempt from
-	// mixing checks on both the call and declaration side.
+	// Checkpointer load, or a save on the one worker that claimed the
+	// layer in the save phase): exempt from mixing checks on both the call
+	// and declaration side.
 	sideCheckpoint
 )
 

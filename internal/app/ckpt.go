@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"path/filepath"
-	"time"
 
 	"unison/internal/ckpt"
 	"unison/internal/obs"
@@ -94,28 +93,21 @@ func CheckpointPath(dir string, r uint64) string {
 // synchronization rounds (and, for the null-message kernel, at every
 // multiple of everyTime) the kernel quiesces and writes
 // dir/ckpt-r<round>.uckpt atomically through t. A non-nil probe receives
-// one RoundRecord per snapshot carrying its duration and size.
+// one RoundRecord per snapshot carrying its size and for how long it held
+// the kernel's workers.
 func EnableCheckpoints(m *sim.Model, t *ckpt.Target, dir string, every uint64, everyTime sim.Time, probe obs.Probe) {
 	if m.Ckpt == nil {
 		m.Ckpt = &sim.CkptHook{}
 	}
 	m.Ckpt.Every = every
 	m.Ckpt.EveryTime = everyTime
-	m.Ckpt.Save = func(ks *sim.KernelState) error {
-		start := time.Now() //unison:wallclock-ok checkpoint duration telemetry for obs.RoundRecord.CkptNS
-		n, err := t.Save(CheckpointPath(dir, ks.Round), ks)
-		if err != nil {
-			return err
-		}
-		if probe != nil {
-			rec := obs.RoundRecord{
-				Round: ks.Round, LBTS: ks.Now,
-				CkptNS:    time.Since(start).Nanoseconds(), //unison:wallclock-ok checkpoint duration telemetry for obs.RoundRecord.CkptNS
-				CkptBytes: uint64(n),
-			}
+	m.Ckpt.NewSaver = t.Saver(func(r uint64) string { return CheckpointPath(dir, r) })
+	m.Ckpt.Saved = nil
+	if probe != nil {
+		m.Ckpt.Saved = func(ks *sim.KernelState, heldNS, bytes int64) {
+			rec := obs.RoundRecord{Round: ks.Round, LBTS: ks.Now, CkptNS: heldNS, CkptBytes: uint64(bytes)}
 			probe.OnRound(&rec)
 		}
-		return nil
 	}
 }
 

@@ -7,14 +7,17 @@
 //	magic "UCKPT" | u16 version | u64 config hash
 //	repeat: u8 name length | name bytes | u32 payload length | payload
 //	section "end" with an empty payload
-//	u64 FNV-1a checksum of every preceding byte
+//	u32 CRC-32C (Castagnoli) of every preceding byte
 //
 // All integers are little-endian. The section names and payloads are
 // produced by the layers themselves through the Checkpointer interface;
 // the kernel-owned state (pending events, sequence counters, progress
-// counters) is the "kernel" section written by Target. Pending events
-// serialize through their sim.EvDesc descriptors; the kind tags are
-// allocated in ranges per layer:
+// counters) is the "kernel" section, which comes first. A file is encoded
+// once, in place: every section goes straight into a buffer of the saver a
+// kernel run owns (Target.Saver), length patched in afterwards, and the
+// buffers are written out one after another. Pending events serialize
+// through their sim.EvDesc descriptors; the kind tags are allocated in
+// ranges per layer:
 //
 //	0x01xx internal/netdev   0x02xx internal/tcp
 //	0x03xx internal/app      0x04xx reserved (dist reuses netdev's)
@@ -26,13 +29,13 @@
 package ckpt
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"unison/internal/sim"
 	"unison/internal/stats"
@@ -41,7 +44,9 @@ import (
 // Version is the current checkpoint format version. Readers reject any
 // other version outright: snapshots are short-lived crash-recovery
 // artifacts, not archival data, so there is no cross-version migration.
-const Version uint16 = 1
+const Version uint16 = 2
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 var magic = [5]byte{'U', 'C', 'K', 'P', 'T'}
 
@@ -51,9 +56,11 @@ var magic = [5]byte{'U', 'C', 'K', 'P', 'T'}
 const maxSection = 1 << 30
 
 // Checkpointer is one stateful layer's hook pair. Save must not mutate
-// the layer; Load fully overwrites the layer's dynamic state. Both run
-// in a serial section: the checkpoint machinery is the single owner of
-// every layer while a snapshot is taken or restored.
+// the layer; Load fully overwrites the layer's dynamic state. Both run at a
+// quiescent point, where nothing simulates: a restore is the single owner
+// of every layer, and a save reads every layer at once, each on whichever
+// parked worker claimed it, so a Save may share no scratch with another
+// layer's.
 type Checkpointer interface {
 	// CkptName is the layer's section name, unique within a Target.
 	CkptName() string
@@ -72,27 +79,51 @@ type EventDecoder interface {
 
 // --- Encoder ---
 
-// Enc is an append-only little-endian encoder.
+// Enc is an append-only little-endian encoder. A counting Enc stores
+// nothing and adds up what it is given: how a saver sizes a buffer it is
+// about to fill for the first time.
 type Enc struct {
-	buf []byte
+	buf      []byte
+	counting bool
+	size     int
 }
 
 // Bytes returns the encoded buffer.
 func (e *Enc) Bytes() []byte { return e.buf }
 
 // U8 appends one byte.
-func (e *Enc) U8(v uint8) { e.buf = append(e.buf, v) }
+func (e *Enc) U8(v uint8) {
+	if e.counting {
+		e.size++
+		return
+	}
+	e.buf = append(e.buf, v)
+}
 
 // U16 appends a little-endian uint16.
-func (e *Enc) U16(v uint16) { e.buf = append(e.buf, byte(v), byte(v>>8)) }
+func (e *Enc) U16(v uint16) {
+	if e.counting {
+		e.size += 2
+		return
+	}
+	e.buf = append(e.buf, byte(v), byte(v>>8))
+}
 
 // U32 appends a little-endian uint32.
 func (e *Enc) U32(v uint32) {
+	if e.counting {
+		e.size += 4
+		return
+	}
 	e.buf = append(e.buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 }
 
 // U64 appends a little-endian uint64.
 func (e *Enc) U64(v uint64) {
+	if e.counting {
+		e.size += 8
+		return
+	}
 	e.buf = append(e.buf,
 		byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
 		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
@@ -117,11 +148,14 @@ func (e *Enc) Bool(v bool) {
 }
 
 // F64 appends a float64 by bits.
-func (e *Enc) F64(v float64) { e.U64(bitsOf(v)) }
+func (e *Enc) F64(v float64) { e.U64(math.Float64bits(v)) }
 
-// Bytes appends a length-prefixed byte slice.
-func (e *Enc) Blob(b []byte) {
-	e.U32(uint32(len(b)))
+// raw appends b as it is.
+func (e *Enc) raw(b string) {
+	if e.counting {
+		e.size += len(b)
+		return
+	}
 	e.buf = append(e.buf, b...)
 }
 
@@ -133,6 +167,61 @@ func (e *Enc) Summary(s *stats.Summary) {
 	e.F64(s.Max)
 	e.F64(s.MeanAcc)
 	e.F64(s.M2Acc)
+}
+
+// len is how many bytes e holds, or has counted.
+func (e *Enc) len() int {
+	if e.counting {
+		return e.size
+	}
+	return len(e.buf)
+}
+
+// section opens a section of a payload length known now, or patched in by
+// endSection once the payload is there; it returns where the length sits.
+func (e *Enc) section(name string, payload int) (lenAt int, err error) {
+	if len(name) == 0 || len(name) > 255 {
+		return 0, fmt.Errorf("ckpt: bad section name %q", name)
+	}
+	if payload > maxSection {
+		return 0, fmt.Errorf("ckpt: section %q exceeds %d bytes", name, maxSection)
+	}
+	e.U8(uint8(len(name)))
+	e.raw(name)
+	lenAt = e.len()
+	e.U32(uint32(payload))
+	return lenAt, nil
+}
+
+// endSection closes the section opened at lenAt over everything appended
+// since.
+func (e *Enc) endSection(name string, lenAt int) error {
+	payload := e.len() - lenAt - 4
+	if payload > maxSection {
+		return fmt.Errorf("ckpt: section %q exceeds %d bytes", name, maxSection)
+	}
+	if !e.counting {
+		binary.LittleEndian.PutUint32(e.buf[lenAt:], uint32(payload))
+	}
+	return nil
+}
+
+// event appends one pending event, its descriptor encoded in place.
+func (e *Enc) event(ev *sim.Event) {
+	e.Time(ev.Time)
+	e.I32(int32(ev.Src))
+	e.U64(ev.Seq)
+	e.I32(int32(ev.Node))
+	e.U16(ev.Desc.CkptKind())
+	if e.counting {
+		e.buf = ev.Desc.CkptEncode(e.buf[:0])
+		e.size += 4 + len(e.buf)
+		return
+	}
+	lenAt := len(e.buf)
+	e.U32(0)
+	e.buf = ev.Desc.CkptEncode(e.buf)
+	binary.LittleEndian.PutUint32(e.buf[lenAt:], uint32(len(e.buf)-lenAt-4))
 }
 
 // SummaryBytes is the encoded size of one stats.Summary.
@@ -233,7 +322,7 @@ func (d *Dec) Time() sim.Time { return sim.Time(d.I64()) }
 func (d *Dec) Bool() bool { return d.U8() != 0 }
 
 // F64 reads a float64 by bits.
-func (d *Dec) F64() float64 { return floatOf(d.U64()) }
+func (d *Dec) F64() float64 { return math.Float64frombits(d.U64()) }
 
 // Summary reads a stats.Summary.
 func (d *Dec) Summary() stats.Summary {
@@ -273,67 +362,22 @@ func (d *Dec) Count(minBytes int) int {
 
 // --- File format ---
 
-type section struct {
-	name    string
-	payload []byte
-}
-
-// Writer accumulates sections and writes the final file image.
-type Writer struct {
-	configHash uint64
-	sections   []section
-}
-
-// NewWriter returns a writer for a checkpoint with the given config hash.
-func NewWriter(configHash uint64) *Writer { return &Writer{configHash: configHash} }
-
-// Section adds one named section.
-func (w *Writer) Section(name string, payload []byte) error {
-	if len(name) == 0 || len(name) > 255 {
-		return fmt.Errorf("ckpt: bad section name %q", name)
-	}
-	if len(payload) > maxSection {
-		return fmt.Errorf("ckpt: section %q exceeds %d bytes", name, maxSection)
-	}
-	w.sections = append(w.sections, section{name, payload})
-	return nil
-}
-
-// Bytes assembles the complete file image, checksum included.
-func (w *Writer) Bytes() []byte {
-	var e Enc
-	e.buf = append(e.buf, magic[:]...)
-	e.U16(Version)
-	e.U64(w.configHash)
-	for _, s := range w.sections {
-		e.U8(uint8(len(s.name)))
-		e.buf = append(e.buf, s.name...)
-		e.U32(uint32(len(s.payload)))
-		e.buf = append(e.buf, s.payload...)
-	}
-	e.U8(3)
-	e.buf = append(e.buf, "end"...)
-	e.U32(0)
-	h := fnv.New64a()
-	h.Write(e.buf)
-	e.U64(h.Sum64())
-	return e.buf
-}
-
-// WriteFile writes the image atomically: a temp file in the target
-// directory, synced, then renamed over path — a crash mid-write leaves
-// either the old checkpoint or none, never a torn one.
-func (w *Writer) WriteFile(path string) (int64, error) {
-	img := w.Bytes()
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".uckpt-*")
+// writeFile writes the image — pieces, end to end — atomically: a temp
+// file in the target directory, synced, then renamed over path. A crash
+// mid-write leaves either the old checkpoint or none, never a torn one.
+func writeFile(path string, pieces [][]byte) (int64, error) {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".uckpt-*")
 	if err != nil {
 		return 0, fmt.Errorf("ckpt: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(img); err != nil {
-		tmp.Close()
-		return 0, fmt.Errorf("ckpt: writing %s: %w", path, err)
+	var n int64
+	for _, p := range pieces {
+		if _, err := tmp.Write(p); err != nil {
+			tmp.Close()
+			return 0, fmt.Errorf("ckpt: writing %s: %w", path, err)
+		}
+		n += int64(len(p))
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
@@ -345,37 +389,32 @@ func (w *Writer) WriteFile(path string) (int64, error) {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return 0, fmt.Errorf("ckpt: %w", err)
 	}
-	return int64(len(img)), nil
+	return n, nil
 }
 
 // File is a parsed checkpoint image.
 type File struct {
 	ConfigHash uint64
-	sections   []section
+	sections   map[string][]byte // of sections sharing a name, the first
 }
 
 // Parse validates the header, checksum and section framing of img.
 func Parse(img []byte) (*File, error) {
-	if len(img) < len(magic)+2+8+8 {
+	if len(img) < len(magic)+2+8+4 {
 		return nil, errors.New("ckpt: file too short")
 	}
-	body, sum := img[:len(img)-8], img[len(img)-8:]
-	h := fnv.New64a()
-	h.Write(body)
-	d := NewDec(sum)
-	if got := d.U64(); got != h.Sum64() {
-		return nil, fmt.Errorf("ckpt: checksum mismatch (file %016x, computed %016x) — truncated or corrupted checkpoint", got, h.Sum64())
-	}
-	d = NewDec(body)
-	var m [5]byte
-	copy(m[:], d.take(len(magic), "magic"))
-	if d.Err() != nil || m != magic {
+	body, sum := img[:len(img)-4], binary.LittleEndian.Uint32(img[len(img)-4:])
+	d := NewDec(body)
+	if string(d.take(len(magic), "magic")) != string(magic[:]) {
 		return nil, errors.New("ckpt: bad magic — not a checkpoint file")
 	}
 	if v := d.U16(); v != Version {
 		return nil, fmt.Errorf("ckpt: unsupported format version %d (this build reads %d)", v, Version)
 	}
-	f := &File{ConfigHash: d.U64()}
+	if want := crc32.Checksum(body, castagnoli); sum != want {
+		return nil, fmt.Errorf("ckpt: checksum mismatch (file %08x, computed %08x) — truncated or corrupted checkpoint", sum, want)
+	}
+	f := &File{ConfigHash: d.U64(), sections: map[string][]byte{}}
 	for {
 		nameLen := int(d.U8())
 		name := string(d.take(nameLen, "section name"))
@@ -389,7 +428,9 @@ func Parse(img []byte) (*File, error) {
 			}
 			return f, nil
 		}
-		f.sections = append(f.sections, section{name, payload})
+		if _, dup := f.sections[name]; !dup {
+			f.sections[name] = payload
+		}
 	}
 }
 
@@ -404,20 +445,16 @@ func ReadFile(path string) (*File, error) {
 
 // Section returns the named section's payload.
 func (f *File) Section(name string) ([]byte, bool) {
-	for _, s := range f.sections {
-		if s.name == name {
-			return s.payload, true
-		}
-	}
-	return nil, false
+	payload, ok := f.sections[name]
+	return payload, ok
 }
 
 // --- Target: one process's full snapshot ---
 
 // Target aggregates the stateful layers of one simulation process. The
-// same Target serves both directions: Save writes a file from a kernel
-// snapshot, Load reads one back into freshly built (identically
-// configured) layers.
+// same Target serves both directions: the savers it makes write files from
+// a kernel's quiescent points, Load reads one back into freshly built
+// (identically configured) layers.
 type Target struct {
 	// ConfigHash guards restores: it must hash everything the snapshot
 	// does NOT carry (topology, seeds, stop time, kernel choice), since a
@@ -430,25 +467,154 @@ type Target struct {
 	Decoders []EventDecoder
 }
 
-// Save writes the kernel snapshot plus every layer to path. It returns
-// the file size for observability accounting.
-func (t *Target) Save(path string, ks *sim.KernelState) (int64, error) {
-	w := NewWriter(t.ConfigHash)
-	var ke Enc
-	encodeKernel(&ke, ks)
-	if err := w.Section("kernel", ke.Bytes()); err != nil {
+// Saver returns a sim.CkptHook's NewSaver: every saver it makes writes a
+// run's snapshot of round r to path(r). A saver owns every buffer its saves
+// encode into and fills them again from save to save, so a run's second and
+// later saves allocate nothing, and the memory goes when the run drops the
+// saver — the Target holds none of it.
+func (t *Target) Saver(path func(round uint64) string) func() sim.CkptSaver {
+	return func() sim.CkptSaver { return &saver{t: t, path: path} }
+}
+
+// felsPerJob is how many of the kernel's event lists one job encodes. An
+// LP's list is a few hundred events: 64 of them are enough work to claim at
+// once and few enough that the jobs of a k=8 fat-tree still spread over
+// every worker.
+const felsPerJob = 64
+
+// saver is the one encoder: whoever drives it (sim.CkptRun), from one
+// goroutine or from all of a round engine's, the same bytes come out.
+type saver struct {
+	t    *Target
+	path func(round uint64) string
+	ks   *sim.KernelState
+	// jobs are the independent parts of a snapshot in file order, which puts
+	// the large ones first: the kernel section's events in runs of
+	// felsPerJob lists, then one whole section per layer.
+	jobs       []saveJob
+	runs       int      // how many of jobs are runs of lists
+	head, tail Enc      // what frames the jobs: file header and kernel section head; end section and checksum
+	pieces     [][]byte // the image in file order
+}
+
+// saveJob is one job's encoder and outcome. An append writes its slice
+// header back, and neighbouring jobs are other workers': the padding keeps
+// any two on different cache lines.
+type saveJob struct {
+	enc    Enc
+	events int // in a run of lists
+	err    error
+	_      [64]byte
+}
+
+func (s *saver) Start(ks *sim.KernelState) int {
+	s.ks = ks
+	if s.jobs == nil {
+		s.runs = (ks.FELs + felsPerJob - 1) / felsPerJob
+		s.jobs = make([]saveJob, s.runs+len(s.t.Layers))
+	}
+	return len(s.jobs)
+}
+
+func (s *saver) Job(i int, scratch []sim.Event) []sim.Event {
+	j := &s.jobs[i]
+	e := &j.enc
+	if cap(e.buf) == 0 {
+		// The run's first save: growing an empty buffer to megabytes costs
+		// several times the encode, so count first. The slack is for layers
+		// that grow as the run goes on.
+		*e = Enc{counting: true}
+		if scratch, _, j.err = s.encode(i, e, scratch); j.err != nil {
+			return scratch
+		}
+		*e = Enc{buf: make([]byte, 0, e.size+e.size/8)}
+	}
+	e.buf = e.buf[:0]
+	scratch, j.events, j.err = s.encode(i, e, scratch)
+	return scratch
+}
+
+// encode is job i: the events of a run of lists, each as the kernel hands
+// it over, or a layer's section.
+func (s *saver) encode(i int, e *Enc, scratch []sim.Event) (_ []sim.Event, events int, err error) {
+	if i >= s.runs {
+		l := s.t.Layers[i-s.runs]
+		name := l.CkptName()
+		lenAt, err := e.section(name, 0)
+		if err != nil {
+			return scratch, 0, err
+		}
+		if err := l.CkptSave(e); err != nil {
+			return scratch, 0, fmt.Errorf("ckpt: saving %s: %w", name, err)
+		}
+		return scratch, 0, e.endSection(name, lenAt)
+	}
+	for f := i * felsPerJob; f < min((i+1)*felsPerJob, s.ks.FELs); f++ {
+		scratch = s.ks.FEL(f, scratch[:0])
+		for k := range scratch {
+			if scratch[k].Desc == nil {
+				return scratch, 0, NoDesc(&scratch[k])
+			}
+			e.event(&scratch[k])
+		}
+		events += len(scratch)
+	}
+	return scratch, events, nil
+}
+
+// image frames the encoded jobs into the file image, checksum included,
+// and returns it piece by piece.
+func (s *saver) image() ([][]byte, error) {
+	ks := s.ks
+	events, payload := 0, 8+8+8+8+4+8*len(ks.Seqs)+4
+	for i := range s.jobs {
+		j := &s.jobs[i]
+		if j.err != nil {
+			return nil, j.err
+		}
+		if i < s.runs {
+			events += j.events
+			payload += len(j.enc.buf)
+		}
+	}
+	h := &s.head
+	h.buf = append(h.buf[:0], magic[:]...)
+	h.U16(Version)
+	h.U64(s.t.ConfigHash)
+	if _, err := h.section("kernel", payload); err != nil {
+		return nil, err
+	}
+	h.U64(ks.Round)
+	h.U64(ks.Events)
+	h.Time(ks.Now)
+	h.Time(ks.EndTime)
+	h.U32(uint32(len(ks.Seqs)))
+	for _, q := range ks.Seqs {
+		h.U64(q)
+	}
+	h.U32(uint32(events))
+	t := &s.tail
+	t.buf = append(t.buf[:0], 3, 'e', 'n', 'd', 0, 0, 0, 0) // the end section
+
+	s.pieces = append(s.pieces[:0], h.buf)
+	for i := range s.jobs {
+		s.pieces = append(s.pieces, s.jobs[i].enc.buf)
+	}
+	var sum uint32
+	for _, p := range s.pieces {
+		sum = crc32.Update(sum, castagnoli, p)
+	}
+	t.U32(crc32.Update(sum, castagnoli, t.buf))
+	s.pieces = append(s.pieces, t.buf)
+	return s.pieces, nil
+}
+
+func (s *saver) Commit() (int64, error) {
+	pieces, err := s.image()
+	if err != nil {
 		return 0, err
 	}
-	for _, l := range t.Layers {
-		var e Enc
-		if err := l.CkptSave(&e); err != nil {
-			return 0, fmt.Errorf("ckpt: saving %s: %w", l.CkptName(), err)
-		}
-		if err := w.Section(l.CkptName(), e.Bytes()); err != nil {
-			return 0, err
-		}
-	}
-	return w.WriteFile(path)
+	return writeFile(s.path(s.ks.Round), pieces)
 }
 
 // Load reads path into the Target's layers and returns the kernel
@@ -492,29 +658,6 @@ func (t *Target) LoadFile(f *File) (*sim.KernelState, error) {
 		return nil, fmt.Errorf("ckpt: loading kernel section: %w", d.Err())
 	}
 	return ks, nil
-}
-
-func encodeKernel(e *Enc, ks *sim.KernelState) {
-	e.U64(ks.Round)
-	e.U64(ks.Events)
-	e.Time(ks.Now)
-	e.Time(ks.EndTime)
-	e.U32(uint32(len(ks.Seqs)))
-	for _, s := range ks.Seqs {
-		e.U64(s)
-	}
-	e.U32(uint32(len(ks.Queue)))
-	for i := range ks.Queue {
-		ev := &ks.Queue[i]
-		e.Time(ev.Time)
-		e.I32(int32(ev.Src))
-		e.U64(ev.Seq)
-		e.I32(int32(ev.Node))
-		e.U16(ev.Desc.CkptKind())
-		var de Enc
-		de.buf = ev.Desc.CkptEncode(de.buf)
-		e.Blob(de.Bytes())
-	}
 }
 
 func (t *Target) decodeKernel(d *Dec) (*sim.KernelState, error) {
@@ -571,25 +714,6 @@ func (t *Target) decodeEvent(kind uint16, payload []byte) (sim.Proc, sim.EvDesc,
 	return nil, nil, fmt.Errorf("no decoder for event kind %#04x", kind)
 }
 
-// SortQueue sorts pending events by the deterministic total order so the
-// encoded bytes of a snapshot are themselves deterministic.
-func SortQueue(evs []sim.Event) {
-	sort.Slice(evs, func(i, j int) bool { return evs[i].Before(&evs[j]) })
-}
-
-// CheckQueue is the common prologue of every kernel's Save: it verifies
-// each pending event carries a descriptor and sorts the queue into the
-// deterministic total order so the snapshot bytes are reproducible.
-func CheckQueue(evs []sim.Event) error {
-	for i := range evs {
-		if evs[i].Desc == nil {
-			return NoDesc(&evs[i])
-		}
-	}
-	SortQueue(evs)
-	return nil
-}
-
 // NoDesc returns the error kernels and layers report when a pending
 // event cannot be serialized: the feature that scheduled it (dynamic
 // topology scripts, progress tickers, custom apps) does not support
@@ -597,6 +721,3 @@ func CheckQueue(evs []sim.Event) error {
 func NoDesc(ev *sim.Event) error {
 	return fmt.Errorf("ckpt: pending event at %v on node %d has no descriptor — a model feature that does not support checkpointing scheduled it", ev.Time, ev.Node)
 }
-
-func bitsOf(f float64) uint64  { return math.Float64bits(f) }
-func floatOf(b uint64) float64 { return math.Float64frombits(b) }

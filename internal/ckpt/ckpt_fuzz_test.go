@@ -64,30 +64,43 @@ func fuzzTarget() *Target {
 	}
 }
 
-// validImage builds a well-formed checkpoint image entirely in memory.
-func validImage(t testing.TB) []byte {
-	t.Helper()
-	w := NewWriter(0xfeedface)
-	var ke Enc
-	encodeKernel(&ke, &sim.KernelState{
+// validState is the kernel's side of validImage: two pending events in one
+// list.
+func validState() *sim.KernelState {
+	return &sim.KernelState{
 		Round: 3, Events: 1234, Now: 500, EndTime: 499,
 		Seqs: []uint64{7, 8, 9},
-		Queue: []sim.Event{
-			{Time: 510, Src: 1, Seq: 4, Node: 2, Desc: fuzzDesc{a: 42}},
-			{Time: 520, Src: 0, Seq: 5, Node: 0, Desc: fuzzDesc{a: 43}},
+		FELs: 1,
+		FEL: func(_ int, dst []sim.Event) []sim.Event {
+			return append(dst,
+				sim.Event{Time: 510, Src: 1, Seq: 4, Node: 2, Desc: fuzzDesc{a: 42}},
+				sim.Event{Time: 520, Src: 0, Seq: 5, Node: 0, Desc: fuzzDesc{a: 43}})
 		},
-	})
-	if err := w.Section("kernel", ke.Bytes()); err != nil {
+	}
+}
+
+// encodeImage runs one save of ks through s, job by job, and returns the
+// framed image in one piece.
+func encodeImage(t testing.TB, s *saver, ks *sim.KernelState) []byte {
+	t.Helper()
+	var scratch []sim.Event
+	for i, n := 0, s.Start(ks); i < n; i++ {
+		scratch = s.Job(i, scratch)
+	}
+	pieces, err := s.image()
+	if err != nil {
 		t.Fatal(err)
 	}
-	var le Enc
-	if err := (&fuzzLayer{vals: []uint64{1, 2, 3}}).CkptSave(&le); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Section("fuzz-layer", le.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	return w.Bytes()
+	return bytes.Join(pieces, nil)
+}
+
+// validImage builds a well-formed checkpoint image entirely in memory,
+// through the encoder every kernel saves with.
+func validImage(t testing.TB) []byte {
+	t.Helper()
+	tgt := fuzzTarget()
+	tgt.Layers[0].(*fuzzLayer).vals = []uint64{1, 2, 3}
+	return encodeImage(t, &saver{t: tgt}, validState())
 }
 
 func TestValidImageRoundTrips(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"unison/internal/ckpt"
 	"unison/internal/eventq"
 	"unison/internal/metrics"
 	"unison/internal/obs"
@@ -190,6 +189,14 @@ type Engine struct {
 
 	cache *metrics.CacheModel
 
+	// saves is the run's checkpoint path, nil without a hook. While saving,
+	// phase 4 has found a snapshot due and the save phase is open: saveJobs
+	// encode jobs, claimed through saveCursor by every thread of the run.
+	saves      *sim.CkptRun
+	saving     bool
+	saveJobs   int
+	saveCursor atomic.Int64
+
 	workers []workerState
 
 	// sh is read a few times per round at most; it sits last, off the
@@ -318,6 +325,7 @@ func NewEngine(m *sim.Model, sh Shape) (*Engine, error) {
 		e.next[i], lp.depth = lp.fel.NextTime(), int32(lp.fel.Len())
 		e.depth += int64(lp.depth)
 	}
+	e.saves = m.Ckpt.Open("core", e.seqs, n+1, e.snapshot)
 	obs.Begin(sh.Cfg.Observe, obs.RunMeta{Kernel: sh.Name, Workers: workers, LPs: n})
 	// The first window is the phase-4 computation for round 0.
 	e.done = !e.openWindow()
@@ -562,8 +570,9 @@ func (t *Thread) Receive(lpIdx int32) (n, depth int) {
 }
 
 // Advance is phase 4, run with every LP quiescent and received: count the
-// round, reschedule, then either end the run or open the next window. It
-// reports whether the LP orders were re-sorted.
+// round, reschedule, then either end the run or open the next window, and a
+// save phase with it when a snapshot is due (Saving). It reports whether the
+// LP orders were re-sorted.
 func (e *Engine) Advance() (resorted bool) {
 	e.round++
 	if e.sh.Cfg.Observe != nil {
@@ -578,41 +587,48 @@ func (e *Engine) Advance() (resorted bool) {
 	case e.sh.Cfg.MaxRounds > 0 && e.round >= e.sh.Cfg.MaxRounds:
 		e.done = true
 		e.err = errors.New("core: MaxRounds exceeded")
-	default:
-		if hook := e.m.Ckpt; hook.SaveEvery(e.round) {
-			// This is the quiescent point: every staged event has been
-			// delivered and the new window has not started.
-			if err := e.saveCkpt(); err != nil {
-				e.err = err
-				e.done = true
-			}
-		}
+	case e.saves.Due(e.round):
+		// This is the quiescent point: every staged event has been
+		// delivered and the new window has not started. The driver runs the
+		// save phase before anyone enters it.
+		events, end := e.totals()
+		e.saving, e.saveJobs = true, e.saves.Begin(e.round, events, e.lbts, end)
+		e.saveCursor.Store(0)
 	}
 	return resorted
 }
 
-// saveCkpt snapshots the merged FELs through the model's checkpoint
-// hook. Only called from Advance.
-func (e *Engine) saveCkpt() error {
-	var queue []sim.Event
-	for i := range e.lps {
-		queue = e.lps[i].fel.Snapshot(queue)
+// snapshot appends the events of list i of a snapshot: LP i's FEL, or, last,
+// the public LP's.
+func (e *Engine) snapshot(i int, dst []sim.Event) []sim.Event {
+	if i == len(e.lps) {
+		return e.pub.Snapshot(dst)
 	}
-	queue = e.pub.Snapshot(queue)
-	if err := ckpt.CheckQueue(queue); err != nil {
-		return fmt.Errorf("core: %w", err)
+	return e.lps[i].fel.Snapshot(dst)
+}
+
+// Saving reports whether Advance opened a save phase. The driver then has
+// every thread call Save and, when all have returned, one call EndSave,
+// before the next round starts; a single thread does both in turn.
+func (e *Engine) Saving() bool { return e.saving }
+
+// Save is the save phase for one thread: it claims and runs the open
+// snapshot's encode jobs until none is left. Any thread may take any job —
+// the LPs are quiescent and a job only reads.
+func (t *Thread) Save() {
+	e := t.e
+	for i := e.saveCursor.Add(1) - 1; i < int64(e.saveJobs); i = e.saveCursor.Add(1) - 1 {
+		t.recv = e.saves.Job(int(i), t.recv)
 	}
-	ks := &sim.KernelState{
-		Round: e.round,
-		Now:   e.lbts,
-		Seqs:  append([]uint64(nil), e.seqs...),
-		Queue: queue,
+}
+
+// EndSave closes the save phase: the snapshot is framed and written. A
+// failure ends the run.
+func (e *Engine) EndSave() {
+	e.saving = false
+	if e.err = e.saves.Commit(); e.err != nil {
+		e.done = true
 	}
-	ks.Events, ks.EndTime = e.totals()
-	if err := e.m.Ckpt.Save(ks); err != nil {
-		return fmt.Errorf("core: checkpoint: %w", err)
-	}
-	return nil
 }
 
 // settleDepth brings the FEL-depth cache up to date with the LPs the round

@@ -30,11 +30,40 @@ func lineTopo(n int, delay sim.Time) *topology.Graph {
 }
 
 // testDesc is a checkpoint descriptor with no payload, so the test models
-// have no event a snapshot would refuse (ckpt.CheckQueue).
+// have no event a snapshot would refuse (ckpt.NoDesc).
 type testDesc struct{}
 
 func (testDesc) CkptKind() uint16             { return 0xfffe }
 func (testDesc) CkptEncode(buf []byte) []byte { return buf }
+
+// saveFunc is a checkpoint hook that hands fn every snapshot the way a
+// restore sees one: the kernel's event lists, each read by its own job,
+// merged into Queue.
+func saveFunc(every uint64, fn func(ks *sim.KernelState) error) *sim.CkptHook {
+	return &sim.CkptHook{Every: every, NewSaver: func() sim.CkptSaver { return &funcSaver{fn: fn} }}
+}
+
+type funcSaver struct {
+	fn    func(ks *sim.KernelState) error
+	ks    *sim.KernelState
+	lists [][]sim.Event
+}
+
+func (s *funcSaver) Start(ks *sim.KernelState) int {
+	s.ks, s.lists = ks, make([][]sim.Event, ks.FELs)
+	return ks.FELs
+}
+
+func (s *funcSaver) Job(i int, scratch []sim.Event) []sim.Event {
+	s.lists[i] = s.ks.FEL(i, nil)
+	return scratch
+}
+
+func (s *funcSaver) Commit() (int64, error) {
+	flat := *s.ks
+	flat.Queue = slices.Concat(s.lists...)
+	return 0, s.fn(&flat)
+}
 
 // relayModel passes a token down the chain `laps` times.
 func relayModel(g *topology.Graph, delay sim.Time, laps int) (*sim.Model, *uint64) {
@@ -249,14 +278,14 @@ func TestEngineShapes(t *testing.T) {
 			// barrier-1x1, whose only boundaries are the global events).
 			sm := newSparseModel(64, 500)
 			var snap *sim.KernelState
-			sm.Ckpt = &sim.CkptHook{Every: 1, Save: func(ks *sim.KernelState) error {
+			sm.Ckpt = saveFunc(1, func(ks *sim.KernelState) error {
 				if snap == nil && ks.Now >= 40*500 {
 					cp := *ks
 					cp.Seqs, cp.Queue = slices.Clone(ks.Seqs), slices.Clone(ks.Queue)
 					snap = &cp
 				}
 				return nil
-			}}
+			})
 			st, err := sh.kernel(64, core.Config{}).Run(sm.Model)
 			if err == nil {
 				err = sm.log.equals(want, st, wantSt)
@@ -292,14 +321,14 @@ func TestEngineShapes(t *testing.T) {
 			// A snapshot taken at the same point counts them independently.
 			sm := newSparseModel(64, 500)
 			pending := map[uint64]uint64{}
-			sm.Ckpt = &sim.CkptHook{Every: 1, Save: func(ks *sim.KernelState) error {
+			sm.Ckpt = saveFunc(1, func(ks *sim.KernelState) error {
 				for _, ev := range ks.Queue {
 					if ev.Node != sim.GlobalNode {
 						pending[ks.Round-1]++
 					}
 				}
 				return nil
-			}}
+			})
 			probe := &depthProbe{sum: map[uint64]uint64{}}
 			if _, err := sh.kernel(64, core.Config{Observe: probe}).Run(sm.Model); err != nil {
 				t.Fatal(err)
@@ -329,10 +358,10 @@ func TestEngineShapes(t *testing.T) {
 			m, count := relayModel(lineTopo(8, 500), 500, 1_000_000)
 			withStop(m, 100_000, 1000)
 			saves := 0
-			m.Ckpt = &sim.CkptHook{Every: 3, Save: func(*sim.KernelState) error {
+			m.Ckpt = saveFunc(3, func(*sim.KernelState) error {
 				saves++
 				return boom
-			}}
+			})
 			_, err := sh.kernel(8, core.Config{}).Run(m)
 			if !errors.Is(err, boom) {
 				t.Fatalf("err=%v, want the Save error wrapped", err)
@@ -410,7 +439,7 @@ func TestProbeBeginEndPaired(t *testing.T) {
 			outcome{sh.name + "/ckpt-save-error", func(p obs.Probe) error {
 				m, _ := relayModel(lineTopo(8, 500), 500, 1_000_000)
 				withStop(m, 100_000, 1000)
-				m.Ckpt = &sim.CkptHook{Every: 3, Save: func(*sim.KernelState) error { return boom }}
+				m.Ckpt = saveFunc(3, func(*sim.KernelState) error { return boom })
 				_, err := sh.kernel(8, core.Config{Observe: p}).Run(m)
 				return err
 			}, true},
@@ -426,7 +455,8 @@ func TestProbeBeginEndPaired(t *testing.T) {
 		outcome{"nullmsg/ckpt-save-error", func(p obs.Probe) error {
 			m, _ := relayModel(lineTopo(8, 500), 500, 1_000_000)
 			withStop(m, 100_000, 0)
-			m.Ckpt = &sim.CkptHook{EveryTime: 10_000, Save: func(*sim.KernelState) error { return boom }}
+			m.Ckpt = saveFunc(0, func(*sim.KernelState) error { return boom })
+			m.Ckpt.EveryTime = 10_000
 			_, err := (&pdes.NullMessageKernel{LPOf: halves(8), Observe: p}).Run(m)
 			return err
 		}, true},

@@ -245,6 +245,13 @@ func (l *live) workerLoop(w int, t *Thread) {
 		// Phase 4 fuses into the barrier the same way: the last arriver
 		// updates the window, reschedules LPs and decides termination.
 		l.bar.WaitSerial(l.phase4)
+		if l.Saving() {
+			// A checkpoint round: the workers phase 4 would have left parked
+			// encode the snapshot between them, and the last one done writes
+			// it. The stall is synchronization time, like phase 4 itself.
+			t.Save()
+			l.bar.WaitSerial(l.EndSave)
+		}
 		s2 := sw.Lap()
 		times.S += s2
 		if probe != nil {

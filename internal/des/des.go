@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"time"
 
-	"unison/internal/ckpt"
 	"unison/internal/eventq"
 	"unison/internal/metrics"
 	"unison/internal/obs"
@@ -83,8 +82,9 @@ func (k *Kernel) Run(m *sim.Model) (*sim.RunStats, error) {
 	// only fires at the next timestamp boundary (every pending event
 	// strictly after the last executed one), where zero-delay closures
 	// cannot be in flight (DESIGN.md §11).
+	saves := hook.Open("des", seqs, 1, func(_ int, dst []sim.Event) []sim.Event { return fel.Snapshot(dst) })
 	nextCkpt := uint64(0)
-	if hook != nil && hook.Save != nil && hook.Every > 0 {
+	if saves != nil && hook.Every > 0 {
 		nextCkpt = events + hook.Every
 	}
 	var progRound, progEvents, nextProg uint64
@@ -95,7 +95,7 @@ func (k *Kernel) Run(m *sim.Model) (*sim.RunStats, error) {
 	for !fel.Empty() {
 		if nextCkpt > 0 && events >= nextCkpt && fel.NextTime() > now {
 			round++
-			if err := k.save(hook, fel, seqs, round, events, now); err != nil {
+			if err := saves.Save(round, events, fel.NextTime(), now); err != nil {
 				return nil, err
 			}
 			nextCkpt = events + hook.Every
@@ -157,24 +157,4 @@ func (k *Kernel) Run(m *sim.Model) (*sim.RunStats, error) {
 	}
 	obs.End(k.Observe, st)
 	return st, nil
-}
-
-// save snapshots the quiescent FEL through the model's checkpoint hook.
-func (k *Kernel) save(hook *sim.CkptHook, fel *eventq.Queue, seqs sim.SeqTable, round, events uint64, now sim.Time) error {
-	queue := fel.Snapshot(nil)
-	if err := ckpt.CheckQueue(queue); err != nil {
-		return fmt.Errorf("des: %w", err)
-	}
-	ks := &sim.KernelState{
-		Round:   round,
-		Events:  events,
-		Now:     fel.NextTime(),
-		EndTime: now,
-		Seqs:    append([]uint64(nil), seqs...),
-		Queue:   queue,
-	}
-	if err := hook.Save(ks); err != nil {
-		return fmt.Errorf("des: checkpoint: %w", err)
-	}
-	return nil
 }

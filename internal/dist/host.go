@@ -148,7 +148,10 @@ func RunHost(cfg HostConfig, m *sim.Model, network *netdev.Network, mon *flowmon
 	if cfg.Live {
 		r.side = &Sideband{}
 	}
-	m.Ckpt = &sim.CkptHook{Every: cfg.CheckpointEvery, Save: r.save}
+	m.Ckpt = &sim.CkptHook{Every: cfg.CheckpointEvery, Saved: r.saved}
+	if cfg.Ckpt != nil {
+		m.Ckpt.NewSaver = cfg.Ckpt.Saver(func(round uint64) string { return CheckpointFile(cfg.CheckpointDir, round, cfg.ID) })
+	}
 	if cfg.RestoreFrom != "" {
 		ks, err := cfg.Ckpt.Load(cfg.RestoreFrom)
 		if err != nil {
@@ -184,7 +187,7 @@ func RunHost(cfg HostConfig, m *sim.Model, network *netdev.Network, mon *flowmon
 }
 
 // rank is a host's end of the wire: the core.Wire its engine's serial
-// sections call, the data plane's Remote hook, the checkpoint hook's Save,
+// sections call, the data plane's Remote hook, the checkpoint hook's Saved,
 // and the first probe of the host's tee, which adds to each round record
 // what only the wire knows. One worker, so one goroutine calls them all.
 type rank struct {
@@ -269,13 +272,11 @@ func (r *rank) Reduce(local sim.Time) (allMin, bound sim.Time, err error) {
 	return 0, 0, fmt.Errorf("dist: %s: expected %v or %v, got %v", r.c.peer, kWindow, kDone, in.Kind)
 }
 
-// save is the checkpoint hook: the engine calls it at the quiescent point
-// of every CheckpointEvery-th round, the same rounds on every host.
-func (r *rank) save(ks *sim.KernelState) error {
-	start := time.Now()
-	n, err := r.cfg.Ckpt.Save(CheckpointFile(r.cfg.CheckpointDir, ks.Round, r.cfg.ID), ks)
-	r.note.CkptNS, r.note.CkptBytes = time.Since(start).Nanoseconds(), uint64(n)
-	return err
+// saved is the checkpoint hook's report of the snapshot the engine took at
+// the quiescent point of a CheckpointEvery-th round, the same rounds on
+// every host.
+func (r *rank) saved(_ *sim.KernelState, heldNS, bytes int64) {
+	r.note.CkptNS, r.note.CkptBytes = heldNS, uint64(bytes)
 }
 
 func (r *rank) BeginRun(obs.RunMeta) {}

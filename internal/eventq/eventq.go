@@ -15,7 +15,11 @@
 // the kernels' hottest data structure roughly in half.
 package eventq
 
-import "unison/internal/sim"
+import (
+	"slices"
+
+	"unison/internal/sim"
+)
 
 // entry is one heap node: the deterministic comparison key and the arena
 // slot of the event's payload. Pointer-free by construction.
@@ -216,17 +220,25 @@ func (q *Queue) down(i int) {
 	q.h[i] = e
 }
 
-// Drain appends all events to dst in arbitrary order and clears the queue.
+// Drain appends all events to dst as Snapshot does and clears the queue.
 func (q *Queue) Drain(dst []sim.Event) []sim.Event {
 	dst = q.Snapshot(dst)
 	q.Clear()
 	return dst
 }
 
-// Snapshot appends all pending events to dst in arbitrary order without
-// modifying the queue. Checkpointing uses this to read a quiescent FEL;
-// callers sort the result by the deterministic total order themselves.
+// Snapshot appends all pending events to dst in the deterministic total
+// order, which is how checkpointing reads a quiescent FEL. The queue keeps
+// its events but not their layout: the heap's array is sorted where it
+// stands — a sorted array is a heap, and pops the same sequence — so the
+// sort needs no scratch and moves 24-byte keys, not events.
 func (q *Queue) Snapshot(dst []sim.Event) []sim.Event {
+	slices.SortFunc(q.h, func(a, b entry) int {
+		if a.before(&b) {
+			return -1
+		}
+		return 1
+	})
 	for i := range q.h {
 		e := &q.h[i]
 		s := &q.arena[e.idx]

@@ -115,6 +115,42 @@ func TestClearAndDrain(t *testing.T) {
 	}
 }
 
+// TestSnapshotSortsInPlace: a snapshot comes out in the total order, and
+// the queue — its array now sorted, which is still a heap — goes on popping
+// and taking pushes exactly as an untouched twin does.
+func TestSnapshotSortsInPlace(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	q, twin := New(0), New(0)
+	for i := 0; i < 1000; i++ {
+		e := ev(sim.Time(r.Intn(50)), sim.NodeID(r.Intn(4)), uint64(i))
+		q.Push(e)
+		twin.Push(e)
+	}
+	for i := 0; i < 300; i++ {
+		q.Pop()
+		twin.Pop()
+	}
+	snap := q.Snapshot(nil)
+	if len(snap) != 700 || q.Len() != 700 {
+		t.Fatalf("snapshot of %d events, queue left with %d; want 700", len(snap), q.Len())
+	}
+	for i := 1; i < len(snap); i++ {
+		if !snap[i-1].Before(&snap[i]) {
+			t.Fatalf("snapshot out of order at %d: %+v then %+v", i, snap[i-1], snap[i])
+		}
+	}
+	for i := 0; q.Len() > 0; i++ {
+		if i%3 == 0 {
+			e := ev(sim.Time(50+r.Intn(50)), 9, uint64(i))
+			q.Push(e)
+			twin.Push(e)
+		}
+		if got, want := q.Pop(), twin.Pop(); got.Time != want.Time || got.Src != want.Src || got.Seq != want.Seq {
+			t.Fatalf("pop %d after the snapshot: got %+v, the untouched queue gave %+v", i, got, want)
+		}
+	}
+}
+
 // TestHeapPropertyQuick is a property test: for random insertion orders,
 // popping yields the (Time, Src, Seq) sorted order.
 func TestHeapPropertyQuick(t *testing.T) {

@@ -2,7 +2,7 @@ package flowmon
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"unison/internal/ckpt"
 	"unison/internal/packet"
@@ -79,7 +79,7 @@ func (m *Monitor) CkptSave(e *ckpt.Enc) error {
 	for id := range m.oSenders {
 		sIDs = append(sIDs, id)
 	}
-	sort.Slice(sIDs, func(i, j int) bool { return sIDs[i] < sIDs[j] })
+	slices.Sort(sIDs)
 	e.U32(uint32(len(sIDs)))
 	for _, id := range sIDs {
 		e.U32(uint32(id))
@@ -89,7 +89,7 @@ func (m *Monitor) CkptSave(e *ckpt.Enc) error {
 	for id := range m.oRecvs {
 		rIDs = append(rIDs, id)
 	}
-	sort.Slice(rIDs, func(i, j int) bool { return rIDs[i] < rIDs[j] })
+	slices.Sort(rIDs)
 	e.U32(uint32(len(rIDs)))
 	for _, id := range rIDs {
 		e.U32(uint32(id))

@@ -87,8 +87,9 @@ type RoundRecord struct {
 	// on its first record).
 	Retries uint64 `json:"retries,omitempty"`
 	// CkptNS and CkptBytes report a checkpoint taken at the end of this
-	// round: wall time spent serializing and writing the snapshot, and
-	// the snapshot file size. Zero when no checkpoint was taken.
+	// round: the wall time it held the kernel's workers, from the
+	// quiescent point being found to the file being in place, and the
+	// snapshot file size. Zero when no checkpoint was taken.
 	CkptNS    int64  `json:"ckpt_ns,omitempty"`
 	CkptBytes uint64 `json:"ckpt_bytes,omitempty"`
 }

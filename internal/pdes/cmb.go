@@ -33,6 +33,8 @@ type Ranks struct {
 	epoch      uint64
 	baseEvents uint64
 	baseEnd    sim.Time
+
+	saves *sim.CkptRun // the run's checkpoint path, nil without a hook
 }
 
 // Rank is one rank's protocol state. It is the sim.Sink of its own events.
@@ -138,6 +140,7 @@ func NewRanks(m *sim.Model, part *core.Partition, cacheWays int) (*Ranks, error)
 		to.clock[p.a] = 0
 	}
 
+	rs.saves = m.Ckpt.Open("pdes", rs.seqs, len(rs.ranks)+1, rs.snapshot)
 	seed := m.Init
 	if hook := m.Ckpt; hook != nil && hook.Restore != nil {
 		ks := hook.Restore

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"unison/internal/ckpt"
 	"unison/internal/core"
 	"unison/internal/metrics"
 	"unison/internal/obs"
@@ -119,7 +118,7 @@ func (k *NullMessageKernel) Run(m *sim.Model) (*sim.RunStats, error) {
 	}
 	hook := m.Ckpt
 	ckptEvery := sim.Time(0)
-	if hook != nil && hook.Save != nil && hook.EveryTime > 0 {
+	if rs.saves != nil && hook.EveryTime > 0 {
 		ckptEvery = hook.EveryTime
 	}
 
@@ -178,32 +177,24 @@ func (k *NullMessageKernel) Run(m *sim.Model) (*sim.RunStats, error) {
 // the event trajectory is unchanged (RunStats.Rounds, the null-message
 // count, is the one scheduling-dependent statistic).
 func (rs *Ranks) saveCkpt(now sim.Time) error {
-	var queue []sim.Event
-	for _, r := range rs.ranks {
-		queue = r.fel.Snapshot(queue)
+	events, end := rs.totals()
+	return rs.saves.Save(rs.epoch, events, now, end)
+}
+
+// snapshot appends the events of list i of a snapshot: rank i's FEL, or,
+// last, the stop event. That one keeps the snapshot portable: kernels that
+// schedule the stop globally need it back in the queue; this kernel skips
+// it on restore just as it does at setup.
+func (rs *Ranks) snapshot(i int, dst []sim.Event) []sim.Event {
+	if i < len(rs.ranks) {
+		return rs.ranks[i].fel.Snapshot(dst)
 	}
 	for _, ev := range rs.m.Init {
 		if ev.Node == sim.GlobalNode && ev.Time == rs.m.StopAt {
-			// Keep the snapshot portable: kernels that schedule the stop
-			// globally need it back in the queue; this kernel skips it on
-			// restore just as it does at setup.
-			queue = append(queue, ev)
+			dst = append(dst, ev)
 		}
 	}
-	if err := ckpt.CheckQueue(queue); err != nil {
-		return fmt.Errorf("pdes: %w", err)
-	}
-	ks := &sim.KernelState{
-		Round: rs.epoch,
-		Now:   now,
-		Seqs:  append([]uint64(nil), rs.seqs...),
-		Queue: queue,
-	}
-	ks.Events, ks.EndTime = rs.totals()
-	if err := rs.m.Ckpt.Save(ks); err != nil {
-		return fmt.Errorf("pdes: checkpoint: %w", err)
-	}
-	return nil
+	return dst
 }
 
 // rankLoop drives rank r through one segment: every iteration takes what
