@@ -13,6 +13,7 @@
 package unison_test
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"unison"
@@ -104,6 +105,31 @@ func benchKernel(b *testing.B, mk func() sim.Kernel) {
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 }
 
+// TestKernelAllocBudget holds one Unison(4) run of the benchmark workload,
+// set-up included (what BenchmarkKernelUnison4 reports as allocs/op), to an
+// allocation budget: ≈ 3 730 today, nearly all of it set-up, for ≈ 65 000
+// events. A count is not perturbed by the scheduler the way a timing is, so
+// it is asserted here and not compared between runs; one allocation per
+// event or per hop overshoots it several times over.
+func TestKernelAllocBudget(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("the race detector's own allocations are counted")
+			}
+		}
+	}
+	const budget = 4100 // today's count + 10 %
+	got := testing.AllocsPerRun(3, func() {
+		if _, err := core.New(core.Config{Threads: 4}).Run(benchScenario(42).Model()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > budget {
+		t.Errorf("Unison(4) run of the benchmark workload: %.0f allocations, budget %d", got, budget)
+	}
+}
+
 func BenchmarkKernelSequential(b *testing.B) {
 	benchKernel(b, func() sim.Kernel { return des.New() })
 }
@@ -182,3 +208,4 @@ func BenchmarkFlowMonSharedVsOwned(b *testing.B) {
 }
 
 func BenchmarkExtTCPOptions(b *testing.B) { benchExperiment(b, "tcpopts") }
+func BenchmarkExtScaleSweep(b *testing.B) { benchExperiment(b, "scale") }

@@ -20,6 +20,7 @@ import (
 	"os"
 
 	"unison"
+	"unison/internal/obs"
 	"unison/internal/obs/live"
 	"unison/internal/sim"
 	"unison/internal/trace"
@@ -124,9 +125,14 @@ func main() {
 	if *traceF != "" {
 		b.Sim.Net.Tracer = trace.NewCollector(b.G.N(), 0)
 	}
+	// A bundle carries the kernel's worker lanes, so a run that writes one
+	// is observed by a registry (which only records: same result hash).
 	var sampler *unison.NetSampler
+	var reg *obs.Registry
 	if sc.Artifacts.Dir != "" {
 		_, sampler = b.Sim.EnableNetObs(sc.Artifacts.Interval.T(), 0)
+		reg = obs.NewRegistry(0)
+		b.Observe = reg
 	}
 
 	var lsess *live.Session
@@ -137,7 +143,7 @@ func main() {
 			os.Exit(1)
 		}
 		lsess.SetLinger(*lingerD)
-		b.Observe = lsess.Probe()
+		b.Observe = obs.Tee(b.Observe, lsess.Probe())
 		b.Progress = liveProgressEvery
 		fmt.Printf("live        http://%s/live\n", lsess.Server.Addr())
 	}
@@ -222,7 +228,7 @@ func main() {
 		fmt.Printf("trace       %d records -> %s\n", b.Sim.Net.Tracer.Count(), *traceF)
 	}
 	if sc.Artifacts.Dir != "" {
-		bundle := b.Bundle("unisim", st, sampler)
+		bundle := b.Bundle("unisim", st, sampler, reg)
 		files, err := bundle.Write(sc.Artifacts.Dir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "unisim: artifacts: %v\n", err)

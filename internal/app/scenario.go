@@ -16,7 +16,7 @@ import (
 // A Scenario is the declarative description of one simulation: topology,
 // workload (statistical traffic and/or a collective), protocol stack,
 // kernel and artifact knobs, loadable from a single JSON file.
-// It is the one documented contract all four CLIs (unisim, unibench,
+// It is the one documented contract the three CLIs that run one (unisim,
 // uniexp, unidist) consume through their shared -scenario flag; per-CLI
 // flags are overrides layered on top (Overrides). Build resolves a
 // Scenario into a runnable Sim.
@@ -76,7 +76,7 @@ type TopologySpec struct {
 
 // RoutingSpec selects the routing protocol.
 type RoutingSpec struct {
-	// Kind: ecmp (default) | nix | rip.
+	// Kind: ecmp (default) | rip.
 	Kind string `json:"kind,omitempty"`
 	// Metric: hops (default) | delay. Ignored by rip.
 	Metric string `json:"metric,omitempty"`
@@ -378,9 +378,9 @@ func (sc *Scenario) Validate() error {
 		return fmt.Errorf("scenario: unknown topology.kind %q", sc.Topology.Kind)
 	}
 	switch sc.Routing.Kind {
-	case "", "ecmp", "nix", "rip":
+	case "", "ecmp", "rip":
 	default:
-		return fmt.Errorf("scenario: unknown routing.kind %q", sc.Routing.Kind)
+		return fmt.Errorf("scenario: unknown routing.kind %q (ecmp | rip)", sc.Routing.Kind)
 	}
 	switch sc.Routing.Metric {
 	case "", "hops", "delay":

@@ -308,8 +308,6 @@ func buildRouter(sc *Scenario, g *topology.Graph) (routing.Router, *routing.RIP,
 	switch sc.Routing.Kind {
 	case "", "ecmp":
 		return routing.NewECMP(g, metric, sc.Seed), nil, nil
-	case "nix":
-		return routing.NewNix(g, metric), nil, nil
 	case "rip":
 		period := sc.Routing.Period.T()
 		if period <= 0 {
@@ -378,13 +376,11 @@ func (b *Built) RunKernel(m *sim.Model) (*sim.RunStats, error) {
 
 // Bundle assembles the run-artifact bundle for a finished run: metadata,
 // kernel stats, the flow monitor, sampler rows, optional packet trace,
-// and the collective report when the scenario carries one. The sampler
-// is flushed here; pass nil when observability was not enabled.
-func (b *Built) Bundle(tool string, st *sim.RunStats, sampler *netobs.Sampler) *netobs.Bundle {
-	threads := b.Scenario.Kernel.Threads
-	if threads <= 0 {
-		threads = 4
-	}
+// the collective report when the scenario carries one, and the kernel
+// worker lanes of the registry that observed the run. The sampler is
+// flushed here; pass a nil sampler or registry when that side was not
+// enabled.
+func (b *Built) Bundle(tool string, st *sim.RunStats, sampler *netobs.Sampler, reg *obs.Registry) *netobs.Bundle {
 	bw := b.Scenario.Topology.BwGbps
 	if bw <= 0 {
 		bw = 10
@@ -392,7 +388,7 @@ func (b *Built) Bundle(tool string, st *sim.RunStats, sampler *netobs.Sampler) *
 	out := &netobs.Bundle{
 		Meta: netobs.Meta{
 			Tool: tool, Kernel: st.Kernel, Topology: b.Scenario.Topology.Kind,
-			Seed: b.Scenario.Seed, Workers: threads, StopNS: int64(b.Scenario.Stop),
+			Seed: b.Scenario.Seed, Workers: len(st.Workers), StopNS: int64(b.Scenario.Stop),
 			Flows: b.Sim.Mon.Flows(),
 		},
 		Stats:        st,
@@ -409,6 +405,9 @@ func (b *Built) Bundle(tool string, st *sim.RunStats, sampler *netobs.Sampler) *
 	}
 	if b.Sim.Net.Tracer != nil {
 		out.Trace = b.Sim.Net.Tracer.Merged()
+	}
+	if reg != nil {
+		out.KernelMeta, out.KernelRecs = reg.Meta(), reg.Records()
 	}
 	return out
 }

@@ -2,11 +2,13 @@ package app
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"unison/internal/obs"
 	"unison/internal/packet"
 	"unison/internal/sim"
 )
@@ -169,6 +171,7 @@ func TestScenarioValidation(t *testing.T) {
 		{"no workload", func(sc *Scenario) { sc.Traffic = nil }, "traffic"},
 		{"zero stop", func(sc *Scenario) { sc.Stop = 0 }, "stop"},
 		{"bad topology", func(sc *Scenario) { sc.Topology.Kind = "hypercube" }, "topology"},
+		{"removed router", func(sc *Scenario) { sc.Routing.Kind = "nix" }, `unknown routing.kind "nix" (ecmp | rip)`},
 		{"bad kernel", func(sc *Scenario) { sc.Kernel.Kind = "warp" }, "kernel"},
 		{"bad incast", func(sc *Scenario) { sc.Traffic.Incast = 1.5 }, "incast"},
 		{"negative victim", func(sc *Scenario) { v := -1; sc.Traffic.Victim = &v }, "victim"},
@@ -246,5 +249,65 @@ func TestScenarioVictimReachesGenerator(t *testing.T) {
 	}
 	if total == 0 || at*3 < total {
 		t.Fatalf("victim host 0 received %d/%d flows; incast redirect not applied", at, total)
+	}
+}
+
+// TestBundleWorkersAndKernelLanes: a bundle's meta.json names the worker
+// count that ran, not the kernel.threads default, and its Perfetto trace
+// carries the observing registry's lanes — one named kernel process, one
+// thread per worker.
+func TestBundleWorkersAndKernelLanes(t *testing.T) {
+	for _, k := range []KernelSpec{{Kind: "sequential"}, {Kind: "unison", Threads: 2}, {Kind: "barrier"}} {
+		sc := DefaultScenario()
+		sc.Stop = Duration(500 * sim.Microsecond)
+		sc.Kernel = k
+		b, err := sc.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry(0)
+		b.Observe = reg
+		st, err := b.RunKernel(b.Sim.Model())
+		if err != nil {
+			t.Fatalf("%s: %v", k.Kind, err)
+		}
+		dir := t.TempDir()
+		if _, err := b.Bundle("test", st, nil, reg).Write(dir); err != nil {
+			t.Fatal(err)
+		}
+		var meta struct{ Workers int }
+		var stats struct{ Workers []json.RawMessage }
+		var trace struct {
+			TraceEvents []struct {
+				Name string
+				Pid  int
+				Args struct{ Name string }
+			}
+		}
+		for file, v := range map[string]any{"meta.json": &meta, "run_stats.json": &stats, "trace.perfetto.json": &trace} {
+			raw, err := os.ReadFile(filepath.Join(dir, file))
+			if err == nil {
+				err = json.Unmarshal(raw, v)
+			}
+			if err != nil {
+				t.Fatalf("%s: %s: %v", k.Kind, file, err)
+			}
+		}
+		if meta.Workers != len(stats.Workers) || meta.Workers == 0 {
+			t.Errorf("%s: meta.json says %d workers, run_stats.json lists %d", k.Kind, meta.Workers, len(stats.Workers))
+		}
+		process, lanes := "", 0
+		for _, ev := range trace.TraceEvents {
+			switch {
+			case ev.Pid != obs.KernelPid:
+			case ev.Name == "process_name":
+				process = ev.Args.Name
+			case ev.Name == "thread_name":
+				lanes++
+			}
+		}
+		if process != "unison "+st.Kernel || lanes != len(stats.Workers) {
+			t.Errorf("%s: kernel process %q with %d lanes, want %q with %d", k.Kind, process, lanes, "unison "+st.Kernel, len(stats.Workers))
+		}
 	}
 }

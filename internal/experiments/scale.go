@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"fmt"
 	"strconv"
 
+	"unison/internal/app"
 	"unison/internal/core"
 	"unison/internal/dqn"
 	"unison/internal/netdev"
@@ -16,6 +18,7 @@ func init() {
 	register("fig1", fig1)
 	register("fig8a", fig8a)
 	register("fig8b", fig8b)
+	register("scale", scale)
 }
 
 // clusterSpec builds the paper's clustered fat-tree (Fig 1 style:
@@ -191,3 +194,63 @@ func fig8b(cfg Config) (*Table, error) {
 }
 
 func itoa(v int) string { return strconv.Itoa(v) }
+
+// scaleScenario is the k-ary fat-tree every scale figure is taken on:
+// 1 Gbps links, gRPC flow sizes at load 0.3 until half of a 40 ms run,
+// flows pulled from the generator as virtual time advances (nothing
+// materialized up front).
+func scaleScenario(k int, seed uint64) *app.Scenario {
+	sc := app.DefaultScenario()
+	sc.Seed = seed
+	sc.Stop = app.Duration(40 * sim.Millisecond)
+	sc.Topology.K = k
+	sc.Topology.BwGbps = 1
+	sc.Traffic.Load = 0.3
+	sc.Traffic.End = sc.Stop / 2
+	sc.Traffic.Stream = true
+	return sc
+}
+
+// scale — the k × cores table of the unison-testbed evaluation (rows are
+// topologies, columns core counts, cells speedup over sequential DES) on
+// the streaming workload path, in virtual time: a pure function of the
+// seed, so the k=8 rows are pinned by TestScaleGolden.
+func scale(cfg Config) (*Table, error) {
+	ks := []int{8, 16}
+	if cfg.Quick {
+		ks = []int{8}
+	}
+	t := &Table{
+		ID:      "scale",
+		Title:   "Streaming fat-tree k x cores on the virtual testbed (virtual ms)",
+		Columns: []string{"k", "nodes", "flows", "events", "cores", "sequential", "unison", "speedup"},
+	}
+	ms := func(st *sim.RunStats) string { return strconv.FormatFloat(float64(st.VirtualT)/1e6, 'f', -1, 64) }
+	run := func(k int, vc vtime.Config) (*sim.RunStats, *app.Built, error) {
+		b, err := scaleScenario(k, cfg.Seed).Build()
+		if err != nil {
+			return nil, nil, err
+		}
+		st, err := vtime.Run(b.Sim.Model(), vc)
+		if err != nil {
+			return nil, nil, fmt.Errorf("k=%d %s: %w", k, vc.Algo, err)
+		}
+		return st, b, nil
+	}
+	for _, k := range ks {
+		seq, _, err := run(k, vtime.Config{Algo: vtime.Sequential})
+		if err != nil {
+			return nil, err
+		}
+		for _, c := range []int{8, 16} {
+			uni, b, err := run(k, vtime.Config{Algo: vtime.Unison, Cores: c})
+			if err != nil {
+				return nil, err
+			}
+			t.AddRow(k, b.G.N(), b.Flows, uni.Events, c, ms(seq), ms(uni),
+				fmt.Sprintf("%.2f", vtime.Speedup(seq, uni)))
+		}
+	}
+	t.Note("unison-testbed (real hardware, No MTP / MTP seconds): 15.2x and 40.2x at k=8, 17.5x and 29.7x at k=16, for c=8 and 16")
+	return t, nil
+}

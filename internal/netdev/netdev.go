@@ -163,8 +163,8 @@ func (n *Network) AttachSampler(s *netobs.Sampler) {
 // Sampler returns the attached sampler, or nil.
 func (n *Network) Sampler() *netobs.Sampler { return n.sampler }
 
-// MemStats is the data plane's self-reported memory footprint, used by
-// unibench's scale accounting.
+// MemStats is the data plane's self-reported memory footprint, held to a
+// budget by experiments.TestScaleMemoryBudget.
 type MemStats struct {
 	Devices     int   `json:"devices"`      // link endpoints
 	DeviceBytes int64 `json:"device_bytes"` // flat device array

@@ -279,8 +279,8 @@ func (s *State) Ingest(ev obs.BusEvent) {
 		if n < 1 {
 			n = 1
 		}
-		// A new BeginRun (unibench runs kernels back to back) resets the
-		// per-run view but keeps tool/stopAt wiring.
+		// A new BeginRun (uniexp -scenario runs kernels back to back)
+		// resets the per-run view but keeps tool/stopAt wiring.
 		s.workers = make([]workerAgg, n)
 		s.events = 0
 		s.rounds = 0

@@ -1,14 +1,10 @@
 // Package routing provides the routing substrates the paper's models rely
-// on: static shortest-path tables with ECMP, NIx-vector-style cached
-// on-demand source routes (with the atomic cache-invalidation behaviour
-// §5.1 describes), and a RIP-like distance-vector protocol for the
-// dynamic-routing WAN scenarios.
+// on: static shortest-path tables with ECMP and a RIP-like distance-vector
+// protocol for the dynamic-routing WAN scenarios.
 package routing
 
 import (
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"unison/internal/packet"
 	"unison/internal/rng"
@@ -277,112 +273,4 @@ func (h *distHeap) pop() nodeDist {
 	}
 	*h = a
 	return top
-}
-
-// Nix is a NIx-vector-style router (Riley et al.): routes are computed on
-// demand per (src, dst) pair and cached globally. The cache is shared
-// across logical processes; as in the paper's thread-safety work (§5.1),
-// staleness is tracked with an atomic topology-version stamp and the slow
-// (compute) path takes a mutex while the hot path is a lock-free read of
-// an immutable snapshot.
-type Nix struct {
-	g       *topology.Graph
-	metric  Metric
-	version atomic.Uint64
-	cache   atomic.Pointer[map[uint64][]topology.LinkID]
-	mu      sync.Mutex // guards the slow path, search included
-	hits    atomic.Uint64
-	misses  atomic.Uint64
-	search  search
-}
-
-// NewNix returns a NIx-vector router over g.
-func NewNix(g *topology.Graph, metric Metric) *Nix {
-	n := &Nix{g: g, metric: metric}
-	empty := map[uint64][]topology.LinkID{}
-	n.cache.Store(&empty)
-	n.version.Store(g.Version())
-	return n
-}
-
-// Recompute invalidates the cache (the "dirty" flag flip).
-func (n *Nix) Recompute() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	empty := map[uint64][]topology.LinkID{}
-	n.cache.Store(&empty)
-	n.version.Store(n.g.Version())
-}
-
-// Stats returns cache hit/miss counters.
-func (n *Nix) Stats() (hits, misses uint64) { return n.hits.Load(), n.misses.Load() }
-
-// NextLink walks the cached source route: the vector stores, for every
-// node on the path, the output link to take.
-func (n *Nix) NextLink(at sim.NodeID, p *packet.Packet) (topology.LinkID, bool) {
-	key := uint64(uint32(p.Src))<<32 | uint64(uint32(p.Dst))
-	m := *n.cache.Load()
-	vec, ok := m[key]
-	if !ok {
-		n.misses.Add(1)
-		vec = n.compute(key, p.Src, p.Dst)
-		if vec == nil {
-			return topology.NoLink, false
-		}
-	} else {
-		n.hits.Add(1)
-	}
-	// The packet's hop count indexes the vector.
-	if int(p.Hops) >= len(vec) {
-		return topology.NoLink, false
-	}
-	l := vec[p.Hops]
-	if !n.g.Links[l].Up {
-		return topology.NoLink, false
-	}
-	return l, true
-}
-
-func (n *Nix) compute(key uint64, src, dst sim.NodeID) []topology.LinkID {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	m := *n.cache.Load()
-	if vec, ok := m[key]; ok {
-		return vec
-	}
-	dist := n.search.run(n.g, dst, n.metric)
-	if dist[src] < 0 {
-		return nil
-	}
-	var vec []topology.LinkID
-	cur := src
-	for cur != dst {
-		var best topology.LinkID = topology.NoLink
-		var bestPeer sim.NodeID
-		for _, l := range n.g.Nodes[cur].Links {
-			lk := &n.g.Links[l]
-			if !lk.Up {
-				continue
-			}
-			u := lk.Other(cur)
-			if dist[u] >= 0 && dist[u]+linkCost(lk, n.metric) == dist[cur] {
-				if best == topology.NoLink || u < bestPeer {
-					best, bestPeer = l, u
-				}
-			}
-		}
-		if best == topology.NoLink {
-			return nil
-		}
-		vec = append(vec, best)
-		cur = bestPeer
-	}
-	// Copy-on-write publish so readers never see a map under mutation.
-	next := make(map[uint64][]topology.LinkID, len(m)+1)
-	for k, v := range m {
-		next[k] = v
-	}
-	next[key] = vec
-	n.cache.Store(&next)
-	return vec
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
-	"sync"
 	"testing"
 	"unsafe"
 
@@ -223,88 +222,6 @@ func TestECMPDelayMetric(t *testing.T) {
 	}
 	if h := walk(g, byDelay, a, b, 1); h != 4 {
 		t.Fatalf("delay-metric path %d, want 4", h)
-	}
-}
-
-func TestNixDeliversAndCaches(t *testing.T) {
-	ft := topology.BuildFatTree(topology.FatTreeK(4, 1e9, sim.Microsecond))
-	nx := NewNix(ft.Graph, Hops)
-	a, b := ft.Clusters[0][0], ft.Clusters[3][3]
-	if h := walk(ft.Graph, nx, a, b, 5); h != 6 {
-		t.Fatalf("nix path length %d, want 6", h)
-	}
-	_, m1 := nx.Stats()
-	if h := walk(ft.Graph, nx, a, b, 5); h != 6 {
-		t.Fatalf("second walk failed: %d", h)
-	}
-	_, m2 := nx.Stats()
-	if m2 != m1 {
-		t.Fatalf("second walk recomputed the route: misses %d -> %d", m1, m2)
-	}
-	hits, _ := nx.Stats()
-	if hits == 0 {
-		t.Fatal("no cache hits recorded")
-	}
-}
-
-func TestNixInvalidatedByRecompute(t *testing.T) {
-	ft := topology.BuildFatTree(topology.FatTreeK(4, 1e9, sim.Microsecond))
-	nx := NewNix(ft.Graph, Hops)
-	a, b := ft.Clusters[0][0], ft.Clusters[1][0]
-	walk(ft.Graph, nx, a, b, 5)
-	_, m1 := nx.Stats()
-	nx.Recompute()
-	walk(ft.Graph, nx, a, b, 5)
-	_, m2 := nx.Stats()
-	if m2 <= m1 {
-		t.Fatal("Recompute did not invalidate the cache")
-	}
-}
-
-// TestNixConcurrentMisses has several goroutines miss on overlapping
-// (src, dst) pairs at once, as logical processes do: every lookup must
-// return what a router used from one goroutine returned. Run with -race.
-func TestNixConcurrentMisses(t *testing.T) {
-	ft := fatTree(4)
-	hosts := ft.Hosts()
-	serial, shared := NewNix(ft.Graph, Hops), NewNix(ft.Graph, Hops)
-	want := map[[2]sim.NodeID]topology.LinkID{}
-	for _, src := range hosts {
-		for _, dst := range hosts {
-			p := pkt(src, dst, 1)
-			want[[2]sim.NodeID{src, dst}], _ = serial.NextLink(src, &p)
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := range hosts {
-				for _, dst := range hosts {
-					p := pkt(hosts[(i+w)%len(hosts)], dst, 1)
-					if got, _ := shared.NextLink(p.Src, &p); got != want[[2]sim.NodeID{p.Src, dst}] {
-						t.Errorf("%d -> %d: link %d, want %d", p.Src, dst, got, want[[2]sim.NodeID{p.Src, dst}])
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-func TestNixUnreachable(t *testing.T) {
-	g := topology.New()
-	a := g.AddNode(topology.Host, "a")
-	b := g.AddNode(topology.Host, "b")
-	s := g.AddNode(topology.Switch, "s")
-	g.AddLink(a, s, 1e9, 10)
-	l := g.AddLink(s, b, 1e9, 10)
-	g.SetLinkUp(l, false)
-	nx := NewNix(g, Hops)
-	p := pkt(a, b, 1)
-	if _, ok := nx.NextLink(a, &p); ok {
-		t.Fatal("nix found a route over a down link")
 	}
 }
 

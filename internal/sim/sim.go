@@ -313,8 +313,8 @@ type Kernel interface {
 // (thread or rank): processing, synchronization (waiting), and messaging
 // time. Times are wall-clock nanoseconds for live kernels and virtual
 // nanoseconds for the virtual testbed.
-// The JSON tags are a stable contract for exported reports (unibench,
-// unidist) and external tooling; renaming them is a breaking change.
+// The JSON tags are a stable contract for exported reports (run_stats.json,
+// the live snapshot) and external tooling; renaming them is a breaking change.
 type WorkerStats struct {
 	P      int64  `json:"p_ns"`
 	S      int64  `json:"s_ns"`

@@ -218,8 +218,8 @@ type hostConns struct {
 	tab   flowTab
 }
 
-// MemStats is the transport's self-reported memory footprint, used by
-// unibench's scale accounting.
+// MemStats is the transport's self-reported memory footprint, held to a
+// budget by experiments.TestScaleMemoryBudget.
 type MemStats struct {
 	Hosts       int   `json:"hosts"`        // host nodes with connection stores
 	LiveConns   int   `json:"live_conns"`   // currently allocated records

@@ -69,7 +69,7 @@ func liveRun(t *testing.T, kernel unison.KernelSpec, attach bool) (string, *live
 	}
 
 	dir := t.TempDir()
-	if _, err := b.Bundle("livetest", st, sampler).Write(dir); err != nil {
+	if _, err := b.Bundle("livetest", st, sampler, nil).Write(dir); err != nil {
 		t.Fatal(err)
 	}
 

@@ -199,9 +199,6 @@ func NewECMP(g *Graph, metric routing.Metric, seed uint64) *routing.ECMP {
 	return routing.NewECMP(g, metric, seed)
 }
 
-// NewNix builds a NIx-vector-style cached source-route router.
-func NewNix(g *Graph, metric routing.Metric) *routing.Nix { return routing.NewNix(g, metric) }
-
 // NewRIP builds RIP state for g with the given advertisement period.
 func NewRIP(g *Graph, period Time) *RIP { return routing.NewRIP(g, period) }
 
@@ -386,17 +383,6 @@ var (
 	RestoreCheckpoint = app.Restore
 	// CheckpointPath names the snapshot file for a round in a directory.
 	CheckpointPath = app.CheckpointPath
-)
-
-// --- Memory accounting ---
-
-type (
-	// StackMemStats is the transport's self-reported footprint (arena
-	// chunks, live/peak connections, lookup-table bytes).
-	StackMemStats = tcp.MemStats
-	// NetMemStats is the data plane's self-reported footprint (device
-	// array, queue buffers, per-node state).
-	NetMemStats = netdev.MemStats
 )
 
 // Traffic patterns.
