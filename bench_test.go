@@ -13,6 +13,7 @@
 package unison_test
 
 import (
+	"reflect"
 	"runtime/debug"
 	"testing"
 
@@ -21,6 +22,8 @@ import (
 	"unison/internal/des"
 	"unison/internal/experiments"
 	"unison/internal/flowmon"
+	"unison/internal/netdev"
+	"unison/internal/obs"
 	"unison/internal/packet"
 	"unison/internal/pdes"
 	"unison/internal/sim"
@@ -107,8 +110,8 @@ func benchKernel(b *testing.B, mk func() sim.Kernel) {
 
 // TestKernelAllocBudget holds one Unison(4) run of the benchmark workload,
 // set-up included (what BenchmarkKernelUnison4 reports as allocs/op), to an
-// allocation budget: ≈ 3 730 today, nearly all of it set-up, for ≈ 65 000
-// events. A count is not perturbed by the scheduler the way a timing is, so
+// allocation budget: ≈ 1 960 today, nearly all of it set-up, for ≈ 43 000
+// events (≈ 3 730 while FELs grew to hold every timer and txDone event). A count is not perturbed by the scheduler the way a timing is, so
 // it is asserted here and not compared between runs; one allocation per
 // event or per hop overshoots it several times over.
 func TestKernelAllocBudget(t *testing.T) {
@@ -119,7 +122,7 @@ func TestKernelAllocBudget(t *testing.T) {
 			}
 		}
 	}
-	const budget = 4100 // today's count + 10 %
+	const budget = 2200 // today's count + 12 %
 	got := testing.AllocsPerRun(3, func() {
 		if _, err := core.New(core.Config{Threads: 4}).Run(benchScenario(42).Model()); err != nil {
 			t.Fatal(err)
@@ -127,6 +130,59 @@ func TestKernelAllocBudget(t *testing.T) {
 	})
 	if got > budget {
 		t.Errorf("Unison(4) run of the benchmark workload: %.0f allocations, budget %d", got, budget)
+	}
+}
+
+// felDepth is a probe that keeps the deepest FEL a sequential run reports.
+type felDepth struct{ peak uint64 }
+
+func (*felDepth) BeginRun(obs.RunMeta)         {}
+func (*felDepth) EndRun(*sim.RunStats)         {}
+func (p *felDepth) OnRound(r *obs.RoundRecord) { p.peak = max(p.peak, r.FELDepth) }
+
+// TestEventBudget holds the sequential run of the benchmark workload to what
+// it costs in events: an event is scheduled only if it will do something, so
+// nearly every one executed moves a packet or fires a timer. The counts are
+// exact — nothing here is timed — so each bound is today's count plus a few
+// percent. Today: 42 662 events for 30 276 packets transmitted (1.409 each),
+// FEL at most 611 deep, 113 timer events for 5 204 arms (0.022). The parent
+// of PR 20, where every segment sent and every new ACK pushed a
+// retransmission timer event and every frame a txDone: 65 160 events (2.152
+// each), FEL 5 006 deep, 4 251 timer events (0.817), every one popping
+// stale, and 18 360 of 30 276 txDones finding an empty queue.
+func TestEventBudget(t *testing.T) {
+	sc := benchScenario(42)
+	depth := &felDepth{}
+	st, err := (&des.Kernel{Observe: depth, ProgressEvery: 1}).Run(sc.Model())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tx uint64
+	sc.Net.Devices(func(d *netdev.Device) { tx += d.TxPackets })
+	var arms, events, superseded, earlier uint64
+	hosts := reflect.ValueOf(sc.Stack).Elem().FieldByName("hosts") // the tallies have no exported face
+	for i := 0; i < hosts.Len(); i++ {
+		n := hosts.Index(i).FieldByName("timers")
+		arms += n.FieldByName("arms").Uint()
+		events += n.FieldByName("events").Uint()
+		superseded += n.FieldByName("superseded").Uint()
+		earlier += n.FieldByName("earlier").Uint()
+	}
+	t.Logf("%d events, %d packets transmitted, peak FEL depth %d; timers: %d arms, %d events, %d superseded, %d deadlines moved earlier",
+		st.Events, tx, depth.peak, arms, events, superseded, earlier)
+	if per := float64(st.Events) / float64(tx); per > 1.45 {
+		t.Errorf("%.3f events executed per transmitted packet, budget 1.45", per)
+	}
+	if depth.peak > 640 {
+		t.Errorf("peak FEL depth %d, budget 640", depth.peak)
+	}
+	// A timer event pops superseded only because an arm moved the deadline
+	// ahead of it and put a second one: no other path may strand an event.
+	if superseded > earlier {
+		t.Errorf("%d timer events popped superseded, but only %d arms moved a deadline earlier", superseded, earlier)
+	}
+	if share := float64(events) / float64(arms); share > 0.024 {
+		t.Errorf("%d timer events executed for %d arms (%.3f), budget 0.024", events, arms, share)
 	}
 }
 

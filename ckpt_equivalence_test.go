@@ -3,6 +3,7 @@ package unison_test
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -130,6 +131,68 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 				compareArtifacts(t, tc.kernel.Name()+" restored from "+filepath.Base(f), restored, base)
 			}
 		})
+	}
+}
+
+// TestCheckpointRestoreRoundTripReservedIdentities: a restored run must
+// redeem the identities the checkpointing run had reserved and not yet
+// used. It restores from snapshots caught in the two states where those
+// exist only as layer state, not as pending events — a transmitter
+// mid-frame with no drain in the FEL (the first packet to arrive before the
+// frame ends will put it, as (node, txSeq)), and a connection timer whose
+// event pops short of its deadline (and will put itself again as (node,
+// seq)) — and requires the uninterrupted run's artifacts. The states are
+// read off the restored layers by field name: neither has an exported
+// face, and should not grow one for a test.
+func TestCheckpointRestoreRoundTripReservedIdentities(t *testing.T) {
+	base := ckptRunArtifacts(t, des.New(), "", 0, 0, "")
+	for _, tc := range []struct {
+		kernel sim.Kernel
+		every  uint64
+	}{
+		{des.New(), 1_000},
+		{core.New(core.Config{Threads: 2}), 40},
+	} {
+		dir := t.TempDir()
+		ckptRunArtifacts(t, tc.kernel, dir, tc.every, 0, "")
+		caught := 0
+		for _, f := range ckptFiles(t, dir) {
+			s := ckptScenario(t)
+			m := s.Model()
+			if err := app.Restore(m, s.CkptTarget(), f); err != nil {
+				t.Fatal(err)
+			}
+			now := int64(m.Ckpt.Restore.Now)
+			owed, short := 0, 0
+			s.Net.Devices(func(d *netdev.Device) {
+				v := reflect.ValueOf(d).Elem()
+				if v.FieldByName("freeAt").Int() > now && !v.FieldByName("busy").Bool() {
+					owed++
+				}
+			})
+			hosts := reflect.ValueOf(s.Stack).Elem().FieldByName("hosts")
+			for h := 0; h < hosts.Len(); h++ {
+				chunks := hosts.Index(h).FieldByName("arena").FieldByName("chunks")
+				for c := 0; c < chunks.Len(); c++ {
+					for i := 0; i < chunks.Index(c).Len(); i++ {
+						tm := chunks.Index(c).Index(i).FieldByName("timer")
+						if p := tm.FieldByName("pendAt").Int(); p != 0 && p < tm.FieldByName("deadline").Int() {
+							short++
+						}
+					}
+				}
+			}
+			if owed == 0 || short == 0 {
+				continue
+			}
+			caught++
+			restored := ckptRunArtifacts(t, tc.kernel, "", 0, 0, f)
+			compareArtifacts(t, tc.kernel.Name()+" restored from "+filepath.Base(f)+" (drains owed, timers short of their deadline)", restored, base)
+		}
+		t.Logf("%s: %d snapshots caught both states", tc.kernel.Name(), caught)
+		if caught < 2 {
+			t.Errorf("%s: %d snapshots caught a drain owed and a timer short of its deadline, want several", tc.kernel.Name(), caught)
+		}
 	}
 }
 

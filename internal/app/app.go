@@ -187,11 +187,13 @@ func (s *Sim) EnableNetObs(interval sim.Time, perNodeCap int) (*trace.Collector,
 
 // ScheduleTopoChange registers a global event at t that applies mutate to
 // the topology and refreshes routing — the reconfigurable-DCN primitive.
-// Kernels observe the topology version change and recompute lookahead.
+// Kernels observe the topology version change and recompute lookahead, and
+// the data plane settles the frames the change caught on a transmitter.
 func (s *Sim) ScheduleTopoChange(t sim.Time, mutate func()) {
 	s.Setup.Global(t, func(ctx *sim.Ctx) {
 		mutate()
 		s.Router.Recompute()
+		s.Net.LinkStateChanged(ctx)
 	})
 }
 

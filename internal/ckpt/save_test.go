@@ -3,6 +3,7 @@ package ckpt
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -62,12 +63,14 @@ func (l *namedLayer) CkptName() string    { return l.name }
 func (l *namedLayer) CkptSave(*Enc) error { return nil }
 func (l *namedLayer) CkptLoad(*Dec) error { return nil }
 
-func TestVersion1Rejected(t *testing.T) {
-	img := validImage(t)
-	binary.LittleEndian.PutUint16(img[len(magic):], 1)
-	_, err := Parse(img)
-	if want := "ckpt: unsupported format version 1 (this build reads 2)"; err == nil || err.Error() != want {
-		t.Fatalf("v1 header: err=%v, want %q", err, want)
+func TestOlderVersionsRejected(t *testing.T) {
+	for _, v := range []uint16{1, 2} {
+		img := validImage(t)
+		binary.LittleEndian.PutUint16(img[len(magic):], v)
+		_, err := Parse(img)
+		if want := fmt.Sprintf("ckpt: unsupported format version %d (this build reads 3)", v); err == nil || err.Error() != want {
+			t.Fatalf("v%d header: err=%v, want %q", v, err, want)
+		}
 	}
 }
 

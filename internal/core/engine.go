@@ -278,7 +278,7 @@ func NewEngine(m *sim.Model, sh Shape) (*Engine, error) {
 		workers:   make([]workerState, workers),
 	}
 	for i := range e.lps {
-		e.lps[i].fel = eventq.New(64)
+		e.lps[i].fel = eventq.New(16) // a fine-grained LP holds a handful of events; busy ones grow
 		g := e.groupOf(int32(i))
 		g.order = append(g.order, int32(i))
 	}

@@ -70,9 +70,7 @@ func (q *Queue) Empty() bool { return len(q.h) == 0 }
 // Clear removes all events without releasing storage.
 func (q *Queue) Clear() {
 	q.h = q.h[:0]
-	for i := range q.arena {
-		q.arena[i].fn = nil
-	}
+	clear(q.arena) // release closures and descriptors for GC, as Pop does
 	q.arena = q.arena[:0]
 	q.free = q.free[:0]
 }

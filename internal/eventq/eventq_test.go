@@ -115,6 +115,41 @@ func TestClearAndDrain(t *testing.T) {
 	}
 }
 
+type testDesc struct{}
+
+func (testDesc) CkptKind() uint16             { return 0 }
+func (testDesc) CkptEncode(buf []byte) []byte { return buf }
+func slotsHeld(q *Queue) (fns, descs int) {
+	for _, s := range q.arena[:cap(q.arena)] {
+		if s.fn != nil {
+			fns++
+		}
+		if s.desc != nil {
+			descs++
+		}
+	}
+	return fns, descs
+}
+
+// TestClearReleasesDescriptors: a cleared or drained queue keeps no closure
+// and no descriptor reachable from its arena — the pooled events the model
+// layers attach as descriptors must not outlive the events.
+func TestClearReleasesDescriptors(t *testing.T) {
+	for _, empty := range []func(*Queue){(*Queue).Clear, func(q *Queue) { q.Drain(nil) }} {
+		q := New(0)
+		for i := 0; i < 9; i++ {
+			e := ev(sim.Time(i), 0, uint64(i))
+			e.Fn, e.Desc = func(*sim.Ctx) {}, &testDesc{}
+			q.Push(e)
+		}
+		q.Pop()
+		empty(q)
+		if fns, descs := slotsHeld(q); fns != 0 || descs != 0 {
+			t.Fatalf("emptied queue still holds %d closures and %d descriptors", fns, descs)
+		}
+	}
+}
+
 // TestSnapshotSortsInPlace: a snapshot comes out in the total order, and
 // the queue — its array now sorted, which is still a heap — goes on popping
 // and taking pushes exactly as an untouched twin does.

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"strconv"
+
 	"unison/internal/app"
 	"unison/internal/pdes"
 	"unison/internal/sim"
@@ -40,6 +42,9 @@ func fig10a(cfg Config) (*Table, error) {
 		Title:   "2D-torus simulation time vs core count (virtual seconds)",
 		Columns: []string{"cores", "barrier", "nullmsg", "unison", "sequential"},
 	}
+	// Microsecond resolution: in quick mode the three kernels finish within a
+	// millisecond of each other, which three decimals hide.
+	us := func(st *sim.RunStats) string { return strconv.FormatFloat(secondsV(st), 'f', 6, 64) }
 	for _, c := range coreCounts {
 		manual := pdes.TorusManual(tr, c)
 		bar, _, err := vrun(spec, vtime.Config{Algo: vtime.Barrier, LPOf: manual})
@@ -54,7 +59,7 @@ func fig10a(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(c, secondsV(bar), secondsV(nm), secondsV(uni), secondsV(seq))
+		t.AddRow(c, us(bar), us(nm), us(uni), us(seq))
 	}
 	t.Note("paper: Unison outperforms both baselines by ~4x on the torus")
 	return t, nil

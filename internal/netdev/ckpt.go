@@ -8,19 +8,22 @@ import (
 	"unison/internal/sim"
 )
 
-// Checkpoint support for the data plane. The netdev layer owns two kinds
-// of pending events at a quiescent timestamp boundary — a transmission
-// completing (txDone) and a packet propagating toward a node (receive) —
+// Checkpoint support for the data plane. The netdev layer owns three kinds
+// of pending events at a quiescent timestamp boundary — a packet
+// propagating toward a node (receive), the end of a frame with a packet
+// waiting behind it (drain) and the end of a half-duplex frame (txDone) —
 // plus the external-arrival variant the distributed kernel schedules
 // (deliver). The zero-delay events of the transmit path (half-duplex
-// kicks, link-down drains) execute within their own timestamp and are
-// never pending at a boundary, so they need no descriptors.
+// kicks, link-down retries) execute within their own timestamp and are
+// never pending at a boundary, so they need no descriptors. A drain that is
+// owed but not yet put is no event: it is the device's freeAt and txSeq.
 //
 // Descriptor kind tags in the 0x01xx range (see internal/ckpt).
 const (
 	kindTxDone  uint16 = 0x0101
 	kindReceive uint16 = 0x0102
 	kindDeliver uint16 = 0x0103
+	kindDrain   uint16 = 0x0104
 )
 
 // encodePacket appends every field of p. The packet is a value type with
@@ -68,23 +71,17 @@ func decodePacket(d *ckpt.Dec) packet.Packet {
 // CkptKind implements sim.EvDesc: a pooled transmit-path event is its own
 // descriptor (it is exclusive from Get until its event fires, and a
 // checkpoint only reads it).
-func (e *pktEvt) CkptKind() uint16 {
-	if e.kind == evtTxDone {
-		return kindTxDone
-	}
-	return kindReceive
-}
+func (e *pktEvt) CkptKind() uint16 { return kindTxDone + uint16(e.kind) }
 
-// CkptEncode implements sim.EvDesc.
+// CkptEncode implements sim.EvDesc: the transmitting device, and the packet
+// unless the event is a drain, whose packet is still in the queue.
 func (e *pktEvt) CkptEncode(buf []byte) []byte {
 	enc := ckpt.AppendEnc(buf)
-	if e.kind == evtTxDone {
-		enc.I32(int32(e.dev.node))
-		enc.I32(int32(e.dev.link))
-	} else {
-		enc.I32(int32(e.at))
+	enc.I32(int32(e.dev.node))
+	enc.I32(int32(e.dev.link))
+	if e.kind != evtDrain {
+		encodePacket(enc, &e.p)
 	}
-	encodePacket(enc, &e.p)
 	return enc.Bytes()
 }
 
@@ -147,10 +144,13 @@ func (n *Network) nodeChecked(node sim.NodeID) (sim.NodeID, error) {
 // DecodeEvent implements ckpt.EventDecoder for the 0x01xx kinds.
 func (n *Network) DecodeEvent(kind uint16, d *ckpt.Dec) (sim.Proc, sim.EvDesc, bool, error) {
 	switch kind {
-	case kindTxDone:
+	case kindTxDone, kindReceive, kindDrain:
 		node := sim.NodeID(d.I32())
 		link := d.I32()
-		p := decodePacket(d)
+		var p packet.Packet
+		if kind != kindDrain {
+			p = decodePacket(d)
+		}
 		if err := d.Err(); err != nil {
 			return nil, nil, true, err
 		}
@@ -159,19 +159,7 @@ func (n *Network) DecodeEvent(kind uint16, d *ckpt.Dec) (sim.Proc, sim.EvDesc, b
 			return nil, nil, true, err
 		}
 		e := pktEvtPool.Get().(*pktEvt)
-		e.dev, e.kind, e.p = dev, evtTxDone, p
-		return e.fn, e, true, nil
-	case kindReceive:
-		at := sim.NodeID(d.I32())
-		p := decodePacket(d)
-		if err := d.Err(); err != nil {
-			return nil, nil, true, err
-		}
-		if _, err := n.nodeChecked(at); err != nil {
-			return nil, nil, true, err
-		}
-		e := pktEvtPool.Get().(*pktEvt)
-		e.net, e.at, e.kind, e.p = n, at, evtReceive, p
+		e.net, e.dev, e.kind, e.p = n, dev, uint8(kind-kindTxDone), p
 		return e.fn, e, true, nil
 	case kindDeliver:
 		at := sim.NodeID(d.I32())
@@ -312,6 +300,8 @@ func (n *Network) CkptSave(e *ckpt.Enc) error {
 	for i := range n.devs {
 		d := &n.devs[i]
 		e.Bool(d.busy)
+		e.Time(d.freeAt)
+		e.U64(d.txSeq)
 		e.U64(d.TxPackets)
 		e.U64(d.TxBytes)
 		e.U64(d.Drops)
@@ -328,6 +318,12 @@ func (n *Network) CkptSave(e *ckpt.Enc) error {
 	e.U32(uint32(len(n.nodeDrops)))
 	for _, v := range n.nodeDrops {
 		e.U64(v)
+	}
+	e.U32(uint32(len(n.lost)))
+	for _, lf := range n.lost {
+		e.I32(lf.sender)
+		e.Time(lf.end)
+		e.Time(lf.arrival)
 	}
 	return nil
 }
@@ -346,6 +342,8 @@ func (n *Network) CkptLoad(d *ckpt.Dec) error {
 	for i := range n.devs {
 		dev := &n.devs[i]
 		dev.busy = d.Bool()
+		dev.freeAt = d.Time()
+		dev.txSeq = d.U64()
 		dev.TxPackets = d.U64()
 		dev.TxBytes = d.U64()
 		dev.Drops = d.U64()
@@ -375,6 +373,17 @@ func (n *Network) CkptLoad(d *ckpt.Dec) error {
 	}
 	for i := range n.nodeDrops {
 		n.nodeDrops[i] = d.U64()
+	}
+	n.lost = n.lost[:0]
+	for i, nl := 0, d.Count(4+8+8); i < nl; i++ {
+		lf := lostFrame{sender: d.I32(), end: d.Time(), arrival: d.Time()}
+		if lf.sender < 0 || int(lf.sender) >= len(n.devs) {
+			if err := d.Err(); err != nil {
+				return err
+			}
+			return fmt.Errorf("netdev: checkpoint lost frame references device %d of %d", lf.sender, len(n.devs))
+		}
+		n.lost = append(n.lost, lf)
 	}
 	return d.Err()
 }

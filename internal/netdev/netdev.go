@@ -85,6 +85,12 @@ type Network struct {
 	// so no synchronization is needed.
 	halfBusy []bool
 
+	// lost names the frames a stateless link lost by going down while they
+	// were being serialised: the receive event their startTx scheduled finds
+	// itself here and delivers nothing. LinkStateChanged is the only writer,
+	// so any node's receive may read it.
+	lost []lostFrame
+
 	// route[at] is a per-node scratch packet for the Router interface
 	// call in forward: passing the address of a stack packet through an
 	// interface method forces the whole packet to the heap on every hop.
@@ -114,6 +120,7 @@ func New(g *topology.Graph, router routing.Router, cfg Config) *Network {
 			d.node = node
 			d.link = l.ID
 			d.queue = qalloc(node, l.ID)
+			d.freeAt = neverSent
 		}
 	}
 	return n
@@ -260,24 +267,26 @@ func (n *Network) forward(ctx *sim.Ctx, at sim.NodeID, p packet.Packet) {
 	n.Device(at, l).Send(ctx, *sp)
 }
 
-// pktEvt is a pooled event context for the two per-hop closures of the
-// transmit path (txDone and receive). An ad-hoc closure capturing a packet
-// costs two heap allocations per hop; a pooled context reuses one struct
-// whose bound method value was allocated once, so steady-state hops are
-// allocation-free. A context is exclusive from Get until its event fires;
-// run copies the fields out and returns it to the pool before dispatching.
+// pktEvt is a pooled event context for the closures of the transmit path
+// (receive, drain, and a half-duplex link's txDone). An ad-hoc closure
+// capturing a packet costs two heap allocations per hop; a pooled context
+// reuses one struct whose bound method value was allocated once, so
+// steady-state hops are allocation-free. A context is exclusive from Get
+// until its event fires; run copies the fields out and returns it to the
+// pool before dispatching.
 type pktEvt struct {
 	net  *Network
-	dev  *Device
-	at   sim.NodeID
+	dev  *Device // the transmitting device, whatever the kind
 	p    packet.Packet
 	kind uint8
 	fn   sim.Proc
 }
 
+// A pktEvt's kind is its descriptor tag (ckpt.go) less kindTxDone.
 const (
-	evtTxDone uint8 = iota
-	evtReceive
+	evtTxDone  = uint8(kindTxDone - kindTxDone)
+	evtReceive = uint8(kindReceive - kindTxDone)
+	evtDrain   = uint8(kindDrain - kindTxDone)
 )
 
 var pktEvtPool sync.Pool
@@ -293,42 +302,57 @@ func init() {
 }
 
 func (e *pktEvt) run(c *sim.Ctx) {
-	net, dev, at, p, kind := e.net, e.dev, e.at, e.p, e.kind
+	net, dev, p, kind := e.net, e.dev, e.p, e.kind
 	e.net, e.dev = nil, nil
 	pktEvtPool.Put(e)
 	switch kind {
 	case evtTxDone:
 		dev.txDone(c, p)
+	case evtDrain:
+		dev.drain(c)
 	default:
-		net.receive(c, at, p)
+		// A receive runs on the peer's node: of dev, which its own node is
+		// writing, it may use the address and nothing else.
+		if len(net.lost) == 0 || !net.lostNow(dev, c.Now()) {
+			net.receive(c, c.Node(), p)
+		}
 	}
 }
 
-func schedTxDone(ctx *sim.Ctx, delay sim.Time, d *Device, p packet.Packet) {
+func schedPkt(ctx *sim.Ctx, delay sim.Time, at sim.NodeID, d *Device, kind uint8, p packet.Packet) {
 	e := pktEvtPool.Get().(*pktEvt)
-	e.dev, e.kind, e.p = d, evtTxDone, p
-	ctx.ScheduleDesc(delay, d.node, e.fn, e)
-}
-
-func schedReceive(ctx *sim.Ctx, delay sim.Time, n *Network, at sim.NodeID, p packet.Packet) {
-	e := pktEvtPool.Get().(*pktEvt)
-	e.net, e.at, e.kind, e.p = n, at, evtReceive, p
+	e.net, e.dev, e.kind, e.p = d.net, d, kind, p
 	ctx.ScheduleDesc(delay, at, e.fn, e)
 }
+
+// neverSent is freeAt before a device's first frame: earlier than any now.
+const neverSent sim.Time = -1
 
 // Device is one endpoint of a link: an output queue plus the transmitter.
 // Devices live in the Network's flat device array (never behind individual
 // heap pointers); the hot transmit-path fields come first and the cold
 // per-device statistics are split into the embedded DevStats block. Field
 // promotion keeps d.TxPackets-style access working for consumers.
+//
+// On a stateless link the end of a frame is an event only when it has work:
+// startTx schedules the peer's receive itself, notes in freeAt when the
+// transmitter is free again and reserves in txSeq the identity of the event
+// at that instant; the event — drain — is put under it by whoever first
+// leaves a packet waiting. So an event that runs is the one an eager
+// transmitter ran, in the same place in the total order (DESIGN.md §5.2).
 type Device struct {
-	// Hot: touched on every Send/startTx/txDone.
-	net   *Network //unison:ckpt-skip wiring, re-established by Build
-	queue Queue
-	probe *netobs.DevProbe //unison:ckpt-skip wiring (nil unless a sampler is attached), re-bound by AttachSampler
-	node  sim.NodeID       //unison:ckpt-skip identity, fixed by the topology at Build
-	link  topology.LinkID  //unison:ckpt-skip identity, fixed by the topology at Build
-	busy  bool
+	// Hot: touched on every Send/startTx.
+	net    *Network //unison:ckpt-skip wiring, re-established by Build
+	queue  Queue
+	probe  *netobs.DevProbe //unison:ckpt-skip wiring (nil unless a sampler is attached), re-bound by AttachSampler
+	freeAt sim.Time         // stateless: when the frame last started leaves the transmitter
+	txSeq  uint64           // stateless: the identity reserved for the drain at freeAt
+	node   sim.NodeID       //unison:ckpt-skip identity, fixed by the topology at Build
+	link   topology.LinkID  //unison:ckpt-skip identity, fixed by the topology at Build
+	// busy: an event that will restart the transmitter is in the FEL — a
+	// drain, a half-duplex txDone or a link-down retry — and takes whatever
+	// is queued meanwhile.
+	busy bool
 
 	// Cold: observability counters, read per-event but only written on
 	// the slow paths (dequeue accounting, drops, marks).
@@ -376,37 +400,44 @@ func (d *Device) Send(ctx *sim.Ctx, p packet.Packet) {
 			d.probe.OnEnqueue(ctx.Now(), int32(d.queue.Len()), false)
 		}
 	}
-	if !d.busy {
+	switch now := ctx.Now(); {
+	case d.busy:
+	case now > d.freeAt || now == d.freeAt && ctx.RunsBefore(d.node, d.txSeq):
+		// The transmitter is free, or would be: at freeAt itself it is if
+		// the drain nobody needed would have run before this event.
 		d.startTx(ctx)
+	default:
+		d.putDrain(ctx) // mid-frame, and p is the first to wait for its end
 	}
+}
+
+// putDrain schedules the event at the end of the frame on the wire.
+func (d *Device) putDrain(ctx *sim.Ctx) {
+	d.busy = true
+	e := pktEvtPool.Get().(*pktEvt)
+	e.net, e.dev, e.kind = d.net, d, evtDrain
+	ctx.ScheduleReserved(d.freeAt, d.node, d.txSeq, e.fn, e)
 }
 
 func (d *Device) startTx(ctx *sim.Ctx) {
 	lk := &d.net.G.Links[d.link]
+	d.busy = false
 	if !lk.Stateless && d.net.halfBusy[d.link] {
 		// Half-duplex channel seized by the peer: stay quiet; the channel
 		// release will kick this device.
-		d.busy = false
 		return
 	}
 	item, ok := d.queue.Dequeue(ctx.Now())
 	if !ok {
-		d.busy = false
 		return
 	}
-	d.busy = true
 	d.QueueDelay.Add(float64(ctx.Now() - item.enq))
 	if !lk.Up {
 		// Link went down while queued: drop and drain the rest next event.
-		d.Drops++
-		if d.probe != nil {
-			d.probe.OnDrop(ctx.Now(), int32(d.queue.Len()))
-		}
+		d.busy = true
+		d.dropSent(ctx)
 		ctx.Schedule(0, d.node, func(c *sim.Ctx) { d.startTx(c) })
 		return
-	}
-	if !lk.Stateless {
-		d.net.halfBusy[d.link] = true
 	}
 	txTime := TxTime(int64(item.p.Size()), lk.Bandwidth)
 	d.TxPackets++
@@ -415,45 +446,121 @@ func (d *Device) startTx(ctx *sim.Ctx) {
 	if d.probe != nil {
 		d.probe.OnDequeue(ctx.Now(), int32(d.queue.Len()), item.p.Size())
 	}
-	schedTxDone(ctx, txTime, d, item.p)
+	if !lk.Stateless {
+		// The channel release and the kicks at the end of the frame are
+		// work whatever is queued: the event stays eager.
+		d.busy = true
+		d.net.halfBusy[d.link] = true
+		schedPkt(ctx, txTime, d.node, d, evtTxDone, item.p)
+		return
+	}
+	d.freeAt = ctx.Now() + txTime
+	d.txSeq = ctx.Reserve()
+	d.propagate(ctx, lk, txTime+lk.Delay, item.p)
+	if d.queue.Len() > 0 {
+		d.putDrain(ctx)
+	}
 }
 
+// propagate hands p to the peer's node after delay.
+func (d *Device) propagate(ctx *sim.Ctx, lk *topology.Link, delay sim.Time, p packet.Packet) {
+	peer := lk.Other(d.node)
+	if net := d.net; net.Remote == nil || !net.Remote(ctx, peer, p, ctx.Now()+delay) {
+		schedPkt(ctx, delay, peer, d, evtReceive, p)
+	}
+}
+
+// dropSent counts a dequeued packet a dead link took.
+func (d *Device) dropSent(ctx *sim.Ctx) {
+	d.Drops++
+	if d.probe != nil {
+		d.probe.OnDrop(ctx.Now(), int32(d.queue.Len()))
+	}
+}
+
+// drain is the end of a frame on a stateless link that someone had a reason
+// to schedule: a packet was waiting, or the link went down under the frame.
+func (d *Device) drain(ctx *sim.Ctx) {
+	if !d.net.G.Links[d.link].Up {
+		d.dropSent(ctx) // the frame just ended; LinkStateChanged saw to its receive
+	}
+	d.startTx(ctx)
+}
+
+// txDone is the end of a frame on a half-duplex link.
 func (d *Device) txDone(ctx *sim.Ctx, p packet.Packet) {
 	lk := &d.net.G.Links[d.link]
 	if lk.Up {
-		peer := d.net.G.Peer(d.link, d.node)
-		net := d.net
-		if net.Remote == nil || !net.Remote(ctx, peer, p, ctx.Now()+lk.Delay) {
-			schedReceive(ctx, lk.Delay, net, peer, p)
-		}
+		d.propagate(ctx, lk, lk.Delay, p)
 	} else {
-		d.Drops++
-		if d.probe != nil {
-			d.probe.OnDrop(ctx.Now(), int32(d.queue.Len()))
+		d.dropSent(ctx)
+	}
+	// Release the shared channel and offer it to the peer device; the
+	// partition keeps both endpoints in one LP, so the zero-delay kick
+	// executes in the same round with deterministic ordering.
+	d.net.halfBusy[d.link] = false
+	d.busy = false
+	peer := lk.Other(d.node)
+	peerDev := d.net.Device(peer, d.link)
+	ctx.Schedule(0, peer, func(c *sim.Ctx) {
+		if !peerDev.busy {
+			peerDev.startTx(c)
+		}
+	})
+	ctx.Schedule(0, d.node, func(c *sim.Ctx) {
+		if !d.busy {
+			d.startTx(c)
+		}
+	})
+}
+
+// lostFrame is a frame whose link was down at end, the instant it left
+// sender's transmitter; its receive event, at arrival, delivers nothing.
+type lostFrame struct {
+	sender       int32 // index into devs
+	end, arrival sim.Time
+}
+
+// lostNow reports whether the frame d sent that arrives now was lost.
+func (n *Network) lostNow(d *Device, now sim.Time) bool {
+	for _, lf := range n.lost {
+		if lf.arrival == now && &n.devs[lf.sender] == d {
+			return true
 		}
 	}
-	if !lk.Stateless {
-		// Release the shared channel and offer it to the peer device; the
-		// partition keeps both endpoints in one LP, so the zero-delay kick
-		// executes in the same round with deterministic ordering.
-		d.net.halfBusy[d.link] = false
-		d.busy = false
-		peer := d.net.G.Peer(d.link, d.node)
-		peerDev := d.net.Device(peer, d.link)
-		ctx.Schedule(0, peer, func(c *sim.Ctx) {
-			if !peerDev.busy {
-				peerDev.startTx(c)
-			}
-		})
-		self := d
-		ctx.Schedule(0, d.node, func(c *sim.Ctx) {
-			if !self.busy {
-				self.startTx(c)
-			}
-		})
-		return
+	return false
+}
+
+// LinkStateChanged keeps a link that fails mid-frame losing exactly that
+// frame: its receive was scheduled when serialisation began, yet it is lost
+// if the link is down when serialisation ends. The global event that set any
+// link up or down calls this before it returns (app.ScheduleTopoChange
+// does). With every node quiescent, each frame still on a transmitter whose
+// link is now down is listed for its receive to find and given a drain,
+// where the sender counts the drop at the instant an eager transmitter did;
+// one whose link came back before its end is unlisted. The distributed
+// runtime runs no global event but the stop, so Remote needs no counterpart.
+// A frame propagates with the delay its link had when serialisation began.
+func (n *Network) LinkStateChanged(ctx *sim.Ctx) {
+	now := ctx.Now()
+	keep := n.lost[:0]
+	for _, lf := range n.lost {
+		// Still to arrive, and off the transmitter: nothing can change it.
+		// What is still on one is decided afresh below.
+		if lf.arrival >= now && lf.end < now {
+			keep = append(keep, lf)
+		}
 	}
-	d.startTx(ctx)
+	n.lost = keep
+	for i := range n.devs {
+		d := &n.devs[i]
+		if lk := &n.G.Links[d.link]; d.freeAt >= now && !lk.Up {
+			n.lost = append(n.lost, lostFrame{sender: int32(i), end: d.freeAt, arrival: d.freeAt + lk.Delay})
+			if !d.busy {
+				d.putDrain(ctx)
+			}
+		}
+	}
 }
 
 // TxTime returns the serialization delay of size bytes at bw bits/s.

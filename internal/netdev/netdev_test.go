@@ -115,7 +115,10 @@ func TestLinkDownDropsQueued(t *testing.T) {
 		}
 	})
 	// Tear the access link down while the queue drains.
-	setup.Global(10*sim.Millisecond, func(ctx *sim.Ctx) { g.SetLinkUp(l, false) })
+	setup.Global(10*sim.Millisecond, func(ctx *sim.Ctx) {
+		g.SetLinkUp(l, false)
+		net.LinkStateChanged(ctx)
+	})
 	run(t, g, setup, sim.Second)
 	if delivered == 0 || delivered == 10 {
 		t.Fatalf("delivered=%d, want partial delivery", delivered)

@@ -11,6 +11,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -145,6 +146,9 @@ type Ctx struct {
 	cur  NodeID
 	seq  *uint64 // per-creating-node sequence counter for the current node
 	sink Sink
+	// evSrc and evSeq are the identity of the executing event (RunsBefore).
+	evSrc NodeID
+	evSeq uint64
 
 	// Worker is the index of the executing worker (thread) — useful for
 	// per-worker metrics. Sequential kernels use 0.
@@ -165,6 +169,7 @@ func (c *Ctx) Begin(ev *Event, seq *uint64) {
 	c.now = ev.Time
 	c.cur = ev.Node
 	c.seq = seq
+	c.evSrc, c.evSeq = ev.Src, ev.Seq
 }
 
 // Now returns the current simulated time.
@@ -200,6 +205,38 @@ func (c *Ctx) ScheduleAt(t Time, node NodeID, fn Proc) {
 	ev := c.stamp(t, node)
 	ev.Fn = fn
 	c.sink.Put(ev)
+}
+
+// Reserve consumes the executing node's next sequence number and returns it:
+// the identity (Node, seq) of an event the caller may put later, or never,
+// with ScheduleReserved. A layer that schedules an event only when it will do
+// something reserves where eager code stamped, so every other event the node
+// creates keeps its place in the total order.
+func (c *Ctx) Reserve() uint64 {
+	s := *c.seq
+	*c.seq++
+	return s
+}
+
+// ScheduleReserved runs fn on node at absolute time t as the event (node,
+// seq), seq having come from a Reserve made by an event on node. A reserved
+// identity is redeemed at most once, by an event on node or by a global
+// event, which may touch any node.
+func (c *Ctx) ScheduleReserved(t Time, node NodeID, seq uint64, fn Proc, desc EvDesc) {
+	if t < c.now {
+		panic(fmt.Sprintf("sim: scheduling into the past: now=%v at=%v node=%d", c.now, t, node))
+	}
+	c.sink.Put(Event{Time: t, Src: node, Seq: seq, Node: node, Fn: fn, Desc: desc})
+}
+
+// RunsBefore reports whether an event at the current time with identity
+// (src, seq) sorts before the executing one — whether, had it been
+// scheduled, it would already have run.
+func (c *Ctx) RunsBefore(src NodeID, seq uint64) bool {
+	if src != c.evSrc {
+		return src < c.evSrc
+	}
+	return seq < c.evSeq
 }
 
 // Stamp allocates the deterministic identity (Src, Seq) of an event the
@@ -290,13 +327,15 @@ type Setup struct {
 func NewSetup() *Setup { return &Setup{} }
 
 // At schedules fn on node at absolute time t.
-func (s *Setup) At(t Time, node NodeID, fn Proc) {
-	s.events = append(s.events, Event{Time: t, Src: SetupSrc, Seq: s.seq, Node: node, Fn: fn})
-	s.seq++
-}
+func (s *Setup) At(t Time, node NodeID, fn Proc) { s.AtDesc(t, node, fn, nil) }
 
 // Global schedules fn as a global event at absolute time t.
 func (s *Setup) Global(t Time, fn Proc) { s.At(t, GlobalNode, fn) }
+
+// Grow makes room for n more events and the handful a scenario adds around
+// a workload (the stop, a pump): the list, live for the whole run, is then
+// neither copied as it grows nor left with slack.
+func (s *Setup) Grow(n int) { s.events = slices.Grow(s.events, n+16) }
 
 // Events returns the accumulated initial events.
 func (s *Setup) Events() []Event { return s.events }
@@ -350,7 +389,7 @@ type RoundSample struct {
 // contract for exported reports and external tooling.
 type RunStats struct {
 	Kernel   string        `json:"kernel"`
-	Events   uint64        `json:"events"`               // total events executed (incl. global)
+	Events   uint64        `json:"events"`               // events executed (incl. global); one never scheduled, for having nothing to do, is not one
 	EndTime  Time          `json:"end_time_ns"`          // simulated time reached
 	WallNS   int64         `json:"wall_ns"`              // real elapsed wall-clock nanoseconds
 	Rounds   uint64        `json:"rounds"`               // synchronization rounds (0 for sequential)

@@ -10,35 +10,29 @@ import (
 )
 
 // Checkpoint support for the transport. Pending tcp-owned events at a
-// quiescent boundary are retransmission timers, delayed-ACK timers, flow
-// start events (materialized or released by the stream pump), and the
-// pump's own chained global event. Timers reference their connection by
-// (host, arena index, generation) — exactly the stale-timer contract the
-// generation counters already enforce, so a timer restored against a
-// recycled slot is the same deterministic no-op it would have been in the
-// uninterrupted run.
+// quiescent boundary are connection timer events, flow start events
+// (materialized or released by the stream pump), and the pump's own chained
+// global event. A timer event references its connection's timer by (host,
+// arena index, generation); what it will do when it pops — fire, put itself
+// again at a later deadline under a reserved identity, or nothing — is the
+// timer's state, saved with the connection (lazyTimer), so a restored run
+// redeems the identities the uninterrupted one would have.
 //
-// Descriptor kind tags in the 0x02xx range (see internal/ckpt).
+// Descriptor kind tags in the 0x02xx range (see internal/ckpt; 0x0202 was
+// the delayed-ACK timer's before format 3 gave a connection one timer).
 const (
-	kindRetrans   uint16 = 0x0201
-	kindDelack    uint16 = 0x0202
+	kindTimer     uint16 = 0x0201
 	kindFlowStart uint16 = 0x0203
 	kindPump      uint16 = 0x0204
 )
 
-const (
-	tkRetrans uint8 = iota
-	tkDelack
-)
-
-// timerEvt is the pooled, descriptor-carrying event of both connection
-// timers (same exclusive-until-fire pooling discipline as netdev.pktEvt).
+// timerEvt is the pooled, descriptor-carrying event of a connection's timer
+// (same exclusive-until-fire pooling discipline as netdev.pktEvt).
 type timerEvt struct {
 	s    *Stack
 	host sim.NodeID
 	idx  int32
-	gen  uint64
-	kind uint8
+	gen  uint32
 	fn   sim.Proc
 }
 
@@ -53,39 +47,22 @@ func init() {
 }
 
 func (e *timerEvt) run(cx *sim.Ctx) {
-	s, host, idx, gen, kind := e.s, e.host, e.idx, e.gen, e.kind
+	s, host, idx, gen := e.s, e.host, e.idx, e.gen
 	e.s = nil
 	timerEvtPool.Put(e)
-	c := s.hosts[host].arena.at(idx)
-	if kind == tkRetrans {
-		c.onTimer(cx, gen)
-	} else {
-		c.onAckTimer(cx, gen)
-	}
+	s.hosts[host].arena.at(idx).onTimerEvent(cx, gen)
 }
 
 // CkptKind implements sim.EvDesc.
-func (e *timerEvt) CkptKind() uint16 {
-	if e.kind == tkRetrans {
-		return kindRetrans
-	}
-	return kindDelack
-}
+func (e *timerEvt) CkptKind() uint16 { return kindTimer }
 
 // CkptEncode implements sim.EvDesc.
 func (e *timerEvt) CkptEncode(buf []byte) []byte {
 	enc := ckpt.AppendEnc(buf)
 	enc.I32(int32(e.host))
 	enc.I32(e.idx)
-	enc.U64(e.gen)
+	enc.U32(e.gen)
 	return enc.Bytes()
-}
-
-// schedTimer arms one connection timer with its descriptor attached.
-func schedTimer(ctx *sim.Ctx, delay sim.Time, c *conn, kind uint8, gen uint64) {
-	e := timerEvtPool.Get().(*timerEvt)
-	e.s, e.host, e.idx, e.gen, e.kind = c.s, c.f.Src, c.idx, gen, kind
-	ctx.ScheduleDesc(delay, c.f.Src, e.fn, e)
 }
 
 // flowStartEvt opens one flow; it is scheduled by Attach (setup) and by
@@ -138,10 +115,10 @@ func decodeFlowSpec(d *ckpt.Dec) FlowSpec {
 // DecodeEvent implements ckpt.EventDecoder for the 0x02xx kinds.
 func (s *Stack) DecodeEvent(kind uint16, d *ckpt.Dec) (sim.Proc, sim.EvDesc, bool, error) {
 	switch kind {
-	case kindRetrans, kindDelack:
+	case kindTimer:
 		host := sim.NodeID(d.I32())
 		idx := d.I32()
-		gen := d.U64()
+		gen := d.U32()
 		if err := d.Err(); err != nil {
 			return nil, nil, true, err
 		}
@@ -153,11 +130,6 @@ func (s *Stack) DecodeEvent(kind uint16, d *ckpt.Dec) (sim.Proc, sim.EvDesc, boo
 		}
 		e := timerEvtPool.Get().(*timerEvt)
 		e.s, e.host, e.idx, e.gen = s, host, idx, gen
-		if kind == kindRetrans {
-			e.kind = tkRetrans
-		} else {
-			e.kind = tkDelack
-		}
 		return e.fn, e, true, nil
 	case kindFlowStart:
 		f := decodeFlowSpec(d)
@@ -202,7 +174,11 @@ func encodeConn(e *ckpt.Enc, c *conn) {
 	e.Time(c.rtt.rto)
 	e.Summary(&c.rtt.samples)
 	e.Time(c.backoff)
-	e.U64(c.timerSq)
+	e.Time(c.timer.deadline)
+	e.U64(c.timer.seq)
+	e.Time(c.timer.pendAt)
+	e.U32(c.timer.gen)
+	e.Bool(c.timer.exact)
 	e.U32(c.peerWnd)
 	e.F64(c.alpha)
 	e.I64(c.ackedBytes)
@@ -219,7 +195,6 @@ func encodeConn(e *ckpt.Enc, c *conn) {
 	e.Bool(c.rcvDone)
 	e.I64(int64(c.ackPending))
 	e.Time(c.ackEcho)
-	e.U64(c.ackTimerSq)
 	e.Bool(c.ceSeen)
 	e.Bool(c.ceState)
 }
@@ -227,7 +202,7 @@ func encodeConn(e *ckpt.Enc, c *conn) {
 // connMinBytes under-approximates one encoded conn record, the Count
 // guard floor for the per-host slot loop.
 const connMinBytes = flowSpecBytes + 3 + 12 + 1 + 8 + 8 + 1 + 4 + 8 +
-	24 + ckpt.SummaryBytes + 8 + 8 + 4 + 8 + 16 + 4 + 4 + 4 + 4 + 2 + 8 + 8 + 8 + 2
+	24 + ckpt.SummaryBytes + 8 + 29 + 4 + 8 + 16 + 4 + 4 + 4 + 4 + 2 + 8 + 8 + 2
 
 func decodeConn(d *ckpt.Dec, s *Stack, idx int32, c *conn) {
 	ooo := c.ooo[:0]
@@ -251,7 +226,7 @@ func decodeConn(d *ckpt.Dec, s *Stack, idx int32, c *conn) {
 	c.rtt.rto = d.Time()
 	c.rtt.samples = d.Summary()
 	c.backoff = d.Time()
-	c.timerSq = d.U64()
+	c.timer = lazyTimer{deadline: d.Time(), seq: d.U64(), pendAt: d.Time(), gen: d.U32(), exact: d.Bool()}
 	c.peerWnd = d.U32()
 	c.alpha = d.F64()
 	c.ackedBytes = d.I64()
@@ -268,7 +243,6 @@ func decodeConn(d *ckpt.Dec, s *Stack, idx int32, c *conn) {
 	c.rcvDone = d.Bool()
 	c.ackPending = int(d.I64())
 	c.ackEcho = d.Time()
-	c.ackTimerSq = d.U64()
 	c.ceSeen = d.Bool()
 	c.ceState = d.Bool()
 }
@@ -277,9 +251,10 @@ func decodeConn(d *ckpt.Dec, s *Stack, idx int32, c *conn) {
 func (s *Stack) CkptName() string { return "tcp" }
 
 // CkptSave implements ckpt.Checkpointer: every host's connection arena
-// (all slots ever used, free ones included — their preserved generation
-// counters keep restored stale timers inert), its free list in LIFO
-// order, the flow table verbatim, and the stream pump cursor.
+// (all slots ever used, free ones included — a free slot's timer still
+// answers for the event its last occupant left pending), its free list in
+// LIFO order, the flow table verbatim, its timer tallies, and the stream
+// pump cursor.
 //
 //unison:owner checkpoint
 func (s *Stack) CkptSave(e *ckpt.Enc) error {
@@ -302,6 +277,10 @@ func (s *Stack) CkptSave(e *ckpt.Enc) error {
 			e.I32(h.tab.vals[j])
 		}
 		e.I64(int64(h.tab.n))
+		e.U64(h.timers.arms)
+		e.U64(h.timers.events)
+		e.U64(h.timers.superseded)
+		e.U64(h.timers.earlier)
 	}
 	hasPump := s.pump != nil
 	e.Bool(hasPump)
@@ -363,6 +342,7 @@ func (s *Stack) CkptLoad(d *ckpt.Dec) error {
 			h.tab.vals[j] = d.I32()
 		}
 		h.tab.n = int(d.I64())
+		h.timers = timerCounts{arms: d.U64(), events: d.U64(), superseded: d.U64(), earlier: d.U64()}
 		if err := d.Err(); err != nil {
 			return err
 		}

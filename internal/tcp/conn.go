@@ -36,8 +36,9 @@ type conn struct {
 	retrans  uint64
 
 	rtt     rttEstimator
-	backoff sim.Time // current RTO multiplier (doubles on timeout)
-	timerSq uint64   // retransmission-timer generation
+	backoff sim.Time  // current RTO multiplier (doubles on timeout)
+	timer   lazyTimer // retransmission on the sending side, delayed ACK on the receiving
+
 	// peerWnd is the most recent advertised window (0 = no flow control).
 	peerWnd uint32
 
@@ -57,9 +58,33 @@ type conn struct {
 	// Delayed-ACK state.
 	ackPending int      // unacknowledged segments since the last ACK
 	ackEcho    sim.Time // newest timestamp to echo
-	ackTimerSq uint64   // delayed-ACK timer generation
 	ceSeen     bool     // CE observed since the last ACK (DCTCP echo)
 	ceState    bool     // last CE value (state-change forces an ACK)
+}
+
+// lazyTimer is a timer that is armed far more often than it fires. Arming
+// puts no event: it records the deadline and reserves, where an eager timer
+// stamped its event, the identity (node, seq) the firing will carry. At most
+// one live event per timer is in the FEL; popping short of the deadline it
+// puts itself again at (deadline, seq), so the event that fires is the one an
+// eager timer's last arm scheduled, and the ones that would have popped stale
+// are never created. Only a deadline that moves ahead of the live event (an
+// RTO shrinking) needs a second event; the first is superseded by generation.
+type lazyTimer struct {
+	deadline sim.Time // when it fires; 0 when not armed
+	seq      uint64   // the identity the last arm reserved
+	pendAt   sim.Time // when the live event pops; 0 when there is none
+	gen      uint32   // the live event's generation
+	exact    bool     // the live event is (deadline, seq) itself
+}
+
+// timerCounts tallies one host's timers, for the event budget
+// (TestEventBudget).
+type timerCounts struct {
+	arms       uint64 // arm calls
+	events     uint64 // timer events executed, whatever they did
+	superseded uint64 // of those, events a newer generation had replaced
+	earlier    uint64 // arms that moved the deadline ahead of the live event
 }
 
 type interval struct{ lo, hi uint32 } // [lo, hi)
@@ -80,14 +105,15 @@ func (c *conn) init(s *Stack, f FlowSpec, sender bool) {
 }
 
 // recycle zeroes the record for reuse by a new flow while preserving what
-// must survive slot reuse: the timer generation counters stay monotonic so
-// closures armed by the previous occupant can never fire into the new one,
-// and the out-of-order buffer keeps its capacity.
+// must survive slot reuse: the timer, disarmed, still knows the event the
+// previous occupant left in the FEL, which will serve the new one or pop
+// and do nothing, and the out-of-order buffer keeps its capacity.
 func (c *conn) recycle() {
-	tsq, asq, idx := c.timerSq, c.ackTimerSq, c.idx
+	timer, idx := c.timer, c.idx
 	ooo := c.ooo[:0]
 	*c = conn{}
-	c.timerSq, c.ackTimerSq, c.idx = tsq, asq, idx
+	c.timer, c.idx = timer, idx
+	c.timer.deadline = 0
 	c.ooo = ooo
 }
 
@@ -400,7 +426,7 @@ func (c *conn) dctcpOnAck(acked int64, ece bool) {
 
 func (c *conn) complete(ctx *sim.Ctx) {
 	c.done = true
-	c.timerSq++ // cancel pending timer
+	c.timer.deadline = 0
 	rec := c.s.mon.Sender(c.f.ID)
 	rec.Done = true
 	rec.DoneT = ctx.Now()
@@ -410,13 +436,58 @@ func (c *conn) complete(ctx *sim.Ctx) {
 
 // --- Retransmission timer ---
 
-func (c *conn) armTimer(ctx *sim.Ctx) {
-	c.timerSq++
-	schedTimer(ctx, c.RTO(), c, tkRetrans, c.timerSq)
+func (c *conn) armTimer(ctx *sim.Ctx) { c.arm(ctx, c.RTO()) }
+
+// arm sets the endpoint's timer to fire after delay, replacing any earlier
+// setting.
+func (c *conn) arm(ctx *sim.Ctx, delay sim.Time) {
+	t, n := &c.timer, &c.s.hosts[ctx.Node()].timers
+	n.arms++
+	t.deadline, t.seq, t.exact = ctx.Now()+delay, ctx.Reserve(), false
+	switch {
+	case t.pendAt == 0:
+		c.putTimer(ctx)
+	case t.pendAt > t.deadline:
+		t.gen++
+		n.earlier++
+		c.putTimer(ctx)
+	}
 }
 
-func (c *conn) onTimer(ctx *sim.Ctx, gen uint64) {
-	if gen != c.timerSq || c.done {
+// putTimer puts the timer's live event at (deadline, seq).
+func (c *conn) putTimer(ctx *sim.Ctx) {
+	t := &c.timer
+	t.pendAt, t.exact = t.deadline, true
+	e := timerEvtPool.Get().(*timerEvt)
+	e.s, e.host, e.idx, e.gen = c.s, ctx.Node(), c.idx, t.gen
+	ctx.ScheduleReserved(t.deadline, e.host, t.seq, e.fn, e)
+}
+
+// onTimerEvent runs a timer event of generation gen.
+func (c *conn) onTimerEvent(ctx *sim.Ctx, gen uint32) {
+	t, n := &c.timer, &c.s.hosts[ctx.Node()].timers
+	n.events++
+	if gen != t.gen {
+		n.superseded++
+		return
+	}
+	t.pendAt = 0
+	switch {
+	case t.deadline == 0: // cancelled, or the flow that armed it is gone
+	case !t.exact:
+		c.putTimer(ctx) // armed again since this event was put
+	default:
+		t.deadline = 0
+		if c.sender {
+			c.onTimer(ctx)
+		} else if c.ackPending > 0 {
+			c.sendAck(ctx)
+		}
+	}
+}
+
+func (c *conn) onTimer(ctx *sim.Ctx) {
+	if c.done {
 		return
 	}
 	if !c.established {
@@ -494,20 +565,11 @@ func (c *conn) receiveData(ctx *sim.Ctx, p *packet.Packet) {
 		c.sendAck(ctx)
 		return
 	}
-	c.ackTimerSq++
 	delay := c.s.cfg.AckDelay
 	if delay <= 0 {
 		delay = 40 * sim.Microsecond
 	}
-	schedTimer(ctx, delay, c, tkDelack, c.ackTimerSq)
-}
-
-// onAckTimer fires the delayed-ACK timer; a stale generation (the ACK was
-// sent, or the slot was recycled) makes it a no-op.
-func (c *conn) onAckTimer(ctx *sim.Ctx, gen uint64) {
-	if gen == c.ackTimerSq && c.ackPending > 0 {
-		c.sendAck(ctx)
-	}
+	c.arm(ctx, delay)
 }
 
 // sendAck emits a cumulative ACK reflecting the current receive state and
@@ -537,7 +599,7 @@ func (c *conn) sendAck(ctx *sim.Ctx) {
 		ack.Flags |= packet.FlagECE
 	}
 	c.ackPending = 0
-	c.ackTimerSq++
+	c.timer.deadline = 0
 	c.ceSeen = false
 	c.s.net.Inject(ctx, ack)
 }

@@ -8,10 +8,10 @@ import (
 	"unison/internal/sim"
 )
 
-// Regression tests for arena slot recycling: timer closures armed by a
-// finished flow reference the slot by (host, idx, gen), so after the slot
-// is handed to a new flow a stale retransmission or delayed-ACK timer must
-// be a stateless no-op — it can never mutate the new occupant.
+// Regression tests for arena slot recycling: a timer event left in the FEL
+// by a finished flow references the slot by (host, idx, gen), so after the
+// slot is handed to a new flow the event must either pop and do nothing or
+// serve the new occupant's timer — it can never fire into it early.
 
 // connSnap captures every field a timer handler could disturb.
 type connSnap struct {
@@ -22,7 +22,6 @@ type connSnap struct {
 	inRec                      bool
 	retrans                    uint64
 	backoff                    sim.Time
-	timerSq, ackTimerSq        uint64
 	peerWnd, rcvNxt            uint32
 	rcvDone                    bool
 	ackPending                 int
@@ -34,69 +33,111 @@ func snap(c *conn) connSnap {
 		sndUna: c.sndUna, sndNxt: c.sndNxt, recoverS: c.recover,
 		cwnd: c.cwnd, ssthresh: c.ssthresh, dupacks: c.dupacks,
 		inRec: c.inRec, retrans: c.retrans, backoff: c.backoff,
-		timerSq: c.timerSq, ackTimerSq: c.ackTimerSq,
 		peerWnd: c.peerWnd, rcvNxt: c.rcvNxt, rcvDone: c.rcvDone,
 		ackPending: c.ackPending,
 	}
 }
 
-// TestStaleTimersNoOpOnRecycledSlot replays the slot lifecycle by hand:
-// flow A arms both timers, finishes, and its slot is recycled to flow B.
-// Firing A's generations at B must change nothing. The timers are invoked
-// with a nil *sim.Ctx — if a guard regresses and the handler body runs,
-// the test fails loudly with a nil dereference instead of silently
-// corrupting state.
-func TestStaleTimersNoOpOnRecycledSlot(t *testing.T) {
+// putLog is a sim.Sink that keeps what is put, and a context to run one
+// node's events on by hand.
+type putLog struct {
+	evs []sim.Event
+	seq uint64
+	ctx *sim.Ctx
+}
+
+func newPutLog() *putLog {
+	l := &putLog{}
+	l.ctx = sim.NewCtx(l, 0)
+	return l
+}
+
+func (l *putLog) Put(ev sim.Event)       { l.evs = append(l.evs, ev) }
+func (l *putLog) PutGlobal(ev sim.Event) { l.evs = append(l.evs, ev) }
+
+// at positions the context inside an event on node at time t.
+func (l *putLog) at(t sim.Time, node sim.NodeID) *sim.Ctx {
+	l.ctx.Begin(&sim.Event{Time: t, Src: node, Seq: l.seq, Node: node}, &l.seq)
+	return l.ctx
+}
+
+// pop runs the i-th put event as the kernel would.
+func (l *putLog) pop(i int) {
+	ev := l.evs[i]
+	l.ctx.Begin(&ev, &l.seq)
+	ev.Fn(l.ctx)
+}
+
+// TestStaleTimerOnRecycledSlot replays the slot lifecycle by hand: flow A
+// arms its timer, finishes, and its slot is recycled to flow B. A's event
+// popping into B must change nothing while B has not armed, and once B has,
+// must do no more than put B's own event, under the identity B reserved.
+func TestStaleTimerOnRecycledSlot(t *testing.T) {
 	h := newHarness(1, 1e9, 1e9, netdev.DropTailConfig(100), DefaultConfig(), nil)
 	s := h.stack
 	src, dst := h.d.Senders[0], h.d.Receivers[0]
 	a := &s.hosts[src].arena
+	log := newPutLog()
 
-	// Flow A occupies a slot and arms a retransmission timer (armTimer
-	// bumps the generation, then schedules) and a delayed ACK.
+	// Flow A occupies a slot and arms at t=0 for 1 ms: one event.
 	c1, idx1 := a.alloc()
 	c1.init(s, FlowSpec{ID: 1, Src: src, Dst: dst, Bytes: 10_000}, true)
-	c1.timerSq++
-	staleRetrans := c1.timerSq
-	c1.ackPending = 1
-	c1.ackTimerSq++
-	staleDelack := c1.ackTimerSq
-
-	// A finishes: the final ACK resets the delayed-ACK machinery (sendAck
-	// bumps ackTimerSq), complete() bumps timerSq, deliver() releases.
-	c1.ackPending = 0
-	c1.ackTimerSq++
-	c1.done = true
-	c1.timerSq++
+	c1.arm(log.at(0, src), sim.Millisecond)
+	if len(log.evs) != 1 || log.evs[0].Time != sim.Millisecond || log.evs[0].Seq != c1.timer.seq {
+		t.Fatalf("first arm put %+v, want one event at 1ms under the reserved identity %d", log.evs, c1.timer.seq)
+	}
+	// Arming again, later, puts nothing: the event in the FEL will do.
+	c1.arm(log.at(100*sim.Microsecond, src), sim.Millisecond)
+	if len(log.evs) != 1 {
+		t.Fatalf("re-arm with a later deadline put an event: %+v", log.evs[1:])
+	}
+	// A finishes; deliver() releases.
+	c1.complete(log.at(200*sim.Microsecond, src))
 	a.release(idx1)
 
 	// Flow B reuses the record — the free list is LIFO, so this is
-	// deterministic — and must inherit generations strictly newer than
-	// any closure A left pending.
+	// deterministic — and must know of the event A left pending.
 	c2, idx2 := a.alloc()
 	if idx2 != idx1 { //unison:pool-ok the test asserts LIFO reuse of the released slot
 		t.Fatalf("recycled slot %d, want LIFO reuse of slot %d", idx2, idx1) //unison:pool-ok the test asserts LIFO reuse of the released slot
 	}
 	c2.init(s, FlowSpec{ID: 2, Src: src, Dst: dst, Bytes: 1_000_000}, true)
-	if c2.timerSq <= staleRetrans {
-		t.Fatalf("retrans generation %d not past stale %d after recycle", c2.timerSq, staleRetrans)
-	}
-	if c2.ackTimerSq <= staleDelack {
-		t.Fatalf("delack generation %d not past stale %d after recycle", c2.ackTimerSq, staleDelack)
+	if c2.timer.pendAt != sim.Millisecond || c2.timer.deadline != 0 {
+		t.Fatalf("recycled timer %+v: want disarmed, with A's event at 1ms still known", c2.timer)
 	}
 
-	// Put B in a believable mid-flight state, then fire A's closures.
+	// Put B in a believable mid-flight state and arm it at 0.5 ms for 1 ms.
 	c2.established = true
 	c2.sndUna, c2.sndNxt = 50_000, 80_000
 	c2.cwnd, c2.ssthresh = 8*int32(s.cfg.MSS), 64*int32(s.cfg.MSS)
+	c2.arm(log.at(500*sim.Microsecond, src), sim.Millisecond)
+	if len(log.evs) != 1 {
+		t.Fatalf("B's arm put an event though A's pops before B's deadline: %+v", log.evs[1:])
+	}
 	before := snap(c2)
-	c2.onTimer(nil, staleRetrans)
-	c2.onAckTimer(nil, staleDelack)
-	// A generation-colliding delayed ACK (hypothetical path that skips the
-	// sendAck bump) is still inert while B has no ACK pending.
-	c2.onAckTimer(nil, c2.ackTimerSq)
+	log.pop(0) // A's event, at 1 ms
 	if after := snap(c2); after != before {
-		t.Fatalf("stale timers mutated the recycled occupant:\nbefore %+v\nafter  %+v", before, after)
+		t.Fatalf("a stale timer event mutated the recycled occupant:\nbefore %+v\nafter  %+v", before, after)
+	}
+	if len(log.evs) != 2 || log.evs[1].Time != 1500*sim.Microsecond || log.evs[1].Seq != c2.timer.seq || log.evs[1].Src != src {
+		t.Fatalf("A's event should have put B's at (1.5ms, %d, %d): %+v", src, c2.timer.seq, log.evs[1:])
+	}
+
+	// A deadline that moves ahead of the live event supersedes it.
+	c2.backoff = 1
+	c2.arm(log.at(600*sim.Microsecond, src), 100*sim.Microsecond)
+	if len(log.evs) != 3 || log.evs[2].Time != 700*sim.Microsecond {
+		t.Fatalf("an earlier deadline put %+v, want an event at 0.7ms", log.evs[2:])
+	}
+	c2.timer.deadline = 0 // cancel, so neither does more than pop
+	before = snap(c2)
+	log.pop(2)
+	log.pop(1)
+	if after := snap(c2); after != before || len(log.evs) != 3 {
+		t.Fatalf("cancelled timer events did something: %+v, puts %+v", after, log.evs[3:])
+	}
+	if n := s.hosts[src].timers; n.arms != 4 || n.events != 3 || n.superseded != 1 || n.earlier != 1 {
+		t.Fatalf("timer tallies %+v, want 4 arms, 3 events, 1 superseded, 1 earlier", n)
 	}
 }
 

@@ -28,7 +28,7 @@ import (
 // pays exactly one chunk. Chunks are fixed-size and never move once
 // allocated, so *conn pointers captured by in-flight timer closures stay
 // valid across arena growth; only recycling may hand the record to a new
-// flow, which the generation counters preserved by recycle() neutralize.
+// flow, whose timer recycle() leaves knowing of the old one's event.
 const arenaChunkBits = 2
 const arenaChunkSize = 1 << arenaChunkBits
 
@@ -84,8 +84,8 @@ func (a *connArena) at(idx int32) *conn {
 	return &a.chunks[idx>>arenaChunkBits][idx&(arenaChunkSize-1)]
 }
 
-// release recycles the slot. The caller must drop every *conn for idx;
-// pending timer closures are disarmed by the generation counters.
+// release recycles the slot. The caller must drop every *conn for idx; a
+// pending timer event finds the timer disarmed.
 //
 //unison:arena release
 //unison:pool-put
@@ -214,8 +214,9 @@ func (t *flowTab) memBytes() int64 { return int64(len(t.keys)) * 12 }
 // hostConns is the per-host connection store. The zero value (non-host
 // nodes) is inert.
 type hostConns struct {
-	arena connArena
-	tab   flowTab
+	arena  connArena
+	tab    flowTab
+	timers timerCounts
 }
 
 // MemStats is the transport's self-reported memory footprint, held to a

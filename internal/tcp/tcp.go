@@ -153,9 +153,11 @@ func NewStack(net *netdev.Network, cfg Config, mon *flowmon.Monitor) *Stack {
 // Attach schedules the start events for all flows on the model setup.
 // Flows must already be registered with the monitor.
 func (s *Stack) Attach(setup *sim.Setup, flows []FlowSpec) {
-	for _, f := range flows {
-		e := &flowStartEvt{s: s, f: f}
-		e.fn = e.run
+	evs := make([]flowStartEvt, len(flows)) // one allocation, not one per flow
+	setup.Grow(len(flows))
+	for i, f := range flows {
+		e := &evs[i]
+		e.s, e.f, e.fn = s, f, e.run
 		setup.AtDesc(f.Start, f.Src, e.fn, e)
 	}
 }

@@ -191,8 +191,14 @@ func TestRTORecoversFromTotalLoss(t *testing.T) {
 	setup := sim.NewSetup()
 	h.stack.Attach(setup, flows)
 	l := h.d.Bottleneck
-	setup.Global(2*sim.Millisecond, func(ctx *sim.Ctx) { h.d.SetLinkUp(l, false) })
-	setup.Global(30*sim.Millisecond, func(ctx *sim.Ctx) { h.d.SetLinkUp(l, true) })
+	setLink := func(at sim.Time, up bool) {
+		setup.Global(at, func(ctx *sim.Ctx) {
+			h.d.SetLinkUp(l, up)
+			h.net.LinkStateChanged(ctx)
+		})
+	}
+	setLink(2*sim.Millisecond, false)
+	setLink(30*sim.Millisecond, true)
 	stop := sim.Second
 	setup.Global(stop, func(ctx *sim.Ctx) { ctx.Stop() })
 	m := &sim.Model{Nodes: h.d.N(), Links: h.d.LinkInfos, Init: setup.Events(), StopAt: stop}
