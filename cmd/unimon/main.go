@@ -123,8 +123,8 @@ func verify(path string, snap *live.Snapshot) {
 		fatal(fmt.Errorf("expect-stats: parsing %s: %w", path, err))
 	}
 	if !reflect.DeepEqual(&want, snap.Final) {
-		a, _ := json.Marshal(&want)      //unison:json-ok diagnostic stderr dump on mismatch, not a run artifact
-		b, _ := json.Marshal(snap.Final) //unison:json-ok diagnostic stderr dump on mismatch, not a run artifact
+		a, _ := json.Marshal(&want)
+		b, _ := json.Marshal(snap.Final)
 		fmt.Fprintf(os.Stderr, "unimon: final snapshot disagrees with %s\n  file:     %s\n  snapshot: %s\n", path, a, b)
 		os.Exit(1)
 	}

@@ -1,32 +1,28 @@
-// Command unisoncheck runs the unison analyzer suite — the syntactic
-// determinism/ownership analyzers (wallclock, maporder, owner, seedflow,
-// deprecated, arena — see DESIGN.md §9) and the flow-sensitive ones
-// (ckptfields, poolescape, statejson — see DESIGN.md §14) — over Go
-// packages. It works two ways:
+// Command unisoncheck runs the unison analyzer suite (wallclock, maporder,
+// owner, seedflow, ckptfields — DESIGN.md §9) as a go vet tool:
 //
-// Standalone, on package patterns (exit 1 if anything is found;
-// -json or -sarif switch stdout to machine-readable findings):
+//	go build -o /tmp/unisoncheck ./cmd/unisoncheck
+//	go vet -vettool=/tmp/unisoncheck ./...
 //
-//	go run ./cmd/unisoncheck ./...
-//	unisoncheck -tests=false ./internal/core/
-//	unisoncheck -sarif ./... > findings.sarif
+// go vet drives the analysis per package, test variants included, and
+// skips unchanged packages through its build cache. Findings go to
+// stderr; exit status 2 means findings, the vet convention.
 //
-// Or as a go vet tool, which lets the go command drive per-package
-// analysis with its build cache (exit 2 on findings, the vet convention):
-//
-//	go build -o "$(go env GOPATH)/bin/unisoncheck" ./cmd/unisoncheck
-//	go vet -vettool="$(which unisoncheck)" ./...
-//
-// The vet integration implements the unitchecker protocol: go vet probes
-// the tool with -V=full (cache key) and -flags (supported flags), then
-// invokes it once per package with a *.cfg JSON file describing sources,
-// the import map, and export-data locations.
+// The tool implements the unitchecker protocol: go vet probes it with
+// -V=full (cache key) and -flags (supported flags: none), then invokes it
+// once per package with a *.cfg JSON file naming the sources to analyze
+// and the export-data file of every dependency it already compiled.
 package main
 
 import (
 	"crypto/sha256"
-	"flag"
+	"encoding/json"
 	"fmt"
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"io"
 	"os"
 	"path/filepath"
@@ -35,126 +31,23 @@ import (
 
 	"unison/internal/analysis"
 	"unison/internal/analysis/analyzers"
-	"unison/internal/analysis/load"
 )
 
 func main() {
-	// go vet probes: must be handled before normal flag parsing because
-	// the go command passes them in its own formats.
 	if len(os.Args) == 2 {
-		switch {
-		case strings.HasPrefix(os.Args[1], "-V="):
+		switch arg := os.Args[1]; {
+		case strings.HasPrefix(arg, "-V="):
 			printVersion()
 			return
-		case os.Args[1] == "-flags":
-			// No analyzer-selection flags yet; report none so go vet
-			// passes only the cfg file.
+		case arg == "-flags":
 			fmt.Println("[]")
 			return
-		case strings.HasSuffix(os.Args[1], ".cfg"):
-			os.Exit(runVet(os.Args[1]))
+		case strings.HasSuffix(arg, ".cfg"):
+			os.Exit(runVet(arg))
 		}
 	}
-
-	tests := flag.Bool("tests", true, "also analyze test files (per-package test variants)")
-	list := flag.Bool("list", false, "list the analyzers in the suite and exit")
-	asJSON := flag.Bool("json", false, "emit findings as a JSON array on stdout")
-	asSARIF := flag.Bool("sarif", false, "emit findings as SARIF 2.1.0 on stdout")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: unisoncheck [-tests=false] [-json|-sarif] [packages]\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-	if *asJSON && *asSARIF {
-		fatal(fmt.Errorf("-json and -sarif are mutually exclusive"))
-	}
-
-	if *list {
-		for _, a := range analyzers.All() {
-			doc, _, _ := strings.Cut(a.Doc, "\n")
-			fmt.Printf("%-12s %s\n", a.Name, doc)
-		}
-		return
-	}
-
-	patterns := flag.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	wd, err := os.Getwd()
-	if err != nil {
-		fatal(err)
-	}
-	pkgs, fset, err := load.Load(wd, patterns, *tests)
-	if err != nil {
-		fatal(err)
-	}
-
-	var findings []finding
-	for _, pkg := range pkgs {
-		pass := &analysis.Pass{
-			Fset:       fset,
-			Files:      pkg.Files,
-			Pkg:        pkg.Types,
-			TypesInfo:  pkg.Info,
-			Directives: analysis.NewDirectives(fset, pkg.Files),
-		}
-		for _, d := range runSuite(pass) {
-			f := resolve(fset, wd, d)
-			findings = append(findings, f)
-			if !*asJSON && !*asSARIF {
-				printDiag(f)
-			}
-		}
-	}
-	switch {
-	case *asJSON:
-		if err := writeJSON(findings); err != nil {
-			fatal(err)
-		}
-	case *asSARIF:
-		if err := writeSARIF(findings); err != nil {
-			fatal(err)
-		}
-	}
-	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "unisoncheck: %d finding(s)\n", len(findings))
-		os.Exit(1)
-	}
-}
-
-// runSuite applies every analyzer to the pass's package, returning the
-// diagnostics sorted by position, de-duplicated across test variants by
-// the caller's package selection.
-func runSuite(pass *analysis.Pass) []diag {
-	var out []diag
-	for _, a := range analyzers.All() {
-		p := *pass
-		p.Analyzer = a
-		p.Report = func(d analysis.Diagnostic) { out = append(out, diag{a.Name, d}) }
-		if err := a.Run(&p); err != nil {
-			fatal(fmt.Errorf("%s: %s: %v", pass.Pkg.Path(), a.Name, err))
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].d.Pos < out[j].d.Pos })
-	return out
-}
-
-type diag struct {
-	analyzer string
-	d        analysis.Diagnostic
-}
-
-func printDiag(f finding) {
-	fmt.Printf("%s:%d:%d: [%s] %s\n", f.File, f.Line, f.Column, f.Analyzer, f.Message)
-	for _, fix := range f.Fixes {
-		fmt.Printf("\tsuggested fix: %s\n", fix)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "unisoncheck:", err)
-	os.Exit(3)
+	fmt.Fprintln(os.Stderr, "usage: go vet -vettool=PATH/TO/unisoncheck [packages]")
+	os.Exit(2)
 }
 
 // printVersion emits the -V=full line the go command uses as a cache
@@ -170,4 +63,127 @@ func printVersion() {
 		}
 	}
 	fmt.Printf("%s version devel buildID=%x\n", progname, h.Sum(nil))
+}
+
+// vetConfig mirrors the fields of the go command's vet.cfg files this
+// driver needs (the full struct has more; unknown fields are ignored).
+type vetConfig struct {
+	Compiler    string
+	ImportPath  string
+	GoVersion   string
+	GoFiles     []string
+	ImportMap   map[string]string
+	PackageFile map[string]string
+	VetxOnly    bool
+	VetxOutput  string
+
+	SucceedOnTypecheckFailure bool
+}
+
+// runVet analyzes the single package described by cfgFile, returning the
+// process exit code.
+func runVet(cfgFile string) int {
+	fail := func(err error) int {
+		fmt.Fprintln(os.Stderr, "unisoncheck:", err)
+		return 1
+	}
+	data, err := os.ReadFile(cfgFile)
+	if err != nil {
+		return fail(err)
+	}
+	var cfg vetConfig
+	if err := json.Unmarshal(data, &cfg); err != nil {
+		return fail(fmt.Errorf("parsing %s: %v", cfgFile, err))
+	}
+	// The go command treats a run that leaves no facts file as failed;
+	// this suite keeps no cross-package facts, so the file is empty.
+	if cfg.VetxOutput != "" {
+		if err := os.WriteFile(cfg.VetxOutput, []byte{}, 0o666); err != nil {
+			return fail(err)
+		}
+	}
+	if cfg.VetxOnly || len(cfg.GoFiles) == 0 {
+		return 0
+	}
+	if cfg.Compiler != "" && cfg.Compiler != "gc" {
+		return fail(fmt.Errorf("unsupported compiler %q", cfg.Compiler))
+	}
+
+	fset := token.NewFileSet()
+	var files []*ast.File
+	for _, name := range cfg.GoFiles {
+		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			if cfg.SucceedOnTypecheckFailure {
+				return 0
+			}
+			return fail(err)
+		}
+		files = append(files, f)
+	}
+	lookup := func(path string) (io.ReadCloser, error) {
+		if mapped, ok := cfg.ImportMap[path]; ok {
+			path = mapped
+		}
+		file, ok := cfg.PackageFile[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(file)
+	}
+	info := analysis.NewInfo()
+	conf := types.Config{
+		Importer:  vetImporter{importer.ForCompiler(fset, "gc", lookup)},
+		GoVersion: cfg.GoVersion,
+		Error:     func(error) {},
+	}
+	// Test variants are named "p [p.test]"; the analyzers classify by the
+	// plain import path.
+	pkgPath, _, _ := strings.Cut(cfg.ImportPath, " [")
+	pkg, err := conf.Check(pkgPath, fset, files, info)
+	if err != nil {
+		if cfg.SucceedOnTypecheckFailure {
+			return 0
+		}
+		return fail(fmt.Errorf("typecheck %s: %v", cfg.ImportPath, err))
+	}
+
+	type finding struct {
+		analyzer string
+		d        analysis.Diagnostic
+	}
+	var out []finding
+	dirs := analysis.NewDirectives(fset, files)
+	for _, a := range analyzers.All() {
+		pass := &analysis.Pass{
+			Fset:       fset,
+			Files:      files,
+			Pkg:        pkg,
+			TypesInfo:  info,
+			Directives: dirs,
+			Report:     func(d analysis.Diagnostic) { out = append(out, finding{a.Name, d}) },
+		}
+		if err := a.Run(pass); err != nil {
+			return fail(fmt.Errorf("%s: %s: %v", pkgPath, a.Name, err))
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].d.Pos < out[j].d.Pos })
+	for _, f := range out {
+		fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", fset.Position(f.d.Pos), f.analyzer, f.d.Message)
+	}
+	if len(out) > 0 {
+		return 2
+	}
+	return 0
+}
+
+// vetImporter adds the "unsafe" special case the gc importer skips when
+// given an explicit lookup function.
+type vetImporter struct{ imp types.Importer }
+
+func (v vetImporter) Import(path string) (*types.Package, error) {
+	if path == "unsafe" {
+		return types.Unsafe, nil
+	}
+	return v.imp.Import(path)
 }

@@ -149,7 +149,6 @@ func runDiff(args []string) {
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		//unison:json-ok deltas come from parsed (hence finite) artifacts and relPct guards zero denominators
 		if err := enc.Encode(d); err != nil {
 			fatal(err)
 		}

@@ -6,9 +6,9 @@
 // invariants at the offending line instead of at a downstream bit-identity
 // hash mismatch.
 //
-// The API mirrors x/tools deliberately — Analyzer, Pass, Diagnostic,
-// SuggestedFix — so that if the repository ever vendors x/tools the suite
-// ports mechanically. Drivers (cmd/unisoncheck, the analysistest harness)
+// The API mirrors x/tools deliberately — Analyzer, Pass, Diagnostic — so
+// that if the repository ever vendors x/tools the suite ports
+// mechanically. Drivers (cmd/unisoncheck, the analysistest harness)
 // construct a Pass per package and collect reported Diagnostics.
 package analysis
 
@@ -21,8 +21,8 @@ import (
 
 // An Analyzer is one named, documented check over a type-checked package.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and on the command line.
-	// It must be a valid Go identifier.
+	// Name identifies the analyzer in diagnostics. It must be a valid Go
+	// identifier.
 	Name string
 
 	// Doc is the analyzer's documentation: a one-line summary, a blank
@@ -38,7 +38,6 @@ type Analyzer struct {
 // A Pass provides one analyzer run with a single type-checked package and
 // a sink for its diagnostics. Passes are not reused across packages.
 type Pass struct {
-	Analyzer  *Analyzer
 	Fset      *token.FileSet
 	Files     []*ast.File
 	Pkg       *types.Package
@@ -50,103 +49,62 @@ type Pass struct {
 
 	// Report delivers one diagnostic. Never nil.
 	Report func(Diagnostic)
-
-	// cfgs memoizes FuncCFG results by body. Lazily initialized; drivers
-	// that copy the Pass per analyzer each get an independent cache.
-	cfgs map[*ast.BlockStmt]*CFG
 }
 
-// FuncCFG returns the control-flow graph of body, building it on first
-// use and memoizing. body is the Body of a FuncDecl or FuncLit; nil
-// yields a trivial entry→exit graph.
-func (p *Pass) FuncCFG(body *ast.BlockStmt) *CFG {
-	if c, ok := p.cfgs[body]; ok {
-		return c
-	}
-	c := NewCFG(body)
-	if p.cfgs == nil {
-		p.cfgs = make(map[*ast.BlockStmt]*CFG)
-	}
-	p.cfgs[body] = c
-	return c
-}
-
-// Reportf reports a formatted diagnostic at pos with no suggested fixes.
+// Reportf reports a formatted diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// A Diagnostic is one finding: a position, a message, and optionally a
-// mechanical fix.
+// A Diagnostic is one finding: a position and a message.
 type Diagnostic struct {
 	Pos     token.Pos
-	End     token.Pos // zero means unknown
 	Message string
-
-	// SuggestedFixes holds zero or more mechanical rewrites that would
-	// resolve the diagnostic. Drivers may render or apply them.
-	SuggestedFixes []SuggestedFix
 }
 
-// A SuggestedFix is one self-contained rewrite: a message plus the text
-// edits that implement it.
-type SuggestedFix struct {
-	Message   string
-	TextEdits []TextEdit
-}
-
-// A TextEdit replaces the source in [Pos, End) with NewText. A pure
-// insertion has Pos == End.
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText []byte
-}
-
-// Inspect walks every file in the pass in depth-first order, calling f for
-// each node; f returning false prunes the subtree, as in ast.Inspect.
-func (p *Pass) Inspect(f func(ast.Node) bool) {
-	for _, file := range p.Files {
-		ast.Inspect(file, f)
+// NewInfo returns a types.Info with every map analyzers rely on allocated.
+func NewInfo() *types.Info {
+	return &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Implicits:  make(map[ast.Node]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Scopes:     make(map[ast.Node]*types.Scope),
+		Instances:  make(map[*ast.Ident]types.Instance),
 	}
 }
 
 // InSimPackage reports whether path names one of the packages whose code
-// runs inside the simulated-time universe. These packages carry the
-// paper's determinism guarantee (§3 deterministic tie-breaking, §4
-// lock-free rounds): no wall clock, no unseeded randomness, and no
-// map-iteration order may leak into simulation state there.
+// runs inside the simulated-time universe, or builds its inputs. These
+// packages carry the paper's determinism guarantee (§3 deterministic
+// tie-breaking, §4 lock-free rounds): no wall clock, no unseeded
+// randomness, and no map-iteration order may leak into simulation state
+// there.
 //
 // The set is a function of the import path, not configuration, so that
-// every driver (unisoncheck standalone, go vet -vettool, analysistest
-// fixtures under matching paths) classifies identically.
+// go vet and the analysistest fixtures (under matching paths) classify
+// identically.
 func InSimPackage(path string) bool { return simPackages[path] }
 
 var simPackages = map[string]bool{
-	"unison/internal/des":     true,
-	"unison/internal/core":    true,
-	"unison/internal/pdes":    true,
-	"unison/internal/vtime":   true,
-	"unison/internal/eventq":  true,
-	"unison/internal/netdev":  true,
-	"unison/internal/flowmon": true,
-	"unison/internal/netobs":  true,
-	"unison/internal/traffic": true,
-	"unison/internal/routing": true,
-	"unison/internal/tcp":     true,
-	"unison/internal/sim":     true,
-	"unison/internal/metrics": true,
-}
-
-// InWallclockExemptPackage reports whether path is allowed to read the
-// wall clock outright: the distributed runtime, fault injection, and the
-// observability plane deal in real deadlines and real timestamps.
-func InWallclockExemptPackage(path string) bool { return wallclockExempt[path] }
-
-var wallclockExempt = map[string]bool{
-	"unison/internal/dist":   true,
-	"unison/internal/faults": true,
-	"unison/internal/obs":    true,
+	"unison/internal/des":      true,
+	"unison/internal/core":     true,
+	"unison/internal/pdes":     true,
+	"unison/internal/vtime":    true,
+	"unison/internal/eventq":   true,
+	"unison/internal/netdev":   true,
+	"unison/internal/flowmon":  true,
+	"unison/internal/netobs":   true,
+	"unison/internal/traffic":  true,
+	"unison/internal/routing":  true,
+	"unison/internal/tcp":      true,
+	"unison/internal/sim":      true,
+	"unison/internal/metrics":  true,
+	"unison/internal/coll":     true,
+	"unison/internal/trace":    true,
+	"unison/internal/packet":   true,
+	"unison/internal/topology": true,
 }
 
 // RNGPackage is the one package allowed to construct raw generators;

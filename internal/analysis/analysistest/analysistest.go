@@ -15,12 +15,10 @@
 //
 // The backquoted or double-quoted string is a regexp matched against
 // diagnostics reported on that line; several strings may follow one
-// `want`. A fixture file with a sibling <name>.golden has every suggested
-// fix applied and the result compared against the golden file.
+// `want`.
 package analysistest
 
 import (
-	"bytes"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -32,14 +30,12 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
 	"unison/internal/analysis"
-	"unison/internal/analysis/load"
 )
 
 // TestData returns the absolute path of the calling test's testdata dir.
@@ -70,7 +66,6 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, patterns ...string
 type fixturePkg struct {
 	path  string
 	files []*ast.File
-	names []string
 	types *types.Package
 	info  *types.Info
 }
@@ -97,7 +92,6 @@ func checkFixture(fset *token.FileSet, src, path string, checked map[string]*fix
 			return nil, err
 		}
 		p.files = append(p.files, f)
-		p.names = append(p.names, fn)
 	}
 	if len(p.files) == 0 {
 		return nil, fmt.Errorf("no .go files in %s", dir)
@@ -117,7 +111,7 @@ func checkFixture(fset *token.FileSet, src, path string, checked map[string]*fix
 			}
 		}
 	}
-	p.info = load.NewInfo()
+	p.info = analysis.NewInfo()
 	conf := types.Config{Importer: &fixtureImporter{fset: fset, mem: mem}}
 	tpkg, err := conf.Check(path, fset, p.files, p.info)
 	if err != nil {
@@ -180,12 +174,11 @@ func stdExportLookup(path string) (io.ReadCloser, error) {
 	return os.Open(f)
 }
 
-// runOne applies the analyzer and checks wants and goldens.
+// runOne applies the analyzer and checks its diagnostics against the wants.
 func runOne(t *testing.T, fset *token.FileSet, p *fixturePkg, a *analysis.Analyzer) {
 	t.Helper()
 	var diags []analysis.Diagnostic
 	pass := &analysis.Pass{
-		Analyzer:   a,
 		Fset:       fset,
 		Files:      p.files,
 		Pkg:        p.types,
@@ -222,7 +215,6 @@ func runOne(t *testing.T, fset *token.FileSet, p *fixturePkg, a *analysis.Analyz
 			t.Errorf("%s:%d: unexpected diagnostic: %s", pos.Filename, pos.Line, d.Message)
 		}
 	}
-	checkGoldens(t, fset, p, diags)
 }
 
 type want struct {
@@ -285,56 +277,4 @@ func collectWants(t *testing.T, fset *token.FileSet, files []*ast.File) []want {
 		}
 	}
 	return wants
-}
-
-// checkGoldens applies suggested fixes per file and compares with
-// <file>.golden when present.
-func checkGoldens(t *testing.T, fset *token.FileSet, p *fixturePkg, diags []analysis.Diagnostic) {
-	t.Helper()
-	type edit struct {
-		pos, end int
-		text     []byte
-	}
-	perFile := make(map[string][]edit)
-	for _, d := range diags {
-		for _, fix := range d.SuggestedFixes {
-			for _, te := range fix.TextEdits {
-				pos := fset.Position(te.Pos)
-				end := pos.Offset
-				if te.End.IsValid() {
-					end = fset.Position(te.End).Offset
-				}
-				perFile[pos.Filename] = append(perFile[pos.Filename], edit{pos.Offset, end, te.NewText})
-			}
-		}
-	}
-	for _, name := range p.names {
-		golden := name + ".golden"
-		wantSrc, err := os.ReadFile(golden)
-		if os.IsNotExist(err) {
-			continue
-		} else if err != nil {
-			t.Fatal(err)
-		}
-		src, err := os.ReadFile(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		edits := perFile[name]
-		sort.Slice(edits, func(i, j int) bool { return edits[i].pos < edits[j].pos })
-		var out bytes.Buffer
-		last := 0
-		for _, e := range edits {
-			if e.pos < last {
-				t.Fatalf("%s: overlapping suggested fixes", name)
-			}
-			out.Write(src[last:e.pos])
-			out.Write(e.text)
-			last = e.end
-		}
-		out.Write(src[last:])
-		if got := out.String(); got != string(wantSrc) {
-			t.Errorf("%s: applied fixes do not match golden.\n--- got ---\n%s\n--- want ---\n%s", name, got, wantSrc)
-		}
-	}
 }

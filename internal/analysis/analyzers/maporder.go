@@ -1,7 +1,6 @@
 package analyzers
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -35,11 +34,7 @@ commutative carry an annotation with an optional reason:
 
 	for k, v := range m { //unison:ordered sums are integer, order-free
 
-For the simple "for k := range m" / "for k, v := range m" forms over an
-ident or selector with an ordered key type, the diagnostic carries a
-mechanical collect-sort-index rewrite as a suggested fix (the rewrite
-uses sort.Slice; make sure "sort" is imported). Test files are not
-checked.`,
+Test files are not checked.`,
 	Run: runMaporder,
 }
 
@@ -97,7 +92,6 @@ func checkMapRange(pass *analysis.Pass, rng *ast.RangeStmt, enclosing ast.Node) 
 
 	loopVars := rangeLoopVars(pass, rng)
 	guarded := guardedAssigns(pass, rng.Body)
-	var diags []analysis.Diagnostic
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
@@ -106,24 +100,14 @@ func checkMapRange(pass *analysis.Pass, rng *ast.RangeStmt, enclosing ast.Node) 
 			if guarded[n] {
 				return true // monotone max/min update: commutative
 			}
-			checkAssign(pass, rng, enclosing, loopVars, n, &diags)
+			checkAssign(pass, rng, enclosing, loopVars, n)
 		case *ast.CallExpr:
 			if name, ok := calleeName(pass, n); ok && orderSinkNames[name] {
-				diags = append(diags, analysis.Diagnostic{
-					Pos: n.Pos(),
-					Message: fmt.Sprintf("map iteration order reaches order-sensitive sink %s; sort the keys first or annotate //unison:ordered",
-						name),
-				})
+				pass.Reportf(n.Pos(), "map iteration order reaches order-sensitive sink %s; sort the keys first or annotate //unison:ordered", name)
 			}
 		}
 		return true
 	})
-	for _, d := range diags {
-		if fix, ok := sortKeysFix(pass, rng); ok {
-			d.SuggestedFixes = append(d.SuggestedFixes, fix)
-		}
-		pass.Report(d)
-	}
 }
 
 // guardedAssigns finds plain assignments guarded by an ordering
@@ -186,7 +170,7 @@ func rangeLoopVars(pass *analysis.Pass, rng *ast.RangeStmt) map[types.Object]boo
 	return vars
 }
 
-func checkAssign(pass *analysis.Pass, rng *ast.RangeStmt, enclosing ast.Node, loopVars map[types.Object]bool, as *ast.AssignStmt, diags *[]analysis.Diagnostic) {
+func checkAssign(pass *analysis.Pass, rng *ast.RangeStmt, enclosing ast.Node, loopVars map[types.Object]bool, as *ast.AssignStmt) {
 	switch as.Tok {
 	case token.ASSIGN, token.DEFINE:
 		for i, lhs := range as.Lhs {
@@ -200,11 +184,8 @@ func checkAssign(pass *analysis.Pass, rng *ast.RangeStmt, enclosing ast.Node, lo
 						if sortedAfter(pass, enclosing, rng, obj) {
 							continue // collect-then-sort idiom
 						}
-						*diags = append(*diags, analysis.Diagnostic{
-							Pos: as.Pos(),
-							Message: fmt.Sprintf("appending to %s while ranging a map makes its element order random; sort the keys first or annotate //unison:ordered",
-								exprString(lhs)),
-						})
+						pass.Reportf(as.Pos(), "appending to %s while ranging a map makes its element order random; sort the keys first or annotate //unison:ordered",
+							exprString(lhs))
 						continue
 					}
 				}
@@ -212,11 +193,8 @@ func checkAssign(pass *analysis.Pass, rng *ast.RangeStmt, enclosing ast.Node, lo
 			// last-write-wins into an outer var/field with loop data on the RHS?
 			if obj := outerObject(pass, rng, lhs); obj != nil && !indexedByLoopKey(pass, lhs, loopVars) {
 				if i < len(as.Rhs) && mentionsAny(pass, as.Rhs[min(i, len(as.Rhs)-1)], loopVars) {
-					*diags = append(*diags, analysis.Diagnostic{
-						Pos: as.Pos(),
-						Message: fmt.Sprintf("assignment to %s keeps only the map iteration's random last value; sort the keys first or annotate //unison:ordered",
-							exprString(lhs)),
-					})
+					pass.Reportf(as.Pos(), "assignment to %s keeps only the map iteration's random last value; sort the keys first or annotate //unison:ordered",
+						exprString(lhs))
 				}
 			}
 		}
@@ -233,17 +211,11 @@ func checkAssign(pass *analysis.Pass, rng *ast.RangeStmt, enclosing ast.Node, lo
 		if b, ok := t.Type.Underlying().(*types.Basic); ok {
 			switch {
 			case b.Info()&types.IsFloat != 0:
-				*diags = append(*diags, analysis.Diagnostic{
-					Pos: as.Pos(),
-					Message: fmt.Sprintf("float accumulation into %s under map iteration is order-dependent (fp addition is not associative); sort the keys first or annotate //unison:ordered",
-						exprString(lhs)),
-				})
+				pass.Reportf(as.Pos(), "float accumulation into %s under map iteration is order-dependent (fp addition is not associative); sort the keys first or annotate //unison:ordered",
+					exprString(lhs))
 			case b.Info()&types.IsString != 0 && as.Tok == token.ADD_ASSIGN:
-				*diags = append(*diags, analysis.Diagnostic{
-					Pos: as.Pos(),
-					Message: fmt.Sprintf("string concatenation into %s under map iteration is order-dependent; sort the keys first or annotate //unison:ordered",
-						exprString(lhs)),
-				})
+				pass.Reportf(as.Pos(), "string concatenation into %s under map iteration is order-dependent; sort the keys first or annotate //unison:ordered",
+					exprString(lhs))
 			}
 		}
 	}
@@ -362,56 +334,4 @@ func isSortCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 		return false
 	}
 	return sortFuncs[fn.Pkg().Path()][fn.Name()]
-}
-
-// sortKeysFix builds the mechanical collect-sort-index rewrite for the
-// simple forms `for k := range m` and `for k, v := range m` where m is an
-// ident or selector and the key type is an ordered basic type.
-func sortKeysFix(pass *analysis.Pass, rng *ast.RangeStmt) (analysis.SuggestedFix, bool) {
-	if rng.Tok != token.DEFINE {
-		return analysis.SuggestedFix{}, false
-	}
-	key, ok := rng.Key.(*ast.Ident)
-	if !ok || key.Name == "_" {
-		return analysis.SuggestedFix{}, false
-	}
-	switch rng.X.(type) {
-	case *ast.Ident, *ast.SelectorExpr:
-	default:
-		return analysis.SuggestedFix{}, false
-	}
-	mt, ok := pass.TypesInfo.Types[rng.X].Type.Underlying().(*types.Map)
-	if !ok {
-		return analysis.SuggestedFix{}, false
-	}
-	kb, ok := mt.Key().Underlying().(*types.Basic)
-	if !ok || kb.Info()&(types.IsOrdered) == 0 {
-		return analysis.SuggestedFix{}, false
-	}
-	m := exprString(rng.X)
-	keyType := types.TypeString(mt.Key(), func(p *types.Package) string {
-		if p == pass.Pkg {
-			return ""
-		}
-		return p.Name()
-	})
-	line := pass.Fset.Position(rng.Pos()).Line
-	keys := fmt.Sprintf("keys%d", line)
-
-	var pre string
-	pre += fmt.Sprintf("%s := make([]%s, 0, len(%s))\n", keys, keyType, m)
-	pre += fmt.Sprintf("for %s := range %s {\n%s = append(%s, %s)\n}\n", key.Name, m, keys, keys, key.Name)
-	pre += fmt.Sprintf("sort.Slice(%s, func(i, j int) bool { return %s[i] < %s[j] })\n", keys, keys, keys)
-	header := fmt.Sprintf("for _, %s := range %s {", key.Name, keys)
-	if v, ok := rng.Value.(*ast.Ident); ok && v.Name != "_" {
-		header += fmt.Sprintf("\n%s := %s[%s]", v.Name, m, key.Name)
-	}
-	return analysis.SuggestedFix{
-		Message: "iterate over sorted keys (requires the sort import)",
-		TextEdits: []analysis.TextEdit{{
-			Pos:     rng.Pos(),
-			End:     rng.Body.Lbrace + 1,
-			NewText: []byte(pre + header),
-		}},
-	}, true
 }

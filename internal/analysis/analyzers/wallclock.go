@@ -1,7 +1,7 @@
 // Package analyzers holds the unisoncheck suite: five analyzers that
-// mechanically enforce the determinism and ownership invariants the
-// paper's guarantees rest on. See DESIGN.md §9 for the catalogue and the
-// annotation grammar.
+// mechanically enforce the determinism, ownership and checkpoint
+// invariants the paper's guarantees rest on. See DESIGN.md §9 for the
+// catalogue, the annotation grammar and the defect each one caught.
 package analyzers
 
 import (
@@ -13,7 +13,7 @@ import (
 
 // All returns the full suite in reporting order.
 func All() []*analysis.Analyzer {
-	return []*analysis.Analyzer{Wallclock, Maporder, Owner, Seedflow, Deprecated, Arena, Ckptfields, Poolescape, Statejson}
+	return []*analysis.Analyzer{Wallclock, Maporder, Owner, Seedflow, Ckptfields}
 }
 
 // Wallclock forbids wall-clock reads and global math/rand draws inside
@@ -30,8 +30,8 @@ time.Until, time.After, time.AfterFunc, time.Tick, time.NewTimer and
 time.NewTicker are diagnostics, as are calls of math/rand package-level
 functions that draw from the process-global source (rand.Intn,
 rand.Float64, ...; constructing an explicit generator is seedflow's
-concern). The dist, faults and obs packages handle real deadlines and
-real timestamps and are exempt wholesale.
+concern). Every other package (dist, faults, obs, the CLIs) may read the
+wall clock.
 
 Measurement-only uses (worker wall-time decompositions, calibration)
 are annotated at the offending line:
@@ -58,7 +58,7 @@ var globalRandExempt = map[string]bool{
 }
 
 func runWallclock(pass *analysis.Pass) error {
-	if !analysis.InSimPackage(pass.Pkg.Path()) || analysis.InWallclockExemptPackage(pass.Pkg.Path()) {
+	if !analysis.InSimPackage(pass.Pkg.Path()) {
 		return nil
 	}
 	for _, file := range pass.Files {

@@ -23,6 +23,9 @@ import (
 //	//unison:owner transfer REASON – at a call site: assert an ownership
 //	                                 transfer (e.g. a phase barrier)
 //	                                 makes mixing sides safe here.
+//	//unison:ckpt-skip REASON      – on a struct field: it is config or
+//	                                 derived state a checkpoint need not
+//	                                 carry; REASON is mandatory.
 //
 // A directive suppresses diagnostics reported on its own line, or — when
 // the comment stands alone on its line — on the first following line. The

@@ -280,7 +280,7 @@ func ParseScenario(data []byte) (*Scenario, error) {
 // marshal(parse(marshal(sc))) == marshal(sc) — which is what lets tests
 // and tooling diff scenarios byte-wise.
 func (sc *Scenario) Marshal() ([]byte, error) {
-	b, err := json.MarshalIndent(sc, "", "  ") //unison:json-ok scenario floats come from parsed JSON or defaults, both finite
+	b, err := json.MarshalIndent(sc, "", "  ")
 	if err != nil {
 		return nil, err
 	}

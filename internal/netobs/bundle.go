@@ -3,6 +3,7 @@ package netobs
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -100,6 +101,19 @@ func writeJSON(path string, v any) error {
 	return f.Close()
 }
 
+// scrubStats replaces a non-finite imbalance ratio — RunStats' only
+// floats — with 0, in place: encoding/json refuses NaN/Inf, and one bad
+// ratio must cost that number, not run_stats.json.
+func scrubStats(st *sim.RunStats) {
+	if im := st.Imbalance; im != nil {
+		for _, f := range []*float64{&im.MeanMaxOverMean, &im.WorstMaxOverMean, &im.StragglerShare} {
+			if math.IsNaN(*f) || math.IsInf(*f, 0) {
+				*f = 0
+			}
+		}
+	}
+}
+
 // Write materializes the bundle under dir, creating it if needed, and
 // returns the list of files written (relative to dir).
 func (b *Bundle) Write(dir string) ([]string, error) {
@@ -122,6 +136,7 @@ func (b *Bundle) Write(dir string) ([]string, error) {
 	files = append(files, "meta.json")
 
 	if b.Stats != nil {
+		scrubStats(b.Stats)
 		if err := writeJSON(filepath.Join(dir, "run_stats.json"), b.Stats); err != nil {
 			return fail("run_stats.json", err)
 		}

@@ -49,18 +49,31 @@ type Sub struct {
 	ch    chan BusEvent
 	drops atomic.Uint64
 	bus   *Bus
+
+	// state counts the publishers sending to ch right now, plus the
+	// subDetached bit once Close ran and the subClosed bit once ch is
+	// closed. A publisher holds a snapshot of the subscriber slice, so it
+	// may still reach a Sub that Close already removed: ch is closed by
+	// whichever side brings the count to zero with subDetached set.
+	state atomic.Int64
 }
 
-// C returns the subscription's event channel. It is closed by Close (or
-// by Bus.Close); a receive loop should range over it.
+const (
+	subDetached = 1 << 62
+	subClosed   = 1 << 61
+)
+
+// C returns the subscription's event channel. It is closed once Close has
+// run and no publisher is still sending to it; a receive loop should range
+// over it.
 func (s *Sub) C() <-chan BusEvent { return s.ch }
 
 // Drops returns how many events were dropped because this subscriber's
 // buffer was full at publish time.
 func (s *Sub) Drops() uint64 { return s.drops.Load() }
 
-// Close detaches the subscription from the bus and closes its channel.
-// Safe to call more than once.
+// Close detaches the subscription from the bus; its channel closes as soon
+// as no publisher is sending to it. Safe to call more than once.
 func (s *Sub) Close() { s.bus.unsubscribe(s) }
 
 // Bus is a bounded, non-blocking telemetry fan-out implementing Probe.
@@ -140,7 +153,16 @@ func (b *Bus) unsubscribe(s *Sub) {
 		b.subs.Store(&next)
 	}
 	b.mu.Unlock()
-	if found {
+	if found && s.state.Add(subDetached) == subDetached {
+		s.closeIfIdle()
+	}
+}
+
+// closeIfIdle closes ch if the Sub is detached with no publisher in
+// flight. The CAS admits one closer even when a late publisher's release
+// and Close both see the count at zero.
+func (s *Sub) closeIfIdle() {
+	if s.state.CompareAndSwap(subDetached, subDetached|subClosed) {
 		close(s.ch)
 	}
 }
@@ -161,11 +183,16 @@ func (b *Bus) publish(ev BusEvent) {
 
 func (b *Bus) publishTo(subs []*Sub, ev BusEvent) {
 	for _, s := range subs {
-		select {
-		case s.ch <- ev:
-		default:
-			s.drops.Add(1)
-			b.drops.Add(1)
+		if s.state.Add(1)&subDetached == 0 {
+			select {
+			case s.ch <- ev:
+			default:
+				s.drops.Add(1)
+				b.drops.Add(1)
+			}
+		}
+		if s.state.Add(-1) == subDetached {
+			s.closeIfIdle()
 		}
 	}
 }

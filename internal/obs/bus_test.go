@@ -92,7 +92,9 @@ func TestBusUnattachedPublishesNothing(t *testing.T) {
 }
 
 // TestBusConcurrentPublishSubscribe exercises publish racing with
-// subscribe/unsubscribe under -race.
+// subscribe/unsubscribe under -race: a publisher may still hold a Sub that
+// Close removed, and must neither send on a closed channel nor keep the
+// channel from closing.
 func TestBusConcurrentPublishSubscribe(t *testing.T) {
 	b := NewBus(nil)
 	var wg sync.WaitGroup
@@ -118,6 +120,8 @@ func TestBusConcurrentPublishSubscribe(t *testing.T) {
 			}
 		}
 		s.Close()
+		for range s.C() { // returns once the channel is closed
+		}
 	}
 	close(stop)
 	wg.Wait()

@@ -38,7 +38,7 @@ type TraceEvent struct {
 	Dur  float64        `json:"dur,omitempty"`
 	Pid  int            `json:"pid"`
 	Tid  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"` //unison:json-ok single-key args objects; encoding/json sorts string keys
+	Args map[string]any `json:"args,omitempty"`
 }
 
 // traceFile is the top-level trace-event JSON object.
@@ -139,7 +139,6 @@ func Events(meta RunMeta, recs []RoundRecord) []TraceEvent {
 // file, loadable at https://ui.perfetto.dev.
 func WriteTraceJSON(w io.Writer, evs []TraceEvent) error {
 	enc := json.NewEncoder(w)
-	//unison:json-ok Ts/Dur derive from int64 event ticks divided by 1e3, always finite
 	return enc.Encode(traceFile{TraceEvents: evs, DisplayTimeUnit: "ms"})
 }
 

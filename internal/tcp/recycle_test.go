@@ -98,8 +98,8 @@ func TestStaleTimerOnRecycledSlot(t *testing.T) {
 	// Flow B reuses the record — the free list is LIFO, so this is
 	// deterministic — and must know of the event A left pending.
 	c2, idx2 := a.alloc()
-	if idx2 != idx1 { //unison:pool-ok the test asserts LIFO reuse of the released slot
-		t.Fatalf("recycled slot %d, want LIFO reuse of slot %d", idx2, idx1) //unison:pool-ok the test asserts LIFO reuse of the released slot
+	if idx2 != idx1 {
+		t.Fatalf("recycled slot %d, want LIFO reuse of slot %d", idx2, idx1)
 	}
 	c2.init(s, FlowSpec{ID: 2, Src: src, Dst: dst, Bytes: 1_000_000}, true)
 	if c2.timer.pendAt != sim.Millisecond || c2.timer.deadline != 0 {

@@ -33,8 +33,6 @@ const arenaChunkBits = 2
 const arenaChunkSize = 1 << arenaChunkBits
 
 // connArena allocates conn records for one host.
-//
-//unison:arena
 type connArena struct {
 	chunks [][]conn
 	free   []int32 // LIFO recycled slots
@@ -44,9 +42,6 @@ type connArena struct {
 }
 
 // alloc returns a reset record and its stable index.
-//
-//unison:arena alloc
-//unison:pool-get
 func (a *connArena) alloc() (*conn, int32) {
 	var idx int32
 	if n := len(a.free); n > 0 {
@@ -77,18 +72,12 @@ func (a *connArena) bump() {
 
 // at resolves an index to its record. Indices are stable for the lifetime
 // of the arena; the record content is valid until release.
-//
-//unison:arena get
-//unison:pool-get
 func (a *connArena) at(idx int32) *conn {
 	return &a.chunks[idx>>arenaChunkBits][idx&(arenaChunkSize-1)]
 }
 
 // release recycles the slot. The caller must drop every *conn for idx; a
 // pending timer event finds the timer disarmed.
-//
-//unison:arena release
-//unison:pool-put
 func (a *connArena) release(idx int32) {
 	a.free = append(a.free, idx)
 	a.live--

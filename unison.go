@@ -343,8 +343,8 @@ var (
 var (
 	// GenerateTraffic materializes the statistical workload for a config.
 	// Library code may call it freely; the CLIs must route workloads
-	// through the Scenario path instead (enforced by unisoncheck's
-	// deprecated analyzer), so every tool honors one -scenario contract.
+	// through the Scenario path instead, so every tool honors one
+	// -scenario contract.
 	GenerateTraffic = traffic.Generate
 	IncastBurst     = traffic.IncastBurst
 	WebSearchCDF    = traffic.WebSearchCDF
