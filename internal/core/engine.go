@@ -19,7 +19,7 @@ import (
 // This file is the round engine's state machine: the LPs, their FELs and
 // staged mailboxes, the public LP, the window, and the four steps a round
 // consists of (§5.1, Fig 7). It starts no goroutine and reads no clock.
-// Two drivers call the steps: the live one (kernel.go — goroutines, group
+// Two drivers call the steps: the live one (kernel.go — goroutines, home
 // cursors, barrier, stopwatch) and the virtual testbed's (internal/vtime —
 // one thread, list scheduling, cost model). Both therefore execute the
 // same schedule-producing code; they differ in who runs which step when,
@@ -31,7 +31,7 @@ import (
 // groups; each group owns PerGroup workers (numbered group*PerGroup+i)
 // that pull that group's LPs, and only those:
 //
-//	Unison  one group, Threads workers      LPs bind to workers per round
+//	Unison  one group, Threads workers      LPs run at home unless stolen
 //	hybrid  one group per host              LPs never leave their host
 //	barrier one group per rank, one worker  static rank binding
 //	rank    one group per rank, one here    the others run in other processes
@@ -97,29 +97,21 @@ type lpState struct {
 	lastW int32
 }
 
-// group is one set of LPs, the two lists that say which of them a round
-// visits, and the cursors the live workers pull those lists through. The
-// layout is three cache lines. The list headers are written only in the
-// serial sections (phase 2 rebuilds recv, phase 4 rebuilds run) and fill
-// the first, which therefore stays shared and clean while workers pull; the
-// cursors own the second, so a group's workers fight over that line only
-// with each other and only for the increment. Sharing one line, every
-// claim re-fetched the headers from whichever core incremented last (7 % on
-// bench's sparse-lowdelay.unison); and with one group per rank, unpadded
-// cursors of different groups would put every worker on the same line.
+// group is one set of LPs and the two lists that say which of them a round
+// visits. Only the serial sections write it (phase 2 rebuilds recv, phase 4
+// rebuilds run), so its lines stay shared and clean while workers read them.
+// Claims write only homes: under the live driver a group of several workers
+// has one per worker, a cache line each, so a claim contends only with claims
+// on the same home — its owner's, until another worker runs dry and steals.
 type group struct {
 	// run is the LPs with an event inside the current window, in schedule
 	// order: the phase-1 pull list. recv is the LPs whose FEL the round may
 	// have changed — those that ran, were sent to, or had a global event
 	// insert directly — in index order: the phase-3 pull list. An LP on
 	// neither list is not read or written that round.
-	run  []int32
-	recv []int32
-	_    [16]byte
-
-	cursor1 atomic.Int64
-	cursor3 atomic.Int64
-	_       [48]byte
+	run   []int32
+	recv  []int32
+	homes []home
 
 	// order is every LP of the group in schedule order, and low[b] the
 	// earliest cached next-event time among order's b-th 64 (stale when one
@@ -129,8 +121,18 @@ type group struct {
 	// reaches.
 	order []int32
 	low   []sim.Time
-	_     [16]byte
 }
+
+// home is one live worker's share of its group's two lists and the cursors
+// the group's workers claim them through (kernel.go): share[runList] is its
+// LPs on the run list, in schedule order, and share[recvList] its range of
+// the recv list. It is exactly one cache line.
+type home struct {
+	share  [2][]int32
+	cursor [2]atomic.Int64
+}
+
+const runList, recvList = 0, 1 // indices of home.share and home.cursor
 
 // stale marks a block minimum to be recomputed. (A block that really held
 // an event at this time would be recomputed every round, to the same value.)

@@ -93,7 +93,7 @@ func (k *Kernel) Run(m *sim.Model) (*sim.RunStats, error) {
 }
 
 // live is the goroutine driver of the round engine (engine.go): one
-// goroutine and one engine thread per worker, the group cursors to hand
+// goroutine and one engine thread per worker, the homes' cursors to hand
 // out LPs, a barrier whose two serial sections run phases 2 and 4, and a
 // stopwatch for P/S/M. The slices are what the workers leave each other
 // across those sections.
@@ -103,6 +103,108 @@ type live struct {
 	roundP []int64
 	times  []sim.WorkerStats // each worker's P/S/M, written as it exits
 	trace  []sim.RoundSample
+	homeOf []int32 // LP → home in its group (homes); nil when groups have one worker
+}
+
+// newLive is e's live driver; a group of several workers gets a home each.
+func newLive(e *Engine) *live {
+	workers := len(e.workers)
+	l := &live{
+		Engine: e,
+		bar:    syncx.NewBarrier(workers),
+		roundP: make([]int64, workers),
+		times:  make([]sim.WorkerStats, workers),
+	}
+	if e.sh.PerGroup > 1 {
+		l.homeOf = homes(&e.sh)
+		for i := range e.groups {
+			e.groups[i].homes = make([]home, e.sh.PerGroup)
+		}
+		l.shareRun()
+	}
+	return l
+}
+
+// homes cuts every group's LPs, in index order, into PerGroup contiguous
+// chunks whose sizes differ by at most one, and returns each LP's chunk: the
+// worker of its group that claims it first. Algorithm 1 numbers LPs by their
+// lowest node and the topology builders number nodes pod-, rack- or
+// BCube0-locally, so a chunk is a piece of the topology.
+func homes(sh *Shape) []int32 {
+	of, groupOf := make([]int32, sh.Part.Count), sh.GroupOf
+	if groupOf == nil {
+		groupOf = make([]int32, len(of))
+	}
+	size, seen := make([]int, sh.Groups()), make([]int, sh.Groups())
+	for _, g := range groupOf {
+		size[g]++
+	}
+	for lp, g := range groupOf {
+		of[lp] = int32(seen[g] * sh.PerGroup / size[g])
+		seen[g]++
+	}
+	return of
+}
+
+// shareRun deals every group's run list out to its homes, each share in the
+// list's schedule order, and rewinds their phase-1 cursors.
+func (l *live) shareRun() {
+	if l.homeOf == nil {
+		return
+	}
+	for i := range l.groups {
+		g := &l.groups[i]
+		for h := range g.homes {
+			g.homes[h].share[runList] = g.homes[h].share[runList][:0]
+			g.homes[h].cursor[runList].Store(0)
+		}
+		for _, lp := range g.run {
+			h := &g.homes[l.homeOf[lp]]
+			h.share[runList] = append(h.share[runList], lp)
+		}
+	}
+}
+
+// shareRecv cuts every group's recv list, which is in index order and so
+// holds each home's LPs as one range, into those ranges, and rewinds their
+// phase-3 cursors.
+func (l *live) shareRecv() {
+	if l.homeOf == nil {
+		return
+	}
+	for i := range l.groups {
+		g := &l.groups[i]
+		lo := 0
+		for h := range g.homes {
+			hi := lo
+			for hi < len(g.recv) && l.homeOf[g.recv[hi]] == int32(h) {
+				hi++
+			}
+			g.homes[h].share[recvList] = g.recv[lo:hi]
+			g.homes[h].cursor[recvList].Store(0)
+			lo = hi
+		}
+	}
+}
+
+// claim calls fn on every LP of a group's list (whole) that worker mine of
+// the group claims. A group's only worker walks whole with a plain counter;
+// otherwise a worker claims its own home's share first, then steals from
+// homes mine+1, mine+2, …, through their cursors, until every share is dry.
+func claim(homes []home, mine, list int, whole []int32, fn func(lp int32)) {
+	if homes == nil {
+		for _, lp := range whole {
+			fn(lp)
+		}
+		return
+	}
+	for k := range homes {
+		h := &homes[(mine+k)%len(homes)]
+		share, cur := h.share[list], &h.cursor[list]
+		for i := cur.Add(1) - 1; i < int64(len(share)); i = cur.Add(1) - 1 {
+			fn(share[i])
+		}
+	}
 }
 
 // run executes m under the shape plan chooses for its links, on real
@@ -120,14 +222,9 @@ func run(m *sim.Model, plan func(links []sim.LinkInfo) (Shape, error)) (*sim.Run
 	if err != nil {
 		return nil, err
 	}
-	workers := len(e.workers)
-	l := &live{
-		Engine: e,
-		bar:    syncx.NewBarrier(workers),
-		roundP: make([]int64, workers),
-		times:  make([]sim.WorkerStats, workers),
-	}
+	l := newLive(e)
 	if !e.done {
+		workers := len(e.workers)
 		threads := make([]*Thread, workers)
 		for w := range threads {
 			threads[w] = e.NewThread()
@@ -152,12 +249,10 @@ func run(m *sim.Model, plan func(links []sim.LinkInfo) (Shape, error)) (*sim.Run
 // workerLoop drives worker w, on thread t, through the four-phase round
 // (§5.1, Fig 7).
 // It is the only round loop of the live kernels: the shape decides nothing
-// here except which group's cursors worker w pulls from.
+// here except which group worker w claims from, and its home there.
 func (l *live) workerLoop(w int, t *Thread) {
 	g := &l.groups[l.first+w/l.sh.PerGroup]
-	// solo: this worker is its group's only one, so it walks the group's
-	// lists with a plain counter; nobody else claims from the cursors.
-	solo := l.sh.PerGroup == 1
+	mine := w % l.sh.PerGroup
 	ob := &l.outboxes[w]
 	// timed: only MetricPrevTime needs per-LP wall-clock estimates.
 	timed := l.sh.Cfg.Metric == MetricPrevTime
@@ -168,14 +263,28 @@ func (l *live) workerLoop(w int, t *Thread) {
 	// loop makes that one allocation per run, not one per round. Probes
 	// must copy (the pointee is only valid during OnRound).
 	var rec obs.RoundRecord
+	// What the claim loops do with an LP, and count for the round's record.
+	var migrations, recvd, depth uint64
+	process := func(lpIdx int32) {
+		nev, _ := t.Process(w, lpIdx)
+		if timed && clock.note(lpIdx, nev) {
+			clock.flush(l.lps)
+		}
+		if probe != nil && l.Migrated(w, lpIdx) {
+			migrations++
+		}
+	}
+	receive := func(lpIdx int32) {
+		n, d := t.Receive(lpIdx)
+		recvd += uint64(n)
+		depth += uint64(d)
+	}
 	// The two serial sections, run by whichever worker reaches the barrier
 	// last with every other one parked. Phase 2 also prepares the receive
 	// phase before anyone is released.
 	phase2 := func() {
 		t.Globals()
-		for i := range l.groups {
-			l.groups[i].cursor3.Store(0)
-		}
+		l.shareRecv()
 	}
 	var sw metrics.Stopwatch
 	sw.Start()
@@ -186,30 +295,14 @@ func (l *live) workerLoop(w int, t *Thread) {
 		roundIdx := l.round
 		roundLBTS := l.lbts
 		evStart := l.workers[w].events
-		var migrations uint64
-		// Phase 1: process events within the window, pulling the group's
-		// run list — longest estimated job first — via its shared cursor.
+		migrations, recvd, depth = 0, 0, 0
+		// Phase 1: process events within the window, claiming from the
+		// group's run list — longest estimated job first within each home.
 		t.StartRound()
-		run := g.run
 		if timed {
 			clock.start()
 		}
-		for i := int64(0); ; i++ {
-			if !solo {
-				i = g.cursor1.Add(1) - 1
-			}
-			if i >= int64(len(run)) {
-				break
-			}
-			lpIdx := run[i]
-			nev, _ := t.Process(w, lpIdx)
-			if timed && clock.note(lpIdx, nev) {
-				clock.flush(l.lps)
-			}
-			if probe != nil && l.Migrated(w, lpIdx) {
-				migrations++
-			}
-		}
+		claim(g.homes, mine, runList, g.run, process)
 		if timed {
 			clock.flush(l.lps)
 		}
@@ -227,19 +320,7 @@ func (l *live) workerLoop(w int, t *Thread) {
 
 		// Phase 3: receive the staged events of the LPs on the group's recv
 		// list, which phase 2 built.
-		recv := g.recv
-		var recvd, depth uint64
-		for i := int64(0); ; i++ {
-			if !solo {
-				i = g.cursor3.Add(1) - 1
-			}
-			if i >= int64(len(recv)) {
-				break
-			}
-			n, d := t.Receive(recv[i])
-			recvd += uint64(n)
-			depth += uint64(d)
-		}
+		claim(g.homes, mine, recvList, g.recv, receive)
 		mNS := sw.Lap()
 		times.M += mNS
 		// Phase 4 fuses into the barrier the same way: the last arriver
@@ -289,7 +370,5 @@ func (l *live) phase4() {
 		l.trace = append(l.trace, samp)
 	}
 	l.Advance()
-	for i := range l.groups {
-		l.groups[i].cursor1.Store(0)
-	}
+	l.shareRun()
 }

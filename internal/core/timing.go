@@ -23,8 +23,7 @@ const timingBatch = 16
 
 // lpClock accumulates one worker's current timing batch. Workers own
 // their lpClock exclusively; the LPs noted in a batch were claimed by
-// this worker through the phase-1 cursor, so the flush writes race with
-// nothing.
+// this worker in phase 1, so the flush writes race with nothing.
 type lpClock struct {
 	lps  [timingBatch]int32
 	evs  [timingBatch]int64
