@@ -129,10 +129,10 @@ func defaultScenario() *unison.Scenario {
 	return sc
 }
 
-// build resolves the scenario every process reconstructs. Each process
-// builds the full model deterministically; a host executes only its own
-// nodes' events.
-func build(sc *unison.Scenario) *unison.BuiltScenario {
+// build resolves the scenario every process reconstructs, and its split
+// into hosts. Each process builds the full model deterministically; a host
+// executes only its own nodes' events.
+func build(sc *unison.Scenario, hosts int) (*unison.BuiltScenario, []int32) {
 	b, err := sc.Build()
 	if err != nil {
 		fatal(err)
@@ -140,11 +140,15 @@ func build(sc *unison.Scenario) *unison.BuiltScenario {
 	if b.ManualFor == nil {
 		fatal(fmt.Errorf("topology %q has no manual-partition recipe; the distributed runtime needs one", sc.Topology.Kind))
 	}
-	return b
+	hostOf, err := b.ManualFor(hosts)
+	if err != nil {
+		fatal(err)
+	}
+	return b, hostOf
 }
 
 func runCoord(listen string, hosts int, sc *unison.Scenario, tmo time.Duration, reg *obs.Registry, artifacts, liveAddr string, linger time.Duration) {
-	b := build(sc)
+	b, _ := build(sc, hosts)
 	ln, err := net.Listen("tcp", listen)
 	if err != nil {
 		fatal(err)
@@ -256,7 +260,7 @@ func runCoord(listen string, hosts int, sc *unison.Scenario, tmo time.Duration, 
 }
 
 func runHost(id int32, addr string, hosts int, sc *unison.Scenario, tmo time.Duration, dials int, reg *obs.Registry, observe bool, ckptDir string, ckptEvery uint64, restore string, liveSide bool) {
-	b := build(sc)
+	b, hostOf := build(sc, hosts)
 	if observe {
 		// The coordinator assembles the bundle; this host only collects its
 		// own devices' records and ships them at gather.
@@ -265,7 +269,7 @@ func runHost(id int32, addr string, hosts int, sc *unison.Scenario, tmo time.Dur
 	}
 	m := b.Sim.Model()
 	cfg := dist.HostConfig{
-		ID: id, Addr: addr, HostOf: b.ManualFor(hosts), StopAt: sim.Time(sc.Stop),
+		ID: id, Addr: addr, HostOf: hostOf, StopAt: sim.Time(sc.Stop),
 		Timeout: tmo, DialAttempts: dials, Observe: reg, Live: liveSide,
 	}
 	if ckptDir != "" || restore != "" {

@@ -31,8 +31,9 @@ type Built struct {
 	// which have no manual-partition recipe).
 	Manual []int32
 	// ManualFor re-derives the recipe at another rank count (the
-	// distributed runtime sizes it by world size).
-	ManualFor func(ranks int) []int32
+	// distributed runtime sizes it by world size); a count the topology
+	// cannot be split into is an error.
+	ManualFor func(ranks int) ([]int32, error)
 	// Ranks is the resolved manual-partition rank count.
 	Ranks int
 	// Flows is the background-traffic flow count (collective flows are
@@ -66,7 +67,10 @@ func (sc *Scenario) Build() (*Built, error) {
 	}
 	b.Ranks = b.defaultRanks(sc.Kernel.Ranks)
 	if b.ManualFor != nil {
-		b.Manual = b.ManualFor(b.Ranks)
+		var err error
+		if b.Manual, err = b.ManualFor(b.Ranks); err != nil {
+			return nil, err
+		}
 	}
 
 	cfg := Config{
@@ -130,23 +134,23 @@ func (b *Built) buildTopology(t *TopologySpec) error {
 	case "fattree":
 		ft := topology.BuildFatTree(topology.FatTreeK(or(t.K, 4), bw, delay))
 		b.G, b.Hosts = ft.Graph, ft.Hosts()
-		b.ManualFor = func(r int) []int32 { return pdes.FatTreeManual(ft, r) }
+		b.ManualFor = func(r int) ([]int32, error) { return pdes.FatTreeRecipe(ft, r) }
 	case "torus":
 		tr := topology.BuildTorus2D(or(t.Rows, 6), or(t.Cols, 6), bw, delay)
 		b.G, b.Hosts = tr.Graph, tr.Hosts()
-		b.ManualFor = func(r int) []int32 { return pdes.TorusManual(tr, r) }
+		b.ManualFor = func(r int) ([]int32, error) { return pdes.TorusRecipe(tr, r) }
 	case "bcube":
 		bc := topology.BuildBCube(or(t.N, 4), 1, bw, delay)
 		b.G, b.Hosts = bc.Graph, bc.Hosts()
-		b.ManualFor = func(r int) []int32 { return pdes.BCubeManual(bc, r) }
+		b.ManualFor = func(r int) ([]int32, error) { return pdes.BCubeRecipe(bc, r) }
 	case "spineleaf":
 		s := topology.BuildSpineLeaf(or(t.Spines, 2), or(t.Leaves, 4), or(t.N, 4), bw, delay)
 		b.G, b.Hosts = s.Graph, s.Hosts()
-		b.ManualFor = func(r int) []int32 { return pdes.SpineLeafManual(s, r) }
+		b.ManualFor = func(r int) ([]int32, error) { return pdes.SpineLeafRecipe(s, r) }
 	case "dumbbell":
 		d := topology.BuildDumbbell(or(t.N, 4), bw, bw, delay, 5*delay)
 		b.G, b.Hosts = d.Graph, d.Hosts()
-		b.ManualFor = func(int) []int32 { return pdes.DumbbellManual(d) }
+		b.ManualFor = func(int) ([]int32, error) { return pdes.DumbbellManual(d), nil }
 	case "geant":
 		w := topology.Geant()
 		b.G, b.Hosts = w.Graph, w.Hosts()
@@ -175,6 +179,11 @@ func (b *Built) defaultRanks(explicit int) int {
 	case "bcube":
 		if t.N > 0 {
 			return t.N
+		}
+		return 4
+	case "spineleaf":
+		if t.Leaves > 0 {
+			return t.Leaves
 		}
 		return 4
 	case "dumbbell":

@@ -160,8 +160,8 @@ func TestScenarioOverrideCreatesTraffic(t *testing.T) {
 	}
 }
 
-// TestScenarioValidation covers the load-time rejections that would
-// otherwise surface as confusing assembly failures.
+// TestScenarioValidation covers the load- and build-time rejections that
+// would otherwise surface as confusing assembly failures or panics.
 func TestScenarioValidation(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -179,11 +179,20 @@ func TestScenarioValidation(t *testing.T) {
 		{"bad collective", func(sc *Scenario) {
 			sc.Collective = &CollectiveSpec{Pattern: "broadcast", MessageBytes: 1}
 		}, "pattern"},
+		{"fat-tree ranks", func(sc *Scenario) { sc.Kernel.Ranks = 3 }, "3 ranks do not evenly divide 4 clusters"},
+		{"spine-leaf ranks", func(sc *Scenario) {
+			sc.Topology = TopologySpec{Kind: "spineleaf", Leaves: 3}
+			sc.Kernel.Ranks = 2
+		}, "2 ranks do not evenly divide 3 leaves"},
+		{"torus ranks", func(sc *Scenario) {
+			sc.Topology = TopologySpec{Kind: "torus", Rows: 3, Cols: 3}
+			sc.Kernel.Ranks = 10
+		}, "invalid rank count 10 for 9 torus nodes"},
 	}
 	for _, tc := range cases {
 		sc := DefaultScenario()
 		tc.mutate(sc)
-		err := sc.Validate()
+		_, err := sc.Build()
 		if err == nil {
 			t.Errorf("%s: validated", tc.name)
 			continue

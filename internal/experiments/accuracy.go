@@ -40,10 +40,10 @@ func table1(Config) (*Table, error) {
 		Columns: []string{"model", "partition-LOC", "wiring-LOC", "total-PDES", "unison-LOC"},
 	}
 	models := []struct{ name, fn string }{
-		{"fat-tree", "FatTreeManual"},
-		{"BCube", "BCubeManual"},
-		{"spine-leaf", "SpineLeafManual"},
-		{"2D-torus", "TorusManual"},
+		{"fat-tree", "FatTreeRecipe"},
+		{"BCube", "BCubeRecipe"},
+		{"spine-leaf", "SpineLeafRecipe"},
+		{"2D-torus", "TorusRecipe"},
 	}
 	for _, m := range models {
 		loc := pdes.PartitionSourceLines(m.fn)

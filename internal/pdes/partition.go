@@ -16,14 +16,14 @@ import (
 // baseline kernels and by the Table 1 reproduction, which counts the
 // source lines they add.
 
-// FatTreeManual partitions a clustered fat-tree into `ranks` LPs the way
+// FatTreeRecipe partitions a clustered fat-tree into `ranks` LPs the way
 // Figure 3 prescribes: clusters are grouped contiguously and the core
 // switches are distributed evenly among the ranks. ranks must divide the
 // cluster count.
-func FatTreeManual(ft *topology.FatTree, ranks int) []int32 {
+func FatTreeRecipe(ft *topology.FatTree, ranks int) ([]int32, error) {
 	clusters := len(ft.Clusters)
 	if ranks <= 0 || clusters%ranks != 0 {
-		panic(fmt.Sprintf("pdes: %d ranks do not evenly divide %d clusters", ranks, clusters))
+		return nil, fmt.Errorf("pdes: %d ranks do not evenly divide %d clusters", ranks, clusters)
 	}
 	lpOf := make([]int32, ft.N())
 	perRank := clusters / ranks
@@ -41,15 +41,15 @@ func FatTreeManual(ft *topology.FatTree, ranks int) []int32 {
 	for i, core := range ft.CoreSw {
 		lpOf[core] = int32(i * ranks / len(ft.CoreSw))
 	}
-	return lpOf
+	return lpOf, nil
 }
 
-// BCubeManual partitions a BCube by its BCube0 groups ("treat each BCube0
+// BCubeRecipe partitions a BCube by its BCube0 groups ("treat each BCube0
 // as an LP", §6.1) and distributes every switch level evenly.
-func BCubeManual(b *topology.BCube, ranks int) []int32 {
+func BCubeRecipe(b *topology.BCube, ranks int) ([]int32, error) {
 	groups := len(b.BCube0)
 	if ranks <= 0 || groups%ranks != 0 {
-		panic(fmt.Sprintf("pdes: %d ranks do not evenly divide %d BCube0 groups", ranks, groups))
+		return nil, fmt.Errorf("pdes: %d ranks do not evenly divide %d BCube0 groups", ranks, groups)
 	}
 	lpOf := make([]int32, b.N())
 	perRank := groups / ranks
@@ -64,17 +64,17 @@ func BCubeManual(b *topology.BCube, ranks int) []int32 {
 			lpOf[sw] = int32(i * ranks / len(level))
 		}
 	}
-	return lpOf
+	return lpOf, nil
 }
 
-// TorusManual partitions a 2D torus by linear node index ranges, exactly
+// TorusRecipe partitions a 2D torus by linear node index ranges, exactly
 // as §6.1 describes ("assign an ID of i+R·j ... evenly divide the range"):
 // grid point (i,j) gets index i + rows·j, and the index space is split
 // into `ranks` contiguous sub-arrays. A host is assigned with its switch.
-func TorusManual(t *topology.Torus, ranks int) []int32 {
+func TorusRecipe(t *topology.Torus, ranks int) ([]int32, error) {
 	total := t.Rows * t.Cols
 	if ranks <= 0 || ranks > total {
-		panic(fmt.Sprintf("pdes: invalid rank count %d for %d torus nodes", ranks, total))
+		return nil, fmt.Errorf("pdes: invalid rank count %d for %d torus nodes", ranks, total)
 	}
 	lpOf := make([]int32, t.N())
 	for i := 0; i < t.Rows; i++ {
@@ -85,15 +85,15 @@ func TorusManual(t *topology.Torus, ranks int) []int32 {
 			lpOf[t.HostAt[i][j]] = rank
 		}
 	}
-	return lpOf
+	return lpOf, nil
 }
 
-// SpineLeafManual partitions a spine-leaf fabric by leaf groups, with the
+// SpineLeafRecipe partitions a spine-leaf fabric by leaf groups, with the
 // spines distributed evenly.
-func SpineLeafManual(s *topology.SpineLeaf, ranks int) []int32 {
+func SpineLeafRecipe(s *topology.SpineLeaf, ranks int) ([]int32, error) {
 	leaves := len(s.Leaves)
 	if ranks <= 0 || leaves%ranks != 0 {
-		panic(fmt.Sprintf("pdes: %d ranks do not evenly divide %d leaves", ranks, leaves))
+		return nil, fmt.Errorf("pdes: %d ranks do not evenly divide %d leaves", ranks, leaves)
 	}
 	lpOf := make([]int32, s.N())
 	perRank := leaves / ranks
@@ -106,6 +106,23 @@ func SpineLeafManual(s *topology.SpineLeaf, ranks int) []int32 {
 	}
 	for i, sp := range s.Spines {
 		lpOf[sp] = int32(i * ranks / len(s.Spines))
+	}
+	return lpOf, nil
+}
+
+// FatTreeManual, BCubeManual, TorusManual and SpineLeafManual are the
+// recipes for callers whose rank count is known to fit; they panic on any
+// other.
+func FatTreeManual(ft *topology.FatTree, ranks int) []int32 { return must(FatTreeRecipe(ft, ranks)) }
+func BCubeManual(b *topology.BCube, ranks int) []int32      { return must(BCubeRecipe(b, ranks)) }
+func TorusManual(t *topology.Torus, ranks int) []int32      { return must(TorusRecipe(t, ranks)) }
+func SpineLeafManual(s *topology.SpineLeaf, ranks int) []int32 {
+	return must(SpineLeafRecipe(s, ranks))
+}
+
+func must(lpOf []int32, err error) []int32 {
+	if err != nil {
+		panic(err)
 	}
 	return lpOf
 }

@@ -183,7 +183,7 @@ func TestFatTreeManualRejectsUnevenRanks(t *testing.T) {
 }
 
 func TestPartitionSourceLines(t *testing.T) {
-	for _, fn := range []string{"FatTreeManual", "BCubeManual", "TorusManual", "SpineLeafManual", "DumbbellManual"} {
+	for _, fn := range []string{"FatTreeRecipe", "BCubeRecipe", "TorusRecipe", "SpineLeafRecipe", "DumbbellManual"} {
 		if loc := PartitionSourceLines(fn); loc < 5 {
 			t.Errorf("%s: implausible LOC %d", fn, loc)
 		}

@@ -7,10 +7,11 @@ package trace
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"unison/internal/packet"
 	"unison/internal/sim"
@@ -126,15 +127,9 @@ func (c *Collector) Merged() []Record {
 			all = append(all, keyed{r, i})
 		}
 	}
-	sort.SliceStable(all, func(a, b int) bool {
-		x, y := all[a], all[b]
-		if x.r.Time != y.r.Time {
-			return x.r.Time < y.r.Time
-		}
-		if x.r.Node != y.r.Node {
-			return x.r.Node < y.r.Node
-		}
-		return x.idx < y.idx
+	// (time, node, index) is unique, so any sort yields the one order.
+	slices.SortFunc(all, func(x, y keyed) int {
+		return cmp.Or(cmp.Compare(x.r.Time, y.r.Time), cmp.Compare(x.r.Node, y.r.Node), cmp.Compare(x.idx, y.idx))
 	})
 	out := make([]Record, len(all))
 	for i, k := range all {
