@@ -94,7 +94,6 @@ func main() {
 		fmt.Printf("debug http on %s (/debug/vars, /debug/pprof)\n", bound)
 	}
 	reg := obs.NewRegistry(0)
-	reg.Publish("unison_dist")
 
 	switch *role {
 	case "coord":
@@ -164,30 +163,28 @@ func runCoord(listen string, hosts int, sc *unison.Scenario, tmo time.Duration, 
 		cfg.Net = &dist.NetData{}
 	}
 	// The live view merges what the hosts piggyback on their min messages:
-	// per-rank round records (fed to the imbalance tracker and the state),
-	// netobs row deltas (the queue heatmap), and rank liveness counters.
-	tracker := obs.NewImbalanceTracker()
-	var lstate *live.State
-	var lsrv *live.Server
+	// per-rank round records, each filed under the lane of the connection
+	// it arrived on, and netobs row deltas (the queue heatmap). The
+	// session's own Registry holds one lane per rank; reg keeps the
+	// coordinator's protocol rounds for the bundle.
+	var lsess *live.Session
 	if liveAddr != "" {
-		meta := obs.RunMeta{Kernel: fmt.Sprintf("dist(%d)", hosts), Workers: hosts, LPs: b.G.N()}
-		tracker.BeginRun(meta)
-		lstate = live.NewState("unidist", sim.Time(sc.Stop))
-		lstate.Ingest(obs.BusEvent{Kind: obs.EvBegin, Meta: meta})
-		lstate.SetQueueInterval(netobs.DefaultInterval)
-		lstate.SetImbalance(tracker)
-		lsrv, err = live.NewServer(lstate, liveAddr)
+		lsess, err = live.StartSession("unidist", sim.Time(sc.Stop), liveAddr, nil)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("live telemetry on http://%s/live\n", lsrv.Addr())
+		lsess.SetLinger(linger)
+		lsess.State.SetQueueInterval(netobs.DefaultInterval)
+		fmt.Printf("live telemetry on http://%s/live\n", lsess.Server.Addr())
+		probe := lsess.Probe()
+		probe.BeginRun(obs.RunMeta{Kernel: fmt.Sprintf("dist(%d)", hosts), Workers: hosts, LPs: b.G.N()})
 		cfg.OnSideband = func(h int, side *dist.Sideband) {
 			for i := range side.Recs {
-				tracker.OnRound(&side.Recs[i])
+				side.Recs[i].Worker = int32(h)
+				probe.OnRound(&side.Recs[i])
 			}
-			lstate.IngestRecords(side.Recs)
-			lstate.IngestRows(side.Rows)
-			lstate.MarkRank(h, side.Rounds, side.Events)
+			lsess.State.IngestRows(side.Rows)
+			lsess.State.MarkRank(h)
 		}
 	}
 	mon, rounds, err := dist.RunCoordinator(ln, cfg)
@@ -197,7 +194,7 @@ func runCoord(listen string, hosts int, sc *unison.Scenario, tmo time.Duration, 
 	// Imbalance diagnostics land in the merged stats before they are
 	// serialized (run_stats.json) or served (the final live snapshot), so
 	// both views agree field for field.
-	tracker.Apply(stats, 0)
+	lsess.Finish(stats)
 	fmt.Printf("simulation complete: %d rounds\n", rounds)
 	fmt.Printf("merged stats     %s\n", stats)
 	if stats.Imbalance != nil {
@@ -250,13 +247,9 @@ func runCoord(listen string, hosts int, sc *unison.Scenario, tmo time.Duration, 
 		}
 		fmt.Printf("artifact bundle  %s (%v)\n", artifacts, files)
 	}
-	if lsrv != nil {
-		// Done is only published once the bundle is on disk, so a watcher
-		// reacting to the final frame can immediately open run_stats.json.
-		lstate.Finalize(stats)
-		lsrv.Linger(linger)
-		_ = lsrv.Close()
-	}
+	// Done is only published once the bundle is on disk, so a watcher
+	// reacting to the final frame can immediately open run_stats.json.
+	lsess.Close()
 }
 
 func runHost(id int32, addr string, hosts int, sc *unison.Scenario, tmo time.Duration, dials int, reg *obs.Registry, observe bool, ckptDir string, ckptEvery uint64, restore string, liveSide bool) {

@@ -152,8 +152,8 @@ func render(w *os.File, s *live.Snapshot, addr string, clear bool) {
 	} else {
 		fmt.Fprintf(&b, "progress  vtime %s  elapsed %s\n", simMS(s.LBTSNS), secs(s.ElapsedSeconds))
 	}
-	fmt.Fprintf(&b, "events    %s (%s/s)   rounds %d   FEL %d   bus drops %d   ckpt %s\n",
-		count(float64(s.Events)), count(s.EventsPerSec), s.Rounds, s.FELDepth, s.BusDrops, ckpt(s.CkptAgeSeconds))
+	fmt.Fprintf(&b, "events    %s (%s/s)   rounds %d   FEL %d   ckpt %s\n",
+		count(float64(s.Events)), count(s.EventsPerSec), s.Rounds, s.FELDepth, ckpt(s.CkptAgeSeconds))
 
 	if len(s.WorkerViews) > 0 {
 		b.WriteString("workers   P/S/M\n")

@@ -137,13 +137,18 @@ func main() {
 
 	var lsess *live.Session
 	if *liveA != "" {
-		lsess, err = live.StartSession("unisim", sc.Stop.T(), *liveA, nil)
+		// The view reads the bundle's Registry when there is one; else one
+		// that keeps only the totals.
+		if reg == nil {
+			reg = obs.NewRegistry(1)
+		}
+		lsess, err = live.StartSession("unisim", sc.Stop.T(), *liveA, reg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "unisim: live: %v\n", err)
 			os.Exit(1)
 		}
 		lsess.SetLinger(*lingerD)
-		b.Observe = obs.Tee(b.Observe, lsess.Probe())
+		b.Observe = lsess.Probe()
 		b.Progress = liveProgressEvery
 		fmt.Printf("live        http://%s/live\n", lsess.Server.Addr())
 	}
@@ -154,7 +159,14 @@ func main() {
 			fmt.Fprintf(os.Stderr, "unisim: %v\n", err)
 			os.Exit(1)
 		}
-		unison.EnableCheckpoints(m, b.Sim.CkptTarget(), *ckptDir, *ckptN, sim.Time(ckptT.Nanoseconds()), nil)
+		// Under -live the view's Registry hears of every snapshot, for
+		// ckpt_age_seconds. The imbalance tracker must not: a snapshot's
+		// record, filed under worker 0, is not one of its rounds.
+		var snaps obs.Probe
+		if lsess != nil {
+			snaps = reg
+		}
+		unison.EnableCheckpoints(m, b.Sim.CkptTarget(), *ckptDir, *ckptN, sim.Time(ckptT.Nanoseconds()), snaps)
 	}
 	if *restore != "" {
 		if err := unison.RestoreCheckpoint(m, b.Sim.CkptTarget(), *restore); err != nil {
@@ -176,9 +188,9 @@ func main() {
 			lsess.State.SetQueueInterval(sampler.Interval())
 			lsess.State.IngestRows(sampler.LiveDelta())
 		}
-		// Imbalance diagnostics + drop counters land in st before the
-		// bundle serializes it, and the final live snapshot carries the
-		// same stats object — watchers and run_stats.json agree.
+		// Imbalance diagnostics land in st before the bundle serializes
+		// it, and the final live snapshot carries the same stats object —
+		// watchers and run_stats.json agree.
 		lsess.Finish(st)
 		defer lsess.Close()
 	}

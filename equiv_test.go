@@ -430,17 +430,22 @@ func probedRun(t *testing.T, r *ref, k kernel) {
 	reg := obs.NewRegistry(1)
 	got, st := run(t, r.sc, k, opts{probe: reg})
 	compare(t, "probed run", got, r)
-	s := reg.Snapshot()
-	if !s.Done || reg.Final().Events != st.Events || s.Events != st.Events || s.Dropped > 0 {
-		t.Errorf("the registry saw %d of %d events (done %t, %d records dropped)", s.Events, st.Events, s.Done, s.Dropped)
+	workers, _, dropped := reg.Totals()
+	var events, records uint64
+	for _, w := range workers {
+		events, records = events+w.Events, records+w.Records
 	}
-	if st.Rounds > 1 && s.Records < 2 {
-		t.Errorf("%d rounds reported in %d records", st.Rounds, s.Records)
+	if final := reg.Final(); final == nil || final.Events != st.Events || events != st.Events || dropped > 0 {
+		t.Errorf("the registry saw %d of %d events (done %t, %d records dropped)", events, st.Events, final != nil, dropped)
+	}
+	if st.Rounds > 1 && records < 2 {
+		t.Errorf("%d rounds reported in %d records", st.Rounds, records)
 	}
 }
 
 // liveRun attaches a live session, which may change nothing; the final
-// snapshot a watcher fetches must be field for field the run_stats.json.
+// snapshot a watcher fetches must be field for field the run_stats.json,
+// and its event counts exact, since the view drops nothing.
 func liveRun(t *testing.T, r *ref, k kernel) {
 	sess, err := live.StartSession("equiv", r.sc.Stop.T(), "127.0.0.1:0", nil)
 	if err != nil {
@@ -461,6 +466,13 @@ func liveRun(t *testing.T, r *ref, k kernel) {
 	_ = json.Unmarshal(raw, &want) // a missing or broken file compares unequal
 	if !snap.Done || snap.Final == nil || snap.Final.Imbalance == nil || !reflect.DeepEqual(&want, snap.Final) {
 		t.Errorf("final snapshot != run_stats.json\n snap: %+v\n file: %+v", snap.Final, &want)
+	}
+	var perWorker uint64
+	for _, v := range snap.WorkerViews {
+		perWorker += v.Events
+	}
+	if snap.Events != st.Events || perWorker != st.Events {
+		t.Errorf("the view counted %d events, %d over its workers; the run executed %d", snap.Events, perWorker, st.Events)
 	}
 }
 

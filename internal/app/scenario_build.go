@@ -42,8 +42,8 @@ type Built struct {
 	// Streaming reports whether the workload is generated lazily.
 	Streaming bool
 	// Observe, when non-nil, is wired into whichever kernel RunKernel
-	// constructs. Set it between Build and the run (the CLIs hand it the
-	// registry, or the live-telemetry bus in front of it).
+	// constructs. Set it between Build and the run (the CLIs hand it a
+	// registry, or a live session's probe).
 	Observe obs.Probe
 	// Progress, for the sequential kernel only, emits a progress
 	// RoundRecord every Progress executed events so live watchers see

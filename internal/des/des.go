@@ -8,16 +8,12 @@ import (
 	"time"
 
 	"unison/internal/eventq"
-	"unison/internal/metrics"
 	"unison/internal/obs"
 	"unison/internal/sim"
 )
 
 // Kernel is the sequential DES kernel.
 type Kernel struct {
-	// CacheWays enables the cache-locality model with the given
-	// associativity when positive.
-	CacheWays int
 	// Observe, when non-nil, receives run begin/end notifications and one
 	// summary RoundRecord for the whole run (the sequential kernel has no
 	// round structure).
@@ -72,11 +68,6 @@ func (k *Kernel) Run(m *sim.Model) (*sim.RunStats, error) {
 	sink := &felSink{fel: fel}
 	ctx := sim.NewCtx(sink, 0)
 
-	var cache *metrics.CacheModel
-	if k.CacheWays > 0 {
-		cache = metrics.NewCacheModel(1, k.CacheWays)
-	}
-
 	obs.Begin(k.Observe, obs.RunMeta{Kernel: k.Name(), Workers: 1, LPs: 1})
 	// A periodic checkpoint is due every hook.Every executed events, but
 	// only fires at the next timestamp boundary (every pending event
@@ -102,9 +93,6 @@ func (k *Kernel) Run(m *sim.Model) (*sim.RunStats, error) {
 		}
 		ev := fel.Pop()
 		now = ev.Time
-		if cache != nil {
-			cache.Touch(0, ev.Node)
-		}
 		ctx.Begin(&ev, seqs.Of(ev.Node))
 		ev.Fn(ctx)
 		events++
@@ -136,9 +124,6 @@ func (k *Kernel) Run(m *sim.Model) (*sim.RunStats, error) {
 		WallNS:  wallNS,
 		LPs:     1,
 		Workers: []sim.WorkerStats{{P: wallNS, Events: events}},
-	}
-	if cache != nil {
-		st.CacheRefs, st.CacheMisses = cache.Counters()
 	}
 	if k.Observe != nil {
 		rec := obs.RoundRecord{

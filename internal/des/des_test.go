@@ -96,18 +96,6 @@ func TestSameTimestampOrderedBySrcSeq(t *testing.T) {
 	}
 }
 
-func TestCacheModelEnabled(t *testing.T) {
-	m, _ := chainModel(50)
-	k := &Kernel{CacheWays: 4}
-	st, err := k.Run(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.CacheRefs == 0 {
-		t.Fatal("cache model recorded nothing")
-	}
-}
-
 func TestInvalidModelRejected(t *testing.T) {
 	if _, err := New().Run(&sim.Model{}); err == nil {
 		t.Fatal("invalid model accepted")

@@ -45,9 +45,10 @@ type CoordConfig struct {
 	Net *NetData
 	// OnSideband, when non-nil, receives every telemetry Sideband the
 	// hosts piggyback on their min messages (hosts only attach one when
-	// run with HostConfig.Live). Called on the coordinator's protocol
-	// goroutine between the min all-reduce and the window broadcast, so
-	// implementations must be quick — fold into a live.State and return.
+	// run with HostConfig.Live), with the index of the connection it
+	// arrived on. Called on the coordinator's protocol goroutine between
+	// the min all-reduce and the window broadcast, so implementations must
+	// be quick — hand the records to a probe and return.
 	OnSideband func(host int, side *Sideband)
 	// Stats, when non-nil, is filled with the merged run stats of the
 	// whole distributed run (one WorkerStats per host, from the stats the

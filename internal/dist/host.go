@@ -48,8 +48,8 @@ type HostConfig struct {
 	// broadcast, and Retries reports extra dial attempts on the first
 	// record.
 	Observe obs.Probe
-	// Live piggybacks a telemetry Sideband (round records, netobs row
-	// deltas, progress counters) on every kMin message, feeding the
+	// Live piggybacks a telemetry Sideband (round records and netobs row
+	// deltas) on every kMin message, feeding the
 	// coordinator's merged live view. Purely observational: the
 	// simulation and its artifacts are bit-identical either way.
 	Live bool
@@ -250,7 +250,7 @@ func (r *rank) Reduce(local sim.Time) (allMin, bound sim.Time, err error) {
 		if s := r.net.Sampler(); s != nil {
 			r.side.Rows = s.LiveDelta()
 		}
-		e.Side, r.side = r.side, &Sideband{Rounds: r.side.Rounds, Events: r.side.Events}
+		e.Side, r.side = r.side, &Sideband{}
 	}
 	start := time.Now()
 	if err := r.c.send(e); err != nil {
@@ -285,16 +285,13 @@ func (r *rank) EndRun(*sim.RunStats) {}
 // OnRound completes the engine's record of a round with the remote events
 // it exchanged, the all-reduce that closed it, the dial retries (on the
 // first) and the snapshot taken at its end. Under Live a copy joins the
-// batch under the host's id, one worker lane per rank at the coordinator.
+// batch for the coordinator.
 func (r *rank) OnRound(rec *obs.RoundRecord) {
 	n := &r.note
 	rec.Sends, rec.SendBytes, rec.Recvs, rec.AllReduceNS = n.Sends, n.Sends*obs.EventBytes, n.Recvs, n.AllReduceNS
 	rec.Retries, rec.CkptNS, rec.CkptBytes = n.Retries, n.CkptNS, n.CkptBytes
 	n.Retries, n.CkptNS, n.CkptBytes = 0, 0, 0
 	if r.side != nil {
-		r.side.Rounds++
-		r.side.Events += rec.Events
 		r.side.Recs = append(r.side.Recs, *rec)
-		r.side.Recs[len(r.side.Recs)-1].Worker = r.cfg.ID
 	}
 }

@@ -83,18 +83,15 @@ type RemoteEvent struct {
 
 // Sideband is the per-round telemetry a host piggybacks on its kMin
 // message when HostConfig.Live is set: the RoundRecords emitted since the
-// previous min (Worker rewritten to the host id, so the coordinator's
-// merged view has one telemetry stream per rank), the netobs rows closed
-// since then, and the host's cumulative progress counters for rank
-// liveness. It is filled by the host's probe and sent from its engine's
-// phase-4 serial section — quiescent, and on the same goroutine — and it
-// rides a message the protocol sends anyway, so the live path adds no extra
-// round trips and never changes the simulation.
+// previous min and the netobs rows closed since then. The coordinator files
+// the records under the lane of the connection they arrived on, whatever
+// Worker they carry. It is filled by the host's probe and sent from its
+// engine's phase-4 serial section — quiescent, and on the same goroutine —
+// and it rides a message the protocol sends anyway, so the live path adds
+// no extra round trips and never changes the simulation.
 type Sideband struct {
-	Recs   []obs.RoundRecord
-	Rows   []netobs.Row
-	Rounds uint64
-	Events uint64
+	Recs []obs.RoundRecord
+	Rows []netobs.Row
 }
 
 // envelope is the single wire message type (gob-encoded).

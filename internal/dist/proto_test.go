@@ -59,7 +59,7 @@ func FuzzEnvelope(f *testing.F) {
 	seeds := []*envelope{
 		{Kind: kHello, Host: 1},
 		{Kind: kMin, Host: 1, Min: 1234, Side: &Sideband{
-			Recs: []obs.RoundRecord{{Round: 2, Worker: 1, Events: 7}}, Rows: []netobs.Row{{}}, Rounds: 3, Events: 40}},
+			Recs: []obs.RoundRecord{{Round: 2, Worker: 1, Events: 7}}, Rows: []netobs.Row{{}}}},
 		{Kind: kWindow, Min: 1234},
 		{Kind: kFlush, Host: 1, Events: ev},
 		{Kind: kEvents, Events: ev},

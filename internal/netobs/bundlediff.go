@@ -105,7 +105,6 @@ func DiffBundles(aDir, bDir string) (*BundleDiff, error) {
 		d.add("events", float64(stA.Events), float64(stB.Events), true)
 		d.add("rounds", float64(stA.Rounds), float64(stB.Rounds), false)
 		d.add("wall_s", float64(stA.WallNS)/1e9, float64(stB.WallNS)/1e9, false)
-		d.add("telemetry_drops", float64(stA.TelemetryDrops), float64(stB.TelemetryDrops), false)
 		if stA.Imbalance != nil && stB.Imbalance != nil {
 			d.add("imbalance_mean", stA.Imbalance.MeanMaxOverMean, stB.Imbalance.MeanMaxOverMean, false)
 			d.add("imbalance_worst", stA.Imbalance.WorstMaxOverMean, stB.Imbalance.WorstMaxOverMean, false)

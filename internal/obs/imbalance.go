@@ -28,7 +28,7 @@ type roundAgg struct {
 // diagnostics the load-adaptive scheduler (and ROADMAP item 3's LP
 // migration) consume: for every round where all workers reported, the
 // ratio max(P)/mean(P), the worker on the critical path, and migration
-// counts. It composes with other probes via Tee or as a Bus inner.
+// counts. It composes with other probes via Tee.
 //
 // Like every probe it only observes; Apply stamps the result into a
 // RunStats after the run so the diagnostics land in run_stats.json
@@ -172,16 +172,11 @@ func (t *ImbalanceTracker) StragglerRounds(workers int) []uint64 {
 	return out
 }
 
-// Apply stamps the tracker's diagnostics and the bus's drop counter into
-// st: RunStats.Imbalance, RunStats.TelemetryDrops, and per-worker
-// WorkerStats.StragglerRounds. Call after the run ends and before the
-// stats are serialized. A nil tracker or st is a no-op for that part.
-func (t *ImbalanceTracker) Apply(st *sim.RunStats, busDrops uint64) {
-	if st == nil {
-		return
-	}
-	st.TelemetryDrops = busDrops
-	if t == nil {
+// Apply stamps the tracker's diagnostics into st: RunStats.Imbalance and
+// per-worker WorkerStats.StragglerRounds. Call after the run ends and
+// before the stats are serialized. A nil tracker or st is a no-op.
+func (t *ImbalanceTracker) Apply(st *sim.RunStats) {
+	if t == nil || st == nil {
 		return
 	}
 	t.mu.Lock()

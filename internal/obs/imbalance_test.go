@@ -60,10 +60,7 @@ func TestImbalanceApply(t *testing.T) {
 	feedRound(tr, 1, 2, 8)
 
 	st := &sim.RunStats{Workers: make([]sim.WorkerStats, 2)}
-	tr.Apply(st, 42)
-	if st.TelemetryDrops != 42 {
-		t.Fatalf("telemetry drops = %d", st.TelemetryDrops)
-	}
+	tr.Apply(st)
 	if st.Imbalance == nil || st.Imbalance.Rounds != 2 {
 		t.Fatalf("imbalance = %+v", st.Imbalance)
 	}
@@ -72,10 +69,10 @@ func TestImbalanceApply(t *testing.T) {
 			st.Workers[0].StragglerRounds, st.Workers[1].StragglerRounds)
 	}
 
-	// Nil tracker still stamps the drop counter.
+	// A nil tracker stamps nothing.
 	st2 := &sim.RunStats{}
-	(*ImbalanceTracker)(nil).Apply(st2, 7)
-	if st2.TelemetryDrops != 7 || st2.Imbalance != nil {
+	(*ImbalanceTracker)(nil).Apply(st2)
+	if st2.Imbalance != nil {
 		t.Fatalf("nil-tracker apply: %+v", st2)
 	}
 }

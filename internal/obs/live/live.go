@@ -1,11 +1,11 @@
-// Package live turns the telemetry a run already emits — obs RoundRecords
-// published on an obs.Bus, netobs row deltas, dist sideband summaries —
-// into a point-in-time Snapshot served over HTTP (JSON + SSE) for
-// cmd/unimon and other watchers.
+// Package live turns the telemetry a run already emits — the per-worker
+// totals an obs.Registry folds from its RoundRecords, netobs row deltas,
+// dist sideband liveness — into a point-in-time Snapshot served over HTTP
+// (JSON + SSE) for cmd/unimon and other watchers.
 //
-// Everything here runs OFF the simulation's hot path: kernels publish
-// into the non-blocking bus and a consumer goroutine folds events into
-// the State under its own lock. Wall-clock use is deliberate and legal —
+// Everything here runs OFF the simulation's hot path: a snapshot is built
+// when a watcher asks for one, by reading the Registry and the imbalance
+// tracker under their own locks. Wall-clock use is deliberate and legal —
 // this package is not a simulation package (it is excluded from
 // unisoncheck's wallclock set), and nothing in the simulation ever reads
 // from it, so attached runs stay bit-identical to unattached runs.
@@ -43,13 +43,12 @@ type WorkerView struct {
 	FELDepth   uint64 `json:"fel_depth"`
 	LBTSNS     int64  `json:"lbts_ns"`
 	Migrations uint64 `json:"migrations"`
-	// StragglerRounds counts rounds this worker was the round maximum
-	// (filled when an ImbalanceTracker is attached).
+	// StragglerRounds counts rounds this worker was the round maximum.
 	StragglerRounds uint64 `json:"straggler_rounds,omitempty"`
 }
 
-// RankView is one distributed rank's liveness row, maintained by the
-// coordinator from sideband messages.
+// RankView is one distributed rank's row: its rounds and events from its
+// lane of the coordinator's Registry, its liveness from sideband arrivals.
 type RankView struct {
 	Rank   int    `json:"rank"`
 	Rounds uint64 `json:"rounds"`
@@ -101,7 +100,6 @@ type Snapshot struct {
 	// (-1: none taken yet).
 	CkptAgeSeconds float64 `json:"ckpt_age_seconds"`
 
-	BusDrops  uint64         `json:"bus_drops"`
 	Imbalance *sim.Imbalance `json:"imbalance,omitempty"`
 
 	Done  bool          `json:"done"`
@@ -161,23 +159,6 @@ const rankStaleAfter = 10 * time.Second
 // evWindow is how far back the events/s rate looks.
 const evWindow = 5 * time.Second
 
-type workerAgg struct {
-	rounds     uint64
-	events     uint64
-	procNS     int64
-	syncNS     int64
-	msgNS      int64
-	felDepth   uint64
-	lbts       sim.Time
-	migrations uint64
-}
-
-type rankAgg struct {
-	rounds   uint64
-	events   uint64
-	lastSeen time.Time
-}
-
 type qkey struct {
 	node sim.NodeID
 	link int32
@@ -196,61 +177,42 @@ type evSample struct {
 	events uint64
 }
 
-// State folds telemetry into the current live view. All methods are safe
-// for concurrent use; feed it from a bus subscription via Consume, from
-// dist sideband messages via IngestRecords/IngestRows/MarkRank, and
-// finish with Finalize.
+// State is the live view. Snapshots are built from a Registry's per-worker
+// totals and an ImbalanceTracker; the State itself keeps only what no probe
+// sees: the netobs queue heatmap (IngestRows), dist rank liveness
+// (MarkRank) and the final stats (Finalize). All methods are safe for
+// concurrent use.
 type State struct {
-	mu        sync.Mutex
-	tool      string
-	stopAt    sim.Time
-	startWall time.Time
+	mu     sync.Mutex
+	tool   string
+	stopAt sim.Time
+	reg    *obs.Registry
+	imb    *obs.ImbalanceTracker
 
-	meta    obs.RunMeta
-	workers []workerAgg
-	ranks   map[int]*rankAgg
-	queues  map[qkey]*qcell
-	qiv     sim.Time // netobs bucket interval, for utilization
+	ranks  map[int]time.Time // rank -> wall time of its last sideband message
+	queues map[qkey]*qcell
+	qiv    sim.Time // netobs bucket interval, for utilization
 
-	events   uint64
-	rounds   uint64
-	lbts     sim.Time
-	lastCkpt time.Time
+	samples []evSample // the events/s window, sampled as snapshots are built
+	run     time.Time  // the run start the samples belong to
 
-	samples  []evSample // ring, for the events/s window
-	sampleAt time.Time
-
-	dropsFn   func() uint64
-	imb       *obs.ImbalanceTracker
 	final     *sim.RunStats
 	done      bool
 	finalOnce sync.Once
 }
 
-// NewState returns a State for one tool invocation. stopAt is the run's
-// simulated end time when known (0 otherwise) — it drives progress/ETA.
-func NewState(tool string, stopAt sim.Time) *State {
+// NewState returns a State for one tool invocation reading reg and imb.
+// stopAt is the run's simulated end time when known (0 otherwise) — it
+// drives progress/ETA.
+func NewState(tool string, stopAt sim.Time, reg *obs.Registry, imb *obs.ImbalanceTracker) *State {
 	return &State{
-		tool:      tool,
-		stopAt:    stopAt,
-		startWall: time.Now(),
-		ranks:     map[int]*rankAgg{},
-		queues:    map[qkey]*qcell{},
+		tool:   tool,
+		stopAt: stopAt,
+		reg:    reg,
+		imb:    imb,
+		ranks:  map[int]time.Time{},
+		queues: map[qkey]*qcell{},
 	}
-}
-
-// SetDrops wires the bus drop counter into snapshots.
-func (s *State) SetDrops(fn func() uint64) {
-	s.mu.Lock()
-	s.dropsFn = fn
-	s.mu.Unlock()
-}
-
-// SetImbalance attaches the tracker whose live summary snapshots include.
-func (s *State) SetImbalance(t *obs.ImbalanceTracker) {
-	s.mu.Lock()
-	s.imb = t
-	s.mu.Unlock()
 }
 
 // SetQueueInterval tells the state the netobs bucket width so heatmap
@@ -258,92 +220,6 @@ func (s *State) SetImbalance(t *obs.ImbalanceTracker) {
 func (s *State) SetQueueInterval(iv sim.Time) {
 	s.mu.Lock()
 	s.qiv = iv
-	s.mu.Unlock()
-}
-
-// Consume drains a bus subscription into the state. Run it on its own
-// goroutine; it returns when the subscription closes.
-func (s *State) Consume(sub *obs.Sub) {
-	for ev := range sub.C() {
-		s.Ingest(ev)
-	}
-}
-
-// Ingest folds one bus event into the state.
-func (s *State) Ingest(ev obs.BusEvent) {
-	switch ev.Kind {
-	case obs.EvBegin:
-		s.mu.Lock()
-		s.meta = ev.Meta
-		n := ev.Meta.Workers
-		if n < 1 {
-			n = 1
-		}
-		// A new BeginRun (uniexp -scenario runs kernels back to back)
-		// resets the per-run view but keeps tool/stopAt wiring.
-		s.workers = make([]workerAgg, n)
-		s.events = 0
-		s.rounds = 0
-		s.lbts = 0
-		s.samples = nil
-		s.startWall = time.Now()
-		s.mu.Unlock()
-	case obs.EvRound:
-		rec := ev.Rec
-		s.ingestRecord(&rec)
-	case obs.EvEnd:
-		// Final stats are stamped via Finalize by the CLI after the
-		// imbalance pass, so the snapshot's Final matches run_stats.json
-		// field for field; the bus EvEnd only marks arrival.
-	}
-}
-
-// IngestRecords folds sideband round records (dist coordinator path).
-func (s *State) IngestRecords(recs []obs.RoundRecord) {
-	for i := range recs {
-		s.ingestRecord(&recs[i])
-	}
-}
-
-func (s *State) ingestRecord(rec *obs.RoundRecord) {
-	s.mu.Lock()
-	w := int(rec.Worker)
-	if w >= len(s.workers) {
-		grown := make([]workerAgg, w+1)
-		copy(grown, s.workers)
-		s.workers = grown
-	}
-	if w >= 0 {
-		a := &s.workers[w]
-		a.rounds++
-		a.events += rec.Events
-		a.procNS += rec.ProcNS
-		a.syncNS += rec.SyncNS
-		a.msgNS += rec.MsgNS
-		a.felDepth = rec.FELDepth
-		a.migrations += rec.Migrations
-		if rec.LBTS != sim.MaxTime && rec.LBTS > a.lbts {
-			a.lbts = rec.LBTS
-		}
-	}
-	s.events += rec.Events
-	if rec.Round+1 > s.rounds {
-		s.rounds = rec.Round + 1
-	}
-	if rec.LBTS != sim.MaxTime && rec.LBTS > s.lbts {
-		s.lbts = rec.LBTS
-	}
-	if rec.CkptNS > 0 {
-		s.lastCkpt = time.Now()
-	}
-	now := time.Now()
-	if s.sampleAt.IsZero() || now.Sub(s.sampleAt) >= 100*time.Millisecond {
-		s.sampleAt = now
-		s.samples = append(s.samples, evSample{wall: now, events: s.events})
-		if len(s.samples) > 64 {
-			s.samples = s.samples[len(s.samples)-64:]
-		}
-	}
 	s.mu.Unlock()
 }
 
@@ -372,22 +248,11 @@ func (s *State) IngestRows(rows []netobs.Row) {
 	s.mu.Unlock()
 }
 
-// MarkRank records a sideband message from a distributed rank: its local
-// round count, cumulative events, and (implicitly) liveness.
-func (s *State) MarkRank(rank int, rounds, events uint64) {
+// MarkRank records that a sideband message from a distributed rank just
+// arrived: the rank's liveness.
+func (s *State) MarkRank(rank int) {
 	s.mu.Lock()
-	a := s.ranks[rank]
-	if a == nil {
-		a = &rankAgg{}
-		s.ranks[rank] = a
-	}
-	if rounds > a.rounds {
-		a.rounds = rounds
-	}
-	if events > a.events {
-		a.events = events
-	}
-	a.lastSeen = time.Now()
+	s.ranks[rank] = time.Now()
 	s.mu.Unlock()
 }
 
@@ -404,6 +269,10 @@ func (s *State) Finalize(st *sim.RunStats) {
 
 // Snapshot assembles the current live view.
 func (s *State) Snapshot() Snapshot {
+	meta := s.reg.Meta()
+	lanes, begun, _ := s.reg.Totals()
+	straggler := s.imb.StragglerRounds(len(lanes))
+	im := s.imb.Summary()
 	now := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -411,24 +280,54 @@ func (s *State) Snapshot() Snapshot {
 	snap := Snapshot{
 		Schema:         SchemaV1,
 		Tool:           s.tool,
-		Kernel:         s.meta.Kernel,
-		Workers:        s.meta.Workers,
-		LPs:            s.meta.LPs,
+		Kernel:         meta.Kernel,
+		Workers:        meta.Workers,
+		LPs:            meta.LPs,
 		StopAtNS:       int64(s.stopAt),
-		LBTSNS:         int64(s.lbts),
-		ElapsedSeconds: now.Sub(s.startWall).Seconds(),
-		Events:         s.events,
-		Rounds:         s.rounds,
 		ETASeconds:     -1,
 		CkptAgeSeconds: -1,
+		Imbalance:      im,
 		Done:           s.done,
 		Final:          s.final,
 	}
-	if s.stopAt > 0 {
-		p := float64(s.lbts) / float64(s.stopAt)
-		if p > 1 {
-			p = 1
+	var lbts sim.Time
+	var lastCkpt time.Time
+	for i := range lanes {
+		w := &lanes[i]
+		v := WorkerView{
+			Worker:          int32(i),
+			Rounds:          w.Records,
+			Events:          w.Events,
+			ProcNS:          w.ProcNS,
+			SyncNS:          w.SyncNS,
+			MsgNS:           w.MsgNS,
+			FELDepth:        w.FELDepth,
+			LBTSNS:          int64(w.LBTS),
+			Migrations:      w.Migrations,
+			StragglerRounds: straggler[i],
 		}
+		if tot := w.ProcNS + w.SyncNS + w.MsgNS; tot > 0 {
+			v.PShare = float64(w.ProcNS) / float64(tot)
+			v.SShare = float64(w.SyncNS) / float64(tot)
+			v.MShare = float64(w.MsgNS) / float64(tot)
+		}
+		snap.WorkerViews = append(snap.WorkerViews, v)
+		snap.Events += w.Events
+		snap.FELDepth += w.FELDepth
+		if w.Records > 0 {
+			snap.Rounds = max(snap.Rounds, w.Round+1)
+		}
+		lbts = max(lbts, w.LBTS)
+		if w.CkptAt.After(lastCkpt) {
+			lastCkpt = w.CkptAt
+		}
+	}
+	snap.LBTSNS = int64(lbts)
+	if !begun.IsZero() {
+		snap.ElapsedSeconds = now.Sub(begun).Seconds()
+	}
+	if s.stopAt > 0 {
+		p := min(float64(lbts)/float64(s.stopAt), 1)
 		snap.Progress = p
 		if s.done {
 			snap.Progress = 1
@@ -440,70 +339,24 @@ func (s *State) Snapshot() Snapshot {
 	if s.done {
 		snap.ETASeconds = 0
 	}
-	if !s.lastCkpt.IsZero() {
-		snap.CkptAgeSeconds = now.Sub(s.lastCkpt).Seconds()
+	if !lastCkpt.IsZero() {
+		snap.CkptAgeSeconds = now.Sub(lastCkpt).Seconds()
 	}
-
-	// events/s over the recent window (whole run when the window is thin).
-	if n := len(s.samples); n > 0 {
-		base := evSample{wall: s.startWall, events: 0}
-		for i := n - 1; i >= 0; i-- {
-			if now.Sub(s.samples[i].wall) > evWindow {
-				base = s.samples[i]
-				break
-			}
-		}
-		if dt := now.Sub(base.wall).Seconds(); dt > 0 {
-			snap.EventsPerSec = float64(s.events-base.events) / dt
-		}
-	}
-
-	var straggler []uint64
-	if s.imb != nil {
-		straggler = s.imb.StragglerRounds(len(s.workers))
-		snap.Imbalance = s.imb.Summary()
-	}
-	for i := range s.workers {
-		a := &s.workers[i]
-		v := WorkerView{
-			Worker:     int32(i),
-			Rounds:     a.rounds,
-			Events:     a.events,
-			ProcNS:     a.procNS,
-			SyncNS:     a.syncNS,
-			MsgNS:      a.msgNS,
-			FELDepth:   a.felDepth,
-			LBTSNS:     int64(a.lbts),
-			Migrations: a.migrations,
-		}
-		if straggler != nil {
-			v.StragglerRounds = straggler[i]
-		}
-		if tot := a.procNS + a.syncNS + a.msgNS; tot > 0 {
-			v.PShare = float64(a.procNS) / float64(tot)
-			v.SShare = float64(a.syncNS) / float64(tot)
-			v.MShare = float64(a.msgNS) / float64(tot)
-		}
-		snap.FELDepth += a.felDepth
-		snap.WorkerViews = append(snap.WorkerViews, v)
-	}
+	snap.EventsPerSec = s.rate(now, begun, snap.Events)
 
 	if len(s.ranks) > 0 {
 		ranks := make([]int, 0, len(s.ranks))
 		for r := range s.ranks { //unison:ordered keys sorted below
 			ranks = append(ranks, r)
 		}
-		sortInts(ranks)
+		sort.Ints(ranks)
 		for _, r := range ranks {
-			a := s.ranks[r]
-			age := now.Sub(a.lastSeen)
-			snap.Ranks = append(snap.Ranks, RankView{
-				Rank:            r,
-				Rounds:          a.rounds,
-				Events:          a.events,
-				LastSeenSeconds: age.Seconds(),
-				Alive:           age < rankStaleAfter,
-			})
+			age := now.Sub(s.ranks[r])
+			v := RankView{Rank: r, LastSeenSeconds: age.Seconds(), Alive: age < rankStaleAfter}
+			if r >= 0 && r < len(lanes) {
+				v.Rounds, v.Events = lanes[r].Records, lanes[r].Events
+			}
+			snap.Ranks = append(snap.Ranks, v)
 		}
 	}
 
@@ -526,14 +379,34 @@ func (s *State) Snapshot() Snapshot {
 		}
 		snap.Queues = cells
 	}
-
-	if s.dropsFn != nil {
-		snap.BusDrops = s.dropsFn()
-	}
 	return snap
 }
 
-func sortInts(xs []int) { sort.Ints(xs) }
+// rate returns events/s over the recent window (the whole run while the
+// window is thin) and keeps a sample of events at most every 100 ms. The
+// samples start over when start, the run's BeginRun, moves.
+func (s *State) rate(now, start time.Time, events uint64) float64 {
+	if !start.Equal(s.run) {
+		s.run, s.samples = start, s.samples[:0]
+	}
+	base := evSample{wall: start}
+	for i := len(s.samples) - 1; i >= 0; i-- {
+		if now.Sub(s.samples[i].wall) > evWindow {
+			base = s.samples[i]
+			break
+		}
+	}
+	if n := len(s.samples); n == 0 || now.Sub(s.samples[n-1].wall) >= 100*time.Millisecond {
+		s.samples = append(s.samples, evSample{wall: now, events: events})
+		if len(s.samples) > 64 {
+			s.samples = s.samples[len(s.samples)-64:]
+		}
+	}
+	if dt := now.Sub(base.wall).Seconds(); dt > 0 {
+		return float64(events-base.events) / dt
+	}
+	return 0
+}
 
 // sortCells orders heatmap cells busiest-first: depth, then drops, then
 // (node, link) for a stable tail.

@@ -3,6 +3,7 @@ package live
 import (
 	"context"
 	"encoding/json"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,14 +12,33 @@ import (
 	"unison/internal/sim"
 )
 
+// newState returns a State reading a fresh one-record-per-worker Registry,
+// begun with meta when meta.Kernel is set, and the Registry itself.
+func newState(stopAt sim.Time, meta obs.RunMeta) (*State, *obs.Registry) {
+	reg := obs.NewRegistry(1)
+	if meta.Kernel != "" {
+		reg.BeginRun(meta)
+	}
+	return NewState("test", stopAt, reg, obs.NewImbalanceTracker()), reg
+}
+
+// feed hands each record to p, as a kernel would.
+func feed(p obs.Probe, recs ...obs.RoundRecord) {
+	for i := range recs {
+		p.OnRound(&recs[i])
+	}
+}
+
 func TestStateFoldsRoundRecords(t *testing.T) {
-	s := NewState("test", 1000)
-	s.Ingest(obs.BusEvent{Kind: obs.EvBegin, Meta: obs.RunMeta{Kernel: "k", Workers: 2, LPs: 4}})
-	s.IngestRecords([]obs.RoundRecord{
-		{Round: 0, Worker: 0, Events: 10, ProcNS: 30, SyncNS: 60, MsgNS: 10, FELDepth: 5, LBTS: 100},
-		{Round: 0, Worker: 1, Events: 20, ProcNS: 80, SyncNS: 15, MsgNS: 5, FELDepth: 7, LBTS: 100},
-		{Round: 1, Worker: 0, Events: 5, ProcNS: 10, FELDepth: 2, LBTS: 500, Migrations: 3},
-	})
+	s, reg := newState(1000, obs.RunMeta{Kernel: "k", Workers: 2, LPs: 4})
+	if snap := s.Snapshot(); snap.CkptAgeSeconds != -1 {
+		t.Fatalf("checkpoint age %g before any checkpoint", snap.CkptAgeSeconds)
+	}
+	feed(reg,
+		obs.RoundRecord{Round: 0, Worker: 0, Events: 10, ProcNS: 30, SyncNS: 60, MsgNS: 10, FELDepth: 5, LBTS: 100},
+		obs.RoundRecord{Round: 0, Worker: 1, Events: 20, ProcNS: 80, SyncNS: 15, MsgNS: 5, FELDepth: 7, LBTS: 100, CkptNS: 4},
+		obs.RoundRecord{Round: 1, Worker: 0, Events: 5, ProcNS: 10, FELDepth: 2, LBTS: 500, Migrations: 3},
+	)
 
 	snap := s.Snapshot()
 	if snap.Schema != SchemaV1 || snap.Kernel != "k" || snap.Workers != 2 || snap.LPs != 4 {
@@ -44,16 +64,18 @@ func TestStateFoldsRoundRecords(t *testing.T) {
 	if snap.FELDepth != 2+7 {
 		t.Fatalf("fel depth = %d", snap.FELDepth)
 	}
+	if snap.CkptAgeSeconds < 0 || snap.CkptAgeSeconds > 60 || snap.EventsPerSec <= 0 {
+		t.Fatalf("checkpoint age %g s, %g events/s", snap.CkptAgeSeconds, snap.EventsPerSec)
+	}
 	if snap.Done || snap.Final != nil {
 		t.Fatal("not finalized yet")
 	}
 }
 
 func TestStateBeginResetsView(t *testing.T) {
-	s := NewState("test", 0)
-	s.Ingest(obs.BusEvent{Kind: obs.EvBegin, Meta: obs.RunMeta{Kernel: "a", Workers: 1}})
-	s.IngestRecords([]obs.RoundRecord{{Round: 0, Worker: 0, Events: 99}})
-	s.Ingest(obs.BusEvent{Kind: obs.EvBegin, Meta: obs.RunMeta{Kernel: "b", Workers: 3}})
+	s, reg := newState(0, obs.RunMeta{Kernel: "a", Workers: 1})
+	feed(reg, obs.RoundRecord{Round: 0, Worker: 0, Events: 99})
+	reg.BeginRun(obs.RunMeta{Kernel: "b", Workers: 3})
 	snap := s.Snapshot()
 	if snap.Kernel != "b" || snap.Events != 0 || snap.Rounds != 0 || len(snap.WorkerViews) != 3 {
 		t.Fatalf("after reset: %+v", snap)
@@ -61,7 +83,7 @@ func TestStateBeginResetsView(t *testing.T) {
 }
 
 func TestStateFinalize(t *testing.T) {
-	s := NewState("test", 0)
+	s, _ := newState(0, obs.RunMeta{})
 	st := &sim.RunStats{Kernel: "k", Events: 7}
 	s.Finalize(st)
 	s.Finalize(&sim.RunStats{Kernel: "other"}) // first call wins
@@ -72,7 +94,7 @@ func TestStateFinalize(t *testing.T) {
 }
 
 func TestStateQueueHeatmap(t *testing.T) {
-	s := NewState("test", 0)
+	s, _ := newState(0, obs.RunMeta{})
 	s.SetQueueInterval(1000)
 	s.IngestRows([]netobs.Row{
 		{Tick: 1000, Node: 1, Link: 0, Depth: 3, MaxDepth: 9, Drops: 2},
@@ -94,20 +116,24 @@ func TestStateQueueHeatmap(t *testing.T) {
 }
 
 func TestStateRankLiveness(t *testing.T) {
-	s := NewState("test", 0)
-	s.MarkRank(1, 10, 500)
-	s.MarkRank(0, 12, 600)
+	s, reg := newState(0, obs.RunMeta{Kernel: "dist(2)", Workers: 2})
+	feed(reg, obs.RoundRecord{Worker: 0, Events: 500}, obs.RoundRecord{Round: 1, Worker: 0, Events: 100})
+	s.MarkRank(1)
+	s.MarkRank(0)
 	snap := s.Snapshot()
 	if len(snap.Ranks) != 2 || snap.Ranks[0].Rank != 0 || snap.Ranks[1].Rank != 1 {
 		t.Fatalf("ranks: %+v", snap.Ranks)
 	}
-	if !snap.Ranks[0].Alive || snap.Ranks[0].Rounds != 12 || snap.Ranks[0].Events != 600 {
+	if !snap.Ranks[0].Alive || snap.Ranks[0].Rounds != 2 || snap.Ranks[0].Events != 600 {
 		t.Fatalf("rank 0: %+v", snap.Ranks[0])
+	}
+	if r := snap.Ranks[1]; !r.Alive || r.Rounds != 0 || r.Events != 0 {
+		t.Fatalf("rank 1: %+v", r)
 	}
 }
 
 func TestServerJSONAndSSE(t *testing.T) {
-	s := NewState("test", 1000)
+	s, _ := newState(1000, obs.RunMeta{})
 	srv, err := NewServer(s, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +167,7 @@ func TestServerJSONAndSSE(t *testing.T) {
 }
 
 func TestServerLinger(t *testing.T) {
-	s := NewState("test", 0)
+	s, _ := newState(0, obs.RunMeta{})
 	srv, err := NewServer(s, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -185,22 +211,12 @@ func TestSessionFinishCloseOrdering(t *testing.T) {
 	if st.Imbalance == nil {
 		t.Fatal("Finish did not stamp imbalance diagnostics")
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		snap, err := Fetch(context.Background(), sess.Server.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if snap.Done {
-			t.Fatal("view done before Close")
-		}
-		if snap.Events == 10 {
-			break // the consumer goroutine caught up
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("consumer never folded events: %+v", snap)
-		}
-		time.Sleep(10 * time.Millisecond)
+	snap, err := Fetch(context.Background(), sess.Server.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Done || snap.Events != 10 {
+		t.Fatalf("before Close: done %t, %d events; want false, 10", snap.Done, snap.Events)
 	}
 
 	sess.SetLinger(0)
@@ -218,9 +234,8 @@ func TestSessionNilSafe(t *testing.T) {
 }
 
 func TestSnapshotJSONRoundTrip(t *testing.T) {
-	s := NewState("test", 500)
-	s.Ingest(obs.BusEvent{Kind: obs.EvBegin, Meta: obs.RunMeta{Kernel: "k", Workers: 1, LPs: 2}})
-	s.IngestRecords([]obs.RoundRecord{{Round: 0, Worker: 0, Events: 4, ProcNS: 9, LBTS: 250}})
+	s, reg := newState(500, obs.RunMeta{Kernel: "k", Workers: 1, LPs: 2})
+	feed(reg, obs.RoundRecord{Round: 0, Worker: 0, Events: 4, ProcNS: 9, LBTS: 250})
 	s.Finalize(&sim.RunStats{Kernel: "k", Events: 4})
 	snap := s.Snapshot()
 	raw, err := json.Marshal(&snap)
@@ -233,5 +248,82 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	}
 	if back.Schema != SchemaV1 || back.Events != 4 || !back.Done || back.Final == nil {
 		t.Fatalf("round trip: %+v", back)
+	}
+}
+
+// TestOutOfRangeWorkerAddsNoView: a record naming a worker the run does not
+// have (a garbled or hostile sideband record, say) is dropped by the
+// Registry; it adds no view and no lane.
+func TestOutOfRangeWorkerAddsNoView(t *testing.T) {
+	s, reg := newState(0, obs.RunMeta{Kernel: "dist(2)", Workers: 2})
+	feed(reg, obs.RoundRecord{Worker: 100_000, Events: 7}, obs.RoundRecord{Worker: 2, Events: 7}, obs.RoundRecord{Worker: 1, Events: 3})
+	snap := s.Snapshot()
+	if len(snap.WorkerViews) != 2 || snap.Events != 3 {
+		t.Fatalf("%d worker views, %d events; want 2 and 3", len(snap.WorkerViews), snap.Events)
+	}
+	if lanes, _, dropped := reg.Totals(); len(lanes) != 2 || dropped != 2 {
+		t.Fatalf("%d lanes, %d dropped; want 2 and 2", len(lanes), dropped)
+	}
+}
+
+// TestConcurrentWritersExactTotals: four workers report through a session's
+// probe while a watcher builds snapshots and fetches /live; nothing is
+// dropped, so the final totals are exact.
+func TestConcurrentWritersExactTotals(t *testing.T) {
+	const workers, rounds = 4, 10_000
+	sess, err := StartSession("test", 0, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	sess.SetLinger(0)
+	probe := sess.Probe()
+	probe.BeginRun(obs.RunMeta{Kernel: "k", Workers: workers, LPs: workers})
+
+	var writers sync.WaitGroup
+	done := make(chan struct{})
+	watched := make(chan error, 1)
+	go func() {
+		var err error
+		for {
+			select {
+			case <-done:
+				watched <- err
+				return
+			default:
+			}
+			sess.State.Snapshot()
+			if _, ferr := Fetch(context.Background(), sess.Server.Addr()); ferr != nil && err == nil {
+				err = ferr
+			}
+		}
+	}()
+	for w := range int32(workers) {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for r := range uint64(rounds) {
+				probe.OnRound(&obs.RoundRecord{Round: r, Worker: w, Events: 3, ProcNS: 2, SyncNS: 1})
+			}
+		}()
+	}
+	writers.Wait()
+	close(done)
+	if err := <-watched; err != nil {
+		t.Fatal(err)
+	}
+
+	snap, err := Fetch(context.Background(), sess.Server.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Events != workers*rounds*3 || snap.Rounds != rounds || len(snap.WorkerViews) != workers {
+		t.Fatalf("%d events in %d rounds over %d workers; want %d, %d, %d",
+			snap.Events, snap.Rounds, len(snap.WorkerViews), workers*rounds*3, rounds, workers)
+	}
+	for _, v := range snap.WorkerViews {
+		if v.Rounds != rounds || v.Events != rounds*3 || v.ProcNS != 2*rounds || v.SyncNS != rounds {
+			t.Fatalf("worker %d: %+v", v.Worker, v)
+		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 
 	"unison/internal/coll"
 	"unison/internal/netobs"
+	"unison/internal/obs"
 	"unison/internal/sim"
 )
 
@@ -76,7 +77,7 @@ func TestJSONOutputsSurviveNonFiniteFloats(t *testing.T) {
 			// clients parse every body they receive.
 			final := &sim.RunStats{}
 			plantFloats(reflect.ValueOf(final), bad)
-			state := NewState("test", 1000)
+			state, _ := newState(1000, obs.RunMeta{})
 			state.Finalize(final)
 			srv, err := NewServer(state, "127.0.0.1:0")
 			if err != nil {

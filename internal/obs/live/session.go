@@ -11,9 +11,9 @@ import (
 // to read the final snapshot (only when a watcher ever connected).
 const DefaultLinger = 5 * time.Second
 
-// Session is the one-call wiring the CLIs use for -live: an
-// ImbalanceTracker and a Bus chained in front of the caller's probe, a
-// State fed from a bus subscription, and a Server exposing it.
+// Session is the one-call wiring the CLIs use for -live: a Registry and an
+// ImbalanceTracker as the run's probe, a State reading them, and a Server
+// exposing it.
 //
 //	sess, err := live.StartSession("unisim", stopAt, addr, registry)
 //	...run kernels with sess.Probe() as the observe probe...
@@ -22,24 +22,24 @@ const DefaultLinger = 5 * time.Second
 type Session struct {
 	State  *State
 	Server *Server
-	Bus    *obs.Bus
 	Imb    *obs.ImbalanceTracker
 
-	sub    *obs.Sub
+	probe  obs.Probe
 	linger time.Duration
 	final  *sim.RunStats
 }
 
 // StartSession wires a live telemetry session. tool names the CLI, stopAt
 // is the simulated end time when known (0 otherwise), addr is the listen
-// address ("" or ":0" pick a free port), and inner is the probe the bus
-// chains to (nil for none).
-func StartSession(tool string, stopAt sim.Time, addr string, inner obs.Probe) (*Session, error) {
+// address ("" or ":0" pick a free port), and reg is the Registry the view
+// reads: the caller's own when it also exports the records, or nil for one
+// that keeps a single record per worker (the view needs only the totals).
+func StartSession(tool string, stopAt sim.Time, addr string, reg *obs.Registry) (*Session, error) {
+	if reg == nil {
+		reg = obs.NewRegistry(1)
+	}
 	imb := obs.NewImbalanceTracker()
-	bus := obs.NewBus(obs.Tee(inner, imb))
-	state := NewState(tool, stopAt)
-	state.SetDrops(bus.Drops)
-	state.SetImbalance(imb)
+	state := NewState(tool, stopAt, reg, imb)
 	if addr == "" {
 		addr = ":0"
 	}
@@ -47,28 +47,26 @@ func StartSession(tool string, stopAt sim.Time, addr string, inner obs.Probe) (*
 	if err != nil {
 		return nil, err
 	}
-	sub := bus.Subscribe(0)
-	go state.Consume(sub)
 	return &Session{
 		State:  state,
 		Server: srv,
-		Bus:    bus,
 		Imb:    imb,
-		sub:    sub,
+		probe:  obs.Tee(reg, imb),
 		linger: DefaultLinger,
 	}, nil
 }
 
-// Probe returns the probe to hand the kernels (the bus).
+// Probe returns the probe to hand the kernels: the Registry, then the
+// tracker.
 func (s *Session) Probe() obs.Probe {
 	if s == nil {
 		return nil
 	}
-	return s.Bus
+	return s.probe
 }
 
 // Finish runs the imbalance diagnostics pass over st (stamping
-// RunStats.Imbalance, TelemetryDrops, and per-worker StragglerRounds) and
+// RunStats.Imbalance and per-worker StragglerRounds) and
 // records st as the live view's final snapshot. Call once per finished
 // run, before st is serialized into run_stats.json — the snapshot and the
 // artifact then match field for field.
@@ -81,7 +79,7 @@ func (s *Session) Finish(st *sim.RunStats) {
 	if s == nil {
 		return
 	}
-	s.Imb.Apply(st, s.Bus.Drops())
+	s.Imb.Apply(st)
 	s.final = st
 }
 
@@ -93,8 +91,8 @@ func (s *Session) SetLinger(d time.Duration) {
 }
 
 // Close publishes the final snapshot recorded by Finish, waits (only if a
-// watcher ever connected) for it to be served, then tears the server and
-// subscription down. Nil-safe.
+// watcher ever connected) for it to be served, then tears the server down.
+// Nil-safe.
 func (s *Session) Close() {
 	if s == nil {
 		return
@@ -104,5 +102,4 @@ func (s *Session) Close() {
 	}
 	s.Server.Linger(s.linger)
 	_ = s.Server.Close()
-	s.sub.Close()
 }

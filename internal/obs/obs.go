@@ -3,8 +3,9 @@
 // and null-message PDES, Unison live + hybrid, the virtual testbed, and
 // the distributed coordinator/hosts) reports into, a Registry that
 // captures per-round records into per-worker ring buffers without
-// allocating on the round path, a Chrome/Perfetto trace-event exporter
-// (perfetto.go), and expvar publishing (expvar.go).
+// allocating on the round path and keeps every worker's running totals
+// (the one fold the live view reads), and a Chrome/Perfetto trace-event
+// exporter (perfetto.go).
 //
 // Determinism rules (pinned by the equivalence tests):
 //
@@ -22,6 +23,7 @@ package obs
 import (
 	"sort"
 	"sync"
+	"time"
 	"unsafe"
 
 	"unison/internal/sim"
@@ -136,35 +138,93 @@ func End(p Probe, st *sim.RunStats) {
 	}
 }
 
+// Tee returns a probe forwarding every callback to each non-nil probe in
+// order, or nil if all are nil — so wiring stays "nil probe = zero cost"
+// even when composing optional probes.
+func Tee(probes ...Probe) Probe {
+	var live []Probe
+	for _, p := range probes {
+		if p != nil {
+			live = append(live, p)
+		}
+	}
+	switch len(live) {
+	case 0:
+		return nil
+	case 1:
+		return live[0]
+	}
+	return teeProbe(live)
+}
+
+type teeProbe []Probe
+
+func (t teeProbe) BeginRun(meta RunMeta) {
+	for _, p := range t {
+		p.BeginRun(meta)
+	}
+}
+
+func (t teeProbe) OnRound(rec *RoundRecord) {
+	for _, p := range t {
+		p.OnRound(rec)
+	}
+}
+
+func (t teeProbe) EndRun(st *sim.RunStats) {
+	for _, p := range t {
+		p.EndRun(st)
+	}
+}
+
 // DefaultRingCapacity is the per-worker record capacity a zero-config
 // Registry uses; older records are overwritten once a worker exceeds it.
 const DefaultRingCapacity = 8192
 
+// WorkerTotals is one worker's running totals over every record of the
+// current run, overwritten ones included: the per-worker T = P + S + M
+// split and the gauges the live view shows.
+type WorkerTotals struct {
+	// Records counts the worker's records: its rounds, plus any snapshot
+	// records a checkpoint hook files under it.
+	Records uint64
+	Events  uint64
+	ProcNS  int64
+	SyncNS  int64
+	MsgNS   int64
+	// Migrations sums the records' migrations.
+	Migrations uint64
+	// LBTS and Round are the highest finite LBTS and the highest round
+	// reported; FELDepth is the newest record's.
+	LBTS     sim.Time
+	Round    uint64
+	FELDepth uint64
+	// CkptAt is the wall time the newest record with CkptNS > 0 arrived
+	// (zero when none has).
+	CkptAt time.Time
+}
+
 // workerRing is one worker's record stream: a fixed-capacity ring plus
-// running totals for gauge snapshots. Each ring has its own lock, taken
-// once per round by its single writer, so workers never contend.
+// its running totals. Each ring has its own lock, taken once per round by
+// its single writer, so workers never contend.
 type workerRing struct {
-	mu      sync.Mutex
-	buf     []RoundRecord
-	written uint64 // total records ever written; buf[(written-1)%cap] is newest
-	rounds  uint64
-	events  uint64
-	procNS  int64
-	syncNS  int64
-	msgNS   int64
-	lastLB  sim.Time
-	_       [64]byte // keep neighbouring rings' hot fields off one cache line
+	mu  sync.Mutex
+	buf []RoundRecord
+	tot WorkerTotals // tot.Records is every record ever written; buf[(Records-1)%cap] is newest
+	_   [64]byte     // keep neighbouring rings' hot fields off one cache line
 }
 
 // Registry is the standard Probe: it captures records into per-worker
-// rings and serves merged views, Perfetto exports, and expvar snapshots.
-// A Registry records one run at a time; BeginRun resets it, so the same
-// Registry can observe a sequence of runs (keeping the last).
+// rings, keeps each worker's running totals, and serves merged views and
+// Perfetto exports. A Registry records one run at a time; BeginRun resets
+// it, so the same Registry can observe a sequence of runs (keeping the
+// last).
 type Registry struct {
 	capacity int
 
-	mu      sync.Mutex // guards meta/final/rings slice identity
+	mu      sync.Mutex // guards meta/begun/final/dropped and the rings slice identity
 	meta    RunMeta
+	begun   time.Time
 	final   *sim.RunStats
 	rings   []*workerRing
 	dropped uint64 // records addressed to out-of-range workers
@@ -184,6 +244,7 @@ func (g *Registry) BeginRun(meta RunMeta) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.meta = meta
+	g.begun = time.Now()
 	g.final = nil
 	g.dropped = 0
 	n := meta.Workers
@@ -196,7 +257,8 @@ func (g *Registry) BeginRun(meta RunMeta) {
 	}
 }
 
-// OnRound implements Probe.
+// OnRound implements Probe. A record naming a worker outside the run's
+// range is counted as dropped and folded nowhere.
 func (g *Registry) OnRound(rec *RoundRecord) {
 	g.mu.Lock()
 	if int(rec.Worker) < 0 || int(rec.Worker) >= len(g.rings) {
@@ -208,19 +270,24 @@ func (g *Registry) OnRound(rec *RoundRecord) {
 	g.mu.Unlock()
 
 	r.mu.Lock()
+	t := &r.tot
 	if len(r.buf) < cap(r.buf) {
 		r.buf = append(r.buf, *rec)
 	} else {
-		r.buf[r.written%uint64(cap(r.buf))] = *rec
+		r.buf[t.Records%uint64(cap(r.buf))] = *rec
 	}
-	r.written++
-	r.rounds++
-	r.events += rec.Events
-	r.procNS += rec.ProcNS
-	r.syncNS += rec.SyncNS
-	r.msgNS += rec.MsgNS
-	if rec.LBTS != sim.MaxTime && rec.LBTS > r.lastLB {
-		r.lastLB = rec.LBTS
+	t.Records++
+	t.Events += rec.Events
+	t.ProcNS += rec.ProcNS
+	t.SyncNS += rec.SyncNS
+	t.MsgNS += rec.MsgNS
+	t.Migrations += rec.Migrations
+	t.Round, t.FELDepth = max(t.Round, rec.Round), rec.FELDepth
+	if rec.LBTS != sim.MaxTime && rec.LBTS > t.LBTS {
+		t.LBTS = rec.LBTS
+	}
+	if rec.CkptNS > 0 {
+		t.CkptAt = time.Now()
 	}
 	r.mu.Unlock()
 }
@@ -246,6 +313,23 @@ func (g *Registry) Final() *sim.RunStats {
 	return g.final
 }
 
+// Totals returns a copy of every worker's running totals, the wall time of
+// the current run's BeginRun (zero before the first), and how many records
+// were dropped for naming an out-of-range worker. Safe during a run: each
+// worker is read under its own lock.
+func (g *Registry) Totals() (workers []WorkerTotals, begun time.Time, dropped uint64) {
+	g.mu.Lock()
+	rings, begun, dropped := g.rings, g.begun, g.dropped
+	g.mu.Unlock()
+	workers = make([]WorkerTotals, len(rings))
+	for i, r := range rings {
+		r.mu.Lock()
+		workers[i] = r.tot
+		r.mu.Unlock()
+	}
+	return workers, begun, dropped
+}
+
 // Records returns every retained record merged in (Round, Worker) order.
 // Safe to call while a run is in flight (each ring is snapshotted under
 // its lock); records a full ring has overwritten are gone.
@@ -256,11 +340,11 @@ func (g *Registry) Records() []RoundRecord {
 	var out []RoundRecord
 	for _, r := range rings {
 		r.mu.Lock()
-		if len(r.buf) < cap(r.buf) || r.written <= uint64(len(r.buf)) {
+		if n := r.tot.Records; len(r.buf) < cap(r.buf) || n <= uint64(len(r.buf)) {
 			out = append(out, r.buf...)
 		} else {
-			// Ring wrapped: oldest record sits at written % cap.
-			start := r.written % uint64(cap(r.buf))
+			// Ring wrapped: oldest record sits at Records % cap.
+			start := n % uint64(cap(r.buf))
 			out = append(out, r.buf[start:]...)
 			out = append(out, r.buf[:start]...)
 		}
@@ -273,60 +357,4 @@ func (g *Registry) Records() []RoundRecord {
 		return out[i].Worker < out[j].Worker
 	})
 	return out
-}
-
-// Summary is a point-in-time aggregate of the registry, shaped for JSON
-// (the expvar gauge payload).
-type Summary struct {
-	Kernel     string  `json:"kernel"`
-	Workers    int     `json:"workers"`
-	LPs        int     `json:"lps"`
-	Rounds     uint64  `json:"rounds"`
-	Records    uint64  `json:"records"`
-	Dropped    uint64  `json:"dropped"`
-	Events     uint64  `json:"events"`
-	ProcNS     int64   `json:"proc_ns"`
-	SyncNS     int64   `json:"sync_ns"`
-	MsgNS      int64   `json:"msg_ns"`
-	SRatio     float64 `json:"s_ratio"`
-	LastLBTSNS int64   `json:"last_lbts_ns"`
-	Done       bool    `json:"done"`
-}
-
-// Snapshot aggregates the registry's counters and gauges. Safe during a
-// run: each worker ring is read under its own lock.
-func (g *Registry) Snapshot() Summary {
-	g.mu.Lock()
-	s := Summary{
-		Kernel:  g.meta.Kernel,
-		Workers: g.meta.Workers,
-		LPs:     g.meta.LPs,
-		Dropped: g.dropped,
-		Done:    g.final != nil,
-	}
-	rings := g.rings
-	g.mu.Unlock()
-	var lastLB sim.Time
-	var rounds uint64
-	for _, r := range rings {
-		r.mu.Lock()
-		if r.rounds > rounds {
-			rounds = r.rounds
-		}
-		s.Records += r.written
-		s.Events += r.events
-		s.ProcNS += r.procNS
-		s.SyncNS += r.syncNS
-		s.MsgNS += r.msgNS
-		if r.lastLB > lastLB {
-			lastLB = r.lastLB
-		}
-		r.mu.Unlock()
-	}
-	s.Rounds = rounds
-	s.LastLBTSNS = int64(lastLB)
-	if tot := s.ProcNS + s.SyncNS + s.MsgNS; tot > 0 {
-		s.SRatio = float64(s.SyncNS) / float64(tot)
-	}
-	return s
 }

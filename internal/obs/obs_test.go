@@ -3,8 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"expvar"
 	"testing"
+	"time"
 
 	"unison/internal/sim"
 )
@@ -65,9 +65,33 @@ func TestRegistryRingWrap(t *testing.T) {
 		}
 	}
 	// Totals survive overwrites even though old records are gone.
-	s := g.Snapshot()
-	if s.Records != total || s.Events != total {
-		t.Errorf("snapshot records=%d events=%d, want %d/%d", s.Records, s.Events, total, total)
+	w, _, _ := g.Totals()
+	if len(w) != 1 || w[0].Records != total || w[0].Events != total || w[0].Round != total-1 {
+		t.Errorf("totals = %+v, want %d records and events, round %d", w, total, total-1)
+	}
+}
+
+func TestRegistryTotals(t *testing.T) {
+	g := NewRegistry(1)
+	if w, begun, _ := g.Totals(); len(w) != 0 || !begun.IsZero() {
+		t.Fatalf("totals before BeginRun: %+v, begun %v", w, begun)
+	}
+	before := time.Now()
+	g.BeginRun(RunMeta{Kernel: "test", Workers: 2, LPs: 2})
+	g.OnRound(&RoundRecord{Round: 0, Worker: 1, LBTS: 500, Events: 4, ProcNS: 3, SyncNS: 2, MsgNS: 1, FELDepth: 9, Migrations: 2, CkptNS: 7})
+	g.OnRound(&RoundRecord{Round: 1, Worker: 1, LBTS: sim.MaxTime, Events: 6, ProcNS: 3, FELDepth: 5, Migrations: 1})
+	w, begun, dropped := g.Totals()
+	if begun.Before(before) || dropped != 0 || len(w) != 2 || w[0] != (WorkerTotals{}) {
+		t.Fatalf("begun %v (BeginRun after %v), dropped %d, totals %+v", begun, before, dropped, w)
+	}
+	got := w[1]
+	if got.CkptAt.Before(begun) {
+		t.Fatalf("checkpoint stamped at %v, before the run began at %v", got.CkptAt, begun)
+	}
+	got.CkptAt = time.Time{}
+	want := WorkerTotals{Records: 2, Events: 10, ProcNS: 6, SyncNS: 2, MsgNS: 1, Migrations: 3, LBTS: 500, Round: 1, FELDepth: 5}
+	if got != want {
+		t.Fatalf("worker 1 totals = %+v, want %+v", got, want)
 	}
 }
 
@@ -79,8 +103,8 @@ func TestRegistryDropsOutOfRangeWorkers(t *testing.T) {
 	if n := len(g.Records()); n != 0 {
 		t.Fatalf("got %d records, want 0", n)
 	}
-	if s := g.Snapshot(); s.Dropped != 2 {
-		t.Fatalf("dropped = %d, want 2", s.Dropped)
+	if w, _, dropped := g.Totals(); dropped != 2 || w[0].Records != 0 {
+		t.Fatalf("dropped = %d, worker 0 records = %d; want 2 and 0", dropped, w[0].Records)
 	}
 }
 
@@ -181,26 +205,6 @@ func TestWritePerfettoStructure(t *testing.T) {
 	}
 }
 
-func TestPublishExpvar(t *testing.T) {
-	g := NewRegistry(8)
-	g.BeginRun(RunMeta{Kernel: "expvar-test", Workers: 1, LPs: 1})
-	emit(g, 0, 0, 7)
-	g.Publish("obs_test_registry")
-	g.Publish("obs_test_registry") // second call must not panic (expvar re-publish does)
-
-	v := expvar.Get("obs_test_registry")
-	if v == nil {
-		t.Fatal("registry not published")
-	}
-	var s Summary
-	if err := json.Unmarshal([]byte(v.String()), &s); err != nil {
-		t.Fatalf("expvar payload is not a JSON Summary: %v\npayload: %s", err, v.String())
-	}
-	if s.Kernel != "expvar-test" || s.Events != 7 {
-		t.Fatalf("summary = %+v, want kernel expvar-test with 7 events", s)
-	}
-}
-
 func TestNilProbeHelpers(t *testing.T) {
 	// The helpers are the nil fast path every kernel relies on; they must
 	// be no-ops, not panics, for a nil probe.
@@ -209,3 +213,33 @@ func TestNilProbeHelpers(t *testing.T) {
 	End(nil, &sim.RunStats{})
 	End(&Registry{}, nil) // nil stats must be ignored too
 }
+
+func TestTee(t *testing.T) {
+	if Tee() != nil || Tee(nil, nil) != nil {
+		t.Fatal("all-nil Tee should be nil")
+	}
+	a := &captureProbe{}
+	if got := Tee(nil, a); got != Probe(a) {
+		t.Fatal("single-probe Tee should return the probe itself")
+	}
+	bProbe := &captureProbe{}
+	tee := Tee(a, nil, bProbe)
+	tee.BeginRun(RunMeta{Workers: 1})
+	tee.OnRound(&RoundRecord{Round: 9})
+	tee.EndRun(&sim.RunStats{})
+	for i, p := range []*captureProbe{a, bProbe} {
+		if p.begins != 1 || p.ends != 1 || len(p.recs) != 1 || p.recs[0].Round != 9 {
+			t.Fatalf("probe %d missed calls: %+v", i, p)
+		}
+	}
+}
+
+// captureProbe records every callback for assertions.
+type captureProbe struct {
+	begins, ends int
+	recs         []RoundRecord
+}
+
+func (c *captureProbe) BeginRun(RunMeta)         { c.begins++ }
+func (c *captureProbe) OnRound(rec *RoundRecord) { c.recs = append(c.recs, *rec) }
+func (c *captureProbe) EndRun(st *sim.RunStats)  { c.ends++ }

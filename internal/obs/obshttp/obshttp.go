@@ -1,6 +1,6 @@
 // Package obshttp starts the optional debug HTTP listener the cmd tools
-// expose behind a -debug-addr flag: /debug/vars (expvar, including every
-// published obs.Registry) and /debug/pprof (CPU, heap, mutex, ...). It
+// expose behind a -debug-addr flag: /debug/vars (the runtime's expvars)
+// and /debug/pprof (CPU, heap, mutex, ...). It
 // also provides the Server type the live-telemetry endpoints (-live)
 // build on: an explicit lifecycle around net/http with graceful shutdown.
 //

@@ -32,8 +32,6 @@ type BarrierKernel struct {
 	LPOf []int32
 	// RecordRounds captures per-round P samples (Figures 5b/13a).
 	RecordRounds bool
-	// CacheWays enables the cache-locality model when positive.
-	CacheWays int
 	// MaxRounds aborts runaway simulations when positive.
 	MaxRounds uint64
 	// Observe, when non-nil, receives one obs.RoundRecord per rank per
@@ -58,6 +56,6 @@ func (k *BarrierKernel) Run(m *sim.Model) (*sim.RunStats, error) {
 		part = core.Manual(k.LPOf, m.Links())
 	}
 	return core.RunStatic(m, k.Name(), part, core.Config{
-		CacheWays: k.CacheWays, RecordRounds: k.RecordRounds, MaxRounds: k.MaxRounds, Observe: k.Observe,
+		RecordRounds: k.RecordRounds, MaxRounds: k.MaxRounds, Observe: k.Observe,
 	}, nil)
 }

@@ -31,8 +31,6 @@ type NullMessageKernel struct {
 	// the kernel before the model's links exist: Run derives the partition
 	// and its lookahead from it.
 	LPOf []int32
-	// CacheWays enables the cache-locality model when positive.
-	CacheWays int
 	// Observe, when non-nil, receives one obs.RoundRecord per rank per
 	// null-message iteration (Round counts iterations per rank; there is
 	// no global round structure) plus run begin/end notifications.
@@ -105,7 +103,7 @@ func (k *NullMessageKernel) Run(m *sim.Model) (*sim.RunStats, error) {
 		}
 		part = core.Manual(k.LPOf, m.Links())
 	}
-	rs, err := NewRanks(m, part, k.CacheWays)
+	rs, err := NewRanks(m, part, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -409,10 +409,6 @@ type RunStats struct {
 	// observed the run; nil otherwise. This is the input signal for
 	// cross-rank LP migration (ROADMAP item 3).
 	Imbalance *Imbalance `json:"imbalance,omitempty"`
-	// TelemetryDrops counts live-telemetry bus events dropped because a
-	// subscriber (e.g. an attached unimon) fell behind. Dropped events
-	// only ever thin the live view; they never affect the simulation.
-	TelemetryDrops uint64 `json:"telemetry_drops,omitempty"`
 }
 
 // Imbalance summarizes per-round load imbalance across the workers (or
@@ -493,9 +489,6 @@ func (r *RunStats) String() string {
 	if r.Imbalance != nil && r.Imbalance.Rounds > 0 {
 		fmt.Fprintf(&b, ", imbalance %.2fx mean / %.2fx worst",
 			r.Imbalance.MeanMaxOverMean, r.Imbalance.WorstMaxOverMean)
-	}
-	if r.TelemetryDrops > 0 {
-		fmt.Fprintf(&b, ", %d telemetry drops", r.TelemetryDrops)
 	}
 	return b.String()
 }

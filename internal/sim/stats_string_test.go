@@ -37,20 +37,15 @@ func TestRunStatsStringWithDiagnostics(t *testing.T) {
 		Workers: []WorkerStats{{P: 60, S: 30, M: 10}},
 	}
 	base := st.String()
-	if strings.Contains(base, "imbalance") || strings.Contains(base, "telemetry") {
+	if strings.Contains(base, "imbalance") {
 		t.Fatalf("plain stats mention diagnostics: %q", base)
 	}
 	st.Imbalance = &Imbalance{Rounds: 5, MeanMaxOverMean: 1.25, WorstMaxOverMean: 3.5}
-	st.TelemetryDrops = 9
-	got := st.String()
-	for _, want := range []string{"imbalance 1.25x mean / 3.50x worst", "9 telemetry drops"} {
-		if !strings.Contains(got, want) {
-			t.Fatalf("String = %q, missing %q", got, want)
-		}
+	if got, want := st.String(), "imbalance 1.25x mean / 3.50x worst"; !strings.Contains(got, want) {
+		t.Fatalf("String = %q, missing %q", got, want)
 	}
 	// An imbalance summary with no covered rounds stays out of the line.
 	st.Imbalance = &Imbalance{}
-	st.TelemetryDrops = 0
 	if got := st.String(); strings.Contains(got, "imbalance") {
 		t.Fatalf("uncovered imbalance leaked into String: %q", got)
 	}
@@ -61,9 +56,8 @@ func TestRunStatsStringWithDiagnostics(t *testing.T) {
 func TestRunStatsJSONStability(t *testing.T) {
 	st := &RunStats{
 		Kernel: "k", Events: 1, Rounds: 2, LPs: 3,
-		Workers:        []WorkerStats{{P: 1, StragglerRounds: 4}},
-		Imbalance:      &Imbalance{Rounds: 1, MeanMaxOverMean: 1, WorstMaxOverMean: 1, Migrations: 2},
-		TelemetryDrops: 7,
+		Workers:   []WorkerStats{{P: 1, StragglerRounds: 4}},
+		Imbalance: &Imbalance{Rounds: 1, MeanMaxOverMean: 1, WorstMaxOverMean: 1, Migrations: 2},
 	}
 	raw, err := json.Marshal(st)
 	if err != nil {
@@ -72,7 +66,7 @@ func TestRunStatsJSONStability(t *testing.T) {
 	for _, key := range []string{
 		`"kernel"`, `"events"`, `"rounds"`, `"straggler_rounds":4`,
 		`"imbalance"`, `"mean_max_over_mean"`, `"worst_max_over_mean"`,
-		`"migrations":2`, `"telemetry_drops":7`,
+		`"migrations":2`,
 	} {
 		if !strings.Contains(string(raw), key) {
 			t.Fatalf("marshalled stats missing %s: %s", key, raw)
@@ -84,7 +78,7 @@ func TestRunStatsJSONStability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(plain), "imbalance") || strings.Contains(string(plain), "telemetry") {
+	if strings.Contains(string(plain), "imbalance") {
 		t.Fatalf("unprobed stats leak diagnostics keys: %s", plain)
 	}
 }

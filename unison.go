@@ -397,9 +397,10 @@ const (
 // default) costs one predictable branch per round; a non-nil probe
 // receives one RoundRecord per worker per synchronization round. Probes
 // only observe: a probed run is bit-identical to an unprobed one (pinned
-// by the equivalence tests). The standard probe is Registry; its captured
-// records export as a Chrome/Perfetto trace (Registry.WritePerfetto) or
-// an expvar summary (Registry.Publish).
+// by the equivalence tests). The standard probe is Registry: it keeps each
+// worker's running totals (Registry.Totals, what the live view reads) and
+// its captured records export as a Chrome/Perfetto trace
+// (Registry.WritePerfetto).
 
 type (
 	// Probe receives kernel telemetry; see the interface docs for the
@@ -413,7 +414,8 @@ type (
 	// RunMeta identifies one kernel run to a probe.
 	RunMeta = obs.RunMeta
 	// Registry is the standard probe: per-worker ring buffers merged in
-	// (round, worker) order, with Perfetto and expvar exports.
+	// (round, worker) order and per-worker running totals, with a
+	// Perfetto export.
 	Registry = obs.Registry
 )
 
@@ -423,22 +425,14 @@ func NewRegistry(capPerWorker int) *Registry { return obs.NewRegistry(capPerWork
 
 // --- Live telemetry (internal/obs + internal/obs/live) ---
 //
-// A TelemetryBus in front of a kernel's probe fans records out to
-// watchers without touching the hot path: publishing is non-blocking
-// (slow subscribers lose events, counted per subscriber), and an
-// unattached bus costs one atomic load per probe call. cmd CLIs wire a
-// bus + HTTP server via live.StartSession and stream snapshots to
+// A live session is a Registry and an ImbalanceTracker as the kernel's
+// probe, read by an HTTP server whenever a watcher asks: the worker pays
+// the Registry's fold and nothing else, and no record is ever dropped.
+// cmd CLIs wire it via live.StartSession and stream snapshots to
 // cmd/unimon; ImbalanceTracker computes the per-round load-imbalance
 // diagnostics that land in RunStats.Imbalance.
 
 type (
-	// TelemetryBus is a Probe that forwards to an inner probe and
-	// broadcasts every call to subscribers on bounded channels.
-	TelemetryBus = obs.Bus
-	// TelemetrySub is one bus subscription (channel + drop counter).
-	TelemetrySub = obs.Sub
-	// TelemetryEvent is one bus message: a begin/round/end notification.
-	TelemetryEvent = obs.BusEvent
 	// ImbalanceTracker derives per-round max/mean processing-time ratios,
 	// straggler attribution and migration counts from round records.
 	ImbalanceTracker = obs.ImbalanceTracker
@@ -448,8 +442,8 @@ type (
 	// LiveSnapshot is the point-in-time view cmd/unimon renders, served
 	// as JSON and SSE by a live session.
 	LiveSnapshot = live.Snapshot
-	// LiveSession is the one-call -live wiring for CLIs: bus + imbalance
-	// tracker + state + HTTP server.
+	// LiveSession is the one-call -live wiring for CLIs: Registry +
+	// imbalance tracker + state + HTTP server.
 	LiveSession = live.Session
 	// BundleDiff is the metric-by-metric comparison of two artifact
 	// bundles (`unitrace diff`).
@@ -457,10 +451,8 @@ type (
 )
 
 var (
-	// NewTelemetryBus returns a bus forwarding to inner (nil for none).
-	NewTelemetryBus = obs.NewBus
 	// NewImbalanceTracker returns an empty tracker; attach it as a probe
-	// (or behind a bus) and call Apply after the run.
+	// (alone or in a tee) and call Apply after the run.
 	NewImbalanceTracker = obs.NewImbalanceTracker
 	// TeeProbes fans probe calls out to several probes in order.
 	TeeProbes = obs.Tee
