@@ -143,10 +143,13 @@ type artifacts struct {
 
 // ref is a scenario's sequential reference — the run every other run of
 // the scenario is compared against — and its build, which the filter reads.
+// fused is, per kernel row, the fused-round count its first run reported.
 type ref struct {
 	artifacts
-	sc *unison.Scenario
-	b  *unison.BuiltScenario
+	sc    *unison.Scenario
+	b     *unison.BuiltScenario
+	mu    sync.Mutex
+	fused map[string]uint64
 }
 
 // refs caches references by canonical scenario: slices of one scenario share one.
@@ -167,8 +170,23 @@ func reference(t *testing.T, sc *unison.Scenario) *ref {
 		t.Fatalf("%s: a reference that did nothing makes every comparison vacuous: fingerprint %016x, %d B of series.csv, %d B of trace.pcapng, unfinished %t",
 			sc.Name, a.fp, len(a.files[0]), len(a.files[1]), unfinished(sc, a))
 	}
-	refs[string(key)] = &ref{artifacts: a, sc: sc, b: b}
+	refs[string(key)] = &ref{artifacts: a, sc: sc, b: b, fused: map[string]uint64{}}
 	return refs[string(key)]
+}
+
+// sameFused fails t unless st fused as many rounds as every other run of k
+// on r's scenario from its start: which windows are fused depends on the
+// windows alone, which observing, snapshotting or repeating a run changes
+// no more than it changes the run's events.
+func (r *ref) sameFused(t *testing.T, what string, k kernel, st *sim.RunStats) {
+	t.Helper()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if first, ok := r.fused[k.name]; !ok {
+		r.fused[k.name] = st.FusedRounds
+	} else if st.FusedRounds != first {
+		t.Errorf("%s: %d rounds fused, another run %d", what, st.FusedRounds, first)
+	}
 }
 
 // unfinished reports whether a run completed no flow or, in a collective
@@ -398,29 +416,39 @@ type spacing struct {
 }
 
 // snapshots runs k writing snapshots sp apart into a fresh directory and
-// returns the directory and the rounds. Every run must match the reference.
-func snapshots(t *testing.T, r *ref, k kernel, sp spacing) (string, []uint64) {
+// returns the directory, the rounds, and the rounds the run fused. Every
+// run must match the reference.
+func snapshots(t *testing.T, r *ref, k kernel, sp spacing) (string, []uint64, []uint64) {
 	t.Helper()
 	if sp == (spacing{}) {
 		got, st := run(t, r.sc, k, opts{})
 		compare(t, "run", got, r)
+		r.sameFused(t, "run", k, st)
 		sp = spacing{max(1, st.Events/4), max(1, st.Rounds/4), r.sc.Stop.T() / 4}
 	}
-	dir := t.TempDir()
-	got, _ := run(t, r.sc, k, opts{netobs: true, dir: dir, sp: sp})
+	dir, reg := t.TempDir(), obs.NewRegistry(1<<20)
+	got, st := run(t, r.sc, k, opts{netobs: true, dir: dir, sp: sp, probe: reg})
 	compare(t, "checkpointing run", got, r)
+	r.sameFused(t, "checkpointing run", k, st)
 	rounds := snapshotRounds(dir, 1)
 	if len(rounds) == 0 {
 		t.Fatal("the run wrote no snapshot")
 	}
-	return dir, rounds
+	var fused []uint64
+	for _, rec := range reg.Records() {
+		if rec.Fused && rec.Worker == 0 {
+			fused = append(fused, rec.Round)
+		}
+	}
+	return dir, rounds, fused
 }
 
 // once runs k once with o attached: nothing, or the sampler and tracer.
 func once(o opts) func(*testing.T, *ref, kernel) {
 	return func(t *testing.T, r *ref, k kernel) {
-		got, _ := run(t, r.sc, k, o)
+		got, st := run(t, r.sc, k, o)
 		compare(t, "run", got, r)
+		r.sameFused(t, "run", k, st)
 	}
 }
 
@@ -430,6 +458,7 @@ func probedRun(t *testing.T, r *ref, k kernel) {
 	reg := obs.NewRegistry(1)
 	got, st := run(t, r.sc, k, opts{probe: reg})
 	compare(t, "probed run", got, r)
+	r.sameFused(t, "probed run", k, st)
 	workers, _, dropped := reg.Totals()
 	var events, records uint64
 	for _, w := range workers {
@@ -456,6 +485,7 @@ func liveRun(t *testing.T, r *ref, k kernel) {
 	dir := t.TempDir()
 	got, st := run(t, r.sc, k, opts{netobs: true, live: sess, dir: dir})
 	compare(t, "live-attached run", got, r)
+	r.sameFused(t, "live-attached run", k, st)
 	sess.State.Finalize(st) // Close's order: Done is published once the bundle is on disk
 	snap, err := live.Fetch(context.Background(), sess.Server.Addr())
 	if err != nil {
@@ -476,12 +506,24 @@ func liveRun(t *testing.T, r *ref, k kernel) {
 	}
 }
 
+// restoreEverySnapshot resumes k from each of its snapshots. A resumed run
+// fuses the rounds after its first that the uninterrupted run fused.
 func restoreEverySnapshot(sp spacing) func(*testing.T, *ref, kernel) {
 	return func(t *testing.T, r *ref, k kernel) {
-		dir, rounds := snapshots(t, r, k, sp)
+		dir, rounds, fused := snapshots(t, r, k, sp)
 		for _, from := range rounds {
-			got, _ := run(t, r.sc, k, opts{netobs: true, dir: dir, from: from})
-			compare(t, fmt.Sprintf("restored from round %d", from), got, r)
+			what := fmt.Sprintf("restored from round %d", from)
+			got, st := run(t, r.sc, k, opts{netobs: true, dir: dir, from: from})
+			compare(t, what, got, r)
+			var after uint64
+			for _, f := range fused {
+				if f > from {
+					after++
+				}
+			}
+			if st.FusedRounds != after {
+				t.Errorf("%s: %d rounds fused, the uninterrupted run fused %d after it", what, st.FusedRounds, after)
+			}
 		}
 	}
 }
@@ -496,7 +538,7 @@ func crossRestore(sp spacing) func(*testing.T, *ref, kernel) {
 			pairs = append(pairs, [2]kernel{nm, k})
 		}
 		for _, p := range pairs {
-			dir, rounds := snapshots(t, r, p[0], sp)
+			dir, rounds, _ := snapshots(t, r, p[0], sp)
 			mid := rounds[len(rounds)/2]
 			got, _ := run(t, r.sc, p[1], opts{netobs: true, dir: dir, from: mid})
 			compare(t, fmt.Sprintf("%s resuming %s's round %d", p[1].name, p[0].name, mid), got, r)
@@ -698,6 +740,19 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	a := ckptAxis
 	a.run = restoreEverySnapshot(ckptSpacing)
 	slice(t, ckptScenario(), a, "sequential", "unison-2", "unison-4", "hybrid-2x2", "barrier", "nullmsg")
+}
+
+// TestFusionTakesBothPaths: the ring all-reduce, which the harness also
+// snapshots and restores under Unison (TestCollectiveCheckpointRestore), has
+// windows small enough to run on one worker and windows big enough to share,
+// so the table exercises both round paths and the hand-offs between them.
+func TestFusionTakesBothPaths(t *testing.T) {
+	r := reference(t, collScenario("ring-allreduce"))
+	for _, k := range pick("unison-2", "unison-4") {
+		if _, st := run(t, r.sc, k, opts{}); st.FusedRounds == 0 || st.FusedRounds >= st.Rounds {
+			t.Errorf("%s fused %d of %d rounds, want some but not all", k.name, st.FusedRounds, st.Rounds)
+		}
+	}
 }
 
 // TestCheckpointCrossKernelRestore: snapshots are portable between kernels.

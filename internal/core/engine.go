@@ -183,6 +183,7 @@ type Engine struct {
 
 	round  uint64
 	period uint64
+	fused  uint64 // rounds the live driver ran on one thread (kernel.go)
 
 	// baseEvents/baseEnd are the restored-from-checkpoint offsets, so a
 	// resumed run's RunStats match an uninterrupted one.
@@ -216,9 +217,10 @@ type workerState struct {
 
 // workerSink routes events created on one thread.
 type workerSink struct {
-	e     *Engine
-	w     int   // index of the thread's outbox
-	curLP int32 // -1 while executing global events (direct insertion)
+	e      *Engine
+	w      int   // index of the thread's outbox
+	curLP  int32 // -1 while executing global events (direct insertion)
+	direct bool  // the thread runs fused rounds (kernel.go): every event inserts directly
 }
 
 func (s *workerSink) Put(ev sim.Event) {
@@ -227,16 +229,17 @@ func (s *workerSink) Put(ev sim.Event) {
 		s.e.lps[tgt].fel.Push(ev)
 		return
 	}
-	if s.curLP < 0 {
-		// A global event inserts directly, possibly into an LP that has
-		// been idle for thousands of rounds: have phase 3 receive it, which
-		// refreshes its cached next time.
+	if s.curLP >= 0 && ev.Time < s.e.lbts {
+		panic(fmt.Sprintf("core: causality violation: cross-LP event at %v inside window ending %v (lookahead too small)", ev.Time, s.e.lbts))
+	}
+	if s.curLP < 0 || s.direct {
+		// A global event, or any event of a round one thread runs alone,
+		// inserts directly, possibly into an LP that has been idle for
+		// thousands of rounds: have phase 3 receive it, which refreshes its
+		// cached next time.
 		s.e.lps[tgt].fel.Push(ev)
 		s.e.dirty[tgt>>6] |= 1 << (tgt & 63)
 		return
-	}
-	if ev.Time < s.e.lbts {
-		panic(fmt.Sprintf("core: causality violation: cross-LP event at %v inside window ending %v (lookahead too small)", ev.Time, s.e.lbts))
 	}
 	s.e.outboxes[s.w].put(tgt, ev)
 }
@@ -285,8 +288,10 @@ func NewEngine(m *sim.Model, sh Shape) (*Engine, error) {
 		g.order = append(g.order, int32(i))
 	}
 	for i := range e.groups {
-		e.groups[i].low = make([]sim.Time, (len(e.groups[i].order)+63)/64)
-		e.reindex(&e.groups[i])
+		g := &e.groups[i]
+		g.low = make([]sim.Time, (len(g.order)+63)/64)
+		g.run = make([]int32, 0, len(g.order)) // openWindow writes up to every LP
+		e.reindex(g)
 	}
 	if sh.Cfg.CacheWays > 0 {
 		e.cache = metrics.NewCacheModel(workers, sh.Cfg.CacheWays)
@@ -391,19 +396,44 @@ func (e *Engine) openWindow() bool {
 	e.lbts = Eq2(allMin, pubNext, e.lookahead)
 	for i := range e.groups {
 		g := &e.groups[i]
-		g.run = g.run[:0]
+		// Every LP of a reached block is written and only those inside the
+		// window kept: a branch per LP mispredicts wherever LPs inside and
+		// outside the window interleave.
+		run, n := g.run[:cap(g.run)], 0
 		for b, low := range g.low {
 			if low >= e.lbts {
 				continue
 			}
 			for _, lp := range g.block(b) {
+				run[n] = lp
 				if e.next[lp] < e.lbts {
-					g.run = append(g.run, lp)
+					n++
 				}
 			}
 		}
+		g.run = run[:n]
 	}
 	return true
+}
+
+// windowEvents counts the events inside the current window, stopping at
+// limit: a pruned walk of the FELs on the run lists, each of which holds
+// at least one.
+func (e *Engine) windowEvents(limit int) (n int) {
+	for i := range e.groups {
+		if n += len(e.groups[i].run); n >= limit {
+			return limit
+		}
+	}
+	for i := range e.groups {
+		for _, lp := range e.groups[i].run {
+			// Its first event is counted already.
+			if n += e.lps[lp].fel.CountBefore(e.lbts, limit-n+1) - 1; n >= limit {
+				return limit
+			}
+		}
+	}
+	return n
 }
 
 // Eq2 is the paper's Equation 2 — LBTS = min(N_pub, min_i N_i +
@@ -715,11 +745,12 @@ func (e *Engine) totals() (events uint64, end sim.Time) {
 // what else it timed (RoundTrace, VirtualT) and ends the run with obs.End.
 func (e *Engine) Stats(start time.Time, psm []sim.WorkerStats) *sim.RunStats {
 	st := &sim.RunStats{
-		Kernel:  e.sh.Name,
-		WallNS:  time.Since(start).Nanoseconds(), //unison:wallclock-ok wall-clock run timing for RunStats.WallNS
-		Rounds:  e.round,
-		LPs:     e.part.Count,
-		Workers: psm,
+		Kernel:      e.sh.Name,
+		WallNS:      time.Since(start).Nanoseconds(), //unison:wallclock-ok wall-clock run timing for RunStats.WallNS
+		Rounds:      e.round,
+		LPs:         e.part.Count,
+		Workers:     psm,
+		FusedRounds: e.fused,
 	}
 	st.Events, st.EndTime = e.totals()
 	for i := range e.workers {

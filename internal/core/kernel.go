@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -104,9 +105,38 @@ type live struct {
 	times  []sim.WorkerStats // each worker's P/S/M, written as it exits
 	trace  []sim.RoundSample
 	homeOf []int32 // LP → home in its group (homes); nil when groups have one worker
+
+	// fuseBelow is the window size, in events, under which a serial section
+	// runs rounds alone (fuse); 0 when the shape never does. For the round
+	// records after phase 4: idle is the depth of the FELs the round did
+	// not receive, fusedNS the wall time of the rounds fused since phase 4,
+	// which those rounds' own records carry. rec is fuse's record scratch.
+	fuseBelow int
+	idle      uint64
+	fusedNS   int64
+	rec       obs.RoundRecord
 }
 
+// fuseEvents is the window size, in events per worker, below which a round
+// is not worth sharing. A shared round costs two barrier episodes and a
+// receive pass, about 12 µs + 0.43 µs/event on a two-core host against
+// 1.5 µs + 0.67 µs/event for a round run by one worker, which crosses at
+// about 40 events for two workers. Unvalidated beyond two cores.
+const fuseEvents = 16
+
+// fuseRule says when a serial section fuses a window: by the count, except
+// in this package's tests, which also fuse always and never.
+var fuseRule = fuseByCount
+
+const (
+	fuseByCount = iota
+	fuseAlways
+	fuseNever
+)
+
 // newLive is e's live driver; a group of several workers gets a home each.
+// The Unison shape — one group of several workers, no wire — fuses small
+// windows.
 func newLive(e *Engine) *live {
 	workers := len(e.workers)
 	l := &live{
@@ -114,6 +144,9 @@ func newLive(e *Engine) *live {
 		bar:    syncx.NewBarrier(workers),
 		roundP: make([]int64, workers),
 		times:  make([]sim.WorkerStats, workers),
+	}
+	if len(e.groups) == 1 && e.sh.PerGroup > 1 && e.sh.Wire == nil && fuseRule != fuseNever {
+		l.fuseBelow = fuseEvents * e.sh.PerGroup
 	}
 	if e.sh.PerGroup > 1 {
 		l.homeOf = homes(&e.sh)
@@ -279,12 +312,24 @@ func (l *live) workerLoop(w int, t *Thread) {
 		recvd += uint64(n)
 		depth += uint64(d)
 	}
-	// The two serial sections, run by whichever worker reaches the barrier
-	// last with every other one parked. Phase 2 also prepares the receive
-	// phase before anyone is released.
+	// The serial sections, run by whichever worker reaches the barrier last
+	// with every other one parked. Phase 2 also prepares the receive phase
+	// before anyone is released; phase 4, and the end of a save phase, may
+	// run the next rounds alone (fuse) before dealing out the run list.
 	phase2 := func() {
 		t.Globals()
 		l.shareRecv()
+	}
+	var fusedNS int64 // what this worker spent running fused rounds since phase 4
+	phase4 := func() {
+		l.phase4()
+		fusedNS += l.fuse(w, t)
+		l.shareRun()
+	}
+	endSave := func() {
+		l.EndSave()
+		fusedNS += l.fuse(w, t)
+		l.shareRun()
 	}
 	var sw metrics.Stopwatch
 	sw.Start()
@@ -323,27 +368,35 @@ func (l *live) workerLoop(w int, t *Thread) {
 		claim(g.homes, mine, recvList, g.recv, receive)
 		mNS := sw.Lap()
 		times.M += mNS
+		// The round's events are all counted: nothing this worker is
+		// credited with from here on belongs to it.
+		events := l.workers[w].events - evStart
 		// Phase 4 fuses into the barrier the same way: the last arriver
 		// updates the window, reschedules LPs and decides termination.
-		l.bar.WaitSerial(l.phase4)
-		if l.Saving() {
+		l.bar.WaitSerial(phase4)
+		for l.Saving() {
 			// A checkpoint round: the workers phase 4 would have left parked
 			// encode the snapshot between them, and the last one done writes
 			// it. The stall is synchronization time, like phase 4 itself.
 			t.Save()
-			l.bar.WaitSerial(l.EndSave)
+			l.bar.WaitSerial(endSave)
 		}
+		// Rounds fused meanwhile are this worker's processing if it ran them
+		// and its waiting if not; their records already carry them.
 		s2 := sw.Lap()
-		times.S += s2
+		times.P += fusedNS
+		times.S += s2 - fusedNS
+		s2 -= l.fusedNS
+		fusedNS = 0
 		if probe != nil {
 			if w == 0 {
 				// The LPs nobody received still hold events: worker 0
 				// reports them, so the round's records sum to every FEL.
-				depth += l.IdleDepth()
+				depth += l.idle
 			}
 			rec = obs.RoundRecord{
 				Round: roundIdx, Worker: int32(w), LBTS: roundLBTS,
-				Events: l.workers[w].events - evStart,
+				Events: events,
 				ProcNS: p1, SyncNS: s1 + s2, MsgNS: mNS, WaitGlobalNS: s1,
 				Sends: sends, SendBytes: sends * obs.EventBytes,
 				Recvs: recvd, FELDepth: depth, Migrations: migrations,
@@ -357,18 +410,108 @@ func (l *live) workerLoop(w int, t *Thread) {
 	}
 }
 
-// phase4 is the serial section of the post-phase-3 barrier.
+// phase4 is the serial section of the post-phase-3 barrier, up to fusing.
 func (l *live) phase4() {
 	if l.sh.Cfg.RecordRounds {
-		samp := sim.RoundSample{LBTS: l.lbts, PerWorker: append([]int64(nil), l.roundP...)}
-		for _, p := range l.roundP {
-			if p > samp.Makespan {
-				samp.Makespan = p
-			}
-		}
-		samp.Phase1 = samp.Makespan
-		l.trace = append(l.trace, samp)
+		l.sample(l.lbts, slices.Clone(l.roundP))
 	}
 	l.Advance()
-	l.shareRun()
+	l.idle, l.fusedNS = l.IdleDepth(), 0
+}
+
+// sample appends a round to the round trace: its LBTS and each worker's
+// processing time.
+func (l *live) sample(lbts sim.Time, perWorker []int64) {
+	p := slices.Max(perWorker)
+	l.trace = append(l.trace, sim.RoundSample{LBTS: lbts, PerWorker: perWorker, Makespan: p, Phase1: p})
+}
+
+// fuse runs whole rounds on worker w's thread t while every other worker
+// waits in the barrier whose serial section this is, for as long as the
+// window about to open holds fewer than fuseBelow events: Process over the
+// run list in schedule order, Globals, Receive, Advance. It stops at a
+// window that reaches the bound, at the end of the run, or when a save
+// phase opens, and returns the wall time it took. Which thread runs a
+// window changes nothing in it: its LPs are independent by construction.
+func (l *live) fuse(w int, t *Thread) (ns int64) {
+	if !l.small() {
+		return 0
+	}
+	// Every outbox still holds the last shared round's deliveries, which
+	// Receive below would gather again. Fused rounds stage nothing: their
+	// cross-LP events go straight into the target FEL (workerSink).
+	for i := range l.outboxes {
+		l.outboxes[i].reset()
+	}
+	probe, g := l.sh.Cfg.Observe, &l.groups[0]
+	perRound := probe != nil || l.sh.Cfg.RecordRounds // time each round, not just the stretch
+	t.sink.direct = true
+	var sw metrics.Stopwatch
+	sw.Start()
+	for {
+		round, lbts := l.round, l.lbts
+		var events int64
+		var migrations uint64
+		for _, lp := range g.run {
+			n, _ := t.Process(w, lp)
+			events += n
+			if probe != nil && l.Migrated(w, lp) {
+				migrations++
+			}
+		}
+		globals := t.Globals()
+		for _, lp := range g.recv {
+			t.Receive(lp)
+		}
+		l.Advance()
+		l.fused++
+		if perRound {
+			wall := sw.Lap()
+			ns += wall
+			if l.sh.Cfg.RecordRounds {
+				perWorker := make([]int64, len(l.workers))
+				perWorker[w] = wall
+				l.sample(lbts, perWorker)
+			}
+			if probe != nil {
+				l.file(probe, w, round, lbts, wall, uint64(events), uint64(globals), migrations)
+			}
+		}
+		if !l.small() {
+			break
+		}
+	}
+	t.sink.direct = false
+	if !perRound {
+		ns = sw.Lap()
+	}
+	l.fusedNS += ns
+	return ns
+}
+
+// file reports a round worker w fused to probe: one record per worker, the
+// parked workers' with no events and the round's wall time as SyncNS, w's
+// with its events, the wall time as ProcNS and the depth of every FEL.
+// Global events are worker 0's, as in a shared round.
+func (l *live) file(probe obs.Probe, w int, round uint64, lbts sim.Time, wall int64, events, globals, migrations uint64) {
+	for v := range l.workers {
+		l.rec = obs.RoundRecord{Round: round, Worker: int32(v), LBTS: lbts, SyncNS: wall, Fused: true}
+		if v == w {
+			l.rec.Events, l.rec.ProcNS, l.rec.SyncNS = events, wall, 0
+			l.rec.FELDepth, l.rec.Migrations = uint64(l.depth), migrations
+		}
+		if v == 0 {
+			l.rec.Events += globals
+		}
+		probe.OnRound(&l.rec)
+	}
+}
+
+// small reports whether the window just opened is to be fused: the run
+// goes on, no save phase is open, and the shape fuses windows this small.
+func (l *live) small() bool {
+	if l.fuseBelow == 0 || l.done || l.Saving() {
+		return false
+	}
+	return fuseRule == fuseAlways || l.windowEvents(l.fuseBelow) < l.fuseBelow
 }

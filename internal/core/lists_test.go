@@ -104,19 +104,27 @@ func TestIdleLPsAreSkipped(t *testing.T) {
 }
 
 // BenchmarkEmptyRound is the fixed cost of a round: Unison with 2 threads
-// and one event bouncing over one link, so a round is two barrier episodes
-// around (almost) no work — what bench's core.empty_round_ns driver measures
-// from outside. The LP count is the variable: the cost must not follow it.
+// and one event bouncing over one link, so a round is (almost) no work —
+// what bench's core.empty_round_ns driver measures from outside, where every
+// such round is fused. "shared" makes it two barrier episodes instead. The
+// LP count is the variable: the cost must not follow it.
 func BenchmarkEmptyRound(b *testing.B) {
-	for _, n := range []int{208, 1344, 8192} {
-		b.Run(fmt.Sprintf("lps=%d", n), func(b *testing.B) {
-			m := tokenModel(n, 500, sim.MaxTime/2, sim.Time(b.N)*500)
-			b.ResetTimer()
-			st, err := New(Config{Threads: 2}).Run(m)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(st.Rounds), "ns/round")
-		})
+	for _, rule := range []struct {
+		name string
+		rule int
+	}{{"fused", fuseByCount}, {"shared", fuseNever}} {
+		for _, n := range []int{208, 1344, 8192} {
+			b.Run(fmt.Sprintf("%s/lps=%d", rule.name, n), func(b *testing.B) {
+				defer func(old int) { fuseRule = old }(fuseRule)
+				fuseRule = rule.rule
+				m := tokenModel(n, 500, sim.MaxTime/2, sim.Time(b.N)*500)
+				b.ResetTimer()
+				st, err := New(Config{Threads: 2}).Run(m)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(st.Rounds), "ns/round")
+			})
+		}
 	}
 }

@@ -174,6 +174,29 @@ func (q *Queue) PopBefore(bound sim.Time) (ev sim.Event, ok bool) {
 	return q.Pop(), true
 }
 
+// CountBefore returns how many pending events are earlier than bound, or
+// limit if at least limit are. Every ancestor of such an event is earlier
+// too, so the walk descends only below them and stops at limit: at most
+// about 4 × limit compares, however deep the queue.
+func (q *Queue) CountBefore(bound sim.Time, limit int) int {
+	if limit <= 0 || len(q.h) == 0 || q.h[0].time >= bound {
+		return 0
+	}
+	return q.countBelow(0, bound, limit)
+}
+
+// countBelow is CountBefore for the subtree under i, whose root is earlier
+// than bound: 1 for the root, and the earlier of its children's subtrees.
+func (q *Queue) countBelow(i int, bound sim.Time, limit int) int {
+	n := 1
+	for c, end := 4*i+1, min(4*i+5, len(q.h)); c < end && n < limit; c++ {
+		if q.h[c].time < bound {
+			n += q.countBelow(c, bound, limit-n)
+		}
+	}
+	return n
+}
+
 // up sifts the element at i toward the root, moving displaced parents
 // down into the hole instead of swapping (one copy per level, not three).
 func (q *Queue) up(i int) {

@@ -71,8 +71,12 @@ func (t *ImbalanceTracker) BeginRun(meta RunMeta) {
 	t.migrations = 0
 }
 
-// OnRound implements Probe.
+// OnRound implements Probe. A fused round, run by one worker alone, has
+// no balance to measure and is skipped.
 func (t *ImbalanceTracker) OnRound(rec *RoundRecord) {
+	if rec.Fused {
+		return
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.pending == nil {

@@ -94,6 +94,11 @@ type RoundRecord struct {
 	// snapshot file size. Zero when no checkpoint was taken.
 	CkptNS    int64  `json:"ckpt_ns,omitempty"`
 	CkptBytes uint64 `json:"ckpt_bytes,omitempty"`
+	// Fused marks a round one worker ran alone while the others waited
+	// (internal/core): that worker's record has the round's events, wall
+	// time as ProcNS and every FEL's depth; the others' have no events
+	// and the wall time as SyncNS.
+	Fused bool `json:"fused,omitempty"`
 }
 
 // Probe receives telemetry from a running kernel.
@@ -178,7 +183,8 @@ func (t teeProbe) EndRun(st *sim.RunStats) {
 }
 
 // DefaultRingCapacity is the per-worker record capacity a zero-config
-// Registry uses; older records are overwritten once a worker exceeds it.
+// Registry uses; a ring grows to it as records arrive, and older records
+// are overwritten once a worker exceeds it.
 const DefaultRingCapacity = 8192
 
 // WorkerTotals is one worker's running totals over every record of the
@@ -204,14 +210,14 @@ type WorkerTotals struct {
 	CkptAt time.Time
 }
 
-// workerRing is one worker's record stream: a fixed-capacity ring plus
-// its running totals. Each ring has its own lock, taken once per round by
-// its single writer, so workers never contend.
+// workerRing is one worker's record stream: a ring of at most the
+// Registry's capacity plus its running totals. Each ring has its own lock,
+// taken once per round by its single writer, so workers never contend.
 type workerRing struct {
 	mu  sync.Mutex
-	buf []RoundRecord
-	tot WorkerTotals // tot.Records is every record ever written; buf[(Records-1)%cap] is newest
-	_   [64]byte     // keep neighbouring rings' hot fields off one cache line
+	buf []RoundRecord // grows by append until full; buf[(Records-1)%capacity] is newest
+	tot WorkerTotals  // tot.Records is every record ever written
+	_   [64]byte      // keep neighbouring rings' hot fields off one cache line
 }
 
 // Registry is the standard Probe: it captures records into per-worker
@@ -253,7 +259,7 @@ func (g *Registry) BeginRun(meta RunMeta) {
 	}
 	g.rings = make([]*workerRing, n)
 	for i := range g.rings {
-		g.rings[i] = &workerRing{buf: make([]RoundRecord, 0, g.capacity)}
+		g.rings[i] = &workerRing{}
 	}
 }
 
@@ -266,15 +272,15 @@ func (g *Registry) OnRound(rec *RoundRecord) {
 		g.mu.Unlock()
 		return
 	}
-	r := g.rings[rec.Worker]
+	r, capacity := g.rings[rec.Worker], uint64(g.capacity)
 	g.mu.Unlock()
 
 	r.mu.Lock()
 	t := &r.tot
-	if len(r.buf) < cap(r.buf) {
+	if t.Records < capacity {
 		r.buf = append(r.buf, *rec)
 	} else {
-		r.buf[t.Records%uint64(cap(r.buf))] = *rec
+		r.buf[t.Records%capacity] = *rec
 	}
 	t.Records++
 	t.Events += rec.Events
@@ -340,11 +346,11 @@ func (g *Registry) Records() []RoundRecord {
 	var out []RoundRecord
 	for _, r := range rings {
 		r.mu.Lock()
-		if n := r.tot.Records; len(r.buf) < cap(r.buf) || n <= uint64(len(r.buf)) {
+		if n := r.tot.Records; n <= uint64(len(r.buf)) {
 			out = append(out, r.buf...)
 		} else {
-			// Ring wrapped: oldest record sits at Records % cap.
-			start := n % uint64(cap(r.buf))
+			// Ring wrapped: oldest record sits at Records % capacity.
+			start := n % uint64(len(r.buf))
 			out = append(out, r.buf[start:]...)
 			out = append(out, r.buf[:start]...)
 		}

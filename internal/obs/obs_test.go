@@ -71,6 +71,25 @@ func TestRegistryRingWrap(t *testing.T) {
 	}
 }
 
+// TestRegistryRingGrowsOnDemand: a ring holds what its worker wrote, not
+// the capacity, until it is full.
+func TestRegistryRingGrowsOnDemand(t *testing.T) {
+	g := NewRegistry(0)
+	g.BeginRun(RunMeta{Kernel: "test", Workers: 2, LPs: 2})
+	for round := uint64(0); round < 10; round++ {
+		emit(g, round, 0, 1)
+	}
+	if got := cap(g.rings[0].buf); got < 10 || got > 16 {
+		t.Errorf("a ring with 10 records has room for %d, want at most 16", got)
+	}
+	if got := cap(g.rings[1].buf); got != 0 {
+		t.Errorf("a ring with no records has room for %d", got)
+	}
+	if got := len(g.Records()); got != 10 {
+		t.Errorf("%d records, want 10", got)
+	}
+}
+
 func TestRegistryTotals(t *testing.T) {
 	g := NewRegistry(1)
 	if w, begun, _ := g.Totals(); len(w) != 0 || !begun.IsZero() {

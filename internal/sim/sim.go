@@ -397,6 +397,12 @@ type RunStats struct {
 	Workers  []WorkerStats `json:"workers,omitempty"`    // per-worker P/S/M
 	VirtualT int64         `json:"virtual_ns,omitempty"` // virtual-testbed total time (0 for live kernels)
 
+	// FusedRounds counts the rounds one worker ran alone because their
+	// window held too few events to share (internal/core, the live Unison
+	// shape only). A resumed run counts from its restore point: a
+	// snapshot's bytes do not depend on the worker count, which fusion does.
+	FusedRounds uint64 `json:"fused_rounds,omitempty"`
+
 	// Cache locality model counters (see internal/metrics).
 	CacheRefs   uint64 `json:"cache_refs,omitempty"`
 	CacheMisses uint64 `json:"cache_misses,omitempty"`
@@ -481,7 +487,11 @@ func (r *RunStats) SRatio() float64 {
 //	unison(t=4): 1234567 events, 89 rounds, 12 LPs, wall 1.234s, S 3.2%
 func (r *RunStats) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s: %d events, %d rounds, %d LPs", r.Kernel, r.Events, r.Rounds, r.LPs)
+	fmt.Fprintf(&b, "%s: %d events, %d rounds", r.Kernel, r.Events, r.Rounds)
+	if r.FusedRounds > 0 {
+		fmt.Fprintf(&b, " (%d fused)", r.FusedRounds)
+	}
+	fmt.Fprintf(&b, ", %d LPs", r.LPs)
 	if r.VirtualT > 0 {
 		fmt.Fprintf(&b, ", virtual %.3fs", float64(r.VirtualT)/1e9)
 	}
