@@ -9,9 +9,12 @@
 //	unidist -role host -id 0 -hosts 2 -addr 127.0.0.1:9123
 //	unidist -role host -id 1 -hosts 2 -addr 127.0.0.1:9123
 //
-// All processes must use the same -scenario file (or the same -seed, -k,
-// -stop and -load values) and the same -hosts count; the scenario is
-// reconstructed deterministically in every process.
+// The run is the scenario unisim would run: the -scenario file, or the
+// built-in default, with each -set path=value applied in order. Every
+// process must be given the same scenario, assignments and -hosts count;
+// the scenario is reconstructed deterministically in every process. With
+// -set artifacts.dir=D on every process, the hosts collect their devices'
+// records and the coordinator writes the run-artifact bundle into D.
 package main
 
 import (
@@ -28,60 +31,44 @@ import (
 	"unison/internal/obs/live"
 	"unison/internal/obs/obshttp"
 	"unison/internal/sim"
-	utrace "unison/internal/trace"
 )
 
 func main() {
 	var (
-		role    = flag.String("role", "", "coord | host")
-		id      = flag.Int("id", 0, "host id (host role)")
-		hosts   = flag.Int("hosts", 2, "number of simulation hosts")
-		listen  = flag.String("listen", ":9123", "coordinator listen address")
-		addr    = flag.String("addr", "127.0.0.1:9123", "coordinator address (host role)")
-		scFile  = flag.String("scenario", "", "declarative scenario file (JSON); must be identical across all processes; other flags override it")
-		k       = flag.Int("k", 4, "fat-tree arity")
-		stopD   = flag.Duration("stop", 2_000_000, "simulated duration (ns when unitless)")
-		load    = flag.Float64("load", 0.4, "offered load")
-		seed    = flag.Uint64("seed", 42, "random seed")
-		tmo     = flag.Duration("timeout", 30*time.Second, "per-message network deadline (0 disables)")
-		dials   = flag.Int("dial-attempts", 8, "host dial retries for the coordinator startup race")
-		trace   = flag.String("trace", "", "write a Perfetto trace of this endpoint's rounds to this file")
-		artif   = flag.String("artifacts", "", "run-artifact bundle directory: pass to every process; hosts enable sampling/tracing, the coordinator writes the bundle")
-		debugA  = flag.String("debug-addr", "", "serve /debug/vars and /debug/pprof on this address (e.g. :6060)")
-		liveA   = flag.String("live", "", "coord: serve the merged live telemetry view (JSON + SSE for unimon) on this address; host: any non-empty value piggybacks the telemetry sideband on the round protocol")
-		lingerD = flag.Duration("live-linger", live.DefaultLinger, "coord: after the run, wait up to this long for an attached watcher to read the final snapshot")
+		role   = flag.String("role", "", "coord | host")
+		id     = flag.Int("id", 0, "host id (host role)")
+		hosts  = flag.Int("hosts", 2, "number of simulation hosts")
+		listen = flag.String("listen", ":9123", "coordinator listen address")
+		addr   = flag.String("addr", "127.0.0.1:9123", "coordinator address (host role)")
+		scFile = flag.String("scenario", "", "declarative scenario file (JSON); must be identical across all processes")
+		tmo    = flag.Duration("timeout", 30*time.Second, "per-message network deadline (0 disables)")
+		dials  = flag.Int("dial-attempts", 8, "host dial retries for the coordinator startup race")
+		debugA = flag.String("debug-addr", "", "serve /debug/vars and /debug/pprof on this address (e.g. :6060)")
+		liveA  = flag.String("live", "", "coord: serve the merged live telemetry view (JSON + SSE for unimon) on this address; host: any non-empty value piggybacks the telemetry sideband on the round protocol")
 
 		ckptDir = flag.String("checkpoint", "", "host role: write per-host snapshots ckpt-r<round>-h<id>.uckpt into this directory")
 		ckptN   = flag.Uint64("checkpoint-every", 100, "host role: snapshot cadence in window rounds")
 		restore = flag.String("restore", "", "host role: resume from this host's snapshot file; every host must restore the same round")
+		sets    []string
 	)
+	flag.Func("set", "set one scenario key, path=value (repeatable; the same on every process)", func(a string) error {
+		sets = append(sets, a)
+		return nil
+	})
 	flag.Parse()
 
-	sc := defaultScenario()
+	sc := unison.DefaultScenario()
+	var err error
 	if *scFile != "" {
-		var err error
 		if sc, err = unison.LoadScenario(*scFile); err != nil {
 			fatal(err)
 		}
 	}
-	ov := &unison.ScenarioOverrides{}
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "seed":
-			ov.Seed = seed
-		case "k":
-			ov.K = k
-		case "stop":
-			t := sim.Time(stopD.Nanoseconds())
-			ov.Stop = &t
-		case "load":
-			ov.Load = load
-		}
-	})
-	sc.Override(ov)
-	// The distributed runtime owns the partitioning; the scenario's kernel
-	// section only contributes defaults elsewhere and streaming is
-	// impossible here (the pump needs runtime globals).
+	if sc, err = sc.Set(sets); err != nil {
+		fatal(err)
+	}
+	// The distributed runtime owns the partitioning, and the traffic pump
+	// of a streamed workload needs runtime global events.
 	if sc.Traffic != nil && sc.Traffic.Stream {
 		fatal(fmt.Errorf("scenario: traffic.stream is not supported by the distributed runtime (it needs runtime global events)"))
 	}
@@ -93,39 +80,16 @@ func main() {
 		}
 		fmt.Printf("debug http on %s (/debug/vars, /debug/pprof)\n", bound)
 	}
-	reg := obs.NewRegistry(0)
 
 	switch *role {
 	case "coord":
-		runCoord(*listen, *hosts, sc, *tmo, reg, *artif, *liveA, *lingerD)
+		runCoord(*listen, *hosts, sc, *tmo, *liveA)
 	case "host":
-		runHost(int32(*id), *addr, *hosts, sc, *tmo, *dials, reg, *artif != "",
-			*ckptDir, *ckptN, *restore, *liveA != "")
+		runHost(int32(*id), *addr, *hosts, sc, *tmo, *dials, *ckptDir, *ckptN, *restore, *liveA != "")
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *trace != "" {
-		f, err := os.Create(*trace)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := reg.WritePerfetto(f); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s (%d round records)\n", *trace, len(reg.Records()))
-	}
-}
-
-// defaultScenario mirrors the historical unidist flag defaults: a k=4
-// fat-tree under 40% gRPC load with arrivals over the first half of the
-// run.
-func defaultScenario() *unison.Scenario {
-	sc := unison.DefaultScenario()
-	sc.Traffic.Load = 0.4
-	sc.Traffic.End = unison.ScenarioDuration(sc.Stop) / 2
-	return sc
 }
 
 // build resolves the scenario every process reconstructs, and its split
@@ -146,7 +110,7 @@ func build(sc *unison.Scenario, hosts int) (*unison.BuiltScenario, []int32) {
 	return b, hostOf
 }
 
-func runCoord(listen string, hosts int, sc *unison.Scenario, tmo time.Duration, reg *obs.Registry, artifacts, liveAddr string, linger time.Duration) {
+func runCoord(listen string, hosts int, sc *unison.Scenario, tmo time.Duration, liveAddr string) {
 	b, _ := build(sc, hosts)
 	ln, err := net.Listen("tcp", listen)
 	if err != nil {
@@ -157,10 +121,12 @@ func runCoord(listen string, hosts int, sc *unison.Scenario, tmo time.Duration, 
 	stats := &sim.RunStats{}
 	cfg := dist.CoordConfig{
 		Hosts: hosts, StopAt: sim.Time(sc.Stop), Flows: b.Sim.Mon.Flows(),
-		Timeout: tmo, Observe: reg, Stats: stats,
+		Timeout: tmo, Stats: stats,
 	}
-	if artifacts != "" {
-		cfg.Net = &dist.NetData{}
+	var reg *obs.Registry // the coordinator's protocol rounds: the bundle's kernel lanes
+	if sc.Artifacts.Dir != "" {
+		reg = obs.NewRegistry(0)
+		cfg.Observe, cfg.Net = reg, &dist.NetData{}
 	}
 	// The live view merges what the hosts piggyback on their min messages:
 	// per-rank round records, each filed under the lane of the connection
@@ -173,7 +139,6 @@ func runCoord(listen string, hosts int, sc *unison.Scenario, tmo time.Duration, 
 		if err != nil {
 			fatal(err)
 		}
-		lsess.SetLinger(linger)
 		lsess.State.SetQueueInterval(netobs.DefaultInterval)
 		fmt.Printf("live telemetry on http://%s/live\n", lsess.Server.Addr())
 		probe := lsess.Probe()
@@ -207,63 +172,43 @@ func runCoord(listen string, hosts int, sc *unison.Scenario, tmo time.Duration, 
 	// The collective report is a pure function of (pattern, base, monitor),
 	// so recomputing it over the merged monitor yields the byte-identical
 	// section a single-process run writes.
-	collReport := b.Sim.CollReport(mon)
-	if collReport != nil {
-		if collReport.CompletionNS >= 0 {
+	if cr := b.Sim.CollReport(mon); cr != nil {
+		if cr.CompletionNS >= 0 {
 			fmt.Printf("collective       %s: %d/%d flows, completed in %.3f ms\n",
-				collReport.Pattern, collReport.Completed, collReport.Flows, float64(collReport.CompletionNS)/1e6)
+				cr.Pattern, cr.Completed, cr.Flows, float64(cr.CompletionNS)/1e6)
 		} else {
 			fmt.Printf("collective       %s: %d/%d flows (incomplete at stop)\n",
-				collReport.Pattern, collReport.Completed, collReport.Flows)
+				cr.Pattern, cr.Completed, cr.Flows)
 		}
 	}
-	if artifacts != "" {
-		bw := sc.Topology.BwGbps
-		if bw <= 0 {
-			bw = 10
-		}
-		bundle := &netobs.Bundle{
-			Meta: netobs.Meta{
-				Tool: "unidist", Kernel: fmt.Sprintf("dist(%d)", hosts),
-				Topology: sc.Topology.Kind,
-				Seed:     sc.Seed, Workers: hosts, StopNS: int64(sc.Stop),
-				Flows: mon.Flows(),
-			},
-			Stats:        stats,
-			Mon:          mon,
-			RefBandwidth: int64(bw * 1e9),
-			Rows:         cfg.Net.Rows,
-			Interval:     netobs.DefaultInterval,
-			Trace:        cfg.Net.Trace,
-			KernelMeta:   reg.Meta(),
-			KernelRecs:   reg.Records(),
-		}
-		if collReport != nil {
-			bundle.Coll = collReport
-		}
-		files, err := bundle.Write(artifacts)
+	if sc.Artifacts.Dir != "" {
+		// The single-process bundle, built from the merged monitor and the
+		// rows and trace the hosts shipped at gather.
+		b.Sim.Mon = mon
+		bundle := b.Bundle("unidist", stats, nil, reg)
+		bundle.Rows, bundle.Interval, bundle.Trace = cfg.Net.Rows, netobs.DefaultInterval, cfg.Net.Trace
+		files, err := bundle.Write(sc.Artifacts.Dir)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("artifact bundle  %s (%v)\n", artifacts, files)
+		fmt.Printf("artifact bundle  %s (%v)\n", sc.Artifacts.Dir, files)
 	}
 	// Done is only published once the bundle is on disk, so a watcher
 	// reacting to the final frame can immediately open run_stats.json.
 	lsess.Close()
 }
 
-func runHost(id int32, addr string, hosts int, sc *unison.Scenario, tmo time.Duration, dials int, reg *obs.Registry, observe bool, ckptDir string, ckptEvery uint64, restore string, liveSide bool) {
+func runHost(id int32, addr string, hosts int, sc *unison.Scenario, tmo time.Duration, dials int, ckptDir string, ckptEvery uint64, restore string, liveSide bool) {
 	b, hostOf := build(sc, hosts)
-	if observe {
+	if sc.Artifacts.Dir != "" {
 		// The coordinator assembles the bundle; this host only collects its
 		// own devices' records and ships them at gather.
-		b.Sim.Net.Tracer = utrace.NewCollector(b.G.N(), 0)
-		b.Sim.Net.AttachSampler(netobs.NewSampler(netobs.SamplerConfig{}))
+		b.Sim.EnableNetObs(netobs.DefaultInterval, 0)
 	}
 	m := b.Sim.Model()
 	cfg := dist.HostConfig{
 		ID: id, Addr: addr, HostOf: hostOf, StopAt: sim.Time(sc.Stop),
-		Timeout: tmo, DialAttempts: dials, Observe: reg, Live: liveSide,
+		Timeout: tmo, DialAttempts: dials, Live: liveSide,
 	}
 	if ckptDir != "" || restore != "" {
 		// Sim.CkptTarget covers every wired layer (net, tcp, the collective

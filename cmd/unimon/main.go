@@ -1,9 +1,9 @@
-// Command unimon attaches to a running unisim, uniexp, or unidist
-// coordinator started with -live ADDR and renders its telemetry:
-// a terminal dashboard (default), a single JSON snapshot (-once), or an
-// NDJSON stream (-json) for scripts and CI.
+// Command unimon attaches to a running unisim or unidist coordinator
+// started with -live ADDR and renders its telemetry: a terminal dashboard
+// (default), a single JSON snapshot (-once), or an NDJSON stream (-json)
+// for scripts and CI.
 //
-//	unisim -stop 50ms -live :9900 &
+//	unisim -set stop=50ms -live :9900 &
 //	unimon -live 127.0.0.1:9900
 //
 // The dashboard shows per-worker P/S/M bars, LBTS/virtual-time progress

@@ -3,15 +3,16 @@
 //
 // The run is described by a declarative scenario (-scenario FILE, JSON);
 // without one, the built-in default scenario applies (k=4 fat-tree, 30%
-// gRPC load, Unison kernel). Explicitly passed flags override the
-// scenario in either case.
+// gRPC load, Unison kernel). Each -set path=value changes one scenario
+// key, in order, as if it were written in the file; -set artifacts.dir=D
+// writes the run-artifact bundle into D.
 //
 // Usage examples:
 //
 //	unisim -scenario examples/allreduce/ring.scenario.json
-//	unisim -scenario examples/wanrip/wanrip.scenario.json -kernel sequential -seed 7
-//	unisim -topo fattree -k 4 -kernel unison -threads 8 -stop 2ms
-//	unisim -topo dumbbell -n 8 -kernel barrier
+//	unisim -scenario examples/wanrip/wanrip.scenario.json -set kernel.kind=sequential -set seed=7
+//	unisim -set kernel.threads=8 -set stop=2ms -set artifacts.dir=out/
+//	unisim -set topology.kind=dumbbell -set topology.n=8 -set kernel.kind=barrier
 package main
 
 import (
@@ -23,7 +24,6 @@ import (
 	"unison/internal/obs"
 	"unison/internal/obs/live"
 	"unison/internal/sim"
-	"unison/internal/trace"
 )
 
 // liveProgressEvery is the sequential kernel's progress-record cadence
@@ -32,98 +32,34 @@ const liveProgressEvery = 50_000
 
 func main() {
 	var (
-		scFile  = flag.String("scenario", "", "declarative scenario file (JSON); other flags override it")
-		topo    = flag.String("topo", "fattree", "topology: fattree | torus | bcube | spineleaf | dumbbell | geant | chinanet")
-		k       = flag.Int("k", 4, "fat-tree arity")
-		rows    = flag.Int("rows", 6, "torus rows")
-		cols    = flag.Int("cols", 6, "torus cols")
-		n       = flag.Int("n", 4, "bcube ports / dumbbell pairs / spine-leaf hosts per leaf")
-		bwGbps  = flag.Float64("bw", 10, "link bandwidth in Gbit/s")
-		delay   = flag.Duration("delay", 3_000, "link delay (ns when unitless)")
-		kernel  = flag.String("kernel", "unison", "kernel: sequential | unison | hybrid | barrier | nullmsg | vseq | vbarrier | vnullmsg | vunison")
-		threads = flag.Int("threads", 4, "worker threads (unison/hybrid/virtual cores)")
-		stop    = flag.Duration("stop", 2_000_000, "simulated duration (ns when unitless)")
-		load    = flag.Float64("load", 0.3, "offered load as a fraction of bisection bandwidth")
-		incast  = flag.Float64("incast", 0, "incast traffic ratio [0,1]")
-		victim  = flag.Int("victim", -1, "incast victim host index (-1: generator default, the last host)")
-		seed    = flag.Uint64("seed", 42, "random seed")
-		web     = flag.Bool("websearch", false, "use the web-search flow size CDF (default: gRPC)")
-		traceF  = flag.String("trace", "", "write a packet trace (UTR1 binary) to this file")
-		artif   = flag.String("artifacts", "", "write a run-artifact bundle to this directory")
-		stream  = flag.Bool("stream", false, "generate the workload lazily as virtual time advances (O(window) memory; needs a kernel that accepts global events, so not nullmsg/vnullmsg)")
+		scFile  = flag.String("scenario", "", "declarative scenario file (JSON); default: the built-in scenario")
 		ckptDir = flag.String("checkpoint", "", "write crash-consistent snapshots into this directory")
 		ckptN   = flag.Uint64("checkpoint-every", 100, "checkpoint cadence: synchronization rounds (events for the sequential kernel)")
 		ckptT   = flag.Duration("checkpoint-every-time", 0, "checkpoint cadence in simulated time (the null-message kernel's epoch length; ns when unitless)")
 		restore = flag.String("restore", "", "resume from this snapshot file instead of starting fresh")
 		liveA   = flag.String("live", "", "serve live telemetry (JSON + SSE for unimon) on this address (\":0\" picks a port)")
-		lingerD = flag.Duration("live-linger", live.DefaultLinger, "after the run, wait up to this long for an attached watcher to read the final snapshot")
+		sets    []string
 	)
+	flag.Func("set", "set one scenario key, path=value (repeatable; e.g. -set topology.k=8 -set stop=500us)", func(a string) error {
+		sets = append(sets, a)
+		return nil
+	})
 	flag.Parse()
 
 	sc := unison.DefaultScenario()
+	var err error
 	if *scFile != "" {
-		var err error
 		if sc, err = unison.LoadScenario(*scFile); err != nil {
-			fmt.Fprintf(os.Stderr, "unisim: %v\n", err)
-			os.Exit(2)
+			fatal(2, err)
 		}
 	}
-	ov := &unison.ScenarioOverrides{}
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "seed":
-			ov.Seed = seed
-		case "stop":
-			t := sim.Time(stop.Nanoseconds())
-			ov.Stop = &t
-		case "kernel":
-			ov.Kernel = kernel
-		case "threads":
-			ov.Threads = threads
-		case "topo":
-			ov.Topo = topo
-		case "k":
-			ov.K = k
-		case "rows":
-			ov.Rows = rows
-		case "cols":
-			ov.Cols = cols
-		case "n":
-			ov.N = n
-		case "bw":
-			ov.BwGbps = bwGbps
-		case "delay":
-			d := sim.Time(delay.Nanoseconds())
-			ov.Delay = &d
-		case "load":
-			ov.Load = load
-		case "incast":
-			ov.Incast = incast
-		case "victim":
-			if *victim >= 0 {
-				ov.Victim = victim
-			}
-		case "websearch":
-			sizes := "grpc"
-			if *web {
-				sizes = "websearch"
-			}
-			ov.Sizes = &sizes
-		case "stream":
-			ov.Stream = stream
-		case "artifacts":
-			ov.ArtifactsDir = artif
-		}
-	})
-	sc.Override(ov)
+	if sc, err = sc.Set(sets); err != nil {
+		fatal(2, err)
+	}
 
 	b, err := sc.Build()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "unisim: %v\n", err)
-		os.Exit(2)
-	}
-	if *traceF != "" {
-		b.Sim.Net.Tracer = trace.NewCollector(b.G.N(), 0)
+		fatal(2, err)
 	}
 	// A bundle carries the kernel's worker lanes, so a run that writes one
 	// is observed by a registry (which only records: same result hash).
@@ -144,10 +80,8 @@ func main() {
 		}
 		lsess, err = live.StartSession("unisim", sc.Stop.T(), *liveA, reg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "unisim: live: %v\n", err)
-			os.Exit(1)
+			fatal(1, fmt.Errorf("live: %w", err))
 		}
-		lsess.SetLinger(*lingerD)
 		b.Observe = lsess.Probe()
 		b.Progress = liveProgressEvery
 		fmt.Printf("live        http://%s/live\n", lsess.Server.Addr())
@@ -156,8 +90,7 @@ func main() {
 	m := b.Sim.Model()
 	if *ckptDir != "" {
 		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "unisim: %v\n", err)
-			os.Exit(1)
+			fatal(1, err)
 		}
 		// Under -live the view's Registry hears of every snapshot, for
 		// ckpt_age_seconds. The imbalance tracker must not: a snapshot's
@@ -170,15 +103,13 @@ func main() {
 	}
 	if *restore != "" {
 		if err := unison.RestoreCheckpoint(m, b.Sim.CkptTarget(), *restore); err != nil {
-			fmt.Fprintf(os.Stderr, "unisim: %v\n", err)
-			os.Exit(1)
+			fatal(1, err)
 		}
 	}
 
 	st, err := b.RunKernel(m)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "unisim: %v\n", err)
-		os.Exit(1)
+		fatal(1, err)
 	}
 	if lsess != nil {
 		if sampler != nil {
@@ -226,28 +157,19 @@ func main() {
 	}
 	fmt.Printf("retransmits %d, drops %d\n", b.Sim.Mon.TotalRetransmits(), b.Sim.Net.Drops())
 	fmt.Printf("result hash %016x\n", b.Sim.Mon.Fingerprint())
-	if *traceF != "" {
-		f, err := os.Create(*traceF)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "unisim: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if _, err := b.Sim.Net.Tracer.WriteTo(f); err != nil {
-			fmt.Fprintf(os.Stderr, "unisim: writing trace: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("trace       %d records -> %s\n", b.Sim.Net.Tracer.Count(), *traceF)
-	}
 	if sc.Artifacts.Dir != "" {
 		bundle := b.Bundle("unisim", st, sampler, reg)
 		files, err := bundle.Write(sc.Artifacts.Dir)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "unisim: artifacts: %v\n", err)
-			os.Exit(1)
+			fatal(1, fmt.Errorf("artifacts: %w", err))
 		}
 		fmt.Printf("artifacts   %s (%v)\n", sc.Artifacts.Dir, files)
 	}
+}
+
+func fatal(code int, err error) {
+	fmt.Fprintf(os.Stderr, "unisim: %v\n", err)
+	os.Exit(code)
 }
 
 func ratio(v int64, st *sim.RunStats) float64 {

@@ -15,7 +15,7 @@
 // The file-driven equivalents:
 //
 //	unisim -scenario examples/allreduce/ring.scenario.json
-//	uniexp -scenario examples/allreduce/tree.scenario.json
+//	unisim -scenario examples/allreduce/tree.scenario.json -set kernel.kind=sequential
 package main
 
 import (

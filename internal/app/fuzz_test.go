@@ -32,3 +32,34 @@ func FuzzParseScenario(f *testing.F) {
 		}
 	})
 }
+
+// FuzzScenarioSet applies an arbitrary -set assignment, which comes from
+// outside the program as a file does, to each shipped scenario and to
+// DefaultScenario: Set never panics, and any scenario it accepts is a
+// fixed point of the canonical marshal. CI runs it next to
+// FuzzParseScenario.
+func FuzzScenarioSet(f *testing.F) {
+	bases := []*Scenario{DefaultScenario()}
+	for _, p := range exampleScenarioFiles(f) {
+		sc, err := LoadScenario(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		bases = append(bases, sc)
+	}
+	for _, a := range []string{
+		"topology.k=8", "stop=500us", "stop=500000", "seed=18446744073709551557",
+		"traffic.victim=null", "traffic.load=0.4", "collective.pattern=alltoall",
+		`kernel={"kind":"barrier"}`, "topology.kk=1", "stop.x=1", "=", ".", "a..b=1",
+		"topology.bw_gbps=1e400", "traffic=null",
+	} {
+		f.Add(a)
+	}
+	f.Fuzz(func(t *testing.T, assign string) {
+		for _, base := range bases {
+			if sc, err := base.Set([]string{assign}); err == nil {
+				requireMarshalFixedPoint(t, sc)
+			}
+		}
+	})
+}

@@ -16,10 +16,9 @@ import (
 // A Scenario is the declarative description of one simulation: topology,
 // workload (statistical traffic and/or a collective), protocol stack,
 // kernel and artifact knobs, loadable from a single JSON file.
-// It is the one documented contract the three CLIs that run one (unisim,
-// uniexp, unidist) consume through their shared -scenario flag; per-CLI
-// flags are overrides layered on top (Overrides). Build resolves a
-// Scenario into a runnable Sim.
+// It is the one input of the CLIs that run one (unisim, unidist): a
+// -scenario file, or DefaultScenario, with -set path=value assignments
+// applied on top (Set). Build resolves a Scenario into a runnable Sim.
 //
 // Versioning: Version is required and must equal SchemaVersion. The
 // schema evolves by adding optional keys under the same version; keys are
@@ -185,8 +184,6 @@ type KernelSpec struct {
 type ArtifactSpec struct {
 	// Dir is the artifact bundle directory ("" disables artifacts).
 	Dir string `json:"dir,omitempty"`
-	// Trace enables the packet trace inside the bundle.
-	Trace bool `json:"trace,omitempty"`
 	// Interval is the sampler bucket width (default 10µs).
 	Interval Duration `json:"interval,omitempty"`
 }
@@ -226,9 +223,9 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 // T converts to simulated time.
 func (d Duration) T() sim.Time { return sim.Time(d) }
 
-// DefaultScenario returns the baseline scenario the CLIs start from when
-// no -scenario file is given: a k=4 fat-tree under 30% gRPC load on the
-// Unison kernel — the historical flag defaults.
+// DefaultScenario returns the baseline scenario unisim and unidist start
+// from when no -scenario file is given: a k=4 fat-tree under 30% gRPC load
+// on the Unison kernel.
 func DefaultScenario() *Scenario {
 	return &Scenario{
 		Version:  SchemaVersion,
@@ -257,9 +254,7 @@ func LoadScenario(path string) (*Scenario, error) {
 // their full path.
 func ParseScenario(data []byte) (*Scenario, error) {
 	var raw any
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.UseNumber()
-	if err := dec.Decode(&raw); err != nil {
+	if err := decodeJSON(data, &raw); err != nil {
 		return nil, fmt.Errorf("scenario files are JSON: %w", err)
 	}
 	if err := checkUnknownKeys(raw, reflect.TypeOf(Scenario{}), ""); err != nil {
@@ -448,94 +443,57 @@ func (sc *Scenario) Validate() error {
 	return nil
 }
 
-// Overrides layers per-CLI flag values over a scenario: a nil field
-// keeps the file's value, a set one replaces it — the flag-precedence
-// contract of unisim and unidist. Workload fields applied to a scenario
-// without a traffic section create one.
-type Overrides struct {
-	Seed    *uint64
-	Stop    *sim.Time
-	Kernel  *string
-	Threads *int
-
-	Topo   *string
-	K      *int
-	Rows   *int
-	Cols   *int
-	N      *int
-	BwGbps *float64
-	Delay  *sim.Time
-
-	Load   *float64
-	Incast *float64
-	Victim *int
-	Sizes  *string
-	Stream *bool
-
-	ArtifactsDir *string
+// Set returns a copy of the scenario with each assignment path=value
+// applied in order: the -set flag of unisim and unidist. path is a dotted key as
+// written in a scenario file (topology.k, stop, artifacts.dir); value is
+// read as JSON when it parses as JSON and as a string otherwise, so
+// stop=500us and stop=500000 both work. Missing sections are created on
+// the way, and the result is parsed by ParseScenario, so an unknown key
+// or a bad value fails with the message a file would give.
+func (sc *Scenario) Set(assigns []string) (*Scenario, error) {
+	data, err := json.Marshal(sc)
+	if err != nil {
+		return nil, err
+	}
+	var root map[string]any
+	if err := decodeJSON(data, &root); err != nil {
+		return nil, err
+	}
+	for _, a := range assigns {
+		path, raw, ok := strings.Cut(a, "=")
+		if !ok {
+			return nil, fmt.Errorf("scenario: -set %q: want path=value", a)
+		}
+		var v any = raw
+		if json.Valid([]byte(raw)) {
+			if err := decodeJSON([]byte(raw), &v); err != nil {
+				return nil, err
+			}
+		}
+		keys := strings.Split(path, ".")
+		m := root
+		for i, k := range keys[:len(keys)-1] {
+			if m[k] == nil {
+				m[k] = map[string]any{}
+			}
+			sub, ok := m[k].(map[string]any)
+			if !ok {
+				return nil, fmt.Errorf("scenario: -set %s: %s is not an object", path, strings.Join(keys[:i+1], "."))
+			}
+			m = sub
+		}
+		m[keys[len(keys)-1]] = v
+	}
+	if data, err = json.Marshal(root); err != nil {
+		return nil, err
+	}
+	return ParseScenario(data)
 }
 
-// Override applies o to the scenario in place.
-func (sc *Scenario) Override(o *Overrides) {
-	if o == nil {
-		return
-	}
-	if o.Seed != nil {
-		sc.Seed = *o.Seed
-	}
-	if o.Stop != nil {
-		sc.Stop = Duration(*o.Stop)
-	}
-	if o.Kernel != nil {
-		sc.Kernel.Kind = *o.Kernel
-	}
-	if o.Threads != nil {
-		sc.Kernel.Threads = *o.Threads
-	}
-	if o.Topo != nil {
-		sc.Topology.Kind = *o.Topo
-	}
-	if o.K != nil {
-		sc.Topology.K = *o.K
-	}
-	if o.Rows != nil {
-		sc.Topology.Rows = *o.Rows
-	}
-	if o.Cols != nil {
-		sc.Topology.Cols = *o.Cols
-	}
-	if o.N != nil {
-		sc.Topology.N = *o.N
-	}
-	if o.BwGbps != nil {
-		sc.Topology.BwGbps = *o.BwGbps
-	}
-	if o.Delay != nil {
-		sc.Topology.Delay = Duration(*o.Delay)
-	}
-	if o.Load != nil || o.Incast != nil || o.Victim != nil || o.Sizes != nil || o.Stream != nil {
-		if sc.Traffic == nil {
-			sc.Traffic = &TrafficSpec{Load: 0.3}
-		}
-		t := sc.Traffic
-		if o.Load != nil {
-			t.Load = *o.Load
-		}
-		if o.Incast != nil {
-			t.Incast = *o.Incast
-		}
-		if o.Victim != nil {
-			v := *o.Victim
-			t.Victim = &v
-		}
-		if o.Sizes != nil {
-			t.Sizes = *o.Sizes
-		}
-		if o.Stream != nil {
-			t.Stream = *o.Stream
-		}
-	}
-	if o.ArtifactsDir != nil {
-		sc.Artifacts.Dir = *o.ArtifactsDir
-	}
+// decodeJSON decodes with numbers kept as their literals, so a uint64 seed
+// above 2^53 survives a round trip through any.
+func decodeJSON(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber()
+	return dec.Decode(v)
 }

@@ -167,7 +167,7 @@ func components(nodes int, links []sim.LinkInfo, keep func(*sim.LinkInfo) bool) 
 	return label, int(count)
 }
 
-// Sizes returns the node count of each LP (diagnostics, unitopo).
+// Sizes returns the node count of each LP (diagnostics).
 func (p *Partition) Sizes() []int {
 	s := make([]int, p.Count)
 	for _, lp := range p.LPOf {

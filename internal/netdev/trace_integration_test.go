@@ -1,7 +1,7 @@
 package netdev
 
 import (
-	"bytes"
+	"reflect"
 	"testing"
 
 	"unison/internal/core"
@@ -13,8 +13,8 @@ import (
 )
 
 // tracedRun runs a bursty two-hop scenario with tracing enabled under the
-// given kernel and returns the serialized trace.
-func tracedRun(t *testing.T, kernel sim.Kernel) []byte {
+// given kernel and returns the merged trace.
+func tracedRun(t *testing.T, kernel sim.Kernel) []trace.Record {
 	t.Helper()
 	g, a, b := line(1_000_000, sim.Microsecond) // slow: queueing + drops
 	cfg := DefaultConfig(1)
@@ -44,24 +44,16 @@ func tracedRun(t *testing.T, kernel sim.Kernel) []byte {
 	if net.Tracer.CountKind(trace.Dequeue) == 0 {
 		t.Fatal("no dequeue records")
 	}
-	var buf bytes.Buffer
-	if _, err := net.Tracer.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return net.Tracer.Merged()
 }
 
 func TestTraceIdenticalAcrossKernels(t *testing.T) {
 	seqTrace := tracedRun(t, des.New())
 	uniTrace := tracedRun(t, core.New(core.Config{Threads: 3}))
-	if !bytes.Equal(seqTrace, uniTrace) {
+	if !reflect.DeepEqual(seqTrace, uniTrace) {
 		t.Fatal("traces differ between sequential DES and Unison")
 	}
-	// And the serialized form parses back.
-	recs, err := trace.ReadAll(bytes.NewReader(seqTrace))
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := seqTrace
 	if len(recs) == 0 {
 		t.Fatal("empty trace")
 	}

@@ -171,8 +171,8 @@ func TestWritePerfettoStructure(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := g.WritePerfetto(&buf); err != nil {
-		t.Fatalf("WritePerfetto: %v", err)
+	if err := WriteTraceJSON(&buf, Events(g.Meta(), g.Records())); err != nil {
+		t.Fatalf("WriteTraceJSON: %v", err)
 	}
 
 	var tf perfettoFile

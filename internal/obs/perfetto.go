@@ -142,13 +142,6 @@ func WriteTraceJSON(w io.Writer, evs []TraceEvent) error {
 	return enc.Encode(traceFile{TraceEvents: evs, DisplayTimeUnit: "ms"})
 }
 
-// WritePerfetto renders the registry's retained records into w as Chrome
-// trace-event JSON: one thread track per worker with a span per round
-// phase, plus LBTS and event-rate counter tracks.
-func (g *Registry) WritePerfetto(w io.Writer) error {
-	return WriteTraceJSON(w, Events(g.Meta(), g.Records()))
-}
-
 func counterEvent(name string, tNS int64, v float64) TraceEvent {
 	return TraceEvent{
 		Name: name, Ph: "C", Ts: float64(tNS) / 1e3,

@@ -12,7 +12,7 @@ import (
 func (c *Collector) CkptName() string { return "trace" }
 
 // ckptRecBytes is the encoded size of one Record in the checkpoint
-// section (distinct from the UTR1 wire format).
+// section.
 const ckptRecBytes = 8 + 4 + 1 + 4 + 4 + 4
 
 // CkptSave implements ckpt.Checkpointer: the per-node record buffers in

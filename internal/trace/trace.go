@@ -1,16 +1,14 @@
 // Package trace is the packet-event tracing subsystem — the analog of
 // ns-3's pcap/ascii tracing. Devices emit records for enqueue, dequeue,
 // drop, ECN mark and delivery events; records are collected per node
-// (single-owner, lock-free under every kernel), merged into a
-// deterministic total order, and serialized to a compact binary format.
+// (single-owner, lock-free under every kernel) and merged into a
+// deterministic total order, which a run-artifact bundle writes as
+// trace.pcapng (internal/netobs).
 package trace
 
 import (
-	"bufio"
 	"cmp"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"slices"
 
 	"unison/internal/packet"
@@ -51,7 +49,7 @@ func (k Kind) String() string {
 	}
 }
 
-// Record is one trace entry. Fixed-size for compact binary encoding.
+// Record is one trace entry.
 type Record struct {
 	Time sim.Time
 	Node sim.NodeID
@@ -60,9 +58,6 @@ type Record struct {
 	Seq  uint32 // the packet's TCP sequence number (0 for UDP)
 	Size int32  // on-wire bytes
 }
-
-// recordBytes is the wire size of one record (8+4+1+4+4+4 padded to 25).
-const recordBytes = 25
 
 // Collector gathers records per node. The per-node slices are only
 // appended from events executing on that node, so collection needs no
@@ -149,93 +144,4 @@ func (c *Collector) CountKind(k Kind) int {
 		}
 	}
 	return t
-}
-
-var magic = [4]byte{'U', 'T', 'R', '1'}
-
-// WriteTo serializes the merged trace in the UTR1 binary format.
-func (c *Collector) WriteTo(w io.Writer) (int64, error) {
-	recs := c.Merged()
-	bw := bufio.NewWriter(w)
-	var written int64
-	if _, err := bw.Write(magic[:]); err != nil {
-		return written, err
-	}
-	written += 4
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], uint64(len(recs)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return written, err
-	}
-	written += 8
-	var buf [recordBytes]byte
-	for _, r := range recs {
-		encodeRecord(&buf, &r)
-		if _, err := bw.Write(buf[:]); err != nil {
-			return written, err
-		}
-		written += recordBytes
-	}
-	return written, bw.Flush()
-}
-
-func encodeRecord(buf *[recordBytes]byte, r *Record) {
-	binary.LittleEndian.PutUint64(buf[0:], uint64(r.Time))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(r.Node))
-	buf[12] = byte(r.Kind)
-	binary.LittleEndian.PutUint32(buf[13:], uint32(r.Flow))
-	binary.LittleEndian.PutUint32(buf[17:], r.Seq)
-	binary.LittleEndian.PutUint32(buf[21:], uint32(r.Size))
-}
-
-// ReadAll parses a UTR1 stream.
-func ReadAll(r io.Reader) ([]Record, error) {
-	br := bufio.NewReader(r)
-	var m [4]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
-	}
-	if m != magic {
-		return nil, fmt.Errorf("trace: bad magic %q", m)
-	}
-	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading count: %w", err)
-	}
-	n := binary.LittleEndian.Uint64(hdr[:])
-	const sane = 1 << 30
-	if n > sane {
-		return nil, fmt.Errorf("trace: implausible record count %d", n)
-	}
-	out := make([]Record, 0, n)
-	var buf [recordBytes]byte
-	for i := uint64(0); i < n; i++ {
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return nil, fmt.Errorf("trace: record %d: %w", i, err)
-		}
-		rec := Record{
-			Time: sim.Time(binary.LittleEndian.Uint64(buf[0:])),
-			Node: sim.NodeID(binary.LittleEndian.Uint32(buf[8:])),
-			Kind: Kind(buf[12]),
-			Flow: packet.FlowID(binary.LittleEndian.Uint32(buf[13:])),
-			Seq:  binary.LittleEndian.Uint32(buf[17:]),
-			Size: int32(binary.LittleEndian.Uint32(buf[21:])),
-		}
-		if rec.Kind >= kindCount {
-			return nil, fmt.Errorf("trace: record %d has unknown kind %d", i, rec.Kind)
-		}
-		out = append(out, rec)
-	}
-	return out, nil
-}
-
-// Dump renders records as one human-readable line each (ascii tracing).
-func Dump(w io.Writer, recs []Record) error {
-	for _, r := range recs {
-		if _, err := fmt.Fprintf(w, "%v node=%d %s flow=%d seq=%d size=%d\n",
-			r.Time, r.Node, r.Kind, r.Flow, r.Seq, r.Size); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,10 +1,7 @@
 package trace
 
 import (
-	"bytes"
-	"strings"
 	"testing"
-	"testing/quick"
 
 	"unison/internal/packet"
 	"unison/internal/sim"
@@ -39,106 +36,6 @@ func TestCollectorCap(t *testing.T) {
 	}
 	if c.Count() != 2 || c.Lost() != 3 {
 		t.Fatalf("count=%d lost=%d", c.Count(), c.Lost())
-	}
-}
-
-func TestRoundTrip(t *testing.T) {
-	c := NewCollector(4, 0)
-	for i := 0; i < 100; i++ {
-		c.Add(Record{
-			Time: sim.Time(i * 13),
-			Node: sim.NodeID(i % 4),
-			Kind: Kind(i % int(kindCount)),
-			Flow: packet.FlowID(i),
-			Seq:  uint32(i * 1448),
-			Size: int32(40 + i),
-		})
-	}
-	var buf bytes.Buffer
-	if _, err := c.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadAll(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := c.Merged()
-	if len(got) != len(want) {
-		t.Fatalf("len %d vs %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("record %d: %+v vs %+v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestRoundTripQuick(t *testing.T) {
-	f := func(times []uint32, kinds []uint8) bool {
-		c := NewCollector(8, 0)
-		n := len(times)
-		if len(kinds) < n {
-			n = len(kinds)
-		}
-		for i := 0; i < n; i++ {
-			c.Add(Record{
-				Time: sim.Time(times[i]),
-				Node: sim.NodeID(i % 8),
-				Kind: Kind(kinds[i] % uint8(kindCount)),
-				Flow: packet.FlowID(i),
-			})
-		}
-		var buf bytes.Buffer
-		if _, err := c.WriteTo(&buf); err != nil {
-			return false
-		}
-		got, err := ReadAll(&buf)
-		if err != nil {
-			return false
-		}
-		want := c.Merged()
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := ReadAll(bytes.NewReader([]byte("nope"))); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	// Truncated stream.
-	c := NewCollector(1, 0)
-	c.Add(rec(1, 0, Enqueue, 0))
-	var buf bytes.Buffer
-	c.WriteTo(&buf)
-	trunc := buf.Bytes()[:buf.Len()-3]
-	if _, err := ReadAll(bytes.NewReader(trunc)); err == nil {
-		t.Fatal("truncated stream accepted")
-	}
-}
-
-func TestDump(t *testing.T) {
-	c := NewCollector(1, 0)
-	c.Add(rec(1500, 0, Drop, 9))
-	var sb strings.Builder
-	if err := Dump(&sb, c.Merged()); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"1.5µs", "drop", "flow=9"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("dump %q missing %q", out, want)
-		}
 	}
 }
 

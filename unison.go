@@ -249,15 +249,14 @@ func NewSim(g *Graph, router Router, cfg SimConfig) *Sim {
 //
 // A Scenario is the file-loadable description of one simulation —
 // topology + traffic/collective + protocol + kernel + artifact knobs.
-// Every CLI consumes one through its -scenario flag; per-CLI flags are
-// overrides layered on top. See internal/app/scenario.go for the schema
+// Every CLI that runs one consumes it through its -scenario flag, with
+// -set path=value assignments (Scenario.Set) applied on top. See
+// internal/app/scenario.go for the schema
 // and its versioning/compat rules (DESIGN.md §12).
 
 type (
 	// Scenario is the versioned declarative simulation description.
 	Scenario = app.Scenario
-	// ScenarioOverrides layers flag values over a loaded scenario.
-	ScenarioOverrides = app.Overrides
 	// BuiltScenario is a resolved scenario: the assembled Sim plus
 	// topology context (hosts, manual-partition recipe).
 	BuiltScenario = app.Built
@@ -399,8 +398,8 @@ const (
 // only observe: a probed run is bit-identical to an unprobed one (pinned
 // by the equivalence tests). The standard probe is Registry: it keeps each
 // worker's running totals (Registry.Totals, what the live view reads) and
-// its captured records export as a Chrome/Perfetto trace
-// (Registry.WritePerfetto).
+// its captured records become the kernel lanes of a bundle's Perfetto
+// trace.
 
 type (
 	// Probe receives kernel telemetry; see the interface docs for the
