@@ -110,6 +110,15 @@ func build(sc *unison.Scenario, hosts int) (*unison.BuiltScenario, []int32) {
 	return b, hostOf
 }
 
+// sampleInterval is the bucket width of the hosts' samplers: the
+// scenario's artifacts.interval, or the sampler's default when unset.
+func sampleInterval(sc *unison.Scenario) sim.Time {
+	if iv := sc.Artifacts.Interval.T(); iv > 0 {
+		return iv
+	}
+	return netobs.DefaultInterval
+}
+
 func runCoord(listen string, hosts int, sc *unison.Scenario, tmo time.Duration, liveAddr string) {
 	b, _ := build(sc, hosts)
 	ln, err := net.Listen("tcp", listen)
@@ -139,7 +148,7 @@ func runCoord(listen string, hosts int, sc *unison.Scenario, tmo time.Duration, 
 		if err != nil {
 			fatal(err)
 		}
-		lsess.State.SetQueueInterval(netobs.DefaultInterval)
+		lsess.State.SetQueueInterval(sampleInterval(sc))
 		fmt.Printf("live telemetry on http://%s/live\n", lsess.Server.Addr())
 		probe := lsess.Probe()
 		probe.BeginRun(obs.RunMeta{Kernel: fmt.Sprintf("dist(%d)", hosts), Workers: hosts, LPs: b.G.N()})
@@ -186,7 +195,7 @@ func runCoord(listen string, hosts int, sc *unison.Scenario, tmo time.Duration, 
 		// rows and trace the hosts shipped at gather.
 		b.Sim.Mon = mon
 		bundle := b.Bundle("unidist", stats, nil, reg)
-		bundle.Rows, bundle.Interval, bundle.Trace = cfg.Net.Rows, netobs.DefaultInterval, cfg.Net.Trace
+		bundle.Rows, bundle.Interval, bundle.Trace = cfg.Net.Rows, sampleInterval(sc), cfg.Net.Trace
 		files, err := bundle.Write(sc.Artifacts.Dir)
 		if err != nil {
 			fatal(err)
@@ -203,7 +212,7 @@ func runHost(id int32, addr string, hosts int, sc *unison.Scenario, tmo time.Dur
 	if sc.Artifacts.Dir != "" {
 		// The coordinator assembles the bundle; this host only collects its
 		// own devices' records and ships them at gather.
-		b.Sim.EnableNetObs(netobs.DefaultInterval, 0)
+		b.Sim.EnableNetObs(sc.Artifacts.Interval.T(), 0)
 	}
 	m := b.Sim.Model()
 	cfg := dist.HostConfig{

@@ -25,7 +25,7 @@ func (stopEvt) CkptEncode(buf []byte) []byte { return buf }
 // kinds. Globals scheduled by EnableProgress and ScheduleTopoChange carry
 // no descriptors — a run using them cannot be checkpointed and the save
 // reports ckpt.NoDesc (DESIGN.md §11 lists the exclusions).
-func (s *Sim) DecodeEvent(kind uint16, d *ckpt.Dec) (sim.Proc, sim.EvDesc, bool, error) {
+func (s *Sim) DecodeEvent(kind uint16, _ sim.NodeID, d *ckpt.Dec) (sim.Proc, sim.EvDesc, bool, error) {
 	if kind != kindStop {
 		return nil, nil, false, nil
 	}

@@ -184,7 +184,8 @@ type KernelSpec struct {
 type ArtifactSpec struct {
 	// Dir is the artifact bundle directory ("" disables artifacts).
 	Dir string `json:"dir,omitempty"`
-	// Interval is the sampler bucket width (default 10µs).
+	// Interval is the sampler bucket width (default
+	// netobs.DefaultInterval, 100µs).
 	Interval Duration `json:"interval,omitempty"`
 }
 

@@ -44,7 +44,7 @@ import (
 // Version is the current checkpoint format version. Readers reject any
 // other version outright: snapshots are short-lived crash-recovery
 // artifacts, not archival data, so there is no cross-version migration.
-const Version uint16 = 3
+const Version uint16 = 4
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -70,11 +70,11 @@ type Checkpointer interface {
 	CkptLoad(d *Dec) error
 }
 
-// EventDecoder re-materializes an event closure from its descriptor.
-// Layers that own descriptor kinds implement it; ok=false means the kind
-// belongs to some other layer.
+// EventDecoder re-materializes an event closure from its descriptor and
+// the node the event is pending on. Layers that own descriptor kinds
+// implement it; ok=false means the kind belongs to some other layer.
 type EventDecoder interface {
-	DecodeEvent(kind uint16, d *Dec) (sim.Proc, sim.EvDesc, bool, error)
+	DecodeEvent(kind uint16, node sim.NodeID, d *Dec) (sim.Proc, sim.EvDesc, bool, error)
 }
 
 // --- Encoder ---
@@ -686,7 +686,7 @@ func (t *Target) decodeKernel(d *Dec) (*sim.KernelState, error) {
 		if d.Err() != nil {
 			return nil, d.Err()
 		}
-		fn, desc, err := t.decodeEvent(kind, payload)
+		fn, desc, err := t.decodeEvent(kind, ev.Node, payload)
 		if err != nil {
 			return nil, fmt.Errorf("ckpt: pending event %d (t=%v node=%d kind=%#04x): %w", i, ev.Time, ev.Node, kind, err)
 		}
@@ -696,10 +696,10 @@ func (t *Target) decodeKernel(d *Dec) (*sim.KernelState, error) {
 	return ks, nil
 }
 
-func (t *Target) decodeEvent(kind uint16, payload []byte) (sim.Proc, sim.EvDesc, error) {
+func (t *Target) decodeEvent(kind uint16, node sim.NodeID, payload []byte) (sim.Proc, sim.EvDesc, error) {
 	for _, dec := range t.Decoders {
 		pd := NewDec(payload)
-		fn, desc, ok, err := dec.DecodeEvent(kind, pd)
+		fn, desc, ok, err := dec.DecodeEvent(kind, node, pd)
 		if err != nil {
 			return nil, nil, err
 		}

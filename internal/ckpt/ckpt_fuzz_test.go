@@ -48,7 +48,7 @@ func (f fuzzDesc) CkptEncode(buf []byte) []byte {
 
 type fuzzDecoder struct{}
 
-func (fuzzDecoder) DecodeEvent(kind uint16, d *Dec) (sim.Proc, sim.EvDesc, bool, error) {
+func (fuzzDecoder) DecodeEvent(kind uint16, _ sim.NodeID, d *Dec) (sim.Proc, sim.EvDesc, bool, error) {
 	if kind != 0x7f01 {
 		return nil, nil, false, nil
 	}

@@ -64,11 +64,11 @@ func (l *namedLayer) CkptSave(*Enc) error { return nil }
 func (l *namedLayer) CkptLoad(*Dec) error { return nil }
 
 func TestOlderVersionsRejected(t *testing.T) {
-	for _, v := range []uint16{1, 2} {
+	for _, v := range []uint16{1, 2, 3} {
 		img := validImage(t)
 		binary.LittleEndian.PutUint16(img[len(magic):], v)
 		_, err := Parse(img)
-		if want := fmt.Sprintf("ckpt: unsupported format version %d (this build reads 3)", v); err == nil || err.Error() != want {
+		if want := fmt.Sprintf("ckpt: unsupported format version %d (this build reads 4)", v); err == nil || err.Error() != want {
 			t.Fatalf("v%d header: err=%v, want %q", v, err, want)
 		}
 	}

@@ -5,10 +5,14 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+	"unsafe"
 
+	"unison/internal/app"
 	"unison/internal/des"
 	"unison/internal/routing"
+	"unison/internal/sim"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/scale.golden.txt from the current code")
@@ -82,5 +86,52 @@ func TestScaleMemoryBudget(t *testing.T) {
 	within(t, "peak_conns", int64(stack.PeakConns), 1330)
 	if got := (stack.ArenaBytes + stack.TableBytes) / int64(b.Flows); got > preOverhaulBytesPerFlow/4 {
 		t.Errorf("flow state %d B/flow, budget %d (a quarter of the pre-overhaul %d)", got, preOverhaulBytesPerFlow/4, preOverhaulBytesPerFlow)
+	}
+}
+
+// TestMaterializedStartsPerHost holds a materialized workload (the path the
+// null-message and distributed kernels need) to one pending flow start per
+// host: Model.Init is one start for every host that starts a flow plus the
+// stop, and the bytes those starts hold — event and descriptor — are the
+// same for twice the flows. Counted from the model, so exact. Before starts
+// were chained, Model.Init held one start per flow.
+func TestMaterializedStartsPerHost(t *testing.T) {
+	type reading struct{ flows, hosts, starts, bytes int }
+	var got []reading
+	for _, end := range []sim.Time{10 * sim.Millisecond, 20 * sim.Millisecond} {
+		sc := scaleScenario(8, 42)
+		sc.Traffic.Stream = false
+		sc.Traffic.End = app.Duration(end)
+		b, err := sc.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := b.Sim.Model()
+		r := reading{flows: len(b.Sim.Flows)}
+		hosts := map[sim.NodeID]bool{}
+		for _, f := range b.Sim.Flows {
+			hosts[f.Src] = true
+		}
+		r.hosts = len(hosts)
+		for _, ev := range m.Init {
+			if ev.Node == sim.GlobalNode {
+				continue
+			}
+			r.starts++
+			r.bytes += int(unsafe.Sizeof(ev)) + int(reflect.TypeOf(ev.Desc).Elem().Size())
+		}
+		if r.starts != r.hosts || len(m.Init) != r.hosts+1 {
+			t.Errorf("%d flows from %d hosts: Model.Init holds %d events, %d of them starts; want %d starts and the stop",
+				r.flows, r.hosts, len(m.Init), r.starts, r.hosts)
+		}
+		got = append(got, r)
+	}
+	a, b := got[0], got[1]
+	if b.flows < a.flows*3/2 || a.hosts != b.hosts {
+		t.Fatalf("workloads %+v and %+v: not the same hosts with more flows", a, b)
+	}
+	if a.bytes != b.bytes {
+		t.Errorf("pending starts hold %d B for %d flows and %d B for %d, from the same %d hosts",
+			a.bytes, a.flows, b.bytes, b.flows, a.hosts)
 	}
 }

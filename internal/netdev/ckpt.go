@@ -142,7 +142,7 @@ func (n *Network) nodeChecked(node sim.NodeID) (sim.NodeID, error) {
 }
 
 // DecodeEvent implements ckpt.EventDecoder for the 0x01xx kinds.
-func (n *Network) DecodeEvent(kind uint16, d *ckpt.Dec) (sim.Proc, sim.EvDesc, bool, error) {
+func (n *Network) DecodeEvent(kind uint16, _ sim.NodeID, d *ckpt.Dec) (sim.Proc, sim.EvDesc, bool, error) {
 	switch kind {
 	case kindTxDone, kindReceive, kindDrain:
 		node := sim.NodeID(d.I32())

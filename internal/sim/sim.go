@@ -229,6 +229,21 @@ func (c *Ctx) ScheduleReserved(t Time, node NodeID, seq uint64, fn Proc, desc Ev
 	c.sink.Put(Event{Time: t, Src: node, Seq: seq, Node: node, Fn: fn, Desc: desc})
 }
 
+// RedeemSetup runs fn on node at absolute time t as the setup event
+// (SetupSrc, seq), seq having come from Setup.Reserve. A layer that keeps a
+// node's setup events pending one at a time puts the next from the one
+// before it, under the identity set-up gave it. Only an event on node may
+// redeem it, and each identity at most once.
+func (c *Ctx) RedeemSetup(t Time, node NodeID, seq uint64, fn Proc, desc EvDesc) {
+	if node != c.cur {
+		panic(fmt.Sprintf("sim: setup identity %d for node %d redeemed from node %d", seq, node, c.cur))
+	}
+	if t < c.now {
+		panic(fmt.Sprintf("sim: scheduling into the past: now=%v at=%v node=%d", c.now, t, node))
+	}
+	c.sink.Put(Event{Time: t, Src: SetupSrc, Seq: seq, Node: node, Fn: fn, Desc: desc})
+}
+
 // RunsBefore reports whether an event at the current time with identity
 // (src, seq) sorts before the executing one — whether, had it been
 // scheduled, it would already have run.
@@ -282,7 +297,9 @@ type Model struct {
 	Links func() []LinkInfo
 
 	// Init is the list of initial events, stamped with Src == SetupSrc and
-	// strictly increasing Seq. Use NewSetup to build it conveniently.
+	// distinct Seq. Use NewSetup to build it conveniently. Setup identities
+	// reserved but not placed here are redeemed during the run
+	// (Ctx.RedeemSetup).
 	Init []Event
 
 	// StopAt, if nonzero, schedules a global stop event at that time.
@@ -334,8 +351,29 @@ func (s *Setup) Global(t Time, fn Proc) { s.At(t, GlobalNode, fn) }
 
 // Grow makes room for n more events and the handful a scenario adds around
 // a workload (the stop, a pump): the list, live for the whole run, is then
-// neither copied as it grows nor left with slack.
+// neither copied as it grows nor left with slack. A materialized workload
+// adds one event per host that starts flows (tcp.Stack.Attach), not one per
+// flow.
 func (s *Setup) Grow(n int) { s.events = slices.Grow(s.events, n+16) }
+
+// Reserve sets aside the next n setup identities and returns the first:
+// (SetupSrc, base+i) for i < n belongs to whoever reserved it, to place at
+// set-up with AtReserved or during the run with Ctx.RedeemSetup. Every event
+// added after keeps the identity it would have had had the n been added
+// with At.
+func (s *Setup) Reserve(n int) (base uint64) {
+	base = s.seq
+	s.seq += uint64(n)
+	return base
+}
+
+// AtReserved is AtDesc under the reserved identity (SetupSrc, seq).
+func (s *Setup) AtReserved(t Time, node NodeID, seq uint64, fn Proc, desc EvDesc) {
+	if seq >= s.seq {
+		panic(fmt.Sprintf("sim: setup identity %d was never reserved", seq))
+	}
+	s.events = append(s.events, Event{Time: t, Src: SetupSrc, Seq: seq, Node: node, Fn: fn, Desc: desc})
+}
 
 // Events returns the accumulated initial events.
 func (s *Setup) Events() []Event { return s.events }

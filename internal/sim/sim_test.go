@@ -169,6 +169,44 @@ func TestSetupOrdering(t *testing.T) {
 	}
 }
 
+// TestSetupReserve: a reserved block keeps every later setup event's
+// identity, and a reserved identity is placed at set-up or redeemed, from
+// its own node only, under SetupSrc.
+func TestSetupReserve(t *testing.T) {
+	s := NewSetup()
+	s.At(0, 1, func(*Ctx) {})
+	base := s.Reserve(3)
+	s.At(0, 1, func(*Ctx) {})
+	s.AtReserved(7, 2, base+1, func(*Ctx) {}, nil)
+	evs := s.Events()
+	if base != 1 || evs[1].Seq != 4 || evs[2].Seq != base+1 || evs[2].Src != SetupSrc || evs[2].Node != 2 {
+		t.Fatalf("base %d, events %+v", base, evs)
+	}
+
+	sink := &recordSink{}
+	ctx := NewCtx(sink, 0)
+	seqs := NewSeqTable(3)
+	ctx.Begin(&Event{Time: 7, Src: SetupSrc, Seq: base + 1, Node: 2}, seqs.Of(2))
+	ctx.RedeemSetup(9, 2, base+2, func(*Ctx) {}, nil)
+	if got := sink.events[0]; got.Time != 9 || got.Src != SetupSrc || got.Seq != base+2 || got.Node != 2 || *seqs.Of(2) != 0 {
+		t.Fatalf("redeemed %+v, node counter %d", got, *seqs.Of(2))
+	}
+	for name, f := range map[string]func(){
+		"redeem from another node": func() { ctx.RedeemSetup(9, 1, base, func(*Ctx) {}, nil) },
+		"redeem into the past":     func() { ctx.RedeemSetup(6, 2, base, func(*Ctx) {}, nil) },
+		"place an unreserved one":  func() { s.AtReserved(0, 1, 5, func(*Ctx) {}, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
 func TestRunStatsAccounting(t *testing.T) {
 	st := &RunStats{Workers: []WorkerStats{
 		{P: 60, S: 30, M: 10},

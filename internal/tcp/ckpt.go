@@ -10,13 +10,14 @@ import (
 )
 
 // Checkpoint support for the transport. Pending tcp-owned events at a
-// quiescent boundary are connection timer events, flow start events
-// (materialized or released by the stream pump), and the pump's own chained
-// global event. A timer event references its connection's timer by (host,
-// arena index, generation); what it will do when it pops — fire, put itself
-// again at a later deadline under a reserved identity, or nothing — is the
-// timer's state, saved with the connection (lazyTimer), so a restored run
-// redeems the identities the uninterrupted one would have.
+// quiescent boundary are connection timer events, each host's next start of
+// an Attach workload, flow start events released by the stream pump or
+// ScheduleFlow, and the pump's own chained global event. A timer event
+// references its connection's timer by (host, arena index, generation); what
+// it will do when it pops — fire, put itself again at a later deadline under
+// a reserved identity, or nothing — is the timer's state, saved with the
+// connection (lazyTimer), so a restored run redeems the identities the
+// uninterrupted one would have.
 //
 // Descriptor kind tags in the 0x02xx range (see internal/ckpt; 0x0202 was
 // the delayed-ACK timer's before format 3 gave a connection one timer).
@@ -24,6 +25,7 @@ const (
 	kindTimer     uint16 = 0x0201
 	kindFlowStart uint16 = 0x0203
 	kindPump      uint16 = 0x0204
+	kindChain     uint16 = 0x0205
 )
 
 // timerEvt is the pooled, descriptor-carrying event of a connection's timer
@@ -65,8 +67,8 @@ func (e *timerEvt) CkptEncode(buf []byte) []byte {
 	return enc.Bytes()
 }
 
-// flowStartEvt opens one flow; it is scheduled by Attach (setup) and by
-// the stream pump.
+// flowStartEvt opens one flow; it is scheduled by the stream pump and by
+// ScheduleFlow.
 type flowStartEvt struct {
 	s  *Stack
 	f  FlowSpec
@@ -82,6 +84,18 @@ func (e *flowStartEvt) CkptKind() uint16 { return kindFlowStart }
 func (e *flowStartEvt) CkptEncode(buf []byte) []byte {
 	enc := ckpt.AppendEnc(buf)
 	encodeFlowSpec(enc, &e.f)
+	return enc.Bytes()
+}
+
+// CkptKind implements sim.EvDesc.
+func (e *chainEvt) CkptKind() uint16 { return kindChain }
+
+// CkptEncode implements sim.EvDesc: the pending flow's index among every
+// flow the stack chained. The rest of the chain is rebuilt by Attach from
+// the same workload before a restore.
+func (e *chainEvt) CkptEncode(buf []byte) []byte {
+	enc := ckpt.AppendEnc(buf)
+	enc.I32(e.c.off + e.i)
 	return enc.Bytes()
 }
 
@@ -113,8 +127,18 @@ func decodeFlowSpec(d *ckpt.Dec) FlowSpec {
 }
 
 // DecodeEvent implements ckpt.EventDecoder for the 0x02xx kinds.
-func (s *Stack) DecodeEvent(kind uint16, d *ckpt.Dec) (sim.Proc, sim.EvDesc, bool, error) {
+func (s *Stack) DecodeEvent(kind uint16, node sim.NodeID, d *ckpt.Dec) (sim.Proc, sim.EvDesc, bool, error) {
 	switch kind {
+	case kindChain:
+		g := d.I32()
+		if err := d.Err(); err != nil {
+			return nil, nil, true, err
+		}
+		e, err := s.decodeChain(node, g)
+		if err != nil {
+			return nil, nil, true, err
+		}
+		return e.fn, e, true, nil
 	case kindTimer:
 		host := sim.NodeID(d.I32())
 		idx := d.I32()
@@ -150,6 +174,24 @@ func (s *Stack) DecodeEvent(kind uint16, d *ckpt.Dec) (sim.Proc, sim.EvDesc, boo
 	default:
 		return nil, nil, false, nil
 	}
+}
+
+// decodeChain re-materializes the pending start of flow g (an index among
+// every flow the stack chained) on node.
+func (s *Stack) decodeChain(node sim.NodeID, g int32) (*chainEvt, error) {
+	for _, c := range s.starts {
+		i := g - c.off
+		if i < 0 || int(i) >= len(c.flows) {
+			continue
+		}
+		if src := c.flows[i].Src; src != node {
+			return nil, fmt.Errorf("tcp: checkpoint start of flow %d (source %d) is pending on node %d", c.flows[i].ID, src, node)
+		}
+		e := &chainEvt{c: c, i: i}
+		e.fn = e.run
+		return e, nil
+	}
+	return nil, fmt.Errorf("tcp: checkpoint start of flow index %d of the %d this run attached", g, s.chained)
 }
 
 // --- Layer state ---
@@ -364,6 +406,7 @@ func (s *Stack) CkptLoad(d *ckpt.Dec) error {
 var (
 	_ sim.EvDesc        = (*timerEvt)(nil)
 	_ sim.EvDesc        = (*flowStartEvt)(nil)
+	_ sim.EvDesc        = (*chainEvt)(nil)
 	_ sim.EvDesc        = (*streamPump)(nil)
 	_ ckpt.Checkpointer = (*Stack)(nil)
 	_ ckpt.EventDecoder = (*Stack)(nil)

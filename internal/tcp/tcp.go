@@ -11,6 +11,7 @@ package tcp
 
 import (
 	"fmt"
+	"math"
 
 	"unison/internal/flowmon"
 	"unison/internal/netdev"
@@ -118,6 +119,12 @@ type Stack struct {
 	// its (pending, ok) pair is part of the checkpointable state.
 	pump *streamPump
 
+	// starts are the workloads Attach chained, in call order (chain.go), and
+	// chained the flows they hold: set-up wiring, read-only during the run.
+	// A pending start's place in its chain is its event's descriptor.
+	starts  []*startChain //unison:ckpt-skip wiring, rebuilt by Attach before restore
+	chained int32         //unison:ckpt-skip wiring, rebuilt by Attach before restore
+
 	// flowDone is the completion hook registered by OnFlowDone; nil when
 	// nothing listens. Written once at setup time, read-only during the
 	// run, invoked from the completing endpoint's own events.
@@ -150,15 +157,27 @@ func NewStack(net *netdev.Network, cfg Config, mon *flowmon.Monitor) *Stack {
 	return s
 }
 
-// Attach schedules the start events for all flows on the model setup.
+// Attach schedules the start events for all flows on the model setup:
+// flow i starts at flows[i].Start on flows[i].Src as the setup event it
+// would have been had each been added with setup.AtDesc in slice order. Only
+// each host's first start is an init event; it puts the host's next, and so
+// on (chain.go). Attach retains flows, which must not change afterwards.
 // Flows must already be registered with the monitor.
 func (s *Stack) Attach(setup *sim.Setup, flows []FlowSpec) {
-	evs := make([]flowStartEvt, len(flows)) // one allocation, not one per flow
-	setup.Grow(len(flows))
-	for i, f := range flows {
-		e := &evs[i]
-		e.s, e.f, e.fn = s, f, e.run
-		setup.AtDesc(f.Start, f.Src, e.fn, e)
+	if int64(s.chained)+int64(len(flows)) > math.MaxInt32 {
+		panic(fmt.Sprintf("tcp: more than %d flows attached", math.MaxInt32))
+	}
+	c := &startChain{s: s, flows: flows, base: setup.Reserve(len(flows)), off: s.chained}
+	first := c.link(len(s.hosts))
+	s.starts = append(s.starts, c)
+	s.chained += int32(len(flows))
+	evs := make([]chainEvt, len(first)) // one allocation, not one per host
+	setup.Grow(len(first))
+	for k, i := range first {
+		e := &evs[k]
+		e.c, e.i, e.fn = c, i, e.run
+		f := &flows[i]
+		setup.AtReserved(f.Start, f.Src, c.base+uint64(i), e.fn, e)
 	}
 }
 
@@ -173,10 +192,10 @@ type FlowSource interface {
 const DefaultStreamWindow = 100 * sim.Microsecond
 
 // AttachStream wires a lazily generated workload into the run: instead of
-// materializing every flow as an init event (one closure per flow held
-// for the whole run), a chained global "pump" event walks the source as
-// virtual time advances and releases each window's arrivals just before
-// they are due.
+// materializing every flow up front (the whole []FlowSpec, held for the
+// whole run, with one pending start per host), a chained global "pump"
+// event walks the source as virtual time advances and releases each
+// window's arrivals just before they are due.
 //
 // The pump runs as a global event (all workers quiescent), which is the
 // one context allowed to schedule directly onto any node without
@@ -258,9 +277,9 @@ func (s *Stack) notifyFlowDone(ctx *sim.Ctx, id packet.FlowID, sender bool) {
 }
 
 // ScheduleFlow schedules f's start event at f.Start (>= the current event
-// time) on f.Src, carrying the same checkpoint descriptor Attach-scheduled
-// starts carry, so a released flow that is still pending at a snapshot
-// boundary survives restore exactly like a materialized one. It must be
+// time) on f.Src, carrying f itself as its checkpoint descriptor, so a
+// released flow that is still pending at a snapshot boundary survives
+// restore exactly like a materialized one. It must be
 // called from an event executing at f.Src: scheduling onto one's own node
 // is the one runtime scheduling pattern every kernel (including
 // null-message and distributed) permits at zero lookahead.
