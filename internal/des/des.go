@@ -1,6 +1,8 @@
 // Package des is the sequential discrete-event simulation kernel: one
 // future event list, one executor — the baseline every parallel kernel in
-// the paper is measured against (§2.1).
+// the paper is measured against (§2.1). Its FEL is eventq.Mono, a radix
+// heap: the model never schedules into the past, so the queue is
+// monotone.
 package des
 
 import (
@@ -35,7 +37,7 @@ func New() *Kernel { return &Kernel{} }
 func (k *Kernel) Name() string { return "sequential" }
 
 type felSink struct {
-	fel *eventq.Queue
+	fel *eventq.Mono
 }
 
 func (s *felSink) Put(ev sim.Event)       { s.fel.Push(ev) }
@@ -47,7 +49,7 @@ func (k *Kernel) Run(m *sim.Model) (*sim.RunStats, error) {
 		return nil, fmt.Errorf("des: %w", err)
 	}
 	start := time.Now() //unison:wallclock-ok wall-clock run timing for RunStats.WallNS
-	fel := eventq.New(1024)
+	fel := &eventq.Mono{}
 	seqs := sim.NewSeqTable(m.Nodes)
 	hook := m.Ckpt
 	var events, round uint64
@@ -61,9 +63,7 @@ func (k *Kernel) Run(m *sim.Model) (*sim.RunStats, error) {
 		fel.PushBatch(ks.Queue)
 		events, round, now = ks.Events, ks.Round, ks.EndTime
 	} else {
-		for _, ev := range m.Init {
-			fel.Push(ev)
-		}
+		fel.PushBatch(m.Init)
 	}
 	sink := &felSink{fel: fel}
 	ctx := sim.NewCtx(sink, 0)

@@ -11,7 +11,7 @@ import (
 // countRef is CountBefore by brute force over a snapshot of a copy of q,
 // whose layout Snapshot would change.
 func countRef(q *Queue, bound sim.Time, limit int) int {
-	cp := &Queue{h: slices.Clone(q.h), arena: slices.Clone(q.arena)}
+	cp := &Queue{h: slices.Clone(q.h), slots: slots{arena: slices.Clone(q.arena)}}
 	n := 0
 	for _, e := range cp.Snapshot(nil) {
 		if e.Time < bound {

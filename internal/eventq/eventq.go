@@ -1,18 +1,24 @@
-// Package eventq implements the future event list (FEL): a priority queue
-// of discrete events ordered by the deterministic total order
-// (Time, Src, Seq) defined in internal/sim.
+// Package eventq implements the future event lists (FELs): priority
+// queues of discrete events ordered by the deterministic total order
+// (Time, Src, Seq) defined in internal/sim. There are two.
 //
-// The implementation is a 4-ary implicit heap over a value slice. A 4-ary
-// heap halves tree height versus a binary heap and keeps siblings on one
-// cache line, which matters because FEL operations dominate kernel
-// overhead in fine-grained-partition runs (many small per-LP queues).
+// Queue, the FEL of every parallel kernel's LPs, is a 4-ary implicit heap
+// over a value slice. A 4-ary heap halves tree height versus a binary heap
+// and keeps siblings on one cache line, which matters because FEL
+// operations dominate kernel overhead in fine-grained-partition runs (many
+// small per-LP queues). It also pops within a window (PopBefore), counts
+// one (CountBefore) and takes a round's mail at once (PushBatch).
 //
-// The heap stores only the 24-byte pointer-free comparison key
-// (Time, Src, Seq) plus an arena index; the event's payload (Node, Fn)
-// lives in a side arena addressed by that index. Sift operations
-// therefore move small pointer-free values — no GC write barriers, no
-// closure shuffling — which profiles show cuts the per-operation cost of
-// the kernels' hottest data structure roughly in half.
+// Mono, the FEL of the sequential kernel, is a monotone radix heap: it
+// relies on never being pushed an event earlier than the last one it
+// popped, and then costs O(1) amortised per event however deep it is.
+//
+// Both store only the 24-byte pointer-free comparison key (Time, Src, Seq)
+// plus an arena index; the event's payload (Node, Fn, Desc) lives in a
+// side arena addressed by that index. Sift and bucket moves therefore copy
+// small pointer-free values — no GC write barriers, no closure shuffling —
+// which profiles show cuts the per-operation cost of the kernels' hottest
+// data structure roughly in half.
 package eventq
 
 import (
@@ -48,17 +54,58 @@ type slot struct {
 	node sim.NodeID
 }
 
+// slots is the payload arena of a queue and its free list. Both queue
+// types order entries and keep the payloads here.
+type slots struct {
+	arena []slot
+	free  []int32 // recycled arena slots
+}
+
+// alloc parks (Node, Fn, Desc) in the arena and returns its slot.
+func (s *slots) alloc(ev *sim.Event) int32 {
+	if n := len(s.free); n > 0 {
+		i := s.free[n-1]
+		s.free = s.free[:n-1]
+		s.arena[i] = slot{fn: ev.Fn, desc: ev.Desc, node: ev.Node}
+		return i
+	}
+	s.arena = append(s.arena, slot{fn: ev.Fn, desc: ev.Desc, node: ev.Node})
+	return int32(len(s.arena) - 1)
+}
+
+// event rebuilds the event of e from its key and its payload.
+func (s *slots) event(e *entry) sim.Event {
+	p := &s.arena[e.idx]
+	return sim.Event{Time: e.time, Src: e.src, Seq: e.seq, Node: p.node, Fn: p.fn, Desc: p.desc}
+}
+
+// take is event for an entry leaving the queue: it also releases the slot.
+func (s *slots) take(e *entry) sim.Event {
+	ev := s.event(e)
+	p := &s.arena[e.idx]
+	p.fn = nil // release the closure for GC
+	p.desc = nil
+	s.free = append(s.free, e.idx)
+	return ev
+}
+
+// clear drops every payload without releasing storage.
+func (s *slots) clear() {
+	clear(s.arena) // release closures and descriptors for GC, as take does
+	s.arena = s.arena[:0]
+	s.free = s.free[:0]
+}
+
 // Queue is a future event list. The zero value is an empty, usable queue.
 type Queue struct {
-	h     []entry
-	arena []slot
-	free  []int32   // recycled arena slots
-	top   sim.Event // Peek scratch
+	h []entry
+	slots
+	top sim.Event // Peek scratch
 }
 
 // New returns an empty queue with capacity hint n.
 func New(n int) *Queue {
-	return &Queue{h: make([]entry, 0, n), arena: make([]slot, 0, n)}
+	return &Queue{h: make([]entry, 0, n), slots: slots{arena: make([]slot, 0, n)}}
 }
 
 // Len returns the number of pending events.
@@ -70,9 +117,7 @@ func (q *Queue) Empty() bool { return len(q.h) == 0 }
 // Clear removes all events without releasing storage.
 func (q *Queue) Clear() {
 	q.h = q.h[:0]
-	clear(q.arena) // release closures and descriptors for GC, as Pop does
-	q.arena = q.arena[:0]
-	q.free = q.free[:0]
+	q.slots.clear()
 }
 
 // NextTime returns the timestamp of the earliest event, or sim.MaxTime if
@@ -91,29 +136,15 @@ func (q *Queue) Peek() *sim.Event {
 	if len(q.h) == 0 {
 		return nil
 	}
-	e := &q.h[0]
-	s := &q.arena[e.idx]
-	q.top = sim.Event{Time: e.time, Src: e.src, Seq: e.seq, Node: s.node, Fn: s.fn, Desc: s.desc}
+	q.top = q.event(&q.h[0])
 	return &q.top
-}
-
-// alloc parks (Node, Fn) in the arena and returns its slot.
-func (q *Queue) alloc(ev *sim.Event) int32 {
-	if n := len(q.free); n > 0 {
-		i := q.free[n-1]
-		q.free = q.free[:n-1]
-		q.arena[i] = slot{fn: ev.Fn, desc: ev.Desc, node: ev.Node}
-		return i
-	}
-	q.arena = append(q.arena, slot{fn: ev.Fn, desc: ev.Desc, node: ev.Node})
-	return int32(len(q.arena) - 1)
 }
 
 // Push inserts ev.
 func (q *Queue) Push(ev sim.Event) {
 	idx := q.alloc(&ev)
 	q.h = append(q.h, entry{time: ev.Time, seq: ev.Seq, src: ev.Src, idx: idx})
-	q.up(len(q.h) - 1)
+	up(q.h, len(q.h)-1)
 }
 
 // PushBatch inserts every event of evs. When the batch is at least a
@@ -134,11 +165,7 @@ func (q *Queue) PushBatch(evs []sim.Event) {
 			idx := q.alloc(ev)
 			q.h = append(q.h, entry{time: ev.Time, seq: ev.Seq, src: ev.Src, idx: idx})
 		}
-		// Floyd: sift down every internal node, deepest first. The parent
-		// of the last element in a 4-ary heap is (n-2)/4.
-		for i := (len(q.h) - 2) / 4; i >= 0; i-- {
-			q.down(i)
-		}
+		heapify(q.h)
 		return
 	}
 	for _, ev := range evs {
@@ -153,14 +180,9 @@ func (q *Queue) Pop() sim.Event {
 	q.h[0] = q.h[n]
 	q.h = q.h[:n]
 	if n > 0 {
-		q.down(0)
+		down(q.h, 0)
 	}
-	s := &q.arena[top.idx]
-	ev := sim.Event{Time: top.time, Src: top.src, Seq: top.seq, Node: s.node, Fn: s.fn, Desc: s.desc}
-	s.fn = nil // release the closure for GC
-	s.desc = nil
-	q.free = append(q.free, top.idx)
-	return ev
+	return q.take(&top)
 }
 
 // PopBefore removes and returns the earliest event if its timestamp is
@@ -197,26 +219,26 @@ func (q *Queue) countBelow(i int, bound sim.Time, limit int) int {
 	return n
 }
 
-// up sifts the element at i toward the root, moving displaced parents
-// down into the hole instead of swapping (one copy per level, not three).
-func (q *Queue) up(i int) {
-	e := q.h[i]
+// up sifts h[i] toward the root of the 4-ary heap h, moving displaced
+// parents down into the hole instead of swapping (one copy per level, not
+// three).
+func up(h []entry, i int) {
+	e := h[i]
 	for i > 0 {
 		p := (i - 1) / 4
-		if !e.before(&q.h[p]) {
+		if !e.before(&h[p]) {
 			break
 		}
-		q.h[i] = q.h[p]
+		h[i] = h[p]
 		i = p
 	}
-	q.h[i] = e
+	h[i] = e
 }
 
-// down sifts the element at i toward the leaves with the same hole
-// technique as up.
-func (q *Queue) down(i int) {
-	n := len(q.h)
-	e := q.h[i]
+// down sifts h[i] toward the leaves with the same hole technique as up.
+func down(h []entry, i int) {
+	n := len(h)
+	e := h[i]
 	for {
 		first := 4*i + 1
 		if first >= n {
@@ -228,17 +250,36 @@ func (q *Queue) down(i int) {
 			last = n
 		}
 		for c := first + 1; c < last; c++ {
-			if q.h[c].before(&q.h[min]) {
+			if h[c].before(&h[min]) {
 				min = c
 			}
 		}
-		if !q.h[min].before(&e) {
+		if !h[min].before(&e) {
 			break
 		}
-		q.h[i] = q.h[min]
+		h[i] = h[min]
 		i = min
 	}
-	q.h[i] = e
+	h[i] = e
+}
+
+// heapify is Floyd's bottom-up build: sift down every internal node,
+// deepest first. The parent of the last element in a 4-ary heap is
+// (n-2)/4.
+func heapify(h []entry) {
+	for i := (len(h) - 2) / 4; i >= 0; i-- {
+		down(h, i)
+	}
+}
+
+// sortEntries sorts h in the deterministic total order.
+func sortEntries(h []entry) {
+	slices.SortFunc(h, func(a, b entry) int {
+		if a.before(&b) {
+			return -1
+		}
+		return 1
+	})
 }
 
 // Drain appends all events to dst as Snapshot does and clears the queue.
@@ -254,16 +295,9 @@ func (q *Queue) Drain(dst []sim.Event) []sim.Event {
 // stands — a sorted array is a heap, and pops the same sequence — so the
 // sort needs no scratch and moves 24-byte keys, not events.
 func (q *Queue) Snapshot(dst []sim.Event) []sim.Event {
-	slices.SortFunc(q.h, func(a, b entry) int {
-		if a.before(&b) {
-			return -1
-		}
-		return 1
-	})
+	sortEntries(q.h)
 	for i := range q.h {
-		e := &q.h[i]
-		s := &q.arena[e.idx]
-		dst = append(dst, sim.Event{Time: e.time, Src: e.src, Seq: e.seq, Node: s.node, Fn: s.fn, Desc: s.desc})
+		dst = append(dst, q.event(&q.h[i]))
 	}
 	return dst
 }
