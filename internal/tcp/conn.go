@@ -1,6 +1,8 @@
 package tcp
 
 import (
+	"slices"
+
 	"unison/internal/packet"
 	"unison/internal/sim"
 	"unison/internal/stats"
@@ -642,29 +644,22 @@ func (c *conn) coveredIn(lo, hi uint32) uint32 {
 	return n
 }
 
+// insertOOO adds [lo,hi) to the sorted, disjoint out-of-order list: the
+// run of intervals that overlap or touch it, [i,j), becomes their union.
 func (c *conn) insertOOO(lo, hi uint32) {
-	// Insert keeping the list sorted and merged.
-	out := c.ooo[:0]
-	placed := false
-	for _, iv := range c.ooo {
-		switch {
-		case iv.hi < lo:
-			out = append(out, iv)
-		case hi < iv.lo:
-			if !placed {
-				out = append(out, interval{lo, hi})
-				placed = true
-			}
-			out = append(out, iv)
-		default: // overlap: merge
-			lo = minU(lo, iv.lo)
-			hi = maxU(hi, iv.hi)
-		}
+	i := 0
+	for i < len(c.ooo) && c.ooo[i].hi < lo {
+		i++
 	}
-	if !placed {
-		out = append(out, interval{lo, hi})
+	j := i
+	for j < len(c.ooo) && c.ooo[j].lo <= hi {
+		j++
 	}
-	c.ooo = out
+	if i < j {
+		lo = minU(lo, c.ooo[i].lo)
+		hi = maxU(hi, c.ooo[j-1].hi)
+	}
+	c.ooo = slices.Replace(c.ooo, i, j, interval{lo, hi})
 }
 
 func minU(a, b uint32) uint32 {
