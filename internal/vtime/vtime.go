@@ -3,7 +3,7 @@
 // and the null-message kernel on pdes.Ranks — the partition, window,
 // mailbox, scheduling and channel-clock code that executes is the live
 // kernels', not a model of it — but from a single real thread, with every
-// virtual worker/rank owning a virtual clock advanced by a calibrated cost
+// virtual worker/rank owning a virtual clock advanced by a hand-set cost
 // model charged from what each step reports (events run, cache misses,
 // messages moved, LPs re-sorted). What this package owns is only what is
 // virtual: which core a step is placed on (greedy list scheduling, core
