@@ -14,7 +14,8 @@
 // process must be given the same scenario, assignments and -hosts count;
 // the scenario is reconstructed deterministically in every process. With
 // -set artifacts.dir=D on every process, the hosts collect their devices'
-// records and the coordinator writes the run-artifact bundle into D.
+// records and their round records, and the coordinator writes the
+// run-artifact bundle into D.
 package main
 
 import (
@@ -22,6 +23,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"path/filepath"
 	"time"
 
 	"unison"
@@ -44,7 +46,7 @@ func main() {
 		tmo    = flag.Duration("timeout", 30*time.Second, "per-message network deadline (0 disables)")
 		dials  = flag.Int("dial-attempts", 8, "host dial retries for the coordinator startup race")
 		debugA = flag.String("debug-addr", "", "serve /debug/vars and /debug/pprof on this address (e.g. :6060)")
-		liveA  = flag.String("live", "", "coord: serve the merged live telemetry view (JSON + SSE for unimon) on this address; host: any non-empty value piggybacks the telemetry sideband on the round protocol")
+		liveA  = flag.String("live", "", "coord: serve the run's record stream (for unimon) on this address; host: any non-empty value piggybacks the telemetry sideband on the round protocol (artifacts.dir does too)")
 
 		ckptDir = flag.String("checkpoint", "", "host role: write per-host snapshots ckpt-r<round>-h<id>.uckpt into this directory")
 		ckptN   = flag.Uint64("checkpoint-every", 100, "host role: snapshot cadence in window rounds")
@@ -137,38 +139,46 @@ func runCoord(listen string, hosts int, sc *unison.Scenario, tmo time.Duration, 
 		reg = obs.NewRegistry(0)
 		cfg.Observe, cfg.Net = reg, &dist.NetData{}
 	}
-	// The live view merges what the hosts piggyback on their min messages:
-	// per-rank round records, each filed under the lane of the connection
-	// it arrived on, and netobs row deltas (the queue heatmap). The
-	// session's own Registry holds one lane per rank; reg keeps the
+	// The record stream and the imbalance tracker take what the hosts
+	// piggyback on their min messages (they do under -live or with
+	// artifacts.dir): per-rank round records, each filed under the lane of
+	// the connection it arrived on, and netobs row deltas. reg keeps the
 	// coordinator's protocol rounds for the bundle.
-	var lsess *live.Session
-	if liveAddr != "" {
-		lsess, err = live.StartSession("unidist", sim.Time(sc.Stop), liveAddr, nil)
-		if err != nil {
+	var imb *obs.ImbalanceTracker
+	var stream *live.Stream
+	if sc.Artifacts.Dir != "" || liveAddr != "" {
+		path := "" // -live alone: a temporary stream
+		if sc.Artifacts.Dir != "" {
+			path = filepath.Join(sc.Artifacts.Dir, netobs.RecordsFile)
+		}
+		if stream, err = live.Create(path, "unidist", sim.Time(sc.Stop), sampleInterval(sc)); err != nil {
 			fatal(err)
 		}
-		lsess.State.SetQueueInterval(sampleInterval(sc))
-		fmt.Printf("live telemetry on http://%s/live\n", lsess.Server.Addr())
-		probe := lsess.Probe()
+		if liveAddr != "" {
+			bound, err := stream.Serve(liveAddr)
+			if err != nil {
+				fatal(err)
+			}
+			fmt.Printf("live telemetry on http://%s/live\n", bound)
+		}
+		imb = obs.NewImbalanceTracker()
+		probe := obs.Tee(imb, stream)
 		probe.BeginRun(obs.RunMeta{Kernel: fmt.Sprintf("dist(%d)", hosts), Workers: hosts, LPs: b.G.N()})
 		cfg.OnSideband = func(h int, side *dist.Sideband) {
 			for i := range side.Recs {
 				side.Recs[i].Worker = int32(h)
 				probe.OnRound(&side.Recs[i])
 			}
-			lsess.State.IngestRows(side.Rows)
-			lsess.State.MarkRank(h)
+			stream.Rows(side.Rows)
 		}
 	}
 	mon, rounds, err := dist.RunCoordinator(ln, cfg)
 	if err != nil {
 		fatal(err)
 	}
-	// Imbalance diagnostics land in the merged stats before they are
-	// serialized (run_stats.json) or served (the final live snapshot), so
-	// both views agree field for field.
-	lsess.Finish(stats)
+	// Imbalance diagnostics land in the merged stats before run_stats.json
+	// and the stream's stats line are written from them.
+	imb.Apply(stats)
 	fmt.Printf("simulation complete: %d rounds\n", rounds)
 	fmt.Printf("merged stats     %s\n", stats)
 	if stats.Imbalance != nil {
@@ -190,21 +200,29 @@ func runCoord(listen string, hosts int, sc *unison.Scenario, tmo time.Duration, 
 				cr.Pattern, cr.Completed, cr.Flows)
 		}
 	}
+	var files []string
 	if sc.Artifacts.Dir != "" {
 		// The single-process bundle, built from the merged monitor and the
 		// rows and trace the hosts shipped at gather.
 		b.Sim.Mon = mon
 		bundle := b.Bundle("unidist", stats, nil, reg)
 		bundle.Rows, bundle.Interval, bundle.Trace = cfg.Net.Rows, sampleInterval(sc), cfg.Net.Trace
-		files, err := bundle.Write(sc.Artifacts.Dir)
-		if err != nil {
+		if files, err = bundle.Write(sc.Artifacts.Dir); err != nil {
 			fatal(err)
 		}
+		files = append(files, netobs.RecordsFile)
+	}
+	if stream != nil {
+		// The stats line goes last, once the bundle is on disk: a watcher
+		// that sees it can open run_stats.json.
+		if err := stream.Finish(stats); err != nil {
+			fatal(fmt.Errorf("records: %w", err))
+		}
+		stream.Close()
+	}
+	if files != nil {
 		fmt.Printf("artifact bundle  %s (%v)\n", sc.Artifacts.Dir, files)
 	}
-	// Done is only published once the bundle is on disk, so a watcher
-	// reacting to the final frame can immediately open run_stats.json.
-	lsess.Close()
 }
 
 func runHost(id int32, addr string, hosts int, sc *unison.Scenario, tmo time.Duration, dials int, ckptDir string, ckptEvery uint64, restore string, liveSide bool) {
@@ -217,7 +235,7 @@ func runHost(id int32, addr string, hosts int, sc *unison.Scenario, tmo time.Dur
 	m := b.Sim.Model()
 	cfg := dist.HostConfig{
 		ID: id, Addr: addr, HostOf: hostOf, StopAt: sim.Time(sc.Stop),
-		Timeout: tmo, DialAttempts: dials, Live: liveSide,
+		Timeout: tmo, DialAttempts: dials, Live: liveSide || sc.Artifacts.Dir != "",
 	}
 	if ckptDir != "" || restore != "" {
 		// Sim.CkptTarget covers every wired layer (net, tcp, the collective

@@ -1,41 +1,58 @@
 // Command unimon attaches to a running unisim or unidist coordinator
-// started with -live ADDR and renders its telemetry: a terminal dashboard
-// (default), a single JSON snapshot (-once), or an NDJSON stream (-json)
-// for scripts and CI.
+// started with -live ADDR and reads its record stream: GET /live answers
+// with the run's records.ndjson from its first line and follows it as it
+// is written. unimon renders a terminal dashboard (default), one frame of
+// the stream so far (-once), or echoes the stream's lines (-json) for
+// scripts and CI.
 //
 //	unisim -set stop=50ms -live :9900 &
 //	unimon -live 127.0.0.1:9900
 //
-// The dashboard shows per-worker P/S/M bars, LBTS/virtual-time progress
-// with a wall-clock ETA, events/s, FEL depth, the queue-depth heatmap,
-// checkpoint age, rank liveness (distributed runs), and the live
-// load-imbalance diagnostics. unimon exits when the run finishes; with
-// -expect-stats FILE it then verifies the final live snapshot matches the
-// run's run_stats.json field for field (the CI smoke check).
+// unimon decodes the stream with netobs.DecodeRecord and folds its round
+// records with obs.Registry and obs.ImbalanceTracker, as the run does. The
+// rest it works out from the meta line and from when each record arrives:
+// per-worker P/S/M bars, LBTS progress with a wall-clock ETA, events/s,
+// FEL depth, the queue-depth heatmap, checkpoint age, rank liveness
+// (distributed runs) and the load-imbalance diagnostics. The stream's last
+// line is the run's final stats; with -expect-stats FILE unimon then
+// verifies they equal the run's run_stats.json field for field (the CI
+// smoke check).
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"reflect"
+	"sort"
 	"strings"
 	"time"
 
-	"unison/internal/obs/live"
+	"unison/internal/netobs"
+	"unison/internal/obs"
 	"unison/internal/sim"
+)
+
+const (
+	frameEvery     = 500 * time.Millisecond // dashboard redraw cadence
+	onceFor        = time.Second            // how long -once reads the stream
+	evWindow       = 5 * time.Second        // how far back events/s looks
+	rankStaleAfter = 10 * time.Second       // a rank silent this long is STALE
 )
 
 func main() {
 	var (
 		addr    = flag.String("live", "", "address of the run's -live endpoint (host:port)")
-		once    = flag.Bool("once", false, "fetch one snapshot, print it as JSON, exit")
-		ndjson  = flag.Bool("json", false, "stream snapshots as NDJSON instead of the dashboard")
+		once    = flag.Bool("once", false, "print one dashboard frame of the stream so far (what arrives within a second), exit")
+		ndjson  = flag.Bool("json", false, "echo the stream's NDJSON lines instead of the dashboard")
 		wait    = flag.Duration("attach-timeout", 10*time.Second, "how long to wait for the live endpoint to come up")
 		total   = flag.Duration("timeout", 0, "give up after this long overall (0 = until the run ends)")
-		expect  = flag.String("expect-stats", "", "after the run, verify the final snapshot matches this run_stats.json file")
+		expect  = flag.String("expect-stats", "", "after the run, verify the stream's final stats match this run_stats.json file")
 		noClear = flag.Bool("no-clear", false, "dashboard: append frames instead of redrawing in place")
 	)
 	flag.Parse()
@@ -45,74 +62,114 @@ func main() {
 		os.Exit(2)
 	}
 
-	if _, err := live.WaitUp(*addr, *wait); err != nil {
-		fatal(err)
-	}
-
 	ctx := context.Background()
 	if *total > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *total)
 		defer cancel()
 	}
-
-	if *once {
-		snap, err := live.Fetch(ctx, *addr)
-		if err != nil {
-			fatal(err)
-		}
-		snap.Scrub()
-		out, err := json.MarshalIndent(snap, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(string(out))
-		verify(*expect, snap)
-		return
-	}
-
-	var last *live.Snapshot
-	enc := json.NewEncoder(os.Stdout)
-	err := live.Watch(ctx, *addr, func(snap *live.Snapshot) bool {
-		last = snap
-		if *ndjson {
-			snap.Scrub()
-			if err := enc.Encode(snap); err != nil {
-				return false
-			}
-		} else {
-			render(os.Stdout, snap, *addr, !*noClear)
-		}
-		return !snap.Done
-	})
+	body, err := attach(ctx, *addr, *wait)
 	if err != nil {
 		fatal(err)
 	}
-	if last == nil {
-		fatal(fmt.Errorf("stream from %s ended before any snapshot arrived", *addr))
+	defer body.Close()
+
+	type line struct {
+		raw []byte
+		rec netobs.Record
 	}
-	if !last.Done {
-		// The stream can end on server shutdown or -timeout before the
-		// final frame; one direct fetch usually still reaches it.
-		if snap, err := live.Fetch(context.Background(), *addr); err == nil {
-			last = snap
+	in := make(chan line, 256)
+	readErr := make(chan error, 1)
+	go func() {
+		readErr <- netobs.ReadRecords(body, func(raw []byte, r *netobs.Record) error {
+			in <- line{raw, *r}
+			return nil
+		})
+		close(in)
+	}()
+
+	v := &view{addr: *addr}
+	frames := time.NewTicker(frameEvery)
+	defer frames.Stop()
+	var stop <-chan time.Time
+	if *once {
+		stop = time.After(onceFor)
+	}
+read:
+	for {
+		select {
+		case l, ok := <-in:
+			if !ok {
+				if err := <-readErr; err != nil && v.final == nil {
+					fatal(fmt.Errorf("reading the stream from %s: %w", *addr, err))
+				}
+				break read
+			}
+			if err := v.fold(&l.rec, time.Now()); err != nil {
+				fatal(err)
+			}
+			if *ndjson {
+				if _, err := os.Stdout.Write(l.raw); err != nil {
+					fatal(err)
+				}
+			}
+		case <-frames.C:
+			if !*ndjson && !*once {
+				v.render(os.Stdout, time.Now(), !*noClear)
+			}
+		case <-stop:
+			break read
+		case <-ctx.Done():
+			break read
 		}
 	}
 	if !*ndjson {
-		fmt.Println()
+		v.render(os.Stdout, time.Now(), !*noClear && !*once)
 	}
-	verify(*expect, last)
+	verify(*expect, v.final)
 }
 
-// verify compares the final live snapshot against the run's serialized
-// run_stats.json — the acceptance check that the live view and the
-// artifact agree field for field. No-op without -expect-stats.
-func verify(path string, snap *live.Snapshot) {
+// attach opens the stream at addr, retrying until the endpoint answers or
+// wait elapses: the handshake for a watcher started alongside a run.
+func attach(ctx context.Context, addr string, wait time.Duration) (io.ReadCloser, error) {
+	url := addr
+	if !strings.HasPrefix(url, "http://") && !strings.HasPrefix(url, "https://") {
+		url = "http://" + url
+	}
+	url = strings.TrimSuffix(url, "/") + "/live"
+	deadline := time.Now().Add(wait)
+	for {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+		if err != nil {
+			return nil, err
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil && resp.StatusCode == http.StatusOK {
+			return resp.Body, nil
+		}
+		if err == nil {
+			resp.Body.Close()
+			err = errors.New(resp.Status)
+		}
+		if time.Now().After(deadline) {
+			return nil, fmt.Errorf("%s not up after %s: %w", addr, wait, err)
+		}
+		select {
+		case <-time.After(100 * time.Millisecond):
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+}
+
+// verify compares the stream's final stats with the run's serialized
+// run_stats.json. No-op without -expect-stats.
+func verify(path string, final *sim.RunStats) {
 	if path == "" {
 		return
 	}
-	if snap == nil || !snap.Done || snap.Final == nil {
-		fatal(fmt.Errorf("expect-stats: no final snapshot received (run still going?)"))
+	if final == nil {
+		fatal(fmt.Errorf("expect-stats: the stream ended before its stats line (run still going?)"))
 	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -122,83 +179,179 @@ func verify(path string, snap *live.Snapshot) {
 	if err := json.Unmarshal(raw, &want); err != nil {
 		fatal(fmt.Errorf("expect-stats: parsing %s: %w", path, err))
 	}
-	if !reflect.DeepEqual(&want, snap.Final) {
+	if !reflect.DeepEqual(&want, final) {
 		a, _ := json.Marshal(&want)
-		b, _ := json.Marshal(snap.Final)
-		fmt.Fprintf(os.Stderr, "unimon: final snapshot disagrees with %s\n  file:     %s\n  snapshot: %s\n", path, a, b)
+		b, _ := json.Marshal(final)
+		fmt.Fprintf(os.Stderr, "unimon: the stream's final stats disagree with %s\n  file:   %s\n  stream: %s\n", path, a, b)
 		os.Exit(1)
 	}
-	fmt.Printf("final snapshot matches %s\n", path)
+	fmt.Printf("final stats match %s\n", path)
+}
+
+type qkey struct {
+	node sim.NodeID
+	link int32
+}
+
+// qcell is one device's latest queue sample: a heatmap cell.
+type qcell struct {
+	qkey
+	depth, maxDepth int32
+	drops           uint64
+	util            float64
+	tick            sim.Time
+}
+
+type sample struct {
+	at     time.Time
+	events uint64
+}
+
+// view is the stream folded so far.
+type view struct {
+	addr   string
+	meta   netobs.StreamMeta
+	reg    *obs.Registry
+	imb    *obs.ImbalanceTracker
+	seen   []time.Time // per lane, when its latest record arrived
+	ckpt   time.Time   // when the latest record of a checkpoint arrived
+	queues map[qkey]*qcell
+	rate   []sample // frames' event totals, for events/s
+	final  *sim.RunStats
+	end    time.Time // when the stats line arrived
+}
+
+// fold adds one record, arrived at now. A meta line starts the view over.
+func (v *view) fold(r *netobs.Record, now time.Time) error {
+	if r.Meta == nil && v.reg == nil {
+		return errors.New("the stream does not start with its meta line")
+	}
+	switch {
+	case r.Meta != nil:
+		*v = view{addr: v.addr, meta: *r.Meta, reg: obs.NewRegistry(1), imb: obs.NewImbalanceTracker(),
+			seen: make([]time.Time, max(r.Meta.Workers, 1)), queues: map[qkey]*qcell{}}
+		m := obs.RunMeta{Kernel: r.Meta.Kernel, Workers: r.Meta.Workers, LPs: r.Meta.LPs}
+		v.reg.BeginRun(m)
+		v.imb.BeginRun(m)
+	case r.Round != nil:
+		v.reg.OnRound(r.Round)
+		v.imb.OnRound(r.Round)
+		if w := int(r.Round.Worker); w >= 0 && w < len(v.seen) {
+			v.seen[w] = now
+		}
+		if r.Round.CkptNS > 0 {
+			v.ckpt = now
+		}
+	case r.Row != nil:
+		k := qkey{r.Row.Node, r.Row.Link}
+		c := v.queues[k]
+		if c == nil {
+			c = &qcell{qkey: k}
+			v.queues[k] = c
+		}
+		if r.Row.Tick >= c.tick {
+			c.tick, c.depth, c.util = r.Row.Tick, r.Row.Depth, r.Row.Utilization(sim.Time(v.meta.IntervalNS))
+		}
+		c.maxDepth = max(c.maxDepth, r.Row.MaxDepth)
+		c.drops += uint64(r.Row.Drops)
+	case r.Stats != nil:
+		v.final, v.end = r.Stats, now
+	}
+	return nil
 }
 
 // render draws one dashboard frame.
-func render(w *os.File, s *live.Snapshot, addr string, clear bool) {
+func (v *view) render(w io.Writer, now time.Time, clear bool) {
+	if v.reg == nil {
+		return
+	}
 	var b strings.Builder
 	if clear {
 		b.WriteString("\033[H\033[2J")
 	}
+	m := &v.meta
 	state := "running"
-	if s.Done {
-		state = "done"
+	if v.final != nil {
+		state, now = "done", v.end
 	}
 	fmt.Fprintf(&b, "unimon — %s @ %s   kernel %s   workers %d   LPs %d   [%s]\n",
-		s.Tool, addr, s.Kernel, s.Workers, s.LPs, state)
+		m.Tool, v.addr, m.Kernel, m.Workers, m.LPs, state)
 
-	if s.StopAtNS > 0 {
-		fmt.Fprintf(&b, "progress  %s %5.1f%%  vtime %s / %s  elapsed %s  eta %s\n",
-			bar(s.Progress, 24), 100*s.Progress,
-			simMS(s.LBTSNS), simMS(s.StopAtNS),
-			secs(s.ElapsedSeconds), eta(s.ETASeconds))
-	} else {
-		fmt.Fprintf(&b, "progress  vtime %s  elapsed %s\n", simMS(s.LBTSNS), secs(s.ElapsedSeconds))
-	}
-	fmt.Fprintf(&b, "events    %s (%s/s)   rounds %d   FEL %d   ckpt %s\n",
-		count(float64(s.Events)), count(s.EventsPerSec), s.Rounds, s.FELDepth, ckpt(s.CkptAgeSeconds))
-
-	if len(s.WorkerViews) > 0 {
-		b.WriteString("workers   P/S/M\n")
-		for _, v := range s.WorkerViews {
-			fmt.Fprintf(&b, "  w%-3d %s P %4.1f%% S %4.1f%% M %4.1f%%  ev %-8s fel %-6d lbts %s",
-				v.Worker, psmBar(v.PShare, v.SShare, v.MShare, 20),
-				100*v.PShare, 100*v.SShare, 100*v.MShare,
-				count(float64(v.Events)), v.FELDepth, simMS(v.LBTSNS))
-			if v.Migrations > 0 {
-				fmt.Fprintf(&b, " migr %d", v.Migrations)
-			}
-			if v.StragglerRounds > 0 {
-				fmt.Fprintf(&b, " strag %d", v.StragglerRounds)
-			}
-			b.WriteByte('\n')
+	lanes, _ := v.reg.Totals()
+	var events, depth, rounds uint64
+	var lbts sim.Time
+	for i := range lanes {
+		l := &lanes[i]
+		events, depth, lbts = events+l.Events, depth+l.FELDepth, max(lbts, l.LBTS)
+		if l.Records > 0 {
+			rounds = max(rounds, l.Round+1)
 		}
 	}
-	if im := s.Imbalance; im != nil {
-		fmt.Fprintf(&b, "%s\n", im)
+	elapsed := now.Sub(time.Unix(0, m.StartUnixNS)).Seconds()
+	if m.StopNS > 0 {
+		p, eta := min(float64(lbts)/float64(m.StopNS), 1), "?"
+		if v.final != nil {
+			p, eta = 1, secs(0)
+		} else if p > 0 && p < 1 {
+			eta = secs(elapsed * (1 - p) / p)
+		}
+		fmt.Fprintf(&b, "progress  %s %5.1f%%  vtime %s / %s  elapsed %s  eta %s\n",
+			bar(p, 24), 100*p, simMS(int64(lbts)), simMS(m.StopNS), secs(elapsed), eta)
+	} else {
+		fmt.Fprintf(&b, "progress  vtime %s  elapsed %s\n", simMS(int64(lbts)), secs(elapsed))
 	}
-	if len(s.Ranks) > 0 {
-		b.WriteString("ranks    ")
-		for _, r := range s.Ranks {
-			mark := "up"
-			if !r.Alive {
-				mark = "STALE"
-			}
-			fmt.Fprintf(&b, " r%d %s %.1fs (%d rounds, %s ev)",
-				r.Rank, mark, r.LastSeenSeconds, r.Rounds, count(float64(r.Events)))
+	ckpt := "none"
+	if !v.ckpt.IsZero() {
+		ckpt = fmt.Sprintf("%.0fs ago", now.Sub(v.ckpt).Seconds())
+	}
+	fmt.Fprintf(&b, "events    %s (%s/s)   rounds %d   FEL %d   ckpt %s\n",
+		count(float64(events)), count(v.eventRate(now, events)), rounds, depth, ckpt)
+
+	straggler := v.imb.StragglerRounds(len(lanes))
+	b.WriteString("workers   P/S/M\n")
+	for i := range lanes {
+		l := &lanes[i]
+		var ps, ss, ms float64
+		if tot := float64(l.ProcNS + l.SyncNS + l.MsgNS); tot > 0 {
+			ps, ss, ms = float64(l.ProcNS)/tot, float64(l.SyncNS)/tot, float64(l.MsgNS)/tot
+		}
+		fmt.Fprintf(&b, "  w%-3d %s P %4.1f%% S %4.1f%% M %4.1f%%  ev %-8s fel %-6d lbts %s",
+			i, psmBar(ps, ss, 20), 100*ps, 100*ss, 100*ms, count(float64(l.Events)), l.FELDepth, simMS(int64(l.LBTS)))
+		if l.Migrations > 0 {
+			fmt.Fprintf(&b, " migr %d", l.Migrations)
+		}
+		if straggler[i] > 0 {
+			fmt.Fprintf(&b, " strag %d", straggler[i])
 		}
 		b.WriteByte('\n')
 	}
-	if len(s.Queues) > 0 {
-		b.WriteString("queues    hottest:")
-		n := len(s.Queues)
-		if n > 6 {
-			n = 6
-		}
-		for _, q := range s.Queues[:n] {
-			fmt.Fprintf(&b, "  n%d/l%d d%d(max %d)", q.Node, q.Link, q.Depth, q.MaxDepth)
-			if q.Drops > 0 {
-				fmt.Fprintf(&b, " drop %d", q.Drops)
+	if im := v.imb.Summary(); im != nil {
+		fmt.Fprintf(&b, "%s\n", im)
+	}
+	if m.Tool == "unidist" {
+		b.WriteString("ranks    ")
+		for i, at := range v.seen {
+			if at.IsZero() {
+				fmt.Fprintf(&b, " r%d waiting", i)
+				continue
 			}
-			if q.Util > 0 {
-				fmt.Fprintf(&b, " %2.0f%%", 100*q.Util)
+			mark, age := "up", now.Sub(at)
+			if age >= rankStaleAfter {
+				mark = "STALE"
+			}
+			fmt.Fprintf(&b, " r%d %s %.1fs (%d rounds, %s ev)", i, mark, age.Seconds(), lanes[i].Records, count(float64(lanes[i].Events)))
+		}
+		b.WriteByte('\n')
+	}
+	if len(v.queues) > 0 {
+		b.WriteString("queues    hottest:")
+		for _, q := range v.hottest(6) {
+			fmt.Fprintf(&b, "  n%d/l%d d%d(max %d)", q.node, q.link, q.depth, q.maxDepth)
+			if q.drops > 0 {
+				fmt.Fprintf(&b, " drop %d", q.drops)
+			}
+			if q.util > 0 {
+				fmt.Fprintf(&b, " %2.0f%%", 100*q.util)
 			}
 		}
 		b.WriteByte('\n')
@@ -206,43 +359,59 @@ func render(w *os.File, s *live.Snapshot, addr string, clear bool) {
 	fmt.Fprint(w, b.String())
 }
 
+// eventRate returns events/s over the frames of the last evWindow (the
+// whole run while the window is thin), recording this frame's total.
+func (v *view) eventRate(now time.Time, events uint64) float64 {
+	v.rate = append(v.rate, sample{now, events})
+	for len(v.rate) > 1 && now.Sub(v.rate[1].at) > evWindow {
+		v.rate = v.rate[1:]
+	}
+	base := v.rate[0]
+	if now.Sub(base.at) < evWindow {
+		base = sample{at: time.Unix(0, v.meta.StartUnixNS)}
+	}
+	if dt := now.Sub(base.at).Seconds(); dt > 0 {
+		return float64(events-base.events) / dt
+	}
+	return 0
+}
+
+// hottest returns up to n heatmap cells, busiest first: depth, then drops,
+// then (node, link) for a stable tail.
+func (v *view) hottest(n int) []*qcell {
+	cells := make([]*qcell, 0, len(v.queues))
+	for _, c := range v.queues { //unison:ordered cells sorted below
+		cells = append(cells, c)
+	}
+	sort.Slice(cells, func(i, j int) bool {
+		a, b := cells[i], cells[j]
+		if a.depth != b.depth {
+			return a.depth > b.depth
+		}
+		if a.drops != b.drops {
+			return a.drops > b.drops
+		}
+		if a.node != b.node {
+			return a.node < b.node
+		}
+		return a.link < b.link
+	})
+	return cells[:min(n, len(cells))]
+}
+
 func bar(p float64, width int) string {
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	full := int(p * float64(width))
+	full := int(max(0, min(p, 1)) * float64(width))
 	return "[" + strings.Repeat("#", full) + strings.Repeat(".", width-full) + "]"
 }
 
-// psmBar renders the worker's time split as one segmented bar.
-func psmBar(p, s, m float64, width int) string {
-	pw := int(p * float64(width))
-	sw := int(s * float64(width))
-	mw := width - pw - sw
-	if mw < 0 {
-		mw = 0
-	}
-	return "[" + strings.Repeat("P", pw) + strings.Repeat("S", sw) + strings.Repeat("M", mw) + "]"
+// psmBar renders a worker's time split as one segmented bar.
+func psmBar(p, s float64, width int) string {
+	pw, sw := int(p*float64(width)), int(s*float64(width))
+	return "[" + strings.Repeat("P", pw) + strings.Repeat("S", sw) + strings.Repeat("M", max(width-pw-sw, 0)) + "]"
 }
 
 func simMS(ns int64) string { return fmt.Sprintf("%.3fms", float64(ns)/1e6) }
 func secs(s float64) string { return fmt.Sprintf("%.1fs", s) }
-func eta(s float64) string {
-	if s < 0 {
-		return "?"
-	}
-	return secs(s)
-}
-
-func ckpt(age float64) string {
-	if age < 0 {
-		return "none"
-	}
-	return fmt.Sprintf("%.0fs ago", age)
-}
 
 func count(v float64) string {
 	switch {

@@ -19,16 +19,18 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"unison"
+	"unison/internal/netobs"
 	"unison/internal/obs"
 	"unison/internal/obs/live"
 	"unison/internal/sim"
 )
 
-// liveProgressEvery is the sequential kernel's progress-record cadence
-// under -live; round-based kernels report every round regardless.
-const liveProgressEvery = 50_000
+// progressEvery is the sequential kernel's progress-record cadence in an
+// observed run; round-based kernels report every round regardless.
+const progressEvery = 50_000
 
 func main() {
 	var (
@@ -37,7 +39,7 @@ func main() {
 		ckptN   = flag.Uint64("checkpoint-every", 100, "checkpoint cadence: synchronization rounds (events for the sequential kernel)")
 		ckptT   = flag.Duration("checkpoint-every-time", 0, "checkpoint cadence in simulated time (the null-message kernel's epoch length; ns when unitless)")
 		restore = flag.String("restore", "", "resume from this snapshot file instead of starting fresh")
-		liveA   = flag.String("live", "", "serve live telemetry (JSON + SSE for unimon) on this address (\":0\" picks a port)")
+		liveA   = flag.String("live", "", "serve the run's record stream (for unimon) on this address (\":0\" picks a port)")
 		sets    []string
 	)
 	flag.Func("set", "set one scenario key, path=value (repeatable; e.g. -set topology.k=8 -set stop=500us)", func(a string) error {
@@ -61,30 +63,36 @@ func main() {
 	if err != nil {
 		fatal(2, err)
 	}
-	// A bundle carries the kernel's worker lanes, so a run that writes one
-	// is observed by a registry (which only records: same result hash).
+	// A run that writes a bundle or serves -live is observed, the same way
+	// either way: the imbalance tracker stamps run_stats, the record stream
+	// gets every record, and a bundle's Registry keeps the kernel's worker
+	// lanes. Probes only record: same result hash.
 	var sampler *unison.NetSampler
 	var reg *obs.Registry
-	if sc.Artifacts.Dir != "" {
-		_, sampler = b.Sim.EnableNetObs(sc.Artifacts.Interval.T(), 0)
-		reg = obs.NewRegistry(0)
-		b.Observe = reg
-	}
-
-	var lsess *live.Session
-	if *liveA != "" {
-		// The view reads the bundle's Registry when there is one; else one
-		// that keeps only the totals.
-		if reg == nil {
-			reg = obs.NewRegistry(1)
+	var imb *obs.ImbalanceTracker
+	var stream *live.Stream
+	if sc.Artifacts.Dir != "" || *liveA != "" {
+		path, iv := "", sim.Time(0) // -live alone: a temporary stream
+		if sc.Artifacts.Dir != "" {
+			_, sampler = b.Sim.EnableNetObs(sc.Artifacts.Interval.T(), 0)
+			reg = obs.NewRegistry(0)
+			path, iv = filepath.Join(sc.Artifacts.Dir, netobs.RecordsFile), sampler.Interval()
 		}
-		lsess, err = live.StartSession("unisim", sc.Stop.T(), *liveA, reg)
-		if err != nil {
-			fatal(1, fmt.Errorf("live: %w", err))
+		if stream, err = live.Create(path, "unisim", sc.Stop.T(), iv); err != nil {
+			fatal(1, err)
 		}
-		b.Observe = lsess.Probe()
-		b.Progress = liveProgressEvery
-		fmt.Printf("live        http://%s/live\n", lsess.Server.Addr())
+		imb = obs.NewImbalanceTracker()
+		b.Observe, b.Progress = obs.Tee(imb, stream), progressEvery
+		if reg != nil {
+			b.Observe = obs.Tee(reg, b.Observe)
+		}
+		if *liveA != "" {
+			addr, err := stream.Serve(*liveA)
+			if err != nil {
+				fatal(1, fmt.Errorf("live: %w", err))
+			}
+			fmt.Printf("live        http://%s/live\n", addr)
+		}
 	}
 
 	m := b.Sim.Model()
@@ -92,14 +100,9 @@ func main() {
 		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
 			fatal(1, err)
 		}
-		// Under -live the view's Registry hears of every snapshot, for
-		// ckpt_age_seconds. The imbalance tracker must not: a snapshot's
-		// record, filed under worker 0, is not one of its rounds.
-		var snaps obs.Probe
-		if lsess != nil {
-			snaps = reg
-		}
-		unison.EnableCheckpoints(m, b.Sim.CkptTarget(), *ckptDir, *ckptN, sim.Time(ckptT.Nanoseconds()), snaps)
+		// Each snapshot's record joins the observed run's (the tracker
+		// skips it: it is no round).
+		unison.EnableCheckpoints(m, b.Sim.CkptTarget(), *ckptDir, *ckptN, sim.Time(ckptT.Nanoseconds()), b.Observe)
 	}
 	if *restore != "" {
 		if err := unison.RestoreCheckpoint(m, b.Sim.CkptTarget(), *restore); err != nil {
@@ -111,20 +114,9 @@ func main() {
 	if err != nil {
 		fatal(1, err)
 	}
-	if lsess != nil {
-		if sampler != nil {
-			// The run is over, so reading the sampler is race-free; the
-			// full row set becomes the final queue heatmap.
-			sampler.Flush()
-			lsess.State.SetQueueInterval(sampler.Interval())
-			lsess.State.IngestRows(sampler.LiveDelta())
-		}
-		// Imbalance diagnostics land in st before the bundle serializes
-		// it, and the final live snapshot carries the same stats object —
-		// watchers and run_stats.json agree.
-		lsess.Finish(st)
-		defer lsess.Close()
-	}
+	// Imbalance diagnostics land in st before run_stats.json and the
+	// stream's stats line are written from it.
+	imb.Apply(st)
 
 	fmt.Printf("kernel      %s\n", st.Kernel)
 	fmt.Printf("nodes       %d (%d hosts), %d LPs\n", b.G.N(), len(b.Hosts), st.LPs)
@@ -157,12 +149,25 @@ func main() {
 	}
 	fmt.Printf("retransmits %d, drops %d\n", b.Sim.Mon.TotalRetransmits(), b.Sim.Net.Drops())
 	fmt.Printf("result hash %016x\n", b.Sim.Mon.Fingerprint())
+	var files []string
 	if sc.Artifacts.Dir != "" {
 		bundle := b.Bundle("unisim", st, sampler, reg)
-		files, err := bundle.Write(sc.Artifacts.Dir)
-		if err != nil {
+		if files, err = bundle.Write(sc.Artifacts.Dir); err != nil {
 			fatal(1, fmt.Errorf("artifacts: %w", err))
 		}
+		// The run is over, so reading the sampler is race-free.
+		stream.Rows(sampler.LiveDelta())
+		files = append(files, netobs.RecordsFile)
+	}
+	if stream != nil {
+		// The stats line goes last, once the bundle is on disk: a watcher
+		// that sees it can open run_stats.json.
+		if err := stream.Finish(st); err != nil {
+			fatal(1, fmt.Errorf("records: %w", err))
+		}
+		stream.Close()
+	}
+	if files != nil {
 		fmt.Printf("artifacts   %s (%v)\n", sc.Artifacts.Dir, files)
 	}
 }

@@ -2,11 +2,12 @@ package unison_test
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -126,7 +127,7 @@ func skip(b *unison.BuiltScenario, k kernel, a axis) bool {
 	case a.distOnly && !dist:
 		return true // only an ensemble is killed
 	case dist && a.inproc:
-		return true // probes, live sessions and in-process snapshots are not dist's
+		return true // probes, the in-process record stream and in-process snapshots are not dist's
 	case a.ckpt && strings.HasPrefix(kind, "v"):
 		return true // the virtual testbed takes no checkpoints
 	}
@@ -247,8 +248,8 @@ func render(t *testing.T, bu *netobs.Bundle) artifacts {
 type opts struct {
 	netobs bool
 	probe  obs.Probe
-	live   *live.Session
-	dir    string // snapshots: written sp apart, or resumed from round from; the live run's bundle
+	live   *[]byte // non-nil: write the bundle and its record stream into dir, and what a watcher read from /live here
+	dir    string  // snapshots: written sp apart, or resumed from round from; the live run's bundle
 	sp     spacing
 	from   uint64
 	kill   int // dist: the first host's connection dies after this many writes
@@ -300,8 +301,22 @@ func local(t *testing.T, sc *unison.Scenario, k kernel, o opts) (artifacts, *sim
 		}
 	}
 	b.Observe = o.probe
+	var stream *live.Stream
+	var imb *obs.ImbalanceTracker
+	var watched chan []byte
 	if o.live != nil {
-		b.Observe, b.Progress = o.live.Probe(), 10_000
+		// The CLIs' wiring: a tracker and the stream, a watcher attached
+		// before the run starts.
+		sam := b.Sim.Net.Sampler()
+		if stream, err = live.Create(filepath.Join(o.dir, netobs.RecordsFile), "equiv", sc.Stop.T(), sam.Interval()); err != nil {
+			return artifacts{}, nil, []error{err}
+		}
+		defer stream.Close()
+		if watched, err = watch(stream); err != nil {
+			return artifacts{}, nil, []error{err}
+		}
+		imb = obs.NewImbalanceTracker()
+		b.Observe, b.Progress = obs.Tee(imb, stream), 10_000
 	}
 	exec := b.RunKernel
 	if k.run != nil {
@@ -311,16 +326,39 @@ func local(t *testing.T, sc *unison.Scenario, k kernel, o opts) (artifacts, *sim
 	if err != nil {
 		return artifacts{}, nil, []error{err}
 	}
+	imb.Apply(st)
 	bu := b.Bundle("equiv", st, b.Sim.Net.Sampler(), nil)
 	if o.live != nil {
-		o.live.State.SetQueueInterval(bu.Interval)
-		o.live.State.IngestRows(b.Sim.Net.Sampler().LiveDelta())
-		o.live.Finish(st)
 		if _, err := bu.Write(o.dir); err != nil {
 			return artifacts{}, nil, []error{err}
 		}
+		stream.Rows(b.Sim.Net.Sampler().LiveDelta())
+		if err := stream.Finish(st); err != nil {
+			return artifacts{}, nil, []error{err}
+		}
+		*o.live = <-watched
 	}
 	return render(t, bu), st, nil
+}
+
+// watch attaches a watcher to the stream's /live endpoint and returns the
+// channel its whole body arrives on.
+func watch(stream *live.Stream) (chan []byte, error) {
+	addr, err := stream.Serve("127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	resp, err := http.Get("http://" + addr + "/live")
+	if err != nil {
+		return nil, err
+	}
+	body := make(chan []byte, 1)
+	go func() {
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body) // a short read compares unequal
+		body <- b
+	}()
+	return body, nil
 }
 
 // ensemble runs sc on a loopback cluster, each host building its own copy and
@@ -459,7 +497,7 @@ func probedRun(t *testing.T, r *ref, k kernel) {
 	got, st := run(t, r.sc, k, opts{probe: reg})
 	compare(t, "probed run", got, r)
 	r.sameFused(t, "probed run", k, st)
-	workers, _, dropped := reg.Totals()
+	workers, dropped := reg.Totals()
 	var events, records uint64
 	for _, w := range workers {
 		events, records = events+w.Events, records+w.Records
@@ -472,37 +510,51 @@ func probedRun(t *testing.T, r *ref, k kernel) {
 	}
 }
 
-// liveRun attaches a live session, which may change nothing; the final
-// snapshot a watcher fetches must be field for field the run_stats.json,
-// and its event counts exact, since the view drops nothing.
+// liveRun writes the record stream while a watcher follows it over /live,
+// which may change nothing. The watcher reads the bundle's records.ndjson
+// byte for byte; its last line is the run_stats.json; and its round lines,
+// folded as unimon folds them, count every event and give the run's
+// imbalance diagnostics exactly.
 func liveRun(t *testing.T, r *ref, k kernel) {
-	sess, err := live.StartSession("equiv", r.sc.Stop.T(), "127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess.SetLinger(0)
-	defer sess.Close()
 	dir := t.TempDir()
-	got, st := run(t, r.sc, k, opts{netobs: true, live: sess, dir: dir})
+	var watched []byte
+	got, st := run(t, r.sc, k, opts{netobs: true, live: &watched, dir: dir})
 	compare(t, "live-attached run", got, r)
 	r.sameFused(t, "live-attached run", k, st)
-	sess.State.Finalize(st) // Close's order: Done is published once the bundle is on disk
-	snap, err := live.Fetch(context.Background(), sess.Server.Addr())
-	if err != nil {
-		t.Fatal(err)
+	file, err := os.ReadFile(filepath.Join(dir, netobs.RecordsFile))
+	if err != nil || !bytes.Equal(watched, file) {
+		t.Fatalf("a watcher read %d B from /live; the bundle's %s has %d B (%v)", len(watched), netobs.RecordsFile, len(file), err)
 	}
+	reg, imb := obs.NewRegistry(1), obs.NewImbalanceTracker()
+	var last *sim.RunStats
+	err = netobs.ReadRecords(bytes.NewReader(file), func(_ []byte, rec *netobs.Record) error {
+		if m := rec.Meta; m != nil {
+			meta := obs.RunMeta{Kernel: m.Kernel, Workers: m.Workers, LPs: m.LPs}
+			reg.BeginRun(meta)
+			imb.BeginRun(meta)
+		} else if rec.Round != nil {
+			reg.OnRound(rec.Round)
+			imb.OnRound(rec.Round)
+		}
+		last = rec.Stats
+		return nil
+	})
 	raw, _ := os.ReadFile(filepath.Join(dir, "run_stats.json"))
 	var want sim.RunStats
 	_ = json.Unmarshal(raw, &want) // a missing or broken file compares unequal
-	if !snap.Done || snap.Final == nil || snap.Final.Imbalance == nil || !reflect.DeepEqual(&want, snap.Final) {
-		t.Errorf("final snapshot != run_stats.json\n snap: %+v\n file: %+v", snap.Final, &want)
+	if err != nil || last == nil || want.Imbalance == nil || !reflect.DeepEqual(&want, last) {
+		t.Errorf("the stream's last line != run_stats.json (%v)\n line: %+v\n file: %+v", err, last, &want)
 	}
-	var perWorker uint64
-	for _, v := range snap.WorkerViews {
-		perWorker += v.Events
+	lanes, dropped := reg.Totals()
+	var events uint64
+	for _, l := range lanes {
+		events += l.Events
 	}
-	if snap.Events != st.Events || perWorker != st.Events {
-		t.Errorf("the view counted %d events, %d over its workers; the run executed %d", snap.Events, perWorker, st.Events)
+	if events != st.Events || dropped > 0 {
+		t.Errorf("the stream's round lines count %d events (%d dropped); the run executed %d", events, dropped, st.Events)
+	}
+	if im := imb.Summary(); !reflect.DeepEqual(im, st.Imbalance) {
+		t.Errorf("the stream's round lines fold to %v; the run's stats say %v", im, st.Imbalance)
 	}
 }
 

@@ -43,7 +43,7 @@ type Built struct {
 	Streaming bool
 	// Observe, when non-nil, is wired into whichever kernel RunKernel
 	// constructs. Set it between Build and the run (the CLIs hand it a
-	// registry, or a live session's probe).
+	// registry, an imbalance tracker and the record stream).
 	Observe obs.Probe
 	// Progress, for the sequential kernel only, emits a progress
 	// RoundRecord every Progress executed events so live watchers see

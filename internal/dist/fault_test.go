@@ -45,7 +45,7 @@ type distResult struct {
 	hostErrs []error
 	elapsed  time.Duration
 	// probes are what the coordinator (index 0) and host h (index 1+h) told
-	// their probe: a Registry or live session hangs off these calls.
+	// their probe: a Registry or record stream hangs off these calls.
 	probes []pairProbe
 }
 

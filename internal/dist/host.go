@@ -49,9 +49,9 @@ type HostConfig struct {
 	// record.
 	Observe obs.Probe
 	// Live piggybacks a telemetry Sideband (round records and netobs row
-	// deltas) on every kMin message, feeding the
-	// coordinator's merged live view. Purely observational: the
-	// simulation and its artifacts are bit-identical either way.
+	// deltas) on every kMin message, feeding the coordinator's record
+	// stream. Purely observational: the simulation and its artifacts are
+	// bit-identical either way.
 	Live bool
 
 	// Ckpt, when non-nil, is this host's checkpoint target (its layers

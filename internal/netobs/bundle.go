@@ -3,7 +3,6 @@ package netobs
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -24,6 +23,9 @@ import (
 //	series.csv          sampler time series (queue depth, drops, marks, util)
 //	trace.pcapng        packet trace, openable in Wireshark
 //	trace.perfetto.json combined kernel-lane + network-track Perfetto trace
+//	records.ndjson      the record stream (records.go), written by the CLIs
+//	                    while the run goes; its last line, the final stats,
+//	                    lands after every other file
 //
 // Files whose inputs are absent (nil trace, no sampler...) are skipped, so
 // a bundle is useful even from a tool that only has a subset wired up.
@@ -101,19 +103,6 @@ func writeJSON(path string, v any) error {
 	return f.Close()
 }
 
-// scrubStats replaces a non-finite imbalance ratio — RunStats' only
-// floats — with 0, in place: encoding/json refuses NaN/Inf, and one bad
-// ratio must cost that number, not run_stats.json.
-func scrubStats(st *sim.RunStats) {
-	if im := st.Imbalance; im != nil {
-		for _, f := range []*float64{&im.MeanMaxOverMean, &im.WorstMaxOverMean, &im.StragglerShare} {
-			if math.IsNaN(*f) || math.IsInf(*f, 0) {
-				*f = 0
-			}
-		}
-	}
-}
-
 // Write materializes the bundle under dir, creating it if needed, and
 // returns the list of files written (relative to dir).
 func (b *Bundle) Write(dir string) ([]string, error) {
@@ -136,7 +125,7 @@ func (b *Bundle) Write(dir string) ([]string, error) {
 	files = append(files, "meta.json")
 
 	if b.Stats != nil {
-		scrubStats(b.Stats)
+		finite(b.Stats) // as the record stream's stats line does
 		if err := writeJSON(filepath.Join(dir, "run_stats.json"), b.Stats); err != nil {
 			return fail("run_stats.json", err)
 		}

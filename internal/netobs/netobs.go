@@ -43,22 +43,26 @@ type SamplerConfig struct {
 // exported fields so the distributed kernel can gob-ship them at gather.
 type Row struct {
 	// Tick is the bucket start in simulated nanoseconds.
-	Tick sim.Time
+	Tick sim.Time `json:"tick"`
 	// Node and Link identify the device (one device per (node, link)).
-	Node sim.NodeID
-	Link int32
+	Node sim.NodeID `json:"node"`
+	Link int32      `json:"link"`
 	// Depth is the queue occupancy in packets when the bucket closed;
 	// MaxDepth is the highest occupancy observed within the bucket.
-	Depth, MaxDepth int32
+	Depth    int32 `json:"depth"`
+	MaxDepth int32 `json:"max_depth"`
 	// Enqueues, Dequeues, Drops, Marks count queue operations within the
 	// bucket. Drops include tail/AQM drops at enqueue and link-down
 	// drops; CoDel head drops surface as depth deltas.
-	Enqueues, Dequeues, Drops, Marks uint32
+	Enqueues uint32 `json:"enqueues"`
+	Dequeues uint32 `json:"dequeues"`
+	Drops    uint32 `json:"drops"`
+	Marks    uint32 `json:"marks"`
 	// TxBytes is the on-wire bytes that began transmission within the
 	// bucket; BW is the link bandwidth in bits/s, so exporters can
 	// derive utilization = TxBytes*8 / (Interval * BW).
-	TxBytes uint64
-	BW      int64
+	TxBytes uint64 `json:"tx_bytes"`
+	BW      int64  `json:"bw"`
 }
 
 // Utilization returns the link utilization of the bucket in [0, ~1].

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"math"
+	"math/bits"
 	"sync"
 
 	"unison/internal/sim"
@@ -30,6 +32,12 @@ type roundAgg struct {
 // ratio max(P)/mean(P), the worker on the critical path, and migration
 // counts. It composes with other probes via Tee.
 //
+// The result does not depend on the order records arrive in: a round's
+// ProcNS tie goes to the lowest worker id, an equal worst ratio keeps the
+// lowest round, and the ratios are summed exactly in fixed point. Two
+// trackers fed the same records in different interleavings (the CLI's and
+// a watcher folding the record stream) agree field for field.
+//
 // Like every probe it only observes; Apply stamps the result into a
 // RunStats after the run so the diagnostics land in run_stats.json
 // without kernels knowing the tracker exists.
@@ -38,8 +46,8 @@ type ImbalanceTracker struct {
 	workers int
 	pending map[uint64]*roundAgg
 
-	covered        uint64  // rounds with full worker coverage and sumP > 0
-	sumRatio       float64 // sum over covered rounds of maxP*workers/sumP
+	covered        uint64    // rounds with full worker coverage and sumP > 0
+	sumRatio       [2]uint64 // hi, lo: sum over covered rounds of maxP*workers/sumP, in units of 1/ratioUnit
 	worst          float64
 	worstRnd       uint64
 	worstWkr       int32
@@ -63,7 +71,7 @@ func (t *ImbalanceTracker) BeginRun(meta RunMeta) {
 	}
 	t.pending = make(map[uint64]*roundAgg)
 	t.covered = 0
-	t.sumRatio = 0
+	t.sumRatio = [2]uint64{}
 	t.worst = 0
 	t.worstRnd = 0
 	t.worstWkr = 0
@@ -71,10 +79,17 @@ func (t *ImbalanceTracker) BeginRun(meta RunMeta) {
 	t.migrations = 0
 }
 
+// ratioUnit is the fixed-point scale of the ratio sum: each round's ratio
+// is rounded to a multiple of 1/ratioUnit before it is added, so the sum
+// is exact and the same in any order.
+const ratioUnit = 1 << 32
+
 // OnRound implements Probe. A fused round, run by one worker alone, has
-// no balance to measure and is skipped.
+// no balance to measure and is skipped; so is a snapshot's record (a
+// checkpoint hook's, with CkptNS set and no round time), which is no
+// round at all.
 func (t *ImbalanceTracker) OnRound(rec *RoundRecord) {
-	if rec.Fused {
+	if rec.Fused || rec.CkptNS > 0 && rec.ProcNS == 0 && rec.SyncNS == 0 && rec.MsgNS == 0 {
 		return
 	}
 	t.mu.Lock()
@@ -105,7 +120,7 @@ func (t *ImbalanceTracker) OnRound(rec *RoundRecord) {
 	agg.seen++
 	agg.sumP += rec.ProcNS
 	agg.migrations += rec.Migrations
-	if rec.ProcNS > agg.maxP || agg.maxWorker < 0 {
+	if rec.ProcNS > agg.maxP || agg.maxWorker < 0 || rec.ProcNS == agg.maxP && rec.Worker < agg.maxWorker {
 		agg.maxP = rec.ProcNS
 		agg.maxWorker = rec.Worker
 	}
@@ -114,10 +129,12 @@ func (t *ImbalanceTracker) OnRound(rec *RoundRecord) {
 		if agg.sumP > 0 {
 			ratio := float64(agg.maxP) * float64(t.workers) / float64(agg.sumP)
 			t.covered++
-			t.sumRatio += ratio
+			var carry uint64
+			t.sumRatio[1], carry = bits.Add64(t.sumRatio[1], uint64(math.Round(ratio*ratioUnit)), 0)
+			t.sumRatio[0] += carry
 			t.stragglerCount[agg.maxWorker]++
 			t.migrations += agg.migrations
-			if ratio > t.worst {
+			if ratio > t.worst || ratio == t.worst && rec.Round < t.worstRnd {
 				t.worst = ratio
 				t.worstRnd = rec.Round
 				t.worstWkr = agg.maxWorker
@@ -143,7 +160,7 @@ func (t *ImbalanceTracker) summaryLocked() *sim.Imbalance {
 	}
 	im := &sim.Imbalance{
 		Rounds:           t.covered,
-		MeanMaxOverMean:  t.sumRatio / float64(t.covered),
+		MeanMaxOverMean:  (float64(t.sumRatio[0])*0x1p64 + float64(t.sumRatio[1])) / ratioUnit / float64(t.covered),
 		WorstMaxOverMean: t.worst,
 		WorstRound:       t.worstRnd,
 		WorstWorker:      t.worstWkr,

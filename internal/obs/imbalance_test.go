@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"unison/internal/sim"
@@ -35,8 +36,8 @@ func TestImbalanceSummary(t *testing.T) {
 	if im.WorstMaxOverMean != 1.5 || im.WorstRound != 1 || im.WorstWorker != 1 {
 		t.Fatalf("worst = %.2f @ round %d worker %d", im.WorstMaxOverMean, im.WorstRound, im.WorstWorker)
 	}
-	// Straggler: worker 0 won round 0 (ties break to lower worker id via
-	// first-report), worker 1 won round 1 — 1 each; lower id wins the tie.
+	// Straggler: worker 0 won round 0 (a ProcNS tie goes to the lower
+	// worker id), worker 1 won round 1 — 1 each; lower id wins the tie.
 	if im.StragglerWorker != 0 || im.StragglerShare != 0.5 {
 		t.Fatalf("straggler = w%d share %.2f", im.StragglerWorker, im.StragglerShare)
 	}
@@ -104,5 +105,59 @@ func TestImbalancePendingEviction(t *testing.T) {
 	tr.mu.Unlock()
 	if pending > maxPendingRounds {
 		t.Fatalf("pending rounds = %d, want <= %d", pending, maxPendingRounds)
+	}
+}
+
+// TestImbalanceIgnoresRecordOrder folds one set of rounds in two orders,
+// each round's records reversed and the rounds themselves reversed, and
+// gets the same diagnostics: ProcNS ties go to the lowest worker, an
+// equal worst ratio keeps the lowest round, and the ratio sum is exact.
+func TestImbalanceIgnoresRecordOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		rounds [][]int64 // rounds[r][w] is worker w's ProcNS in round r
+	}{
+		{"ties within rounds", [][]int64{{5, 5, 5}, {2, 7, 7}, {7, 7, 2}}},
+		{"equal worst ratios", [][]int64{{1, 3, 2}, {3, 1, 2}, {2, 2, 2}, {2, 1, 3}}},
+		{"inexact ratios", [][]int64{{3, 7, 11}, {13, 1, 5}, {17, 19, 2}, {1, 1, 9}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fold := func(reverse bool) (*sim.Imbalance, []uint64) {
+				tr := NewImbalanceTracker()
+				tr.BeginRun(RunMeta{Workers: 3})
+				n := len(tc.rounds)
+				for i := range n {
+					r := i
+					if reverse {
+						r = n - 1 - i
+					}
+					for j := range 3 {
+						w := j
+						if reverse {
+							w = 2 - j
+						}
+						tr.OnRound(&RoundRecord{Round: uint64(r), Worker: int32(w), ProcNS: tc.rounds[r][w]})
+					}
+				}
+				return tr.Summary(), tr.StragglerRounds(3)
+			}
+			a, as := fold(false)
+			b, bs := fold(true)
+			if a == nil || !reflect.DeepEqual(a, b) || !reflect.DeepEqual(as, bs) {
+				t.Fatalf("in order: %+v %v\nreversed: %+v %v", a, as, b, bs)
+			}
+		})
+	}
+}
+
+// TestImbalanceSkipsSnapshotRecords: a checkpoint hook's record, filed
+// under worker 0 with no round time, neither covers nor splits a round.
+func TestImbalanceSkipsSnapshotRecords(t *testing.T) {
+	tr := NewImbalanceTracker()
+	tr.BeginRun(RunMeta{Workers: 2})
+	tr.OnRound(&RoundRecord{Round: 0, Worker: 0, CkptNS: 50, CkptBytes: 9})
+	feedRound(tr, 0, 1, 3)
+	if im := tr.Summary(); im == nil || im.Rounds != 1 || im.WorstMaxOverMean != 1.5 {
+		t.Fatalf("summary = %+v, want one round at 1.5", im)
 	}
 }

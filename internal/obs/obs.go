@@ -4,8 +4,8 @@
 // the distributed coordinator/hosts) reports into, a Registry that
 // captures per-round records into per-worker ring buffers without
 // allocating on the round path and keeps every worker's running totals
-// (the one fold the live view reads), and a Chrome/Perfetto trace-event
-// exporter (perfetto.go).
+// (the fold a record-stream watcher runs too), and a Chrome/Perfetto
+// trace-event exporter (perfetto.go).
 //
 // Determinism rules (pinned by the equivalence tests):
 //
@@ -23,7 +23,6 @@ package obs
 import (
 	"sort"
 	"sync"
-	"time"
 	"unsafe"
 
 	"unison/internal/sim"
@@ -189,7 +188,7 @@ const DefaultRingCapacity = 8192
 
 // WorkerTotals is one worker's running totals over every record of the
 // current run, overwritten ones included: the per-worker T = P + S + M
-// split and the gauges the live view shows.
+// split and the gauges a watcher shows.
 type WorkerTotals struct {
 	// Records counts the worker's records: its rounds, plus any snapshot
 	// records a checkpoint hook files under it.
@@ -205,9 +204,6 @@ type WorkerTotals struct {
 	LBTS     sim.Time
 	Round    uint64
 	FELDepth uint64
-	// CkptAt is the wall time the newest record with CkptNS > 0 arrived
-	// (zero when none has).
-	CkptAt time.Time
 }
 
 // workerRing is one worker's record stream: a ring of at most the
@@ -228,9 +224,8 @@ type workerRing struct {
 type Registry struct {
 	capacity int
 
-	mu      sync.Mutex // guards meta/begun/final/dropped and the rings slice identity
+	mu      sync.Mutex // guards meta/final/dropped and the rings slice identity
 	meta    RunMeta
-	begun   time.Time
 	final   *sim.RunStats
 	rings   []*workerRing
 	dropped uint64 // records addressed to out-of-range workers
@@ -250,7 +245,6 @@ func (g *Registry) BeginRun(meta RunMeta) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.meta = meta
-	g.begun = time.Now()
 	g.final = nil
 	g.dropped = 0
 	n := meta.Workers
@@ -292,9 +286,6 @@ func (g *Registry) OnRound(rec *RoundRecord) {
 	if rec.LBTS != sim.MaxTime && rec.LBTS > t.LBTS {
 		t.LBTS = rec.LBTS
 	}
-	if rec.CkptNS > 0 {
-		t.CkptAt = time.Now()
-	}
 	r.mu.Unlock()
 }
 
@@ -319,13 +310,12 @@ func (g *Registry) Final() *sim.RunStats {
 	return g.final
 }
 
-// Totals returns a copy of every worker's running totals, the wall time of
-// the current run's BeginRun (zero before the first), and how many records
-// were dropped for naming an out-of-range worker. Safe during a run: each
-// worker is read under its own lock.
-func (g *Registry) Totals() (workers []WorkerTotals, begun time.Time, dropped uint64) {
+// Totals returns a copy of every worker's running totals and how many
+// records were dropped for naming an out-of-range worker. Safe during a
+// run: each worker is read under its own lock.
+func (g *Registry) Totals() (workers []WorkerTotals, dropped uint64) {
 	g.mu.Lock()
-	rings, begun, dropped := g.rings, g.begun, g.dropped
+	rings, dropped := g.rings, g.dropped
 	g.mu.Unlock()
 	workers = make([]WorkerTotals, len(rings))
 	for i, r := range rings {
@@ -333,7 +323,7 @@ func (g *Registry) Totals() (workers []WorkerTotals, begun time.Time, dropped ui
 		workers[i] = r.tot
 		r.mu.Unlock()
 	}
-	return workers, begun, dropped
+	return workers, dropped
 }
 
 // Records returns every retained record merged in (Round, Worker) order.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
-	"time"
 
 	"unison/internal/sim"
 )
@@ -65,7 +64,7 @@ func TestRegistryRingWrap(t *testing.T) {
 		}
 	}
 	// Totals survive overwrites even though old records are gone.
-	w, _, _ := g.Totals()
+	w, _ := g.Totals()
 	if len(w) != 1 || w[0].Records != total || w[0].Events != total || w[0].Round != total-1 {
 		t.Errorf("totals = %+v, want %d records and events, round %d", w, total, total-1)
 	}
@@ -92,22 +91,17 @@ func TestRegistryRingGrowsOnDemand(t *testing.T) {
 
 func TestRegistryTotals(t *testing.T) {
 	g := NewRegistry(1)
-	if w, begun, _ := g.Totals(); len(w) != 0 || !begun.IsZero() {
-		t.Fatalf("totals before BeginRun: %+v, begun %v", w, begun)
+	if w, _ := g.Totals(); len(w) != 0 {
+		t.Fatalf("totals before BeginRun: %+v", w)
 	}
-	before := time.Now()
 	g.BeginRun(RunMeta{Kernel: "test", Workers: 2, LPs: 2})
 	g.OnRound(&RoundRecord{Round: 0, Worker: 1, LBTS: 500, Events: 4, ProcNS: 3, SyncNS: 2, MsgNS: 1, FELDepth: 9, Migrations: 2, CkptNS: 7})
 	g.OnRound(&RoundRecord{Round: 1, Worker: 1, LBTS: sim.MaxTime, Events: 6, ProcNS: 3, FELDepth: 5, Migrations: 1})
-	w, begun, dropped := g.Totals()
-	if begun.Before(before) || dropped != 0 || len(w) != 2 || w[0] != (WorkerTotals{}) {
-		t.Fatalf("begun %v (BeginRun after %v), dropped %d, totals %+v", begun, before, dropped, w)
+	w, dropped := g.Totals()
+	if dropped != 0 || len(w) != 2 || w[0] != (WorkerTotals{}) {
+		t.Fatalf("dropped %d, totals %+v", dropped, w)
 	}
 	got := w[1]
-	if got.CkptAt.Before(begun) {
-		t.Fatalf("checkpoint stamped at %v, before the run began at %v", got.CkptAt, begun)
-	}
-	got.CkptAt = time.Time{}
 	want := WorkerTotals{Records: 2, Events: 10, ProcNS: 6, SyncNS: 2, MsgNS: 1, Migrations: 3, LBTS: 500, Round: 1, FELDepth: 5}
 	if got != want {
 		t.Fatalf("worker 1 totals = %+v, want %+v", got, want)
@@ -122,7 +116,7 @@ func TestRegistryDropsOutOfRangeWorkers(t *testing.T) {
 	if n := len(g.Records()); n != 0 {
 		t.Fatalf("got %d records, want 0", n)
 	}
-	if w, _, dropped := g.Totals(); dropped != 2 || w[0].Records != 0 {
+	if w, dropped := g.Totals(); dropped != 2 || w[0].Records != 0 {
 		t.Fatalf("dropped = %d, worker 0 records = %d; want 2 and 0", dropped, w[0].Records)
 	}
 }

@@ -30,8 +30,6 @@ type BarrierKernel struct {
 	// the kernel before the model's links exist: Run derives the partition
 	// and its lookahead from it.
 	LPOf []int32
-	// RecordRounds captures per-round P samples (Figures 5b/13a).
-	RecordRounds bool
 	// MaxRounds aborts runaway simulations when positive.
 	MaxRounds uint64
 	// Observe, when non-nil, receives one obs.RoundRecord per rank per
@@ -55,7 +53,5 @@ func (k *BarrierKernel) Run(m *sim.Model) (*sim.RunStats, error) {
 		}
 		part = core.Manual(k.LPOf, m.Links())
 	}
-	return core.RunStatic(m, k.Name(), part, core.Config{
-		RecordRounds: k.RecordRounds, MaxRounds: k.MaxRounds, Observe: k.Observe,
-	}, nil)
+	return core.RunStatic(m, k.Name(), part, core.Config{MaxRounds: k.MaxRounds, Observe: k.Observe}, nil)
 }

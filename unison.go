@@ -39,7 +39,6 @@ import (
 	"unison/internal/netdev"
 	"unison/internal/netobs"
 	"unison/internal/obs"
-	"unison/internal/obs/live"
 	"unison/internal/packet"
 	"unison/internal/pdes"
 	"unison/internal/routing"
@@ -397,9 +396,9 @@ const (
 // receives one RoundRecord per worker per synchronization round. Probes
 // only observe: a probed run is bit-identical to an unprobed one (pinned
 // by the equivalence tests). The standard probe is Registry: it keeps each
-// worker's running totals (Registry.Totals, what the live view reads) and
-// its captured records become the kernel lanes of a bundle's Perfetto
-// trace.
+// worker's running totals (Registry.Totals, what a watcher folds the
+// record stream with) and its captured records become the kernel lanes of
+// a bundle's Perfetto trace.
 
 type (
 	// Probe receives kernel telemetry; see the interface docs for the
@@ -422,14 +421,16 @@ type (
 // per worker (a sensible default when capPerWorker <= 0).
 func NewRegistry(capPerWorker int) *Registry { return obs.NewRegistry(capPerWorker) }
 
-// --- Live telemetry (internal/obs + internal/obs/live) ---
+// --- Record stream and live telemetry (internal/netobs, internal/obs/live) ---
 //
-// A live session is a Registry and an ImbalanceTracker as the kernel's
-// probe, read by an HTTP server whenever a watcher asks: the worker pays
-// the Registry's fold and nothing else, and no record is ever dropped.
-// cmd CLIs wire it via live.StartSession and stream snapshots to
-// cmd/unimon; ImbalanceTracker computes the per-round load-imbalance
-// diagnostics that land in RunStats.Imbalance.
+// The CLIs tee an ImbalanceTracker and a record stream beside their
+// Registry. The stream is one NDJSON file, records.ndjson in the bundle:
+// a meta line, every round record and sampler row delta as the run goes,
+// and the final RunStats last. Under -live, GET /live serves that file
+// from its start and follows it to the stats line; cmd/unimon decodes it
+// and folds it with a Registry and an ImbalanceTracker of its own.
+// ImbalanceTracker computes the per-round load-imbalance diagnostics that
+// land in RunStats.Imbalance.
 
 type (
 	// ImbalanceTracker derives per-round max/mean processing-time ratios,
@@ -438,12 +439,6 @@ type (
 	// Imbalance is the run-level load-imbalance summary stamped into
 	// RunStats.Imbalance (and run_stats.json).
 	Imbalance = sim.Imbalance
-	// LiveSnapshot is the point-in-time view cmd/unimon renders, served
-	// as JSON and SSE by a live session.
-	LiveSnapshot = live.Snapshot
-	// LiveSession is the one-call -live wiring for CLIs: Registry +
-	// imbalance tracker + state + HTTP server.
-	LiveSession = live.Session
 	// BundleDiff is the metric-by-metric comparison of two artifact
 	// bundles (`unitrace diff`).
 	BundleDiff = netobs.BundleDiff
@@ -455,9 +450,6 @@ var (
 	NewImbalanceTracker = obs.NewImbalanceTracker
 	// TeeProbes fans probe calls out to several probes in order.
 	TeeProbes = obs.Tee
-	// StartLiveSession starts live telemetry for one CLI run: returns a
-	// session whose Probe() streams to watchers on addr.
-	StartLiveSession = live.StartSession
 	// DiffBundles compares two artifact directories metric by metric.
 	DiffBundles = netobs.DiffBundles
 )
