@@ -23,7 +23,7 @@ import "unison/internal/sim"
 // Chains are built head-first, so gather yields a worker's events to one
 // LP in reverse creation order. That is safe because (Time, Src, Seq) is
 // a total order with no duplicate keys: the FEL dequeues the same
-// sequence whatever the insertion order (pinned by equivalence_test.go).
+// sequence whatever the insertion order (pinned by equiv_test.go).
 
 // stagedEvent is one cross-LP event parked in a worker's staging buffer.
 type stagedEvent struct {

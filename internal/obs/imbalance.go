@@ -27,8 +27,8 @@ type roundAgg struct {
 }
 
 // ImbalanceTracker is a Probe computing the per-round load-imbalance
-// diagnostics the load-adaptive scheduler (and ROADMAP item 3's LP
-// migration) consume: for every round where all workers reported, the
+// diagnostics the load-adaptive scheduler (and a future LP migration)
+// consume: for every round where all workers reported, the
 // ratio max(P)/mean(P), the worker on the critical path, and migration
 // counts. It composes with other probes via Tee.
 //

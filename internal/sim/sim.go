@@ -450,8 +450,8 @@ type RunStats struct {
 
 	// Imbalance is the per-round load-imbalance summary computed by the
 	// imbalance diagnostics pass (internal/obs) when a telemetry probe
-	// observed the run; nil otherwise. This is the input signal for
-	// cross-rank LP migration (ROADMAP item 3).
+	// observed the run; nil otherwise. It is the signal a cross-rank LP
+	// migration would act on.
 	Imbalance *Imbalance `json:"imbalance,omitempty"`
 }
 

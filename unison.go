@@ -519,5 +519,5 @@ const (
 	VHybrid      = vtime.Hybrid
 )
 
-// DefaultCostModel returns the calibrated event cost model.
+// DefaultCostModel returns the hand-set event cost model.
 func DefaultCostModel() CostModel { return vtime.DefaultCostModel() }
