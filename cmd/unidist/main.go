@@ -140,7 +140,7 @@ func runCoord(listen string, hosts int, sc *unison.Scenario, tmo time.Duration, 
 		cfg.Observe, cfg.Net = reg, &dist.NetData{}
 	}
 	// The record stream and the imbalance tracker take what the hosts
-	// piggyback on their min messages (they do under -live or with
+	// piggyback on their steps and gathers (they do under -live or with
 	// artifacts.dir): per-rank round records, each filed under the lane of
 	// the connection it arrived on, and netobs row deltas. reg keeps the
 	// coordinator's protocol rounds for the bundle.

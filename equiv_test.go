@@ -599,11 +599,12 @@ func crossRestore(sp spacing) func(*testing.T, *ref, kernel) {
 }
 
 // killRestore kills a host's connection mid-run and restarts the ensemble from
-// the last round every host snapshotted. A round is about two writes after
-// gob's type descriptors (twenty-odd): the kill is paced by a plain run.
+// the last round every host snapshotted. The coordinator writes a host one
+// frame a round, so killing the connection at write Rounds/2 of a plain run
+// lands halfway through.
 func killRestore(t *testing.T, r *ref, k kernel) {
 	_, st := run(t, r.sc, k, opts{})
-	o := opts{netobs: true, dir: t.TempDir(), sp: spacing{rounds: max(1, st.Rounds/8)}, kill: 20 + int(st.Rounds)}
+	o := opts{netobs: true, dir: t.TempDir(), sp: spacing{rounds: max(1, st.Rounds/8)}, kill: max(1, int(st.Rounds)/2)}
 	if _, _, errs := ensemble(t, r.sc, k, o); errs[0] == nil || errors.Join(errs[1:]...) == nil {
 		t.Fatalf("the injected kill reached the coordinator as %v and the hosts as %v; want both to fail", errs[0], errs[1:])
 	}
@@ -612,6 +613,9 @@ func killRestore(t *testing.T, r *ref, k kernel) {
 		t.Fatal("the killed run left no round every host snapshotted")
 	}
 	from := rounds[len(rounds)-1]
+	if from == 0 || from >= st.Rounds {
+		t.Fatalf("the last round every host snapshotted is %d; a kill inside the run of %d rounds leaves one between", from, st.Rounds)
+	}
 	got, _ := run(t, r.sc, k, opts{netobs: true, dir: o.dir, from: from})
 	compare(t, fmt.Sprintf("killed and restored from round %d", from), got, r)
 }

@@ -37,6 +37,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"unison/internal/packet"
 	"unison/internal/sim"
 	"unison/internal/stats"
 )
@@ -159,6 +160,16 @@ func (e *Enc) raw(b string) {
 	e.buf = append(e.buf, b...)
 }
 
+// Blob appends b behind a u32 length, as Dec.Blob reads it.
+func (e *Enc) Blob(b []byte) {
+	e.U32(uint32(len(b)))
+	if e.counting {
+		e.size += len(b)
+		return
+	}
+	e.buf = append(e.buf, b...)
+}
+
 // Summary appends a stats.Summary (several layers carry one).
 func (e *Enc) Summary(s *stats.Summary) {
 	e.I64(int64(s.N))
@@ -168,6 +179,30 @@ func (e *Enc) Summary(s *stats.Summary) {
 	e.F64(s.MeanAcc)
 	e.F64(s.M2Acc)
 }
+
+// Packet appends every field of p. The packet is a value type with no
+// indirection, so field-by-field encoding is complete. Checkpoints and
+// internal/dist's frames share this one layout.
+func (e *Enc) Packet(p *packet.Packet) {
+	e.U32(uint32(p.Flow))
+	e.I32(int32(p.Src))
+	e.I32(int32(p.Dst))
+	e.U8(uint8(p.Proto))
+	e.U32(p.Seq)
+	e.U32(p.Ack)
+	e.U32(p.Wnd)
+	e.U8(p.Flags)
+	e.Bool(p.ECT)
+	e.Bool(p.CE)
+	e.I32(p.Payload)
+	e.Time(p.SendTime)
+	e.Time(p.EchoTime)
+	e.U8(p.Hops)
+}
+
+// PacketBytes is the encoded size of one packet, the element floor for
+// Count guards.
+const PacketBytes = 4 + 4 + 4 + 1 + 4 + 4 + 4 + 1 + 1 + 1 + 4 + 8 + 8 + 1
 
 // len is how many bytes e holds, or has counted.
 func (e *Enc) len() int {
@@ -318,8 +353,20 @@ func (d *Dec) I32() int32 { return int32(d.U32()) }
 // Time reads a sim.Time.
 func (d *Dec) Time() sim.Time { return sim.Time(d.I64()) }
 
-// Bool reads a boolean.
-func (d *Dec) Bool() bool { return d.U8() != 0 }
+// Bool reads a boolean. Any byte but 0 and 1 is an error, so a decoded
+// value encodes back to the bytes it came from.
+func (d *Dec) Bool() bool {
+	switch d.U8() {
+	case 0:
+		return false
+	case 1:
+		return true
+	}
+	if d.err == nil {
+		d.err = fmt.Errorf("ckpt: bad bool at offset %d", d.off-1)
+	}
+	return false
+}
 
 // F64 reads a float64 by bits.
 func (d *Dec) F64() float64 { return math.Float64frombits(d.U64()) }
@@ -333,6 +380,26 @@ func (d *Dec) Summary() stats.Summary {
 		Max:     d.F64(),
 		MeanAcc: d.F64(),
 		M2Acc:   d.F64(),
+	}
+}
+
+// Packet reads a packet laid out by Enc.Packet.
+func (d *Dec) Packet() packet.Packet {
+	return packet.Packet{
+		Flow:     packet.FlowID(d.U32()),
+		Src:      sim.NodeID(d.I32()),
+		Dst:      sim.NodeID(d.I32()),
+		Proto:    packet.Proto(d.U8()),
+		Seq:      d.U32(),
+		Ack:      d.U32(),
+		Wnd:      d.U32(),
+		Flags:    d.U8(),
+		ECT:      d.Bool(),
+		CE:       d.Bool(),
+		Payload:  d.I32(),
+		SendTime: d.Time(),
+		EchoTime: d.Time(),
+		Hops:     d.U8(),
 	}
 }
 

@@ -53,20 +53,20 @@ type Shape struct {
 // Wire joins a rank's engine to the other ranks'. The shape names every
 // rank's LPs and groups, but only group Resident lives in this process:
 // no other is seeded or given workers, and the model reaches another rank's
-// nodes only by handing the wire an event (netdev's Remote hook). The two
-// serial sections call the wire once a round each, which is all that keeps
-// the ranks in step; an error from it ends the run. A test can put a fake
+// nodes only by handing the wire an event (netdev's Remote hook). Phase 4's
+// serial section calls the wire once a round, which is all that keeps the
+// ranks in step; an error from it ends the run. A test can put a fake
 // between engines here.
 type Wire interface {
 	Resident() int
-	// Exchange, in phase 2, ships what the model handed the wire during the
-	// window ending at lbts and returns what the other ranks sent here:
-	// events for resident nodes, none before lbts, inserted at once.
-	Exchange(lbts sim.Time) ([]sim.Event, error)
-	// Reduce, in phase 4, trades the resident LPs' earliest event time for
-	// every rank's. A rank has no public LP: bound, the time the run stops
-	// at, stands in Equation 2. Both are sim.MaxTime when the run is over.
-	Reduce(local sim.Time) (allMin, bound sim.Time, err error)
+	// Sync ships what the model handed the wire during the window ending at
+	// lbts with the resident LPs' earliest event time, local, and returns
+	// what the other ranks sent here — events for resident nodes, none
+	// before lbts, inserted before the next window opens — and the earliest
+	// event time of every rank, those events included. A rank has no public
+	// LP: bound, the time the run stops at, stands in Equation 2. Both are
+	// sim.MaxTime when the run is over.
+	Sync(lbts, local sim.Time) (in []sim.Event, allMin, bound sim.Time, err error)
 }
 
 // Groups is the number of groups GroupOf names.
@@ -323,7 +323,7 @@ func NewEngine(m *sim.Model, sh Shape) (*Engine, error) {
 			}
 		case sh.Wire == nil:
 			e.pub.Push(ev)
-		case ev.Time != m.StopAt: // the stop itself is Reduce's bound
+		case ev.Time != m.StopAt: // the stop itself is Sync's bound
 			return nil, fmt.Errorf("core: a rank runs no global event but the stop; this one is at %v (use an in-process kernel)", ev.Time)
 		}
 	}
@@ -385,8 +385,8 @@ func (e *Engine) openWindow() bool {
 			allMin = min(allMin, low)
 		}
 	}
-	if w := e.sh.Wire; w != nil {
-		if allMin, pubNext, e.err = w.Reduce(allMin); e.err != nil {
+	if e.sh.Wire != nil {
+		if allMin, pubNext, e.err = e.sync(allMin); e.err != nil {
 			return false
 		}
 	}
@@ -518,7 +518,7 @@ func (e *Engine) Migrated(w int, lpIdx int32) bool {
 // at exactly the window boundary, credited to worker 0, and return how
 // many there were; then list, per group and in index order, the LPs phase 3
 // has to receive: those that ran, those some outbox names, and those a
-// global event or the wire just inserted into.
+// global event just inserted into.
 //
 //unison:owner consumer
 func (t *Thread) Globals() (events int64) {
@@ -539,9 +539,6 @@ func (t *Thread) Globals() (events int64) {
 		if t.ctx.Stopped() {
 			e.stopped = true
 		}
-	}
-	if e.sh.Wire != nil {
-		e.exchange()
 	}
 	mark := func(lps []int32) {
 		for _, lp := range lps {
@@ -567,11 +564,13 @@ func (t *Thread) Globals() (events int64) {
 	return events
 }
 
-// exchange is a rank's share of phase 2: what the other ranks sent goes
-// straight into the resident FELs, the way a global event inserts. An event
-// staged for another rank's LP would never be received: the model is told
-// so here, off the event path.
-func (e *Engine) exchange() {
+// sync is a rank's share of phase 4: it trades the resident minimum local
+// for every rank's, and what the other ranks sent goes straight into the
+// resident FELs, lowering the LPs' cached next-event times and their blocks'
+// minima before the window and its run lists are built. An event staged
+// for another rank's LP would never be received: the model is told so
+// here, off the event path.
+func (e *Engine) sync(local sim.Time) (allMin, bound sim.Time, err error) {
 	for _, o := range e.outboxes {
 		for _, lp := range o.touched {
 			if e.away(lp) {
@@ -579,13 +578,21 @@ func (e *Engine) exchange() {
 			}
 		}
 	}
-	in, err := e.sh.Wire.Exchange(e.lbts)
-	e.err = err // Advance ends the run on it
+	in, allMin, bound, err := e.sh.Wire.Sync(e.lbts, local)
 	for _, ev := range in {
 		lp := e.part.LPOf[ev.Node]
-		e.lps[lp].fel.Push(ev)
-		e.dirty[lp>>6] |= 1 << (lp & 63)
+		s := &e.lps[lp]
+		s.fel.Push(ev)
+		// The round's depths are settled: the event joins them as one the
+		// round did not receive, so the records still sum to every FEL.
+		s.depth++
+		e.depth++
+		e.idleDepth++
+		e.next[lp] = min(e.next[lp], ev.Time)
+		low := &e.groupOf(lp).low[e.pos[lp]>>6]
+		*low = min(*low, ev.Time)
 	}
+	return allMin, bound, err
 }
 
 // Receive is phase 3 for one LP of a recv list: gather its staged events

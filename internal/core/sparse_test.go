@@ -324,8 +324,8 @@ func TestSparseActivityEqualsDES(t *testing.T) {
 // each with the whole model and only its own LP resident — but joined by
 // the smallest wire there is instead of sockets and a coordinator.
 
-// hub is that wire: a slice exchange and a minimum, each a barrier of all
-// ranks. A rank deposits into the next* fields and reads what the last
+// hub is that wire: each round one barrier of all ranks, where every rank
+// deposits its outbound events and its minimum and reads what the last
 // arriver of the same meeting published.
 type hub struct {
 	rankOf []int32
@@ -335,7 +335,7 @@ type hub struct {
 	gen    int
 
 	nextIn, in   [][]sim.Event // per destination rank
-	nextMin, min sim.Time
+	nextMin, min sim.Time      // every rank's minimum and every routed event's time
 }
 
 func newHub(rankOf []int32) *hub {
@@ -383,25 +383,22 @@ func (w *fakeRank) remote(ctx *sim.Ctx, at sim.Time, to sim.NodeID, ttl int) boo
 	return true
 }
 
-func (w *fakeRank) Exchange(lbts sim.Time) ([]sim.Event, error) {
+func (w *fakeRank) Sync(lbts, local sim.Time) ([]sim.Event, sim.Time, sim.Time, error) {
 	w.h.meet(func() {
+		w.h.nextMin = min(w.h.nextMin, local)
 		for _, ev := range w.out {
 			if ev.Time < lbts {
 				panic(fmt.Sprintf("rank %d sends an event at %v inside the window ending %v", w.id, ev.Time, lbts))
 			}
 			dst := w.h.rankOf[ev.Node]
 			w.h.nextIn[dst] = append(w.h.nextIn[dst], ev)
+			w.h.nextMin = min(w.h.nextMin, ev.Time)
 		}
 	})
 	w.out = w.out[:0]
 	in := w.h.in[w.id]
 	w.sm.bind(in)
-	return in, nil
-}
-
-func (w *fakeRank) Reduce(local sim.Time) (allMin, bound sim.Time, err error) {
-	w.h.meet(func() { w.h.nextMin = min(w.h.nextMin, local) })
-	return w.h.min, sim.MaxTime, nil
+	return in, w.h.min, sim.MaxTime, nil
 }
 
 // bind gives events that crossed a wire or a snapshot the handlers their

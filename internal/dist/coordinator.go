@@ -36,19 +36,21 @@ type CoordConfig struct {
 	// error. Zero disables deadlines (legacy trusted-loopback behavior).
 	Timeout time.Duration
 	// Observe, when non-nil, receives one obs.RoundRecord per protocol
-	// round (Worker 0): AllReduceNS is the min-gather latency — the time
-	// the slowest host kept everyone waiting — and Sends counts the
-	// cross-host events routed that round.
+	// round (Worker 0), filed once the steps that close the round are in:
+	// AllReduceNS is how long gathering those steps took — the time the
+	// slowest host kept everyone waiting — MsgNS the routing and the
+	// answers after it, and Sends the cross-host events routed.
 	Observe obs.Probe
 	// Net, when non-nil, receives the merged network observability data
 	// (sampler rows and packet-trace records) the hosts ship at gather.
 	Net *NetData
 	// OnSideband, when non-nil, receives every telemetry Sideband the
-	// hosts piggyback on their min messages (hosts only attach one when
-	// run with HostConfig.Live), with the index of the connection it
-	// arrived on. Called on the coordinator's protocol goroutine between
-	// the min all-reduce and the window broadcast, so implementations must
-	// be quick — hand the records to a probe and return.
+	// hosts piggyback on their steps and gathers (hosts only attach one
+	// when run with HostConfig.Live), with the index of the connection it
+	// arrived on, host by host and in round order; the gathers' last.
+	// Called on the coordinator's protocol goroutine between gathering a
+	// round's steps and answering them, so implementations must be quick —
+	// hand the records to a probe and return.
 	OnSideband func(host int, side *Sideband)
 	// Stats, when non-nil, is filled with the merged run stats of the
 	// whole distributed run (one WorkerStats per host, from the stats the
@@ -74,8 +76,9 @@ type hostMsg struct {
 }
 
 // RunCoordinator accepts cfg.Hosts connections on ln, drives the round
-// protocol (min all-reduce → window broadcast → event routing) until the
-// simulation completes, and returns the merged global flow monitor.
+// protocol (every host's step in; each host's inbox and the global minimum
+// out) until the simulation completes, and returns the merged global flow
+// monitor.
 //
 // Reads from hosts run in one goroutine per host, so a dead or slow host
 // cannot head-of-line-block the others past cfg.Timeout. On any host
@@ -138,25 +141,40 @@ func RunCoordinator(ln net.Listener, cfg CoordConfig) (*flowmon.Monitor, uint64,
 		return nil, rounds, err
 	}
 
+	// Each host's step carries the events its last window sent and its
+	// earliest pending event. The next window's minimum is the least of
+	// both: an event in flight is one its target host has not counted yet.
+	outbox := make([][]RemoteEvent, cfg.Hosts)
+	var lastMin sim.Time // the minimum the window the steps close opened with
 	for {
-		// All-reduce: gather local minima (concurrently, via the readers).
 		gatherStart := time.Now()
-		mins, err := g.collect(kMin, "min")
+		steps, err := g.collect(kStep, "step")
 		if err != nil {
 			return fail(rounds, err)
 		}
 		gatherNS := time.Since(gatherStart).Nanoseconds()
+		routeStart := time.Now()
 		if cfg.OnSideband != nil {
-			for h, e := range mins {
+			for h, e := range steps {
 				if e.Side != nil {
 					cfg.OnSideband(h, e.Side)
 				}
 			}
 		}
+		for h := range outbox {
+			outbox[h] = outbox[h][:0]
+		}
 		globalMin := sim.MaxTime
-		for _, e := range mins {
-			if e.Min < globalMin {
-				globalMin = e.Min
+		var routed uint64
+		for h, e := range steps {
+			globalMin = min(globalMin, e.Min)
+			for _, rev := range e.Events {
+				if rev.Host < 0 || int(rev.Host) >= cfg.Hosts {
+					return fail(rounds, fmt.Errorf("dist: %s sent an event addressed to host %d", conns[h].peer, rev.Host))
+				}
+				outbox[rev.Host] = append(outbox[rev.Host], rev)
+				globalMin = min(globalMin, rev.Time)
+				routed++
 			}
 		}
 		done := globalMin >= cfg.StopAt || globalMin == sim.MaxTime
@@ -167,47 +185,26 @@ func RunCoordinator(ln net.Listener, cfg CoordConfig) (*flowmon.Monitor, uint64,
 		if done {
 			kind = kDone
 		}
-		for _, c := range conns {
-			if err := c.send(&envelope{Kind: kind, Min: globalMin}); err != nil {
-				return fail(rounds, fmt.Errorf("dist: window broadcast to %s: %w", c.peer, err))
-			}
-		}
-		if done {
-			break
-		}
-		rounds++
-		// Route this round's cross-host events.
-		routeStart := time.Now()
-		flushes, err := g.collect(kFlush, "flush")
-		if err != nil {
-			return fail(rounds, err)
-		}
-		outbox := make([][]RemoteEvent, cfg.Hosts)
-		var routed uint64
-		for h, e := range flushes {
-			for _, rev := range e.Events {
-				if rev.Host < 0 || int(rev.Host) >= cfg.Hosts {
-					return fail(rounds, fmt.Errorf("dist: %s sent an event addressed to host %d", conns[h].peer, rev.Host))
-				}
-				outbox[rev.Host] = append(outbox[rev.Host], rev)
-				routed++
-			}
-		}
 		for h, c := range conns {
-			if err := c.send(&envelope{Kind: kEvents, Events: outbox[h]}); err != nil {
-				return fail(rounds, fmt.Errorf("dist: events to %s: %w", c.peer, err))
+			if err := c.send(&envelope{Kind: kind, Min: globalMin, Events: outbox[h]}); err != nil {
+				return fail(rounds, fmt.Errorf("dist: %v to %s: %w", kind, c.peer, err))
 			}
 		}
-		if probe != nil {
+		if probe != nil && rounds > 0 {
 			totalEvents += routed
 			rec := obs.RoundRecord{
-				Round: rounds - 1, LBTS: globalMin,
+				Round: rounds - 1, LBTS: lastMin,
 				SyncNS: gatherNS, MsgNS: time.Since(routeStart).Nanoseconds(),
 				Sends: routed, SendBytes: routed * obs.EventBytes,
 				Recvs: routed, AllReduceNS: gatherNS,
 			}
 			probe.OnRound(&rec)
 		}
+		if done {
+			break
+		}
+		rounds++
+		lastMin = globalMin
 	}
 
 	// Final gather: merge per-host monitors into the global view.
@@ -215,19 +212,26 @@ func RunCoordinator(ln net.Listener, cfg CoordConfig) (*flowmon.Monitor, uint64,
 	if err != nil {
 		return fail(rounds, err)
 	}
+	if cfg.OnSideband != nil {
+		for h, e := range gathers {
+			if e.Side != nil {
+				cfg.OnSideband(h, e.Side)
+			}
+		}
+	}
 	mon := flowmon.NewMonitor(cfg.Flows)
 	for _, e := range gathers {
 		part := flowmon.NewMonitor(cfg.Flows)
-		part.Import(e.Senders, e.Recvs)
+		part.Import(e.Final.Senders, e.Final.Recvs)
 		mon.MergeFrom(part)
 	}
 	if cfg.Net != nil {
 		sets := make([][]netobs.Row, 0, len(gathers))
 		for _, e := range gathers {
-			if len(e.Rows) > 0 {
-				sets = append(sets, e.Rows)
+			if len(e.Final.Rows) > 0 {
+				sets = append(sets, e.Final.Rows)
 			}
-			cfg.Net.Trace = append(cfg.Net.Trace, e.Trace...)
+			cfg.Net.Trace = append(cfg.Net.Trace, e.Final.Trace...)
 		}
 		cfg.Net.Rows = netobs.MergeRows(sets...)
 		// Per-host lists arrive in each host's merged (time, node, emission)
@@ -249,15 +253,16 @@ func RunCoordinator(ln net.Listener, cfg CoordConfig) (*flowmon.Monitor, uint64,
 			Workers: make([]sim.WorkerStats, cfg.Hosts),
 		}
 		for h, e := range gathers {
-			if e.Stats == nil {
+			st := e.Final.Stats
+			if st == nil {
 				continue
 			}
-			merged.Events += e.Stats.Events
-			if e.Stats.EndTime > merged.EndTime {
-				merged.EndTime = e.Stats.EndTime
+			merged.Events += st.Events
+			if st.EndTime > merged.EndTime {
+				merged.EndTime = st.EndTime
 			}
-			if len(e.Stats.Workers) > 0 {
-				merged.Workers[h] = e.Stats.Workers[0]
+			if len(st.Workers) > 0 {
+				merged.Workers[h] = st.Workers[0]
 			}
 		}
 		*cfg.Stats = merged

@@ -12,6 +12,7 @@ import (
 	"unison/internal/des"
 	"unison/internal/flowmon"
 	"unison/internal/netdev"
+	"unison/internal/netobs"
 	"unison/internal/pdes"
 	"unison/internal/routing"
 	"unison/internal/sim"
@@ -139,6 +140,74 @@ func TestDistributedMatchesSequential(t *testing.T) {
 		if events != refStats.Events-1 {
 			t.Errorf("hosts=%d: events %d, want %d", hosts, events, refStats.Events-1)
 		}
+	}
+}
+
+// TestLiveSidebandCarriesEveryRound: the telemetry hosts send under Live
+// reaches the coordinator whole. Every host's records cover every round,
+// the last one included, so their events fold to the run's; and the rows
+// add up to the merged sampler's, the final flush's included.
+func TestLiveSidebandCarriesEveryRound(t *testing.T) {
+	const seed, hosts = 77, 2
+	stop := sim.Time(sim.Millisecond)
+	ft := topology.BuildFatTree(topology.FatTreeK(4, 1_000_000_000, 3*sim.Microsecond))
+	hostOf := pdes.FatTreeManual(ft, hosts)
+	_, _, _, _, flows := buildPieces(seed, stop)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+
+	records := make([]uint64, hosts)
+	var events uint64
+	var rows int
+	cfg := CoordConfig{
+		Hosts: hosts, StopAt: stop, Flows: flows, Timeout: 30 * time.Second,
+		Stats: &sim.RunStats{}, Net: &NetData{},
+		OnSideband: func(h int, side *Sideband) {
+			records[h] += uint64(len(side.Recs))
+			for _, rec := range side.Recs {
+				events += rec.Events
+			}
+			rows += len(side.Rows)
+		},
+	}
+	errs := make([]error, 1+hosts)
+	var wg sync.WaitGroup
+	wg.Add(1 + hosts)
+	go func() {
+		defer wg.Done()
+		_, _, errs[0] = RunCoordinator(ln, cfg)
+	}()
+	for h := range int32(hosts) {
+		go func() {
+			defer wg.Done()
+			m, network, mon, _, _ := buildPieces(seed, stop)
+			network.AttachSampler(netobs.NewSampler(netobs.SamplerConfig{Interval: 50 * sim.Microsecond}))
+			_, errs[1+h] = RunHost(HostConfig{
+				ID: h, Addr: ln.Addr().String(), HostOf: hostOf, StopAt: stop,
+				Timeout: 30 * time.Second, DialAttempts: 3, Live: true,
+			}, m, network, mon)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := cfg.Stats
+	for h, n := range records {
+		if n != st.Rounds {
+			t.Errorf("host %d: %d round records reached the coordinator; the run had %d rounds", h, n, st.Rounds)
+		}
+	}
+	if events != st.Events || st.Events == 0 {
+		t.Errorf("the round records count %d events; the run executed %d", events, st.Events)
+	}
+	if rows != len(cfg.Net.Rows) || rows == 0 {
+		t.Errorf("the sidebands carried %d rows; the hosts' samplers closed %d", rows, len(cfg.Net.Rows))
 	}
 }
 

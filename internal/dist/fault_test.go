@@ -157,10 +157,17 @@ func TestFaultMatrix(t *testing.T) {
 					t.Errorf("%s: host %d returned success through an injected fault", tc.name, h)
 				}
 			}
+			// The coordinator writes each host one frame a round, so the
+			// fault engages as it opens window After: inside the run, not at
+			// the handshake or past the end. Where the faulted write seems to
+			// succeed (drop, garble) the coordinator counts that round too.
+			if res.rounds < uint64(tc.plan.After) || res.rounds > uint64(tc.plan.After)+1 {
+				t.Errorf("%s: the coordinator stopped after %d rounds; the fault was planned for write %d", tc.name, res.rounds, tc.plan.After)
+			}
 			if tc.name == "close" {
 				res.checkProbesClosed(t)
 			}
-			t.Logf("%s: coord=%v hosts=%v elapsed=%v", tc.name, res.coordErr, res.hostErrs, res.elapsed)
+			t.Logf("%s: coord=%v hosts=%v rounds=%d elapsed=%v", tc.name, res.coordErr, res.hostErrs, res.rounds, res.elapsed)
 		})
 	}
 }
@@ -210,7 +217,7 @@ func fakeDial(t *testing.T, addr string) *conn {
 	return newConn(nc, 5*time.Second, "coordinator")
 }
 
-// TestHostDeathMidRound kills one host after its first min report; the
+// TestHostDeathMidRound kills one host after its first step; the
 // coordinator must blame that host and the survivor must abort too.
 func TestHostDeathMidRound(t *testing.T) {
 	checkGoroutines(t)
@@ -255,7 +262,7 @@ func TestHostDeathMidRound(t *testing.T) {
 	if err := fake.send(&envelope{Kind: kHello, Host: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := fake.send(&envelope{Kind: kMin, Host: 1, Min: 1}); err != nil {
+	if err := fake.send(&envelope{Kind: kStep, Min: 1}); err != nil {
 		t.Fatal(err)
 	}
 	fake.close()
@@ -317,12 +324,12 @@ func TestWrongKindHello(t *testing.T) {
 		ch <- err
 	}()
 	fake := fakeDial(t, ln.Addr().String())
-	if err := fake.send(&envelope{Kind: kMin, Host: 0}); err != nil {
+	if err := fake.send(&envelope{Kind: kStep}); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case err := <-ch:
-		if err == nil || !strings.Contains(err.Error(), "expected hello, got min") {
+		if err == nil || !strings.Contains(err.Error(), "expected hello, got step") {
 			t.Errorf("kind mismatch not diagnosed by name: %v", err)
 		}
 	case <-time.After(10 * time.Second):
@@ -503,20 +510,23 @@ func TestDialRetryBounded(t *testing.T) {
 // TestKindString pins the diagnostic names on the wire constants.
 func TestKindString(t *testing.T) {
 	want := map[msgKind]string{
-		kHello: "hello", kMin: "min", kWindow: "window", kFlush: "flush",
-		kEvents: "events", kDone: "done", kGather: "gather", kAbort: "abort",
+		kHello: "hello", kStep: "step", kWindow: "window",
+		kDone: "done", kGather: "gather", kAbort: "abort",
 	}
 	for k, s := range want {
 		if k.String() != s {
 			t.Errorf("kind %d: %q, want %q", byte(k), k.String(), s)
 		}
 	}
+	if len(kindNames) != len(want)+1 {
+		t.Errorf("%d kinds named, want %d", len(kindNames)-1, len(want))
+	}
 	if got := msgKind(99).String(); got != "kind(99)" {
 		t.Errorf("unknown kind: %q", got)
 	}
 }
 
-// TestHostRejectsBadInbox: the events message is wire input. A coordinator
+// TestHostRejectsBadInbox: the inbox is wire input. A coordinator
 // (or whatever sits on its port) delivering an event for a node that does
 // not exist, that another host owns, or at a time inside the window the
 // host already executed gets a bounded, descriptive error — not an index
@@ -542,7 +552,8 @@ func TestHostRejectsBadInbox(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer ln.Close()
-			// The fake coordinator plays one honest round up to the inbox.
+			// The fake coordinator opens the first window honestly and
+			// answers the step that closes it with the bad inbox.
 			coord := make(chan error, 1)
 			go func() {
 				nc, err := ln.Accept()
@@ -556,17 +567,17 @@ func TestHostRejectsBadInbox(t *testing.T) {
 					if _, err := c.recv(kHello); err != nil {
 						return err
 					}
-					min, err := c.recv(kMin)
+					step, err := c.recv(kStep)
 					if err != nil {
 						return err
 					}
-					if err := c.send(&envelope{Kind: kWindow, Min: min.Min}); err != nil {
+					if err := c.send(&envelope{Kind: kWindow, Min: step.Min}); err != nil {
 						return err
 					}
-					if _, err := c.recv(kFlush); err != nil {
+					if step, err = c.recv(kStep); err != nil {
 						return err
 					}
-					return c.send(&envelope{Kind: kEvents, Events: []RemoteEvent{tc.ev}})
+					return c.send(&envelope{Kind: kWindow, Min: step.Min, Events: []RemoteEvent{tc.ev}})
 				}
 				err = script()
 				for err == nil { // the host hangs up; until then say nothing more

@@ -44,14 +44,14 @@ type HostConfig struct {
 	// Defaults to 50ms when DialAttempts enables retries.
 	DialBackoff time.Duration
 	// Observe, when non-nil, receives one obs.RoundRecord per window
-	// (Worker 0): AllReduceNS is the wait for the coordinator's window
-	// broadcast, and Retries reports extra dial attempts on the first
-	// record.
+	// (Worker 0): AllReduceNS is the round trip of the round's step, from
+	// sending it to the coordinator's answer, and Retries reports extra
+	// dial attempts on the first record.
 	Observe obs.Probe
 	// Live piggybacks a telemetry Sideband (round records and netobs row
-	// deltas) on every kMin message, feeding the coordinator's record
-	// stream. Purely observational: the simulation and its artifacts are
-	// bit-identical either way.
+	// deltas) on every step message, and the rest on the gather, feeding
+	// the coordinator's record stream. Purely observational: the
+	// simulation and its artifacts are bit-identical either way.
 	Live bool
 
 	// Ckpt, when non-nil, is this host's checkpoint target (its layers
@@ -139,7 +139,7 @@ func RunHost(cfg HostConfig, m *sim.Model, network *netdev.Network, mon *flowmon
 	}
 	r := &rank{cfg: &cfg, c: newConn(nc, cfg.Timeout, "coordinator"), net: network, note: obs.RoundRecord{Retries: uint64(dialRetries)}}
 	defer r.c.close()
-	// The hooks set below would keep r, its buffers and the codecs alive.
+	// The hooks set below would keep r and its frame buffers alive.
 	defer func() { network.Remote, m.Ckpt = nil, nil }()
 	if err := r.c.send(&envelope{Kind: kHello, Host: cfg.ID}); err != nil {
 		return nil, fmt.Errorf("dist: hello: %w", err)
@@ -169,25 +169,27 @@ func RunHost(cfg HostConfig, m *sim.Model, network *netdev.Network, mon *flowmon
 		return nil, err
 	}
 
-	recs, rcvs := mon.Export()
-	gather := &envelope{Kind: kGather, Host: cfg.ID, Senders: recs, Recvs: rcvs, Stats: st}
+	fin := &Final{Stats: st}
+	fin.Senders, fin.Recvs = mon.Export()
 	// Ship this host's share of the network observability data; the
 	// sampler and tracer only hold records of locally-owned devices.
 	if s := network.Sampler(); s != nil {
 		s.Flush()
-		gather.Rows = s.Rows()
+		fin.Rows = s.Rows()
 	}
 	if network.Tracer != nil {
-		gather.Trace = network.Tracer.Merged()
+		fin.Trace = network.Tracer.Merged()
 	}
-	if err := r.c.send(gather); err != nil {
+	// No step follows the last round: its record, and the rows closed
+	// since the last step, the final flush's among them, ride the gather.
+	if err := r.c.send(&envelope{Kind: kGather, Side: r.batch(), Final: fin}); err != nil {
 		return nil, fmt.Errorf("dist: gather: %w", err)
 	}
 	return st, nil
 }
 
 // rank is a host's end of the wire: the core.Wire its engine's serial
-// sections call, the data plane's Remote hook, the checkpoint hook's Saved,
+// section calls, the data plane's Remote hook, the checkpoint hook's Saved,
 // and the first probe of the host's tee, which adds to each round record
 // what only the wire knows. One worker, so one goroutine calls them all.
 type rank struct {
@@ -195,9 +197,9 @@ type rank struct {
 	c    *conn
 	net  *netdev.Network
 	out  []RemoteEvent   // this round's cross-host arrivals, filled by remote
-	in   []sim.Event     // Exchange's result, reused every round
+	in   []sim.Event     // Sync's inbox, reused every round
 	note obs.RoundRecord // the fields OnRound copies into the round's record
-	side *Sideband       // the batch riding the next min message; nil unless cfg.Live
+	side *Sideband       // the batch riding the next step; nil unless cfg.Live
 }
 
 func (r *rank) Resident() int { return int(r.cfg.ID) }
@@ -214,62 +216,61 @@ func (r *rank) remote(c *sim.Ctx, at sim.NodeID, p packet.Packet, arrival sim.Ti
 	return true
 }
 
-// Exchange flushes the round's outbound remote events and receives its
-// inbox. The inbox is wire input: an event no correct peer could have sent
-// here is an error now, not a panic in the engine a round later.
-func (r *rank) Exchange(lbts sim.Time) ([]sim.Event, error) {
+// Sync is the round's one round trip: the step — the window's outbound
+// remote events, the local minimum and, under Live, the telemetry batch —
+// goes up, and the inbox with the global minimum (the engine derives the
+// LBTS, bounded by the stop time), or the end of the run, comes down. The
+// inbox is wire input: an event no correct peer could have sent here is an
+// error now, not a panic in the engine a round later.
+func (r *rank) Sync(lbts, local sim.Time) ([]sim.Event, sim.Time, sim.Time, error) {
+	e := &envelope{Kind: kStep, Min: local, Events: r.out, Side: r.batch()}
 	r.note.Sends = uint64(len(r.out))
-	if err := r.c.send(&envelope{Kind: kFlush, Host: r.cfg.ID, Events: r.out}); err != nil {
-		return nil, fmt.Errorf("dist: flush: %w", err)
+	start := time.Now()
+	if err := r.c.send(e); err != nil {
+		return nil, 0, 0, fmt.Errorf("dist: sending step: %w", err)
 	}
 	r.out = r.out[:0]
-	in, err := r.c.recv(kEvents)
+	in, err := r.c.recvAny()
 	if err != nil {
-		return nil, fmt.Errorf("dist: inbox: %w", err)
+		return nil, 0, 0, fmt.Errorf("dist: window: %w", err)
+	}
+	r.note.AllReduceNS = time.Since(start).Nanoseconds()
+	allMin, bound := in.Min, r.cfg.StopAt
+	switch in.Kind {
+	case kWindow:
+	case kDone:
+		allMin, bound = sim.MaxTime, sim.MaxTime
+	case kAbort:
+		return nil, 0, 0, fmt.Errorf("dist: coordinator aborted the run: %s", in.Err)
+	default:
+		return nil, 0, 0, fmt.Errorf("dist: %s: expected %v or %v, got %v", r.c.peer, kWindow, kDone, in.Kind)
 	}
 	r.note.Recvs, r.in = uint64(len(in.Events)), r.in[:0]
 	for _, rev := range in.Events {
 		if rev.Node < 0 || int(rev.Node) >= len(r.cfg.HostOf) || r.cfg.HostOf[rev.Node] != r.cfg.ID || rev.Time < lbts {
-			return nil, fmt.Errorf("dist: host %d: coordinator delivered an event for node %d at %v, which is not this host's node or is inside the window ending %v", r.cfg.ID, rev.Node, rev.Time, lbts)
+			return nil, 0, 0, fmt.Errorf("dist: host %d: coordinator delivered an event for node %d at %v, which is not this host's node or is inside the window ending %v", r.cfg.ID, rev.Node, rev.Time, lbts)
 		}
 		fn, desc := r.net.DeliverEvent(rev.Node, rev.Pkt)
 		r.in = append(r.in, sim.Event{Time: rev.Time, Src: rev.Src, Seq: rev.Seq, Node: rev.Node, Fn: fn, Desc: desc})
 	}
-	return r.in, nil
+	return r.in, allMin, bound, nil
 }
 
-// Reduce is the window all-reduce: the local minimum up, the global one
-// down (the engine derives the LBTS, bounded by the stop time) or the end
-// of the run. The live batch rides the min message.
-func (r *rank) Reduce(local sim.Time) (allMin, bound sim.Time, err error) {
-	e := &envelope{Kind: kMin, Host: r.cfg.ID, Min: local}
-	if r.side != nil {
-		// The engine is quiescent here, so reading the sampler's closed
-		// buckets is race-free; LiveDelta never touches open buckets,
-		// keeping the final gather rows byte-identical.
-		if s := r.net.Sampler(); s != nil {
-			r.side.Rows = s.LiveDelta()
-		}
-		e.Side, r.side = r.side, &Sideband{}
+// batch hands over the telemetry gathered since the last batch, with the
+// sampler rows closed since then; nil unless cfg.Live. It runs only where
+// the engine is quiescent, so reading the sampler's closed buckets is
+// race-free; LiveDelta never touches open buckets, keeping the final gather
+// rows byte-identical.
+func (r *rank) batch() *Sideband {
+	b := r.side
+	if b == nil {
+		return nil
 	}
-	start := time.Now()
-	if err := r.c.send(e); err != nil {
-		return 0, 0, fmt.Errorf("dist: sending min: %w", err)
+	if s := r.net.Sampler(); s != nil {
+		b.Rows = s.LiveDelta()
 	}
-	in, err := r.c.recvAny()
-	if err != nil {
-		return 0, 0, fmt.Errorf("dist: window: %w", err)
-	}
-	r.note.AllReduceNS = time.Since(start).Nanoseconds()
-	switch in.Kind {
-	case kWindow:
-		return in.Min, r.cfg.StopAt, nil
-	case kDone:
-		return sim.MaxTime, sim.MaxTime, nil
-	case kAbort:
-		return 0, 0, fmt.Errorf("dist: coordinator aborted the run: %s", in.Err)
-	}
-	return 0, 0, fmt.Errorf("dist: %s: expected %v or %v, got %v", r.c.peer, kWindow, kDone, in.Kind)
+	r.side = &Sideband{}
+	return b
 }
 
 // saved is the checkpoint hook's report of the snapshot the engine took at
@@ -283,8 +284,8 @@ func (r *rank) BeginRun(obs.RunMeta) {}
 func (r *rank) EndRun(*sim.RunStats) {}
 
 // OnRound completes the engine's record of a round with the remote events
-// it exchanged, the all-reduce that closed it, the dial retries (on the
-// first) and the snapshot taken at its end. Under Live a copy joins the
+// it sent and received, the step round trip that closed it, the dial
+// retries (on the first) and the snapshot taken at its end. Under Live a copy joins the
 // batch for the coordinator.
 func (r *rank) OnRound(rec *obs.RoundRecord) {
 	n := &r.note

@@ -26,48 +26,6 @@ const (
 	kindDrain   uint16 = 0x0104
 )
 
-// encodePacket appends every field of p. The packet is a value type with
-// no indirection, so field-by-field encoding is complete.
-func encodePacket(e *ckpt.Enc, p *packet.Packet) {
-	e.U32(uint32(p.Flow))
-	e.I32(int32(p.Src))
-	e.I32(int32(p.Dst))
-	e.U8(uint8(p.Proto))
-	e.U32(p.Seq)
-	e.U32(p.Ack)
-	e.U32(p.Wnd)
-	e.U8(p.Flags)
-	e.Bool(p.ECT)
-	e.Bool(p.CE)
-	e.I32(p.Payload)
-	e.Time(p.SendTime)
-	e.Time(p.EchoTime)
-	e.U8(p.Hops)
-}
-
-// packetBytes is the encoded size of one packet, the element floor for
-// Dec.Count guards.
-const packetBytes = 4 + 4 + 4 + 1 + 4 + 4 + 4 + 1 + 1 + 1 + 4 + 8 + 8 + 1
-
-func decodePacket(d *ckpt.Dec) packet.Packet {
-	return packet.Packet{
-		Flow:     packet.FlowID(d.U32()),
-		Src:      sim.NodeID(d.I32()),
-		Dst:      sim.NodeID(d.I32()),
-		Proto:    packet.Proto(d.U8()),
-		Seq:      d.U32(),
-		Ack:      d.U32(),
-		Wnd:      d.U32(),
-		Flags:    d.U8(),
-		ECT:      d.Bool(),
-		CE:       d.Bool(),
-		Payload:  d.I32(),
-		SendTime: d.Time(),
-		EchoTime: d.Time(),
-		Hops:     d.U8(),
-	}
-}
-
 // CkptKind implements sim.EvDesc: a pooled transmit-path event is its own
 // descriptor (it is exclusive from Get until its event fires, and a
 // checkpoint only reads it).
@@ -80,7 +38,7 @@ func (e *pktEvt) CkptEncode(buf []byte) []byte {
 	enc.I32(int32(e.dev.node))
 	enc.I32(int32(e.dev.link))
 	if e.kind != evtDrain {
-		encodePacket(enc, &e.p)
+		enc.Packet(&e.p)
 	}
 	return enc.Bytes()
 }
@@ -105,7 +63,7 @@ func (e *deliverEvt) CkptKind() uint16 { return kindDeliver }
 func (e *deliverEvt) CkptEncode(buf []byte) []byte {
 	enc := ckpt.AppendEnc(buf)
 	enc.I32(int32(e.at))
-	encodePacket(enc, &e.p)
+	enc.Packet(&e.p)
 	return enc.Bytes()
 }
 
@@ -149,7 +107,7 @@ func (n *Network) DecodeEvent(kind uint16, _ sim.NodeID, d *ckpt.Dec) (sim.Proc,
 		link := d.I32()
 		var p packet.Packet
 		if kind != kindDrain {
-			p = decodePacket(d)
+			p = d.Packet()
 		}
 		if err := d.Err(); err != nil {
 			return nil, nil, true, err
@@ -163,7 +121,7 @@ func (n *Network) DecodeEvent(kind uint16, _ sim.NodeID, d *ckpt.Dec) (sim.Proc,
 		return e.fn, e, true, nil
 	case kindDeliver:
 		at := sim.NodeID(d.I32())
-		p := decodePacket(d)
+		p := d.Packet()
 		if err := d.Err(); err != nil {
 			return nil, nil, true, err
 		}
@@ -191,14 +149,14 @@ func (f *fifo) save(e *ckpt.Enc) {
 	e.U32(uint32(f.n))
 	for i := 0; i < f.n; i++ {
 		it := &f.items[(f.head+i)%len(f.items)]
-		encodePacket(e, &it.p)
+		e.Packet(&it.p)
 		e.Time(it.enq)
 	}
 }
 
 // load replaces the fifo's contents.
 func (f *fifo) load(d *ckpt.Dec) {
-	n := d.Count(packetBytes + 8)
+	n := d.Count(ckpt.PacketBytes + 8)
 	f.head = 0
 	f.n = n
 	if n > len(f.items) {
@@ -209,7 +167,7 @@ func (f *fifo) load(d *ckpt.Dec) {
 		}
 	}
 	for i := 0; i < n; i++ {
-		f.items[i] = queueItem{p: decodePacket(d), enq: d.Time()}
+		f.items[i] = queueItem{p: d.Packet(), enq: d.Time()}
 	}
 }
 
