@@ -23,7 +23,6 @@ import (
 	"unison/internal/experiments"
 	"unison/internal/flowmon"
 	"unison/internal/netdev"
-	"unison/internal/obs"
 	"unison/internal/packet"
 	"unison/internal/pdes"
 	"unison/internal/sim"
@@ -133,27 +132,29 @@ func TestKernelAllocBudget(t *testing.T) {
 	}
 }
 
-// felDepth is a probe that keeps the deepest FEL a sequential run reports.
-type felDepth struct{ peak uint64 }
-
-func (*felDepth) BeginRun(obs.RunMeta)         {}
-func (*felDepth) EndRun(*sim.RunStats)         {}
-func (p *felDepth) OnRound(r *obs.RoundRecord) { p.peak = max(p.peak, r.FELDepth) }
-
 // TestEventBudget holds the sequential run of the benchmark workload to what
 // it costs in events: an event is scheduled only if it will do something, so
 // nearly every one executed moves a packet or fires a timer. The counts are
 // exact — nothing here is timed — so each bound is today's count plus a few
 // percent. Today: 42 662 events for 30 276 packets transmitted (1.409 each),
-// FEL at most 611 deep, 113 timer events for 5 204 arms (0.022). The parent
+// FEL at most 441 deep at a timestamp boundary, 113 timer events for 5 204 arms (0.022). The parent
 // of PR 20, where every segment sent and every new ACK pushed a
 // retransmission timer event and every frame a txDone: 65 160 events (2.152
 // each), FEL 5 006 deep, 4 251 timer events (0.817), every one popping
 // stale, and 18 360 of 30 276 txDones finding an empty queue.
 func TestEventBudget(t *testing.T) {
 	sc := benchScenario(42)
-	depth := &felDepth{}
-	st, err := (&des.Kernel{Observe: depth, ProgressEvery: 1}).Run(sc.Model())
+	// The FEL's depth at every timestamp boundary: a pause after every event.
+	var peak uint64
+	var buf []sim.Event
+	m := sc.Model()
+	m.Pauses = []sim.Pause{{Every: 1, New: func() sim.Pauser {
+		return sim.PauseFunc(func(ks *sim.KernelState) {
+			buf = ks.FEL(0, buf[:0])
+			peak = max(peak, uint64(len(buf)))
+		})
+	}}}
+	st, err := des.New().Run(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,12 +170,12 @@ func TestEventBudget(t *testing.T) {
 		earlier += n.FieldByName("earlier").Uint()
 	}
 	t.Logf("%d events, %d packets transmitted, peak FEL depth %d; timers: %d arms, %d events, %d superseded, %d deadlines moved earlier",
-		st.Events, tx, depth.peak, arms, events, superseded, earlier)
+		st.Events, tx, peak, arms, events, superseded, earlier)
 	if per := float64(st.Events) / float64(tx); per > 1.45 {
 		t.Errorf("%.3f events executed per transmitted packet, budget 1.45", per)
 	}
-	if depth.peak > 640 {
-		t.Errorf("peak FEL depth %d, budget 640", depth.peak)
+	if peak > 640 {
+		t.Errorf("peak FEL depth %d, budget 640", peak)
 	}
 	// A timer event pops superseded only because an arm moved the deadline
 	// ahead of it and put a second one: no other path may strand an event.

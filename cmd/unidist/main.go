@@ -202,8 +202,9 @@ func runCoord(listen string, hosts int, sc *unison.Scenario, tmo time.Duration, 
 	}
 	var files []string
 	if sc.Artifacts.Dir != "" {
-		// The single-process bundle, built from the merged monitor and the
-		// rows and trace the hosts shipped at gather.
+		// The single-process bundle, built from the merged monitor, the rows
+		// the hosts' steps and gathers carried and the trace they shipped at
+		// gather.
 		b.Sim.Mon = mon
 		bundle := b.Bundle("unidist", stats, nil, reg)
 		bundle.Rows, bundle.Interval, bundle.Trace = cfg.Net.Rows, sampleInterval(sc), cfg.Net.Trace
@@ -229,7 +230,7 @@ func runHost(id int32, addr string, hosts int, sc *unison.Scenario, tmo time.Dur
 	b, hostOf := build(sc, hosts)
 	if sc.Artifacts.Dir != "" {
 		// The coordinator assembles the bundle; this host only collects its
-		// own devices' records and ships them at gather.
+		// own devices' records: rows ride its steps, the trace its gather.
 		b.Sim.EnableNetObs(sc.Artifacts.Interval.T(), 0)
 	}
 	m := b.Sim.Model()

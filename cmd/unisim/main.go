@@ -28,10 +28,6 @@ import (
 	"unison/internal/sim"
 )
 
-// progressEvery is the sequential kernel's progress-record cadence in an
-// observed run; round-based kernels report every round regardless.
-const progressEvery = 50_000
-
 func main() {
 	var (
 		scFile  = flag.String("scenario", "", "declarative scenario file (JSON); default: the built-in scenario")
@@ -82,7 +78,7 @@ func main() {
 			fatal(1, err)
 		}
 		imb = obs.NewImbalanceTracker()
-		b.Observe, b.Progress = obs.Tee(imb, stream), progressEvery
+		b.Observe = obs.Tee(imb, stream)
 		if reg != nil {
 			b.Observe = obs.Tee(reg, b.Observe)
 		}
@@ -96,6 +92,16 @@ func main() {
 	}
 
 	m := b.Sim.Model()
+	finish := func() {}
+	if sampler != nil {
+		// The sampler's rows join the stream at the kernel's pauses, as the
+		// run goes: a watcher sees the queues while they happen. The feed
+		// goes before the snapshots, which then hold the sampler as the
+		// rows streamed so far leave it.
+		var feed sim.Pause
+		feed, finish = sampler.Feed(stream.Rows)
+		m.Pauses = append(m.Pauses, feed)
+	}
 	if *ckptDir != "" {
 		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
 			fatal(1, err)
@@ -155,8 +161,8 @@ func main() {
 		if files, err = bundle.Write(sc.Artifacts.Dir); err != nil {
 			fatal(1, fmt.Errorf("artifacts: %w", err))
 		}
-		// The run is over, so reading the sampler is race-free.
-		stream.Rows(sampler.LiveDelta())
+		// The rows the run closed after its last pause, the final flush's.
+		finish()
 		files = append(files, netobs.RecordsFile)
 	}
 	if stream != nil {

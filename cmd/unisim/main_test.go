@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"slices"
 	"testing"
+
+	"unison/internal/netobs"
 )
 
 // TestMain runs the command itself when the test binary is re-executed
@@ -63,5 +65,39 @@ func TestRunStatsKeysDoNotDependOnLive(t *testing.T) {
 	with, without := keys(true), keys(false)
 	if !slices.Equal(with, without) || !slices.Contains(without, "imbalance") || !slices.Contains(without, "workers.straggler_rounds") {
 		t.Fatalf("run_stats.json keys\n with -live:    %v\n without -live: %v", with, without)
+	}
+}
+
+// TestRowsStreamWhileTheRunGoes runs the default scenario with a bundle:
+// the sampler's rows join records.ndjson at the kernel's pauses, so at
+// least one row line comes before the last round line.
+func TestRowsStreamWhileTheRunGoes(t *testing.T) {
+	dir := t.TempDir()
+	cmd := exec.Command(os.Args[0], "-set", "artifacts.dir="+dir)
+	cmd.Env = append(os.Environ(), "UNISIM_MAIN=1")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("unisim: %v\n%s", err, out)
+	}
+	f, err := os.Open(filepath.Join(dir, netobs.RecordsFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	firstRow, lastRound, line := -1, -1, 0
+	err = netobs.ReadRecords(f, func(_ []byte, r *netobs.Record) error {
+		switch {
+		case r.Row != nil && firstRow < 0:
+			firstRow = line
+		case r.Round != nil:
+			lastRound = line
+		}
+		line++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if firstRow < 0 || lastRound < 0 || firstRow > lastRound {
+		t.Fatalf("first row line %d, last round line %d of %d: the rows did not stream while the run went", firstRow, lastRound, line)
 	}
 }

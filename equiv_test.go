@@ -302,6 +302,7 @@ func local(t *testing.T, sc *unison.Scenario, k kernel, o opts) (artifacts, *sim
 	}
 	b.Observe = o.probe
 	var stream *live.Stream
+	finish := func() {}
 	var imb *obs.ImbalanceTracker
 	var watched chan []byte
 	if o.live != nil {
@@ -316,7 +317,10 @@ func local(t *testing.T, sc *unison.Scenario, k kernel, o opts) (artifacts, *sim
 			return artifacts{}, nil, []error{err}
 		}
 		imb = obs.NewImbalanceTracker()
-		b.Observe, b.Progress = obs.Tee(imb, stream), 10_000
+		b.Observe = obs.Tee(imb, stream)
+		var feed sim.Pause
+		feed, finish = sam.Feed(stream.Rows)
+		m.Pauses = append([]sim.Pause{feed}, m.Pauses...)
 	}
 	exec := b.RunKernel
 	if k.run != nil {
@@ -332,7 +336,7 @@ func local(t *testing.T, sc *unison.Scenario, k kernel, o opts) (artifacts, *sim
 		if _, err := bu.Write(o.dir); err != nil {
 			return artifacts{}, nil, []error{err}
 		}
-		stream.Rows(b.Sim.Net.Sampler().LiveDelta())
+		finish()
 		if err := stream.Finish(st); err != nil {
 			return artifacts{}, nil, []error{err}
 		}
@@ -898,7 +902,7 @@ func TestCheckpointRestoreRoundTripReservedIdentities(t *testing.T) {
 			if err := app.Restore(m, b.Sim.CkptTarget(), app.CheckpointPath(dir, from)); err != nil {
 				t.Fatal(err)
 			}
-			now := int64(m.Ckpt.Restore.Now)
+			now := int64(m.Restore.Now)
 			owed, short := 0, 0
 			b.Sim.Net.Devices(func(d *netdev.Device) {
 				v := reflect.ValueOf(d).Elem()
@@ -1030,26 +1034,29 @@ func TestSaveBuffersDieWithTheRun(t *testing.T) {
 // events, and one that will pop and do nothing costs as much as any. With a
 // timer event per segment and a txDone per frame, this scenario's snapshots
 // held 371 pending events on average, 488 at most, in 231 007-byte files;
-// today 92, 108 and 222 971, exact: the bounds are those plus a few percent.
+// today 88, 108 and 222 635, exact: the bounds are those plus a few percent.
 func TestSnapshotHoldsOnlyEventsWithWork(t *testing.T) {
 	b, m := observed(t, ckptScenario())
-	app.EnableCheckpoints(m, b.Sim.CkptTarget(), t.TempDir(), 100, 0, nil)
-	var snaps, pending, peak, size int64
-	var buf []sim.Event
-	m.Ckpt.Saved = func(ks *sim.KernelState, _, bytes int64) {
-		n := int64(0)
-		for i := 0; i < ks.FELs; i++ {
-			buf = ks.FEL(i, buf[:0])
-			n += int64(len(buf))
-		}
-		snaps, pending, peak, size = snaps+1, pending+n, max(peak, n), size+bytes
-	}
+	files := &snapshotFiles{}
+	app.EnableCheckpoints(m, b.Sim.CkptTarget(), t.TempDir(), 100, 0, files)
+	var snaps, pending, peak int64
+	m.Pauses = append(m.Pauses, sim.Pause{Every: 100, New: func() sim.Pauser {
+		return sim.PauseFunc(func(ks *sim.KernelState) {
+			var buf []sim.Event
+			for i := 0; i < ks.FELs; i++ {
+				buf = ks.FEL(i, buf)
+			}
+			n := int64(len(buf))
+			snaps, pending, peak = snaps+1, pending+n, max(peak, n)
+		})
+	}})
 	if _, err := core.New(core.Config{Threads: 2}).Run(m); err != nil {
 		t.Fatal(err)
 	}
-	if snaps < 5 {
-		t.Fatalf("%d snapshots, want several", snaps)
+	if snaps < 5 || files.n != snaps {
+		t.Fatalf("%d snapshots, %d files written; want several, one per snapshot", snaps, files.n)
 	}
+	size := files.bytes
 	t.Logf("%d snapshots: %d pending events on average, %d at most, %d bytes on average", snaps, pending/snaps, peak, size/snaps)
 	if mean := pending / snaps; mean > 100 || peak > 115 {
 		t.Errorf("pending events per snapshot: %d on average, %d at most; budget 100 and 115", mean, peak)
@@ -1057,6 +1064,15 @@ func TestSnapshotHoldsOnlyEventsWithWork(t *testing.T) {
 	if mean := size / snaps; mean > 227_500 {
 		t.Errorf("snapshot files are %d bytes on average, budget 227 500", mean)
 	}
+}
+
+// snapshotFiles counts the snapshot records a checkpoint saver files.
+type snapshotFiles struct{ n, bytes int64 }
+
+func (*snapshotFiles) BeginRun(obs.RunMeta) {}
+func (*snapshotFiles) EndRun(*sim.RunStats) {}
+func (f *snapshotFiles) OnRound(r *obs.RoundRecord) {
+	f.n, f.bytes = f.n+1, f.bytes+int64(r.CkptBytes)
 }
 
 // TestFlowReportMergeAcrossRanks: a monitor split in two, as the dist gather

@@ -94,21 +94,13 @@ func CheckpointPath(dir string, r uint64) string {
 // multiple of everyTime) the kernel quiesces and writes
 // dir/ckpt-r<round>.uckpt atomically through t. A non-nil probe receives
 // one RoundRecord per snapshot carrying its size and for how long it held
-// the kernel's workers.
+// the kernel's workers. With both cadences zero it arms nothing.
 func EnableCheckpoints(m *sim.Model, t *ckpt.Target, dir string, every uint64, everyTime sim.Time, probe obs.Probe) {
-	if m.Ckpt == nil {
-		m.Ckpt = &sim.CkptHook{}
+	if every == 0 && everyTime == 0 {
+		return
 	}
-	m.Ckpt.Every = every
-	m.Ckpt.EveryTime = everyTime
-	m.Ckpt.NewSaver = t.Saver(func(r uint64) string { return CheckpointPath(dir, r) })
-	m.Ckpt.Saved = nil
-	if probe != nil {
-		m.Ckpt.Saved = func(ks *sim.KernelState, heldNS, bytes int64) {
-			rec := obs.RoundRecord{Round: ks.Round, LBTS: ks.Now, CkptNS: heldNS, CkptBytes: uint64(bytes)}
-			probe.OnRound(&rec)
-		}
-	}
+	m.Pauses = append(m.Pauses, sim.Pause{Every: every, EveryTime: everyTime,
+		New: t.Saver(func(r uint64) string { return CheckpointPath(dir, r) }, probe)})
 }
 
 // Restore loads the snapshot at path into the layers behind t (which
@@ -119,10 +111,7 @@ func Restore(m *sim.Model, t *ckpt.Target, path string) error {
 	if err != nil {
 		return err
 	}
-	if m.Ckpt == nil {
-		m.Ckpt = &sim.CkptHook{}
-	}
-	m.Ckpt.Restore = ks
+	m.Restore = ks
 	return nil
 }
 

@@ -45,11 +45,6 @@ type Built struct {
 	// constructs. Set it between Build and the run (the CLIs hand it a
 	// registry, an imbalance tracker and the record stream).
 	Observe obs.Probe
-	// Progress, for the sequential kernel only, emits a progress
-	// RoundRecord every Progress executed events so live watchers see
-	// movement; other kernels report per round regardless. Zero keeps
-	// the kernel's single-summary behavior.
-	Progress uint64
 
 	rip *routing.RIP
 }
@@ -350,7 +345,7 @@ func (b *Built) RunKernel(m *sim.Model) (*sim.RunStats, error) {
 	}
 	switch kind {
 	case "sequential", "seq":
-		return (&des.Kernel{Observe: b.Observe, ProgressEvery: b.Progress}).Run(m)
+		return (&des.Kernel{Observe: b.Observe}).Run(m)
 	case "unison":
 		return core.New(core.Config{Threads: threads, Observe: b.Observe}).Run(m)
 	case "hybrid":

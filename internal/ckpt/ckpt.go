@@ -36,7 +36,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"time"
 
+	"unison/internal/obs"
 	"unison/internal/packet"
 	"unison/internal/sim"
 	"unison/internal/stats"
@@ -534,13 +536,15 @@ type Target struct {
 	Decoders []EventDecoder
 }
 
-// Saver returns a sim.CkptHook's NewSaver: every saver it makes writes a
-// run's snapshot of round r to path(r). A saver owns every buffer its saves
-// encode into and fills them again from save to save, so a run's second and
-// later saves allocate nothing, and the memory goes when the run drops the
-// saver — the Target holds none of it.
-func (t *Target) Saver(path func(round uint64) string) func() sim.CkptSaver {
-	return func() sim.CkptSaver { return &saver{t: t, path: path} }
+// Saver returns a sim.Pause's New: every saver it makes writes a run's
+// snapshot of round r to path(r) and, when probe is non-nil, files one
+// RoundRecord per snapshot with its size and for how long it held the
+// kernel's workers, from Start to the file being durable. A saver owns
+// every buffer its saves encode into and fills them again from save to
+// save, so a run's second and later saves allocate nothing, and the memory
+// goes when the run drops the saver — the Target holds none of it.
+func (t *Target) Saver(path func(round uint64) string, probe obs.Probe) func() sim.Pauser {
+	return func() sim.Pauser { return &saver{t: t, path: path, probe: probe} }
 }
 
 // felsPerJob is how many of the kernel's event lists one job encodes. An
@@ -549,12 +553,15 @@ func (t *Target) Saver(path func(round uint64) string) func() sim.CkptSaver {
 // every worker.
 const felsPerJob = 64
 
-// saver is the one encoder: whoever drives it (sim.CkptRun), from one
+// saver is the one encoder: whoever drives it (sim.PauseRun), from one
 // goroutine or from all of a round engine's, the same bytes come out.
 type saver struct {
-	t    *Target
-	path func(round uint64) string
-	ks   *sim.KernelState
+	t     *Target
+	path  func(round uint64) string
+	probe obs.Probe
+	rec   obs.RoundRecord // the snapshot's record, kept here so it escapes once
+	start time.Time
+	ks    *sim.KernelState
 	// jobs are the independent parts of a snapshot in file order, which puts
 	// the large ones first: the kernel section's events in runs of
 	// felsPerJob lists, then one whole section per layer.
@@ -575,6 +582,7 @@ type saveJob struct {
 }
 
 func (s *saver) Start(ks *sim.KernelState) int {
+	s.start = time.Now() //unison:wallclock-ok how long a snapshot holds the workers, for obs.RoundRecord.CkptNS
 	s.ks = ks
 	if s.jobs == nil {
 		s.runs = (ks.FELs + felsPerJob - 1) / felsPerJob
@@ -676,12 +684,21 @@ func (s *saver) image() ([][]byte, error) {
 	return s.pieces, nil
 }
 
-func (s *saver) Commit() (int64, error) {
+func (s *saver) Commit() error {
 	pieces, err := s.image()
-	if err != nil {
-		return 0, err
+	var n int64
+	if err == nil {
+		n, err = writeFile(s.path(s.ks.Round), pieces)
 	}
-	return writeFile(s.path(s.ks.Round), pieces)
+	if err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	if s.probe != nil {
+		s.rec = obs.RoundRecord{Round: s.ks.Round, LBTS: s.ks.Now, CkptBytes: uint64(n),
+			CkptNS: time.Since(s.start).Nanoseconds()} //unison:wallclock-ok how long a snapshot holds the workers, for obs.RoundRecord.CkptNS
+		s.probe.OnRound(&s.rec)
+	}
+	return nil
 }
 
 // Load reads path into the Target's layers and returns the kernel

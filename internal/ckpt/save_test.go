@@ -171,8 +171,8 @@ func TestImageIndependentOfJobOrder(t *testing.T) {
 func TestMissingDescriptorFailsTheSave(t *testing.T) {
 	ks := validState()
 	ks.FEL = func(_ int, dst []sim.Event) []sim.Event { return append(dst, sim.Event{Time: 7, Node: 3}) }
-	hook := &sim.CkptHook{NewSaver: fuzzTarget().Saver(func(uint64) string { t.Fatal("a failed save asked for a path"); return "" })}
-	err := hook.Open("des", ks.Seqs, ks.FELs, ks.FEL).Save(1, 1, 7, 6)
+	save := []sim.Pause{{New: fuzzTarget().Saver(func(uint64) string { t.Fatal("a failed save asked for a path"); return "" }, nil)}}
+	err := sim.OpenPauses("des", save, 1, 0, ks.Seqs, ks.FELs, ks.FEL).Pause(1, 1, 1, 7, 6)
 	if err == nil || !strings.HasPrefix(err.Error(), "des: checkpoint: ckpt: pending event at") || !strings.Contains(err.Error(), "on node 3 has no descriptor") {
 		t.Fatalf("err=%v, want the kernel-prefixed NoDesc error", err)
 	}
@@ -207,10 +207,11 @@ func TestFirstSaveIsSized(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "x.uckpt")
 	ks, tgt := bigState(4*felsPerJob, 200), bigTarget(500_000) // ≈ 6 MB
-	hook := &sim.CkptHook{NewSaver: tgt.Saver(func(uint64) string { return path })}
-	save := func(run *sim.CkptRun) time.Duration {
+	pauses := []sim.Pause{{New: tgt.Saver(func(uint64) string { return path }, nil)}}
+	open := func() *sim.PauseRun { return sim.OpenPauses("test", pauses, 0, 0, ks.Seqs, ks.FELs, ks.FEL) }
+	save := func(run *sim.PauseRun) time.Duration {
 		start := time.Now()
-		if err := run.Save(9, 99, 1000, 999); err != nil {
+		if err := run.Pause(9, 9, 99, 1000, 999); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(start)
@@ -218,7 +219,7 @@ func TestFirstSaveIsSized(t *testing.T) {
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	save(hook.Open("test", ks.Seqs, ks.FELs, ks.FEL))
+	save(open())
 	runtime.ReadMemStats(&after)
 	fi, err := os.Stat(path)
 	if err != nil || fi.Size() < 5<<20 {
@@ -234,7 +235,7 @@ func TestFirstSaveIsSized(t *testing.T) {
 	for try := 0; try < 3; try++ {
 		first, steady = time.Hour, time.Hour
 		for trial := 0; trial < 5; trial++ {
-			run := hook.Open("test", ks.Seqs, ks.FELs, ks.FEL)
+			run := open()
 			first = min(first, save(run))
 			steady = min(steady, save(run), save(run))
 		}

@@ -192,10 +192,10 @@ type Engine struct {
 
 	cache *metrics.CacheModel
 
-	// saves is the run's checkpoint path, nil without a hook. While saving,
-	// phase 4 has found a snapshot due and the save phase is open: saveJobs
-	// encode jobs, claimed through saveCursor by every thread of the run.
-	saves      *sim.CkptRun
+	// pauses runs the model's pause clients, nil without any. While saving,
+	// phase 4 has paused for a client with jobs and the save phase is open:
+	// saveJobs jobs, claimed through saveCursor by every thread of the run.
+	pauses     *sim.PauseRun
 	saving     bool
 	saveJobs   int
 	saveCursor atomic.Int64
@@ -304,8 +304,7 @@ func NewEngine(m *sim.Model, sh Shape) (*Engine, error) {
 		}
 	}
 	seed, restored := m.Init, false
-	if hook := m.Ckpt; hook != nil && hook.Restore != nil {
-		ks := hook.Restore
+	if ks := m.Restore; ks != nil {
 		if len(ks.Seqs) != len(e.seqs) {
 			return nil, fmt.Errorf("core: checkpoint has %d sequence counters, model needs %d", len(ks.Seqs), len(e.seqs))
 		}
@@ -332,7 +331,7 @@ func NewEngine(m *sim.Model, sh Shape) (*Engine, error) {
 		e.next[i], lp.depth = lp.fel.NextTime(), int32(lp.fel.Len())
 		e.depth += int64(lp.depth)
 	}
-	e.saves = m.Ckpt.Open("core", e.seqs, n+1, e.snapshot)
+	e.pauses = sim.OpenPauses("core", m.Pauses, 1, e.round, e.seqs, n+1, e.snapshot)
 	obs.Begin(sh.Cfg.Observe, obs.RunMeta{Kernel: sh.Name, Workers: workers, LPs: n})
 	// The first window is the phase-4 computation for round 0.
 	e.done = !e.openWindow()
@@ -609,9 +608,9 @@ func (t *Thread) Receive(lpIdx int32) (n, depth int) {
 }
 
 // Advance is phase 4, run with every LP quiescent and received: count the
-// round, reschedule, then either end the run or open the next window, and a
-// save phase with it when a snapshot is due (Saving). It reports whether the
-// LP orders were re-sorted.
+// round, reschedule, then either end the run or open the next window and
+// pause for the clients due (sim.PauseRun); a client with jobs opens a save
+// phase (Saving). It reports whether the LP orders were re-sorted.
 func (e *Engine) Advance() (resorted bool) {
 	e.round++
 	if e.sh.Cfg.Observe != nil {
@@ -626,12 +625,16 @@ func (e *Engine) Advance() (resorted bool) {
 	case e.sh.Cfg.MaxRounds > 0 && e.round >= e.sh.Cfg.MaxRounds:
 		e.done = true
 		e.err = errors.New("core: MaxRounds exceeded")
-	case e.saves.Due(e.round):
+	case e.round >= e.pauses.Next():
 		// This is the quiescent point: every staged event has been
-		// delivered and the new window has not started. The driver runs the
-		// save phase before anyone enters it.
+		// delivered and the new window has not started. Clients without
+		// jobs are done when Begin returns; the others' save phase runs
+		// before anyone enters the window.
 		events, end := e.totals()
-		e.saving, e.saveJobs = true, e.saves.Begin(e.round, events, e.lbts, end)
+		if e.saveJobs, e.err = e.pauses.Begin(e.round, e.round, events, e.lbts, end); e.err != nil {
+			e.done = true
+		}
+		e.saving = e.saveJobs > 0
 		e.saveCursor.Store(0)
 	}
 	return resorted
@@ -652,20 +655,20 @@ func (e *Engine) snapshot(i int, dst []sim.Event) []sim.Event {
 func (e *Engine) Saving() bool { return e.saving }
 
 // Save is the save phase for one thread: it claims and runs the open
-// snapshot's encode jobs until none is left. Any thread may take any job —
-// the LPs are quiescent and a job only reads.
+// pause's jobs until none is left. Any thread may take any job — the LPs
+// are quiescent and a job only reads.
 func (t *Thread) Save() {
 	e := t.e
 	for i := e.saveCursor.Add(1) - 1; i < int64(e.saveJobs); i = e.saveCursor.Add(1) - 1 {
-		t.recv = e.saves.Job(int(i), t.recv)
+		t.recv = e.pauses.Job(int(i), t.recv)
 	}
 }
 
-// EndSave closes the save phase: the snapshot is framed and written. A
-// failure ends the run.
+// EndSave closes the save phase: the clients with jobs commit (a snapshot
+// is framed and written). A failure ends the run.
 func (e *Engine) EndSave() {
 	e.saving = false
-	if e.err = e.saves.Commit(); e.err != nil {
+	if e.err = e.pauses.Commit(); e.err != nil {
 		e.done = true
 	}
 }

@@ -36,11 +36,11 @@ type testDesc struct{}
 func (testDesc) CkptKind() uint16             { return 0xfffe }
 func (testDesc) CkptEncode(buf []byte) []byte { return buf }
 
-// saveFunc is a checkpoint hook that hands fn every snapshot the way a
+// saveFunc is a pause client that hands fn every snapshot the way a
 // restore sees one: the kernel's event lists, each read by its own job,
 // merged into Queue.
-func saveFunc(every uint64, fn func(ks *sim.KernelState) error) *sim.CkptHook {
-	return &sim.CkptHook{Every: every, NewSaver: func() sim.CkptSaver { return &funcSaver{fn: fn} }}
+func saveFunc(every uint64, fn func(ks *sim.KernelState) error) sim.Pause {
+	return sim.Pause{Every: every, New: func() sim.Pauser { return &funcSaver{fn: fn} }}
 }
 
 type funcSaver struct {
@@ -59,10 +59,10 @@ func (s *funcSaver) Job(i int, scratch []sim.Event) []sim.Event {
 	return scratch
 }
 
-func (s *funcSaver) Commit() (int64, error) {
+func (s *funcSaver) Commit() error {
 	flat := *s.ks
 	flat.Queue = slices.Concat(s.lists...)
-	return 0, s.fn(&flat)
+	return s.fn(&flat)
 }
 
 // relayModel passes a token down the chain `laps` times.
@@ -278,14 +278,14 @@ func TestEngineShapes(t *testing.T) {
 			// barrier-1x1, whose only boundaries are the global events).
 			sm := newSparseModel(64, 500)
 			var snap *sim.KernelState
-			sm.Ckpt = saveFunc(1, func(ks *sim.KernelState) error {
+			sm.Pauses = []sim.Pause{saveFunc(1, func(ks *sim.KernelState) error {
 				if snap == nil && ks.Now >= 40*500 {
 					cp := *ks
 					cp.Seqs, cp.Queue = slices.Clone(ks.Seqs), slices.Clone(ks.Queue)
 					snap = &cp
 				}
 				return nil
-			})
+			})}
 			st, err := sh.kernel(64, core.Config{}).Run(sm.Model)
 			if err == nil {
 				err = sm.log.equals(want, st, wantSt)
@@ -301,7 +301,7 @@ func TestEngineShapes(t *testing.T) {
 				t.Fatalf("snapshot has events pending on %d of 64 nodes, want over 90%% idle", len(busy))
 			}
 			sm.log = newEvLog(64)
-			sm.Ckpt = &sim.CkptHook{Restore: snap}
+			sm.Pauses, sm.Restore = nil, snap
 			rst, err := sh.kernel(64, core.Config{}).Run(sm.Model)
 			if err != nil {
 				t.Fatal(err)
@@ -321,14 +321,14 @@ func TestEngineShapes(t *testing.T) {
 			// A snapshot taken at the same point counts them independently.
 			sm := newSparseModel(64, 500)
 			pending := map[uint64]uint64{}
-			sm.Ckpt = saveFunc(1, func(ks *sim.KernelState) error {
+			sm.Pauses = []sim.Pause{saveFunc(1, func(ks *sim.KernelState) error {
 				for _, ev := range ks.Queue {
 					if ev.Node != sim.GlobalNode {
 						pending[ks.Round-1]++
 					}
 				}
 				return nil
-			})
+			})}
 			probe := &depthProbe{sum: map[uint64]uint64{}}
 			if _, err := sh.kernel(64, core.Config{Observe: probe}).Run(sm.Model); err != nil {
 				t.Fatal(err)
@@ -358,10 +358,10 @@ func TestEngineShapes(t *testing.T) {
 			m, count := relayModel(lineTopo(8, 500), 500, 1_000_000)
 			withStop(m, 100_000, 1000)
 			saves := 0
-			m.Ckpt = saveFunc(3, func(*sim.KernelState) error {
+			m.Pauses = []sim.Pause{saveFunc(3, func(*sim.KernelState) error {
 				saves++
 				return boom
-			})
+			})}
 			_, err := sh.kernel(8, core.Config{}).Run(m)
 			if !errors.Is(err, boom) {
 				t.Fatalf("err=%v, want the Save error wrapped", err)
@@ -439,7 +439,7 @@ func TestProbeBeginEndPaired(t *testing.T) {
 			outcome{sh.name + "/ckpt-save-error", func(p obs.Probe) error {
 				m, _ := relayModel(lineTopo(8, 500), 500, 1_000_000)
 				withStop(m, 100_000, 1000)
-				m.Ckpt = saveFunc(3, func(*sim.KernelState) error { return boom })
+				m.Pauses = []sim.Pause{saveFunc(3, func(*sim.KernelState) error { return boom })}
 				_, err := sh.kernel(8, core.Config{Observe: p}).Run(m)
 				return err
 			}, true},
@@ -455,8 +455,9 @@ func TestProbeBeginEndPaired(t *testing.T) {
 		outcome{"nullmsg/ckpt-save-error", func(p obs.Probe) error {
 			m, _ := relayModel(lineTopo(8, 500), 500, 1_000_000)
 			withStop(m, 100_000, 0)
-			m.Ckpt = saveFunc(0, func(*sim.KernelState) error { return boom })
-			m.Ckpt.EveryTime = 10_000
+			save := saveFunc(0, func(*sim.KernelState) error { return boom })
+			save.EveryTime = 10_000
+			m.Pauses = []sim.Pause{save}
 			_, err := (&pdes.NullMessageKernel{LPOf: halves(8), Observe: p}).Run(m)
 			return err
 		}, true},

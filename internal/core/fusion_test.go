@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"unison/internal/core"
 	"unison/internal/des"
@@ -36,8 +37,8 @@ func fusedRun(t *testing.T, sm *sparseModel, threads int, metric core.Metric, ru
 		return nil, nil, err
 	}
 	from := uint64(0) // a restored run's first round
-	if sm.Ckpt != nil && sm.Ckpt.Restore != nil {
-		from = sm.Ckpt.Restore.Round
+	if sm.Restore != nil {
+		from = sm.Restore.Round
 	}
 	perRound := make([]int, st.Rounds-from)
 	var fused []uint64
@@ -146,7 +147,10 @@ func TestFusionInvisible(t *testing.T) {
 // fused or not; a checkpointing run fuses the rounds a plain run does (a
 // save phase hands back, and fusing resumes after it); and a run restored
 // from any snapshot fuses the rounds after it that the uninterrupted run
-// fused, its first round always shared.
+// fused, its first round always shared. A pause client without a cadence
+// runs at the end of every round but the last: one without jobs on the
+// thread that ran the round, fused or not, stopping nothing; one with jobs
+// in a save phase every worker joins, as a snapshot's.
 func TestFusionCheckpoints(t *testing.T) {
 	const every = 5
 	for seed := int64(1); seed <= 6; seed++ {
@@ -165,12 +169,12 @@ func TestFusionCheckpoints(t *testing.T) {
 			}
 			snaps, images := map[uint64]*sim.KernelState{}, map[uint64]string{}
 			sm = busyModel(seed)
-			sm.Ckpt = saveFunc(every, func(ks *sim.KernelState) error {
+			sm.Pauses = []sim.Pause{saveFunc(every, func(ks *sim.KernelState) error {
 				cp := *ks
 				cp.Seqs, cp.Queue = slices.Clone(ks.Seqs), slices.Clone(ks.Queue)
 				snaps[ks.Round], images[ks.Round] = &cp, image(ks)
 				return nil
-			})
+			})}
 			st, fused, err := fusedRun(t, sm, 3, core.MetricPrevTime, fr.rule, want)
 			if err == nil {
 				err = sm.log.equals(ref.log, st, want)
@@ -191,7 +195,7 @@ func TestFusionCheckpoints(t *testing.T) {
 					t.Fatalf("%s: the snapshot of round %d differs from the one taken fusing never", what, round)
 				}
 				sm.log = newEvLog(sm.Nodes)
-				sm.Ckpt = &sim.CkptHook{Restore: snaps[round]}
+				sm.Pauses, sm.Restore = nil, snaps[round]
 				rst, after, err := fusedRun(t, sm, 3, core.MetricPrevTime, fr.rule, want)
 				if err == nil {
 					err = sm.log.endsWith(ref.log)
@@ -209,9 +213,66 @@ func TestFusionCheckpoints(t *testing.T) {
 					t.Fatalf("%s, restored from round %d: %v", what, round, err)
 				}
 			}
+			for _, c := range []*everyRound{{}, {jobs: 3}} {
+				if seed > 2 {
+					break // a save phase every round is slow under -race; two seeds cover both clients
+				}
+				sm = busyModel(seed)
+				sm.Pauses = []sim.Pause{{New: func() sim.Pauser { return c }}}
+				st, fused, err := fusedRun(t, sm, 3, core.MetricPrevTime, fr.rule, want)
+				if err == nil {
+					err = sm.log.equals(ref.log, st, want)
+				}
+				if err == nil && (len(c.rounds) != int(st.Rounds)-1 || !slices.IsSorted(c.rounds) || c.rounds[0] != 1 ||
+					c.rounds[len(c.rounds)-1] != st.Rounds-1) {
+					err = fmt.Errorf("paused after rounds %v of %d, want every round but the last", c.rounds, st.Rounds)
+				}
+				if err == nil && !slices.Equal(fused, plainFused) {
+					err = fmt.Errorf("fused rounds %v, a plain run %v", fused, plainFused)
+				}
+				if err != nil {
+					t.Fatalf("%s, a client with %d jobs at every round: %v", what, c.jobs, err)
+				}
+			}
 		}
 	}
 }
+
+// everyRound is a pause client without a cadence that notes the rounds it
+// runs at. With jobs, every one waits until all have started: a pause's
+// jobs are the parked workers', all of them, or it fails.
+type everyRound struct {
+	jobs    int
+	rounds  []uint64
+	mu      sync.Mutex
+	started int
+	all     chan struct{}
+	err     error
+}
+
+func (c *everyRound) Start(ks *sim.KernelState) int {
+	c.rounds = append(c.rounds, ks.Round)
+	c.started, c.all = 0, make(chan struct{})
+	return c.jobs
+}
+
+func (c *everyRound) Job(int, []sim.Event) []sim.Event {
+	c.mu.Lock()
+	if c.started++; c.started == c.jobs {
+		close(c.all)
+	}
+	c.mu.Unlock()
+	select {
+	case <-c.all:
+	case <-time.After(10 * time.Second):
+		c.mu.Lock()
+		c.err = fmt.Errorf("round %d: %d of %d jobs started together", c.rounds[len(c.rounds)-1], c.started, c.jobs)
+		c.mu.Unlock()
+	}
+	return nil
+}
+
+func (c *everyRound) Commit() error { return c.err }
 
 // image renders a snapshot as its bytes would be, field by field.
 func image(ks *sim.KernelState) string {

@@ -375,9 +375,9 @@ func (l *live) workerLoop(w int, t *Thread) {
 		// updates the window, reschedules LPs and decides termination.
 		l.bar.WaitSerial(phase4)
 		for l.Saving() {
-			// A checkpoint round: the workers phase 4 would have left parked
-			// encode the snapshot between them, and the last one done writes
-			// it. The stall is synchronization time, like phase 4 itself.
+			// A pause with jobs (a snapshot): the workers phase 4 would have
+			// left parked run them between them, and the last one done
+			// commits. The stall is synchronization time, like phase 4 itself.
 			t.Save()
 			l.bar.WaitSerial(endSave)
 		}
@@ -508,7 +508,8 @@ func (l *live) file(probe obs.Probe, w int, round uint64, lbts sim.Time, wall in
 }
 
 // small reports whether the window just opened is to be fused: the run
-// goes on, no save phase is open, and the shape fuses windows this small.
+// goes on, no save phase is open (a pause client without jobs has already
+// run and stops nothing), and the shape fuses windows this small.
 func (l *live) small() bool {
 	if l.fuseBelow == 0 || l.done || l.Saving() {
 		return false

@@ -423,19 +423,21 @@ func rankRun(seed int64, rankOf []int32, snapAt uint64, restore []*sim.KernelSta
 		w := &fakeRank{h: h, id: int32(i)}
 		w.sm = genRankModel(seed, w.remote)
 		ranks[i] = w
-		w.sm.Ckpt = saveFunc(snapAt, func(ks *sim.KernelState) error {
-			if ks.Round == snapAt {
-				cp := *ks
-				cp.Seqs, cp.Queue = slices.Clone(ks.Seqs), slices.Clone(ks.Queue)
-				snaps[w.id] = &cp
-			}
-			return nil
-		})
+		if snapAt > 0 {
+			w.sm.Pauses = []sim.Pause{saveFunc(snapAt, func(ks *sim.KernelState) error {
+				if ks.Round == snapAt {
+					cp := *ks
+					cp.Seqs, cp.Queue = slices.Clone(ks.Seqs), slices.Clone(ks.Queue)
+					snaps[w.id] = &cp
+				}
+				return nil
+			})}
+		}
 		if ks := restore[i]; ks != nil {
 			cp := *ks
 			cp.Queue = slices.Clone(ks.Queue)
 			w.sm.bind(cp.Queue)
-			w.sm.Ckpt.Restore = &cp
+			w.sm.Restore = &cp
 		}
 		wg.Add(1)
 		go func() {

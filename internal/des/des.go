@@ -16,19 +16,19 @@ import (
 
 // Kernel is the sequential DES kernel.
 type Kernel struct {
-	// Observe, when non-nil, receives run begin/end notifications and one
-	// summary RoundRecord for the whole run (the sequential kernel has no
-	// round structure).
+	// Observe, when non-nil, receives run begin/end notifications, a
+	// progress RoundRecord at every telemetry pause (every progressEvery
+	// executed events, at the next timestamp boundary) and one for the
+	// tail of the run: each covers the events since the previous one, so
+	// the records sum to the run.
 	Observe obs.Probe
-	// ProgressEvery, with Observe non-nil, additionally emits a progress
-	// RoundRecord every ProgressEvery executed events — the hook live
-	// watchers need, since a sequential run otherwise reports nothing
-	// until it finishes. Each record covers the events since the previous
-	// one (the final summary record then covers only the tail), so
-	// aggregate totals are unchanged. Zero keeps the single-summary
-	// behavior and its single nil-check cost.
-	ProgressEvery uint64
 }
+
+// progressEvery is the sequential kernel's telemetry cadence in executed
+// events: live watchers need a record now and then, since a sequential run
+// has no rounds to report, and the model's pause clients without a cadence
+// of their own (sampler rows) run at the same pauses.
+const progressEvery = 50_000
 
 // New returns a sequential kernel.
 func New() *Kernel { return &Kernel{} }
@@ -51,11 +51,9 @@ func (k *Kernel) Run(m *sim.Model) (*sim.RunStats, error) {
 	start := time.Now() //unison:wallclock-ok wall-clock run timing for RunStats.WallNS
 	fel := &eventq.Mono{}
 	seqs := sim.NewSeqTable(m.Nodes)
-	hook := m.Ckpt
 	var events, round uint64
 	var now sim.Time
-	if hook != nil && hook.Restore != nil {
-		ks := hook.Restore
+	if ks := m.Restore; ks != nil {
 		if len(ks.Seqs) != len(seqs) {
 			return nil, fmt.Errorf("des: checkpoint has %d sequence counters, model needs %d", len(ks.Seqs), len(seqs))
 		}
@@ -69,48 +67,36 @@ func (k *Kernel) Run(m *sim.Model) (*sim.RunStats, error) {
 	ctx := sim.NewCtx(sink, 0)
 
 	obs.Begin(k.Observe, obs.RunMeta{Kernel: k.Name(), Workers: 1, LPs: 1})
-	// A periodic checkpoint is due every hook.Every executed events, but
-	// only fires at the next timestamp boundary (every pending event
-	// strictly after the last executed one), where zero-delay closures
-	// cannot be in flight (DESIGN.md §11).
-	saves := hook.Open("des", seqs, 1, func(_ int, dst []sim.Event) []sim.Event { return fel.Snapshot(dst) })
-	nextCkpt := uint64(0)
-	if saves != nil && hook.Every > 0 {
-		nextCkpt = events + hook.Every
+	// A pause is due once the event count reaches pauses.Next(), but only
+	// taken at the next timestamp boundary (every pending event strictly
+	// after the last executed one), where zero-delay closures cannot be in
+	// flight (DESIGN.md §11).
+	ps := m.Pauses
+	prog := &progress{probe: k.Observe, fel: fel, events: events, start: start}
+	if k.Observe != nil {
+		ps = append(ps[:len(ps):len(ps)], sim.Pause{New: func() sim.Pauser {
+			return sim.PauseFunc(func(ks *sim.KernelState) {
+				prog.file(ks.Events, ks.EndTime, time.Now()) //unison:wallclock-ok progress-telemetry timing, observation only
+			})
+		}})
 	}
-	var progRound, progEvents, nextProg uint64
-	progStart := start
-	if k.Observe != nil && k.ProgressEvery > 0 {
-		nextProg = events + k.ProgressEvery
-	}
+	pauses := sim.OpenPauses("des", ps, progressEvery, events, seqs, 1, func(_ int, dst []sim.Event) []sim.Event { return fel.Snapshot(dst) })
+	next := pauses.Next()
 	for !fel.Empty() {
-		if nextCkpt > 0 && events >= nextCkpt && fel.NextTime() > now {
-			round++
-			if err := saves.Save(round, events, fel.NextTime(), now); err != nil {
+		if events >= next && fel.NextTime() > now {
+			if pauses.Numbered(events) {
+				round++
+			}
+			if err := pauses.Pause(events, round, events, fel.NextTime(), now); err != nil {
 				return nil, err
 			}
-			nextCkpt = events + hook.Every
+			next = pauses.Next()
 		}
 		ev := fel.Pop()
 		now = ev.Time
 		ctx.Begin(&ev, seqs.Of(ev.Node))
 		ev.Fn(ctx)
 		events++
-		if nextProg > 0 && events >= nextProg {
-			wall := time.Now() //unison:wallclock-ok progress-telemetry timing, observation only
-			rec := obs.RoundRecord{
-				Round:    progRound,
-				LBTS:     now,
-				Events:   events - progEvents,
-				ProcNS:   wall.Sub(progStart).Nanoseconds(),
-				FELDepth: uint64(fel.Len()),
-			}
-			k.Observe.OnRound(&rec)
-			progRound++
-			progEvents = events
-			progStart = wall
-			nextProg = events + k.ProgressEvery
-		}
 		if ctx.Stopped() {
 			break
 		}
@@ -126,20 +112,29 @@ func (k *Kernel) Run(m *sim.Model) (*sim.RunStats, error) {
 		Workers: []sim.WorkerStats{{P: wallNS, Events: events}},
 	}
 	if k.Observe != nil {
-		rec := obs.RoundRecord{
-			Round:    progRound,
-			LBTS:     now,
-			Events:   events - progEvents,
-			ProcNS:   st.WallNS,
-			FELDepth: uint64(fel.Len()),
-		}
-		if progRound > 0 {
-			// Progress records already covered [0, progEvents); the final
-			// record reports the tail so totals still sum to the run.
-			rec.ProcNS = time.Since(progStart).Nanoseconds() //unison:wallclock-ok progress-telemetry timing, observation only
-		}
-		k.Observe.OnRound(&rec)
+		// The tail since the last progress record, the whole run if none:
+		// the records' ProcNS sum to WallNS.
+		prog.file(events, now, start.Add(time.Duration(wallNS)))
 	}
 	obs.End(k.Observe, st)
 	return st, nil
+}
+
+// progress files an observed run's progress records, at each telemetry
+// pause and at the end: each covers the events since the last.
+type progress struct {
+	probe  obs.Probe
+	fel    *eventq.Mono
+	round  uint64
+	events uint64    // the count the last record ended at
+	start  time.Time // and when
+	rec    obs.RoundRecord
+}
+
+// file reports the events from the last record up to events, the last at lbts.
+func (p *progress) file(events uint64, lbts sim.Time, wall time.Time) {
+	p.rec = obs.RoundRecord{Round: p.round, LBTS: lbts, Events: events - p.events,
+		ProcNS: wall.Sub(p.start).Nanoseconds(), FELDepth: uint64(p.fel.Len())}
+	p.probe.OnRound(&p.rec)
+	p.round, p.events, p.start = p.round+1, events, wall
 }

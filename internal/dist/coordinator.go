@@ -41,13 +41,14 @@ type CoordConfig struct {
 	// slowest host kept everyone waiting — MsgNS the routing and the
 	// answers after it, and Sends the cross-host events routed.
 	Observe obs.Probe
-	// Net, when non-nil, receives the merged network observability data
-	// (sampler rows and packet-trace records) the hosts ship at gather.
+	// Net, when non-nil, receives the merged network observability data:
+	// the sampler rows the hosts' sidebands carried, steps and gathers, and
+	// the packet-trace records they ship at gather.
 	Net *NetData
 	// OnSideband, when non-nil, receives every telemetry Sideband the
-	// hosts piggyback on their steps and gathers (hosts only attach one
-	// when run with HostConfig.Live), with the index of the connection it
-	// arrived on, host by host and in round order; the gathers' last.
+	// hosts piggyback on their steps and gathers (hosts attach one when run
+	// with HostConfig.Live or a sampler), with the index of the connection
+	// it arrived on, host by host and in round order; the gathers' last.
 	// Called on the coordinator's protocol goroutine between gathering a
 	// round's steps and answering them, so implementations must be quick —
 	// hand the records to a probe and return.
@@ -146,6 +147,20 @@ func RunCoordinator(ln net.Listener, cfg CoordConfig) (*flowmon.Monitor, uint64,
 	// both: an event in flight is one its target host has not counted yet.
 	outbox := make([][]RemoteEvent, cfg.Hosts)
 	var lastMin sim.Time // the minimum the window the steps close opened with
+	var rows []netobs.Row
+	sidebands := func(msgs []*envelope) {
+		for h, e := range msgs {
+			if e.Side == nil {
+				continue
+			}
+			if cfg.Net != nil {
+				rows = append(rows, e.Side.Rows...)
+			}
+			if cfg.OnSideband != nil {
+				cfg.OnSideband(h, e.Side)
+			}
+		}
+	}
 	for {
 		gatherStart := time.Now()
 		steps, err := g.collect(kStep, "step")
@@ -154,13 +169,7 @@ func RunCoordinator(ln net.Listener, cfg CoordConfig) (*flowmon.Monitor, uint64,
 		}
 		gatherNS := time.Since(gatherStart).Nanoseconds()
 		routeStart := time.Now()
-		if cfg.OnSideband != nil {
-			for h, e := range steps {
-				if e.Side != nil {
-					cfg.OnSideband(h, e.Side)
-				}
-			}
-		}
+		sidebands(steps)
 		for h := range outbox {
 			outbox[h] = outbox[h][:0]
 		}
@@ -212,13 +221,7 @@ func RunCoordinator(ln net.Listener, cfg CoordConfig) (*flowmon.Monitor, uint64,
 	if err != nil {
 		return fail(rounds, err)
 	}
-	if cfg.OnSideband != nil {
-		for h, e := range gathers {
-			if e.Side != nil {
-				cfg.OnSideband(h, e.Side)
-			}
-		}
-	}
+	sidebands(gathers)
 	mon := flowmon.NewMonitor(cfg.Flows)
 	for _, e := range gathers {
 		part := flowmon.NewMonitor(cfg.Flows)
@@ -226,14 +229,10 @@ func RunCoordinator(ln net.Listener, cfg CoordConfig) (*flowmon.Monitor, uint64,
 		mon.MergeFrom(part)
 	}
 	if cfg.Net != nil {
-		sets := make([][]netobs.Row, 0, len(gathers))
 		for _, e := range gathers {
-			if len(e.Final.Rows) > 0 {
-				sets = append(sets, e.Final.Rows)
-			}
 			cfg.Net.Trace = append(cfg.Net.Trace, e.Final.Trace...)
 		}
-		cfg.Net.Rows = netobs.MergeRows(sets...)
+		cfg.Net.Rows = netobs.MergeRows(rows)
 		// Per-host lists arrive in each host's merged (time, node, emission)
 		// order and every node lives on one host, so a stable sort by
 		// (time, node) reproduces the single-process merged trace.

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"net"
 	"runtime"
 	"slices"
@@ -166,6 +167,20 @@ func TestFaultMatrix(t *testing.T) {
 			}
 			if tc.name == "close" {
 				res.checkProbesClosed(t)
+			}
+			// The garbled bit is in the length of the faulted host's window:
+			// the frame's head refuses it, and nobody waits out a deadline.
+			if tc.name == "garble" {
+				refused := false
+				for _, err := range append(res.hostErrs, res.coordErr) {
+					refused = refused || strings.Contains(fmt.Sprint(err), "fails its complement")
+					if strings.Contains(fmt.Sprint(err), "timeout") {
+						t.Errorf("garble: a rank waited out its deadline: %v", err)
+					}
+				}
+				if !refused {
+					t.Errorf("garble: no rank refused the frame length: coordinator %v, hosts %v", res.coordErr, res.hostErrs)
+				}
 			}
 			t.Logf("%s: coord=%v hosts=%v rounds=%d elapsed=%v", tc.name, res.coordErr, res.hostErrs, res.rounds, res.elapsed)
 		})

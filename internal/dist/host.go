@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"unison/internal/ckpt"
 	"unison/internal/core"
 	"unison/internal/flowmon"
 	"unison/internal/netdev"
+	"unison/internal/netobs"
 	"unison/internal/obs"
 	"unison/internal/packet"
 	"unison/internal/rng"
@@ -48,10 +50,13 @@ type HostConfig struct {
 	// sending it to the coordinator's answer, and Retries reports extra
 	// dial attempts on the first record.
 	Observe obs.Probe
-	// Live piggybacks a telemetry Sideband (round records and netobs row
-	// deltas) on every step message, and the rest on the gather, feeding
-	// the coordinator's record stream. Purely observational: the
-	// simulation and its artifacts are bit-identical either way.
+	// Live piggybacks this host's round records, and its snapshots', on
+	// the telemetry Sideband of every step message, and the rest on the
+	// gather, feeding the coordinator's record stream. Purely
+	// observational: the simulation and its artifacts are bit-identical
+	// either way. Sampler rows ride the sideband whenever the network has
+	// a sampler attached, Live or not: it is their one way to the
+	// coordinator.
 	Live bool
 
 	// Ckpt, when non-nil, is this host's checkpoint target (its layers
@@ -118,7 +123,8 @@ func dialCoordinator(cfg HostConfig) (net.Conn, int, error) {
 // Restrictions (the same the paper's MPI baselines have): only the stop
 // event among global events, and models may only communicate across hosts
 // through the data plane (netdev), not by scheduling raw events onto
-// remote nodes. The host owns m.Ckpt for the run.
+// remote nodes. The host adds its pause clients to m.Pauses and sets
+// m.Restore for the run; both are as they were when it returns.
 func RunHost(cfg HostConfig, m *sim.Model, network *netdev.Network, mon *flowmon.Monitor) (*sim.RunStats, error) {
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("dist: %w", err)
@@ -140,28 +146,38 @@ func RunHost(cfg HostConfig, m *sim.Model, network *netdev.Network, mon *flowmon
 	r := &rank{cfg: &cfg, c: newConn(nc, cfg.Timeout, "coordinator"), net: network, note: obs.RoundRecord{Retries: uint64(dialRetries)}}
 	defer r.c.close()
 	// The hooks set below would keep r and its frame buffers alive.
-	defer func() { network.Remote, m.Ckpt = nil, nil }()
+	defer func(pauses []sim.Pause, ks *sim.KernelState) { network.Remote, m.Pauses, m.Restore = nil, pauses, ks }(m.Pauses, m.Restore)
 	if err := r.c.send(&envelope{Kind: kHello, Host: cfg.ID}); err != nil {
 		return nil, fmt.Errorf("dist: hello: %w", err)
 	}
 	network.Remote = r.remote
-	if cfg.Live {
+	sampler := network.Sampler()
+	if cfg.Live || sampler != nil {
 		r.side = &Sideband{}
 	}
-	m.Ckpt = &sim.CkptHook{Every: cfg.CheckpointEvery, Saved: r.saved}
-	if cfg.Ckpt != nil {
-		m.Ckpt.NewSaver = cfg.Ckpt.Saver(func(round uint64) string { return CheckpointFile(cfg.CheckpointDir, round, cfg.ID) })
+	// The pauses: rows first, so that a snapshot holds the sampler as the
+	// rows shipped so far leave it.
+	m.Pauses = slices.Clip(m.Pauses)
+	finish := func() {}
+	if sampler != nil {
+		var feed sim.Pause
+		feed, finish = sampler.Feed(func(rows []netobs.Row) { r.side.Rows = append(r.side.Rows, rows...) })
+		m.Pauses = append(m.Pauses, feed)
+	}
+	var probe obs.Probe
+	if cfg.Observe != nil || cfg.Live {
+		probe = obs.Tee(r, cfg.Observe)
+	}
+	if cfg.CheckpointEvery > 0 {
+		m.Pauses = append(m.Pauses, sim.Pause{Every: cfg.CheckpointEvery,
+			New: cfg.Ckpt.Saver(func(round uint64) string { return CheckpointFile(cfg.CheckpointDir, round, cfg.ID) }, probe)})
 	}
 	if cfg.RestoreFrom != "" {
 		ks, err := cfg.Ckpt.Load(cfg.RestoreFrom)
 		if err != nil {
 			return nil, fmt.Errorf("dist: restoring %s: %w", cfg.RestoreFrom, err)
 		}
-		m.Ckpt.Restore = ks
-	}
-	var probe obs.Probe
-	if cfg.Observe != nil || cfg.Live {
-		probe = obs.Tee(r, cfg.Observe)
+		m.Restore = ks
 	}
 	st, err := core.RunStatic(m, fmt.Sprintf("dist-host(%d)", cfg.ID), core.Manual(cfg.HostOf, m.Links()),
 		core.Config{Observe: probe}, r)
@@ -171,17 +187,14 @@ func RunHost(cfg HostConfig, m *sim.Model, network *netdev.Network, mon *flowmon
 
 	fin := &Final{Stats: st}
 	fin.Senders, fin.Recvs = mon.Export()
-	// Ship this host's share of the network observability data; the
-	// sampler and tracer only hold records of locally-owned devices.
-	if s := network.Sampler(); s != nil {
-		s.Flush()
-		fin.Rows = s.Rows()
-	}
+	// Ship this host's share of the packet trace; the tracer only holds
+	// records of locally-owned devices.
 	if network.Tracer != nil {
 		fin.Trace = network.Tracer.Merged()
 	}
 	// No step follows the last round: its record, and the rows closed
-	// since the last step, the final flush's among them, ride the gather.
+	// since the last pause, the final flush's among them, ride the gather.
+	finish()
 	if err := r.c.send(&envelope{Kind: kGather, Side: r.batch(), Final: fin}); err != nil {
 		return nil, fmt.Errorf("dist: gather: %w", err)
 	}
@@ -189,9 +202,9 @@ func RunHost(cfg HostConfig, m *sim.Model, network *netdev.Network, mon *flowmon
 }
 
 // rank is a host's end of the wire: the core.Wire its engine's serial
-// section calls, the data plane's Remote hook, the checkpoint hook's Saved,
-// and the first probe of the host's tee, which adds to each round record
-// what only the wire knows. One worker, so one goroutine calls them all.
+// section calls, the data plane's Remote hook, and the first probe of the
+// host's tee, which adds to each round record what only the wire knows.
+// One worker, so one goroutine calls them all, the pause clients too.
 type rank struct {
 	cfg  *HostConfig
 	c    *conn
@@ -199,7 +212,7 @@ type rank struct {
 	out  []RemoteEvent   // this round's cross-host arrivals, filled by remote
 	in   []sim.Event     // Sync's inbox, reused every round
 	note obs.RoundRecord // the fields OnRound copies into the round's record
-	side *Sideband       // the batch riding the next step; nil unless cfg.Live
+	side *Sideband       // the batch riding the next step; nil without Live or a sampler
 }
 
 func (r *rank) Resident() int { return int(r.cfg.ID) }
@@ -256,43 +269,30 @@ func (r *rank) Sync(lbts, local sim.Time) ([]sim.Event, sim.Time, sim.Time, erro
 	return r.in, allMin, bound, nil
 }
 
-// batch hands over the telemetry gathered since the last batch, with the
-// sampler rows closed since then; nil unless cfg.Live. It runs only where
-// the engine is quiescent, so reading the sampler's closed buckets is
-// race-free; LiveDelta never touches open buckets, keeping the final gather
-// rows byte-identical.
+// batch hands over the telemetry gathered since the last batch: the round
+// and snapshot records (under Live) and the sampler rows the feed's pauses
+// passed on. Nil without Live or a sampler.
 func (r *rank) batch() *Sideband {
 	b := r.side
-	if b == nil {
-		return nil
+	if b != nil {
+		r.side = &Sideband{}
 	}
-	if s := r.net.Sampler(); s != nil {
-		b.Rows = s.LiveDelta()
-	}
-	r.side = &Sideband{}
 	return b
-}
-
-// saved is the checkpoint hook's report of the snapshot the engine took at
-// the quiescent point of a CheckpointEvery-th round, the same rounds on
-// every host.
-func (r *rank) saved(_ *sim.KernelState, heldNS, bytes int64) {
-	r.note.CkptNS, r.note.CkptBytes = heldNS, uint64(bytes)
 }
 
 func (r *rank) BeginRun(obs.RunMeta) {}
 func (r *rank) EndRun(*sim.RunStats) {}
 
 // OnRound completes the engine's record of a round with the remote events
-// it sent and received, the step round trip that closed it, the dial
-// retries (on the first) and the snapshot taken at its end. Under Live a copy joins the
-// batch for the coordinator.
+// it sent and received, the step round trip that closed it and the dial
+// retries (on the first); a snapshot's record, the saver's, it leaves as
+// it is. Under Live a copy joins the batch for the coordinator.
 func (r *rank) OnRound(rec *obs.RoundRecord) {
-	n := &r.note
-	rec.Sends, rec.SendBytes, rec.Recvs, rec.AllReduceNS = n.Sends, n.Sends*obs.EventBytes, n.Recvs, n.AllReduceNS
-	rec.Retries, rec.CkptNS, rec.CkptBytes = n.Retries, n.CkptNS, n.CkptBytes
-	n.Retries, n.CkptNS, n.CkptBytes = 0, 0, 0
-	if r.side != nil {
+	if n := &r.note; rec.CkptBytes == 0 {
+		rec.Sends, rec.SendBytes, rec.Recvs, rec.AllReduceNS = n.Sends, n.Sends*obs.EventBytes, n.Recvs, n.AllReduceNS
+		rec.Retries, n.Retries = n.Retries, 0
+	}
+	if r.cfg.Live {
 		r.side.Recs = append(r.side.Recs, *rec)
 	}
 }

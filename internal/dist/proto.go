@@ -87,30 +87,30 @@ type RemoteEvent struct {
 	Pkt  packet.Packet
 }
 
-// Sideband is the telemetry a host piggybacks on its step messages when
-// HostConfig.Live is set: the RoundRecords emitted since the previous step
-// and the netobs rows closed since then. The last round's records, and the
-// rows the final flush closes, ride the gather. The coordinator files the
-// records under the lane of the connection they arrived on, whatever
-// Worker they carry. It is filled by the host's probe and sent from its
-// engine's phase-4 serial section — quiescent, and on the same goroutine —
-// and it rides messages the protocol sends anyway, so the live path adds
-// no round trips and never changes the simulation.
+// Sideband is the telemetry a host piggybacks on its step messages: under
+// HostConfig.Live the RoundRecords emitted since the previous step, and,
+// with a sampler attached, the netobs rows its pauses passed on since then
+// — the one way rows reach the coordinator. The last round's records, and
+// the rows closed after the last pause, the final flush's among them, ride
+// the gather. The coordinator files the records under the lane of the
+// connection they arrived on, whatever Worker they carry. It is filled by
+// the host's probe and pause clients and sent from its engine's phase-4
+// serial section — quiescent, and on the same goroutine — and it rides
+// messages the protocol sends anyway, so it adds no round trips and never
+// changes the simulation.
 type Sideband struct {
 	Recs []obs.RoundRecord
 	Rows []netobs.Row
 }
 
 // Final is what a host ships once, at the end of the run: its flow
-// statistics, and its sampler rows and trace records when it had a sampler
-// or tracer attached. Every device and node is owned by exactly one host,
+// statistics, and its trace records when it had a tracer attached. Every device and node is owned by exactly one host,
 // so the coordinator's merge reproduces the single-process output. Stats
 // is the host's final run stats, merged by the coordinator into
 // CoordConfig.Stats.
 type Final struct {
 	Senders []flowmon.SenderRec
 	Recvs   []flowmon.RecvRec
-	Rows    []netobs.Row
 	Trace   []trace.Record
 	Stats   *sim.RunStats
 }
@@ -122,14 +122,18 @@ type envelope struct {
 	Host   int32         // hello: the sending host
 	Min    sim.Time      // step: the host's minimum; window, done: every host's
 	Events []RemoteEvent // step: the outbound events; window, done: the inbox
-	Side   *Sideband     // step, gather: under HostConfig.Live
+	Side   *Sideband     // step, gather: under HostConfig.Live or with a sampler
 	Final  *Final        // gather
 	Err    string        // abort: human-readable reason the run was aborted
 }
 
 // Every message is one frame:
 //
-//	u32 body length | body | u32 CRC-32C of the length and the body
+//	u32 body length | u32 its complement | body | u32 CRC-32C of all before
+//
+// The complement checks the length before the body is waited for: a
+// garbled length is an error at once, not a read that waits for bytes the
+// peer never sends.
 //
 // and a body is a kind byte and the kind's fields, little-endian, through
 // ckpt.Enc and ckpt.Dec:
@@ -150,6 +154,7 @@ const (
 	// maxFrame bounds a body: a longer length is refused before anything
 	// is read into memory for it.
 	maxFrame    = 1 << 30
+	headBytes   = 4 + 4 // the length and its complement
 	eventBytes  = 8 + 4 + 8 + 4 + 4 + ckpt.PacketBytes
 	recordBytes = 8 + 4 + 8 + 8 + 4*8 + 5*8 + 8 + 8 + 8 + 8 + 1
 	rowBytes    = 8 + 4 + 4 + 4 + 4 + 4*4 + 8 + 8
@@ -335,15 +340,17 @@ func newConn(c net.Conn, timeout time.Duration, peer string) *conn {
 
 // send writes e as one frame in one Write.
 func (c *conn) send(e *envelope) error {
-	enc := ckpt.AppendEnc(append(c.out[:0], 0, 0, 0, 0))
+	enc := ckpt.AppendEnc(append(c.out[:0], make([]byte, headBytes)...))
 	if err := e.encode(enc); err != nil {
 		return err
 	}
 	buf := enc.Bytes()
-	if len(buf)-4 > maxFrame {
-		return fmt.Errorf("dist: a %v of %d bytes exceeds the %d-byte frame cap", e.Kind, len(buf)-4, maxFrame)
+	n := uint32(len(buf) - headBytes)
+	if n > maxFrame {
+		return fmt.Errorf("dist: a %v of %d bytes exceeds the %d-byte frame cap", e.Kind, n, maxFrame)
 	}
-	binary.LittleEndian.PutUint32(buf, uint32(len(buf)-4))
+	binary.LittleEndian.PutUint32(buf, n)
+	binary.LittleEndian.PutUint32(buf[4:], ^n)
 	c.out = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 	if c.timeout > 0 {
 		_ = c.c.SetWriteDeadline(time.Now().Add(c.timeout))
@@ -354,24 +361,29 @@ func (c *conn) send(e *envelope) error {
 
 // recvAny reads and decodes the next frame, whatever its kind. The read
 // deadline covers the whole inter-message gap: a peer that goes silent for
-// longer than the timeout surfaces as a deadline error here. A frame over
-// the cap, short of its length, or failing its checksum is an error before
-// any of its fields is decoded.
+// longer than the timeout surfaces as a deadline error here. A length that
+// fails its complement is an error before the body is read; a frame over
+// the cap, short of its length, or failing its checksum is one before any
+// of its fields is decoded.
 func (c *conn) recvAny() (*envelope, error) {
 	if c.timeout > 0 {
 		_ = c.c.SetReadDeadline(time.Now().Add(c.timeout))
 	}
-	var head [4]byte
+	var head [headBytes]byte
 	if _, err := io.ReadFull(c.r, head[:]); err != nil {
 		return nil, err
 	}
-	n := int(binary.LittleEndian.Uint32(head[:]))
+	n32 := binary.LittleEndian.Uint32(head[:])
+	if ^n32 != binary.LittleEndian.Uint32(head[4:]) {
+		return nil, fmt.Errorf("dist: %s sent a frame length that fails its complement", c.peer)
+	}
+	n := int(n32)
 	if n == 0 || n > maxFrame {
 		return nil, fmt.Errorf("dist: %s sent a frame of %d bytes; the cap is %d", c.peer, n, maxFrame)
 	}
 	// The buffer grows with the bytes that arrive, not with the length a
 	// frame claims.
-	buf, total := append(c.in[:0], head[:]...), 4+n+4
+	buf, total := append(c.in[:0], head[:]...), headBytes+n+4
 	for len(buf) < total {
 		chunk := min(total-len(buf), max(len(buf), 64<<10))
 		buf = slices.Grow(buf, chunk)
@@ -381,10 +393,10 @@ func (c *conn) recvAny() (*envelope, error) {
 		buf = buf[:len(buf)+chunk]
 	}
 	c.in = buf
-	if sum := binary.LittleEndian.Uint32(buf[4+n:]); crc32.Checksum(buf[:4+n], castagnoli) != sum {
+	if sum := binary.LittleEndian.Uint32(buf[headBytes+n:]); crc32.Checksum(buf[:headBytes+n], castagnoli) != sum {
 		return nil, fmt.Errorf("dist: %s sent a frame that fails its checksum", c.peer)
 	}
-	e, err := decodeBody(buf[4 : 4+n])
+	e, err := decodeBody(buf[headBytes : headBytes+n])
 	if err != nil {
 		return nil, fmt.Errorf("dist: %s: %w", c.peer, err)
 	}

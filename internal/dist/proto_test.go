@@ -71,16 +71,17 @@ func seedEnvelopes() []*envelope {
 		{Kind: kWindow, Min: 1234, Events: evs},
 		{Kind: kDone, Min: sim.MaxTime, Events: evs[:1]},
 		{Kind: kGather, Side: side, Final: &Final{Senders: []flowmon.SenderRec{{}}, Recvs: []flowmon.RecvRec{{}},
-			Rows: []netobs.Row{{}}, Trace: []trace.Record{{}},
+			Trace: []trace.Record{{}},
 			Stats: &sim.RunStats{Kernel: "dist-host(1)", Events: 40, Workers: []sim.WorkerStats{{P: 1, S: 2, M: 3}}}}},
 		{Kind: kAbort, Err: "dist: MaxRounds exceeded"},
 	}
 }
 
-// framed wraps body as the wire does: its length in front, the checksum
-// of both behind.
+// framed wraps body as the wire does: its length and the length's
+// complement in front, the checksum of all three behind.
 func framed(body []byte) []byte {
 	f := binary.LittleEndian.AppendUint32(nil, uint32(len(body)))
+	f = binary.LittleEndian.AppendUint32(f, ^uint32(len(body)))
 	f = append(f, body...)
 	return binary.LittleEndian.AppendUint32(f, crc32.Checksum(f, castagnoli))
 }
@@ -108,7 +109,7 @@ func FuzzEnvelope(f *testing.F) {
 	f.Add([]byte{0x01, 0x02, 0x03})
 	// A length over the cap, and a well-formed frame whose event count
 	// promises more than its payload holds.
-	f.Add(append(binary.LittleEndian.AppendUint32(nil, maxFrame+1), make([]byte, 64)...))
+	f.Add(append(head(maxFrame+1), make([]byte, 64)...))
 	enc := ckpt.AppendEnc(nil)
 	enc.U8(uint8(kWindow))
 	enc.Time(1234)
@@ -150,9 +151,16 @@ func TestEnvelopesRoundTrip(t *testing.T) {
 	}
 }
 
+// head is a frame's head for a body of n bytes.
+func head(n uint32) []byte {
+	return binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, n), ^n)
+}
+
 // TestGarbledFrameIsAlwaysAnError flips, one at a time, every bit of a
 // step and of an inbox carrying events: the checksum turns each into an
-// error, never into another envelope.
+// error, never into another envelope. A flipped bit of the length fails at
+// once, with no deadline set and the connection open: a read that waited
+// for the bytes a larger length promises would wait forever.
 func TestGarbledFrameIsAlwaysAnError(t *testing.T) {
 	seeds := seedEnvelopes()
 	for _, e := range []*envelope{seeds[1], seeds[3]} {
@@ -163,6 +171,27 @@ func TestGarbledFrameIsAlwaysAnError(t *testing.T) {
 			if got, err := decodeWire(bad); err == nil {
 				t.Fatalf("%v with bit %d flipped decodes as a %v: %+v", e.Kind, bit, got.Kind, got)
 			}
+		}
+		for bit := 0; bit < 32; bit++ {
+			bad := bytes.Clone(clean)
+			bad[bit/8] ^= 1 << (bit % 8)
+			a, b := net.Pipe()
+			go func() { _, _ = a.Write(bad) }() // blocks on the bytes nobody reads, until the close below
+			got := make(chan error, 1)
+			go func() {
+				_, err := newConn(b, 0, "peer").recvAny()
+				got <- err
+			}()
+			select {
+			case err := <-got:
+				if err == nil || !strings.Contains(err.Error(), "complement") {
+					t.Errorf("%v with length bit %d flipped: %v, want the length refused", e.Kind, bit, err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Errorf("%v with length bit %d flipped: the read is still waiting", e.Kind, bit)
+			}
+			a.Close()
+			b.Close()
 		}
 	}
 }
@@ -182,12 +211,13 @@ func TestFrameGuards(t *testing.T) {
 		name, want string
 		data       []byte
 	}{
-		{"over the cap", "the cap is", binary.LittleEndian.AppendUint32(nil, maxFrame+1)},
-		{"empty body", "frame of 0 bytes", binary.LittleEndian.AppendUint32(nil, 0)},
+		{"over the cap", "the cap is", head(maxFrame + 1)},
+		{"empty body", "frame of 0 bytes", head(0)},
+		{"length and complement disagree", "fails its complement", binary.LittleEndian.AppendUint32(head(4)[:4], 4)},
 		{"count past the payload", "element count", framed(enc.Bytes())},
 		{"checksum", "checksum", badSum},
 		{"unknown kind", "unknown message kind(99)", framed([]byte{99})},
-		{"trailing bytes", "left over", framed(append(wireBytes(t, &envelope{Kind: kHello}, faults.Plan{})[4:9], 0))},
+		{"trailing bytes", "left over", framed(append(wireBytes(t, &envelope{Kind: kHello}, faults.Plan{})[headBytes:headBytes+5], 0))},
 		{"bool not 0 or 1", "bad bool", framed([]byte{byte(kStep), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2})},
 	} {
 		if _, err := decodeWire(tc.data); err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -2,6 +2,7 @@ package netobs
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -160,4 +161,25 @@ func TestRunStatsJSONKeysStable(t *testing.T) {
 	if st.Events != 1000 || st.Imbalance == nil || st.Imbalance.Migrations != 3 {
 		t.Fatalf("decoded: %+v", st)
 	}
+}
+
+// FuzzDiffBundles: whatever run_stats.json and flow_report.json hold on
+// either side (an empty input is a missing file), DiffBundles returns an
+// error or a diff that renders and gates without panicking.
+func FuzzDiffBundles(f *testing.F) {
+	f.Add([]byte(statsA), []byte(flowA), []byte(statsA), []byte(flowA))
+	f.Add([]byte(statsA), []byte{}, []byte{}, []byte(flowA))
+	f.Add([]byte(`{"events":-1,"imbalance":{"mean_max_over_mean":1e308}}`), []byte(`{"fct":{"mean_ms":0}}`),
+		[]byte(`{"events":0,"imbalance":null}`), []byte(`{"flows":1e300,"mean_slowdown":-0.5}`))
+	f.Add([]byte(`{`), []byte(`null`), []byte(`[]`), []byte(`"x"`))
+	f.Fuzz(func(t *testing.T, statsA, flowA, statsB, flowB []byte) {
+		a := writeBundleDir(t, string(statsA), string(flowA), "")
+		b := writeBundleDir(t, string(statsB), string(flowB), "")
+		d, err := DiffBundles(a, b)
+		if err != nil {
+			return
+		}
+		d.Render(io.Discard)
+		_ = d.Breaches(5)
+	})
 }

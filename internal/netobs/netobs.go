@@ -206,9 +206,8 @@ func (s *Sampler) Rows() []Row {
 // canonical order. It never touches open buckets, so the final Flush+Rows
 // set is byte-identical whether or not LiveDelta was ever called — the
 // property the live-telemetry bit-identity tests pin. Probes are owned by
-// node events, so LiveDelta may only run at quiescent points: between
-// rounds on a distributed host (the round loop is single-threaded) or
-// after the run completes.
+// node events, so LiveDelta may only run at quiescent points: in a pause
+// of the kernel (Feed) or after the run completes.
 func (s *Sampler) LiveDelta() []Row {
 	var out []Row
 	for _, p := range s.devs {
@@ -219,6 +218,27 @@ func (s *Sampler) LiveDelta() []Row {
 	}
 	SortRows(out)
 	return out
+}
+
+// Feed hands sink the rows s closes while a run goes. p is the pause
+// client (sim.Pause) that, at every pause a kernel takes for telemetry,
+// passes on the rows closed since the last; finish, once the run is over,
+// flushes s and passes on the rest. A kernel run starts the feed over: its
+// sink (a new stream, a new coordinator) has seen none of a restored
+// sampler's rows.
+func (s *Sampler) Feed(sink func([]Row)) (p sim.Pause, finish func()) {
+	feed := func(*sim.KernelState) {
+		if rows := s.LiveDelta(); len(rows) > 0 {
+			sink(rows)
+		}
+	}
+	p.New = func() sim.Pauser {
+		for _, d := range s.devs {
+			d.shipped = 0
+		}
+		return sim.PauseFunc(feed)
+	}
+	return p, func() { s.Flush(); feed(nil) }
 }
 
 // SortRows sorts rows in the canonical (Tick, Node, Link) order.

@@ -86,7 +86,7 @@ const ratioUnit = 1 << 32
 
 // OnRound implements Probe. A fused round, run by one worker alone, has
 // no balance to measure and is skipped; so is a snapshot's record (a
-// checkpoint hook's, with CkptNS set and no round time), which is no
+// checkpoint saver's, with CkptNS set and no round time), which is no
 // round at all.
 func (t *ImbalanceTracker) OnRound(rec *RoundRecord) {
 	if rec.Fused || rec.CkptNS > 0 && rec.ProcNS == 0 && rec.SyncNS == 0 && rec.MsgNS == 0 {

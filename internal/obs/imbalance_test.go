@@ -150,7 +150,7 @@ func TestImbalanceIgnoresRecordOrder(t *testing.T) {
 	}
 }
 
-// TestImbalanceSkipsSnapshotRecords: a checkpoint hook's record, filed
+// TestImbalanceSkipsSnapshotRecords: a checkpoint saver's record, filed
 // under worker 0 with no round time, neither covers nor splits a round.
 func TestImbalanceSkipsSnapshotRecords(t *testing.T) {
 	tr := NewImbalanceTracker()

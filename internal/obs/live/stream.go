@@ -42,9 +42,10 @@ type Stream struct {
 	f    *os.File
 	temp bool
 
-	mu     sync.Mutex // guards rounds and rows, filled on the round path
+	mu     sync.Mutex // guards rounds, rows and cuts, filled on the round path
 	rounds []obs.RoundRecord
 	rows   []netobs.Row
+	cuts   []cut // where the row deltas go among the rounds, in arrival order
 
 	wmu          sync.Mutex // serializes writes; guards buf and err
 	buf          []byte
@@ -106,10 +107,16 @@ func (s *Stream) OnRound(rec *obs.RoundRecord) {
 // EndRun implements obs.Probe; the stats line is Finish's.
 func (s *Stream) EndRun(*sim.RunStats) {}
 
-// Rows adds sampler row deltas to the buffer.
+// cut places a row delta: it follows the first rounds buffered records, and
+// rows[:end] are it and those before.
+type cut struct{ rounds, end int }
+
+// Rows adds sampler row deltas to the buffer, after the round records
+// buffered so far.
 func (s *Stream) Rows(rows []netobs.Row) {
 	s.mu.Lock()
 	s.rows = append(s.rows, rows...)
+	s.cuts = append(s.cuts, cut{len(s.rounds), len(s.rows)})
 	s.mu.Unlock()
 }
 
@@ -135,19 +142,22 @@ func (s *Stream) flusher() {
 	}
 }
 
-// flush writes the buffered records, rounds then rows.
+// flush writes the buffered records in the order they arrived.
 func (s *Stream) flush() {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	s.mu.Lock()
-	rounds, rows := s.rounds, s.rows
-	s.rounds, s.rows = nil, nil
+	rounds, rows, cuts := s.rounds, s.rows, s.cuts
+	s.rounds, s.rows, s.cuts = nil, nil, nil
 	s.mu.Unlock()
-	for i := range rounds {
-		s.encodeLocked(&netobs.Record{Round: &rounds[i]})
-	}
-	for i := range rows {
-		s.encodeLocked(&netobs.Record{Row: &rows[i]})
+	r, w := 0, 0
+	for _, c := range append(cuts, cut{len(rounds), len(rows)}) {
+		for ; r < c.rounds; r++ {
+			s.encodeLocked(&netobs.Record{Round: &rounds[r]})
+		}
+		for ; w < c.end; w++ {
+			s.encodeLocked(&netobs.Record{Row: &rows[w]})
+		}
 	}
 	s.writeLocked()
 }

@@ -87,10 +87,11 @@ type RoundRecord struct {
 	// distributed host's extra coordinator dial attempts, reported once
 	// on its first record).
 	Retries uint64 `json:"retries,omitempty"`
-	// CkptNS and CkptBytes report a checkpoint taken at the end of this
-	// round: the wall time it held the kernel's workers, from the
-	// quiescent point being found to the file being in place, and the
-	// snapshot file size. Zero when no checkpoint was taken.
+	// CkptNS and CkptBytes are set on a snapshot's own record, which the
+	// checkpoint saver files with Round and LBTS and no round time: the
+	// wall time the snapshot held the kernel's workers, from the saver's
+	// start to the file being in place, and the file's size. Zero on a
+	// round's record.
 	CkptNS    int64  `json:"ckpt_ns,omitempty"`
 	CkptBytes uint64 `json:"ckpt_bytes,omitempty"`
 	// Fused marks a round one worker ran alone while the others waited
@@ -191,7 +192,7 @@ const DefaultRingCapacity = 8192
 // split and the gauges a watcher shows.
 type WorkerTotals struct {
 	// Records counts the worker's records: its rounds, plus any snapshot
-	// records a checkpoint hook files under it.
+	// records a checkpoint saver files under it.
 	Records uint64
 	Events  uint64
 	ProcNS  int64

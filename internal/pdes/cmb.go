@@ -34,7 +34,7 @@ type Ranks struct {
 	baseEvents uint64
 	baseEnd    sim.Time
 
-	saves *sim.CkptRun // the run's checkpoint path, nil without a hook
+	pauses *sim.PauseRun // the run's pause clients, nil without any
 }
 
 // Rank is one rank's protocol state. It is the sim.Sink of its own events.
@@ -140,10 +140,9 @@ func NewRanks(m *sim.Model, part *core.Partition, cacheWays int) (*Ranks, error)
 		to.clock[p.a] = 0
 	}
 
-	rs.saves = m.Ckpt.Open("pdes", rs.seqs, len(rs.ranks)+1, rs.snapshot)
+	rs.pauses = sim.OpenPauses("pdes", m.Pauses, 0, 0, rs.seqs, len(rs.ranks)+1, rs.snapshot)
 	seed := m.Init
-	if hook := m.Ckpt; hook != nil && hook.Restore != nil {
-		ks := hook.Restore
+	if ks := m.Restore; ks != nil {
 		if len(ks.Seqs) != len(rs.seqs) {
 			return nil, fmt.Errorf("pdes: checkpoint has %d sequence counters, model needs %d", len(ks.Seqs), len(rs.seqs))
 		}

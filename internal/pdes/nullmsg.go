@@ -114,16 +114,12 @@ func (k *NullMessageKernel) Run(m *sim.Model) (*sim.RunStats, error) {
 		ranks[i] = &nmRank{Rank: rs.Rank(i), t: &times[i]}
 		ranks[i].inbox.cond = sync.NewCond(&ranks[i].inbox.mu)
 	}
-	hook := m.Ckpt
-	ckptEvery := sim.Time(0)
-	if rs.saves != nil && hook.EveryTime > 0 {
-		ckptEvery = hook.EveryTime
-	}
+	epoch := rs.pauses.Epoch()
 
 	obs.Begin(k.Observe, obs.RunMeta{Kernel: k.Name(), Workers: n, LPs: n})
-	// The null-message kernel has no global rounds, so checkpoints use
-	// simulated-time epochs (CkptHook.EveryTime): the run is split into
-	// segments ending at epoch multiples, every rank quiesces at the
+	// The null-message kernel has no global rounds, so it pauses at the
+	// ends of simulated-time epochs (sim.Pause.EveryTime): the run is split
+	// into segments ending at epoch multiples, every rank quiesces at the
 	// segment boundary exactly as it would at StopAt, and the boundary is
 	// a sound snapshot point — a rank only terminates a segment once its
 	// EIT reaches the boundary, so channel promises guarantee every
@@ -131,8 +127,8 @@ func (k *NullMessageKernel) Run(m *sim.Model) (*sim.RunStats, error) {
 	var runErr error
 	for {
 		segEnd := m.StopAt
-		if ckptEvery > 0 {
-			if next := sim.Time(rs.epoch+1) * ckptEvery; next < segEnd {
+		if epoch > 0 {
+			if next := sim.Time(rs.epoch+1) * epoch; next < segEnd {
 				segEnd = next
 			}
 		}
@@ -158,7 +154,7 @@ func (k *NullMessageKernel) Run(m *sim.Model) (*sim.RunStats, error) {
 				r.Deliver(msg.from, msg.bound, msg.events)
 			}
 		}
-		if runErr = rs.saveCkpt(segEnd); runErr != nil {
+		if runErr = rs.pause(segEnd); runErr != nil {
 			break
 		}
 	}
@@ -168,15 +164,15 @@ func (k *NullMessageKernel) Run(m *sim.Model) (*sim.RunStats, error) {
 	return st, runErr
 }
 
-// saveCkpt snapshots the quiesced rank FELs through the model's
-// checkpoint hook. The per-rank clocks and promises are deliberately NOT
-// serialized: they are lower bounds, so a restored run restarting them
-// at zero merely re-warms the channels with a few extra null messages —
-// the event trajectory is unchanged (RunStats.Rounds, the null-message
-// count, is the one scheduling-dependent statistic).
-func (rs *Ranks) saveCkpt(now sim.Time) error {
+// pause runs the pause clients due at the end of an epoch, the rank FELs
+// quiesced. The per-rank clocks and promises are deliberately NOT in a
+// snapshot: they are lower bounds, so a restored run restarting them at
+// zero merely re-warms the channels with a few extra null messages — the
+// event trajectory is unchanged (RunStats.Rounds, the null-message count,
+// is the one scheduling-dependent statistic).
+func (rs *Ranks) pause(now sim.Time) error {
 	events, end := rs.totals()
-	return rs.saves.Save(rs.epoch, events, now, end)
+	return rs.pauses.Pause(rs.epoch, rs.epoch, events, now, end)
 }
 
 // snapshot appends the events of list i of a snapshot: rank i's FEL, or,

@@ -305,10 +305,15 @@ type Model struct {
 	// StopAt, if nonzero, schedules a global stop event at that time.
 	StopAt Time
 
-	// Ckpt, when non-nil, connects the run to checkpoint/restore (see
-	// CkptHook). Kernels that cannot quiesce at a deterministic boundary
-	// (the virtual-time testbeds) reject a model with Ckpt set.
-	Ckpt *CkptHook
+	// Pauses is the serial work every kernel runs at its quiescent points,
+	// in this order (see Pause): snapshots, sampler rows, whatever must
+	// see the whole run stand still.
+	Pauses []Pause
+
+	// Restore, when non-nil, seeds the run from a snapshot: the kernel
+	// skips Init, loads Queue and Seqs, and offsets its progress counters
+	// by Round/Events/EndTime. The virtual-time testbed rejects it.
+	Restore *KernelState
 }
 
 // Validate checks structural invariants of the model.

@@ -287,9 +287,9 @@ func TestChainRestoreBetweenStarts(t *testing.T) {
 	dir := t.TempDir()
 	ref := newChainNet(len(flows))
 	m := ref.model(attach, flows)
-	m.Ckpt = &sim.CkptHook{Every: 20, NewSaver: ref.target().Saver(func(r uint64) string {
+	m.Pauses = []sim.Pause{{Every: 20, New: ref.target().Saver(func(r uint64) string {
 		return filepath.Join(dir, fmt.Sprintf("r%06d", r))
-	})}
+	}, nil)}}
 	st, err := desRun(m)
 	if err != nil {
 		t.Fatal(err)
@@ -309,7 +309,7 @@ func TestChainRestoreBetweenStarts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		model.Ckpt = &sim.CkptHook{Restore: ks}
+		model.Restore = ks
 		return c, model, ks
 	}
 	between := 0

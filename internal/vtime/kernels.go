@@ -242,6 +242,10 @@ func runRounds(m *sim.Model, cfg Config, sh shape, start time.Time) (*sim.RunSta
 		if e.Advance() {
 			schedCost = n * cm.SortPerLPNS
 		}
+		if e.Saving() { // a pause client's jobs, on the one real thread
+			th.Save()
+			e.EndSave()
+		}
 		depthT[0] += e.IdleDepth()
 		ws[0].M += schedCost
 		roundTotal := span1 + g + span3 + schedCost + sh.syncNS

@@ -21,6 +21,7 @@ package vtime
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"unison/internal/core"
@@ -105,10 +106,11 @@ func Run(m *sim.Model, cfg Config) (*sim.RunStats, error) {
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("vtime: %w", err)
 	}
-	if m.Ckpt != nil {
-		// The testbed models wall clocks, not real ones, and replays whole
-		// runs cheaply — snapshotting it would pin modeled clock state the
-		// format deliberately excludes.
+	// The testbed models wall clocks, not real ones, and replays whole runs
+	// cheaply — snapshotting it would pin modeled clock state the format
+	// deliberately excludes. It runs the pause clients without a cadence
+	// of their own (telemetry).
+	if m.Restore != nil || slices.ContainsFunc(m.Pauses, func(p sim.Pause) bool { return p.Every > 0 || p.EveryTime > 0 }) {
 		return nil, errors.New("vtime: the virtual testbed does not support checkpoint/restore")
 	}
 	cfg.Cost.fillDefaults()
