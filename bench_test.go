@@ -146,13 +146,9 @@ func TestEventBudget(t *testing.T) {
 	sc := benchScenario(42)
 	// The FEL's depth at every timestamp boundary: a pause after every event.
 	var peak uint64
-	var buf []sim.Event
 	m := sc.Model()
 	m.Pauses = []sim.Pause{{Every: 1, New: func() sim.Pauser {
-		return sim.PauseFunc(func(ks *sim.KernelState) {
-			buf = ks.FEL(0, buf[:0])
-			peak = max(peak, uint64(len(buf)))
-		})
+		return sim.PauseFunc(func(ks *sim.KernelState) { peak = max(peak, uint64(ks.Len(0))) })
 	}}}
 	st, err := des.New().Run(m)
 	if err != nil {

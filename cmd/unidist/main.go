@@ -12,10 +12,12 @@
 // The run is the scenario unisim would run: the -scenario file, or the
 // built-in default, with each -set path=value applied in order. Every
 // process must be given the same scenario, assignments and -hosts count;
-// the scenario is reconstructed deterministically in every process. With
-// -set artifacts.dir=D on every process, the hosts collect their devices'
-// records and their round records, and the coordinator writes the
-// run-artifact bundle into D.
+// the scenario is reconstructed deterministically in every process. A host
+// runs its share as one host of the hybrid kernel, on as many workers as
+// kernel.threads names (default 4, as for kernel.kind=hybrid; -set
+// kernel.threads=1 for one). With -set artifacts.dir=D on every process,
+// the hosts collect their devices' records and their round records, and the
+// coordinator writes the run-artifact bundle into D.
 package main
 
 import (
@@ -163,10 +165,10 @@ func runCoord(listen string, hosts int, sc *unison.Scenario, tmo time.Duration, 
 		}
 		imb = obs.NewImbalanceTracker()
 		probe := obs.Tee(imb, stream)
-		probe.BeginRun(obs.RunMeta{Kernel: fmt.Sprintf("dist(%d)", hosts), Workers: hosts, LPs: b.G.N()})
-		cfg.OnSideband = func(h int, side *dist.Sideband) {
+		// A host numbers its records among every host's workers.
+		probe.BeginRun(obs.RunMeta{Kernel: fmt.Sprintf("dist(%d)", hosts), Workers: hosts * sc.Kernel.Workers(), LPs: b.G.N()})
+		cfg.OnSideband = func(_ int, side *dist.Sideband) {
 			for i := range side.Recs {
-				side.Recs[i].Worker = int32(h)
 				probe.OnRound(&side.Recs[i])
 			}
 			stream.Rows(side.Rows)
@@ -235,7 +237,7 @@ func runHost(id int32, addr string, hosts int, sc *unison.Scenario, tmo time.Dur
 	}
 	m := b.Sim.Model()
 	cfg := dist.HostConfig{
-		ID: id, Addr: addr, HostOf: hostOf, StopAt: sim.Time(sc.Stop),
+		ID: id, Addr: addr, HostOf: hostOf, StopAt: sim.Time(sc.Stop), Threads: sc.Kernel.Workers(),
 		Timeout: tmo, DialAttempts: dials, Live: liveSide || sc.Artifacts.Dir != "",
 	}
 	if ckptDir != "" || restore != "" {

@@ -42,7 +42,8 @@ import (
 
 // A kernel is one row of the kernel table: a KernelSpec run through
 // Built.RunKernel, the CLIs' own path; a constructor, for what a spec
-// cannot name; or, with hosts set, a loopback dist ensemble.
+// cannot name; or, with hosts set, a loopback dist ensemble whose hosts run
+// spec.Threads workers each (one when unset).
 type kernel struct {
 	name  string
 	spec  unison.KernelSpec
@@ -71,6 +72,7 @@ var kernels = []kernel{
 		return vtime.Run(m, vtime.Config{Algo: vtime.Unison, Cores: 16, Metric: core.MetricPendingEvents, Observe: b.Observe})
 	}},
 	{name: "dist(2)", hosts: 2},
+	{name: "dist(2)x2", spec: unison.KernelSpec{Threads: 2}, hosts: 2},
 }
 
 // unisonUnder runs Unison(4) under a load metric a KernelSpec cannot name.
@@ -411,7 +413,7 @@ func ensemble(t *testing.T, sc *unison.Scenario, k kernel, o opts) (artifacts, *
 				hb.Sim.EnableNetObs(0, 0)
 			}
 			hc := dist.HostConfig{
-				ID: h, Addr: ln.Addr().String(), HostOf: hostOf, StopAt: sc.Stop.T(),
+				ID: h, Addr: ln.Addr().String(), HostOf: hostOf, StopAt: sc.Stop.T(), Threads: k.spec.Threads,
 				Timeout: 10 * time.Second, DialAttempts: 3, DialBackoff: 20 * time.Millisecond,
 			}
 			if o.sp.rounds > 0 || o.from > 0 {
@@ -779,7 +781,7 @@ func TestCrossKernelEquivalence(t *testing.T) {
 
 // TestRepeatedRunsDeterministic: Fig 11's property, all-incast load.
 func TestRepeatedRunsDeterministic(t *testing.T) {
-	slice(t, fatTree("repeat", 7, 0.5, 1.0, 2*sim.Millisecond), repeatAxis, "unison-4")
+	slice(t, fatTree("repeat", 7, 0.5, 1.0, 2*sim.Millisecond), repeatAxis, "unison-4", "dist(2)x2")
 }
 
 // TestProbedRunsBitIdentical: a Registry changes nothing and sees every event.
@@ -793,7 +795,9 @@ func TestArtifactsIdenticalAcrossKernels(t *testing.T) {
 }
 
 // TestArtifactsIdenticalDistributed: the coordinator's merge is the same bundle.
-func TestArtifactsIdenticalDistributed(t *testing.T) { slice(t, ckptScenario(), netobsAxis, "dist(2)") }
+func TestArtifactsIdenticalDistributed(t *testing.T) {
+	slice(t, ckptScenario(), netobsAxis, "dist(2)", "dist(2)x2")
+}
 
 // TestCheckpointRestoreRoundTrip: a run resumed from any of its snapshots.
 func TestCheckpointRestoreRoundTrip(t *testing.T) {
@@ -824,7 +828,7 @@ func TestCheckpointCrossKernelRestore(t *testing.T) {
 
 // TestDistKillAndRestore: an ensemble killed mid-run and resumed.
 func TestDistKillAndRestore(t *testing.T) {
-	slice(t, fatTree("kill", 99, 0.4, 0, sim.Millisecond), killAxis, "dist(2)")
+	slice(t, fatTree("kill", 99, 0.4, 0, sim.Millisecond), killAxis, "dist(2)", "dist(2)x2")
 }
 
 // TestStreamingProbesInvisible: the k=8 streamed run, nothing attached.
@@ -850,7 +854,9 @@ func TestCollectiveIdenticalAcrossKernels(t *testing.T) {
 }
 
 // TestCollectiveIdenticalDistributed: two ranks own halves of the DAG.
-func TestCollectiveIdenticalDistributed(t *testing.T) { collectives(t, plainAxis, "dist(2)") }
+func TestCollectiveIdenticalDistributed(t *testing.T) {
+	collectives(t, plainAxis, "dist(2)", "dist(2)x2")
+}
 
 // TestCollectiveCheckpointRestore: the DAG's wait counters are snapshotted.
 func TestCollectiveCheckpointRestore(t *testing.T) { collectives(t, ckptAxis, "unison-4") }

@@ -173,11 +173,20 @@ type KernelSpec struct {
 	// Kind: sequential | unison (default) | hybrid | barrier | nullmsg |
 	// vseq | vbarrier | vnullmsg | vunison.
 	Kind string `json:"kind,omitempty"`
-	// Threads is the worker count (unison/hybrid/virtual cores, default 4).
+	// Threads is the worker count (unison, virtual cores; per host for
+	// hybrid and for each unidist host; default 4: Workers).
 	Threads int `json:"threads,omitempty"`
 	// Ranks is the manual-partition LP count for barrier/nullmsg/dist
 	// (default: the topology's recipe default, e.g. k for a fat-tree).
 	Ranks int `json:"ranks,omitempty"`
+}
+
+// Workers is the worker count Threads names, 4 when it is unset.
+func (k KernelSpec) Workers() int {
+	if k.Threads <= 0 {
+		return 4
+	}
+	return k.Threads
 }
 
 // ArtifactSpec tunes run artifacts.

@@ -333,10 +333,7 @@ func (b *Built) RunKernel(m *sim.Model) (*sim.RunStats, error) {
 	if kind == "" {
 		kind = "unison"
 	}
-	threads := b.Scenario.Kernel.Threads
-	if threads <= 0 {
-		threads = 4
-	}
+	threads := b.Scenario.Kernel.Workers()
 	needManual := func() (*core.Partition, error) {
 		if b.Manual == nil {
 			return nil, fmt.Errorf("the %s kernel needs a manual partition; topology %q has no recipe (use unison)", kind, b.Scenario.Topology.Kind)

@@ -172,7 +172,7 @@ func TestMissingDescriptorFailsTheSave(t *testing.T) {
 	ks := validState()
 	ks.FEL = func(_ int, dst []sim.Event) []sim.Event { return append(dst, sim.Event{Time: 7, Node: 3}) }
 	save := []sim.Pause{{New: fuzzTarget().Saver(func(uint64) string { t.Fatal("a failed save asked for a path"); return "" }, nil)}}
-	err := sim.OpenPauses("des", save, 1, 0, ks.Seqs, ks.FELs, ks.FEL).Pause(1, 1, 1, 7, 6)
+	err := sim.OpenPauses("des", save, 1, 0, ks.Seqs, ks.FELs, ks.FEL, nil).Pause(1, 1, 1, 7, 6)
 	if err == nil || !strings.HasPrefix(err.Error(), "des: checkpoint: ckpt: pending event at") || !strings.Contains(err.Error(), "on node 3 has no descriptor") {
 		t.Fatalf("err=%v, want the kernel-prefixed NoDesc error", err)
 	}
@@ -208,7 +208,7 @@ func TestFirstSaveIsSized(t *testing.T) {
 	path := filepath.Join(dir, "x.uckpt")
 	ks, tgt := bigState(4*felsPerJob, 200), bigTarget(500_000) // ≈ 6 MB
 	pauses := []sim.Pause{{New: tgt.Saver(func(uint64) string { return path }, nil)}}
-	open := func() *sim.PauseRun { return sim.OpenPauses("test", pauses, 0, 0, ks.Seqs, ks.FELs, ks.FEL) }
+	open := func() *sim.PauseRun { return sim.OpenPauses("test", pauses, 0, 0, ks.Seqs, ks.FELs, ks.FEL, nil) }
 	save := func(run *sim.PauseRun) time.Duration {
 		start := time.Now()
 		if err := run.Pause(9, 9, 99, 1000, 999); err != nil {

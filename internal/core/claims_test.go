@@ -59,12 +59,12 @@ func TestClaimsExactlyOnce(t *testing.T) {
 	}
 	hybrid := func(hosts, per int) func(m *sim.Model, c core.Config) core.Shape {
 		return func(m *sim.Model, c core.Config) core.Shape {
-			lpOf, hostOfLP, la, err := core.HybridPartition(m.Nodes, spread(m.Nodes, hosts), m.Links())
+			sh, err := core.HybridShape(m.Nodes, spread(m.Nodes, hosts), m.Links(), per, c)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return core.Shape{Name: "hybrid", Part: &core.Partition{LPOf: lpOf, Count: len(hostOfLP), Lookahead: la},
-				GroupOf: hostOfLP, PerGroup: per, Cfg: c}
+			sh.Name = "hybrid"
+			return sh
 		}
 	}
 	shapes := []struct {

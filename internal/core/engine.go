@@ -34,8 +34,9 @@ import (
 //	Unison  one group, Threads workers      LPs run at home unless stolen
 //	hybrid  one group per host              LPs never leave their host
 //	barrier one group per rank, one worker  static rank binding
-//	rank    one group per rank, one here    the others run in other processes
 //
+// A hybrid shape with a Wire is one host of a distributed run: the same
+// groups, only the resident one staffed here.
 // Everything else about a round is the same for every shape.
 type Shape struct {
 	Name     string // RunStats.Kernel
@@ -265,6 +266,9 @@ func NewEngine(m *sim.Model, sh Shape) (*Engine, error) {
 	first, workers := 0, groups*sh.PerGroup
 	if sh.Wire != nil {
 		first, workers = sh.Wire.Resident(), sh.PerGroup
+		if first < 0 || first >= groups {
+			return nil, fmt.Errorf("core: resident group %d of a shape with %d", first, groups)
+		}
 	}
 	e := &Engine{
 		sh:        sh,
@@ -331,7 +335,7 @@ func NewEngine(m *sim.Model, sh Shape) (*Engine, error) {
 		e.next[i], lp.depth = lp.fel.NextTime(), int32(lp.fel.Len())
 		e.depth += int64(lp.depth)
 	}
-	e.pauses = sim.OpenPauses("core", m.Pauses, 1, e.round, e.seqs, n+1, e.snapshot)
+	e.pauses = sim.OpenPauses("core", m.Pauses, 1, e.round, e.seqs, n+1, e.snapshot, e.felLen)
 	obs.Begin(sh.Cfg.Observe, obs.RunMeta{Kernel: sh.Name, Workers: workers, LPs: n})
 	// The first window is the phase-4 computation for round 0.
 	e.done = !e.openWindow()
@@ -647,6 +651,14 @@ func (e *Engine) snapshot(i int, dst []sim.Event) []sim.Event {
 		return e.pub.Snapshot(dst)
 	}
 	return e.lps[i].fel.Snapshot(dst)
+}
+
+// felLen is the length of list i of a snapshot.
+func (e *Engine) felLen(i int) int {
+	if i == len(e.lps) {
+		return e.pub.Len()
+	}
+	return e.lps[i].fel.Len()
 }
 
 // Saving reports whether Advance opened a save phase. The driver then has

@@ -52,11 +52,11 @@ func FineGrained(nodes int, links []sim.LinkInfo) *Partition {
 
 // HybridPartition computes the two-level partition of §5.2: Algorithm 1
 // applied within each host's subgraph (links crossing hosts are always
-// cut). It returns the node→LP map, the LP→host map, and the global
-// lookahead. With every node on one host it is FineGrained.
-func HybridPartition(nodes int, hostOf []int32, links []sim.LinkInfo) (lpOf []int32, hostOfLP []int32, lookahead sim.Time, err error) {
+// cut). It returns the partition, whose lookahead is the global one, and
+// the LP→host map. With every node on one host it is FineGrained.
+func HybridPartition(nodes int, hostOf []int32, links []sim.LinkInfo) (part *Partition, hostOfLP []int32, err error) {
 	if len(hostOf) != nodes {
-		return nil, nil, 0, errors.New("core: HostOf must cover every node")
+		return nil, nil, errors.New("core: HostOf must cover every node")
 	}
 	bound := medianDelay(links)
 	lpOf, count := components(nodes, links, func(l *sim.LinkInfo) bool {
@@ -66,7 +66,7 @@ func HybridPartition(nodes int, hostOf []int32, links []sim.LinkInfo) (lpOf []in
 	for v, lp := range lpOf {
 		hostOfLP[lp] = hostOf[v]
 	}
-	return lpOf, hostOfLP, CutLookahead(lpOf, links), nil
+	return &Partition{LPOf: lpOf, Count: count, Lookahead: CutLookahead(lpOf, links)}, hostOfLP, nil
 }
 
 // Manual builds a partition from an explicit node -> LP assignment (the

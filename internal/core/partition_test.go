@@ -256,34 +256,34 @@ func TestHybridPartitionNeverSpansHosts(t *testing.T) {
 	for i := range hostOf {
 		hostOf[i] = int32(i % 3)
 	}
-	lpOf, hostOfLP, la, err := HybridPartition(ft.N(), hostOf, ft.LinkInfos())
+	part, hostOfLP, err := HybridPartition(ft.N(), hostOf, ft.LinkInfos())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for node, lp := range lpOf {
+	for node, lp := range part.LPOf {
 		if hostOfLP[lp] != hostOf[node] {
 			t.Fatalf("node %d on host %d but its LP %d belongs to host %d",
 				node, hostOf[node], lp, hostOfLP[lp])
 		}
 	}
-	if la != 3*sim.Microsecond {
-		t.Fatalf("lookahead=%v", la)
+	if part.Lookahead != 3*sim.Microsecond || part.Count != len(hostOfLP) {
+		t.Fatalf("lookahead=%v, %d LPs of which %d have a host", part.Lookahead, part.Count, len(hostOfLP))
 	}
 }
 
 func TestHybridPartitionOneHostIsFineGrained(t *testing.T) {
 	tr := topology.BuildTorus2D(4, 4, 1e9, 30*sim.Microsecond)
 	fg := FineGrained(tr.N(), tr.LinkInfos())
-	lpOf, hostOfLP, la, err := HybridPartition(tr.N(), make([]int32, tr.N()), tr.LinkInfos())
+	part, hostOfLP, err := HybridPartition(tr.N(), make([]int32, tr.N()), tr.LinkInfos())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hostOfLP) != fg.Count || la != fg.Lookahead {
-		t.Fatalf("LPs=%d lookahead=%v, FineGrained has %d and %v", len(hostOfLP), la, fg.Count, fg.Lookahead)
+	if len(hostOfLP) != fg.Count || part.Count != fg.Count || part.Lookahead != fg.Lookahead {
+		t.Fatalf("LPs=%d lookahead=%v, FineGrained has %d and %v", part.Count, part.Lookahead, fg.Count, fg.Lookahead)
 	}
-	for v := range lpOf {
-		if lpOf[v] != fg.LPOf[v] {
-			t.Fatalf("node %d: LP %d, FineGrained says %d", v, lpOf[v], fg.LPOf[v])
+	for v := range part.LPOf {
+		if part.LPOf[v] != fg.LPOf[v] {
+			t.Fatalf("node %d: LP %d, FineGrained says %d", v, part.LPOf[v], fg.LPOf[v])
 		}
 	}
 }
@@ -303,10 +303,11 @@ func TestHybridPartitionGroupsWithinHosts(t *testing.T) {
 			hostOf[tr.HostAt[i][j]] = h
 		}
 	}
-	lpOf, hostOfLP, _, err := HybridPartition(tr.N(), hostOf, tr.LinkInfos())
+	part, hostOfLP, err := HybridPartition(tr.N(), hostOf, tr.LinkInfos())
 	if err != nil {
 		t.Fatal(err)
 	}
+	lpOf := part.LPOf
 	if len(hostOfLP) != 16 {
 		t.Fatalf("LPs=%d, want 16", len(hostOfLP))
 	}
@@ -320,7 +321,7 @@ func TestHybridPartitionGroupsWithinHosts(t *testing.T) {
 }
 
 func TestHybridPartitionBadHostMap(t *testing.T) {
-	if _, _, _, err := HybridPartition(4, []int32{0, 1}, nil); err == nil {
+	if _, _, err := HybridPartition(4, []int32{0, 1}, nil); err == nil {
 		t.Fatal("short HostOf accepted")
 	}
 }

@@ -314,15 +314,18 @@ func TestSparseActivityEqualsDES(t *testing.T) {
 				t.Fatalf("seed %d, %d nodes, %s (%v, period %d): %v", seed, n, kernels[k].name, metric, period, err)
 			}
 		}
-		if err := rankRow(seed, random(2+r.Intn(3)), uint64(2+r.Intn(24))); err != nil {
-			t.Fatalf("seed %d, %d nodes, ranks over an in-memory wire: %v", seed, n, err)
+		rankOf, snapAt := random(2+r.Intn(3)), uint64(2+r.Intn(24))
+		for threads := 1; threads <= 2; threads++ {
+			if err := rankRow(seed, rankOf, threads, snapAt); err != nil {
+				t.Fatalf("seed %d, %d nodes, ranks of %d threads over an in-memory wire: %v", seed, n, threads, err)
+			}
 		}
 	}
 }
 
-// The rank row: the engine as internal/dist runs it — one engine per rank,
-// each with the whole model and only its own LP resident — but joined by
-// the smallest wire there is instead of sockets and a coordinator.
+// The rank row: the engine as internal/dist runs it — one hybrid kernel per
+// rank, each with the whole model and only its own host resident — but
+// joined by the smallest wire there is instead of sockets and a coordinator.
 
 // hub is that wire: each round one barrier of all ranks, where every rank
 // deposits its outbound events and its minimum and reads what the last
@@ -363,12 +366,13 @@ func (h *hub) meet(deposit func()) {
 	h.cond.Broadcast()
 }
 
-// fakeRank is one rank's end of the hub, and its model's data plane.
+// fakeRank is one rank's end of the hub, and its model's data plane: out
+// holds each worker's outbound events.
 type fakeRank struct {
 	h   *hub
 	id  int32
 	sm  *sparseModel
-	out []sim.Event
+	out [][]sim.Event
 }
 
 func (w *fakeRank) Resident() int { return int(w.id) }
@@ -379,23 +383,25 @@ func (w *fakeRank) remote(ctx *sim.Ctx, at sim.Time, to sim.NodeID, ttl int) boo
 	}
 	ev := ctx.Stamp(at, to)
 	ev.Desc = chainDesc(ttl)
-	w.out = append(w.out, ev)
+	w.out[ctx.Worker] = append(w.out[ctx.Worker], ev)
 	return true
 }
 
 func (w *fakeRank) Sync(lbts, local sim.Time) ([]sim.Event, sim.Time, sim.Time, error) {
 	w.h.meet(func() {
 		w.h.nextMin = min(w.h.nextMin, local)
-		for _, ev := range w.out {
-			if ev.Time < lbts {
-				panic(fmt.Sprintf("rank %d sends an event at %v inside the window ending %v", w.id, ev.Time, lbts))
+		for i, out := range w.out {
+			for _, ev := range out {
+				if ev.Time < lbts {
+					panic(fmt.Sprintf("rank %d sends an event at %v inside the window ending %v", w.id, ev.Time, lbts))
+				}
+				dst := w.h.rankOf[ev.Node]
+				w.h.nextIn[dst] = append(w.h.nextIn[dst], ev)
+				w.h.nextMin = min(w.h.nextMin, ev.Time)
 			}
-			dst := w.h.rankOf[ev.Node]
-			w.h.nextIn[dst] = append(w.h.nextIn[dst], ev)
-			w.h.nextMin = min(w.h.nextMin, ev.Time)
+			w.out[i] = out[:0]
 		}
 	})
-	w.out = w.out[:0]
 	in := w.h.in[w.id]
 	w.sm.bind(in)
 	return in, w.h.min, sim.MaxTime, nil
@@ -409,10 +415,11 @@ func (sm *sparseModel) bind(evs []sim.Event) {
 	}
 }
 
-// rankRun runs the model of seed as len(restore) ranks and returns the
-// merged event log and totals. snapAt > 0 keeps every rank's snapshot of
-// that round in snaps; a non-nil restore[i] resumes rank i from it.
-func rankRun(seed int64, rankOf []int32, snapAt uint64, restore []*sim.KernelState) (*evLog, *sim.RunStats, []*sim.KernelState, error) {
+// rankRun runs the model of seed as len(restore) ranks of threads workers
+// each and returns the merged event log and totals. snapAt > 0 keeps every
+// rank's snapshot of that round in snaps; a non-nil restore[i] resumes rank
+// i from it.
+func rankRun(seed int64, rankOf []int32, threads int, snapAt uint64, restore []*sim.KernelState) (*evLog, *sim.RunStats, []*sim.KernelState, error) {
 	h := newHub(rankOf)
 	ranks := make([]*fakeRank, len(restore))
 	stats := make([]*sim.RunStats, len(ranks))
@@ -420,7 +427,7 @@ func rankRun(seed int64, rankOf []int32, snapAt uint64, restore []*sim.KernelSta
 	errs := make([]error, len(ranks))
 	var wg sync.WaitGroup
 	for i := range ranks {
-		w := &fakeRank{h: h, id: int32(i)}
+		w := &fakeRank{h: h, id: int32(i), out: make([][]sim.Event, threads)}
 		w.sm = genRankModel(seed, w.remote)
 		ranks[i] = w
 		if snapAt > 0 {
@@ -442,7 +449,7 @@ func rankRun(seed int64, rankOf []int32, snapAt uint64, restore []*sim.KernelSta
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			stats[w.id], errs[w.id] = core.RunStatic(w.sm.Model, "rank", core.Manual(rankOf, w.sm.Links()), core.Config{}, w)
+			stats[w.id], errs[w.id] = core.NewHybrid(core.HybridConfig{HostOf: rankOf, ThreadsPerHost: threads, Wire: w}).Run(w.sm.Model)
 		}()
 	}
 	wg.Wait()
@@ -452,8 +459,8 @@ func rankRun(seed int64, rankOf []int32, snapAt uint64, restore []*sim.KernelSta
 		if errs[i] != nil {
 			return nil, nil, nil, errs[i]
 		}
-		if stats[i].Rounds != total.Rounds || len(stats[i].Workers) != 1 {
-			return nil, nil, nil, fmt.Errorf("rank %d: %d rounds on %d workers, rank 0 ran %d on one", i, stats[i].Rounds, len(stats[i].Workers), total.Rounds)
+		if stats[i].Rounds != total.Rounds || len(stats[i].Workers) != threads {
+			return nil, nil, nil, fmt.Errorf("rank %d: %d rounds on %d workers, rank 0 ran %d on %d", i, stats[i].Rounds, len(stats[i].Workers), total.Rounds, threads)
 		}
 		total.Events += stats[i].Events
 		total.EndTime = max(total.EndTime, stats[i].EndTime)
@@ -467,16 +474,17 @@ func rankRun(seed int64, rankOf []int32, snapAt uint64, restore []*sim.KernelSta
 	return log, total, snaps, nil
 }
 
-// rankRow checks the rank shape on one seed: against des event for event,
-// taking a snapshot on the way, and again restored from that snapshot.
-func rankRow(seed int64, rankOf []int32, snapAt uint64) error {
+// rankRow checks ranks of threads workers on one seed: against des event
+// for event, taking a snapshot on the way, and again restored from that
+// snapshot.
+func rankRow(seed int64, rankOf []int32, threads int, snapAt uint64) error {
 	ref := genRankModel(seed, func(*sim.Ctx, sim.Time, sim.NodeID, int) bool { return false })
 	want, err := des.New().Run(ref.Model)
 	if err != nil {
 		return err
 	}
 	fresh := make([]*sim.KernelState, 1+slices.Max(rankOf))
-	log, st, snaps, err := rankRun(seed, rankOf, snapAt, fresh)
+	log, st, snaps, err := rankRun(seed, rankOf, threads, snapAt, fresh)
 	if err == nil {
 		err = log.equals(ref.log, st, want)
 	}
@@ -490,7 +498,7 @@ func rankRow(seed int64, rankOf []int32, snapAt uint64) error {
 		}
 		before += ks.Events
 	}
-	rlog, rst, _, err := rankRun(seed, rankOf, 0, snaps)
+	rlog, rst, _, err := rankRun(seed, rankOf, threads, 0, snaps)
 	if err == nil {
 		err = rlog.endsWith(ref.log)
 	}

@@ -80,7 +80,8 @@ func (k *Kernel) Run(m *sim.Model) (*sim.RunStats, error) {
 			})
 		}})
 	}
-	pauses := sim.OpenPauses("des", ps, progressEvery, events, seqs, 1, func(_ int, dst []sim.Event) []sim.Event { return fel.Snapshot(dst) })
+	pauses := sim.OpenPauses("des", ps, progressEvery, events, seqs, 1, func(_ int, dst []sim.Event) []sim.Event { return fel.Snapshot(dst) },
+		func(int) int { return fel.Len() })
 	next := pauses.Next()
 	for !fel.Empty() {
 		if events >= next && fel.NextTime() > now {

@@ -54,9 +54,9 @@ type CoordConfig struct {
 	// hand the records to a probe and return.
 	OnSideband func(host int, side *Sideband)
 	// Stats, when non-nil, is filled with the merged run stats of the
-	// whole distributed run (one WorkerStats per host, from the stats the
-	// hosts ship at gather) — what unidist writes as the bundle's
-	// run_stats.json.
+	// whole distributed run (every host's WorkerStats, host by host, from
+	// the stats the hosts ship at gather) — what unidist writes as the
+	// bundle's run_stats.json.
 	Stats *sim.RunStats
 }
 
@@ -247,22 +247,19 @@ func RunCoordinator(ln net.Listener, cfg CoordConfig) (*flowmon.Monitor, uint64,
 	if cfg.Stats != nil {
 		merged := sim.RunStats{
 			Kernel: fmt.Sprintf("dist(%d)", cfg.Hosts),
-			Rounds: rounds, LPs: cfg.Hosts,
-			WallNS:  time.Since(coordStart).Nanoseconds(),
-			Workers: make([]sim.WorkerStats, cfg.Hosts),
+			Rounds: rounds,
+			WallNS: time.Since(coordStart).Nanoseconds(),
 		}
-		for h, e := range gathers {
+		for _, e := range gathers {
 			st := e.Final.Stats
 			if st == nil {
 				continue
 			}
+			// Every host partitions the whole model alike and counts every LP.
 			merged.Events += st.Events
-			if st.EndTime > merged.EndTime {
-				merged.EndTime = st.EndTime
-			}
-			if len(st.Workers) > 0 {
-				merged.Workers[h] = st.Workers[0]
-			}
+			merged.EndTime = max(merged.EndTime, st.EndTime)
+			merged.LPs = max(merged.LPs, st.LPs)
+			merged.Workers = append(merged.Workers, st.Workers...)
 		}
 		*cfg.Stats = merged
 	}

@@ -144,11 +144,12 @@ func TestDistributedMatchesSequential(t *testing.T) {
 }
 
 // TestLiveSidebandCarriesEveryRound: the telemetry hosts send under Live
-// reaches the coordinator whole. Every host's records cover every round,
-// the last one included, so their events fold to the run's; and the rows
-// add up to the merged sampler's, the final flush's included.
+// reaches the coordinator whole. Every host's records cover every (round,
+// worker) once, the last round included and each in its host's lane of
+// workers, so their events fold to the run's; and the rows add up to the
+// merged sampler's, the final flush's included.
 func TestLiveSidebandCarriesEveryRound(t *testing.T) {
-	const seed, hosts = 77, 2
+	const seed, hosts, threads = 77, 2, 2
 	stop := sim.Time(sim.Millisecond)
 	ft := topology.BuildFatTree(topology.FatTreeK(4, 1_000_000_000, 3*sim.Microsecond))
 	hostOf := pdes.FatTreeManual(ft, hosts)
@@ -159,15 +160,22 @@ func TestLiveSidebandCarriesEveryRound(t *testing.T) {
 	}
 	defer ln.Close()
 
-	records := make([]uint64, hosts)
+	type slot struct {
+		round  uint64
+		worker int32
+	}
+	records := make([]map[slot]int, hosts)
+	for h := range records {
+		records[h] = map[slot]int{}
+	}
 	var events uint64
 	var rows int
 	cfg := CoordConfig{
 		Hosts: hosts, StopAt: stop, Flows: flows, Timeout: 30 * time.Second,
 		Stats: &sim.RunStats{}, Net: &NetData{},
 		OnSideband: func(h int, side *Sideband) {
-			records[h] += uint64(len(side.Recs))
 			for _, rec := range side.Recs {
+				records[h][slot{rec.Round, rec.Worker}]++
 				events += rec.Events
 			}
 			rows += len(side.Rows)
@@ -186,7 +194,7 @@ func TestLiveSidebandCarriesEveryRound(t *testing.T) {
 			m, network, mon, _, _ := buildPieces(seed, stop)
 			network.AttachSampler(netobs.NewSampler(netobs.SamplerConfig{Interval: 50 * sim.Microsecond}))
 			_, errs[1+h] = RunHost(HostConfig{
-				ID: h, Addr: ln.Addr().String(), HostOf: hostOf, StopAt: stop,
+				ID: h, Addr: ln.Addr().String(), HostOf: hostOf, StopAt: stop, Threads: threads,
 				Timeout: 30 * time.Second, DialAttempts: 3, Live: true,
 			}, m, network, mon)
 		}()
@@ -198,9 +206,19 @@ func TestLiveSidebandCarriesEveryRound(t *testing.T) {
 		}
 	}
 	st := cfg.Stats
-	for h, n := range records {
-		if n != st.Rounds {
-			t.Errorf("host %d: %d round records reached the coordinator; the run had %d rounds", h, n, st.Rounds)
+	if len(st.Workers) != hosts*threads {
+		t.Errorf("the merged stats have %d workers; %d hosts ran %d each", len(st.Workers), hosts, threads)
+	}
+	for h, got := range records {
+		for r := range st.Rounds {
+			for w := range int32(threads) {
+				if n := got[slot{r, int32(h)*threads + w}]; n != 1 {
+					t.Fatalf("host %d: round %d of worker %d reached the coordinator %d times", h, r, w, n)
+				}
+			}
+		}
+		if want := int(st.Rounds) * threads; len(got) != want {
+			t.Errorf("host %d: %d (round, worker) records reached the coordinator; the run had %d rounds of %d workers", h, len(got), st.Rounds, threads)
 		}
 	}
 	if events != st.Events || st.Events == 0 {

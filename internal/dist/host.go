@@ -30,6 +30,9 @@ type HostConfig struct {
 	HostOf []int32
 	// StopAt bounds the simulation (must match the coordinator's).
 	StopAt sim.Time
+	// Threads is the number of workers this host runs its share on, as
+	// every host of the in-process hybrid kernel does; zero means 1.
+	Threads int
 	// Timeout bounds every message exchange with the coordinator (read
 	// and write deadlines, and each dial attempt). Because the
 	// coordinator only answers once the slowest host has reported, the
@@ -45,10 +48,11 @@ type HostConfig struct {
 	// DialBackoff is the initial retry backoff; it doubles per attempt.
 	// Defaults to 50ms when DialAttempts enables retries.
 	DialBackoff time.Duration
-	// Observe, when non-nil, receives one obs.RoundRecord per window
-	// (Worker 0): AllReduceNS is the round trip of the round's step, from
-	// sending it to the coordinator's answer, and Retries reports extra
-	// dial attempts on the first record.
+	// Observe, when non-nil, receives one obs.RoundRecord per window and
+	// worker. Worker 0's adds the wire's share: the remote events sent and
+	// received to Sends, SendBytes and Recvs; AllReduceNS, the round trip of
+	// the round's step, from sending it to the coordinator's answer; and,
+	// on the first, Retries, the extra dial attempts.
 	Observe obs.Probe
 	// Live piggybacks this host's round records, and its snapshots', on
 	// the telemetry Sideband of every step message, and the rest on the
@@ -117,8 +121,9 @@ func dialCoordinator(cfg HostConfig) (net.Conn, int, error) {
 // ghost-node approach of MPI-based PDES), but only events of its own
 // nodes run here. Cross-host packet arrivals travel through net's Remote
 // hook to the wire, stamped with their deterministic identities. The host
-// is the round engine in its static shape (core.RunStatic), one LP per host
-// and this host's alone resident; this file is the wire it syncs through.
+// is one host of the hybrid kernel (core.NewHybrid): Unison's fine-grained
+// partition and scheduling over its own nodes, on cfg.Threads workers,
+// with the other hosts across the wire this file is.
 //
 // Restrictions (the same the paper's MPI baselines have): only the stop
 // event among global events, and models may only communicate across hosts
@@ -143,7 +148,9 @@ func RunHost(cfg HostConfig, m *sim.Model, network *netdev.Network, mon *flowmon
 	if err != nil {
 		return nil, err
 	}
-	r := &rank{cfg: &cfg, c: newConn(nc, cfg.Timeout, "coordinator"), net: network, note: obs.RoundRecord{Retries: uint64(dialRetries)}}
+	cfg.Threads = max(cfg.Threads, 1)
+	r := &rank{cfg: &cfg, c: newConn(nc, cfg.Timeout, "coordinator"), net: network, note: obs.RoundRecord{Retries: uint64(dialRetries)},
+		out: make([][]RemoteEvent, cfg.Threads)}
 	defer r.c.close()
 	// The hooks set below would keep r and its frame buffers alive.
 	defer func(pauses []sim.Pause, ks *sim.KernelState) { network.Remote, m.Pauses, m.Restore = nil, pauses, ks }(m.Pauses, m.Restore)
@@ -154,6 +161,9 @@ func RunHost(cfg HostConfig, m *sim.Model, network *netdev.Network, mon *flowmon
 	sampler := network.Sampler()
 	if cfg.Live || sampler != nil {
 		r.side = &Sideband{}
+	}
+	if cfg.Live {
+		r.recs = make([][]obs.RoundRecord, cfg.Threads)
 	}
 	// The pauses: rows first, so that a snapshot holds the sampler as the
 	// rows shipped so far leave it.
@@ -179,8 +189,7 @@ func RunHost(cfg HostConfig, m *sim.Model, network *netdev.Network, mon *flowmon
 		}
 		m.Restore = ks
 	}
-	st, err := core.RunStatic(m, fmt.Sprintf("dist-host(%d)", cfg.ID), core.Manual(cfg.HostOf, m.Links()),
-		core.Config{Observe: probe}, r)
+	st, err := core.NewHybrid(core.HybridConfig{HostOf: cfg.HostOf, ThreadsPerHost: cfg.Threads, Observe: probe, Wire: r}).Run(m)
 	if err != nil {
 		return nil, err
 	}
@@ -204,15 +213,19 @@ func RunHost(cfg HostConfig, m *sim.Model, network *netdev.Network, mon *flowmon
 // rank is a host's end of the wire: the core.Wire its engine's serial
 // section calls, the data plane's Remote hook, and the first probe of the
 // host's tee, which adds to each round record what only the wire knows.
-// One worker, so one goroutine calls them all, the pause clients too.
+// Every worker calls remote and OnRound, each into its own slot of out and
+// recs; Sync, batch and the pause clients run in serial sections, with the
+// workers parked.
 type rank struct {
 	cfg  *HostConfig
 	c    *conn
 	net  *netdev.Network
-	out  []RemoteEvent   // this round's cross-host arrivals, filled by remote
-	in   []sim.Event     // Sync's inbox, reused every round
-	note obs.RoundRecord // the fields OnRound copies into the round's record
-	side *Sideband       // the batch riding the next step; nil without Live or a sampler
+	out  [][]RemoteEvent     // each worker's cross-host arrivals of this window, filled by remote
+	step []RemoteEvent       // out, gathered for the step
+	in   []sim.Event         // Sync's inbox, reused every round
+	note obs.RoundRecord     // the fields OnRound adds to worker 0's round record
+	recs [][]obs.RoundRecord // each worker's round records since the last batch; nil without Live
+	side *Sideband           // the batch riding the next step; nil without Live or a sampler
 }
 
 func (r *rank) Resident() int { return int(r.cfg.ID) }
@@ -225,7 +238,7 @@ func (r *rank) remote(c *sim.Ctx, at sim.NodeID, p packet.Packet, arrival sim.Ti
 		return false
 	}
 	ev := c.Stamp(arrival, at)
-	r.out = append(r.out, RemoteEvent{Time: ev.Time, Src: ev.Src, Seq: ev.Seq, Node: at, Host: target, Pkt: p})
+	r.out[c.Worker] = append(r.out[c.Worker], RemoteEvent{Time: ev.Time, Src: ev.Src, Seq: ev.Seq, Node: at, Host: target, Pkt: p})
 	return true
 }
 
@@ -236,13 +249,16 @@ func (r *rank) remote(c *sim.Ctx, at sim.NodeID, p packet.Packet, arrival sim.Ti
 // inbox is wire input: an event no correct peer could have sent here is an
 // error now, not a panic in the engine a round later.
 func (r *rank) Sync(lbts, local sim.Time) ([]sim.Event, sim.Time, sim.Time, error) {
-	e := &envelope{Kind: kStep, Min: local, Events: r.out, Side: r.batch()}
-	r.note.Sends = uint64(len(r.out))
+	r.step = r.step[:0]
+	for w, out := range r.out {
+		r.step, r.out[w] = append(r.step, out...), out[:0]
+	}
+	e := &envelope{Kind: kStep, Min: local, Events: r.step, Side: r.batch()}
+	r.note.Sends = uint64(len(r.step))
 	start := time.Now()
 	if err := r.c.send(e); err != nil {
 		return nil, 0, 0, fmt.Errorf("dist: sending step: %w", err)
 	}
-	r.out = r.out[:0]
 	in, err := r.c.recvAny()
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("dist: window: %w", err)
@@ -274,25 +290,36 @@ func (r *rank) Sync(lbts, local sim.Time) ([]sim.Event, sim.Time, sim.Time, erro
 // passed on. Nil without Live or a sampler.
 func (r *rank) batch() *Sideband {
 	b := r.side
-	if b != nil {
-		r.side = &Sideband{}
+	if b == nil {
+		return nil
 	}
+	for w, recs := range r.recs {
+		b.Recs, r.recs[w] = append(b.Recs, recs...), recs[:0]
+	}
+	r.side = &Sideband{}
 	return b
 }
 
 func (r *rank) BeginRun(obs.RunMeta) {}
 func (r *rank) EndRun(*sim.RunStats) {}
 
-// OnRound completes the engine's record of a round with the remote events
-// it sent and received, the step round trip that closed it and the dial
-// retries (on the first); a snapshot's record, the saver's, it leaves as
-// it is. Under Live a copy joins the batch for the coordinator.
+// OnRound adds to worker 0's record of a round the remote events it sent
+// and received, the step round trip that closed it and the dial retries
+// (on the first), so that the records of every worker sum to the host's
+// traffic; a snapshot's record, the saver's, it leaves as it is. Under Live
+// a copy joins the batch for the coordinator, numbered among every host's
+// workers: ID*Threads + worker.
 func (r *rank) OnRound(rec *obs.RoundRecord) {
-	if n := &r.note; rec.CkptBytes == 0 {
-		rec.Sends, rec.SendBytes, rec.Recvs, rec.AllReduceNS = n.Sends, n.Sends*obs.EventBytes, n.Recvs, n.AllReduceNS
+	if n := &r.note; rec.Worker == 0 && rec.CkptBytes == 0 {
+		rec.Sends += n.Sends
+		rec.SendBytes += n.Sends * obs.EventBytes
+		rec.Recvs += n.Recvs
+		rec.AllReduceNS = n.AllReduceNS
 		rec.Retries, n.Retries = n.Retries, 0
 	}
-	if r.cfg.Live {
-		r.side.Recs = append(r.side.Recs, *rec)
+	if r.recs != nil {
+		cp := *rec
+		cp.Worker += r.cfg.ID * int32(r.cfg.Threads)
+		r.recs[rec.Worker] = append(r.recs[rec.Worker], cp)
 	}
 }

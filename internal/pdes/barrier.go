@@ -53,5 +53,5 @@ func (k *BarrierKernel) Run(m *sim.Model) (*sim.RunStats, error) {
 		}
 		part = core.Manual(k.LPOf, m.Links())
 	}
-	return core.RunStatic(m, k.Name(), part, core.Config{MaxRounds: k.MaxRounds, Observe: k.Observe}, nil)
+	return core.RunStatic(m, k.Name(), part, core.Config{MaxRounds: k.MaxRounds, Observe: k.Observe})
 }

@@ -68,12 +68,13 @@ type pauseClient struct {
 // OpenPauses returns a run's runner over ps, nil without any. who prefixes
 // errors; every is the kernel's cadence for a client without one (1 round,
 // a block of sequential events; 0 for epochs); from is the count the run
-// starts at; seqs, fels and fel are KernelState's, fixed for the run.
-func OpenPauses(who string, ps []Pause, every, from uint64, seqs []uint64, fels int, fel func(i int, dst []Event) []Event) *PauseRun {
+// starts at; seqs, fels and fel are KernelState's, fixed for the run, and
+// size, when not nil, gives a list's length as KernelState.Len does.
+func OpenPauses(who string, ps []Pause, every, from uint64, seqs []uint64, fels int, fel func(i int, dst []Event) []Event, size func(i int) int) *PauseRun {
 	if len(ps) == 0 {
 		return nil
 	}
-	r := &PauseRun{who: who, every: every, next: math.MaxUint64, ks: KernelState{Seqs: seqs, FELs: fels, FEL: fel}}
+	r := &PauseRun{who: who, every: every, next: math.MaxUint64, ks: KernelState{Seqs: seqs, FELs: fels, FEL: fel, size: size}}
 	for _, p := range ps {
 		r.cs = append(r.cs, pauseClient{Pause: p, p: p.New()})
 		r.schedule(&r.cs[len(r.cs)-1], from)

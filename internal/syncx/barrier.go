@@ -4,6 +4,7 @@ package syncx
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 )
 
@@ -15,6 +16,10 @@ type Barrier struct {
 	n     int32
 	count atomic.Int32
 	gen   atomic.Uint64
+	// park is nil unless the barrier parks (NewParking); mu orders a
+	// release against the waiters going to sleep on it.
+	park *sync.Cond
+	mu   sync.Mutex
 }
 
 // NewBarrier returns a barrier for n workers.
@@ -24,6 +29,20 @@ func NewBarrier(n int) *Barrier {
 	}
 	return &Barrier{n: int32(n)}
 }
+
+// NewParking returns a barrier for n workers whose waiters, once they have
+// spun and yielded parkAfter times, sleep until the release. It is for
+// workers whose serial sections block on I/O: yielding waiters would keep
+// the CPUs from the processes that I/O waits for. A release costs a lock.
+func NewParking(n int) *Barrier {
+	b := NewBarrier(n)
+	b.park = sync.NewCond(&b.mu)
+	return b
+}
+
+// parkAfter is how many times a waiter of a parking barrier yields before
+// it sleeps: tens of microseconds.
+const parkAfter = 256
 
 // Wait blocks until all n workers have arrived.
 func (b *Barrier) Wait() {
@@ -44,6 +63,13 @@ func (b *Barrier) WaitSerial(fn func()) {
 			fn()
 		}
 		b.count.Store(0)
+		if b.park != nil {
+			b.mu.Lock()
+			b.gen.Add(1)
+			b.mu.Unlock()
+			b.park.Broadcast()
+			return
+		}
 		b.gen.Add(1)
 		return
 	}
@@ -52,6 +78,13 @@ func (b *Barrier) WaitSerial(fn func()) {
 		spins++
 		if spins > 64 {
 			runtime.Gosched()
+		}
+		if b.park != nil && spins > 64+parkAfter {
+			b.mu.Lock()
+			for b.gen.Load() == gen {
+				b.park.Wait()
+			}
+			b.mu.Unlock()
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestBarrierSynchronizesPhases(t *testing.T) {
@@ -97,6 +98,36 @@ func TestBarrierWaitSerial(t *testing.T) {
 				b.Wait()
 			}
 		}(w)
+	}
+	wg.Wait()
+}
+
+func TestParkingBarrierWakesSleepers(t *testing.T) {
+	// Serial sections long enough for every waiter to go to sleep, and
+	// short ones it is released from while still yielding: each runs once,
+	// after every arrival, and every worker sees it (also under -race).
+	const workers = 3
+	const rounds = 40
+	b := NewParking(workers)
+	var serialRuns int
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				b.WaitSerial(func() {
+					if r%2 == 0 {
+						time.Sleep(2 * time.Millisecond)
+					}
+					serialRuns++
+				})
+				if serialRuns != r+1 {
+					t.Errorf("round %d: serialRuns=%d", r, serialRuns)
+				}
+				b.Wait()
+			}
+		}()
 	}
 	wg.Wait()
 }

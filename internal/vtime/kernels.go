@@ -15,9 +15,9 @@ import (
 // shapes:
 //
 //	Sequential  SingleLP                one group,  1 core        no sync cost
-//	Barrier     the caller's LPOf       one per LP, 1 core each   2·BarrierNS
+//	Barrier     StaticShape(LPOf)       one per LP, 1 core each   2·BarrierNS
 //	Unison      FineGrained (or LPOf)   one group,  Cores         4·SpinBarrierNS
-//	Hybrid      Algorithm 1 per host    one per host, CoresPerHost
+//	Hybrid      HybridShape             one per host, CoresPerHost
 //	                                                4·SpinBarrierNS + 2·BarrierNS
 //
 // and differ in nothing else but the per-round synchronisation constant.
@@ -50,13 +50,9 @@ func shapeOf(m *sim.Model, cfg Config) (shape, error) {
 		if cfg.LPOf == nil {
 			return shape{}, errors.New("vtime: Barrier requires a manual partition (LPOf)")
 		}
-		part := core.Manual(cfg.LPOf, links)
-		groupOf := make([]int32, part.Count)
-		for i := range groupOf {
-			groupOf[i] = int32(i)
-		}
-		return shape{Shape: core.Shape{Name: Barrier.String(), Part: part, GroupOf: groupOf,
-			PerGroup: 1, Cfg: eng}, syncNS: mpi}, nil
+		sh := core.StaticShape(core.Manual(cfg.LPOf, links), eng)
+		sh.Name = Barrier.String()
+		return shape{Shape: sh, syncNS: mpi}, nil
 	case Unison:
 		if cfg.Cores <= 0 {
 			return shape{}, errors.New("vtime: Unison requires Cores > 0")
@@ -87,19 +83,15 @@ func shapeOf(m *sim.Model, cfg Config) (shape, error) {
 		if cfg.CoresPerHost <= 0 {
 			return shape{}, errors.New("vtime: Hybrid requires CoresPerHost > 0")
 		}
-		lpOf, hostOfLP, lookahead, err := core.HybridPartition(m.Nodes, cfg.HostOf, links)
-		if err != nil {
-			return shape{}, err
-		}
 		// LPs never migrate across hosts, and every round pays the
 		// MPI-style collective on top of the intra-host spin barriers.
 		eng.Metric = cfg.Metric
-		sh := shape{Shape: core.Shape{
-			Part:    &core.Partition{LPOf: lpOf, Count: len(hostOfLP), Lookahead: lookahead},
-			GroupOf: hostOfLP, PerGroup: cfg.CoresPerHost, Cfg: eng},
-			syncNS: spin + mpi, allReduceNS: mpi}
-		sh.Name = fmt.Sprintf("v-hybrid(%dx%d)", sh.Groups(), cfg.CoresPerHost)
-		return sh, nil
+		hs, err := core.HybridShape(m.Nodes, cfg.HostOf, links, cfg.CoresPerHost, eng)
+		if err != nil {
+			return shape{}, err
+		}
+		hs.Name = fmt.Sprintf("v-hybrid(%dx%d)", hs.Groups(), cfg.CoresPerHost)
+		return shape{Shape: hs, syncNS: spin + mpi, allReduceNS: mpi}, nil
 	}
 	return shape{}, errors.New("vtime: unknown algorithm")
 }
