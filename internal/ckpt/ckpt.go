@@ -47,7 +47,7 @@ import (
 // Version is the current checkpoint format version. Readers reject any
 // other version outright: snapshots are short-lived crash-recovery
 // artifacts, not archival data, so there is no cross-version migration.
-const Version uint16 = 4
+const Version uint16 = 5
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 

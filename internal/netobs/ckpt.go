@@ -53,7 +53,6 @@ func (s *Sampler) CkptSave(e *ckpt.Enc) error {
 	for _, p := range s.devs {
 		e.Time(p.tick)
 		e.Bool(p.active)
-		e.U32(uint32(p.shipped))
 		encodeRow(e, &p.cur)
 		e.U32(uint32(len(p.rows)))
 		for i := range p.rows {
@@ -69,7 +68,7 @@ func (s *Sampler) CkptSave(e *ckpt.Enc) error {
 //unison:owner checkpoint
 func (s *Sampler) CkptLoad(d *ckpt.Dec) error {
 	s.flushed = d.Bool()
-	if np := d.Count(8 + 1 + 4 + rowBytes + 4); np != len(s.devs) {
+	if np := d.Count(8 + 1 + rowBytes + 4); np != len(s.devs) {
 		if err := d.Err(); err != nil {
 			return err
 		}
@@ -78,7 +77,6 @@ func (s *Sampler) CkptLoad(d *ckpt.Dec) error {
 	for _, p := range s.devs {
 		p.tick = d.Time()
 		p.active = d.Bool()
-		p.shipped = int(d.U32())
 		p.cur = decodeRow(d)
 		nr := d.Count(rowBytes)
 		p.rows = p.rows[:0]

@@ -87,7 +87,7 @@ type DevProbe struct {
 	active  bool     // current bucket saw at least one operation
 	cur     Row
 	rows    []Row
-	shipped int // rows already handed out by Sampler.LiveDelta
+	shipped int //unison:ckpt-skip rows already handed out by Sampler.LiveDelta; a run's feed starts it over
 }
 
 // roll closes the current bucket if t has moved past it and opens the
