@@ -13,11 +13,10 @@
 // built-in default, with each -set path=value applied in order. Every
 // process must be given the same scenario, assignments and -hosts count;
 // the scenario is reconstructed deterministically in every process. A host
-// runs its share as one host of the hybrid kernel, on as many workers as
-// kernel.threads names (default 4, as for kernel.kind=hybrid; -set
-// kernel.threads=1 for one). With -set artifacts.dir=D on every process,
-// the hosts collect their devices' records and their round records, and the
-// coordinator writes the run-artifact bundle into D.
+// is one host of the hybrid kernel, with kernel.threads workers (default 4).
+// With -set artifacts.dir=D on every process, the hosts collect their
+// devices' records and their round records, and the coordinator writes the
+// run-artifact bundle into D.
 package main
 
 import (
@@ -143,8 +142,8 @@ func runCoord(listen string, hosts int, sc *unison.Scenario, tmo time.Duration, 
 	}
 	// The record stream and the imbalance tracker take what the hosts
 	// piggyback on their steps and gathers (they do under -live or with
-	// artifacts.dir): per-rank round records, each filed under the lane of
-	// the connection it arrived on, and netobs row deltas. reg keeps the
+	// artifacts.dir): every host's workers' round records, each numbered
+	// ID*threads + worker by its host, and netobs row deltas. reg keeps the
 	// coordinator's protocol rounds for the bundle.
 	var imb *obs.ImbalanceTracker
 	var stream *live.Stream
@@ -165,7 +164,6 @@ func runCoord(listen string, hosts int, sc *unison.Scenario, tmo time.Duration, 
 		}
 		imb = obs.NewImbalanceTracker()
 		probe := obs.Tee(imb, stream)
-		// A host numbers its records among every host's workers.
 		probe.BeginRun(obs.RunMeta{Kernel: fmt.Sprintf("dist(%d)", hosts), Workers: hosts * sc.Kernel.Workers(), LPs: b.G.N()})
 		cfg.OnSideband = func(_ int, side *dist.Sideband) {
 			for i := range side.Recs {

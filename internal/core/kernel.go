@@ -136,8 +136,7 @@ const (
 
 // newLive is e's live driver; a group of several workers gets a home each.
 // The Unison shape — one group of several workers, no wire — fuses small
-// windows. With a wire, phase 4 waits for the other ranks' processes, so
-// the workers it leaves parked sleep rather than yield.
+// windows. With a wire, phase 4 waits on the network: its waiters park.
 func newLive(e *Engine) *live {
 	workers := len(e.workers)
 	l := &live{

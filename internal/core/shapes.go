@@ -7,12 +7,12 @@ import (
 	"unison/internal/sim"
 )
 
-// This file holds the two other shapes of the round engine (kernel.go):
-// the hybrid multi-host kernel, in one process or as one host of a
-// distributed run, and the static rank binding the barrier baseline needs.
-// Like Kernel.Run, each only chooses a partition and says which workers may
-// run which LPs; HybridShape and StaticShape are the one place each shape
-// is built, for the live kernels and the virtual testbed alike.
+// This file holds the two other shapes of the round engine (kernel.go),
+// each built in one place for the live kernels and the virtual testbed: the
+// hybrid multi-host kernel (HybridShape), in one process or as one host of a
+// distributed run, and the static rank binding of the barrier baseline
+// (StaticShape). Like Kernel.Run, each only chooses a partition and says
+// which workers may run which LPs.
 
 // HybridConfig parameterizes the scalable hybrid kernel of §5.2: the
 // topology is first divided statically across simulation hosts (the
@@ -32,12 +32,10 @@ type HybridConfig struct {
 	// MaxRounds aborts runaway simulations when positive.
 	MaxRounds uint64
 	// Observe, when non-nil, receives per-round per-worker telemetry
-	// (internal/obs); workers are numbered host*ThreadsPerHost+thread, or,
-	// with a Wire, thread.
+	// (internal/obs); workers are numbered host*ThreadsPerHost+thread.
 	Observe obs.Probe
-	// Wire, when non-nil, makes the kernel one host of a distributed run
-	// (internal/dist): only host Wire.Resident runs here, and the other
-	// hosts' mail comes and goes through the wire.
+	// Wire, when non-nil, makes the kernel one host of a distributed run:
+	// only host Wire.Resident runs here, numbering its workers from 0.
 	Wire Wire
 }
 
@@ -55,12 +53,7 @@ func NewHybrid(cfg HybridConfig) *HybridKernel {
 }
 
 // Name implements sim.Kernel.
-func (k *HybridKernel) Name() string {
-	if k.cfg.Wire != nil {
-		return fmt.Sprintf("dist-host(%d, t=%d)", k.cfg.Wire.Resident(), k.cfg.ThreadsPerHost)
-	}
-	return fmt.Sprintf("hybrid(t=%d/host)", k.cfg.ThreadsPerHost)
-}
+func (k *HybridKernel) Name() string { return fmt.Sprintf("hybrid(t=%d/host)", k.cfg.ThreadsPerHost) }
 
 // Run implements sim.Kernel: HybridShape, pulled by each host's
 // ThreadsPerHost workers.
@@ -74,8 +67,7 @@ func (k *HybridKernel) Run(m *sim.Model) (*sim.RunStats, error) {
 }
 
 // HybridShape is the shape of §5.2: one group per host holding the LPs
-// Algorithm 1 finds inside that host (HybridPartition), perHost workers
-// each.
+// Algorithm 1 finds inside it (HybridPartition), perHost workers each.
 func HybridShape(nodes int, hostOf []int32, links []sim.LinkInfo, perHost int, cfg Config) (Shape, error) {
 	part, hostOfLP, err := HybridPartition(nodes, hostOf, links)
 	if err != nil {

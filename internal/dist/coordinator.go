@@ -1,10 +1,11 @@
 package dist
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net"
-	"sort"
+	"slices"
 	"time"
 
 	"unison/internal/flowmon"
@@ -236,12 +237,8 @@ func RunCoordinator(ln net.Listener, cfg CoordConfig) (*flowmon.Monitor, uint64,
 		// Per-host lists arrive in each host's merged (time, node, emission)
 		// order and every node lives on one host, so a stable sort by
 		// (time, node) reproduces the single-process merged trace.
-		sort.SliceStable(cfg.Net.Trace, func(i, j int) bool {
-			a, b := &cfg.Net.Trace[i], &cfg.Net.Trace[j]
-			if a.Time != b.Time {
-				return a.Time < b.Time
-			}
-			return a.Node < b.Node
+		slices.SortStableFunc(cfg.Net.Trace, func(a, b trace.Record) int {
+			return cmp.Or(cmp.Compare(a.Time, b.Time), cmp.Compare(a.Node, b.Node))
 		})
 	}
 	if cfg.Stats != nil {

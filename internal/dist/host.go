@@ -30,8 +30,8 @@ type HostConfig struct {
 	HostOf []int32
 	// StopAt bounds the simulation (must match the coordinator's).
 	StopAt sim.Time
-	// Threads is the number of workers this host runs its share on, as
-	// every host of the in-process hybrid kernel does; zero means 1.
+	// Threads is this host's worker count (as ThreadsPerHost is the
+	// hybrid kernel's); zero means 1.
 	Threads int
 	// Timeout bounds every message exchange with the coordinator (read
 	// and write deadlines, and each dial attempt). Because the
@@ -49,10 +49,10 @@ type HostConfig struct {
 	// Defaults to 50ms when DialAttempts enables retries.
 	DialBackoff time.Duration
 	// Observe, when non-nil, receives one obs.RoundRecord per window and
-	// worker. Worker 0's adds the wire's share: the remote events sent and
-	// received to Sends, SendBytes and Recvs; AllReduceNS, the round trip of
-	// the round's step, from sending it to the coordinator's answer; and,
-	// on the first, Retries, the extra dial attempts.
+	// worker. Worker 0's adds the wire's remote events to Sends, SendBytes
+	// and Recvs; AllReduceNS is the round trip of the round's step, from
+	// sending it to the coordinator's answer, and Retries reports extra
+	// dial attempts on the first record.
 	Observe obs.Probe
 	// Live piggybacks this host's round records, and its snapshots', on
 	// the telemetry Sideband of every step message, and the rest on the
@@ -150,7 +150,7 @@ func RunHost(cfg HostConfig, m *sim.Model, network *netdev.Network, mon *flowmon
 	}
 	cfg.Threads = max(cfg.Threads, 1)
 	r := &rank{cfg: &cfg, c: newConn(nc, cfg.Timeout, "coordinator"), net: network, note: obs.RoundRecord{Retries: uint64(dialRetries)},
-		out: make([][]RemoteEvent, cfg.Threads)}
+		out: make([][]RemoteEvent, cfg.Threads), recs: make([][]obs.RoundRecord, cfg.Threads)}
 	defer r.c.close()
 	// The hooks set below would keep r and its frame buffers alive.
 	defer func(pauses []sim.Pause, ks *sim.KernelState) { network.Remote, m.Pauses, m.Restore = nil, pauses, ks }(m.Pauses, m.Restore)
@@ -161,9 +161,6 @@ func RunHost(cfg HostConfig, m *sim.Model, network *netdev.Network, mon *flowmon
 	sampler := network.Sampler()
 	if cfg.Live || sampler != nil {
 		r.side = &Sideband{}
-	}
-	if cfg.Live {
-		r.recs = make([][]obs.RoundRecord, cfg.Threads)
 	}
 	// The pauses: rows first, so that a snapshot holds the sampler as the
 	// rows shipped so far leave it.
@@ -214,17 +211,15 @@ func RunHost(cfg HostConfig, m *sim.Model, network *netdev.Network, mon *flowmon
 // section calls, the data plane's Remote hook, and the first probe of the
 // host's tee, which adds to each round record what only the wire knows.
 // Every worker calls remote and OnRound, each into its own slot of out and
-// recs; Sync, batch and the pause clients run in serial sections, with the
-// workers parked.
+// recs; Sync and the pause clients run in serial sections.
 type rank struct {
 	cfg  *HostConfig
 	c    *conn
 	net  *netdev.Network
 	out  [][]RemoteEvent     // each worker's cross-host arrivals of this window, filled by remote
-	step []RemoteEvent       // out, gathered for the step
 	in   []sim.Event         // Sync's inbox, reused every round
 	note obs.RoundRecord     // the fields OnRound adds to worker 0's round record
-	recs [][]obs.RoundRecord // each worker's round records since the last batch; nil without Live
+	recs [][]obs.RoundRecord // each worker's round records since the last batch, under Live
 	side *Sideband           // the batch riding the next step; nil without Live or a sampler
 }
 
@@ -249,16 +244,16 @@ func (r *rank) remote(c *sim.Ctx, at sim.NodeID, p packet.Packet, arrival sim.Ti
 // inbox is wire input: an event no correct peer could have sent here is an
 // error now, not a panic in the engine a round later.
 func (r *rank) Sync(lbts, local sim.Time) ([]sim.Event, sim.Time, sim.Time, error) {
-	r.step = r.step[:0]
-	for w, out := range r.out {
-		r.step, r.out[w] = append(r.step, out...), out[:0]
+	for w := 1; w < len(r.out); w++ {
+		r.out[0], r.out[w] = append(r.out[0], r.out[w]...), r.out[w][:0]
 	}
-	e := &envelope{Kind: kStep, Min: local, Events: r.step, Side: r.batch()}
-	r.note.Sends = uint64(len(r.step))
+	e := &envelope{Kind: kStep, Min: local, Events: r.out[0], Side: r.batch()}
+	r.note.Sends = uint64(len(r.out[0]))
 	start := time.Now()
 	if err := r.c.send(e); err != nil {
 		return nil, 0, 0, fmt.Errorf("dist: sending step: %w", err)
 	}
+	r.out[0] = r.out[0][:0]
 	in, err := r.c.recvAny()
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("dist: window: %w", err)
@@ -305,19 +300,15 @@ func (r *rank) EndRun(*sim.RunStats) {}
 
 // OnRound adds to worker 0's record of a round the remote events it sent
 // and received, the step round trip that closed it and the dial retries
-// (on the first), so that the records of every worker sum to the host's
-// traffic; a snapshot's record, the saver's, it leaves as it is. Under Live
-// a copy joins the batch for the coordinator, numbered among every host's
-// workers: ID*Threads + worker.
+// (on the first); a snapshot's record, the saver's, it leaves as it is.
+// Under Live a copy, numbered ID*Threads + worker, joins the batch.
 func (r *rank) OnRound(rec *obs.RoundRecord) {
 	if n := &r.note; rec.Worker == 0 && rec.CkptBytes == 0 {
-		rec.Sends += n.Sends
-		rec.SendBytes += n.Sends * obs.EventBytes
-		rec.Recvs += n.Recvs
-		rec.AllReduceNS = n.AllReduceNS
+		rec.Sends, rec.SendBytes = rec.Sends+n.Sends, rec.SendBytes+n.Sends*obs.EventBytes
+		rec.Recvs, rec.AllReduceNS = rec.Recvs+n.Recvs, n.AllReduceNS
 		rec.Retries, n.Retries = n.Retries, 0
 	}
-	if r.recs != nil {
+	if r.cfg.Live {
 		cp := *rec
 		cp.Worker += r.cfg.ID * int32(r.cfg.Threads)
 		r.recs[rec.Worker] = append(r.recs[rec.Worker], cp)

@@ -16,10 +16,7 @@ type Barrier struct {
 	n     int32
 	count atomic.Int32
 	gen   atomic.Uint64
-	// park is nil unless the barrier parks (NewParking); mu orders a
-	// release against the waiters going to sleep on it.
-	park *sync.Cond
-	mu   sync.Mutex
+	park  *sync.Cond // NewParking's; its lock orders a release against the sleepers
 }
 
 // NewBarrier returns a barrier for n workers.
@@ -30,19 +27,15 @@ func NewBarrier(n int) *Barrier {
 	return &Barrier{n: int32(n)}
 }
 
-// NewParking returns a barrier for n workers whose waiters, once they have
-// spun and yielded parkAfter times, sleep until the release. It is for
-// workers whose serial sections block on I/O: yielding waiters would keep
-// the CPUs from the processes that I/O waits for. A release costs a lock.
+// NewParking returns a barrier for n workers whose serial sections block on
+// I/O: a waiter that has yielded 256 times (tens of microseconds) sleeps
+// until the release, rather than keep a CPU from the processes that I/O
+// waits for. A release costs a lock.
 func NewParking(n int) *Barrier {
 	b := NewBarrier(n)
-	b.park = sync.NewCond(&b.mu)
+	b.park = sync.NewCond(new(sync.Mutex))
 	return b
 }
-
-// parkAfter is how many times a waiter of a parking barrier yields before
-// it sleeps: tens of microseconds.
-const parkAfter = 256
 
 // Wait blocks until all n workers have arrived.
 func (b *Barrier) Wait() {
@@ -63,28 +56,26 @@ func (b *Barrier) WaitSerial(fn func()) {
 			fn()
 		}
 		b.count.Store(0)
-		if b.park != nil {
-			b.mu.Lock()
+		if b.park == nil {
 			b.gen.Add(1)
-			b.mu.Unlock()
-			b.park.Broadcast()
 			return
 		}
+		b.park.L.Lock()
 		b.gen.Add(1)
+		b.park.L.Unlock()
+		b.park.Broadcast()
 		return
 	}
-	spins := 0
-	for b.gen.Load() == gen {
-		spins++
+	for spins := 0; b.gen.Load() == gen; spins++ {
 		if spins > 64 {
 			runtime.Gosched()
 		}
-		if b.park != nil && spins > 64+parkAfter {
-			b.mu.Lock()
+		if spins > 64+256 && b.park != nil {
+			b.park.L.Lock()
 			for b.gen.Load() == gen {
 				b.park.Wait()
 			}
-			b.mu.Unlock()
+			b.park.L.Unlock()
 		}
 	}
 }
