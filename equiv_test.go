@@ -763,7 +763,9 @@ func TestEquivalenceQuick(t *testing.T) {
 		t.Run(sc.Name, func(t *testing.T) {
 			r := reference(t, sc)
 			equiv(t, r, axes[:1], kernels)
-			rest := kernels[1:]
+			// The last row, dist(2)x2, runs the other axes in the slices
+			// below, so that every scenario keeps the pairs it has run.
+			rest := kernels[1 : len(kernels)-1]
 			equiv(t, r, axes[1:], []kernel{kernels[0], rest[2*i%len(rest)], rest[(2*i+1)%len(rest)]})
 		})
 	}

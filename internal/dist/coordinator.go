@@ -1,11 +1,10 @@
 package dist
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"net"
-	"slices"
+	"sort"
 	"time"
 
 	"unison/internal/flowmon"
@@ -237,25 +236,26 @@ func RunCoordinator(ln net.Listener, cfg CoordConfig) (*flowmon.Monitor, uint64,
 		// Per-host lists arrive in each host's merged (time, node, emission)
 		// order and every node lives on one host, so a stable sort by
 		// (time, node) reproduces the single-process merged trace.
-		slices.SortStableFunc(cfg.Net.Trace, func(a, b trace.Record) int {
-			return cmp.Or(cmp.Compare(a.Time, b.Time), cmp.Compare(a.Node, b.Node))
+		sort.SliceStable(cfg.Net.Trace, func(i, j int) bool {
+			a, b := &cfg.Net.Trace[i], &cfg.Net.Trace[j]
+			if a.Time != b.Time {
+				return a.Time < b.Time
+			}
+			return a.Node < b.Node
 		})
 	}
 	if cfg.Stats != nil {
-		merged := sim.RunStats{
-			Kernel: fmt.Sprintf("dist(%d)", cfg.Hosts),
-			Rounds: rounds,
-			WallNS: time.Since(coordStart).Nanoseconds(),
-		}
+		merged := sim.RunStats{Kernel: fmt.Sprintf("dist(%d)", cfg.Hosts), WallNS: time.Since(coordStart).Nanoseconds()}
 		for _, e := range gathers {
 			st := e.Final.Stats
 			if st == nil {
 				continue
 			}
-			// Every host partitions the whole model alike and counts every LP.
+			// Every host partitions the whole model alike, counts every LP and,
+			// restored, the rounds before its snapshot too.
 			merged.Events += st.Events
 			merged.EndTime = max(merged.EndTime, st.EndTime)
-			merged.LPs = max(merged.LPs, st.LPs)
+			merged.LPs, merged.Rounds = max(merged.LPs, st.LPs), max(merged.Rounds, st.Rounds)
 			merged.Workers = append(merged.Workers, st.Workers...)
 		}
 		*cfg.Stats = merged

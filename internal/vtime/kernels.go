@@ -3,7 +3,6 @@ package vtime
 import (
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"unison/internal/core"
@@ -129,16 +128,27 @@ func runRounds(m *sim.Model, cfg Config, sh shape, start time.Time) (*sim.RunSta
 	depthT := make([]uint64, workers)
 	migT := make([]uint64, workers)
 
-	// place picks the core in [lo, hi) the next LP of a group runs on: the
-	// one that falls idle first — where the live cursor pull would hand it —
-	// or, when speed-aware and given the LP's estimated cost, the one with
-	// the earliest projected finish (LPT on uniform machines).
+	// idlest is the core in [lo, hi) that falls idle first — where the live
+	// cursor pull would hand the next LP.
+	idlest := func(lo, hi int) int {
+		best := lo
+		for i := lo + 1; i < hi; i++ {
+			if avail[i] < avail[best] {
+				best = i
+			}
+		}
+		return best
+	}
+	// place picks the core the next LP of a group runs on: the idlest, or,
+	// when speed-aware, the one with the earliest projected finish for the
+	// estimated cost (LPT on uniform machines).
 	place := func(lo, hi int, estimate int64) int {
 		if !sh.speedAware {
-			estimate = 0
+			return idlest(lo, hi)
 		}
-		best, fin := lo, math.Inf(1)
-		for i := lo; i < hi; i++ {
+		best := lo
+		fin := float64(avail[lo]) + float64(estimate)/speeds[lo]
+		for i := lo + 1; i < hi; i++ {
 			if f := float64(avail[i]) + float64(estimate)/speeds[i]; f < fin {
 				fin, best = f, i
 			}
@@ -200,7 +210,7 @@ func runRounds(m *sim.Model, cfg Config, sh shape, start time.Time) (*sim.RunSta
 			lo, hi := gi*sh.PerGroup, (gi+1)*sh.PerGroup
 			_, recv := e.Group(gi)
 			for _, lp := range recv {
-				t := place(lo, hi, 0)
+				t := idlest(lo, hi)
 				k, depth := th.Receive(lp)
 				mc := int64(float64(int64(k)*cm.MsgNS) / speeds[t])
 				avail[t] += mc
