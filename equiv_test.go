@@ -622,8 +622,11 @@ func killRestore(t *testing.T, r *ref, k kernel) {
 	if from == 0 || from >= st.Rounds {
 		t.Fatalf("the last round every host snapshotted is %d; a kill inside the run of %d rounds leaves one between", from, st.Rounds)
 	}
-	got, _ := run(t, r.sc, k, opts{netobs: true, dir: o.dir, from: from})
+	got, rst := run(t, r.sc, k, opts{netobs: true, dir: o.dir, from: from})
 	compare(t, fmt.Sprintf("killed and restored from round %d", from), got, r)
+	if rst.Rounds != st.Rounds {
+		t.Errorf("restored from round %d, the merged stats count %d rounds; the run has %d", from, rst.Rounds, st.Rounds)
+	}
 }
 
 // equiv runs every (axis, kernel) pair skip lets through as a subtest named
