@@ -172,14 +172,15 @@ func runCoord(listen string, hosts int, sc *unison.Scenario, tmo time.Duration, 
 			stream.Rows(side.Rows)
 		}
 	}
-	mon, rounds, err := dist.RunCoordinator(ln, cfg)
+	mon, _, err := dist.RunCoordinator(ln, cfg)
 	if err != nil {
 		fatal(err)
 	}
 	// Imbalance diagnostics land in the merged stats before run_stats.json
-	// and the stream's stats line are written from them.
+	// and the stream's stats line are written from them; its rounds are the
+	// hosts', which count a restored run's from round 0.
 	imb.Apply(stats)
-	fmt.Printf("simulation complete: %d rounds\n", rounds)
+	fmt.Printf("simulation complete: %d rounds\n", stats.Rounds)
 	fmt.Printf("merged stats     %s\n", stats)
 	if stats.Imbalance != nil {
 		fmt.Printf("%s\n", stats.Imbalance)
