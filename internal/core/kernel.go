@@ -136,7 +136,7 @@ const (
 
 // newLive is e's live driver; a group of several workers gets a home each.
 // The Unison shape — one group of several workers, no wire — fuses small
-// windows. With a wire, phase 4 waits on the network: its waiters park.
+// windows.
 func newLive(e *Engine) *live {
 	workers := len(e.workers)
 	l := &live{
@@ -144,9 +144,6 @@ func newLive(e *Engine) *live {
 		bar:    syncx.NewBarrier(workers),
 		roundP: make([]int64, workers),
 		times:  make([]sim.WorkerStats, workers),
-	}
-	if e.sh.Wire != nil {
-		l.bar = syncx.NewParking(workers)
 	}
 	if len(e.groups) == 1 && e.sh.PerGroup > 1 && e.sh.Wire == nil && fuseRule != fuseNever {
 		l.fuseBelow = fuseEvents * e.sh.PerGroup

@@ -9,14 +9,20 @@ import (
 )
 
 // Barrier is a reusable sense-reversing barrier built from two atomics.
-// Workers spin briefly and then yield; the fast path performs no
-// allocation and takes no locks, matching the paper's requirement that
-// phase changes be implemented with atomic operations alone (§5.1).
+// Waiters spin briefly, then yield. Once every worker has arrived and the
+// serial section has outlasted 64 spins and 256 yields (tens of
+// microseconds), they sleep until the release: a serial section may block
+// on I/O, a distributed host's round trip, and the processes it waits for
+// need the CPU. The fast path performs no allocation and takes no locks,
+// matching the paper's requirement that phase changes be implemented with
+// atomic operations alone (§5.1).
 type Barrier struct {
-	n     int32
-	count atomic.Int32
-	gen   atomic.Uint64
-	park  *sync.Cond // NewParking's; its lock orders a release against the sleepers
+	n        int32
+	count    atomic.Int32
+	gen      atomic.Uint64
+	sleepers atomic.Int32 // waiters asleep on wake or about to be
+	mu       sync.Mutex   // orders a release against a sleeper's last check
+	wake     sync.Cond
 }
 
 // NewBarrier returns a barrier for n workers.
@@ -24,16 +30,8 @@ func NewBarrier(n int) *Barrier {
 	if n <= 0 {
 		panic("syncx: barrier of zero workers")
 	}
-	return &Barrier{n: int32(n)}
-}
-
-// NewParking returns a barrier for n workers whose serial sections block on
-// I/O: a waiter that has yielded 256 times (tens of microseconds) sleeps
-// until the release, rather than keep a CPU from the processes that I/O
-// waits for. A release costs a lock.
-func NewParking(n int) *Barrier {
-	b := NewBarrier(n)
-	b.park = sync.NewCond(new(sync.Mutex))
+	b := &Barrier{n: int32(n)}
+	b.wake.L = &b.mu
 	return b
 }
 
@@ -48,7 +46,9 @@ func (b *Barrier) Wait() {
 // round-based kernels into one barrier episode, halving the number of
 // full releases per round. The atomic arrival counter orders every
 // worker's prior writes before fn, and the generation increment orders
-// fn's writes before every worker's return.
+// fn's writes before every worker's return. A sleeper counts itself before
+// its check of the generation and the release reads the count after its
+// increment, so one of the two sees the other.
 func (b *Barrier) WaitSerial(fn func()) {
 	gen := b.gen.Load()
 	if b.count.Add(1) == b.n {
@@ -56,26 +56,30 @@ func (b *Barrier) WaitSerial(fn func()) {
 			fn()
 		}
 		b.count.Store(0)
-		if b.park == nil {
-			b.gen.Add(1)
-			return
-		}
-		b.park.L.Lock()
 		b.gen.Add(1)
-		b.park.L.Unlock()
-		b.park.Broadcast()
+		if b.sleepers.Load() > 0 {
+			b.mu.Lock()
+			b.wake.Broadcast()
+			b.mu.Unlock()
+		}
 		return
 	}
 	for spins := 0; b.gen.Load() == gen; spins++ {
 		if spins > 64 {
 			runtime.Gosched()
 		}
-		if spins > 64+256 && b.park != nil {
-			b.park.L.Lock()
+		// A peer's compute never puts a waiter to sleep: a wake-up per
+		// round would slow the in-process kernels.
+		if b.count.Load() < b.n {
+			spins = min(spins, 64)
+		} else if spins > 64+256 {
+			b.sleepers.Add(1)
+			b.mu.Lock()
 			for b.gen.Load() == gen {
-				b.park.Wait()
+				b.wake.Wait()
 			}
-			b.park.L.Unlock()
+			b.mu.Unlock()
+			b.sleepers.Add(-1)
 		}
 	}
 }

@@ -102,13 +102,13 @@ func TestBarrierWaitSerial(t *testing.T) {
 	wg.Wait()
 }
 
-func TestParkingBarrierWakesSleepers(t *testing.T) {
+func TestBarrierWakesSleepers(t *testing.T) {
 	// Serial sections long enough for every waiter to go to sleep, and
 	// short ones it is released from while still yielding: each runs once,
 	// after every arrival, and every worker sees it (also under -race).
 	const workers = 3
 	const rounds = 40
-	b := NewParking(workers)
+	b := NewBarrier(workers)
 	var serialRuns int
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
