@@ -335,7 +335,8 @@ func NewEngine(m *sim.Model, sh Shape) (*Engine, error) {
 		e.next[i], lp.depth = lp.fel.NextTime(), int32(lp.fel.Len())
 		e.depth += int64(lp.depth)
 	}
-	e.pauses = sim.OpenPauses("core", m.Pauses, 1, e.round, e.seqs, n+1, e.snapshot, e.felLen)
+	e.pauses = sim.OpenPauses("core", m.Pauses, 1, e.round, e.seqs, n+1,
+		func(i int, dst []sim.Event) []sim.Event { return e.list(i).Snapshot(dst) }, func(i int) int { return e.list(i).Len() })
 	obs.Begin(sh.Cfg.Observe, obs.RunMeta{Kernel: sh.Name, Workers: workers, LPs: n})
 	// The first window is the phase-4 computation for round 0.
 	e.done = !e.openWindow()
@@ -644,21 +645,12 @@ func (e *Engine) Advance() (resorted bool) {
 	return resorted
 }
 
-// snapshot appends the events of list i of a snapshot: LP i's FEL, or, last,
-// the public LP's.
-func (e *Engine) snapshot(i int, dst []sim.Event) []sim.Event {
+// list is list i of a snapshot: LP i's FEL, or, last, the public LP's.
+func (e *Engine) list(i int) *eventq.Queue {
 	if i == len(e.lps) {
-		return e.pub.Snapshot(dst)
+		return e.pub
 	}
-	return e.lps[i].fel.Snapshot(dst)
-}
-
-// felLen is the length of list i of a snapshot.
-func (e *Engine) felLen(i int) int {
-	if i == len(e.lps) {
-		return e.pub.Len()
-	}
-	return e.lps[i].fel.Len()
+	return e.lps[i].fel
 }
 
 // Saving reports whether Advance opened a save phase. The driver then has

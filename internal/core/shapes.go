@@ -81,21 +81,17 @@ func HybridShape(nodes int, hostOf []int32, links []sim.LinkInfo, perHost int, c
 // classic barrier-synchronization algorithm (pdes.BarrierKernel); binding
 // by cursor instead would let a rank's LP hop between workers from round
 // to round.
-func StaticShape(part *Partition, cfg Config) Shape {
+func StaticShape(name string, part *Partition, cfg Config) Shape {
 	groupOf := make([]int32, part.Count)
 	for i := range groupOf {
 		groupOf[i] = int32(i)
 	}
 	cfg.Metric = MetricNone
-	return Shape{Part: part, GroupOf: groupOf, PerGroup: 1, Cfg: cfg}
+	return Shape{Name: name, Part: part, GroupOf: groupOf, PerGroup: 1, Cfg: cfg}
 }
 
 // RunStatic runs m in StaticShape on real threads. Of cfg, only CacheWays,
 // RecordRounds, MaxRounds and Observe apply.
 func RunStatic(m *sim.Model, name string, part *Partition, cfg Config) (*sim.RunStats, error) {
-	return run(m, func([]sim.LinkInfo) (Shape, error) {
-		sh := StaticShape(part, cfg)
-		sh.Name = name
-		return sh, nil
-	})
+	return run(m, func([]sim.LinkInfo) (Shape, error) { return StaticShape(name, part, cfg), nil })
 }

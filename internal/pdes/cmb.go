@@ -140,7 +140,8 @@ func NewRanks(m *sim.Model, part *core.Partition, cacheWays int) (*Ranks, error)
 		to.clock[p.a] = 0
 	}
 
-	rs.pauses = sim.OpenPauses("pdes", m.Pauses, 0, 0, rs.seqs, len(rs.ranks)+1, rs.snapshot, nil)
+	rs.pauses = sim.OpenPauses("pdes", m.Pauses, 0, 0, rs.seqs, len(rs.ranks)+1, rs.snapshot,
+		func(i int) int { return len(rs.snapshot(i, nil)) })
 	seed := m.Init
 	if ks := m.Restore; ks != nil {
 		if len(ks.Seqs) != len(rs.seqs) {

@@ -62,17 +62,11 @@ type KernelState struct {
 	// only, never on the worker count, so neither do a snapshot's bytes.
 	FELs int
 	FEL  func(i int, dst []Event) []Event
-	size func(i int) int // list lengths, when the kernel's lists keep them
+	size func(i int) int
 }
 
-// Len is the length of list i of a pause: what FEL(i, nil) would append,
-// without the copy where the kernel's list knows its length.
-func (ks *KernelState) Len(i int) int {
-	if ks.size == nil {
-		return len(ks.FEL(i, nil))
-	}
-	return ks.size(i)
-}
+// Len is the length of list i of a pause, what FEL(i, nil) would append.
+func (ks *KernelState) Len(i int) int { return ks.size(i) }
 
 // ScheduleDesc is Schedule with a descriptor attached to the event.
 func (c *Ctx) ScheduleDesc(d Time, node NodeID, fn Proc, desc EvDesc) {

@@ -68,8 +68,8 @@ type pauseClient struct {
 // OpenPauses returns a run's runner over ps, nil without any. who prefixes
 // errors; every is the kernel's cadence for a client without one (1 round,
 // a block of sequential events; 0 for epochs); from is the count the run
-// starts at; seqs, fels and fel are KernelState's, fixed for the run, and
-// size, when not nil, gives a list's length as KernelState.Len does.
+// starts at; seqs, fels, fel and size are KernelState's (size is Len),
+// fixed for the run.
 func OpenPauses(who string, ps []Pause, every, from uint64, seqs []uint64, fels int, fel func(i int, dst []Event) []Event, size func(i int) int) *PauseRun {
 	if len(ps) == 0 {
 		return nil

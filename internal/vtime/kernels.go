@@ -50,9 +50,7 @@ func shapeOf(m *sim.Model, cfg Config) (shape, error) {
 		if cfg.LPOf == nil {
 			return shape{}, errors.New("vtime: Barrier requires a manual partition (LPOf)")
 		}
-		sh := core.StaticShape(core.Manual(cfg.LPOf, links), eng)
-		sh.Name = Barrier.String()
-		return shape{Shape: sh, syncNS: mpi}, nil
+		return shape{Shape: core.StaticShape(Barrier.String(), core.Manual(cfg.LPOf, links), eng), syncNS: mpi}, nil
 	case Unison:
 		if cfg.Cores <= 0 {
 			return shape{}, errors.New("vtime: Unison requires Cores > 0")
