@@ -135,16 +135,14 @@ func runCoord(listen string, hosts int, sc *unison.Scenario, tmo time.Duration, 
 		Hosts: hosts, StopAt: sim.Time(sc.Stop), Flows: b.Sim.Mon.Flows(),
 		Timeout: tmo, Stats: stats,
 	}
-	var reg *obs.Registry // the coordinator's protocol rounds: the bundle's kernel lanes
 	if sc.Artifacts.Dir != "" {
-		reg = obs.NewRegistry(0)
-		cfg.Observe, cfg.Net = reg, &dist.NetData{}
+		cfg.Net = &dist.NetData{}
 	}
 	// The record stream and the imbalance tracker take what the hosts
 	// piggyback on their steps and gathers (they do under -live or with
 	// artifacts.dir): every host's workers' round records, each numbered
-	// ID*threads + worker by its host, and netobs row deltas. reg keeps the
-	// coordinator's protocol rounds for the bundle.
+	// ID*threads + worker by its host, and netobs row deltas. The bundle
+	// renders its series.csv and worker lanes from the stream.
 	var imb *obs.ImbalanceTracker
 	var stream *live.Stream
 	if sc.Artifacts.Dir != "" || liveAddr != "" {
@@ -203,12 +201,16 @@ func runCoord(listen string, hosts int, sc *unison.Scenario, tmo time.Duration, 
 	}
 	var files []string
 	if sc.Artifacts.Dir != "" {
-		// The single-process bundle, built from the merged monitor, the rows
-		// the hosts' steps and gathers carried and the trace they shipped at
-		// gather.
+		// The single-process bundle, built from the merged monitor and the
+		// trace the hosts shipped at gather, and rendered from the stream,
+		// every line of it on disk, that took the rows the hosts' steps and
+		// gathers carried.
+		if err := stream.Flush(); err != nil {
+			fatal(fmt.Errorf("records: %w", err))
+		}
 		b.Sim.Mon = mon
-		bundle := b.Bundle("unidist", stats, nil, reg)
-		bundle.Rows, bundle.Interval, bundle.Trace = cfg.Net.Rows, sampleInterval(sc), cfg.Net.Trace
+		bundle := b.Bundle("unidist", stats)
+		bundle.Trace = cfg.Net.Trace
 		if files, err = bundle.Write(sc.Artifacts.Dir); err != nil {
 			fatal(err)
 		}

@@ -60,18 +60,16 @@ func main() {
 		fatal(2, err)
 	}
 	// A run that writes a bundle or serves -live is observed, the same way
-	// either way: the imbalance tracker stamps run_stats, the record stream
-	// gets every record, and a bundle's Registry keeps the kernel's worker
-	// lanes. Probes only record: same result hash.
+	// either way: the imbalance tracker stamps run_stats and the record
+	// stream gets every record, from which a bundle renders its series.csv
+	// and the kernel's worker lanes. Probes only record: same result hash.
 	var sampler *unison.NetSampler
-	var reg *obs.Registry
 	var imb *obs.ImbalanceTracker
 	var stream *live.Stream
 	if sc.Artifacts.Dir != "" || *liveA != "" {
 		path, iv := "", sim.Time(0) // -live alone: a temporary stream
 		if sc.Artifacts.Dir != "" {
 			_, sampler = b.Sim.EnableNetObs(sc.Artifacts.Interval.T(), 0)
-			reg = obs.NewRegistry(0)
 			path, iv = filepath.Join(sc.Artifacts.Dir, netobs.RecordsFile), sampler.Interval()
 		}
 		if stream, err = live.Create(path, "unisim", sc.Stop.T(), iv); err != nil {
@@ -79,9 +77,6 @@ func main() {
 		}
 		imb = obs.NewImbalanceTracker()
 		b.Observe = obs.Tee(imb, stream)
-		if reg != nil {
-			b.Observe = obs.Tee(reg, b.Observe)
-		}
 		if *liveA != "" {
 			addr, err := stream.Serve(*liveA)
 			if err != nil {
@@ -157,12 +152,16 @@ func main() {
 	fmt.Printf("result hash %016x\n", b.Sim.Mon.Fingerprint())
 	var files []string
 	if sc.Artifacts.Dir != "" {
-		bundle := b.Bundle("unisim", st, sampler, reg)
-		if files, err = bundle.Write(sc.Artifacts.Dir); err != nil {
+		// The rows the run closed after its last pause, the final flush's,
+		// then every line on disk: the bundle renders series.csv and the
+		// worker lanes from the stream.
+		finish()
+		if err := stream.Flush(); err != nil {
+			fatal(1, fmt.Errorf("records: %w", err))
+		}
+		if files, err = b.Bundle("unisim", st).Write(sc.Artifacts.Dir); err != nil {
 			fatal(1, fmt.Errorf("artifacts: %w", err))
 		}
-		// The rows the run closed after its last pause, the final flush's.
-		finish()
 		files = append(files, netobs.RecordsFile)
 	}
 	if stream != nil {

@@ -222,12 +222,12 @@ func compare(t *testing.T, what string, got artifacts, r *ref) {
 
 // render serializes a finished run's bundle as the bundle writer does;
 // files the run did not observe stay nil.
-func render(t *testing.T, bu *netobs.Bundle) artifacts {
+func render(t *testing.T, rows []netobs.Row, bu *netobs.Bundle) artifacts {
 	t.Helper()
 	var out [len(artifactSet)]bytes.Buffer
 	var err error
-	if len(bu.Rows) > 0 {
-		err = netobs.WriteCSV(&out[0], bu.Rows, netobs.DefaultInterval)
+	if len(rows) > 0 {
+		err = netobs.WriteCSV(&out[0], rows, netobs.DefaultInterval)
 	}
 	if len(bu.Trace) > 0 {
 		err = errors.Join(err, netobs.WritePcapng(&out[1], bu.Trace, netobs.FlowTable(bu.Mon)))
@@ -333,18 +333,30 @@ func local(t *testing.T, sc *unison.Scenario, k kernel, o opts) (artifacts, *sim
 		return artifacts{}, nil, []error{err}
 	}
 	imb.Apply(st)
-	bu := b.Bundle("equiv", st, b.Sim.Net.Sampler(), nil)
+	// The CLIs' ending: the feed's last rows, every line on disk, the
+	// bundle rendered from the stream, the stats line last.
+	finish()
+	var rows []netobs.Row
+	if sam := b.Sim.Net.Sampler(); sam != nil {
+		sam.Flush()
+		rows = sam.Rows()
+	}
+	bu := b.Bundle("equiv", st)
+	a := render(t, rows, bu)
 	if o.live != nil {
-		if _, err := bu.Write(o.dir); err != nil {
-			return artifacts{}, nil, []error{err}
+		err := stream.Flush()
+		if err == nil {
+			_, err = bu.Write(o.dir)
 		}
-		finish()
-		if err := stream.Finish(st); err != nil {
+		if err == nil {
+			err = stream.Finish(st)
+		}
+		if err != nil {
 			return artifacts{}, nil, []error{err}
 		}
 		*o.live = <-watched
 	}
-	return render(t, bu), st, nil
+	return a, st, nil
 }
 
 // watch attaches a watcher to the stream's /live endpoint and returns the
@@ -389,9 +401,13 @@ func ensemble(t *testing.T, sc *unison.Scenario, k kernel, o opts) (artifacts, *
 	if o.kill > 0 {
 		l = faults.WrapListener(ln, 0, faults.Plan{Action: faults.Close, After: o.kill})
 	}
+	// The rows reach the coordinator in the hosts' sidebands, as unidist
+	// takes them into its stream.
+	var rows []netobs.Row
 	cfg := dist.CoordConfig{
 		Hosts: k.hosts, StopAt: sc.Stop.T(), Flows: b.Sim.Mon.Flows(), MaxRounds: 10_000_000,
 		Timeout: 10 * time.Second, Net: &dist.NetData{}, Stats: &sim.RunStats{},
+		OnSideband: func(_ int, side *dist.Sideband) { rows = append(rows, side.Rows...) },
 	}
 	var mon *flowmon.Monitor
 	errs := make([]error, k.hosts+1)
@@ -428,11 +444,12 @@ func ensemble(t *testing.T, sc *unison.Scenario, k kernel, o opts) (artifacts, *
 	if wg.Wait(); errors.Join(errs...) != nil {
 		return artifacts{}, nil, errs
 	}
-	bu := &netobs.Bundle{Mon: mon, Rows: cfg.Net.Rows, Trace: cfg.Net.Trace}
+	netobs.SortRows(rows)
+	bu := &netobs.Bundle{Mon: mon, Trace: cfg.Net.Trace}
 	if cr := b.Sim.CollReport(mon); cr != nil {
 		bu.Coll = cr
 	}
-	return render(t, bu), cfg.Stats, nil
+	return render(t, rows, bu), cfg.Stats, nil
 }
 
 // snapshotRounds lists, oldest first, the rounds in dir that each of the
@@ -518,9 +535,10 @@ func probedRun(t *testing.T, r *ref, k kernel) {
 
 // liveRun writes the record stream while a watcher follows it over /live,
 // which may change nothing. The watcher reads the bundle's records.ndjson
-// byte for byte; its last line is the run_stats.json; and its round lines,
+// byte for byte; its last line is the run_stats.json; its round lines,
 // folded as unimon folds them, count every event and give the run's
-// imbalance diagnostics exactly.
+// imbalance diagnostics exactly; and the series.csv the bundle rendered
+// from its row lines is the one the sampler's own rows render.
 func liveRun(t *testing.T, r *ref, k kernel) {
 	dir := t.TempDir()
 	var watched []byte
@@ -530,6 +548,9 @@ func liveRun(t *testing.T, r *ref, k kernel) {
 	file, err := os.ReadFile(filepath.Join(dir, netobs.RecordsFile))
 	if err != nil || !bytes.Equal(watched, file) {
 		t.Fatalf("a watcher read %d B from /live; the bundle's %s has %d B (%v)", len(watched), netobs.RecordsFile, len(file), err)
+	}
+	if csv, err := os.ReadFile(filepath.Join(dir, "series.csv")); err != nil || !bytes.Equal(csv, got.files[0]) {
+		t.Errorf("the bundle's series.csv, rendered from the stream, has %d B; the sampler's rows render %d B (%v)", len(csv), len(got.files[0]), err)
 	}
 	reg, imb := obs.NewRegistry(1), obs.NewImbalanceTracker()
 	var last *sim.RunStats
@@ -1105,7 +1126,7 @@ func TestFlowReportMergeAcrossRanks(t *testing.T) {
 		part.Import(ps, pr)
 		merged.MergeFrom(part)
 	}
-	want, got := render(t, &netobs.Bundle{Mon: mon}), render(t, &netobs.Bundle{Mon: merged})
+	want, got := render(t, nil, &netobs.Bundle{Mon: mon}), render(t, nil, &netobs.Bundle{Mon: merged})
 	if got.fp != want.fp || !bytes.Equal(got.files[2], want.files[2]) {
 		t.Fatalf("merged monitor: fingerprint %016x, report %d bytes; original %016x, %d bytes", got.fp, len(got.files[2]), want.fp, len(want.files[2]))
 	}

@@ -376,12 +376,11 @@ func (b *Built) RunKernel(m *sim.Model) (*sim.RunStats, error) {
 }
 
 // Bundle assembles the run-artifact bundle for a finished run: metadata,
-// kernel stats, the flow monitor, sampler rows, optional packet trace,
-// the collective report when the scenario carries one, and the kernel
-// worker lanes of the registry that observed the run. The sampler is
-// flushed here; pass a nil sampler or registry when that side was not
-// enabled.
-func (b *Built) Bundle(tool string, st *sim.RunStats, sampler *netobs.Sampler, reg *obs.Registry) *netobs.Bundle {
+// kernel stats, the flow monitor, the optional packet trace and the
+// collective report when the scenario carries one. The sampler rows and
+// the kernel worker lanes come from the record stream the bundle is
+// written beside (netobs.Bundle.Write).
+func (b *Built) Bundle(tool string, st *sim.RunStats) *netobs.Bundle {
 	bw := b.Scenario.Topology.BwGbps
 	if bw <= 0 {
 		bw = 10
@@ -399,16 +398,8 @@ func (b *Built) Bundle(tool string, st *sim.RunStats, sampler *netobs.Sampler, r
 	if r := b.Sim.CollReport(b.Sim.Mon); r != nil {
 		out.Coll = r
 	}
-	if sampler != nil {
-		sampler.Flush()
-		out.Rows = sampler.Rows()
-		out.Interval = sampler.Interval()
-	}
 	if b.Sim.Net.Tracer != nil {
 		out.Trace = b.Sim.Net.Tracer.Merged()
-	}
-	if reg != nil {
-		out.KernelMeta, out.KernelRecs = reg.Meta(), reg.Records()
 	}
 	return out
 }

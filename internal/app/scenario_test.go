@@ -339,27 +339,15 @@ func TestScenarioVictimReachesGenerator(t *testing.T) {
 
 // TestBundleWorkersAndKernelLanes: a bundle's meta.json names the worker
 // count that ran, not the kernel.threads default, and its Perfetto trace
-// carries the observing registry's lanes — one named kernel process, one
-// thread per worker.
+// carries the lanes of the record stream that observed the run — one named
+// kernel process, one thread per worker.
 func TestBundleWorkersAndKernelLanes(t *testing.T) {
 	for _, k := range []KernelSpec{{Kind: "sequential"}, {Kind: "unison", Threads: 2}, {Kind: "barrier"}} {
 		sc := DefaultScenario()
 		sc.Stop = Duration(500 * sim.Microsecond)
 		sc.Kernel = k
-		b, err := sc.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		reg := obs.NewRegistry(0)
-		b.Observe = reg
-		st, err := b.RunKernel(b.Sim.Model())
-		if err != nil {
-			t.Fatalf("%s: %v", k.Kind, err)
-		}
 		dir := t.TempDir()
-		if _, err := b.Bundle("test", st, nil, reg).Write(dir); err != nil {
-			t.Fatal(err)
-		}
+		st := writeBundle(t, sc, dir, bundleOpts{})
 		var meta struct{ Workers int }
 		var stats struct{ Workers []json.RawMessage }
 		var trace struct {

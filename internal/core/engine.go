@@ -44,8 +44,8 @@ type Shape struct {
 	GroupOf  []int32 // LP → group; nil puts every LP in group 0
 	PerGroup int
 	// Cfg carries the knobs every shape shares: Metric, Period, CacheWays,
-	// RecordRounds, MaxRounds, Observe. Threads and ManualLP were consumed
-	// by whoever built the shape.
+	// MaxRounds, Observe. Threads and ManualLP were consumed by whoever
+	// built the shape.
 	Cfg Config
 	// Wire, when non-nil, makes this engine one rank of a distributed run.
 	Wire Wire

@@ -521,23 +521,6 @@ func TestKernelManualLP(t *testing.T) {
 	}
 }
 
-func TestKernelRecordRounds(t *testing.T) {
-	g := lineTopo(4, 500)
-	m, _ := relayModel(g, 500, 200)
-	st, err := core.New(core.Config{Threads: 2, RecordRounds: true}).Run(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.RoundTrace) == 0 {
-		t.Fatal("no round trace")
-	}
-	for _, r := range st.RoundTrace {
-		if len(r.PerWorker) != 2 {
-			t.Fatal("trace worker arity wrong")
-		}
-	}
-}
-
 func TestKernelCacheCounters(t *testing.T) {
 	g := lineTopo(4, 500)
 	m, _ := relayModel(g, 500, 200)

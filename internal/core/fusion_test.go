@@ -22,17 +22,16 @@ var fuseRules = []struct {
 }{{"never", core.FuseNever}, {"always", core.FuseAlways}, {"count", core.FuseByCount}}
 
 // fusedRun runs sm under Unison with threads workers, fusing by rule, with a
-// Registry and the round trace attached, and checks the telemetry contract:
-// one record per worker per round, fused or not; a round trace as long as
-// the run; every worker's records summing to its RunStats entry; and as
-// many rounds marked fused as the run reports. It returns the stats and the
+// Registry attached, and checks the telemetry contract: one record per
+// worker per round, fused or not; every worker's records summing to its
+// RunStats entry; and as many rounds marked fused as the run reports. It returns the stats and the
 // rounds it fused.
 func fusedRun(t *testing.T, sm *sparseModel, threads int, metric core.Metric, rule int, want *sim.RunStats) (*sim.RunStats, []uint64, error) {
 	t.Helper()
 	defer core.SetFuseRule(rule)()
 	reg := obs.NewRegistry(1 << 20)
 	probe := obs.Tee(reg, &budget{left: 2 * int64(want.Events)})
-	st, err := core.New(core.Config{Threads: threads, Metric: metric, RecordRounds: true, Observe: probe}).Run(sm.Model)
+	st, err := core.New(core.Config{Threads: threads, Metric: metric, Observe: probe}).Run(sm.Model)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -57,9 +56,6 @@ func fusedRun(t *testing.T, sm *sparseModel, threads int, metric core.Metric, ru
 		if n != threads {
 			return nil, nil, fmt.Errorf("round %d has %d records, want one per worker (%d)", from+uint64(r), n, threads)
 		}
-	}
-	if uint64(len(st.RoundTrace)) != st.Rounds-from {
-		return nil, nil, fmt.Errorf("the round trace has %d samples for rounds %d to %d", len(st.RoundTrace), from, st.Rounds)
 	}
 	if !slices.Equal(sums, st.Workers) {
 		return nil, nil, fmt.Errorf("the records sum to %+v per worker, the run reports %+v", sums, st.Workers)

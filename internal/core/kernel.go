@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"time"
 
@@ -53,8 +52,6 @@ type Config struct {
 	ManualLP []int32
 	// CacheWays enables the cache-locality model when positive.
 	CacheWays int
-	// RecordRounds captures a per-round trace (Figures 5b/9b/13).
-	RecordRounds bool
 	// MaxRounds aborts runaway simulations when positive.
 	MaxRounds uint64
 	// Observe, when non-nil, receives per-round per-worker telemetry
@@ -101,10 +98,8 @@ func (k *Kernel) Run(m *sim.Model) (*sim.RunStats, error) {
 type live struct {
 	*Engine
 	bar    *syncx.Barrier
-	roundP []int64
 	times  []sim.WorkerStats // each worker's P/S/M, written as it exits
-	trace  []sim.RoundSample
-	homeOf []int32 // LP → home in its group (homes); nil when groups have one worker
+	homeOf []int32           // LP → home in its group (homes); nil when groups have one worker
 
 	// fuseBelow is the window size, in events, under which a serial section
 	// runs rounds alone (fuse); 0 when the shape never does. For the round
@@ -142,7 +137,6 @@ func newLive(e *Engine) *live {
 	l := &live{
 		Engine: e,
 		bar:    syncx.NewBarrier(workers),
-		roundP: make([]int64, workers),
 		times:  make([]sim.WorkerStats, workers),
 	}
 	if len(e.groups) == 1 && e.sh.PerGroup > 1 && e.sh.Wire == nil && fuseRule != fuseNever {
@@ -274,7 +268,6 @@ func run(m *sim.Model, plan func(links []sim.LinkInfo) (Shape, error)) (*sim.Run
 		wg.Wait()
 	}
 	st := e.Stats(start, l.times)
-	st.RoundTrace = l.trace
 	obs.End(sh.Cfg.Observe, st)
 	return st, e.err
 }
@@ -353,7 +346,6 @@ func (l *live) workerLoop(w int, t *Thread) {
 		}
 		p1 := sw.Lap()
 		times.P += p1
-		l.roundP[w] = p1
 		sends := uint64(len(ob.buf))
 		// Phase 2 fuses into the barrier: the last worker to arrive
 		// handles global events at exactly the window boundary. Its cost
@@ -412,18 +404,8 @@ func (l *live) workerLoop(w int, t *Thread) {
 
 // phase4 is the serial section of the post-phase-3 barrier, up to fusing.
 func (l *live) phase4() {
-	if l.sh.Cfg.RecordRounds {
-		l.sample(l.lbts, slices.Clone(l.roundP))
-	}
 	l.Advance()
 	l.idle, l.fusedNS = l.IdleDepth(), 0
-}
-
-// sample appends a round to the round trace: its LBTS and each worker's
-// processing time.
-func (l *live) sample(lbts sim.Time, perWorker []int64) {
-	p := slices.Max(perWorker)
-	l.trace = append(l.trace, sim.RoundSample{LBTS: lbts, PerWorker: perWorker, Makespan: p, Phase1: p})
 }
 
 // fuse runs whole rounds on worker w's thread t while every other worker
@@ -444,7 +426,6 @@ func (l *live) fuse(w int, t *Thread) (ns int64) {
 		l.outboxes[i].reset()
 	}
 	probe, g := l.sh.Cfg.Observe, &l.groups[0]
-	perRound := probe != nil || l.sh.Cfg.RecordRounds // time each round, not just the stretch
 	t.sink.direct = true
 	var sw metrics.Stopwatch
 	sw.Start()
@@ -465,24 +446,17 @@ func (l *live) fuse(w int, t *Thread) (ns int64) {
 		}
 		l.Advance()
 		l.fused++
-		if perRound {
+		if probe != nil { // time each round, not just the stretch
 			wall := sw.Lap()
 			ns += wall
-			if l.sh.Cfg.RecordRounds {
-				perWorker := make([]int64, len(l.workers))
-				perWorker[w] = wall
-				l.sample(lbts, perWorker)
-			}
-			if probe != nil {
-				l.file(probe, w, round, lbts, wall, uint64(events), uint64(globals), migrations)
-			}
+			l.file(probe, w, round, lbts, wall, uint64(events), uint64(globals), migrations)
 		}
 		if !l.small() {
 			break
 		}
 	}
 	t.sink.direct = false
-	if !perRound {
+	if probe == nil {
 		ns = sw.Lap()
 	}
 	l.fusedNS += ns

@@ -91,7 +91,7 @@ func StaticShape(name string, part *Partition, cfg Config) Shape {
 }
 
 // RunStatic runs m in StaticShape on real threads. Of cfg, only CacheWays,
-// RecordRounds, MaxRounds and Observe apply.
+// MaxRounds and Observe apply.
 func RunStatic(m *sim.Model, name string, part *Partition, cfg Config) (*sim.RunStats, error) {
 	return run(m, func([]sim.LinkInfo) (Shape, error) { return StaticShape(name, part, cfg), nil })
 }

@@ -8,8 +8,6 @@ import (
 	"time"
 
 	"unison/internal/flowmon"
-	"unison/internal/netobs"
-	"unison/internal/obs"
 	"unison/internal/sim"
 	"unison/internal/trace"
 )
@@ -35,15 +33,9 @@ type CoordConfig struct {
 	// surviving hosts with an abort message, and returns a descriptive
 	// error. Zero disables deadlines (legacy trusted-loopback behavior).
 	Timeout time.Duration
-	// Observe, when non-nil, receives one obs.RoundRecord per protocol
-	// round (Worker 0), filed once the steps that close the round are in:
-	// AllReduceNS is how long gathering those steps took — the time the
-	// slowest host kept everyone waiting — MsgNS the routing and the
-	// answers after it, and Sends the cross-host events routed.
-	Observe obs.Probe
-	// Net, when non-nil, receives the merged network observability data:
-	// the sampler rows the hosts' sidebands carried, steps and gathers, and
-	// the packet-trace records they ship at gather.
+	// Net, when non-nil, receives the packet-trace records the hosts ship
+	// at gather, merged. Their sampler rows ride the sidebands
+	// (OnSideband).
 	Net *NetData
 	// OnSideband, when non-nil, receives every telemetry Sideband the
 	// hosts piggyback on their steps and gathers (hosts attach one when run
@@ -60,11 +52,10 @@ type CoordConfig struct {
 	Stats *sim.RunStats
 }
 
-// NetData is the coordinator-side merge of the hosts' network
-// observability records. Each device and node is owned by exactly one
-// host, so the merged views are byte-identical to a single-process run.
+// NetData is the coordinator-side merge of the hosts' packet traces. Each
+// node is owned by exactly one host, so the merged trace is byte-identical
+// to a single-process run's.
 type NetData struct {
-	Rows  []netobs.Row
 	Trace []trace.Record
 }
 
@@ -127,16 +118,8 @@ func RunCoordinator(ln net.Listener, cfg CoordConfig) (*flowmon.Monitor, uint64,
 		}(h, c)
 	}
 
-	probe := cfg.Observe
-	obs.Begin(probe, obs.RunMeta{Kernel: "dist-coordinator", Workers: 1, LPs: cfg.Hosts})
 	coordStart := time.Now()
-	var rounds, totalEvents uint64
-	// Every way out from here ends the run the probe saw begin.
-	defer func() {
-		wall := time.Since(coordStart).Nanoseconds()
-		obs.End(probe, &sim.RunStats{Kernel: "dist-coordinator", Rounds: rounds, Events: totalEvents,
-			WallNS: wall, Workers: []sim.WorkerStats{{S: wall}}})
-	}()
+	var rounds uint64
 	fail := func(rounds uint64, err error) (*flowmon.Monitor, uint64, error) {
 		abortAll(conns, err.Error())
 		return nil, rounds, err
@@ -146,35 +129,23 @@ func RunCoordinator(ln net.Listener, cfg CoordConfig) (*flowmon.Monitor, uint64,
 	// earliest pending event. The next window's minimum is the least of
 	// both: an event in flight is one its target host has not counted yet.
 	outbox := make([][]RemoteEvent, cfg.Hosts)
-	var lastMin sim.Time // the minimum the window the steps close opened with
-	var rows []netobs.Row
 	sidebands := func(msgs []*envelope) {
 		for h, e := range msgs {
-			if e.Side == nil {
-				continue
-			}
-			if cfg.Net != nil {
-				rows = append(rows, e.Side.Rows...)
-			}
-			if cfg.OnSideband != nil {
+			if e.Side != nil && cfg.OnSideband != nil {
 				cfg.OnSideband(h, e.Side)
 			}
 		}
 	}
 	for {
-		gatherStart := time.Now()
 		steps, err := g.collect(kStep, "step")
 		if err != nil {
 			return fail(rounds, err)
 		}
-		gatherNS := time.Since(gatherStart).Nanoseconds()
-		routeStart := time.Now()
 		sidebands(steps)
 		for h := range outbox {
 			outbox[h] = outbox[h][:0]
 		}
 		globalMin := sim.MaxTime
-		var routed uint64
 		for h, e := range steps {
 			globalMin = min(globalMin, e.Min)
 			for _, rev := range e.Events {
@@ -183,7 +154,6 @@ func RunCoordinator(ln net.Listener, cfg CoordConfig) (*flowmon.Monitor, uint64,
 				}
 				outbox[rev.Host] = append(outbox[rev.Host], rev)
 				globalMin = min(globalMin, rev.Time)
-				routed++
 			}
 		}
 		done := globalMin >= cfg.StopAt || globalMin == sim.MaxTime
@@ -199,21 +169,10 @@ func RunCoordinator(ln net.Listener, cfg CoordConfig) (*flowmon.Monitor, uint64,
 				return fail(rounds, fmt.Errorf("dist: %v to %s: %w", kind, c.peer, err))
 			}
 		}
-		if probe != nil && rounds > 0 {
-			totalEvents += routed
-			rec := obs.RoundRecord{
-				Round: rounds - 1, LBTS: lastMin,
-				SyncNS: gatherNS, MsgNS: time.Since(routeStart).Nanoseconds(),
-				Sends: routed, SendBytes: routed * obs.EventBytes,
-				Recvs: routed, AllReduceNS: gatherNS,
-			}
-			probe.OnRound(&rec)
-		}
 		if done {
 			break
 		}
 		rounds++
-		lastMin = globalMin
 	}
 
 	// Final gather: merge per-host monitors into the global view.
@@ -232,7 +191,6 @@ func RunCoordinator(ln net.Listener, cfg CoordConfig) (*flowmon.Monitor, uint64,
 		for _, e := range gathers {
 			cfg.Net.Trace = append(cfg.Net.Trace, e.Final.Trace...)
 		}
-		cfg.Net.Rows = netobs.MergeRows(rows)
 		// Per-host lists arrive in each host's merged (time, node, emission)
 		// order and every node lives on one host, so a stable sort by
 		// (time, node) reproduces the single-process merged trace.

@@ -147,7 +147,7 @@ func TestDistributedMatchesSequential(t *testing.T) {
 // reaches the coordinator whole. Every host's records cover every (round,
 // worker) once, the last round included and each in its host's lane of
 // workers, so their events fold to the run's; and the rows add up to the
-// merged sampler's, the final flush's included.
+// hosts' samplers', the final flush's included.
 func TestLiveSidebandCarriesEveryRound(t *testing.T) {
 	const seed, hosts, threads = 77, 2, 2
 	stop := sim.Time(sim.Millisecond)
@@ -172,7 +172,7 @@ func TestLiveSidebandCarriesEveryRound(t *testing.T) {
 	var rows int
 	cfg := CoordConfig{
 		Hosts: hosts, StopAt: stop, Flows: flows, Timeout: 30 * time.Second,
-		Stats: &sim.RunStats{}, Net: &NetData{},
+		Stats: &sim.RunStats{},
 		OnSideband: func(h int, side *Sideband) {
 			for _, rec := range side.Recs {
 				records[h][slot{rec.Round, rec.Worker}]++
@@ -182,6 +182,7 @@ func TestLiveSidebandCarriesEveryRound(t *testing.T) {
 		},
 	}
 	errs := make([]error, 1+hosts)
+	samplers := make([]*netobs.Sampler, hosts)
 	var wg sync.WaitGroup
 	wg.Add(1 + hosts)
 	go func() {
@@ -192,7 +193,8 @@ func TestLiveSidebandCarriesEveryRound(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			m, network, mon, _, _ := buildPieces(seed, stop)
-			network.AttachSampler(netobs.NewSampler(netobs.SamplerConfig{Interval: 50 * sim.Microsecond}))
+			samplers[h] = netobs.NewSampler(netobs.SamplerConfig{Interval: 50 * sim.Microsecond})
+			network.AttachSampler(samplers[h])
 			_, errs[1+h] = RunHost(HostConfig{
 				ID: h, Addr: ln.Addr().String(), HostOf: hostOf, StopAt: stop, Threads: threads,
 				Timeout: 30 * time.Second, DialAttempts: 3, Live: true,
@@ -224,8 +226,12 @@ func TestLiveSidebandCarriesEveryRound(t *testing.T) {
 	if events != st.Events || st.Events == 0 {
 		t.Errorf("the round records count %d events; the run executed %d", events, st.Events)
 	}
-	if rows != len(cfg.Net.Rows) || rows == 0 {
-		t.Errorf("the sidebands carried %d rows; the hosts' samplers closed %d", rows, len(cfg.Net.Rows))
+	closed := 0
+	for _, s := range samplers {
+		closed += len(s.Rows())
+	}
+	if rows != closed || rows == 0 {
+		t.Errorf("the sidebands carried %d rows; the hosts' samplers closed %d", rows, closed)
 	}
 }
 

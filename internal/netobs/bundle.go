@@ -2,7 +2,9 @@ package netobs
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -27,8 +29,11 @@ import (
 //	                    while the run goes; its last line, the final stats,
 //	                    lands after every other file
 //
-// Files whose inputs are absent (nil trace, no sampler...) are skipped, so
-// a bundle is useful even from a tool that only has a subset wired up.
+// series.csv and the Perfetto trace's kernel lanes and counter tracks are
+// rendered from records.ndjson: the stream is the one copy of a run's
+// round records and sampler rows. Files whose inputs are absent (nil
+// trace, no stream, no rows...) are skipped, so a bundle is useful even
+// from a tool that only has a subset wired up.
 
 // Meta is the provenance header written as meta.json.
 type Meta struct {
@@ -70,10 +75,6 @@ type Bundle struct {
 	// RefBandwidth feeds the slowdown columns (0 disables them).
 	RefBandwidth int64
 
-	// Rows + Interval yield series.csv and the Perfetto counter tracks.
-	Rows     []Row
-	Interval sim.Time
-
 	// Trace yields trace.pcapng (records in merged order).
 	Trace []trace.Record
 
@@ -81,11 +82,6 @@ type Bundle struct {
 	// completion summary (a *coll.Report; typed as any because netobs
 	// sits below the workload layer in the import graph).
 	Coll any
-
-	// KernelMeta + KernelRecs add the kernel worker lanes to the Perfetto
-	// trace (from obs.Registry).
-	KernelMeta obs.RunMeta
-	KernelRecs []obs.RoundRecord
 }
 
 // writeJSON writes v as indented JSON to path.
@@ -103,8 +99,52 @@ func writeJSON(path string, v any) error {
 	return f.Close()
 }
 
+// streamed is what the files rendered from a record stream read of it.
+type streamed struct {
+	meta     obs.RunMeta
+	interval sim.Time
+	recs     []obs.RoundRecord // in (Round, Worker) order, as Registry.Records
+	rows     []Row             // in canonical order, as Sampler.Rows
+}
+
+// readStream reads the record stream at path; a missing file holds
+// nothing. Its row lines are every row the run's sampler closed: a
+// restored sampler's feed resends the rows it had at its first pause
+// (Sampler.Feed), so a restored run's stream holds the whole run's.
+func readStream(path string) (streamed, error) {
+	var s streamed
+	f, err := os.Open(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return s, nil
+	}
+	if err != nil {
+		return s, err
+	}
+	defer f.Close()
+	err = ReadRecords(f, func(_ []byte, r *Record) error {
+		switch {
+		case r.Meta != nil:
+			s.meta = obs.RunMeta{Kernel: r.Meta.Kernel, Workers: r.Meta.Workers, LPs: r.Meta.LPs}
+			s.interval = sim.Time(r.Meta.IntervalNS)
+		case r.Round != nil:
+			s.recs = append(s.recs, *r.Round)
+		case r.Row != nil:
+			s.rows = append(s.rows, *r.Row)
+		}
+		return nil
+	})
+	if s.interval <= 0 {
+		s.interval = DefaultInterval
+	}
+	obs.SortRecords(s.recs)
+	SortRows(s.rows)
+	return s, err
+}
+
 // Write materializes the bundle under dir, creating it if needed, and
-// returns the list of files written (relative to dir).
+// returns the list of files written (relative to dir). series.csv and the
+// Perfetto trace's kernel lanes are rendered from the record stream
+// already in dir (RecordsFile), so every line of it must be on disk first.
 func (b *Bundle) Write(dir string) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -112,6 +152,10 @@ func (b *Bundle) Write(dir string) ([]string, error) {
 	var files []string
 	fail := func(name string, err error) ([]string, error) {
 		return files, fmt.Errorf("netobs: writing %s: %w", name, err)
+	}
+	s, err := readStream(filepath.Join(dir, RecordsFile))
+	if err != nil {
+		return nil, fmt.Errorf("netobs: reading %s: %w", RecordsFile, err)
 	}
 	if b.Meta.Go == "" {
 		b.Meta.Go = runtime.Version()
@@ -155,16 +199,12 @@ func (b *Bundle) Write(dir string) ([]string, error) {
 		files = append(files, "coll_report.json")
 	}
 
-	if len(b.Rows) > 0 {
-		iv := b.Interval
-		if iv <= 0 {
-			iv = DefaultInterval
-		}
+	if len(s.rows) > 0 {
 		f, err := os.Create(filepath.Join(dir, "series.csv"))
 		if err != nil {
 			return fail("series.csv", err)
 		}
-		if err := WriteCSV(f, b.Rows, iv); err != nil {
+		if err := WriteCSV(f, s.rows, s.interval); err != nil {
 			f.Close()
 			return fail("series.csv", err)
 		}
@@ -193,11 +233,7 @@ func (b *Bundle) Write(dir string) ([]string, error) {
 		files = append(files, "trace.pcapng")
 	}
 
-	if len(b.Rows) > 0 || len(b.KernelRecs) > 0 || b.Mon != nil {
-		iv := b.Interval
-		if iv <= 0 {
-			iv = DefaultInterval
-		}
+	if len(s.rows) > 0 || len(s.recs) > 0 || b.Mon != nil {
 		var flows []FlowSlice
 		if b.Mon != nil {
 			flows = FlowSlices(b.Mon)
@@ -206,7 +242,7 @@ func (b *Bundle) Write(dir string) ([]string, error) {
 		if err != nil {
 			return fail("trace.perfetto.json", err)
 		}
-		if err := WriteCombinedPerfetto(f, b.KernelMeta, b.KernelRecs, b.Rows, iv, flows); err != nil {
+		if err := WriteCombinedPerfetto(f, s.meta, s.recs, s.rows, s.interval, flows); err != nil {
 			f.Close()
 			return fail("trace.perfetto.json", err)
 		}

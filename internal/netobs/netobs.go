@@ -255,18 +255,6 @@ func SortRows(rows []Row) {
 	})
 }
 
-// MergeRows folds per-rank row sets into the canonical order. Each device
-// is owned by exactly one rank, so concatenation plus the canonical sort
-// reproduces the single-process row set exactly.
-func MergeRows(sets ...[]Row) []Row {
-	var out []Row
-	for _, s := range sets {
-		out = append(out, s...)
-	}
-	SortRows(out)
-	return out
-}
-
 // csvHeader is the stable column contract of series.csv.
 const csvHeader = "tick_ns,node,link,depth,max_depth,enqueues,dequeues,drops,marks,tx_bytes,utilization\n"
 

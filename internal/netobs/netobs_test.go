@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -70,20 +72,34 @@ func TestUtilization(t *testing.T) {
 	}
 }
 
-func TestMergeRowsReproducesSingleSet(t *testing.T) {
-	// Two "ranks", interleaved ticks: the merge must equal the union in
-	// canonical order.
-	a := []Row{{Tick: 0, Node: 1}, {Tick: 200, Node: 1}}
-	b := []Row{{Tick: 0, Node: 2}, {Tick: 100, Node: 2}}
-	merged := MergeRows(a, b)
-	want := []Row{{Tick: 0, Node: 1}, {Tick: 0, Node: 2}, {Tick: 100, Node: 2}, {Tick: 200, Node: 1}}
-	if len(merged) != len(want) {
-		t.Fatalf("merged %d rows", len(merged))
-	}
-	for i := range want {
-		if merged[i].Tick != want[i].Tick || merged[i].Node != want[i].Node {
-			t.Fatalf("merged[%d] = %+v, want %+v", i, merged[i], want[i])
+// TestSeriesMergesRankRows: two ranks' row deltas, interleaved in the
+// record stream as their sidebands arrive, render the series.csv of the
+// union in canonical order. Each device belongs to one rank.
+func TestSeriesMergesRankRows(t *testing.T) {
+	a := []Row{{Tick: 0, Node: 1, Depth: 3}, {Tick: 200, Node: 1}}
+	b := []Row{{Tick: 0, Node: 2}, {Tick: 100, Node: 2, Drops: 1}}
+	var stream []byte
+	var err error
+	for _, r := range []*Record{{Meta: &StreamMeta{Schema: RecordsSchema, IntervalNS: 100}},
+		{Row: &b[1]}, {Row: &a[0]}, {Row: &a[1]}, {Row: &b[0]}} {
+		if stream, err = AppendRecord(stream, r); err != nil {
+			t.Fatal(err)
 		}
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, RecordsFile), stream, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (&Bundle{}).Write(dir); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "series.csv"))
+	var want bytes.Buffer
+	if err == nil {
+		err = WriteCSV(&want, []Row{a[0], b[0], b[1], a[1]}, 100)
+	}
+	if err != nil || !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("series.csv from the stream (%v):\n%s\nwant:\n%s", err, got, want.Bytes())
 	}
 }
 

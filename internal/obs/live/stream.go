@@ -35,8 +35,11 @@ const (
 )
 
 // Stream writes one run's record stream to a file. It is the probe the
-// CLIs tee beside their Registry and ImbalanceTracker; Rows adds sampler
-// row deltas, Finish the final stats, Serve the /live endpoint.
+// CLIs tee beside their ImbalanceTracker, and the one copy of the run's
+// round records and sampler rows: the bundle renders its series.csv and
+// Perfetto lanes from the file. Rows adds sampler row deltas, Flush puts
+// what is buffered on disk, Finish the final stats, Serve the /live
+// endpoint.
 type Stream struct {
 	meta netobs.StreamMeta
 	f    *os.File
@@ -135,15 +138,17 @@ func (s *Stream) flusher() {
 	for {
 		select {
 		case <-t.C:
-			s.flush()
+			_ = s.Flush() // the error sticks for Finish
 		case <-s.stop:
 			return
 		}
 	}
 }
 
-// flush writes the buffered records in the order they arrived.
-func (s *Stream) flush() {
+// Flush writes the buffered records to the file in the order they arrived
+// and returns the first error the stream met. The bundle is rendered from
+// the file, so the CLIs flush before they write it.
+func (s *Stream) Flush() error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	s.mu.Lock()
@@ -160,6 +165,7 @@ func (s *Stream) flush() {
 		}
 	}
 	s.writeLocked()
+	return s.err
 }
 
 // encodeLocked appends r's line to buf; the first error sticks.
@@ -182,7 +188,7 @@ func (s *Stream) writeLocked() {
 // line as the end of the run. It returns the first error the stream met.
 func (s *Stream) Finish(st *sim.RunStats) error {
 	s.stopFlusher()
-	s.flush()
+	_ = s.Flush() // its error sticks: returned below
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	s.encodeLocked(&netobs.Record{Stats: st})

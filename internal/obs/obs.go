@@ -347,11 +347,18 @@ func (g *Registry) Records() []RoundRecord {
 		}
 		r.mu.Unlock()
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Round != out[j].Round {
-			return out[i].Round < out[j].Round
-		}
-		return out[i].Worker < out[j].Worker
-	})
+	SortRecords(out)
 	return out
+}
+
+// SortRecords orders recs by (Round, Worker), keeping the order in which
+// records that share both arrived: the order Records returns and Events
+// renders.
+func SortRecords(recs []RoundRecord) {
+	sort.SliceStable(recs, func(i, j int) bool {
+		if recs[i].Round != recs[j].Round {
+			return recs[i].Round < recs[j].Round
+		}
+		return recs[i].Worker < recs[j].Worker
+	})
 }

@@ -471,7 +471,8 @@ type (
 	NetRow = netobs.Row
 	// ArtifactBundle materializes one run's outputs as a directory
 	// (meta.json, run_stats.json, flow_report.json, series.csv,
-	// trace.pcapng, trace.perfetto.json).
+	// trace.pcapng, trace.perfetto.json); series.csv and the Perfetto
+	// kernel lanes are rendered from the records.ndjson already there.
 	ArtifactBundle = netobs.Bundle
 	// ArtifactMeta is the provenance header of an artifact bundle.
 	ArtifactMeta = netobs.Meta
