@@ -15,19 +15,36 @@ import (
 	"unison/internal/sim"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/scale.golden.txt from the current code")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata golden tables from the current code")
 
 // TestScaleGolden pins the k=8 rows of the scale experiment: virtual time
 // is a pure function of the seed and the cost model, so the table moves
 // only when the model, the round schedule or the cost model does.
 func TestScaleGolden(t *testing.T) {
-	tab, err := Run("scale", Config{Quick: true, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
+	golden(t, "scale.golden.txt", "scale")
+}
+
+// TestRoundFiguresGolden pins the quick tables of the figures read per
+// round (5b and 9b: S/T; 12c: α; 13: per-executor P). Like the scale
+// table they are pure functions of the seed and the cost model, so they
+// move only when the round accounting does.
+func TestRoundFiguresGolden(t *testing.T) {
+	golden(t, "rounds.golden.txt", "fig5b", "fig9b", "fig12c", "fig13")
+}
+
+// golden renders the quick seed-42 tables of the named experiments, in
+// order, and compares them with testdata/file (rewriting it under -update).
+func golden(t *testing.T, file string, names ...string) {
+	t.Helper()
 	var buf bytes.Buffer
-	tab.Render(&buf)
-	path := filepath.Join("testdata", "scale.golden.txt")
+	for _, name := range names {
+		tab, err := Run(name, Config{Quick: true, Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab.Render(&buf)
+	}
+	path := filepath.Join("testdata", file)
 	if *updateGolden {
 		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
@@ -39,7 +56,7 @@ func TestScaleGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("scale table moved; if intended, rerun with -update and say why in CHANGES.md\ngot:\n%swant:\n%s", buf.Bytes(), want)
+		t.Fatalf("%s moved; if intended, rerun with -update and say why in CHANGES.md\ngot:\n%swant:\n%s", file, buf.Bytes(), want)
 	}
 }
 
