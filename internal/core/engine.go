@@ -756,7 +756,7 @@ func (e *Engine) totals() (events uint64, end sim.Time) {
 
 // Stats assembles the run's statistics around psm, which holds every
 // worker's P/S/M as the driver measured or modelled them. The driver adds
-// what else it timed (RoundTrace, VirtualT) and ends the run with obs.End.
+// what else it timed (VirtualT) and ends the run with obs.End.
 func (e *Engine) Stats(start time.Time, psm []sim.WorkerStats) *sim.RunStats {
 	st := &sim.RunStats{
 		Kernel:      e.sh.Name,

@@ -24,8 +24,10 @@ var fuseRules = []struct {
 // fusedRun runs sm under Unison with threads workers, fusing by rule, with a
 // Registry attached, and checks the telemetry contract: one record per
 // worker per round, fused or not; every worker's records summing to its
-// RunStats entry; and as many rounds marked fused as the run reports. It returns the stats and the
-// rounds it fused.
+// RunStats entry; as many rounds marked fused as the run reports; and a
+// longest LP only where one is timed, within its phase 1: on shared rounds
+// under MetricPrevTime, and on some record of a run that shares every
+// round. It returns the stats and the rounds it fused.
 func fusedRun(t *testing.T, sm *sparseModel, threads int, metric core.Metric, rule int, want *sim.RunStats) (*sim.RunStats, []uint64, error) {
 	t.Helper()
 	defer core.SetFuseRule(rule)()
@@ -42,10 +44,17 @@ func fusedRun(t *testing.T, sm *sparseModel, threads int, metric core.Metric, ru
 	perRound := make([]int, st.Rounds-from)
 	var fused []uint64
 	sums := make([]sim.WorkerStats, threads)
+	timed := false // some record has a longest LP
 	for _, rec := range reg.Records() {
 		if rec.Round < from || rec.Round >= st.Rounds {
 			return nil, nil, fmt.Errorf("a record for round %d, the run went from %d to %d", rec.Round, from, st.Rounds)
 		}
+		if rec.MaxLPNS < 0 || rec.MaxLPNS > rec.ProcNS ||
+			rec.MaxLPNS > 0 && (rec.Fused || metric != core.MetricPrevTime) {
+			return nil, nil, fmt.Errorf("round %d, worker %d (fused %v, %v): longest LP %d ns of a %d ns phase 1",
+				rec.Round, rec.Worker, rec.Fused, metric, rec.MaxLPNS, rec.ProcNS)
+		}
+		timed = timed || rec.MaxLPNS > 0
 		if perRound[rec.Round-from]++; rec.Fused && rec.Worker == 0 {
 			fused = append(fused, rec.Round)
 		}
@@ -62,6 +71,9 @@ func fusedRun(t *testing.T, sm *sparseModel, threads int, metric core.Metric, ru
 	}
 	if uint64(len(fused)) != st.FusedRounds {
 		return nil, nil, fmt.Errorf("%d rounds have fused records, the run reports %d fused", len(fused), st.FusedRounds)
+	}
+	if metric == core.MetricPrevTime && rule == core.FuseNever && st.Events > 0 && !timed {
+		return nil, nil, fmt.Errorf("no record of %d rounds times its longest LP", st.Rounds)
 	}
 	return st, fused, nil
 }

@@ -283,7 +283,7 @@ func (l *live) workerLoop(w int, t *Thread) {
 	// timed: only MetricPrevTime needs per-LP wall-clock estimates.
 	timed := l.sh.Cfg.Metric == MetricPrevTime
 	probe := l.sh.Cfg.Observe
-	var clock lpClock
+	clock := lpClock{watch: probe != nil}
 	var times sim.WorkerStats
 	// rec escapes through the probe interface call; keeping it outside the
 	// loop makes that one allocation per run, not one per round. Probes
@@ -389,7 +389,7 @@ func (l *live) workerLoop(w int, t *Thread) {
 			rec = obs.RoundRecord{
 				Round: roundIdx, Worker: int32(w), LBTS: roundLBTS,
 				Events: events,
-				ProcNS: p1, SyncNS: s1 + s2, MsgNS: mNS, WaitGlobalNS: s1,
+				ProcNS: p1, SyncNS: s1 + s2, MsgNS: mNS, WaitGlobalNS: s1, MaxLPNS: clock.longest,
 				Sends: sends, SendBytes: sends * obs.EventBytes,
 				Recvs: recvd, FELDepth: depth, Migrations: migrations,
 			}

@@ -29,11 +29,16 @@ type lpClock struct {
 	evs  [timingBatch]int64
 	n    int
 	mark time.Time
+	// longest is the largest elapsed-based share since start (an
+	// event-count estimate is no time), kept only when watch is set (a
+	// probe is attached): the round's RoundRecord.MaxLPNS.
+	longest int64
+	watch   bool
 }
 
 // start opens a fresh measurement window at the top of phase 1.
 func (c *lpClock) start() {
-	c.n = 0
+	c.n, c.longest = 0, 0
 	c.mark = time.Now() //unison:wallclock-ok measures real per-LP processing cost (the P-hat estimate)
 }
 
@@ -66,7 +71,11 @@ func (c *lpClock) flush(lps []lpState) {
 			lps[c.lps[i]].lastP = c.evs[i]
 		} else {
 			// Every noted LP came off a run list, so total ≥ n.
-			lps[c.lps[i]].lastP = elapsed * c.evs[i] / total
+			p := elapsed * c.evs[i] / total
+			lps[c.lps[i]].lastP = p
+			if c.watch && p > c.longest {
+				c.longest = p
+			}
 		}
 	}
 	c.n = 0

@@ -156,7 +156,7 @@ const (
 	maxFrame    = 1 << 30
 	headBytes   = 4 + 4 // the length and its complement
 	eventBytes  = 8 + 4 + 8 + 4 + 4 + ckpt.PacketBytes
-	recordBytes = 8 + 4 + 8 + 8 + 4*8 + 5*8 + 8 + 8 + 8 + 8 + 1
+	recordBytes = 8 + 4 + 8 + 8 + 5*8 + 5*8 + 8 + 8 + 8 + 8 + 1
 	rowBytes    = 8 + 4 + 4 + 4 + 4 + 4*4 + 8 + 8
 )
 
@@ -269,6 +269,7 @@ func encodeSide(enc *ckpt.Enc, s *Sideband) {
 		enc.I64(r.SyncNS)
 		enc.I64(r.MsgNS)
 		enc.I64(r.WaitGlobalNS)
+		enc.I64(r.MaxLPNS)
 		enc.U64(r.Sends)
 		enc.U64(r.SendBytes)
 		enc.U64(r.Recvs)
@@ -306,7 +307,7 @@ func decodeSide(d *ckpt.Dec) *Sideband {
 		s.Recs = make([]obs.RoundRecord, n)
 		for i := range s.Recs {
 			s.Recs[i] = obs.RoundRecord{Round: d.U64(), Worker: d.I32(), LBTS: d.Time(), Events: d.U64(),
-				ProcNS: d.I64(), SyncNS: d.I64(), MsgNS: d.I64(), WaitGlobalNS: d.I64(),
+				ProcNS: d.I64(), SyncNS: d.I64(), MsgNS: d.I64(), WaitGlobalNS: d.I64(), MaxLPNS: d.I64(),
 				Sends: d.U64(), SendBytes: d.U64(), Recvs: d.U64(), FELDepth: d.U64(), Migrations: d.U64(),
 				AllReduceNS: d.I64(), Retries: d.U64(), CkptNS: d.I64(), CkptBytes: d.U64(), Fused: d.Bool()}
 		}

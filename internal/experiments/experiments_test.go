@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+
+	"unison/internal/obs"
 )
 
 // runQuick executes a registered experiment in Quick mode and applies
@@ -32,6 +35,34 @@ func runQuick(t *testing.T, name string) *Table {
 	}
 	t.Logf("\n%s", sb.String())
 	return tab
+}
+
+// TestFoldRounds: a round's phase 1 and per-worker time come from any
+// worker but 0 (worker 0's ProcNS also holds the globals); its ideal span is
+// its longest LP when one LP outlasts the even spread, the spread
+// otherwise; and a Registry that dropped records is refused.
+func TestFoldRounds(t *testing.T) {
+	reg := obs.NewRegistry(2)
+	reg.BeginRun(obs.RunMeta{Workers: 2})
+	for _, r := range []obs.RoundRecord{
+		{Round: 0, Worker: 0, ProcNS: 950, SyncNS: 50, WaitGlobalNS: 0, MaxLPNS: 900},
+		{Round: 0, Worker: 1, ProcNS: 300, SyncNS: 650, MsgNS: 50, WaitGlobalNS: 600, MaxLPNS: 100},
+		{Round: 1, Worker: 0, ProcNS: 400, SyncNS: 10, WaitGlobalNS: 0, MaxLPNS: 200},
+		{Round: 1, Worker: 1, ProcNS: 300, SyncNS: 110, WaitGlobalNS: 100, MaxLPNS: 150},
+	} {
+		reg.OnRound(&r)
+	}
+	want := []round{
+		{PerWorker: []int64{900, 300}, Phase1: 900, Makespan: 1000, Ideal: 900},
+		{PerWorker: []int64{400, 300}, Phase1: 400, Makespan: 410, Ideal: 350},
+	}
+	if got, err := foldRounds(reg); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("folded %+v (%v), want %+v", got, err, want)
+	}
+	reg.OnRound(&obs.RoundRecord{Round: 2, Worker: 0})
+	if got, err := foldRounds(reg); err == nil {
+		t.Fatalf("a wrapped ring folded to %+v", got)
+	}
 }
 
 func TestRunUnknownExperiment(t *testing.T) {

@@ -180,14 +180,12 @@ func fig12c(cfg Config) (*Table, error) {
 		row := []any{th}
 		for _, m := range metrics {
 			spec, _ := profileFatTree(cfg, 0)
-			st, _, err := vrun(spec, vtime.Config{
-				Algo: vtime.Unison, Cores: th, Metric: m, RecordRounds: true,
-			})
+			rs, err := vrounds(spec, vtime.Config{Algo: vtime.Unison, Cores: th, Metric: m})
 			if err != nil {
 				return nil, err
 			}
 			var actual, ideal int64
-			for _, r := range st.RoundTrace {
+			for _, r := range rs {
 				actual += r.Phase1
 				ideal += r.Ideal
 			}
@@ -232,11 +230,11 @@ func fig13(cfg Config) (*Table, error) {
 	spec, k := profileFatTree(cfg, 0.5)
 	ranks := 8
 	manual := manualFatTree(k, ranks, profileBW, 3*sim.Microsecond)
-	bar, _, err := vrun(spec, vtime.Config{Algo: vtime.Barrier, LPOf: manual, RecordRounds: true})
+	bar, err := vrounds(spec, vtime.Config{Algo: vtime.Barrier, LPOf: manual})
 	if err != nil {
 		return nil, err
 	}
-	uni, _, err := vrun(spec, vtime.Config{Algo: vtime.Unison, Cores: ranks, RecordRounds: true})
+	uni, err := vrounds(spec, vtime.Config{Algo: vtime.Unison, Cores: ranks})
 	if err != nil {
 		return nil, err
 	}
@@ -252,7 +250,7 @@ func fig13(cfg Config) (*Table, error) {
 		t.Columns = append(t.Columns, fmt.Sprintf("U%d", i))
 	}
 	buckets := 10
-	addFrom := func(trace []sim.RoundSample, bucket int, per int) []float64 {
+	addFrom := func(trace []round, bucket int, per int) []float64 {
 		sums := make([]float64, ranks)
 		for r := bucket * per; r < (bucket+1)*per && r < len(trace); r++ {
 			for w := 0; w < ranks && w < len(trace[r].PerWorker); w++ {
@@ -261,16 +259,16 @@ func fig13(cfg Config) (*Table, error) {
 		}
 		return sums
 	}
-	per := len(bar.RoundTrace) / buckets
+	per := len(bar) / buckets
 	if per == 0 {
 		per = 1
 	}
-	for b := 0; b*per < len(bar.RoundTrace); b++ {
+	for b := 0; b*per < len(bar); b++ {
 		row := []any{b * per}
-		for _, v := range addFrom(bar.RoundTrace, b, per) {
+		for _, v := range addFrom(bar, b, per) {
 			row = append(row, v)
 		}
-		for _, v := range addFrom(uni.RoundTrace, b, per) {
+		for _, v := range addFrom(uni, b, per) {
 			row = append(row, v)
 		}
 		t.AddRow(row...)

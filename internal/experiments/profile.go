@@ -70,8 +70,8 @@ func fig5a(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// roundRatios renders per-round S/T from a recorded trace, bucketed.
-func roundRatios(t *Table, trace []sim.RoundSample, buckets int) {
+// roundRatios renders per-round S/T from a run's rounds, bucketed.
+func roundRatios(t *Table, trace []round, buckets int) {
 	if len(trace) == 0 {
 		return
 	}
@@ -110,7 +110,7 @@ func roundRatios(t *Table, trace []sim.RoundSample, buckets int) {
 func fig5b(cfg Config) (*Table, error) {
 	spec, k := profileFatTree(cfg, 0)
 	manual := manualFatTree(k, k, profileBW, 3*sim.Microsecond)
-	bar, _, err := vrun(spec, vtime.Config{Algo: vtime.Barrier, LPOf: manual, RecordRounds: true})
+	bar, err := vrounds(spec, vtime.Config{Algo: vtime.Barrier, LPOf: manual})
 	if err != nil {
 		return nil, err
 	}
@@ -119,8 +119,8 @@ func fig5b(cfg Config) (*Table, error) {
 		Title:   "Barrier synchronization: S/T per round bucket, balanced traffic",
 		Columns: []string{"round", "S/T"},
 	}
-	roundRatios(t, bar.RoundTrace, 20)
-	t.Note("%d rounds total; paper: S/T fluctuates around 20%%+ in transient windows", len(bar.RoundTrace))
+	roundRatios(t, bar, 20)
+	t.Note("%d rounds total; paper: S/T fluctuates around 20%%+ in transient windows", len(bar))
 	return t, nil
 }
 
@@ -230,7 +230,7 @@ func fig9a(cfg Config) (*Table, error) {
 // fig9b — Unison's per-round S/T under balanced traffic.
 func fig9b(cfg Config) (*Table, error) {
 	spec, _ := profileFatTree(cfg, 0)
-	uni, _, err := vrun(spec, vtime.Config{Algo: vtime.Unison, Cores: 8, RecordRounds: true})
+	uni, err := vrounds(spec, vtime.Config{Algo: vtime.Unison, Cores: 8})
 	if err != nil {
 		return nil, err
 	}
@@ -239,7 +239,7 @@ func fig9b(cfg Config) (*Table, error) {
 		Title:   "Unison: S/T per round bucket, balanced traffic (8 threads)",
 		Columns: []string{"round", "S/T"},
 	}
-	roundRatios(t, uni.RoundTrace, 20)
-	t.Note("%d rounds total; paper: Unison's per-round S/T is mainly under 1%%", len(uni.RoundTrace))
+	roundRatios(t, uni, 20)
+	t.Note("%d rounds total; paper: Unison's per-round S/T is mainly under 1%%", len(uni))
 	return t, nil
 }

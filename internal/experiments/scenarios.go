@@ -5,6 +5,7 @@ import (
 
 	"unison/internal/app"
 	"unison/internal/netdev"
+	"unison/internal/obs"
 	"unison/internal/pdes"
 	"unison/internal/routing"
 	"unison/internal/sim"
@@ -121,18 +122,77 @@ func fatTreeSpec(seed uint64, k int, bw int64, delay, stop sim.Time, incast floa
 	}
 }
 
+// maxRounds aborts a runaway virtual run.
+const maxRounds = 50_000_000
+
 // vrun builds a fresh scenario from spec and executes it on the virtual
 // testbed.
 func vrun(spec *scenarioSpec, cfg vtime.Config) (*sim.RunStats, *app.Sim, error) {
 	sc := spec.build()
 	if cfg.MaxRounds == 0 {
-		cfg.MaxRounds = 50_000_000
+		cfg.MaxRounds = maxRounds
 	}
 	st, err := vtime.Run(sc.Model(), cfg)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", cfg.Algo, err)
 	}
 	return st, sc, nil
+}
+
+// round is one round of a virtual run, folded from its workers' round
+// records: what the per-round figures (5b, 9b, 12c, 13) plot.
+type round struct {
+	// PerWorker is each worker's processing time in phase 1, Phase1 the
+	// phase's span and Makespan the whole round's.
+	PerWorker        []int64
+	Phase1, Makespan int64
+	// Ideal is the phase-1 span of a perfect scheduler: the round's
+	// longest LP or its processing spread evenly, whichever is longer.
+	Ideal int64
+}
+
+// vrounds runs spec like vrun and folds the round records of a Registry
+// that holds every one of them (its rings hold vrun's round bound) into
+// the run's rounds.
+func vrounds(spec *scenarioSpec, cfg vtime.Config) ([]round, error) {
+	reg := obs.NewRegistry(maxRounds)
+	cfg.Observe = reg
+	if _, _, err := vrun(spec, cfg); err != nil {
+		return nil, err
+	}
+	return foldRounds(reg)
+}
+
+// foldRounds derives every round from reg's records: under vtime each
+// round files one record per worker, worker 0's holding the round's global
+// events in ProcNS beside its phase-1 share.
+func foldRounds(reg *obs.Registry) ([]round, error) {
+	recs := reg.Records()
+	tot, dropped := reg.Totals()
+	filed := dropped
+	for _, w := range tot {
+		filed += w.Records
+	}
+	if filed != uint64(len(recs)) {
+		return nil, fmt.Errorf("experiments: %d of %d round records kept", len(recs), filed)
+	}
+	w := len(tot)
+	out := make([]round, len(recs)/w)
+	for i := range out {
+		rs := recs[i*w : (i+1)*w]
+		// Any worker but 0 waited out the rest of phase 1 at the barrier (a
+		// lone worker 0's Phase1 includes the globals).
+		last, r := rs[w-1], &out[i]
+		r.Phase1, r.Makespan = last.ProcNS+last.WaitGlobalNS, last.ProcNS+last.SyncNS+last.MsgNS
+		var busy int64
+		for _, rec := range rs {
+			r.PerWorker = append(r.PerWorker, r.Phase1-rec.WaitGlobalNS)
+			busy += r.Phase1 - rec.WaitGlobalNS
+			r.Ideal = max(r.Ideal, rec.MaxLPNS)
+		}
+		r.Ideal = max(r.Ideal, (busy+int64(w)-1)/int64(w))
+	}
+	return out, nil
 }
 
 // secondsV renders virtual nanoseconds as seconds.

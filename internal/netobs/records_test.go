@@ -16,7 +16,7 @@ import (
 func stream() []Record {
 	return []Record{
 		{Meta: &StreamMeta{Schema: RecordsSchema, Tool: "t", Kernel: "k", Workers: 2, LPs: 4, StopNS: 9000, IntervalNS: 100, StartUnixNS: 1_700_000_000_000_000_000}},
-		{Round: &obs.RoundRecord{Round: 0, Worker: 1, LBTS: 500, Events: 7, ProcNS: 30, SyncNS: 4, MsgNS: 2, FELDepth: 3, CkptNS: 11, Fused: true}},
+		{Round: &obs.RoundRecord{Round: 0, Worker: 1, LBTS: 500, Events: 7, ProcNS: 30, SyncNS: 4, MsgNS: 2, MaxLPNS: 12, FELDepth: 3, CkptNS: 11, Fused: true}},
 		{Row: &Row{Tick: 100, Node: 3, Link: 1, Depth: 2, MaxDepth: 5, Drops: 1, TxBytes: 1500, BW: 1e9}},
 		{Round: &obs.RoundRecord{Round: 1, Worker: 0, LBTS: sim.MaxTime, Events: 1}},
 		{Stats: &sim.RunStats{Kernel: "k", Events: 8, Rounds: 2, Workers: []sim.WorkerStats{{Events: 8}},
@@ -80,6 +80,13 @@ func TestRecordLinesHaveOneKind(t *testing.T) {
 // encode∘decode unchanged.
 func FuzzRecords(f *testing.F) {
 	f.Add(encode(f, stream()))
+	// A line written before max_lp_ns was added still decodes, to 0.
+	old := `{"round":{"round":3,"worker":1,"lbts":500,"events":7,"proc_ns":30,"sync_ns":4,"msg_ns":2,"wait_global_ns":1,"mailbox_sends":0,"mailbox_bytes":0,"mailbox_recvs":0,"fel_depth":2,"migrations":0}}`
+	if r, err := DecodeRecord([]byte(old)); err != nil || r.Round.MaxLPNS != 0 {
+		f.Fatalf("%s decoded to %+v (%v)", old, r.Round, err)
+	}
+	f.Add([]byte(old))
+	f.Add([]byte(`{"round":{"round":3,"worker":1,"proc_ns":30,"max_lp_ns":12}}` + "\n"))
 	f.Add([]byte(`{"round":{"round":1},"Round":{"events":2}}` + "\n"))
 	f.Add([]byte(`{"stats":{"imbalance":{"mean_max_over_mean":1e308}}}` + "\n" + `{"row":{"tick":-1}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -66,6 +66,13 @@ type RoundRecord struct {
 	// barrier (phase 2, global-event handling); the remainder is the
 	// window-advance barrier (phase 4).
 	WaitGlobalNS int64 `json:"wait_global_ns"`
+	// MaxLPNS is the longest phase-1 time of a single LP this worker ran
+	// in the round, in ProcNS's units: no schedule of the round's LPs
+	// finishes its processing phase sooner. Live kernels time LPs only
+	// under core.MetricPrevTime, and only in batches the clock resolved:
+	// it is 0 under the other metrics, on a Fused round's records, and for
+	// LPs whose batch ran under the clock's resolution.
+	MaxLPNS int64 `json:"max_lp_ns,omitempty"`
 	// Sends counts cross-LP events this worker staged for other LPs
 	// during the round; SendBytes is Sends x EventBytes.
 	Sends     uint64 `json:"mailbox_sends"`

@@ -412,22 +412,6 @@ type WorkerStats struct {
 // T returns the worker's total accounted time.
 func (w WorkerStats) T() int64 { return w.P + w.S + w.M }
 
-// RoundSample records one synchronization round for per-round traces
-// (Figures 5b, 9b, 12c, 13).
-type RoundSample struct {
-	LBTS Time `json:"lbts"`
-	// PerWorker[i] is worker i's processing time in the round.
-	PerWorker []int64 `json:"per_worker,omitempty"`
-	// Makespan is the duration of the round (max over workers incl. waits).
-	Makespan int64 `json:"makespan"`
-	// Phase1 is the processing-phase span (max worker busy time).
-	Phase1 int64 `json:"phase1"`
-	// Ideal is the processing-phase lower bound assuming a perfect
-	// scheduler that knows every LP's exact cost: max(longest LP,
-	// ⌈total/threads⌉). Only the virtual kernels can compute it.
-	Ideal int64 `json:"ideal"`
-}
-
 // RunStats summarizes a completed run. The JSON tags are a stable
 // contract for exported reports and external tooling.
 type RunStats struct {
@@ -449,9 +433,6 @@ type RunStats struct {
 	// Cache locality model counters (see internal/metrics).
 	CacheRefs   uint64 `json:"cache_refs,omitempty"`
 	CacheMisses uint64 `json:"cache_misses,omitempty"`
-
-	// RoundTrace, if enabled on the kernel, holds per-round samples.
-	RoundTrace []RoundSample `json:"round_trace,omitempty"`
 
 	// Imbalance is the per-round load-imbalance summary computed by the
 	// imbalance diagnostics pass (internal/obs) when a telemetry probe

@@ -15,8 +15,7 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/rounds.golden.json from the current code")
 
-// goldenKeep is how many leading RoundSamples and RoundRecords are pinned
-// per kernel; the totals in goldenRun cover the rest of the run.
+// goldenKeep is how many leading RoundRecords are pinned per kernel; the totals in goldenRun cover the rest of the run.
 const goldenKeep = 32
 
 // goldenRun is everything deterministic a virtual run reports. Every
@@ -31,7 +30,6 @@ type goldenRun struct {
 	LPs      int               `json:"lps"`
 	VirtualT int64             `json:"virtual_ns"`
 	Workers  []goldenWorker    `json:"workers"`
-	Samples  []sim.RoundSample `json:"round_samples"`
 	Records  []obs.RoundRecord `json:"round_records"`
 }
 
@@ -57,10 +55,6 @@ func (p *headProbe) OnRound(rec *obs.RoundRecord) {
 // fat-tree incast model. The other tests in this package only check
 // orderings and run-to-run equality, which a change that shifts every
 // VirtualT by a barrier constant would pass.
-//
-// RecordRounds is requested only where the kernel honoured it when the
-// file was first written (Barrier, Unison); Sequential and Hybrid ignored
-// the flag then.
 func TestRoundsGolden(t *testing.T) {
 	hostOf := func(nodes int) []int32 {
 		h := make([]int32, nodes)
@@ -75,16 +69,16 @@ func TestRoundsGolden(t *testing.T) {
 	}{
 		{"sequential", func(int, []int32) Config { return Config{Algo: Sequential} }},
 		{"barrier", func(_ int, lpOf []int32) Config {
-			return Config{Algo: Barrier, LPOf: lpOf, RecordRounds: true}
+			return Config{Algo: Barrier, LPOf: lpOf}
 		}},
 		{"unison-prevtime", func(int, []int32) Config {
-			return Config{Algo: Unison, Cores: 4, Metric: core.MetricPrevTime, RecordRounds: true}
+			return Config{Algo: Unison, Cores: 4, Metric: core.MetricPrevTime}
 		}},
 		{"unison-pending", func(int, []int32) Config {
-			return Config{Algo: Unison, Cores: 4, Metric: core.MetricPendingEvents, RecordRounds: true}
+			return Config{Algo: Unison, Cores: 4, Metric: core.MetricPendingEvents}
 		}},
 		{"unison-speedaware", func(int, []int32) Config {
-			return Config{Algo: Unison, Cores: 4, CoreSpeeds: []float64{1, 1, 0.5, 0.5}, SpeedAware: true, RecordRounds: true}
+			return Config{Algo: Unison, Cores: 4, CoreSpeeds: []float64{1, 1, 0.5, 0.5}, SpeedAware: true}
 		}},
 		{"hybrid-2x2", func(nodes int, _ []int32) Config {
 			return Config{Algo: Hybrid, HostOf: hostOf(nodes), CoresPerHost: 2}
@@ -106,10 +100,7 @@ func TestRoundsGolden(t *testing.T) {
 		g := goldenRun{
 			Name: tc.name, Kernel: st.Kernel, Events: st.Events, EndTime: st.EndTime,
 			Rounds: st.Rounds, LPs: st.LPs, VirtualT: st.VirtualT,
-			Samples: st.RoundTrace, Records: probe.recs,
-		}
-		if len(g.Samples) > goldenKeep {
-			g.Samples = g.Samples[:goldenKeep]
+			Records: probe.recs,
 		}
 		for _, w := range st.Workers {
 			g.Workers = append(g.Workers, goldenWorker{P: w.P, S: w.S, M: w.M, Events: w.Events})

@@ -108,7 +108,6 @@ func runRounds(m *sim.Model, cfg Config, sh shape, start time.Time) (*sim.RunSta
 	workers := groups * sh.PerGroup
 	ws := make([]sim.WorkerStats, workers) // modelled P/S/M; the engine counts events
 	var virt int64
-	var trace []sim.RoundSample
 
 	speeds := sh.speeds
 	if speeds == nil {
@@ -119,6 +118,7 @@ func runRounds(m *sim.Model, cfg Config, sh shape, start time.Time) (*sim.RunSta
 	}
 	avail := make([]int64, workers)
 	busyP := make([]int64, workers)
+	maxP := make([]int64, workers) // the longest LP's wall on each core
 	busyM := make([]int64, workers)
 	probe := cfg.Observe
 	evT := make([]uint64, workers)
@@ -157,12 +157,11 @@ func runRounds(m *sim.Model, cfg Config, sh shape, start time.Time) (*sim.RunSta
 		roundIdx, lbts := e.Round(), e.LBTS()
 		th.StartRound()
 		for i := range avail {
-			avail[i], busyP[i], busyM[i] = 0, 0, 0
+			avail[i], busyP[i], maxP[i], busyM[i] = 0, 0, 0, 0
 			evT[i], recvT[i], depthT[i], migT[i] = 0, 0, 0, 0
 		}
 		// Phase 1: every group list-schedules its run list, longest
 		// estimated job first, onto its own cores.
-		var totalCost, maxLP int64
 		for g := 0; g < groups; g++ {
 			lo, hi := g*sh.PerGroup, (g+1)*sh.PerGroup
 			run, _ := e.Group(g)
@@ -174,13 +173,10 @@ func runRounds(m *sim.Model, cfg Config, sh shape, start time.Time) (*sim.RunSta
 				wall := int64(float64(cost) / speeds[t])
 				avail[t] += wall
 				busyP[t] += wall
+				maxP[t] = max(maxP[t], wall)
 				evT[t] += uint64(nev)
 				if probe != nil && e.Migrated(t, lp) {
 					migT[t]++
-				}
-				totalCost += cost
-				if cost > maxLP {
-					maxLP = cost
 				}
 			}
 		}
@@ -190,10 +186,6 @@ func runRounds(m *sim.Model, cfg Config, sh shape, start time.Time) (*sim.RunSta
 			if avail[t] > span1 {
 				span1 = avail[t]
 			}
-		}
-		ideal := (totalCost + int64(workers) - 1) / int64(workers)
-		if maxLP > ideal {
-			ideal = maxLP
 		}
 		// Phase 2: worker 0 handles globals.
 		globals := th.Globals()
@@ -251,22 +243,16 @@ func runRounds(m *sim.Model, cfg Config, sh shape, start time.Time) (*sim.RunSta
 					Round: roundIdx, Worker: int32(t), LBTS: lbts,
 					Events: evT[t],
 					ProcNS: proc, SyncNS: roundTotal - busy, MsgNS: msg,
-					WaitGlobalNS: span1 - busyP[t],
-					Recvs:        recvT[t], FELDepth: depthT[t],
+					WaitGlobalNS: span1 - busyP[t], MaxLPNS: maxP[t],
+					Recvs: recvT[t], FELDepth: depthT[t],
 					Migrations: migT[t], AllReduceNS: sh.allReduceNS,
 				}
 				probe.OnRound(&rec)
 			}
 		}
 		virt += roundTotal
-		if cfg.RecordRounds {
-			trace = append(trace, sim.RoundSample{
-				LBTS: lbts, PerWorker: append([]int64(nil), busyP...),
-				Makespan: roundTotal, Phase1: span1, Ideal: ideal,
-			})
-		}
 	}
 	st := e.Stats(start, ws)
-	st.VirtualT, st.RoundTrace = virt, trace
+	st.VirtualT = virt
 	return st, e.Err()
 }

@@ -90,8 +90,6 @@ type Config struct {
 	SpeedAware bool
 	// Cost converts events into virtual nanoseconds.
 	Cost CostModel
-	// RecordRounds captures the per-round trace.
-	RecordRounds bool
 	// MaxRounds aborts runaway simulations when positive.
 	MaxRounds uint64
 	// Observe, when non-nil, receives one obs.RoundRecord per virtual
