@@ -40,7 +40,7 @@ func runQuick(t *testing.T, name string) *Table {
 // TestFoldRounds: a round's phase 1 and per-worker time come from any
 // worker but 0 (worker 0's ProcNS also holds the globals); its ideal span is
 // its longest LP when one LP outlasts the even spread, the spread
-// otherwise; and a Registry that dropped records is refused.
+// otherwise; and a Registry whose ring wrapped is refused.
 func TestFoldRounds(t *testing.T) {
 	reg := obs.NewRegistry(2)
 	reg.BeginRun(obs.RunMeta{Workers: 2})

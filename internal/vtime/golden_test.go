@@ -15,7 +15,8 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/rounds.golden.json from the current code")
 
-// goldenKeep is how many leading RoundRecords are pinned per kernel; the totals in goldenRun cover the rest of the run.
+// goldenKeep is how many leading RoundRecords are pinned per kernel; the
+// totals in goldenRun cover the rest of the run.
 const goldenKeep = 32
 
 // goldenRun is everything deterministic a virtual run reports. Every
